@@ -119,9 +119,9 @@ class ProtocolConfig:
     #: shared data channels from one per-host QP pool whose receive side
     #: is a shared receive queue, instead of each opening ``num_channels``
     #: dedicated QPs and a dedicated block pool.  Escape hatch like
-    #: ``use_fluid``/``use_wheel``: with the default False every code
-    #: path, metric label and event order is bit-identical to the
-    #: dedicated-QP protocol.
+    #: ``Engine(use_fluid=...)``: with the default False every code path,
+    #: metric label and event order is bit-identical to the dedicated-QP
+    #: protocol.
     use_srq: bool = False
     #: Shared receive-WQE budget per host pool (``use_srq`` only).  Sized
     #: for aggregate arrival rate, not per-connection: this bounds pinned

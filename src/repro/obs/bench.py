@@ -362,9 +362,9 @@ def _run_sim_kernel_case(workers: int, rounds: int) -> dict:
 
     Exercises exactly the kernel hot paths the protocol cases sit on:
     request/reply races against an RTO (the winner cancels the loser),
-    short periodic timers (wheel traffic), and beyond-horizon sleepers
-    (heap traffic), so kernel-level regressions show up undiluted by
-    protocol work.
+    short periodic timers (churn at the top of the heap), and
+    half-second sleepers (entries that stay deep in it), so kernel-level
+    regressions show up undiluted by protocol work.
     """
     from repro.sim.engine import Engine
     from repro.sim.events import AnyOf

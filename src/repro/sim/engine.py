@@ -4,28 +4,19 @@ Time is a ``float`` in **seconds**.  Events scheduled for the same instant
 are processed in insertion order, which makes every simulation fully
 deterministic regardless of queue internals.
 
-Two queues back the scheduler:
-
-* a binary heap for immediate triggers and long/irregular events, and
-* a hashed timer wheel for short-horizon timers (heartbeats, adaptive
-  RTOs, watchdogs) — the timers that dominate after adaptive failure
-  detection and that are usually cancelled before they fire.
-
-Both order strictly by ``(time, insertion id)`` with one global id
-counter, so the merged dispatch order is bit-identical to a single heap;
-``Engine(use_wheel=False)`` forces the single-heap path and must produce
-exactly the same simulation (the determinism tests assert this).
-Cancelled timers stay queued as tombstones and are discarded without
-running callbacks when their entry surfaces; tombstones still advance the
-clock and count as processed events, so ``sim_time`` and the
-``events_processed`` determinism anchor do not depend on how many timers
-a run cancels.
+One binary heap of ``(time, insertion id, event)`` entries backs the
+scheduler: timers and immediate triggers alike are a C ``heappush`` at
+creation and a C ``heappop`` at dispatch, and one global id counter
+breaks ties.  Cancelled timers stay queued as tombstones and are
+discarded without running callbacks when their entry surfaces;
+tombstones still advance the clock and count as processed events, so
+``sim_time`` and the ``events_processed`` determinism anchor do not
+depend on how many timers a run cancels.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left, insort
+from heapq import heappop, heappush
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.obs import runtime as _obs_runtime
@@ -45,24 +36,19 @@ class SimulationError(Exception):
 class Engine:
     """Deterministic discrete-event simulation engine.
 
-    The engine owns the clock and the event queues.  User code creates
+    The engine owns the clock and the event queue.  User code creates
     processes with :meth:`process` and builds delays/events with
     :meth:`timeout` / :meth:`event`; everything else in the library layers
     on top of these primitives.
     """
 
-    #: Wheel geometry: 2048 slots of 64 µs cover a ~131 ms horizon —
-    #: generous for LAN RTOs and WAN heartbeats alike.  Timers beyond the
-    #: horizon (or relative to a stale cursor) fall back to the heap;
-    #: placement never affects dispatch order, only constant factors.
-    WHEEL_TICK = 64e-6
-    WHEEL_SLOTS = 2048
-
-    def __init__(self, use_wheel: bool = True, use_fluid: bool = True) -> None:
+    def __init__(self, use_fluid: bool = True) -> None:
         self._now: float = 0.0
+        #: The queue and its tie-break counter.  There is no push method:
+        #: ``Timeout``/``TimeoutAt`` and ``Event.succeed``/``fail`` bump
+        #: ``_eid`` and ``heappush`` onto ``_heap`` themselves.
         self._heap: List[Tuple[float, int, Event]] = []
         self._eid: int = 0
-        self._stopped = False
         #: Master switch for the fluid fast-forward paths.  When set,
         #: FIFO resources grant immediately-satisfiable requests without
         #: a queue round trip, and steady-state pipelines (links, DMA,
@@ -73,31 +59,6 @@ class Engine:
         #: events differs.  ``Engine(use_fluid=False)`` is the escape
         #: hatch that forces every seam back to discrete events.
         self.use_fluid = use_fluid
-        # -- timer wheel state --
-        self._use_wheel = use_wheel
-        self._wheel_tick: float = self.WHEEL_TICK
-        self._wheel_nslots: int = self.WHEEL_SLOTS
-        #: Slot lists are created on demand so an engine that never uses
-        #: the wheel pays nothing for it.
-        self._wheel: List[Optional[List[Tuple[float, int, Event]]]] = (
-            [None] * self.WHEEL_SLOTS if use_wheel else []
-        )
-        self._wheel_count = 0
-        #: Absolute index of the next undrained slot.  Every entry still
-        #: parked in the wheel is due at or after ``cursor * tick``.
-        self._wheel_cursor = 0
-        #: Sorted absolute indices of slots with parked entries, so the
-        #: drain can jump over empty stretches instead of stepping the
-        #: cursor slot by slot (sparse-timer workloads park entries
-        #: thousands of empty slots apart).
-        self._wheel_occupied: List[int] = []
-        #: Entries drained from the wheel, sorted by ``(time, eid)``;
-        #: merged against the heap head at dispatch.  ``_rhead`` is the
-        #: index of the first live entry — dispatch consumes by advancing
-        #: the cursor (O(1)) instead of ``pop(0)`` (O(n)), and the dead
-        #: prefix is compacted away once it dominates the list.
-        self._ready: List[Tuple[float, int, Event]] = []
-        self._rhead: int = 0
         #: Registry every instrumented component on this engine hangs
         #: its counters/gauges/histograms off.
         self.metrics = MetricsRegistry()
@@ -146,161 +107,28 @@ class Engine:
         """Start a new process from a generator function invocation."""
         return Process(self, generator)
 
-    # -- scheduling internals ------------------------------------------------
-    def _push(self, event: Event, delay: float = 0.0) -> None:
-        """Queue a triggered event for processing after ``delay`` seconds."""
-        self._eid += 1
-        heapq.heappush(self._heap, (self._now + delay, self._eid, event))
-
-    def _push_timer(self, event: Event, delay: float) -> None:
-        """Queue a timer, preferring the wheel for short horizons.
-
-        The global ``eid`` counter is shared with :meth:`_push`, so a
-        timer's position in the total ``(time, eid)`` order is the same
-        whether it lands in the wheel or the heap.
-        """
-        self._schedule_timer(event, self._now + delay)
-
-    def _push_timer_at(self, event: Event, when: float) -> None:
-        """Queue a timer due at the absolute instant ``when``."""
-        self._schedule_timer(event, when)
-
-    def _schedule_timer(self, event: Event, when: float) -> None:
-        self._eid += 1
-        if self._use_wheel:
-            tick = self._wheel_tick
-            if self._wheel_count == 0:
-                # Nothing parked: snap the cursor forward so an idle
-                # stretch doesn't leave new timers out of wheel range.
-                cursor = int(self._now / tick)
-                if cursor > self._wheel_cursor:
-                    self._wheel_cursor = cursor
-            slot = int(when / tick)
-            offset = slot - self._wheel_cursor
-            if offset < 0:
-                # Due inside the already-drained window: straight to the
-                # sorted ready list (past the dead prefix).
-                insort(self._ready, (when, self._eid, event), self._rhead)
-                return
-            if offset < self._wheel_nslots:
-                index = slot % self._wheel_nslots
-                bucket = self._wheel[index]
-                if bucket is None:
-                    bucket = self._wheel[index] = []
-                if not bucket:
-                    insort(self._wheel_occupied, slot)
-                bucket.append((when, self._eid, event))
-                self._wheel_count += 1
-                return
-        heapq.heappush(self._heap, (when, self._eid, event))
-
-    def _drain_wheel(self) -> None:
-        """Advance the wheel cursor until the earliest possibly-parked
-        timer can no longer precede the known queue heads.
-
-        Draining only moves entries into the sorted ready list — it runs
-        no callbacks and reads no clocks, so it is safe from ``peek`` as
-        well as from the dispatch loop.
-        """
-        heap = self._heap
-        ready = self._ready
-        tick = self._wheel_tick
-        nslots = self._wheel_nslots
-        wheel = self._wheel
-        occupied = self._wheel_occupied
-        while occupied:
-            head = heap[0][0] if heap else None
-            if len(ready) > self._rhead and (head is None or ready[self._rhead][0] < head):
-                head = ready[self._rhead][0]
-            first = occupied[0]
-            # Entries in slot ``first`` are due at >= first * tick; a
-            # strictly earlier head cannot be outrun, ties must drain so
-            # the eid order decides.
-            if head is not None and head < first * tick:
-                # Jump the cursor over the empty stretch (never past an
-                # occupied slot) so insert offsets stay anchored near now.
-                cursor = int(head / tick)
-                if cursor > first:
-                    cursor = first
-                if cursor > self._wheel_cursor:
-                    self._wheel_cursor = cursor
-                return
-            bucket = wheel[first % nslots]
-            self._wheel_cursor = first + 1
-            del occupied[0]
-            self._wheel_count -= len(bucket)
-            # Buckets are appended in push order, so whens inside one
-            # slot may interleave; sort the bucket (small) and merge it
-            # instead of re-sorting the whole ready list per slot.
-            if len(bucket) > 1:
-                bucket.sort()
-            if not ready or ready[-1] <= bucket[0]:
-                # The common (in fact, provably only) case: everything
-                # already in ready is from an earlier slot or the drained
-                # window, hence strictly before this slot's boundary.
-                ready.extend(bucket)
-            else:
-                i = bisect_left(ready, bucket[0], self._rhead)
-                tail = ready[i:]
-                del ready[i:]
-                ready.extend(heapq.merge(tail, bucket))
-            bucket.clear()
-
     # -- execution ------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next queued event, or ``inf`` if the queue is empty."""
-        if self._wheel_count:
-            self._drain_wheel()
-        rhead = self._rhead
-        ready_t = self._ready[rhead][0] if len(self._ready) > rhead else _INF
-        heap_t = self._heap[0][0] if self._heap else _INF
-        return ready_t if ready_t < heap_t else heap_t
-
-    def _take_ready(self) -> Tuple[float, int, Event]:
-        """Consume the ready head by advancing the cursor (O(1) pop)."""
-        ready = self._ready
-        rhead = self._rhead
-        entry = ready[rhead]
-        rhead += 1
-        if rhead >= 512 and rhead * 2 >= len(ready):
-            del ready[:rhead]
-            rhead = 0
-        self._rhead = rhead
-        return entry
-
-    def _pop_next(self) -> Tuple[float, int, Event]:
-        """Remove and return the globally next ``(time, eid, event)``."""
-        if self._wheel_count:
-            self._drain_wheel()
-        ready = self._ready
-        heap = self._heap
-        if len(ready) > self._rhead:
-            if heap and heap[0] < ready[self._rhead]:
-                return heapq.heappop(heap)
-            return self._take_ready()
-        if heap:
-            return heapq.heappop(heap)
-        raise SimulationError("step() on an empty event queue")
+        return self._heap[0][0] if self._heap else _INF
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        when, _, event = self._pop_next()
+        if not self._heap:
+            raise SimulationError("step() on an empty event queue")
+        when, _, event = heappop(self._heap)
         self._now = when
         self.events_processed += 1
         callbacks = event.callbacks
         event.callbacks = None
-        # ``Timeout`` events carry their value from construction; plain
-        # events were triggered via succeed()/fail().
-        assert callbacks is not None
         if event._cancelled:
             return
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
-            exc = event._value
             raise SimulationError(
                 f"unhandled failure of {event!r}"
-            ) from exc
+            ) from event._value
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock would pass ``until``.
@@ -309,10 +137,9 @@ class Engine:
         if the next event lies beyond it, which makes interval-based
         measurement code simple and exact.
 
-        This is the hot loop: queue references, the heap primitives, and
-        the ``until`` bound are hoisted into locals, and the next entry is
-        selected by direct head comparison so the common dispatch costs no
-        method calls beyond the event callbacks themselves.
+        This is the hot loop — :meth:`step` inlined, with the heap and the
+        ``until`` bound hoisted into locals — so a dispatch costs one C
+        ``heappop`` plus the event's own callbacks.
         """
         if until is not None and until < self._now:
             raise ValueError(
@@ -320,40 +147,16 @@ class Engine:
             )
         limit = _INF if until is None else until
         heap = self._heap
-        ready = self._ready
-        heappop = heapq.heappop
         processed = 0
         try:
-            while True:
-                if self._wheel_count:
-                    self._drain_wheel()
-                # -- select the (time, eid)-least entry across queues --
-                rhead = self._rhead
-                if len(ready) > rhead:
-                    rentry = ready[rhead]
-                    if heap and heap[0] < rentry:
-                        entry = heappop(heap)
-                    else:
-                        rhead += 1
-                        if rhead >= 512 and rhead * 2 >= len(ready):
-                            del ready[:rhead]
-                            rhead = 0
-                        self._rhead = rhead
-                        entry = rentry
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    if rhead:
-                        del ready[:]
-                        self._rhead = 0
-                    break
-                when = entry[0]
+            while heap:
+                entry = heappop(heap)
+                when, _, event = entry
                 if when > limit:
                     # Put the entry back (rare: at most once per run call).
-                    heapq.heappush(heap, entry)
+                    heappush(heap, entry)
                     self._now = until
                     return
-                event = entry[2]
                 self._now = when
                 processed += 1
                 callbacks = event.callbacks
@@ -363,10 +166,9 @@ class Engine:
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
-                    exc = event._value
                     raise SimulationError(
                         f"unhandled failure of {event!r}"
-                    ) from exc
+                    ) from event._value
         except StopEngine:
             return
         finally:
@@ -379,9 +181,4 @@ class Engine:
         raise StopEngine()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        queued = (
-            len(self._heap)
-            + (len(self._ready) - self._rhead)
-            + self._wheel_count
-        )
-        return f"<Engine t={self._now:.9f} queued={queued}>"
+        return f"<Engine t={self._now:.9f} queued={len(self._heap)}>"

@@ -5,10 +5,20 @@ move through three states: *pending* (created, not yet triggered),
 *triggered* (scheduled on the engine's heap with a value or exception) and
 *processed* (callbacks have run).  Processes wait on events by ``yield``-ing
 them; the engine resumes the process when the event is processed.
+
+Scheduling is one ``heappush`` of ``(time, eid, event)`` onto
+``engine._heap`` with ``eid`` taken from the engine's global counter;
+:class:`Timeout`, :class:`TimeoutAt` and :meth:`Event.succeed` /
+:meth:`Event.fail` do it inline.  ``Timeout``, ``TimeoutAt`` and
+``Process`` also set the :class:`Event` slots by hand instead of chaining
+through ``super().__init__`` — a slot added to ``Event`` must be added in
+those three constructors too (``tests/sim/test_event_slots.py`` fails
+otherwise).
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,6 +35,7 @@ __all__ = [
 ]
 
 _PENDING = object()
+_INF = float("inf")
 
 
 class StopEngine(Exception):
@@ -56,7 +67,7 @@ class Event:
         self._ok: Optional[bool] = None
         self._defused = False
         #: Lazy tombstone: a cancelled event stays queued but is skipped
-        #: (no callbacks) when its heap/wheel entry surfaces.
+        #: (no callbacks) when its heap entry surfaces.
         self._cancelled = False
 
     # -- state inspection --------------------------------------------------
@@ -87,11 +98,13 @@ class Event:
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.engine._push(self)
+        engine = self.engine
+        engine._eid = eid = engine._eid + 1
+        heappush(engine._heap, (engine._now, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -103,11 +116,13 @@ class Event:
         """
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.engine._push(self)
+        engine = self.engine
+        engine._eid = eid = engine._eid + 1
+        heappush(engine._heap, (engine._now, eid, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -154,13 +169,19 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(engine)
-        self.delay = delay
-        self._ok = True
+        if not 0 <= delay < _INF:  # also rejects NaN
+            if delay < 0:
+                raise ValueError(f"negative timeout delay: {delay!r}")
+            raise ValueError(f"timeout delay must be finite: {delay!r}")
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine._push_timer(self, delay)
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self.delay = delay
+        engine._eid = eid = engine._eid + 1
+        heappush(engine._heap, (engine._now + delay, eid, self))
 
     def cancel(self) -> bool:
         """Cancel a timer that has not fired yet.
@@ -192,15 +213,22 @@ class TimeoutAt(Timeout):
     __slots__ = ()
 
     def __init__(self, engine: "Engine", when: float, value: Any = None) -> None:
-        if when < engine.now:
-            raise ValueError(
-                f"timeout_at in the past: {when!r} < now={engine.now!r}"
-            )
-        Event.__init__(self, engine)
-        self.delay = when - engine.now
-        self._ok = True
+        now = engine._now
+        if not now <= when < _INF:  # also rejects NaN
+            if when < now:
+                raise ValueError(
+                    f"timeout_at in the past: {when!r} < now={now!r}"
+                )
+            raise ValueError(f"timeout_at deadline must be finite: {when!r}")
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine._push_timer_at(self, when)
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self.delay = when - now
+        engine._eid = eid = engine._eid + 1
+        heappush(engine._heap, (when, eid, self))
 
 
 class Condition(Event):

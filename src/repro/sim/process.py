@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.sim.events import Event, StopEngine
+from repro.sim.events import _PENDING, Event, StopEngine, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -39,19 +39,23 @@ class Process(Event):
             raise TypeError(
                 f"process requires a generator, got {type(generator).__name__}"
             )
-        super().__init__(engine)
+        # The Event slots, set by hand (see the note in ``events.py``).
+        self.engine = engine
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
+        self._cancelled = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        # Bootstrap: resume on the next engine step at the current time.
+        # Bootstrap: a zero-delay timer resumes the body on the next
+        # engine step at the current time.
         # Deliberately NOT run synchronously under fluid mode: the body
         # must observe whatever the spawner does *after* the spawn call
         # (the broker mutates shared state post-spawn), so eager start
         # is the one fast-forward that would change semantics.
-        start = Event(engine)
-        start._ok = True
-        start._value = None
+        start = Timeout(engine, 0.0)
         start.callbacks.append(self._resume)
-        engine._push(start)
         self._waiting_on: Optional[Event] = start
 
     @property

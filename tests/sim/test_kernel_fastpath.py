@@ -1,18 +1,20 @@
-"""Kernel fast path: timer cancellation, the timer wheel, and dispatch.
+"""Kernel fast path: timer cancellation, deadline validation, dispatch.
 
-The contract under test is bit-identity: cancellation must not change
-the clock or the processed-event count (tombstones still dispatch), and
-an engine with the wheel disabled must produce exactly the same
-simulation as one with it enabled.
+The contract under test is the dispatch order: events run by
+``(time, insertion)``, cancellation does not change the clock or the
+processed-event count (tombstones still dispatch), and the single-heap
+engine agrees with a sorted-list reference model after every operation.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AnyOf, Engine
+from repro.sim import AnyOf, Engine, SimulationError
 
 
 # -- Timeout.cancel ----------------------------------------------------------
@@ -112,54 +114,7 @@ def test_failed_condition_detaches_from_pending_children(engine):
     assert pending.callbacks == []
 
 
-# -- wheel-on vs heap-only determinism ---------------------------------------
-
-def _mixed_workload(engine: Engine, log):
-    """Timers on and off the wheel horizon, cancellations, and races."""
-
-    def short(i):
-        for k in range(20):
-            t = engine.timeout(37e-6 + i * 3e-6)
-            t.add_callback(lambda ev, i=i, k=k: log.append(("s", i, k, engine.now)))
-            yield t
-
-    def racer(i):
-        for k in range(10):
-            reply = engine.event()
-            timer = engine.timeout(80e-6)
-            if (i + k) % 3:
-                reply.succeed(k)
-            yield AnyOf(engine, [reply, timer])
-            if reply.triggered:
-                timer.cancel()
-            log.append(("r", i, k, engine.now))
-
-    def long_timer(i):
-        for k in range(3):
-            # Far beyond the wheel horizon: exercises the heap path.
-            yield engine.timeout(0.4 + i * 1e-3)
-            log.append(("l", i, k, engine.now))
-
-    for i in range(4):
-        engine.process(short(i))
-        engine.process(racer(i))
-    engine.process(long_timer(0))
-    engine.process(long_timer(1))
-
-
-def _run_workload(use_wheel: bool):
-    engine = Engine(use_wheel=use_wheel)
-    log = []
-    _mixed_workload(engine, log)
-    engine.run()
-    return log, engine.now, engine.events_processed
-
-
-def test_wheel_and_heap_only_engines_are_bit_identical():
-    wheel = _run_workload(use_wheel=True)
-    heap = _run_workload(use_wheel=False)
-    assert wheel == heap
-
+# -- run(until) put-back ------------------------------------------------------
 
 def test_run_until_puts_overshooting_timer_back(engine):
     t = engine.timeout(2.0)
@@ -171,63 +126,141 @@ def test_run_until_puts_overshooting_timer_back(engine):
     assert t.processed
 
 
-# -- hypothesis: interleaved cancel/succeed/fail sequences -------------------
+# -- typed validation of timer deadlines ---------------------------------------
 
-@settings(max_examples=60, deadline=None)
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "delay, match",
+    [(NAN, "finite"), (INF, "finite"), (-INF, "negative"), (-1.0, "negative")],
+)
+def test_timeout_rejects_bad_delay(engine, delay, match):
+    with pytest.raises(ValueError, match=match) as err:
+        engine.timeout(delay)
+    assert repr(delay) in str(err.value)
+    assert engine.peek() == INF  # nothing was queued
+
+
+@pytest.mark.parametrize(
+    "when, match",
+    [(NAN, "finite"), (INF, "finite"), (-INF, "in the past"), (0.5, "in the past")],
+)
+def test_timeout_at_rejects_bad_deadline(engine, when, match):
+    engine.run(until=1.0)
+    with pytest.raises(ValueError, match=match) as err:
+        engine.timeout_at(when)
+    assert repr(when) in str(err.value)
+    assert engine.peek() == INF
+
+
+# -- hypothesis: the engine against a sorted-list reference model -------------
+
+class _Model:
+    """What the kernel promises, in the dumbest possible form."""
+
+    def __init__(self):
+        self.now, self.seq, self.processed = 0.0, 0, 0
+        self.queue, self.fired = [], []
+        self.cancelled, self.done, self.chained = set(), set(), {}
+
+    def schedule(self, when, tag):
+        self.seq += 1
+        insort(self.queue, (when, self.seq, tag))
+
+    def cancel(self, tag):
+        if tag in self.done:
+            return False
+        self.cancelled.add(tag)
+        return True
+
+    def step(self):
+        self.now, _, tag = self.queue.pop(0)
+        self.processed += 1  # tombstones count
+        self.done.add(tag)
+        if tag not in self.cancelled:
+            self.fired.append((tag, self.now))
+            if tag in self.chained:
+                self.schedule(self.now + self.chained[tag], -tag)
+
+    def run(self, until):
+        while self.queue and self.queue[0][0] <= until:
+            self.step()
+        self.now = until
+
+    def peek(self):
+        return self.queue[0][0] if self.queue else INF
+
+
+_DELAY = st.floats(min_value=0.0, max_value=0.3, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["timer", "cancel", "succeed", "fail", "race"]),
-            st.integers(min_value=0, max_value=7),
-            st.floats(min_value=1e-6, max_value=0.3, allow_nan=False),
+            st.sampled_from(
+                ["timeout", "timeout_at", "chain", "succeed", "fail",
+                 "cancel", "run_until", "step"]
+            ),
+            st.integers(min_value=0, max_value=15),
+            # Few distinct values, so equal deadlines (eid ties) are common.
+            st.one_of(_DELAY, st.sampled_from([0.0, 1e-6, 64e-6, 0.125])),
         ),
         min_size=1,
-        max_size=40,
+        max_size=60,
     )
 )
-def test_interleavings_match_between_wheel_and_heap(ops):
-    def execute(use_wheel: bool):
-        engine = Engine(use_wheel=use_wheel)
-        log = []
-        timers = {}
+def test_engine_matches_sorted_list_model(ops):
+    engine, model = Engine(), _Model()
+    log, timers = [], []
 
-        def driver():
-            for n, (op, slot, delay) in enumerate(ops):
-                if op == "timer":
-                    t = engine.timeout(delay)
-                    t.add_callback(
-                        lambda ev, n=n: log.append(("fire", n, engine.now))
-                    )
-                    timers[slot] = t
-                elif op == "cancel":
-                    t = timers.get(slot)
-                    if t is not None:
-                        log.append(("cancel", n, t.cancel()))
-                elif op == "succeed":
-                    ev = engine.event()
-                    ev.succeed(n)
-                    yield ev
-                    log.append(("ok", n, engine.now))
-                elif op == "fail":
-                    ev = engine.event()
-                    ev.defuse()
-                    ev.fail(RuntimeError(str(n)))
-                    try:
-                        yield ev
-                    except RuntimeError:
-                        log.append(("err", n, engine.now))
-                else:  # race
-                    reply = engine.event()
-                    t = engine.timeout(delay)
-                    if slot % 2:
-                        reply.succeed(n)
-                    yield AnyOf(engine, [reply, t])
-                    if reply.triggered:
-                        t.cancel()
-                    log.append(("race", n, engine.now))
+    def watch(event, tag):
+        event.add_callback(lambda ev: log.append((tag, engine.now)))
 
-        engine.process(driver())
-        engine.run()
-        return log, engine.now, engine.events_processed
+    def rearm(delay, tag):
+        # Scheduling from inside a dispatch, like every protocol callback.
+        return lambda ev: watch(engine.timeout(delay), tag)
 
-    assert execute(True) == execute(False)
+    for tag, (op, pick, x) in enumerate(ops, start=1):
+        if op in ("timeout", "timeout_at", "chain"):
+            if op == "timeout_at":
+                timer = engine.timeout_at(model.now + x)
+            else:
+                timer = engine.timeout(x)
+            timers.append((timer, tag))
+            watch(timer, tag)
+            model.schedule(model.now + x, tag)
+            if op == "chain":
+                timer.add_callback(rearm(x, -tag))
+                model.chained[tag] = x
+        elif op in ("succeed", "fail"):
+            if op == "succeed":
+                event = engine.event().succeed(tag)
+            else:
+                event = engine.event().defuse().fail(RuntimeError(tag))
+            watch(event, tag)
+            model.schedule(model.now, tag)
+        elif op == "cancel" and timers:
+            timer, victim = timers[pick % len(timers)]
+            assert timer.cancel() is model.cancel(victim)
+        elif op == "run_until":
+            engine.run(until=model.now + x)
+            model.run(model.now + x)
+        elif op == "step":
+            if model.queue:
+                engine.step()
+                model.step()
+            else:
+                with pytest.raises(SimulationError):
+                    engine.step()
+        assert engine.now == model.now
+        assert engine.events_processed == model.processed
+        assert engine.peek() == model.peek()
+        assert log == model.fired
+
+    engine.run()
+    model.run(INF)
+    assert log == model.fired
+    assert engine.events_processed == model.processed
+    assert engine.peek() == INF
