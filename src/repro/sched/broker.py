@@ -27,13 +27,16 @@ alternative destinations.  The pieces:
   after a door's first session the per-file cost is one SESSION_REQ
   round trip instead of three — the difference between 1×RTT and 3×RTT
   per small file on the WAN;
-- **durability**: every state transition is appended to a
-  :class:`~repro.sched.journal.Journal` before it is acted on, so
-  :meth:`TransferBroker.recover` can reconstruct the whole job table
-  after a crash — FINISHED files are never re-transferred, queued files
-  re-admit idempotently, and files ACTIVE at crash time re-attach via
-  SESSION_RESUME under their journaled session id (only the suffix past
-  the sink's restart marker moves);
+- **durability**: the broker never writes ``Job`` / ``FileTask`` state
+  by hand — :meth:`TransferBroker._transition` appends a record to the
+  :class:`~repro.sched.journal.Journal` and applies it through the
+  reducer ``replay()`` uses, so :meth:`TransferBroker.recover` rebuilds
+  the same job table after a crash: FINISHED files are never
+  re-transferred, queued files re-admit idempotently, and files ACTIVE
+  at crash time re-attach via SESSION_RESUME under their journaled
+  session id (only the suffix past the sink's restart marker moves).
+  What lives here is everything that is *not* job-table state: queues,
+  timers, worker slots, metrics, traces, breakers;
 - **watchdog / deadlines / drain**: an opt-in per-file progress watchdog
   kills attempts that stall without erroring (bounded by a multiple of
   the link's adaptive RTO), retries back off exponentially with
@@ -58,8 +61,8 @@ from repro.core.errors import (
 from repro.core.health import BreakerState, ChannelBreaker
 from repro.core.jitter import jitter_fraction, jittered
 from repro.core.middleware import allocate_session_id
-from repro.sched.jobs import FileState, FileTask, Job, JobState, TransferSpec
-from repro.sched.journal import Journal, replay
+from repro.sched.jobs import FileState, FileTask, Job, TransferSpec
+from repro.sched.journal import Journal, JobTable, apply, replay, snapshot_jobs
 from repro.sched.overload import (
     RECOVERING,
     OverloadConfig,
@@ -370,15 +373,13 @@ class TransferBroker:
         self._tenants: Dict[str, _TenantState] = {}
         for name, policy in (tenants or {}).items():
             self._tenants[name] = _TenantState(policy=policy)
-        self.jobs: List[Job] = []
-        #: job_id -> Job, for resubmission dedupe: a submit reusing a
-        #: live (or journaled) id returns the existing incarnation.
-        self._jobs_by_id: Dict[str, Job] = {}
+        #: The job table; mutated only by applying journal records
+        #: (:meth:`_transition`).  ``by_id`` doubles as the resubmission
+        #: dedupe index, ``dest_owner`` as the destination dedupe index.
+        self.table = JobTable()
         self.recovered = False
         self._fifo = itertools.count()
         self._job_ids = itertools.count(1)
-        #: Destination path -> live (non-terminal) primary task, for dedupe.
-        self._dest_owner: Dict[str, FileTask] = {}
         self._active = 0
         #: High-water mark of concurrent active transfers over the
         #: broker's lifetime (the sessions-per-host capacity metric).
@@ -448,9 +449,23 @@ class TransferBroker:
             self._per_tenant_metrics[tenant] = m
         return m
 
-    def _journal_rec(self, kind: str, **fields: Any) -> None:
-        if not self._dead:  # a crashed process writes nothing
-            self.journal.append(kind, **fields)
+    @property
+    def jobs(self) -> List[Job]:
+        return self.table.jobs
+
+    def _transition(self, kind: str, **fields: Any) -> Any:
+        """THE way job/file state changes: append the record, then apply
+        that same record through the reducer ``replay()`` uses (WAL
+        order).  A crashed incarnation writes — and changes — nothing."""
+        if self._dead:
+            return None
+        touched = apply(self.table, self.journal.append(kind, **fields))
+        if kind in ("finish", "file_failed", "cancel"):
+            for job in touched:  # the jobs this file transition completed
+                self.engine.trace(
+                    "sched", "job_done", job=job.job_id, state=job.state.value
+                )
+        return touched
 
     # -- submission --------------------------------------------------------------
     def submit(
@@ -472,7 +487,7 @@ class TransferBroker:
             raise ValueError("deadline must be positive")
         if job_id is None:
             job_id = f"job-{next(self._job_ids)}"
-        existing = self._jobs_by_id.get(job_id)
+        existing = self.table.by_id.get(job_id)
         if existing is not None:
             # Resubmission dedupe: the id already has an incarnation in
             # this broker (live, or replayed out of the journal after a
@@ -482,32 +497,31 @@ class TransferBroker:
                 "sched", "job_resubmit_dedup", job=job_id, tenant=tenant
             )
             return existing
-        job = Job.build(job_id, tenant, files, priority)
+        if self._dead:
+            raise RuntimeError("submit on a crashed broker incarnation")
         now = self.engine.now
-        job.submitted_at = now
-        job.deadline = deadline
-        job.done = Event(self.engine)
-        self.jobs.append(job)
-        self._jobs_by_id[job_id] = job
-        self._m_jobs_submitted.add()
-        metrics = self._metrics(tenant)
-        state = self._tenant(tenant)
-        self._journal_rec(
+        job = self._transition(
             "submit", t=now, job_id=job_id, tenant=tenant, priority=priority,
             deadline=deadline,
             files=[{"path": s.path, "size": s.size,
                     "sources": list(s.sources)} for s in files],
         )
+        job.done = Event(self.engine)
+        self._m_jobs_submitted.add()
+        self._metrics(tenant)  # registers the tenant's series at first submit
+        state = self._tenant(tenant)
 
+        dest_owner = self.table.dest_owner
         primaries = [
             t for t in job.files
-            if self._dest_owner.get(t.path) is None
-            or self._dest_owner[t.path].state.terminal
+            if dest_owner.get(t.path) is None
+            or dest_owner[t.path].state.terminal
         ]
         backlog = state.queued + state.parked
         if self._draining:
-            return self._reject_job(
-                job, metrics, "broker draining: admissions closed"
+            self._m_jobs_rejected.add()
+            return self._refuse(
+                job, "reject", reason="broker draining: admissions closed"
             )
         if self.overload is not None:
             decision = self.overload.admit(
@@ -518,34 +532,33 @@ class TransferBroker:
                 priority=priority, deadline=deadline,
             )
             if decision is not None:
-                return self._shed_job(job, metrics, decision)
+                self.overload.note_shed(tenant, len(job.files))
+                return self._refuse(
+                    job, "shed", reason=decision.reason,
+                    retry_after=decision.retry_after,
+                )
         if backlog + len(primaries) > state.policy.max_queued:
             # Admission control: reject the submission whole rather than
             # accept a prefix the tenant cannot distinguish.
-            return self._reject_job(
-                job, metrics,
-                f"tenant {tenant!r} queue full "
+            self._m_jobs_rejected.add()
+            return self._refuse(
+                job, "reject",
+                reason=f"tenant {tenant!r} queue full "
                 f"({backlog}+{len(primaries)} > {state.policy.max_queued})",
             )
 
-        self._journal_rec("admit", t=now, job_id=job_id)
+        self._transition("admit", t=now, job_id=job_id)
         for task in job.files:
-            task.submitted_at = now
-            owner = self._dest_owner.get(task.path)
-            if owner is not None and not owner.state.terminal:
-                # Duplicate submission for an in-flight destination: ride
-                # along on the primary instead of transferring twice.
-                task.duplicate_of = owner
-                owner.duplicates.append(task)
+            if task.duplicate_of is not None:
+                # Duplicate submission for an in-flight destination: it
+                # rides along on the primary instead of transferring twice.
                 self._m_dedup_hits.add()
                 continue
-            self._dest_owner[task.path] = task
             self._outstanding += 1
             heapq.heappush(
                 state.queue, (-job.priority, next(self._fifo), task)
             )
-        job._note_progress()  # all-duplicate jobs may already be terminal
-        if deadline is not None and not job.state.terminal:
+        if deadline is not None:
             self.engine.process(self._deadline_watch(job, deadline))
         self.engine.trace(
             "sched", "job_submitted", job=job_id, tenant=tenant,
@@ -559,52 +572,16 @@ class TransferBroker:
         global bound the overload queue cap applies to)."""
         return sum(s.queued + s.parked for s in self._tenants.values())
 
-    def _shed_job(self, job: Job, metrics: dict, decision: Any) -> Job:
-        """Load-shed a submission whole: journaled as a ``shed`` record
-        carrying the reason and the RETRY_AFTER hint, files CANCELED,
-        and the job marked ``shed`` so the runner can cooperatively
-        resubmit after the hint instead of retrying blind."""
-        now = self.engine.now
-        self.overload.note_shed(job.tenant, len(job.files))
-        metrics["files_canceled"].add(len(job.files))
-        self._journal_rec(
-            "shed", t=now, job_id=job.job_id, reason=decision.reason,
-            retry_after=decision.retry_after,
-        )
-        job.state = JobState.CANCELED
-        job.shed = True
-        job.shed_reason = decision.reason
-        job.retry_after = decision.retry_after
-        for task in job.files:
-            task.state = FileState.CANCELED
-            task.submitted_at = now
-            task.finished_at = now
-            task.error = f"shed: {decision.reason}"
-        job.finished_at = now
-        job.done.succeed(job)
+    def _refuse(self, job: Job, kind: str, **fields: Any) -> Job:
+        """Refuse a submission whole — ``reject`` (admission control,
+        draining) or ``shed`` (overload; the record carries the reason
+        and the RETRY_AFTER hint so the runner can cooperatively resubmit
+        after it instead of retrying blind): files CANCELED, job done."""
+        self._metrics(job.tenant)["files_canceled"].add(len(job.files))
+        self._transition(kind, t=self.engine.now, job_id=job.job_id, **fields)
         self.engine.trace(
-            "sched", "job_shed", job=job.job_id, tenant=job.tenant,
-            files=len(job.files), reason=decision.reason,
-            retry_after=round(decision.retry_after, 6),
-        )
-        return job
-
-    def _reject_job(self, job: Job, metrics: dict, reason: str) -> Job:
-        now = self.engine.now
-        self._m_jobs_rejected.add()
-        metrics["files_canceled"].add(len(job.files))
-        self._journal_rec("reject", t=now, job_id=job.job_id, reason=reason)
-        job.state = JobState.CANCELED
-        for task in job.files:
-            task.state = FileState.CANCELED
-            task.submitted_at = now
-            task.finished_at = now
-            task.error = reason
-        job.finished_at = now
-        job.done.succeed(job)
-        self.engine.trace(
-            "sched", "job_rejected", job=job.job_id, tenant=job.tenant,
-            files=len(job.files),
+            "sched", f"job_{kind}", job=job.job_id, tenant=job.tenant,
+            files=len(job.files), **fields,
         )
         return job
 
@@ -618,40 +595,26 @@ class TransferBroker:
             return False
         now = self.engine.now
         metrics = self._metrics(job.tenant)
-        affected = {id(job): job}  # Job is a mutable dataclass: key by id
         for task in job.files:
             if task.state.terminal:
                 continue
-            if task.duplicate_of is not None:
-                owner = task.duplicate_of
-                if not owner.state.terminal and task in owner.duplicates:
-                    # Detach from the primary's cascade; the primary (in
-                    # some other job) keeps transferring.
-                    owner.duplicates.remove(task)
-                metrics["files_canceled"].add()
-                self._journal_rec("cancel", t=now, job_id=job.job_id,
-                                  index=task.index, reason=reason)
-                task.state = FileState.CANCELED
-                task.finished_at = now
-                task.error = reason
-                continue
-            was_active = task.state is FileState.ACTIVE
-            self._unpark(task)
-            self._outstanding -= 1
             metrics["files_canceled"].add()
-            self._journal_rec("cancel", t=now, job_id=job.job_id,
-                              index=task.index, reason=reason)
-            for dup in task.duplicates:
-                affected[id(dup.job)] = dup.job
-            task.resolve(FileState.CANCELED, now, error=reason)
-            if was_active and task.last_session is not None:
-                door = self.doors.get(task.last_door or "")
-                if door is not None and door.link is not None:
-                    door.link.abort_session(
-                        task.last_session,
-                        TransferCanceled(task.last_session, reason),
-                    )
-        job._note_progress()
+            if task.duplicate_of is None:
+                # A duplicate holds no queue entry, timer or session; its
+                # primary (in some other job) keeps transferring.
+                self._unpark(task)
+                self._outstanding -= 1
+            was_active = task.state is FileState.ACTIVE
+            self._transition(
+                "cancel", t=now, job_id=job.job_id, index=task.index,
+                reason=reason,
+            )
+            door = self.doors.get(task.last_door or "")
+            if was_active and door is not None and door.link is not None:
+                door.link.abort_session(
+                    task.last_session,
+                    TransferCanceled(task.last_session, reason),
+                )
         # Purge the canceled entries from the tenant's heap now.  The
         # dispatch loop skips terminal entries lazily, but it only runs
         # while work is outstanding — a cancellation that empties the
@@ -661,8 +624,6 @@ class TransferBroker:
         if state is not None and any(e[2].state.terminal for e in state.queue):
             state.queue = [e for e in state.queue if not e[2].state.terminal]
             heapq.heapify(state.queue)
-        for j in affected.values():
-            self._finish_job(j)
         self.engine.trace(
             "sched", "job_canceled", job=job.job_id, reason=reason
         )
@@ -806,12 +767,8 @@ class TransferBroker:
                     self._park(task, self.config.blocked_retry, state)
                     continue
                 state.pass_value += 1.0 / state.policy.weight
-                state.inflight += 1
-                self._active += 1
-                if self._active > self.peak_active:
-                    self.peak_active = self._active
-                door.active += 1
-                task.state = FileState.READY
+                self._take_slot(state, door)
+                task.state = FileState.READY  # dispatch-instant, not journaled
                 self.engine.process(self._run_task(task, state, door))
             self._wake = Event(self.engine)
             if self._outstanding == 0 or self._dead or self._draining:
@@ -846,7 +803,6 @@ class TransferBroker:
         state.parked -= 1
         if task.state.terminal:
             return
-        task.state = FileState.SUBMITTED
         heapq.heappush(
             state.queue, (-task.job.priority, next(self._fifo), task)
         )
@@ -864,31 +820,37 @@ class TransferBroker:
         return jittered(delay, cfg.retry_jitter, self.seed,
                         task.job.job_id, task.path, task.attempts)
 
+    # -- worker slots ------------------------------------------------------------
+    def _take_slot(self, state: _TenantState, door: RftpDoor) -> None:
+        state.inflight += 1
+        self._active += 1
+        if self._active > self.peak_active:
+            self.peak_active = self._active
+        door.active += 1
+
+    def _release_slot(self, state: _TenantState, door: RftpDoor) -> None:
+        """The single place a worker slot is returned."""
+        state.inflight -= 1
+        self._active -= 1
+        door.active -= 1
+
     # -- the attempt -------------------------------------------------------------
     def _run_task(self, task: FileTask, state: _TenantState, door: RftpDoor):
-        metrics = self._metrics(task.job.tenant)
-        now = self.engine.now
         if task.state.terminal or self._dead:
             # Canceled (or the broker died) between dispatch and start.
-            state.inflight -= 1
-            self._active -= 1
-            door.active -= 1
+            self._release_slot(state, door)
             self._kick()
             return
+        metrics = self._metrics(task.job.tenant)
+        now = self.engine.now
         if task.started_at is None:
-            task.started_at = now
             metrics["queue_wait"].observe(now - task.submitted_at)
-        task.state = FileState.ACTIVE
-        task.job._note_progress()
-        task.attempts += 1
-        if task.attempts > 1:
+        if task.attempts:
             metrics["retries"].add()
         session_id = allocate_session_id()
-        task.last_session = session_id
-        task.last_door = door.name
-        self._journal_rec(
+        self._transition(
             "attempt", t=now, job_id=task.job.job_id, index=task.index,
-            door=door.name, session=session_id, attempts=task.attempts,
+            door=door.name, session=session_id, attempts=task.attempts + 1,
         )
         if self.config.watchdog:
             self.engine.process(self._watchdog(task, door, session_id))
@@ -908,79 +870,101 @@ class TransferBroker:
                 error = exc
         if self._dead:
             return  # the crash owns the state now; recovery will replay
+        self._release_slot(state, door)
+        self._settle(task, door, error)
+        self._kick()
+
+    def _settle(self, task: FileTask, door: Optional[RftpDoor],
+                error: Optional[TransferError],
+                resumed_from: Optional[int] = None) -> None:
+        """One attempt is over (its slot already released): journal the
+        outcome and requeue, park or complete the file.
+
+        ``resumed_from`` is not None when the attempt was a post-crash
+        SESSION_RESUME.  Resume settlement differs from a dispatched
+        attempt's in exactly these ways (each an explicit line below):
+
+        (a) a failed resume does not feed ``door.breaker.record_failure``;
+        (b) it does not consult ``overload.allow_retry``;
+        (c) it requeues immediately instead of parking with backoff;
+        (d) a resume never samples ``_observe_overload``, and a successful
+            one does not call ``overload.note_success``;
+        (e) a successful resume traces ``file_resumed`` and journals
+            ``resumed_from``.
+        """
+        resume = resumed_from is not None
+        job = task.job
         now = self.engine.now
-        state.inflight -= 1
-        self._active -= 1
-        door.active -= 1
-        self._observe_overload()
-        if error is not None and task.state.terminal:
-            # cancel_job/deadline aborted the session under us and
-            # already journaled the terminal state.
-            self._notify_drain()
-            self._kick()
-            return
-        if error is None:
+        metrics = self._metrics(job.tenant)
+        ident = {"t": now, "job_id": job.job_id, "index": task.index}
+        where = {"job": job.job_id, "path": task.path, "door": task.last_door,
+                 "session": task.last_session, "attempts": task.attempts}
+        if not resume:
+            self._observe_overload()  # (d)
+        if task.state.terminal:
+            # cancel_job/deadline ended the file under the attempt and
+            # already journaled the terminal state; that record wins over
+            # whatever the session went on to report.
+            pass
+        elif error is None:
+            extra = {}
             door.breaker.record_success()
-            if self.overload is not None:
-                self.overload.note_success(task.job.tenant)
+            if resume:
+                self._m_rec_resumed.add()
+                extra["resumed_from"] = resumed_from  # (e)
+            elif self.overload is not None:
+                self.overload.note_success(job.tenant)  # (d)
             self._outstanding -= 1
             metrics["files_finished"].add()
             metrics["bytes_finished"].add(task.size)
             metrics["latency"].observe(now - task.submitted_at)
-            self._journal_rec(
-                "finish", t=now, job_id=task.job.job_id, index=task.index,
-                door=door.name,
-            )
-            task.resolve(FileState.FINISHED, now, source_used=door.name)
-            self._finish_job(task.job)
-            for dup in task.duplicates:
-                self._finish_job(dup.job)
+            self._transition("finish", door=door.name, **ident, **extra)
             self.engine.trace(
-                "sched", "file_finished", job=task.job.job_id,
-                path=task.path, door=door.name, attempts=task.attempts,
+                "sched", "file_resumed" if resume else "file_finished",  # (e)
+                **where, **extra,
             )
         else:
-            door.breaker.record_failure(now)
-            task.alt_cursor += 1  # orderly: next alternative first
-            self._journal_rec(
-                "attempt_fail", t=now, job_id=task.job.job_id,
-                index=task.index, alt_cursor=task.alt_cursor,
-                attempts=task.attempts, error=type(error).__name__,
+            kind = type(error).__name__
+            if resume:
+                self._m_rec_resume_failed.add()
+            else:
+                door.breaker.record_failure(now)  # (a)
+            self._transition(
+                "attempt_fail", **ident,
+                alt_cursor=task.alt_cursor + 1,  # orderly: next alternative
+                attempts=task.attempts, error=kind,
             )
             self.engine.trace(
-                "sched", "file_attempt_failed", job=task.job.job_id,
-                path=task.path, door=door.name, attempts=task.attempts,
-                error=type(error).__name__,
+                "sched", "resume_failed" if resume else "file_attempt_failed",
+                error=kind, **where,
             )
             budget_ok = (
-                self.overload is None
-                or self.overload.allow_retry(task.job.tenant)
+                resume  # (b)
+                or self.overload is None
+                or self.overload.allow_retry(job.tenant)
             )
+            state = self._tenant(job.tenant)
             if task.attempts >= self.config.max_attempts or not budget_ok:
-                reason = f"{type(error).__name__}: {error}"
+                reason = f"{kind}: {error}"
                 if not budget_ok:
                     # Retry budget dry: the tenant's failure burst must
                     # not amplify into a parked-retry storm — fail NOW.
                     reason += " (retry budget exhausted)"
                     self.engine.trace(
                         "sched", "retry_budget_denied",
-                        job=task.job.job_id, path=task.path,
-                        tenant=task.job.tenant,
+                        tenant=job.tenant, **where,
                     )
                 self._outstanding -= 1
                 metrics["files_failed"].add()
-                self._journal_rec(
-                    "file_failed", t=now, job_id=task.job.job_id,
-                    index=task.index, error=reason,
+                self._transition("file_failed", **ident, error=reason)
+            elif resume:
+                # (c) Fall back to a fresh attempt through dispatch.
+                heapq.heappush(
+                    state.queue, (-job.priority, next(self._fifo), task)
                 )
-                task.resolve(FileState.FAILED, now, error=reason)
-                self._finish_job(task.job)
-                for dup in task.duplicates:
-                    self._finish_job(dup.job)
             else:
                 self._park(task, self._retry_delay(task), state)
         self._notify_drain()
-        self._kick()
 
     def _watchdog(self, task: FileTask, door: RftpDoor, session_id: int):
         """Kill an attempt that stops making delivered-byte progress.
@@ -1073,14 +1057,12 @@ class TransferBroker:
             self._drain_wake.succeed(None)
 
     def _checkpoint(self) -> None:
-        from repro.sched.journal import snapshot_jobs
-
         counts = {"finished": 0, "failed": 0, "canceled": 0, "pending": 0}
         for job in self.jobs:
             for task in job.files:
                 key = task.state.value.lower()
                 counts[key if key in counts else "pending"] += 1
-        self._journal_rec(
+        self._transition(
             "checkpoint", t=self.engine.now, clean=True,
             state={
                 "jobs": {job.job_id: job.state.value for job in self.jobs},
@@ -1122,18 +1104,17 @@ class TransferBroker:
             # and replayed hints stay byte-identical.
             for rec in journal.records:
                 if rec.get("kind") == "shed":
-                    base = str(rec["job_id"]).split("~r", 1)[0]
-                    counts = broker.overload._shed_counts
-                    counts[base] = counts.get(base, 0) + 1
+                    broker.overload.count_shed(str(rec["job_id"]))
         for door in broker.doors.values():
             door.active = 0  # the dead incarnation's slots are gone
+        # Adopt the replayed table whole (resubmission and destination
+        # dedupe indexes included).
+        broker.table = state
         now = engine.now
         overdue: List[Job] = []
         for job in state.jobs:
             job.recovered = True
             job.done = Event(engine)
-            broker.jobs.append(job)
-            broker._jobs_by_id[job.job_id] = job
             broker._m_rec_jobs.add()
             broker._m_rec_files.add(len(job.files))
             if job.state.terminal:
@@ -1144,7 +1125,6 @@ class TransferBroker:
             for task in job.files:
                 if task.duplicate_of is not None or task.state.terminal:
                     continue
-                broker._dest_owner[task.path] = task
                 broker._outstanding += 1
                 if task.state is FileState.ACTIVE:
                     continue  # the resume pass owns these
@@ -1159,24 +1139,21 @@ class TransferBroker:
                     overdue.append(job)
                 else:
                     engine.process(broker._deadline_watch(job, remaining))
-        broker._journal_rec(
-            "recover", t=now,
-            mode="checkpoint" if state.clean else "crash",
-            resumed=len(state.resume),
-        )
+        resume = state.resume
+        mode = "checkpoint" if state.clean else "crash"
+        broker._transition("recover", t=now, mode=mode, resumed=len(resume))
         engine.trace(
-            "sched", "broker_recover",
-            mode="checkpoint" if state.clean else "crash",
-            jobs=len(state.jobs), resume=len(state.resume),
+            "sched", "broker_recover", mode=mode,
+            jobs=len(state.jobs), resume=len(resume),
         )
         for job in overdue:
             broker._m_deadline_cancels.add()
             broker.cancel_job(
                 job, reason=f"deadline exceeded after {job.deadline}s"
             )
-        if state.resume:
+        if resume:
             broker._recovering = True
-            engine.process(broker._recovery_loop(state.resume))
+            engine.process(broker._recovery_loop(resume))
         else:
             broker._kick()
         return broker
@@ -1185,20 +1162,17 @@ class TransferBroker:
         """Re-attach interrupted sessions one at a time (resume flushes
         the shared credit ledger — see ``SourceLink.resume`` — so the
         pass is serialised and dispatch is held until it finishes)."""
-        cfg = self.config
         for task in resume_tasks:
             if self._dead:
                 return
             if task.state.terminal:
                 continue  # e.g. an overdue deadline canceled it above
-            job = task.job
-            state = self._tenant(job.tenant)
-            metrics = self._metrics(job.tenant)
+            state = self._tenant(task.job.tenant)
             door = self.doors.get(task.last_door or "")
             session_id = task.last_session
             task.recovered = True
             error: Optional[TransferError] = None
-            outcome = None
+            resumed_from = 0
             if door is None or door.link is None or session_id is None:
                 error = TransferError(
                     session_id or 0, "no door to resume on"
@@ -1208,90 +1182,19 @@ class TransferBroker:
                     yield door.middleware.reopen_channel(
                         door.link, door.remote_dev, door.port
                     )
-                state.inflight += 1
-                self._active += 1
-                if self._active > self.peak_active:
-                    self.peak_active = self._active
-                door.active += 1
-                if cfg.watchdog:
+                self._take_slot(state, door)
+                if self.config.watchdog:
                     self.engine.process(
                         self._watchdog(task, door, session_id)
                     )
                 try:
                     outcome = yield door.resume(task, session_id)
+                    resumed_from = getattr(outcome, "resumed_from", 0)
                 except TransferError as exc:
                     error = exc
                 if self._dead:
                     return
-                state.inflight -= 1
-                self._active -= 1
-                door.active -= 1
-            now = self.engine.now
-            if task.state.terminal:  # canceled while the resume ran
-                self._notify_drain()
-                continue
-            if error is None:
-                self._m_rec_resumed.add()
-                task.resumed_from = getattr(outcome, "resumed_from", 0)
-                door.breaker.record_success()
-                self._outstanding -= 1
-                metrics["files_finished"].add()
-                metrics["bytes_finished"].add(task.size)
-                metrics["latency"].observe(now - task.submitted_at)
-                self._journal_rec(
-                    "finish", t=now, job_id=job.job_id, index=task.index,
-                    door=door.name, resumed_from=task.resumed_from,
-                )
-                task.resolve(FileState.FINISHED, now, source_used=door.name)
-                self._finish_job(job)
-                for dup in task.duplicates:
-                    self._finish_job(dup.job)
-                self.engine.trace(
-                    "sched", "file_resumed", job=job.job_id, path=task.path,
-                    session=session_id, resumed_from=task.resumed_from,
-                )
-            else:
-                self._m_rec_resume_failed.add()
-                task.alt_cursor += 1
-                self._journal_rec(
-                    "attempt_fail", t=now, job_id=job.job_id,
-                    index=task.index, alt_cursor=task.alt_cursor,
-                    attempts=task.attempts, error=type(error).__name__,
-                )
-                self.engine.trace(
-                    "sched", "resume_failed", job=job.job_id,
-                    path=task.path, session=session_id,
-                    error=type(error).__name__,
-                )
-                if task.attempts >= cfg.max_attempts:
-                    self._outstanding -= 1
-                    metrics["files_failed"].add()
-                    self._journal_rec(
-                        "file_failed", t=now, job_id=job.job_id,
-                        index=task.index,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    task.resolve(
-                        FileState.FAILED, now,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    self._finish_job(job)
-                    for dup in task.duplicates:
-                        self._finish_job(dup.job)
-                else:
-                    # Fall back to a fresh attempt through dispatch.
-                    task.state = FileState.SUBMITTED
-                    heapq.heappush(
-                        state.queue,
-                        (-job.priority, next(self._fifo), task),
-                    )
-            self._notify_drain()
+                self._release_slot(state, door)
+            self._settle(task, door, error, resumed_from=resumed_from)
         self._recovering = False
         self._kick()
-
-    def _finish_job(self, job: Job) -> None:
-        if job.state.terminal and job.finished_at is None:
-            job.finished_at = self.engine.now
-            self.engine.trace(
-                "sched", "job_done", job=job.job_id, state=job.state.value
-            )

@@ -111,14 +111,16 @@ class FileTask:
         return self.spec.size
 
     def resolve(self, state: FileState, now: float, error: Optional[str] = None,
-                source_used: Optional[str] = None) -> None:
-        """Move to a terminal state and cascade to attached duplicates."""
+                source_used: Optional[str] = None) -> List["Job"]:
+        """Move to a terminal state and cascade to attached duplicates.
+        Returns the jobs this resolution completed."""
         assert state.terminal, state
         self.state = state
         self.finished_at = now
         self.error = error
         if source_used is not None:
             self.source_used = source_used
+        completed = []
         for dup in self.duplicates:
             if dup.state.terminal:
                 continue  # e.g. canceled with its own job before we resolved
@@ -126,8 +128,11 @@ class FileTask:
             dup.finished_at = now
             dup.error = error
             dup.source_used = self.source_used
-            dup.job._note_progress()
-        self.job._note_progress()
+            if dup.job._note_progress():
+                completed.append(dup.job)
+        if self.job._note_progress():
+            completed.insert(0, self.job)
+        return completed
 
 
 @dataclass
@@ -174,9 +179,11 @@ class Job:
         """Transfer attempts beyond each file's first (job-level total)."""
         return sum(max(0, t.attempts - 1) for t in self.files)
 
-    def _note_progress(self) -> None:
+    def _note_progress(self) -> bool:
+        """Re-derive the job state from its files; True when this call
+        completed the job (``finished_at`` set, ``done`` triggered)."""
         if self.state.terminal:
-            return
+            return False
         states = [t.state for t in self.files]
         if all(s.terminal for s in states):
             if all(s is FileState.FINISHED for s in states):
@@ -185,7 +192,10 @@ class Job:
                 self.state = JobState.FAILED
             else:
                 self.state = JobState.CANCELED
+            self.finished_at = max(t.finished_at for t in self.files)
             if self.done is not None and not self.done.triggered:
                 self.done.succeed(self)
-        elif any(s is FileState.ACTIVE for s in states):
+            return True
+        if any(s is FileState.ACTIVE for s in states):
             self.state = JobState.ACTIVE
+        return False

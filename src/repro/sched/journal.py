@@ -1,9 +1,12 @@
-"""Append-only write-ahead journal of broker state transitions.
+"""Append-only write-ahead journal of broker state transitions, and the
+reducer that gives its records their meaning.
 
-Durability layer of the scheduler: every job/file state change the
-:class:`~repro.sched.broker.TransferBroker` makes is appended here as a
-plain JSON-serialisable record *before* the change is acted on, so the
-full broker state is a pure function of the journal.  After a crash,
+Durability layer of the scheduler: the record IS the transition.  The
+:class:`~repro.sched.broker.TransferBroker` changes job/file state only
+by appending a plain JSON-serialisable record here and then applying
+that record with :func:`apply` — the same function :func:`replay` loops
+over — so the job table is a pure function of the journal by
+construction, not by two hand-mirrored copies.  After a crash,
 :meth:`TransferBroker.recover` replays the journal to reconstruct every
 job — terminal files keep their outcome (no double transfer), queued
 files are re-admitted idempotently (dedupe decisions replay in original
@@ -11,7 +14,8 @@ order), and files that were ACTIVE at crash time come back with the
 session id and door of their interrupted attempt so the recovery loop
 can re-attach them via SESSION_RESUME and move only the missing suffix.
 
-Record kinds (every record carries the sim time ``t``):
+Record kinds (every record carries the sim time ``t``; DESIGN.md
+"Broker lifecycle" has the from-state → to-state table):
 
 ``spec``
     The run's job-mix spec, written once by the runner so a journal file
@@ -27,6 +31,7 @@ Record kinds (every record carries the sim time ``t``):
 ``attempt_fail``
     The attempt died with a typed error; carries the advanced
     alternatives cursor so orderly failover resumes where it left off.
+    The file is SUBMITTED again (queued, or parked in its backoff).
 ``shed``
     The overload layer rejected the submission whole (load shedding):
     carries the shed reason and the deterministic RETRY_AFTER hint, so
@@ -47,15 +52,19 @@ Record kinds (every record carries the sim time ``t``):
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.sched.jobs import FileState, FileTask, Job, JobState, TransferSpec
+from repro.sched.jobs import FileState, FileTask, Job, TransferSpec
 
 __all__ = [
     "Journal",
+    "JobTable",
     "RecoveredState",
+    "apply",
     "replay",
     "snapshot_jobs",
     "restore_jobs",
@@ -145,36 +154,76 @@ class Journal:
             self._fh = open(self.path, "a", encoding="utf-8")
         return dropped
 
-    def replay(self) -> "RecoveredState":
+    def replay(self) -> "JobTable":
         return replay(self.records)
 
 
 @dataclass
-class RecoveredState:
-    """What a journal replay reconstructs."""
+class JobTable:
+    """The job/file table :func:`apply` reduces records into: the live
+    broker's state, and what :func:`replay` reconstructs."""
 
-    #: Every journaled job, original submission order, states replayed.
+    #: Every journaled job, original submission order.
     jobs: List[Job] = field(default_factory=list)
-    #: Primary tasks that were ACTIVE at the journal's end — candidates
-    #: for SESSION_RESUME re-attachment (session id and door are on the
-    #: task's ``last_session`` / ``last_door``).
-    resume: List[FileTask] = field(default_factory=list)
+    by_id: Dict[str, Job] = field(default_factory=dict)
+    #: Destination path -> newest primary task; a later submission for a
+    #: path whose owner is still non-terminal attaches as its duplicate.
+    dest_owner: Dict[str, FileTask] = field(default_factory=dict)
     #: True when the journal ends at a drain checkpoint (clean restart)
     #: rather than mid-flight (crash recovery).
     clean: bool = False
 
+    @property
+    def resume(self) -> List[FileTask]:
+        """Primary tasks ACTIVE right now — after a replay, the
+        candidates for SESSION_RESUME re-attachment (session id and door
+        are on the task's ``last_session`` / ``last_door``)."""
+        return [
+            task for job in self.jobs for task in job.files
+            if task.duplicate_of is None and task.state is FileState.ACTIVE
+        ]
 
-def _job_snapshot(jobs: List[Job]) -> Dict[str, str]:
-    return {job.job_id: job.state.value for job in jobs}
+
+#: Historical name for what :func:`replay` returns.
+RecoveredState = JobTable
+
+
+#: Fields a snapshot does not copy verbatim: ``spec`` is flattened to
+#: path/size/sources, ``duplicate_of`` becomes a ``[job_id, index]``
+#: reference re-wired on restore (which also rebuilds ``duplicates``),
+#: ``files`` nests, and ``job`` / ``index`` / ``done`` are positional or
+#: per-incarnation.  Every other dataclass field rides along by name, so
+#: a new field cannot be forgotten in checkpoints.
+_TASK_FIELDS = [
+    f.name for f in dataclasses.fields(FileTask)
+    if f.name not in ("spec", "job", "index", "duplicate_of", "duplicates")
+]
+_JOB_FIELDS = [
+    f.name for f in dataclasses.fields(Job) if f.name not in ("files", "done")
+]
+
+
+def _plain(obj: Any, names: List[str]) -> Dict[str, Any]:
+    out = {}
+    for name in names:
+        value = getattr(obj, name)
+        out[name] = value.value if isinstance(value, enum.Enum) else value
+    return out
+
+
+def _load(obj: Any, names: List[str], rec: Dict[str, Any]) -> None:
+    for name in names:
+        if name in rec:  # a field newer than the journal keeps its default
+            current = getattr(obj, name)
+            value = rec[name]
+            if isinstance(current, enum.Enum):
+                value = type(current)(value)
+            setattr(obj, name, value)
 
 
 def snapshot_jobs(jobs: List[Job]) -> List[Dict[str, Any]]:
     """Full JSON-serialisable snapshot of the job table, written into
-    checkpoint records so :meth:`Journal.compact` can drop the prefix.
-
-    ``duplicate_of`` pointers are serialised as ``[job_id, index]``
-    references and re-wired on restore, preserving the dedupe cascade.
-    """
+    checkpoint records so :meth:`Journal.compact` can drop the prefix."""
     out: List[Dict[str, Any]] = []
     for job in jobs:
         files = []
@@ -184,36 +233,12 @@ def snapshot_jobs(jobs: List[Job]) -> List[Dict[str, Any]]:
                 "path": task.spec.path,
                 "size": task.spec.size,
                 "sources": list(task.spec.sources),
-                "state": task.state.value,
-                "attempts": task.attempts,
-                "alt_cursor": task.alt_cursor,
-                "source_used": task.source_used,
-                "error": task.error,
-                "submitted_at": task.submitted_at,
-                "started_at": task.started_at,
-                "finished_at": task.finished_at,
                 "duplicate_of": (
                     [dup.job.job_id, dup.index] if dup is not None else None
                 ),
-                "last_session": task.last_session,
-                "last_door": task.last_door,
-                "recovered": task.recovered,
-                "resumed_from": task.resumed_from,
+                **_plain(task, _TASK_FIELDS),
             })
-        out.append({
-            "job_id": job.job_id,
-            "tenant": job.tenant,
-            "priority": job.priority,
-            "state": job.state.value,
-            "submitted_at": job.submitted_at,
-            "finished_at": job.finished_at,
-            "deadline": job.deadline,
-            "shed": job.shed,
-            "shed_reason": job.shed_reason,
-            "retry_after": job.retry_after,
-            "recovered": job.recovered,
-            "files": files,
-        })
+        out.append({**_plain(job, _JOB_FIELDS), "files": files})
     return out
 
 
@@ -221,37 +246,16 @@ def restore_jobs(snapshot: List[Dict[str, Any]]) -> List[Job]:
     """Rebuild the job table from a checkpoint snapshot (two passes:
     construct every job, then re-wire the duplicate cascades)."""
     jobs: List[Job] = []
-    by_id: Dict[str, Job] = {}
     for jrec in snapshot:
-        specs = [
-            TransferSpec(f["path"], int(f["size"]), tuple(f["sources"]))
-            for f in jrec["files"]
-        ]
-        job = Job.build(jrec["job_id"], jrec["tenant"], specs,
-                        int(jrec["priority"]))
-        job.state = JobState(jrec["state"])
-        job.submitted_at = float(jrec["submitted_at"])
-        job.finished_at = jrec["finished_at"]
-        job.deadline = jrec["deadline"]
-        job.shed = bool(jrec.get("shed", False))
-        job.shed_reason = jrec.get("shed_reason")
-        job.retry_after = jrec.get("retry_after")
-        job.recovered = bool(jrec.get("recovered", False))
+        job = Job.build(
+            jrec["job_id"], jrec["tenant"], _specs(jrec["files"]),
+            int(jrec["priority"]),
+        )
+        _load(job, _JOB_FIELDS, jrec)
         for task, frec in zip(job.files, jrec["files"]):
-            task.state = FileState(frec["state"])
-            task.attempts = int(frec["attempts"])
-            task.alt_cursor = int(frec["alt_cursor"])
-            task.source_used = frec["source_used"]
-            task.error = frec["error"]
-            task.submitted_at = float(frec["submitted_at"])
-            task.started_at = frec["started_at"]
-            task.finished_at = frec["finished_at"]
-            task.last_session = frec["last_session"]
-            task.last_door = frec["last_door"]
-            task.recovered = bool(frec.get("recovered", False))
-            task.resumed_from = int(frec.get("resumed_from", 0))
+            _load(task, _TASK_FIELDS, frec)
         jobs.append(job)
-        by_id[job.job_id] = job
+    by_id = {job.job_id: job for job in jobs}
     for job, jrec in zip(jobs, snapshot):
         for task, frec in zip(job.files, jrec["files"]):
             ref = frec["duplicate_of"]
@@ -262,132 +266,171 @@ def restore_jobs(snapshot: List[Dict[str, Any]]) -> List[Job]:
     return jobs
 
 
-def replay(records: List[Dict[str, Any]]) -> RecoveredState:
+def _specs(files: List[Dict[str, Any]]) -> List[TransferSpec]:
+    return [
+        TransferSpec(f["path"], int(f["size"]), tuple(f.get("sources", ())))
+        for f in files
+    ]
+
+
+# -- the reducer: one function per record kind ---------------------------------
+#
+# The ONLY place a record's effect on the table is written down.  Pure
+# bookkeeping: no engine, no events — except that completing a job
+# triggers its ``done`` event when one is wired (live tables only).
+
+
+def _submit(table: JobTable, rec: Dict[str, Any]) -> Job:
+    job = Job.build(rec["job_id"], rec["tenant"], _specs(rec["files"]),
+                    int(rec.get("priority", 0)))
+    job.submitted_at = rec["t"]
+    job.deadline = rec.get("deadline")
+    for task in job.files:
+        task.submitted_at = job.submitted_at
+    table.by_id[job.job_id] = job
+    table.jobs.append(job)
+    return job
+
+
+def _admit(table: JobTable, rec: Dict[str, Any]) -> Job:
+    job = table.by_id[rec["job_id"]]
+    for task in job.files:
+        owner = table.dest_owner.get(task.path)
+        if owner is not None and not owner.state.terminal:
+            task.duplicate_of = owner  # rides along; no second transfer
+            owner.duplicates.append(task)
+        else:
+            table.dest_owner[task.path] = task
+    return job
+
+
+def _refuse(table: JobTable, rec: Dict[str, Any], error: Optional[str]) -> Job:
+    job = table.by_id[rec["job_id"]]
+    for task in job.files:
+        task.state = FileState.CANCELED
+        task.finished_at = rec["t"]
+        task.error = error
+    job._note_progress()
+    return job
+
+
+def _reject(table: JobTable, rec: Dict[str, Any]) -> Job:
+    return _refuse(table, rec, rec.get("reason"))
+
+
+def _shed(table: JobTable, rec: Dict[str, Any]) -> Job:
+    job = _refuse(table, rec, f"shed: {rec.get('reason')}")
+    job.shed = True
+    job.shed_reason = rec.get("reason")
+    job.retry_after = rec.get("retry_after")
+    return job
+
+
+def _task(table: JobTable, rec: Dict[str, Any]) -> FileTask:
+    table.clean = False
+    return table.by_id[rec["job_id"]].files[rec["index"]]
+
+
+def _attempt(table: JobTable, rec: Dict[str, Any]) -> FileTask:
+    task = _task(table, rec)
+    task.attempts = int(rec["attempts"])
+    task.state = FileState.ACTIVE
+    if task.started_at is None:
+        task.started_at = rec["t"]
+    task.last_session = rec["session"]
+    task.last_door = rec["door"]
+    task.job._note_progress()
+    return task
+
+
+def _attempt_fail(table: JobTable, rec: Dict[str, Any]) -> FileTask:
+    task = _task(table, rec)
+    task.alt_cursor = int(rec["alt_cursor"])
+    task.state = FileState.SUBMITTED  # queued (or parked) again
+    return task
+
+
+def _finish(table: JobTable, rec: Dict[str, Any]) -> List[Job]:
+    task = _task(table, rec)
+    if "resumed_from" in rec:  # only a SESSION_RESUME finish carries it
+        task.resumed_from = int(rec["resumed_from"])
+        task.recovered = True
+    return task.resolve(FileState.FINISHED, rec["t"], source_used=rec["door"])
+
+
+def _file_failed(table: JobTable, rec: Dict[str, Any]) -> List[Job]:
+    return _task(table, rec).resolve(
+        FileState.FAILED, rec["t"], error=rec.get("error")
+    )
+
+
+def _cancel(table: JobTable, rec: Dict[str, Any]) -> List[Job]:
+    return _task(table, rec).resolve(
+        FileState.CANCELED, rec["t"], error=rec.get("reason")
+    )
+
+
+def _checkpoint(table: JobTable, rec: Dict[str, Any]) -> None:
+    full = rec.get("snapshot")
+    if full is not None and not table.jobs:
+        # Compacted journal: this checkpoint is the first meaningful
+        # record — the prefix was truncated behind its full snapshot.
+        # Restore the table wholesale.
+        for job in restore_jobs(full):
+            table.by_id[job.job_id] = job
+            table.jobs.append(job)
+            for task in job.files:
+                if task.state is FileState.READY:
+                    # Snapshotted between dispatch and its attempt record.
+                    task.state = FileState.SUBMITTED
+                if task.duplicate_of is None and not task.state.terminal:
+                    # At most one live primary per path; a terminal
+                    # owner dedupes nothing, so it need not be listed.
+                    table.dest_owner[task.path] = task
+    states = rec.get("state", {}).get("jobs")
+    if states is not None and states != {
+        job.job_id: job.state.value for job in table.jobs
+    }:
+        raise ValueError(
+            "journal checkpoint snapshot disagrees with replayed "
+            "state (corrupted or truncated journal)"
+        )
+    table.clean = True
+
+
+_REDUCERS = {
+    "spec": lambda table, rec: None,
+    "recover": lambda table, rec: None,
+    "submit": _submit,
+    "admit": _admit,
+    "reject": _reject,
+    "shed": _shed,
+    "attempt": _attempt,
+    "attempt_fail": _attempt_fail,
+    "finish": _finish,
+    "file_failed": _file_failed,
+    "cancel": _cancel,
+    "checkpoint": _checkpoint,
+}
+
+
+def apply(table: JobTable, rec: Dict[str, Any]) -> Any:
+    """Apply one journal record to ``table``.  Returns what the record
+    touched: the job (job-level kinds), the task (``attempt`` /
+    ``attempt_fail``), or the jobs a terminal file transition completed."""
+    reducer = _REDUCERS.get(rec["kind"])
+    if reducer is None:
+        raise ValueError(f"unknown journal record kind {rec['kind']!r}")
+    return reducer(table, rec)
+
+
+def replay(records: List[Dict[str, Any]]) -> JobTable:
     """Rebuild job/file state by applying records in order.
 
-    Pure bookkeeping: no engine, no events.  Raises ``ValueError`` when a
-    checkpoint snapshot disagrees with the replayed state (a corrupted or
-    truncated journal).
+    Raises ``ValueError`` when a checkpoint snapshot disagrees with the
+    replayed state (a corrupted or truncated journal).
     """
-    jobs_by_id: Dict[str, Job] = {}
-    order: List[Job] = []
-    pending: Dict[str, Job] = {}  # submitted, admission not yet replayed
-    dest_owner: Dict[str, FileTask] = {}
-    clean = False
-
+    table = JobTable()
     for rec in records:
-        kind = rec["kind"]
-        if kind in ("spec", "recover"):
-            continue
-        t = float(rec.get("t", 0.0))
-        if kind == "submit":
-            specs = [
-                TransferSpec(f["path"], int(f["size"]),
-                             tuple(f.get("sources", ())))
-                for f in rec["files"]
-            ]
-            job = Job.build(rec["job_id"], rec["tenant"], specs,
-                            int(rec.get("priority", 0)))
-            job.submitted_at = t
-            job.deadline = rec.get("deadline")
-            for task in job.files:
-                task.submitted_at = t
-            jobs_by_id[job.job_id] = job
-            order.append(job)
-            pending[job.job_id] = job
-            continue
-        if kind == "reject":
-            job = pending.pop(rec["job_id"])
-            job.state = JobState.CANCELED
-            job.finished_at = t
-            for task in job.files:
-                task.state = FileState.CANCELED
-                task.finished_at = t
-                task.error = rec.get("reason")
-            continue
-        if kind == "shed":
-            # Load-shed whole: replays exactly like the broker decided
-            # it — same reason, same RETRY_AFTER hint — so a shed job
-            # stays shed (with an identical report line) after a crash.
-            job = pending.pop(rec["job_id"])
-            job.state = JobState.CANCELED
-            job.finished_at = t
-            job.shed = True
-            job.shed_reason = rec.get("reason")
-            job.retry_after = rec.get("retry_after")
-            for task in job.files:
-                task.state = FileState.CANCELED
-                task.finished_at = t
-                task.error = f"shed: {rec.get('reason')}"
-            continue
-        if kind == "admit":
-            job = pending.pop(rec["job_id"])
-            for task in job.files:
-                owner = dest_owner.get(task.path)
-                if owner is not None and not owner.state.terminal:
-                    task.duplicate_of = owner
-                    owner.duplicates.append(task)
-                    continue
-                dest_owner[task.path] = task
-            continue
-        if kind == "checkpoint":
-            full = rec.get("snapshot")
-            if full is not None and not order:
-                # Compacted journal: this checkpoint is the first
-                # meaningful record — the prefix was truncated behind
-                # its full snapshot.  Restore the table wholesale.
-                for job in restore_jobs(full):
-                    jobs_by_id[job.job_id] = job
-                    order.append(job)
-                    for task in job.files:
-                        if task.duplicate_of is not None:
-                            continue
-                        owner = dest_owner.get(task.path)
-                        if owner is None or owner.state.terminal:
-                            dest_owner[task.path] = task
-            snapshot = rec.get("state", {}).get("jobs")
-            if snapshot is not None and snapshot != _job_snapshot(order):
-                raise ValueError(
-                    "journal checkpoint snapshot disagrees with replayed "
-                    "state (corrupted or truncated journal)"
-                )
-            clean = True
-            continue
-        # Per-file transition records from here on.
-        clean = False
-        task = jobs_by_id[rec["job_id"]].files[rec["index"]]
-        if kind == "attempt":
-            task.attempts = int(rec["attempts"])
-            task.state = FileState.ACTIVE
-            if task.started_at is None:
-                task.started_at = t
-            task.last_session = rec["session"]
-            task.last_door = rec["door"]
-            task.job._note_progress()
-        elif kind == "attempt_fail":
-            task.alt_cursor = int(rec["alt_cursor"])
-            task.state = FileState.SUBMITTED
-        elif kind == "finish":
-            if rec.get("resumed_from"):
-                task.resumed_from = int(rec["resumed_from"])
-                task.recovered = True
-            task.resolve(FileState.FINISHED, t, source_used=rec["door"])
-        elif kind == "file_failed":
-            task.resolve(FileState.FAILED, t, error=rec.get("error"))
-        elif kind == "cancel":
-            task.resolve(FileState.CANCELED, t, error=rec.get("reason"))
-        else:
-            raise ValueError(f"unknown journal record kind {kind!r}")
-
-    resume: List[FileTask] = []
-    for job in order:
-        if job.state.terminal and job.finished_at is None:
-            job.finished_at = max(
-                (task.finished_at or 0.0) for task in job.files
-            )
-        for task in job.files:
-            if task.duplicate_of is None and task.state is FileState.ACTIVE:
-                resume.append(task)
-            elif task.state is FileState.READY:
-                task.state = FileState.SUBMITTED
-    return RecoveredState(jobs=order, resume=resume, clean=clean)
+        apply(table, rec)
+    return table

@@ -308,9 +308,7 @@ class OverloadController:
         replays identically across crash recovery.
         """
         cfg = self.config
-        base_id = job_id.split("~r", 1)[0]
-        count = self._shed_counts.get(base_id, 0) + 1
-        self._shed_counts[base_id] = count
+        count = self.count_shed(job_id)
         if need == float("inf"):
             need = cfg.retry_after_cap
         need = max(cfg.retry_after_base, need) * (2.0 ** (count - 1))
@@ -319,6 +317,15 @@ class OverloadController:
                         self.seed, job_id, "shed", count)
         self._m_retry_after.observe(hint)
         return hint
+
+    def count_shed(self, job_id: str) -> int:
+        """Count one shed of ``job_id``'s base id (resubmission
+        incarnations ``<base>~rN`` share it).  Recovery calls this per
+        journaled ``shed`` record so back-off doubling survives a crash."""
+        base_id = job_id.split("~r", 1)[0]
+        count = self._shed_counts.get(base_id, 0) + 1
+        self._shed_counts[base_id] = count
+        return count
 
     def admit(
         self,

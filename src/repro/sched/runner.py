@@ -318,7 +318,7 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
                 f"tenant {name!r} not at baseline: queued={state.queued} "
                 f"inflight={state.inflight} parked={state.parked}"
             )
-    for path, task in sorted(broker._dest_owner.items()):
+    for path, task in sorted(broker.table.dest_owner.items()):
         if not task.state.terminal:
             leaks.append(
                 f"dest owner for {path!r} non-terminal ({task.state.value})"

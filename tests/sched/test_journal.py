@@ -1,15 +1,31 @@
-"""The write-ahead journal: replay semantics and file round-trips."""
+"""The write-ahead journal: replay semantics, file round-trips, and the
+live-broker ↔ replay oracle (both apply records through one reducer)."""
+
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.errors import TransferError
 from repro.sched import (
     FileState,
     Journal,
     JobState,
+    OverloadConfig,
+    SchedulerConfig,
+    TenantPolicy,
+    TransferSpec,
     replay,
+    restore_jobs,
     run_sched,
+    snapshot_jobs,
     synthetic_spec,
 )
+from repro.sched.broker import TransferBroker
+from repro.sched.jobs import Job
+from repro.sim import Engine
+from repro.sim.events import Event
 
 MiB = 1 << 20
 
@@ -140,6 +156,12 @@ def test_resumed_finish_marks_the_task_recovered():
     assert task.recovered and task.resumed_from == 17
     assert task.state is FileState.FINISHED
 
+    # A resume that re-attached at block 0 still journals the key — and
+    # is still a recovered outcome, exactly as the live broker reports it.
+    j.records[-1]["resumed_from"] = 0
+    task = replay(j.records).jobs[0].files[0]
+    assert task.recovered and task.resumed_from == 0
+
 
 def test_journal_file_roundtrip(tmp_path):
     """A run's journal written to disk loads back record-for-record and
@@ -163,3 +185,220 @@ def test_unknown_record_kind_is_an_error():
     j.append("mystery", t=0.1, job_id="job-1", index=0)
     with pytest.raises(ValueError, match="unknown journal record kind"):
         replay(j.records)
+
+
+# -- live broker vs replay: one reducer, checked from both ends -------------------
+
+
+class _StubLink:
+    """Just enough link for ``cancel_job`` to abort a pending attempt."""
+
+    def __init__(self):
+        self.pending = {}
+
+    def abort_session(self, session_id, exc):
+        event = self.pending.pop(session_id, None)
+        if event is None or event.triggered:
+            return False
+        event.fail(exc)
+        return True
+
+
+class _StubDoor:
+    """A duck-typed door whose every attempt succeeds (``ok``), dies with
+    a typed error (``fail``) or never resolves (``hang``)."""
+
+    def __init__(self, engine, name, outcome, delay=0.05):
+        self.engine = engine
+        self.name = name
+        self.outcome = outcome
+        self.delay = delay
+        self.active = 0
+        self.max_sessions = 2
+        self.link = _StubLink()
+        self.breaker = None  # the broker installs its own
+
+    def admissible(self, now, session_cap=None):
+        return self.active < (session_cap or self.max_sessions)
+
+    def transfer(self, task, session_id=None):
+        event = Event(self.engine)
+        self.link.pending[session_id] = event
+        if self.outcome != "hang":
+            self.engine.process(self._resolve(event, session_id))
+        return event
+
+    def _resolve(self, event, session_id):
+        yield self.engine.timeout(self.delay)
+        if event.triggered:
+            return  # a cancel aborted the session first
+        if self.outcome == "ok":
+            event.succeed(None)
+        else:
+            event.fail(TransferError(session_id, "boom"))
+
+
+def test_file_parked_for_retry_checkpoints_as_submitted():
+    """Regression: ``attempt_fail`` leaves the file SUBMITTED live as it
+    does in replay, so a drain checkpoint taken while the file sits in
+    its retry backoff snapshots it SUBMITTED — and the full journal and
+    its compacted form replay to the same table, with nothing to resume
+    (the parent snapshotted it ACTIVE: compacted replay tried to
+    SESSION_RESUME a session that had already failed)."""
+    engine = Engine()
+    cfg = SchedulerConfig(retry_backoff=60.0, retry_backoff_cap=60.0,
+                          retry_jitter=0.0, breaker_failures=5)
+    broker = TransferBroker(engine, [_StubDoor(engine, "door-bad", "fail")],
+                            cfg)
+    job = broker.submit("t", [TransferSpec("/data/x", MiB)])
+    engine.run(until=1.0)  # the attempt failed; parked for 60 s
+    assert len(broker._parked) == 1
+    assert job.files[0].state is FileState.SUBMITTED
+    broker.drain()
+    engine.run(until=2.0)
+    assert broker.journal.records[-1]["kind"] == "checkpoint"
+
+    compacted = Journal(records=list(broker.journal.records))
+    assert compacted.compact() > 0
+    full, compact = replay(broker.journal.records), replay(compacted.records)
+    assert snapshot_jobs(full.jobs) == snapshot_jobs(broker.jobs)
+    assert snapshot_jobs(compact.jobs) == snapshot_jobs(broker.jobs)
+    assert full.resume == [] and compact.resume == []
+    assert full.clean and compact.clean
+
+
+def _assert_live_matches_replay(broker):
+    """The journal ↔ live conservation law.  Two live-only windows are
+    documented (DESIGN.md "Broker lifecycle") and masked here: READY is
+    the dispatch-instant mark with no record, and ``_pick_door`` may
+    advance ``alt_cursor`` past inadmissible doors — the next
+    ``attempt_fail`` record re-syncs it, so it must agree whenever the
+    file is back to SUBMITTED."""
+    live = snapshot_jobs(broker.jobs)
+    replayed = snapshot_jobs(replay(broker.journal.records).jobs)
+    for live_job, replayed_job in zip(live, replayed):
+        for lf, rf in zip(live_job["files"], replayed_job["files"]):
+            if lf["state"] == "READY":
+                lf["state"] = "SUBMITTED"
+            if lf["state"] != "SUBMITTED":
+                del lf["alt_cursor"], rf["alt_cursor"]
+    assert live == replayed
+    assert (
+        broker._active
+        == sum(d.active for d in broker.doors.values())
+        == sum(s.inflight for s in broker._tenants.values())
+    )
+    assert broker._outstanding == sum(
+        1 for job in broker.jobs for t in job.files
+        if t.duplicate_of is None and not t.state.terminal
+    )
+
+
+_SOURCES = [(), ("ok",), ("fail", "ok"), ("fail",), ("hang", "ok"), ("hang",)]
+
+_SUBMIT = st.tuples(
+    st.just("submit"),
+    st.sampled_from(["a", "b"]),
+    st.sampled_from([None, None, "j1", "j2"]),  # a reused id dedupes
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_SOURCES)),
+             min_size=1, max_size=4),  # few paths: duplicates ride along
+    st.sampled_from([None, None, None, 0.02, 0.3]),
+)
+_STEPS = st.one_of(
+    _SUBMIT,
+    _SUBMIT,
+    st.tuples(st.just("cancel"), st.integers(0, 7)),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0])),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0])),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_STEPS, min_size=3, max_size=16),
+       st.one_of(st.none(), st.integers(2, 15)))
+def test_live_job_table_equals_replay_after_every_step(steps, drain_at):
+    """Generated-sequence oracle: whatever interleaving of submit (with
+    duplicate paths, reused ids, deadlines), cancel, time and drain a
+    real broker sees over succeed / fail / hang doors, replaying its
+    journal reproduces its job table, and worker slots are conserved."""
+    engine = Engine()
+    doors = [_StubDoor(engine, name, name) for name in ("ok", "fail", "hang")]
+    broker = TransferBroker(
+        engine, doors,
+        SchedulerConfig(max_active=3, max_attempts=3, retry_backoff=0.05,
+                        retry_backoff_cap=0.2, blocked_retry=0.05,
+                        breaker_failures=2, breaker_cooldown=0.1),
+        tenants={"a": TenantPolicy(max_inflight=2, max_queued=5)},
+        overload=OverloadConfig(global_rate=5.0, global_burst=6.0,
+                                retry_budget_ratio=0.5, retry_budget_burst=3.0),
+    )
+    for i, step in enumerate(steps):
+        if i == drain_at:
+            broker.drain()
+        if step[0] == "submit":
+            _, tenant, job_id, files, deadline = step
+            broker.submit(
+                tenant,
+                [TransferSpec(f"/data/p{i}", MiB, src) for i, src in files],
+                job_id=job_id, deadline=deadline,
+            )
+        elif step[0] == "cancel" and broker.jobs:
+            broker.cancel_job(broker.jobs[step[1] % len(broker.jobs)])
+        elif step[0] == "advance":
+            engine.run(until=engine.now + step[1])
+        _assert_live_matches_replay(broker)
+    engine.run(until=engine.now + 5.0)  # retries, deadlines, drain settle
+    _assert_live_matches_replay(broker)
+    compacted = Journal(records=list(broker.journal.records))
+    if compacted.compact():
+        assert snapshot_jobs(replay(compacted.records).jobs) == snapshot_jobs(
+            replay(broker.journal.records).jobs
+        )
+
+
+#: One non-default sample per annotation used on Job / FileTask; a field
+#: of a new type fails the guard below until it is given one.
+_SAMPLES = {
+    "str": "x", "int": 7, "float": 1.5, "bool": True,
+    "Optional[str]": "door-9", "Optional[int]": 41, "Optional[float]": 2.5,
+    "FileState": FileState.FAILED, "JobState": JobState.FAILED,
+}
+
+
+def test_snapshot_restore_round_trips_every_dataclass_field():
+    """Field-drift guard (the ``tests/sim/test_event_slots.py`` pattern):
+    checkpoints copy Job / FileTask fields by name, so set EVERY field to
+    a non-default value and require the round trip to preserve it — a
+    field added later cannot be forgotten in snapshots."""
+    structural = {"spec", "job", "index", "duplicate_of", "duplicates",
+                  "files", "done"}
+
+    def fill(obj):
+        names = []
+        for f in dataclasses.fields(obj):
+            if f.name in structural:
+                continue
+            assert f.type in _SAMPLES, f"add a _SAMPLES entry for {f.type}"
+            assert _SAMPLES[f.type] != f.default
+            setattr(obj, f.name, _SAMPLES[f.type])
+            names.append(f.name)
+        return names
+
+    owner = Job.build("owner", "t", [TransferSpec("/data/o", MiB)])
+    job = Job.build("dup", "t", [TransferSpec("/data/a", 3 * MiB, ("d1", "d2")),
+                                 TransferSpec("/data/o", MiB)], priority=2)
+    job.files[1].duplicate_of = owner.files[0]
+    owner.files[0].duplicates.append(job.files[1])
+    job_names = fill(job)
+    task_names = fill(job.files[1])
+
+    r_owner, r_job = restore_jobs(snapshot_jobs([owner, job]))
+    for name in job_names:
+        assert getattr(r_job, name) == getattr(job, name), name
+    for name in task_names:
+        assert getattr(r_job.files[1], name) == getattr(job.files[1], name), name
+    assert [t.spec for t in r_job.files] == [t.spec for t in job.files]
+    assert [t.index for t in r_job.files] == [0, 1]
+    assert all(t.job is r_job for t in r_job.files)
+    assert r_job.files[1].duplicate_of is r_owner.files[0]
+    assert r_owner.files[0].duplicates == [r_job.files[1]]
