@@ -32,6 +32,7 @@ instead of hanging the engine.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
 from repro.core.blocks import SourceBlock
@@ -75,7 +76,6 @@ _REPLY_TYPES = (
     CtrlType.CHANNELS_REP,
     CtrlType.SESSION_REP,
     CtrlType.SESSION_RESUME_REP,
-    CtrlType.DATASET_DONE_ACK,
     CtrlType.TRANSPORT_FALLBACK_REP,
     CtrlType.TRANSPORT_RESTORE_REP,
 )
@@ -143,9 +143,8 @@ class TransferJob:
         self._post_times: Dict[int, float] = {}
         self._next_load_seq = 0
         self._loaded: Store = Store(link.engine)
-        self._replies: Dict[CtrlType, Store] = {
-            t: Store(link.engine) for t in _REPLY_TYPES
-        }
+        #: Reply type -> Store, built on first use (by the requester or the control thread).
+        self._replies: Dict[CtrlType, Store] = defaultdict(lambda: Store(link.engine))
         #: Succeeds (with this job) when the sink acknowledges the dataset.
         self.done: Event = Event(link.engine)
         #: Succeeds when the session aborts — always success-typed so it
@@ -1179,7 +1178,7 @@ class SourceLink:
                     self._apply_marker(job, msg.data)
                 elif msg.type is CtrlType.BLOCK_NACK:
                     yield from self._on_block_nack(thread, job, msg)
-                elif msg.type in job._replies:
+                elif msg.type in _REPLY_TYPES:
                     yield job._replies[msg.type].put(msg)
                 else:
                     self._m_stray.add()

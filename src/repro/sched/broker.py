@@ -23,6 +23,11 @@ alternative destinations.  The pieces:
   cursor advances and the next admissible door is tried, skipping doors
   whose broker-level circuit breaker is OPEN or whose data channels are
   all quarantined (PR 4's :class:`~repro.core.health.ChannelBreaker`);
+- **dispatch pass**: one synchronous sweep of the queues asks each door
+  for its admission verdict once per slot taken, and the files it cannot
+  place (every alternative saturated or quarantined) wait together behind
+  ONE ``blocked_retry`` timer and requeue in the order they were parked —
+  a saturated pool costs one tick per pass, not three events per file;
 - **session reuse**: transfers run with ``reuse_negotiation=True``, so
   after a door's first session the per-file cost is one SESSION_REQ
   round trip instead of three — the difference between 1×RTT and 3×RTT
@@ -119,7 +124,8 @@ class SchedulerConfig:
     #: per-(job, file, attempt) factor in [1, 1 + retry_jitter], derived
     #: from the run seed — replayable, yet retries de-synchronise.
     retry_jitter: float = 0.25
-    #: Wait before re-queuing a file that found no admissible door.
+    #: Wait before re-queuing files that found no admissible door (one
+    #: timer per dispatch pass, shared by every file that pass parked).
     blocked_retry: float = 0.25
     #: Consecutive failures that trip a door's breaker OPEN.
     breaker_failures: int = 2
@@ -239,17 +245,12 @@ class RftpDoor:
         scheduler-level signal to prefer another door right now."""
         if self.link is None:
             return False
-        breakers = [
-            self.link._breakers.get(qp.qp_num) for qp in self.link.data.qps
-        ]
-        if not breakers:
-            return True  # no live channel at all
-        return all(
-            b is not None
-            and b.state is BreakerState.OPEN
-            and now < b.open_until
-            for b in breakers
-        )
+        breakers = self.link._breakers
+        for qp in self.link.data.qps:
+            b = breakers.get(qp.qp_num)
+            if b is None or b.state is not BreakerState.OPEN or now >= b.open_until:
+                return False
+        return True  # every live channel is OPEN (or there is none at all)
 
     def admissible(self, now: float, session_cap: Optional[int] = None) -> bool:
         cap = self.max_sessions if session_cap is None else session_cap
@@ -316,7 +317,7 @@ class _TenantState:
     #: Min-heap of (-priority, fifo_seq, task).
     queue: List[Tuple[int, int, FileTask]] = field(default_factory=list)
     inflight: int = 0
-    #: Files currently waiting in a retry/blocked backoff timer.
+    #: Files currently parked: in retry backoff, or in a blocked cohort.
     parked: int = 0
 
     @property
@@ -395,9 +396,9 @@ class TransferBroker:
         self._recovering = False
         #: A brownout-recheck timer is in flight (hysteresis dwell).
         self._recheck_pending = False
-        #: Task -> (backoff timer, tenant state) while parked, so a
-        #: cancel can unpark immediately instead of leaking the file in
-        #: the timer until it fires.
+        #: Task -> (own backoff timer, or None in a blocked pass's cohort;
+        #: tenant state) while parked, so a cancel can unpark immediately
+        #: instead of leaking the file in the timer until it fires.
         #: Keyed by ``id(task)`` — FileTask is a mutable dataclass and
         #: deliberately unhashable; identity is the right key anyway.
         self._parked: Dict[int, Tuple[Any, _TenantState]] = {}
@@ -666,9 +667,38 @@ class TransferBroker:
                 best = name
         return best
 
-    def _pick_door(self, task: FileTask) -> Optional[RftpDoor]:
+    def _door_admits(self, door: RftpDoor, cap: Optional[int], now: float) -> bool:
+        """The admission verdict for ``door`` under brownout cap ``cap``
+        at ``now``.  Pure — only a slot taken or time moving changes it —
+        so a dispatch pass memoises it (see :meth:`_pick_door`)."""
+        # Only pass the brownout cap when one is in force: doors are
+        # duck-typed (tests stub them) and the base signature works
+        # everywhere.
+        if not (door.admissible(now) if cap is None
+                else door.admissible(now, session_cap=cap)):
+            return False
+        hp = getattr(door.link, "_host_pool", None)
+        if hp is None:
+            return True
+        # Dispatched-but-unfinished tasks on EVERY door sharing this host
+        # pool each hold (or are about to take, synchronously at transfer
+        # start) one channel lease.  door.active is bumped at dispatch,
+        # before the task's process first runs, so this aggregate cannot
+        # race the way the pool's own live lease count can — per-door
+        # caps alone oversubscribe the shared pool and trip the
+        # lease-capacity error.
+        inflight = sum(
+            d.active for d in self.doors.values()
+            if getattr(d.link, "_host_pool", None) is hp
+        )
+        return inflight < hp.sessions.capacity
+
+    def _pick_door(self, task: FileTask,
+                   verdicts: Dict[tuple, bool]) -> Optional[RftpDoor]:
         """First admissible door from the task's alternatives, walking
-        ``orderly`` from the failure cursor."""
+        ``orderly`` from the failure cursor.  ``verdicts`` memoises
+        :meth:`_door_admits` for one synchronous pass, keyed by (door, cap)
+        so a brownout transition inside the pass cannot reuse a stale one."""
         names = task.spec.sources or tuple(self.doors)
         now = self.engine.now
         ctrl = self.overload
@@ -682,31 +712,11 @@ class TransferBroker:
                 ctrl.door_session_cap(door.max_sessions)
                 if ctrl is not None else None
             )
-            # Only pass the brownout cap when one is in force: doors are
-            # duck-typed (tests stub them) and the base signature works
-            # everywhere.
-            admissible = (
-                door.admissible(now) if cap is None
-                else door.admissible(now, session_cap=cap)
-            )
-            if admissible:
-                hp = getattr(door.link, "_host_pool", None)
-                if hp is not None:
-                    # Dispatched-but-unfinished tasks on EVERY door
-                    # sharing this host pool each hold (or are about to
-                    # take, synchronously at transfer start) one channel
-                    # lease.  door.active is bumped at dispatch, before
-                    # the task's process first runs, so this aggregate
-                    # cannot race the way the pool's own live lease
-                    # count can — per-door caps alone oversubscribe the
-                    # shared pool and trip the lease-capacity error.
-                    inflight = sum(
-                        d.active for d in self.doors.values()
-                        if getattr(d.link, "_host_pool", None) is hp
-                    )
-                    if inflight >= hp.sessions.capacity:
-                        admissible = False
-            if admissible:
+            key = (name, cap)
+            admits = verdicts.get(key)
+            if admits is None:
+                admits = verdicts[key] = self._door_admits(door, cap, now)
+            if admits:
                 if i:
                     task.alt_cursor = (task.alt_cursor + i) % n
                 return door
@@ -746,6 +756,8 @@ class TransferBroker:
 
     def _dispatch_loop(self):
         while self._outstanding > 0 and not (self._dead or self._draining):
+            verdicts: Dict[tuple, bool] = {}
+            cohort: List[FileTask] = []  # files this pass cannot place
             while (
                 self._active < self.config.max_active
                 and not (self._dead or self._draining)
@@ -758,55 +770,72 @@ class TransferBroker:
                 _neg_prio, _seq, task = heapq.heappop(state.queue)
                 if task.state.terminal:
                     continue  # canceled while queued; entry is stale
-                door = self._pick_door(task)
+                door = self._pick_door(task, verdicts)
                 if door is None:
                     # Every alternative is quarantined or saturated: park
-                    # the file and retry shortly, without burning a slot
-                    # or charging the tenant's stride pass.
+                    # the file in this pass's cohort (ONE shared retry tick
+                    # below), without burning a slot or charging the
+                    # tenant's stride pass.
                     self._m_blocked.add()
-                    self._park(task, self.config.blocked_retry, state)
+                    state.parked += 1
+                    self._parked[id(task)] = (None, state)
+                    cohort.append(task)
                     continue
                 state.pass_value += 1.0 / state.policy.weight
                 self._take_slot(state, door)
+                verdicts.clear()  # the one thing in a pass that changes them
                 task.state = FileState.READY  # dispatch-instant, not journaled
                 self.engine.process(self._run_task(task, state, door))
+            if cohort:
+                self.engine.process(self._requeue_later(
+                    cohort, self.engine.timeout(self.config.blocked_retry)
+                ))
             self._wake = Event(self.engine)
             if self._outstanding == 0 or self._dead or self._draining:
                 break
             yield self._wake
         self._loop_running = False
 
-    # -- parking (retry / blocked backoff) ---------------------------------------
+    # -- parking (retry backoff: own timer; blocked: the pass's shared tick) -----
     def _park(self, task: FileTask, delay: float, state: _TenantState) -> None:
         state.parked += 1
         timer = self.engine.timeout(delay)
         self._parked[id(task)] = (timer, state)
-        self.engine.process(self._requeue_later(task, timer, state))
+        self.engine.process(self._requeue_later([task], timer))
 
     def _unpark(self, task: FileTask) -> bool:
-        """Remove a parked task NOW (job canceled / broker action); its
-        backoff timer is cancelled and the waiter process never requeues."""
+        """Remove a parked task NOW (job canceled / broker action): its own
+        backoff timer is cancelled; a cohort's shared one skips the gap."""
         entry = self._parked.pop(id(task), None)
         if entry is None:
             return False
         timer, state = entry
-        timer.cancel()
+        if timer is not None:
+            timer.cancel()
         state.parked -= 1
         return True
 
-    def _requeue_later(self, task: FileTask, timer: Any, state: _TenantState):
+    def _requeue_later(self, tasks: List[FileTask], timer: Any):
+        """When ``timer`` fires, requeue (in park order, each behind
+        everything queued meanwhile) the ``tasks`` still parked, then
+        wake dispatch once.  A dead incarnation's timer touches nothing."""
         yield timer
         if self._dead:
             return
-        if self._parked.pop(id(task), None) is None:
-            return  # unparked while waiting (cancel won the race)
-        state.parked -= 1
-        if task.state.terminal:
-            return
-        heapq.heappush(
-            state.queue, (-task.job.priority, next(self._fifo), task)
-        )
-        self._kick()
+        requeued = False
+        for task in tasks:
+            entry = self._parked.pop(id(task), None)
+            if entry is None:
+                continue  # unparked while waiting (cancel won the race)
+            state = entry[1]
+            state.parked -= 1
+            if not task.state.terminal:
+                heapq.heappush(
+                    state.queue, (-task.job.priority, next(self._fifo), task)
+                )
+                requeued = True
+        if requeued:
+            self._kick()
 
     def _retry_delay(self, task: FileTask) -> float:
         """Capped exponential backoff with deterministic seeded jitter."""

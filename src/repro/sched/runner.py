@@ -299,7 +299,7 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
     structure must be back at baseline.
 
     Shedding rejects work at admission, so nothing it touches may linger:
-    broker worker slots, parked retry timers, tenant queues and stride
+    broker worker slots, parked files, tenant queues and stride
     bookkeeping, destination ownership, and — on the server side — sink
     session tables and reassembly parking must all be empty/terminal.
     Returns a list of problems (empty means quiescent).
@@ -311,7 +311,7 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
     if broker._outstanding:
         leaks.append(f"{broker._outstanding} primary files still outstanding")
     if broker._parked:
-        leaks.append(f"{len(broker._parked)} retry timers still parked")
+        leaks.append(f"{len(broker._parked)} files still parked")
     for name, state in sorted(broker._tenants.items()):
         if state.queued or state.inflight or state.parked:
             leaks.append(

@@ -174,3 +174,53 @@ def test_shared_ledger_and_pool_across_sessions():
     assert link.ledger.total_received > 0
     assert link.pool.free_count == len(link.pool)
     assert not link._inflight
+
+
+def test_reply_stores_are_built_on_first_use():
+    """A session holds only its ``_loaded`` store until a reply type is
+    first used — by the requester, or by the control thread when the
+    reply gets there first (it must still be delivered)."""
+    from repro.core.messages import ControlMessage, CtrlType
+    from repro.core.source_link import TransferJob
+    from repro.sim.resources import Store
+
+    tb = roce_lan()
+    c = cfg()
+    server, sink, client = wire(tb, c)
+    out = {}
+
+    def driver(env):
+        link = yield client.open_link(tb.dst_dev, 4000, c)
+        job = TransferJob(link, 77, 1 << 20, PatternSource(tb.src))
+        stores = [v for v in vars(job).values() if isinstance(v, Store)]
+        assert stores == [job._loaded] and not job._replies
+        link.jobs[77] = job
+        link._start_shared_threads()  # what transfer() does at this point
+
+        sink_eng = next(iter(server.sink_engines.values()))
+        peer = sink_eng.host.thread("test-peer", "app")
+        yield from sink_eng.ctrl.send(
+            peer, ControlMessage(CtrlType.CHANNELS_REP, 77, "early")
+        )
+        yield env.timeout(1e-3)
+        assert list(job._replies) == [CtrlType.CHANNELS_REP]
+
+        # A type nobody waits for is still stray, and builds nothing.
+        stray = link.stray_messages
+        yield from sink_eng.ctrl.send(
+            peer, ControlMessage(CtrlType.CHANNELS_REQ, 77, 2)
+        )
+        yield env.timeout(1e-3)
+        assert link.stray_messages == stray + 1
+        assert list(job._replies) == [CtrlType.CHANNELS_REP]
+
+        asker = link.host.thread("test-asker", "app")
+        reply = yield from link._request_reply(
+            asker, job, CtrlType.CHANNELS_REQ, 2, CtrlType.CHANNELS_REP
+        )
+        out["reply"] = reply.data
+
+    proc = tb.engine.process(driver(tb.engine))
+    tb.engine.run(until=0.1)  # the hand-made job never ends: bound the run
+    assert proc.ok
+    assert out["reply"] == "early"

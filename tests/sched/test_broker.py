@@ -1,6 +1,12 @@
 """Broker mechanics: dedupe, admission control, and the job state model."""
 
+import heapq
+import itertools
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.rftp import RftpClient, RftpServer
 from repro.sched import (
@@ -10,6 +16,9 @@ from repro.sched import (
     TenantPolicy,
     TransferSpec,
 )
+from repro.sched.broker import TransferBroker
+from repro.sched.runner import quiescence_leaks
+from repro.sim import Engine
 from repro.testbeds import roce_lan
 
 MiB = 1 << 20
@@ -235,8 +244,6 @@ def test_cancel_unparks_a_file_waiting_in_retry_backoff():
     """Regression: canceling a job whose file sits in a retry backoff
     timer must cancel it NOW (timer cancelled, cancel journaled) — not
     leak it parked until the timer fires."""
-    from repro.sched.broker import TransferBroker
-
     tb = roce_lan()
     cfg = BrokerConfig(retry_backoff=60.0, retry_backoff_cap=60.0,
                        retry_jitter=0.0, max_attempts=3, breaker_failures=5)
@@ -305,3 +312,309 @@ def test_submit_rejects_nonpositive_deadline():
     tb.engine.process(driver(tb.engine))
     tb.engine.run()
     assert out["ok"]
+
+
+# -- blocked dispatch: one shared retry tick per pass (the cohort) ----------------
+
+
+class _GateDoor:
+    """Inadmissible until ``opens_at``; every attempt then succeeds after
+    ``delay``.  Counts the admission checks the broker makes."""
+
+    def __init__(self, engine, opens_at, name="door-0", max_sessions=8,
+                 delay=0.01):
+        self.engine = engine
+        self.name = name
+        self.opens_at = opens_at
+        self.max_sessions = max_sessions
+        self.delay = delay
+        self.active = 0
+        self.checks = 0
+        self.link = None
+        self.breaker = None  # the broker installs its own
+
+    def admissible(self, now, session_cap=None):
+        self.checks += 1
+        return now >= self.opens_at and self.active < self.max_sessions
+
+    def transfer(self, task, session_id=None):
+        return self.engine.timeout(self.delay)
+
+
+def _blocked_broker(opens_at, **cfg):
+    engine = Engine()
+    door = _GateDoor(engine, opens_at)
+    broker = TransferBroker(
+        engine, [door], BrokerConfig(blocked_retry=0.25, **cfg),
+        tenants={"t": TenantPolicy(max_inflight=8)},
+    )
+    return engine, door, broker
+
+
+def _attempts(broker):
+    return [(r["t"], r["job_id"], r["index"])
+            for r in broker.journal.records if r["kind"] == "attempt"]
+
+
+def _leaks(broker):
+    return quiescence_leaks(SimpleNamespace(broker=broker, server=None))
+
+
+def test_cancel_removes_cohort_members_and_the_rest_requeue_in_order():
+    """Files one dispatch pass could not place share ONE retry timer.
+    Cancelling a job takes exactly its files out of that cohort at cancel
+    time; the others requeue at the same tick in their parked order."""
+    engine, door, broker = _blocked_broker(opens_at=0.6)
+    jobs = [
+        broker.submit("t", [TransferSpec(f"/data/{j}{i}", MiB)
+                            for i in range(n)], job_id=j)
+        for j, n in (("a", 3), ("b", 2), ("c", 2))
+    ]
+    state = broker._tenants["t"]
+    engine.run(until=0.1)  # the pass at t=0 found every file blocked
+    assert state.parked == len(broker._parked) == 7
+    assert broker._m_blocked.count == 7
+
+    assert broker.cancel_job(jobs[1], reason="user says stop")
+    assert state.parked == len(broker._parked) == 5
+
+    engine.run(until=0.3)  # tick at 0.25: the five survivors, blocked again
+    assert broker._m_blocked.count == 7 + 5
+    assert state.parked == len(broker._parked) == 5
+    engine.run()
+    # The door opened at 0.6; the 0.75 tick dispatched all five, in the
+    # order they were parked.  The cancelled files never ran.
+    assert _attempts(broker) == [
+        (0.75, "a", 0), (0.75, "a", 1), (0.75, "a", 2),
+        (0.75, "c", 0), (0.75, "c", 1),
+    ]
+    assert [j.state for j in jobs] == [
+        JobState.FINISHED, JobState.CANCELED, JobState.FINISHED
+    ]
+    assert _leaks(broker) == []
+
+
+def test_cancelling_a_whole_cohort_leaves_its_tick_to_fire_harmlessly():
+    """With every member cancelled the shared timer still fires (it is
+    not cancelled) and finds nothing: no requeue, no dispatch, and the
+    clock drains to the tick's deadline exactly as the parent's per-file
+    tombstones did."""
+    engine, door, broker = _blocked_broker(opens_at=10.0)
+    job = broker.submit(
+        "t", [TransferSpec(f"/data/f{i}", MiB) for i in range(4)]
+    )
+    engine.run(until=0.1)
+    assert len(broker._parked) == 4
+    assert broker.cancel_job(job)
+    assert broker._parked == {} and broker._tenants["t"].parked == 0
+    checks = door.checks
+    engine.run()
+    assert engine.now == 0.25
+    assert door.checks == checks and _attempts(broker) == []
+    assert job.state is JobState.CANCELED
+    assert _leaks(broker) == []
+
+
+def test_crash_with_a_cohort_parked_and_recovery_finishes_every_file():
+    """A dead incarnation's cohort tick touches nothing; the recovered
+    broker re-admits the SUBMITTED files and finishes them."""
+    engine, door, broker = _blocked_broker(opens_at=0.3)
+    broker.submit("t", [TransferSpec(f"/data/f{i}", MiB) for i in range(5)],
+                  job_id="j")
+    engine.run(until=0.1)
+    dead_state = broker._tenants["t"]
+    assert dead_state.parked == len(broker._parked) == 5
+    broker.crash()
+    records_at_crash = len(broker.journal.records)
+    engine.run(until=0.3)  # the dead incarnation's tick fired at 0.25
+    assert dead_state.parked == len(broker._parked) == 5  # untouched
+    assert dead_state.queue == [] and door.active == 0
+    assert len(broker.journal.records) == records_at_crash
+
+    recovered = TransferBroker.recover(
+        engine, [door], broker.journal, broker.config,
+        tenants={"t": TenantPolicy(max_inflight=8)},
+    )
+    engine.run()
+    (job,) = recovered.jobs
+    assert job.state is JobState.FINISHED
+    assert [t for t, _, _ in _attempts(recovered)] == [0.3] * 5
+    assert _leaks(recovered) == []
+
+
+# -- equivalence oracle: the cohort path against a model of the per-file one ------
+
+
+class _PerFileParkModel:
+    """The deleted dispatch path as a model: a pass pops every file it
+    may, parks EACH blocked one behind its own ``blocked_retry`` timer,
+    and a fired timer requeues its file with a fresh fifo seq and kicks.
+    Same-instant events run in creation order, as in the kernel; an
+    attempt's completion timer is created after its pass (the process
+    bootstrap), hence after that pass's park timers."""
+
+    def __init__(self, doors, tenants, max_active, retry, delay):
+        self.doors, self.tenants = doors, tenants  # plain dicts, see _model()
+        self.max_active, self.retry, self.delay = max_active, retry, delay
+        self.now, self.active, self.blocked = 0.0, 0, 0
+        self.events, self.eid, self.fifo = [], itertools.count(), itertools.count()
+        self.pass_pending, self.log = False, []
+
+    def at(self, when, kind, arg=None):
+        heapq.heappush(self.events, (when, next(self.eid), kind, arg))
+
+    def kick(self):
+        if not self.pass_pending:
+            self.pass_pending = True
+            self.at(self.now, "dispatch")
+
+    def submit(self, tenant, priority, job_id, sources):
+        for index, names in enumerate(sources):
+            self.enqueue({"key": (job_id, index), "tenant": tenant,
+                          "priority": priority, "cursor": 0,
+                          "names": names or tuple(self.doors)})
+
+    def enqueue(self, f):
+        queue = self.tenants[f["tenant"]]["queue"]
+        heapq.heappush(queue, (-f["priority"], next(self.fifo), f))
+        self.kick()
+
+    def run(self, until):
+        while self.events and self.events[0][0] <= until:
+            self.now, _, kind, arg = heapq.heappop(self.events)
+            getattr(self, kind)(arg)
+        self.now = until
+
+    def pick(self, f):
+        n = len(f["names"])
+        for i in range(n):
+            door = self.doors[f["names"][(f["cursor"] + i) % n]]
+            if door["open"] and door["active"] < door["cap"]:
+                f["cursor"] = (f["cursor"] + i) % n
+                return door
+        return None
+
+    def dispatch(self, _):
+        self.pass_pending = False
+        started = []
+        while self.active < self.max_active:
+            runnable = [t for _, t in sorted(self.tenants.items())
+                        if t["queue"] and t["inflight"] < t["cap"]]
+            if not runnable:
+                break
+            tenant = min(runnable, key=lambda t: t["pass"])  # first of equals
+            f = heapq.heappop(tenant["queue"])[2]
+            door = self.pick(f)
+            if door is None:
+                self.blocked += 1
+                self.at(self.now + self.retry, "enqueue", f)
+                continue
+            tenant["pass"] += 1.0 / tenant["weight"]
+            tenant["inflight"] += 1
+            door["active"] += 1
+            self.active += 1
+            self.log.append((self.now, *f["key"], door["name"]))
+            started.append((tenant, door))
+        for slot in started:
+            self.at(self.now + self.delay, "finish", slot)
+
+    def finish(self, slot):
+        tenant, door = slot
+        tenant["inflight"] -= 1
+        door["active"] -= 1
+        self.active -= 1
+        self.kick()
+
+
+_DOOR_CAPS = {"d0": 2, "d1": 1}
+_TENANTS = {"a": TenantPolicy(weight=1.0, max_inflight=3),
+            "b": TenantPolicy(weight=2.0, max_inflight=2)}
+_DISPATCH_STEPS = st.one_of(
+    st.tuples(
+        st.just("submit"), st.sampled_from(sorted(_TENANTS)),
+        st.sampled_from([0, 0, 1, 5]),
+        st.lists(st.sampled_from([(), ("d0",), ("d1",), ("d1", "d0"),
+                                  ("d0", "d1")]), min_size=1, max_size=6),
+    ),
+    st.tuples(st.just("door"), st.sampled_from(sorted(_DOOR_CAPS)),
+              st.booleans()),
+    st.tuples(st.just("advance"),
+              st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.3, 0.6])),
+    st.tuples(st.just("advance"),
+              st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.3, 0.6])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_DISPATCH_STEPS, min_size=3, max_size=20))
+def test_cohort_dispatch_matches_the_per_file_park_model(steps):
+    """Whatever mix of submissions (priorities, explicit sources, two
+    weighted tenants), door closures and time a real broker sees, it
+    dispatches the same files to the same doors at the same instants,
+    and counts the same ``sched.dispatch_blocked``, as the per-file park
+    path this PR deleted."""
+    engine = Engine()
+    doors = [_GateDoor(engine, 0.0, name=name, max_sessions=cap, delay=0.1)
+             for name, cap in _DOOR_CAPS.items()]
+    broker = TransferBroker(
+        engine, doors, BrokerConfig(max_active=4, blocked_retry=0.25),
+        tenants=_TENANTS,
+    )
+    model = _PerFileParkModel(
+        {d.name: {"name": d.name, "open": True, "cap": d.max_sessions,
+                  "active": 0} for d in doors},
+        {name: {"weight": p.weight, "cap": p.max_inflight, "pass": 0.0,
+                "inflight": 0, "queue": []} for name, p in _TENANTS.items()},
+        max_active=4, retry=0.25, delay=0.1,
+    )
+    paths = itertools.count()
+    for n, step in enumerate(steps + [("advance", 30.0)]):
+        if step[0] == "submit":
+            _, tenant, priority, sources = step
+            broker.submit(
+                tenant,
+                [TransferSpec(f"/data/{next(paths)}", MiB, s) for s in sources],
+                priority=priority, job_id=f"j{n}",
+            )
+            model.submit(tenant, priority, f"j{n}", sources)
+        elif step[0] == "door":
+            _, name, is_open = step
+            broker.doors[name].opens_at = 0.0 if is_open else float("inf")
+            model.doors[name]["open"] = is_open
+        else:
+            engine.run(until=engine.now + step[1])
+            model.run(model.now + step[1])
+        attempts = [(r["t"], r["job_id"], r["index"], r["door"])
+                    for r in broker.journal.records if r["kind"] == "attempt"]
+        assert attempts == model.log
+        assert broker._m_blocked.count == model.blocked
+        assert len(broker._parked) == sum(
+            s.parked for s in broker._tenants.values()
+        )
+
+
+def _blocked_ticks(n_files, ticks=10):
+    """Events and admission checks spent on ``ticks`` blocked retry ticks
+    with ``n_files`` queued behind one closed door."""
+    engine, door, broker = _blocked_broker(opens_at=0.25 * ticks + 0.1)
+    job = broker.submit(
+        "t", [TransferSpec(f"/data/f{i}", MiB) for i in range(n_files)]
+    )
+    engine.run(until=0.1)  # the first pass parked everything
+    events, checks = engine.events_processed, door.checks
+    engine.run(until=0.25 * ticks + 0.1)
+    assert broker._m_blocked.count == n_files * (ticks + 1)
+    spent = (engine.events_processed - events, door.checks - checks)
+    engine.run()
+    assert job.state is JobState.FINISHED and _leaks(broker) == []
+    return spent
+
+
+def test_a_blocked_tick_costs_the_same_for_50_and_500_queued_files():
+    """The herd is gone: a retry tick is one timer, one process and one
+    wake however long the queue, and a pass asks each door once (the
+    parent spent three events and one check of every door per FILE)."""
+    events_50, checks_50 = _blocked_ticks(50)
+    events_500, checks_500 = _blocked_ticks(500)
+    assert events_50 == events_500 <= 4 * 10
+    assert checks_50 == checks_500 == 10  # one door, one verdict per pass

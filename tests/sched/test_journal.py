@@ -215,11 +215,13 @@ class _StubDoor:
         self.delay = delay
         self.active = 0
         self.max_sessions = 2
+        self.saturated = False  # True: admits nothing (files block and park)
         self.link = _StubLink()
         self.breaker = None  # the broker installs its own
 
     def admissible(self, now, session_cap=None):
-        return self.active < (session_cap or self.max_sessions)
+        return (not self.saturated
+                and self.active < (session_cap or self.max_sessions))
 
     def transfer(self, task, session_id=None):
         event = Event(self.engine)
@@ -292,6 +294,11 @@ def _assert_live_matches_replay(broker):
         1 for job in broker.jobs for t in job.files
         if t.duplicate_of is None and not t.state.terminal
     )
+    # Parked files (retry backoff, or a blocked pass's cohort) are counted
+    # once in the index and once on their tenant.
+    assert len(broker._parked) == sum(
+        s.parked for s in broker._tenants.values()
+    )
 
 
 _SOURCES = [(), ("ok",), ("fail", "ok"), ("fail",), ("hang", "ok"), ("hang",)]
@@ -308,6 +315,7 @@ _STEPS = st.one_of(
     _SUBMIT,
     _SUBMIT,
     st.tuples(st.just("cancel"), st.integers(0, 7)),
+    st.tuples(st.just("saturate"), st.integers(0, 2), st.booleans()),
     st.tuples(st.just("advance"), st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0])),
     st.tuples(st.just("advance"), st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0])),
 )
@@ -319,8 +327,9 @@ _STEPS = st.one_of(
 def test_live_job_table_equals_replay_after_every_step(steps, drain_at):
     """Generated-sequence oracle: whatever interleaving of submit (with
     duplicate paths, reused ids, deadlines), cancel, time and drain a
-    real broker sees over succeed / fail / hang doors, replaying its
-    journal reproduces its job table, and worker slots are conserved."""
+    real broker sees over succeed / fail / hang doors that saturate and
+    recover, replaying its journal reproduces its job table, and worker
+    slots and parked files are conserved."""
     engine = Engine()
     doors = [_StubDoor(engine, name, name) for name in ("ok", "fail", "hang")]
     broker = TransferBroker(
@@ -344,6 +353,8 @@ def test_live_job_table_equals_replay_after_every_step(steps, drain_at):
             )
         elif step[0] == "cancel" and broker.jobs:
             broker.cancel_job(broker.jobs[step[1] % len(broker.jobs)])
+        elif step[0] == "saturate":
+            doors[step[1]].saturated = step[2]
         elif step[0] == "advance":
             engine.run(until=engine.now + step[1])
         _assert_live_matches_replay(broker)
