@@ -185,13 +185,6 @@ class RdmaMiddleware:
             self.host, self.pd, self.config.sink_blocks, block_size
         )
 
-    def _engine_for_session(self, session_id: int) -> Optional[SinkEngine]:
-        """The sink engine holding a live registration for ``session_id``."""
-        for engine in self.sink_engines.values():
-            if session_id in engine._expected_bytes:
-                return engine
-        return None
-
     def _srq_dispatch(self) -> Generator:
         """Shared-receive-queue dispatcher: route eager arrivals.
 
@@ -214,13 +207,14 @@ class RdmaMiddleware:
                 if not wc.ok or wc.payload is None:
                     continue
                 wire = wc.payload
-                engine = self._engine_for_session(wire.header.session_id)
-                if engine is None:
+                for engine in self.sink_engines.values():
+                    if engine.has_session(wire.header.session_id):
+                        yield from engine.on_eager_block(thread, wire)
+                        break
+                else:
                     # No live registration (late arrival after finish /
                     # reclaim, or a misrouted SEND): drop and count.
                     stray.add()
-                else:
-                    yield from engine.on_eager_block(thread, wire)
                 yield thread.exec(profile.post_recv_seconds)
                 self._srq.post_recv(RecvWR(length=wqe_len, wr_id=wc.wr_id))
 
@@ -407,35 +401,42 @@ class RdmaMiddleware:
         """
         if session_id is None:
             session_id = next(_session_ids)
+        return self._run_session(
+            link, (remote, port, config, fault_injector, tcp_factory), False,
+            data_source, total_bytes, session_id, reuse_negotiation=reuse_negotiation,
+        )
+
+    def _run_session(self, link, link_args, resumed: bool, *job_args, **job_kwargs):
+        """Process event: open a link unless one was passed, run the job
+        on it (:meth:`SourceLink.resume` or ``.transfer``) and report it
+        as a :class:`TransferOutcome`."""
 
         def _run() -> Generator:
             the_link = link
             if the_link is None:
-                the_link = yield self.open_link(
-                    remote, port, config, fault_injector, tcp_factory
-                )
+                the_link = yield self.open_link(*link_args)
             mr_reqs_before = the_link.mr_requests_sent
-            job = yield the_link.transfer(
-                data_source,
-                total_bytes,
-                session_id,
-                reuse_negotiation=reuse_negotiation,
-            )
+            launch = the_link.resume if resumed else the_link.transfer
+            job = yield launch(*job_args, **job_kwargs)
             assert job.started_at is not None and job.finished_at is not None
+            # Only a resume reports the suffix it sent (a re-promoted
+            # fresh transfer also moves ``start_seq``, but carried it all).
+            first = job.start_seq if resumed else 0
             return TransferOutcome(
-                session_id=session_id,
-                bytes=total_bytes,
+                session_id=job.session_id,
+                bytes=max(0, job.total_bytes - first * job.block_size),
                 elapsed=job.finished_at - job.started_at,
-                blocks=job.total_blocks,
+                blocks=job.total_blocks - first,
                 resends=job.resends,
                 mr_requests=the_link.mr_requests_sent - mr_reqs_before,
                 ctrl_sent=the_link.ctrl.sent,
                 ctrl_received=the_link.ctrl.received,
                 peak_credits=the_link.ledger.peak_balance,
-                rnr_naks=sum(qp.rnr_naks.count for qp in the_link._data_qps)
+                rnr_naks=sum([qp.rnr_naks.count for qp in the_link._data_qps])
                 + the_link._ctrl_qp.rnr_naks.count,
                 ctrl_retries=job.ctrl_retries,
                 repairs=job.repairs,
+                resumed_from=first,
                 fallbacks=job.fallbacks,
                 fallback_blocks=job.fallback_blocks,
                 repromotions=job.repromotions,
@@ -465,37 +466,10 @@ class RdmaMiddleware:
         with a typed :class:`~repro.core.errors.TransferError` when the
         sink rejects the resume or the re-attached session aborts again.
         """
-
-        def _run() -> Generator:
-            the_link = link
-            if the_link is None:
-                the_link = yield self.open_link(
-                    remote, port, config, fault_injector, tcp_factory
-                )
-            mr_reqs_before = the_link.mr_requests_sent
-            job = yield the_link.resume(data_source, total_bytes, session_id)
-            assert job.started_at is not None and job.finished_at is not None
-            return TransferOutcome(
-                session_id=session_id,
-                bytes=max(0, total_bytes - job.start_seq * job.block_size),
-                elapsed=job.finished_at - job.started_at,
-                blocks=job.blocks_to_send,
-                resends=job.resends,
-                mr_requests=the_link.mr_requests_sent - mr_reqs_before,
-                ctrl_sent=the_link.ctrl.sent,
-                ctrl_received=the_link.ctrl.received,
-                peak_credits=the_link.ledger.peak_balance,
-                rnr_naks=sum(qp.rnr_naks.count for qp in the_link._data_qps)
-                + the_link._ctrl_qp.rnr_naks.count,
-                ctrl_retries=job.ctrl_retries,
-                repairs=job.repairs,
-                resumed_from=job.start_seq,
-                fallbacks=job.fallbacks,
-                fallback_blocks=job.fallback_blocks,
-                repromotions=job.repromotions,
-            )
-
-        return self.engine.process(_run())
+        return self._run_session(
+            link, (remote, port, config, fault_injector, tcp_factory), True,
+            data_source, total_bytes, session_id,
+        )
 
     def reopen_channel(
         self,

@@ -10,24 +10,37 @@ blocks via one-sided RDMA WRITE with zero sink CPU.  Its threads only:
   application's data sink (file system, /dev/null), and recycle blocks
   (``put_free_blk``), triggering fresh grants.
 
+Everything the sink knows about one session id is one slotted
+:class:`SinkSession` record, ``LIVE → ACKED | RECLAIMED | CRASHED →
+evicted``.  Incarnations *start* through ``_go_live`` / ``_reanchor``
+(+ ``_reattach`` for resume and fallback) and *end* through
+``_end_incarnation``; DESIGN.md §8 tabulates what each start resets, what
+each end keeps, and why.
+
 Recovery: duplicate negotiation requests are answered idempotently (a
-retransmitting source must converge on one session, one grant), completed
-sessions have their bookkeeping retired so the dicts stay bounded, and a
-lazily-running garbage collector reclaims sessions idle past
-``session_idle_timeout`` — freeing parked reassembly blocks and, once no
-live session shares the pool, revoking credits a dead source can never
-honour.
+retransmitting source must converge on one session, one grant), ended
+sessions are evicted whole past ``sink_session_history``, and a lazy
+garbage collector reclaims sessions idle past ``session_idle_timeout`` —
+freeing parked reassembly blocks and, once no live session shares the
+pool, revoking credits a dead source can never honour.
 """
 
 from __future__ import annotations
 
+import enum
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from repro.core.blocks import SinkBlock, SinkBlockState
 from repro.core.channels import ControlChannel
 from repro.core.config import ProtocolConfig
 from repro.core.credits import Credit, CreditGranter
-from repro.core.errors import EndpointCrashed, PeerDead, StaleSessionReclaimed
+from repro.core.errors import (
+    EndpointCrashed,
+    PeerDead,
+    StaleSessionReclaimed,
+    TransferError,
+)
 from repro.core.health import HealthMonitor
 from repro.core.messages import ControlMessage, CtrlType, block_checksum
 from repro.core.pool import BlockPool
@@ -39,7 +52,102 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.host import Host
     from repro.sim.engine import Engine
 
-__all__ = ["SinkEngine"]
+__all__ = ["SessionState", "SinkEngine", "SinkSession"]
+
+
+class SessionState(enum.Enum):
+    """A :class:`SinkSession`'s lifecycle; ended states double as outcomes."""
+
+    LIVE = "live"  #: negotiated (or re-attached); blocks are accepted
+    ACKED = "acked"  #: everything consumed and DATASET_DONE_ACK sent
+    RECLAIMED = "reclaimed"  #: reaped by the GC (idle, or the peer is dead)
+    CRASHED = "crashed"  #: was live when the sink process crashed
+
+
+_LIVE, _ACKED = SessionState.LIVE, SessionState.ACKED
+
+
+@dataclass(slots=True, eq=False)
+class SinkSession:
+    """Everything the sink holds for one session id.
+
+    It outlives its incarnation (bounded by ``sink_session_history``): an
+    ACKED record re-acks a retransmitted DATASET_DONE, a RECLAIMED / CRASHED
+    one anchors a later resume or fallback at its restart marker.
+    """
+
+    sid: int
+    #: Marker cadence the source negotiated (bounded by the *source*
+    #: pool so repair copies can't starve its readers).
+    interval: int
+    state: SessionState = _LIVE  # records are born going live (``_go_live``)
+    #: Succeeds (with the byte total) once everything is consumed and
+    #: acked; fails (defused) with the typed error that ended the
+    #: incarnation — :class:`StaleSessionReclaimed`, :class:`PeerDead` or
+    #: :class:`EndpointCrashed`.  Pending exactly while LIVE.
+    done: Optional[Event] = None
+    #: Total bytes of the acked dataset (ACKED only) — lets a
+    #: retransmitted DATASET_DONE be re-acked idempotently.
+    acked_total: Optional[int] = None
+    consumed: int = 0
+    #: Byte total the source announced in DATASET_DONE, once seen.
+    dataset_done_total: Optional[int] = None
+    #: Eager (SEND/RECV) transport: payload arrives through the shared
+    #: receive queue, so no credits are granted for the session — freeing
+    #: its blocks must not advertise regions nothing will ever write into.
+    eager: bool = False
+    #: Last control/consumption activity (meaningful while LIVE).
+    last_activity: float = 0.0
+    #: Generation of the consumed-bytes accounting.  Bumped whenever
+    #: ``consumed`` is re-anchored to the marker (fallback accept, resume,
+    #: reclaim, crash): a writer thread whose ``data_sink.write``
+    #: straddled the re-anchor must NOT apply its accounting — its block
+    #: sits below the new marker and will be re-delivered, so counting it
+    #: twice would retire the session one block early.
+    epoch: int = 0
+    # -- restart marker -------------------------------------------------------
+    #: Contiguous *written* prefix, in blocks: everything below it has
+    #: hit the application sink, so a resumed session re-attaches here.
+    #: Recoverable from the data file itself, it survives both GC reclaim
+    #: and a sink crash.
+    upto: int = 0
+    #: Seqs written above the contiguous prefix (the small out-of-order
+    #: window of the parallel writer threads), or None.
+    pending: Optional[set] = None
+    #: Last BLOCK_MARKER value sent to the source.  The marker wire
+    #: messages track the *delivered* prefix
+    #: (``ReassemblyBuffer.next_seq``): delivery implies the checksum
+    #: verified, which is all the source needs to release its repair
+    #: copies — waiting for the writer threads too would hold its pool
+    #: blocks hostage to sink disk latency.
+    sent: int = 0
+    #: ``(marker, credits)`` of the last SESSION_RESUME_REP, so a
+    #: retransmitted resume request is answered idempotently.
+    resume_grant: Optional[tuple] = None
+    #: ``(seq, credits)`` of the last ready TRANSPORT_RESTORE_REP,
+    #: answered idempotently like resumes.
+    restore_grant: Optional[tuple] = None
+    # -- degraded mode --------------------------------------------------------
+    #: Live TcpBlockStream carrying the degraded session; its consumer
+    #: thread stands down once this is no longer *its* stream.
+    stream: Any = None
+    #: resume_seq of the accepted fallback, for idempotent replies to
+    #: retransmitted TRANSPORT_FALLBACK_REQs.
+    fallback_seq: Optional[int] = None
+    #: Next expected seq recorded when the TCP consumer hit the EOF
+    #: sentinel (the TRANSPORT_RESTORE anchor).
+    fallback_eof: Optional[int] = None
+
+    def clear_incarnation(self) -> None:
+        """Forget what belongs to one incarnation (the marker anchor
+        ``upto`` / ``sent`` / ``interval`` and the epoch are not)."""
+        self.dataset_done_total = None
+        self.pending = None
+        self.resume_grant = self.restore_grant = None
+        # The TCP consumer keys its liveness on this registration.
+        self.stream = self.fallback_seq = self.fallback_eof = None
+        self.eager = False
+        self.last_activity = 0.0
 
 
 class SinkEngine:
@@ -70,8 +178,16 @@ class SinkEngine:
         labels = {"sink": self._m_idx}
         self.reassembly = ReassemblyBuffer(registry=reg, sink=self._m_idx)
         self._ready: Store = Store(self.engine)
-        self._expected_bytes: Dict[int, int] = {}
-        self._consumed_bytes: Dict[int, int] = {}
+        #: session id -> the one record of everything held for that id,
+        #: ordered by last transition: LIVE sessions are swept (GC,
+        #: PeerDead, crash) in the order they went live, ended ones are
+        #: evicted in the order they ended.  Past
+        #: ``config.sink_session_history`` ended records the oldest is
+        #: deleted whole, or a broker multiplexing thousands of short
+        #: sessions over one link would grow the table without bound.
+        self._sessions: Dict[int, SinkSession] = {}
+        #: Records currently LIVE.
+        self._live = 0
         self._m_delivered = reg.counter("sink.blocks_delivered", **labels)
         self._m_reclaimed = reg.counter("sink.sessions_reclaimed", **labels)
         self._m_stray = reg.counter("sink.stray_messages", **labels)
@@ -81,59 +197,9 @@ class SinkEngine:
         self._m_resumes = reg.counter("sink.resumes", **labels)
         self._m_crashes = reg.counter("sink.crashes", **labels)
         reg.gauge_fn("sink.ready_blocks", lambda: len(self._ready.items), **labels)
-        reg.gauge_fn(
-            "sink.active_sessions", lambda: len(self._expected_bytes), **labels
-        )
-        self._dataset_done_total: Dict[int, int] = {}
-        #: Sessions on the eager (SEND/RECV) transport: payload arrives
-        #: through the shared receive queue, so no credits are granted
-        #: for them — freeing their blocks must not advertise regions
-        #: nothing will ever write into.
-        self._eager_sessions: set = set()
-        #: Succeeds per session once everything is consumed and acked;
-        #: fails (defused) with :class:`StaleSessionReclaimed` when the GC
-        #: reaps the session.
-        self.session_done: Dict[int, Event] = {}
-        #: session id -> total bytes, for sessions already acked and
-        #: retired — lets a retransmitted DATASET_DONE be re-acked
-        #: idempotently after cleanup.
-        self._acked: Dict[int, int] = {}
-        #: Ordered set (insertion-ordered dict, values unused) of retired
-        #: session ids — finished or reclaimed, no longer in
-        #: ``_expected_bytes``.  Bounds the per-session history the sink
-        #: keeps after retirement: beyond ``config.sink_session_history``
-        #: the oldest retired session's leftovers (_acked,
-        #: _consumed_bytes, session_done, marker anchors, accounting
-        #: epoch) are evicted.  A broker multiplexing thousands of short
-        #: sessions over one link would otherwise grow these dicts
-        #: without bound.
-        self._retired: Dict[int, None] = {}
-        #: session id -> last control/consumption activity timestamp.
-        self._last_activity: Dict[int, float] = {}
+        reg.gauge_fn("sink.active_sessions", lambda: self._live, **labels)
         self._consumers_started = False
         self._gc_running = False
-        # -- integrity / restart-marker / resume state --------------------------------
-        #: session id -> contiguous *written* prefix, in blocks: everything
-        #: below it has hit the application sink, so a resumed session
-        #: re-attaches here.  Recoverable from the data file itself, it
-        #: survives both GC reclaim and a sink crash.
-        self._marker_upto: Dict[int, int] = {}
-        #: session id -> seqs written above the contiguous prefix (the
-        #: small out-of-order window of the parallel writer threads).
-        self._marker_pending: Dict[int, set] = {}
-        #: session id -> last BLOCK_MARKER value sent to the source.  The
-        #: marker wire messages track the *delivered* prefix
-        #: (``ReassemblyBuffer.next_seq``): delivery implies the checksum
-        #: verified, which is all the source needs to release its repair
-        #: copies — waiting for the writer threads too would hold its pool
-        #: blocks hostage to sink disk latency.
-        self._marker_sent: Dict[int, int] = {}
-        #: session id -> marker cadence the source negotiated (bounded by
-        #: the *source* pool so repair copies can't starve its readers).
-        self._marker_interval: Dict[int, int] = {}
-        #: session id -> (marker, credits) of the last SESSION_RESUME_REP,
-        #: so a retransmitted resume request is answered idempotently.
-        self._resume_grants: Dict[int, tuple] = {}
         # -- adaptive health / degraded-mode state -------------------------------------
         #: Peer liveness + RTT estimation (samples come from the PONGs to
         #: our own idle-time PINGs; the sink is otherwise a pure responder).
@@ -141,25 +207,6 @@ class SinkEngine:
         #: Optional zero-arg hook consulted on TRANSPORT_FALLBACK_REQ;
         #: returning True denies the fallback (fault injection).
         self.fallback_deny_hook = None
-        #: session id -> live TcpBlockStream carrying the degraded session.
-        self._fallback_streams: Dict[int, Any] = {}
-        #: session id -> next expected seq recorded when the TCP consumer
-        #: hit the EOF sentinel (the TRANSPORT_RESTORE anchor).
-        self._fallback_done: Dict[int, int] = {}
-        #: session id -> resume_seq of the accepted fallback, for
-        #: idempotent replies to retransmitted TRANSPORT_FALLBACK_REQs.
-        self._fallback_resume_seq: Dict[int, int] = {}
-        #: session id -> (seq, credits) of the last ready
-        #: TRANSPORT_RESTORE_REP, answered idempotently like resumes.
-        self._restore_grants: Dict[int, tuple] = {}
-        #: session id -> generation of the consumed-bytes accounting.
-        #: Bumped whenever ``_consumed_bytes`` is re-anchored to the
-        #: marker (fallback accept, resume, reclaim): a writer thread
-        #: whose ``data_sink.write`` straddled the re-anchor must NOT
-        #: apply its accounting — its block sits below the new marker
-        #: and will be re-delivered, so counting it twice would retire
-        #: the session one block early.
-        self._accounting_epoch: Dict[int, int] = {}
         self._last_ping_at = float("-inf")
         self._m_pings = reg.counter("sink.pings", **labels)
         self._m_peer_dead = reg.counter("sink.peer_dead", **labels)
@@ -212,11 +259,164 @@ class SinkEngine:
         """Launch the control-handling thread."""
         self.engine.process(self._control_thread())
 
-    def consumed_bytes(self, session_id: int) -> int:
-        return self._consumed_bytes.get(session_id, 0)
+    def session(self, session_id: int) -> Optional[SinkSession]:
+        """The record held for ``session_id`` (any state), or ``None``."""
+        return self._sessions.get(session_id)
+
+    def has_session(self, session_id: int) -> bool:
+        """True while ``session_id`` is LIVE here."""
+        s = self._sessions.get(session_id)
+        return s is not None and s.state is _LIVE
 
     def active_sessions(self) -> int:
-        return len(self._expected_bytes)
+        return self._live
+
+    def _live_sessions(self) -> List[SinkSession]:
+        """LIVE records, in the order they went live."""
+        return [s for s in self._sessions.values() if s.state is _LIVE]
+
+    def known_sessions(self) -> int:
+        """Session ids the engine holds *any* state for (live + history)."""
+        return len(self._sessions)
+
+    def audit(self) -> List[str]:
+        """What a quiescent engine must not hold, as leak messages."""
+        leaks: List[str] = []
+        parked = self.reassembly.sessions_with_parked()
+        if parked:
+            leaks.append(f"reassembly entries parked for sessions {parked}")
+        if self._ready.items:
+            leaks.append(f"{len(self._ready.items)} ready blocks unconsumed")
+        if self._live:
+            leaks.append(f"{self._live} sink sessions never retired")
+        ended = len(self._sessions) - self._live
+        if ended > self.config.sink_session_history:
+            leaks.append(
+                f"retired-session history {ended} exceeds cap"
+                f" {self.config.sink_session_history}"
+            )
+        # A completed session has no business keeping resume anchors,
+        # stored grants or a degraded stream.
+        acked = [s for s in self._sessions.values() if s.state is _ACKED]
+        for name in ("upto", "pending", "sent", "resume_grant", "restore_grant",
+                     "stream", "fallback_seq", "fallback_eof"):
+            stranded = [s.sid for s in acked if getattr(s, name) not in (None, 0)]
+            if stranded:
+                leaks.append(
+                    f"restart-marker state {name} stranded for acked"
+                    f" sessions {sorted(stranded)}"
+                )
+        return leaks
+
+    # -- session lifecycle (DESIGN.md §8) ----------------------------------------------
+    def _go_live(self, sid: int, s: Optional[SinkSession]) -> SinkSession:
+        """Enter LIVE — a new id, or an ended record revived: fresh
+        ``done`` event, writer and GC threads running."""
+        if s is None:
+            s = SinkSession(sid, self.config.marker_interval_blocks)
+        else:
+            del self._sessions[sid]  # revived: re-inserted at the back
+            s.state = _LIVE
+            s.acked_total = None  # a finished session's id may be reused
+        self._sessions[sid] = s
+        self._live += 1
+        s.done = Event(self.engine)
+        s.last_activity = self.engine.now
+        if not self._consumers_started:
+            self._consumers_started = True
+            for i in range(self.config.writer_threads):
+                self.engine.process(self._consumer_thread(i))
+        if not self._gc_running:
+            self._gc_running = True
+            self.engine.process(self._gc_thread())
+        return s
+
+    def _reanchor(self, s: SinkSession, seq: int, total: int) -> None:
+        """Anchor ``s`` at block ``seq`` — the only place consumed bytes,
+        the marker and the reassembly cursor are set.  Accounting restarts
+        at the anchor: bytes consumed beyond it may be re-delivered
+        (overlap) and must count exactly once."""
+        assert self.pool is not None
+        s.consumed = min(seq * self.pool.block_size, total)
+        s.upto = s.sent = seq
+        s.pending = None
+        s.last_activity = self.engine.now
+        self.reassembly.set_next_seq(s.sid, seq)
+
+    def _reattach(
+        self, sid: int, s: Optional[SinkSession], total: int, seq: int,
+        supersede_done: bool,
+    ) -> SinkSession:
+        """Re-attach a session at its restart marker ``seq`` — the part
+        SESSION_RESUME and TRANSPORT_FALLBACK share.  All RDMA credits of
+        the old incarnation die here; the caller grants afresh (or not)."""
+        if s is not None and s.state is _LIVE:
+            # The old incarnation is still live here (source-side crash
+            # or degradation): free its un-consumed arrivals above the
+            # marker (they will be re-sent) and forget its stored grants,
+            # degraded stream and eager flag — a re-attach always rides
+            # rendezvous, anchored on credits + restart markers.
+            self._drop_unconsumed(sid)
+            s.clear_incarnation()
+            if supersede_done:
+                s.done.fail(EndpointCrashed(sid, "superseded by session resume")).defuse()
+                s.done = Event(self.engine)
+        else:
+            s = self._go_live(sid, s)
+        s.epoch += 1
+        self._reanchor(s, seq, total)
+        self._revoke_waiting()
+        return s
+
+    def _revoke_waiting(self) -> None:
+        """Revoke every WAITING block and forget the starved-sender latch.
+
+        Unconditional on re-attach: accepting a resume or fallback
+        flushes the *entire* link ledger on the source, so no live ledger
+        holds a credit for any WAITING region, whichever session id it
+        was stamped with.  Guarding on "no sibling registered" leaked
+        blocks for good while a dead-but-unreclaimed sibling lingered
+        (resume's contract already forbids a *healthy* one).
+        """
+        assert self.pool is not None and self.granter is not None
+        for blk in self.pool.blocks.values():
+            if blk.state is SinkBlockState.WAITING:
+                blk.mr.take(blk.mr.buffer.addr)  # discard unnotified data
+                blk.revoke()
+                self.pool.put_free_blk(blk)
+        self.granter.pending_request = False
+
+    def _end_incarnation(self, s: SinkSession, outcome: SessionState, result: Any) -> None:
+        """LIVE → ``outcome`` — the only place per-incarnation fields are
+        cleared and the only way into the bounded history.  ``result``
+        resolves ``done``: the acked byte total, or the typed error."""
+        s.state = outcome
+        self._live -= 1
+        s.clear_incarnation()
+        if outcome is _ACKED:
+            # ``consumed`` and ``done`` remain for post-run observability.
+            s.acked_total = result
+            s.upto = s.sent = s.epoch = 0
+            s.interval = self.config.marker_interval_blocks
+            s.done.succeed(result)
+        else:
+            # ``upto`` / ``interval`` stay to anchor a later resume or
+            # fallback.  A writer mid-``write`` (a sim process: it survives
+            # a crash) must not resurrect the dead incarnation's accounting.
+            s.epoch += 1
+            if outcome is SessionState.CRASHED:
+                # Volatile: accounting dies; the sent cursor is re-derived
+                # from disk so post-resume markers stay truthful.
+                s.consumed = 0
+                s.sent = s.upto
+            # Defused: ending the incarnation is the handling — whoever
+            # polls the event later still sees the typed error.
+            s.done.fail(result).defuse()
+        del self._sessions[s.sid]  # to the back: evicted in ending order
+        self._sessions[s.sid] = s
+        while len(self._sessions) - self._live > self.config.sink_session_history:
+            oldest = next(r for r in self._sessions.values() if r.state is not _LIVE)
+            del self._sessions[oldest.sid]
 
     # -- control plane -------------------------------------------------------------
     def _control_thread(self) -> Generator:
@@ -225,11 +425,13 @@ class SinkEngine:
             msgs = yield from self.ctrl.receive(thread)
             for msg in msgs:
                 self.health.heard()
-                if msg.session_id in self._expected_bytes:
-                    self._last_activity[msg.session_id] = self.engine.now
                 yield from self._dispatch(thread, msg)
 
     def _dispatch(self, thread, msg: ControlMessage) -> Generator:
+        s = self._sessions.get(msg.session_id)  # any state, or None
+        live = s is not None and s.state is _LIVE
+        if live:
+            s.last_activity = self.engine.now
         if msg.type is CtrlType.BLOCK_SIZE_REQ:
             accept = msg.data >= 4096
             if self.pool is not None and msg.data != self.pool.block_size:
@@ -260,73 +462,44 @@ class SinkEngine:
                 total_bytes, marker_interval, eager = msg.data
             else:
                 (total_bytes, marker_interval), eager = msg.data, False
-            if msg.session_id in self._expected_bytes:
-                # Duplicate from a retransmitting source: the session (and
-                # its initial grant) already exist — accept again but grant
-                # nothing, or the pool would leak one credit per retry.
-                yield from self.ctrl.send(
-                    thread,
-                    ControlMessage(CtrlType.SESSION_REP, msg.session_id, (True, ())),
-                )
-                return
-            # A finished session's id may be legitimately reused.
-            self._acked.pop(msg.session_id, None)
-            # Marker-epoch guard: a *fresh* incarnation must not inherit
-            # the restart marker a reclaimed predecessor left behind
-            # (kept only to anchor SESSION_RESUME).  A stale
-            # ``_marker_upto`` would overstate this incarnation's durable
-            # prefix — a later resume would skip blocks it never wrote —
-            # and a stale ``_marker_sent`` would stall marker emission.
-            if (
-                msg.session_id in self._marker_upto
-                or msg.session_id in self._marker_sent
-            ):
-                self._marker_upto.pop(msg.session_id, None)
-                self._marker_sent.pop(msg.session_id, None)
-                self._marker_pending.pop(msg.session_id, None)
-                self._accounting_epoch[msg.session_id] = (
-                    self._accounting_epoch.get(msg.session_id, 0) + 1
-                )
-            self._retired.pop(msg.session_id, None)
-            self._expected_bytes[msg.session_id] = total_bytes
-            self._marker_interval[msg.session_id] = marker_interval
-            self._consumed_bytes[msg.session_id] = 0
-            self._last_activity[msg.session_id] = self.engine.now
-            self.session_done[msg.session_id] = Event(self.engine)
-            if not self._consumers_started:
-                self._consumers_started = True
-                for i in range(self.config.writer_threads):
-                    self.engine.process(self._consumer_thread(i))
-            if not self._gc_running:
-                self._gc_running = True
-                self.engine.process(self._gc_thread())
-            if eager:
-                # Eager sessions land via the shared receive queue; there
-                # is no region to advertise, so the grant is empty.
-                self._eager_sessions.add(msg.session_id)
-                yield from self.ctrl.send(
-                    thread,
-                    ControlMessage(CtrlType.SESSION_REP, msg.session_id, (True, ())),
-                )
-                return
-            self._eager_sessions.discard(msg.session_id)  # id reuse
-            initial = tuple(self.granter.initial_grant(self.config.initial_credits))
+            initial: tuple = ()
+            if not live:
+                reused = s is not None
+                if reused and s.state is not _ACKED:
+                    # Marker-epoch guard: the restart marker a reclaimed
+                    # predecessor left only anchors a SESSION_RESUME; a
+                    # fresh incarnation inheriting it would overstate its
+                    # durable prefix and stall marker emission.
+                    # Re-anchoring at 0 (below) resets it.
+                    s.epoch += 1
+                s = self._go_live(msg.session_id, s)
+                if reused:  # a new record is born anchored at block 0
+                    self._reanchor(s, 0, total_bytes)
+                s.interval = marker_interval
+                s.eager = eager
+                if not eager:
+                    initial = tuple(
+                        self.granter.initial_grant(self.config.initial_credits)
+                    )
+            # Empty grant for a retransmitted duplicate (granting again
+            # would leak one credit per retry) and for an eager session
+            # (it lands via the shared receive queue: no region to name).
             yield from self.ctrl.send(
                 thread,
                 ControlMessage(CtrlType.SESSION_REP, msg.session_id, (True, initial)),
             )
         elif msg.type is CtrlType.BLOCK_DONE:
-            if msg.session_id not in self._expected_bytes:
+            if not live:
                 # In flight when its session was reclaimed (or a replay).
                 # The block's region may since have been refunded to a live
                 # session or revoked — not ours to touch.
                 self._m_stray.add()
                 return
-            yield from self._on_block_done(thread, msg)
+            yield from self._on_block_done(thread, msg, s)
         elif msg.type is CtrlType.MR_INFO_REQ:
             # Credits are link-level: answer as long as *any* session is
             # live, whichever session id the starved sender stamped on it.
-            if self.granter is not None and self._expected_bytes:
+            if self.granter is not None and self._live:
                 granted = self.granter.on_request()
                 if granted:
                     yield from self._send_credits(thread, msg.session_id, granted)
@@ -341,32 +514,30 @@ class SinkEngine:
         elif msg.type is CtrlType.PONG:
             self.health.on_pong(msg.data)
         elif msg.type is CtrlType.TRANSPORT_FALLBACK_REQ:
-            yield from self._on_transport_fallback(thread, msg)
+            yield from self._on_transport_fallback(thread, msg, s)
         elif msg.type is CtrlType.TRANSPORT_RESTORE_REQ:
-            yield from self._on_transport_restore(thread, msg)
+            yield from self._on_transport_restore(thread, msg, s)
         elif msg.type is CtrlType.SESSION_RESUME_REQ:
-            yield from self._on_session_resume(thread, msg)
+            yield from self._on_session_resume(thread, msg, s)
         elif msg.type is CtrlType.DATASET_DONE:
-            if msg.session_id in self._acked:
+            if live:
+                s.dataset_done_total = msg.data
+                yield from self._maybe_finish(thread, s)
+            elif s is not None and s.state is _ACKED:
                 # The original ACK was sent (and possibly lost) after the
                 # session was retired: re-ack idempotently.
                 yield from self.ctrl.send(
                     thread,
                     ControlMessage(
-                        CtrlType.DATASET_DONE_ACK,
-                        msg.session_id,
-                        self._acked[msg.session_id],
+                        CtrlType.DATASET_DONE_ACK, msg.session_id, s.acked_total
                     ),
                 )
-            elif msg.session_id in self._expected_bytes:
-                self._dataset_done_total[msg.session_id] = msg.data
-                yield from self._maybe_finish(thread, msg.session_id)
             else:
                 self._m_stray.add()
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"sink got unexpected control message {msg.type}")
 
-    def _on_block_done(self, thread, msg: ControlMessage) -> Generator:
+    def _on_block_done(self, thread, msg: ControlMessage, s: SinkSession) -> Generator:
         assert self.pool is not None and self.granter is not None
         block_id, header = msg.data
         block = self.pool.by_id(block_id)
@@ -380,30 +551,17 @@ class SinkEngine:
             # ask the source to re-send its still-WAITING copy into the
             # same credit.  With repair off the session starves and dies
             # with a typed abort instead of delivering corrupt data.
-            self._m_mismatches.add()
-            self.engine.trace(
-                "sink", "checksum_mismatch",
-                session=header.session_id, seq=header.seq,
-            )
+            self._count_mismatch(header)
             if self.config.block_repair:
-                self._m_nacks.add()
-                yield from self.ctrl.send(
-                    thread,
-                    ControlMessage(
-                        CtrlType.BLOCK_NACK,
-                        header.session_id,
-                        (header.seq, Credit.for_block(block)),
-                    ),
-                )
+                yield from self._nack(thread, header, block)
             return
-        eager = header.session_id in self._eager_sessions
         if self.reassembly.reject_duplicate(header, payload):
             # A replay (or a resumed session re-sending data consumed
             # beyond the restart marker): the bytes are already accounted
             # for, so recycle the region straight away.
             block.revoke()
             self.pool.put_free_blk(block)
-            if not eager or self.granter.pending_request:
+            if not s.eager or self.granter.pending_request:
                 granted = self.granter.on_block_freed()
                 if granted:
                     yield from self._send_credits(thread, msg.session_id, granted)
@@ -417,11 +575,30 @@ class SinkEngine:
         # granting replacements would advertise regions nothing writes
         # into, slowly pinning the whole pool — unless a starved
         # rendezvous sibling is owed a grant.
-        if not eager or self.granter.pending_request:
+        if not s.eager or self.granter.pending_request:
             granted = self.granter.on_block_done()
             if granted:
                 yield from self._send_credits(thread, msg.session_id, granted)
-        yield from self._maybe_send_marker(thread, header.session_id)
+        yield from self._maybe_send_marker(thread, s)
+
+    def _count_mismatch(self, header) -> None:
+        self._m_mismatches.add()
+        self.engine.trace(
+            "sink", "checksum_mismatch", session=header.session_id, seq=header.seq
+        )
+
+    def _nack(self, thread, header, block: SinkBlock) -> Generator:
+        """BLOCK_NACK: have the source re-send its still-WAITING copy of
+        ``header.seq`` into the credit for ``block``'s region."""
+        self._m_nacks.add()
+        yield from self.ctrl.send(
+            thread,
+            ControlMessage(
+                CtrlType.BLOCK_NACK,
+                header.session_id,
+                (header.seq, Credit.for_block(block)),
+            ),
+        )
 
     def on_eager_block(self, thread, wire) -> Generator:
         """One eager (SEND/RECV) arrival off the shared receive queue.
@@ -439,32 +616,21 @@ class SinkEngine:
         """
         header = wire.header
         payload = wire.payload
-        sid = header.session_id
-        if self.pool is None or sid not in self._expected_bytes:
+        s = self._sessions.get(header.session_id)
+        if self.pool is None or s is None or s.state is not _LIVE:
             # Reclaimed or unknown session: the WQE was consumed but the
             # payload has no home.  Counted, not fatal — like strays.
             self._m_stray.add()
             return
-        self._last_activity[sid] = self.engine.now
+        s.last_activity = self.engine.now
         if self.reassembly.reject_duplicate(header, payload):
             return  # no region was claimed; nothing to recycle
         block = yield self.pool.get_free_blk()
         block.advertise()  # FREE → WAITING: the region now owns this seq
         if self.config.checksum_blocks and header.checksum != block_checksum(payload):
-            self._m_mismatches.add()
-            self.engine.trace(
-                "sink", "checksum_mismatch", session=sid, seq=header.seq
-            )
+            self._count_mismatch(header)
             if self.config.block_repair:
-                self._m_nacks.add()
-                yield from self.ctrl.send(
-                    thread,
-                    ControlMessage(
-                        CtrlType.BLOCK_NACK,
-                        sid,
-                        (header.seq, Credit.for_block(block)),
-                    ),
-                )
+                yield from self._nack(thread, header, block)
             else:
                 # No repair: withhold delivery (the session starves and
                 # dies typed, as on the rendezvous path) but return the
@@ -476,9 +642,21 @@ class SinkEngine:
         self._m_delivered.add()
         for hdr, blk in self.reassembly.push(header, block):
             yield self._ready.put((hdr, blk))
-        yield from self._maybe_send_marker(thread, sid)
+        yield from self._maybe_send_marker(thread, s)
 
-    def _on_session_resume(self, thread, msg: ControlMessage) -> Generator:
+    def _reply_past_end(self, thread, s: SinkSession, rep_type: CtrlType, *grant) -> Generator:
+        """Answer a resume / fallback / restore of an already ACKED
+        dataset: point the source past the last block so it goes straight
+        to DATASET_DONE (re-acked idempotently from ``acked_total``)."""
+        bs = self.pool.block_size
+        nblocks = (s.acked_total + bs - 1) // bs
+        yield from self.ctrl.send(
+            thread, ControlMessage(rep_type, s.sid, (True, nblocks, *grant))
+        )
+
+    def _on_session_resume(
+        self, thread, msg: ControlMessage, s: Optional[SinkSession]
+    ) -> Generator:
         """SESSION_RESUME_REQ: re-attach a session at its restart marker.
 
         The reply is ``(accepted, resume_seq, initial_credits)``.  The
@@ -494,100 +672,41 @@ class SinkEngine:
                 ControlMessage(CtrlType.SESSION_RESUME_REP, sid, (False, 0, ())),
             )
             return
-        bs = self.pool.block_size
-        if sid in self._acked:
-            # The dataset already completed; point the source past the
-            # last block so it goes straight to DATASET_DONE (re-acked
-            # idempotently from the _acked ledger).
-            nblocks = (self._acked[sid] + bs - 1) // bs
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(CtrlType.SESSION_RESUME_REP, sid, (True, nblocks, ())),
-            )
+        if s is not None and s.state is _ACKED:
+            yield from self._reply_past_end(thread, s, CtrlType.SESSION_RESUME_REP, ())
             return
-        marker = self._marker_upto.get(sid, 0)
-        stored = self._resume_grants.get(sid)
-        if (
-            stored is not None
-            and sid in self._expected_bytes
-            and stored[0] == marker
+        marker = s.upto if s is not None else 0
+        # A retransmitted request (the previous REP was lost or slow) with
+        # nothing landed since is answered identically — the same regions
+        # are still WAITING for the same writes.
+        if not (
+            s is not None
+            and s.state is _LIVE
+            and s.resume_grant is not None
+            and s.resume_grant[0] == marker
             and self.reassembly.next_seq(sid) == marker
             and self.reassembly.pending(sid) == 0
-            and self._consumed_bytes.get(sid, 0) == min(marker * bs, total)
+            and s.consumed == min(marker * self.pool.block_size, total)
         ):
-            # Retransmitted request (the previous REP was lost or slow)
-            # and nothing has landed since: answer identically — the same
-            # regions are still WAITING for the same writes.
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(
-                    CtrlType.SESSION_RESUME_REP, sid, (True, marker, stored[1])
-                ),
-            )
-            return
-        self._m_resumes.add()
-        self.engine.trace("sink", "session_resume", session=sid, marker=marker)
-        if sid in self._expected_bytes:
-            # The old incarnation is still live here (source-side crash):
-            # free its un-consumed arrivals; they will be re-sent.
-            self._drop_unconsumed(sid)
-        old = self.session_done.get(sid)
-        if old is not None and not old.triggered:
-            old.fail(EndpointCrashed(sid, "superseded by session resume")).defuse()
-        self._expected_bytes[sid] = total
-        self._retired.pop(sid, None)  # revived: back out of eviction order
-        self._marker_interval[sid] = marker_interval
-        # Accounting restarts at the marker: bytes consumed beyond it may
-        # be re-delivered (overlap) and must count exactly once.
-        self._consumed_bytes[sid] = min(marker * bs, total)
-        self._accounting_epoch[sid] = self._accounting_epoch.get(sid, 0) + 1
-        self._dataset_done_total.pop(sid, None)
-        self._last_activity[sid] = self.engine.now
-        self.session_done[sid] = Event(self.engine)
-        self._marker_upto[sid] = marker
-        self._marker_pending.pop(sid, None)
-        self._marker_sent[sid] = marker
-        self.reassembly.set_next_seq(sid, marker)
-        # A resume supersedes any degraded-mode stream of a dead
-        # incarnation; dropping the registration stops its consumer.
-        self._fallback_streams.pop(sid, None)
-        self._fallback_done.pop(sid, None)
-        self._fallback_resume_seq.pop(sid, None)
-        self._restore_grants.pop(sid, None)
-        # A resumed session always rides rendezvous (the resume protocol
-        # is anchored on credits + restart markers).
-        self._eager_sessions.discard(sid)
-        if not self._consumers_started:
-            self._consumers_started = True
-            for i in range(self.config.writer_threads):
-                self.engine.process(self._consumer_thread(i))
-        if not self._gc_running:
-            self._gc_running = True
-            self.engine.process(self._gc_thread())
-        # Accepting the resume flushes the *entire* link ledger on the
-        # source (stale grants target regions revoked here), so every
-        # WAITING block — whichever session id its credit was stamped
-        # with — is now unreachable: no live ledger holds a credit for
-        # it.  Revoke them all before granting afresh.  Previously this
-        # ran only when no sibling session was registered, which leaked
-        # WAITING blocks for good whenever a dead-but-not-yet-reclaimed
-        # sibling was still in ``_expected_bytes`` (resume's documented
-        # contract already forbids a *healthy* concurrent sibling).
-        for blk in self.pool.blocks.values():
-            if blk.state is SinkBlockState.WAITING:
-                blk.mr.take(blk.mr.buffer.addr)
-                blk.revoke()
-                self.pool.put_free_blk(blk)
-        self.granter.pending_request = False
-        initial = tuple(self.granter.initial_grant(self.config.initial_credits))
-        self._resume_grants[sid] = (marker, initial)
+            self._m_resumes.add()
+            self.engine.trace("sink", "session_resume", session=sid, marker=marker)
+            # A resume is a NEW incarnation: a still-pending ``done`` of
+            # the old one fails with EndpointCrashed.
+            s = self._reattach(sid, s, total, marker, supersede_done=True)
+            s.interval = marker_interval
+            initial = tuple(self.granter.initial_grant(self.config.initial_credits))
+            s.resume_grant = (marker, initial)
         yield from self.ctrl.send(
             thread,
-            ControlMessage(CtrlType.SESSION_RESUME_REP, sid, (True, marker, initial)),
+            ControlMessage(
+                CtrlType.SESSION_RESUME_REP, sid, (True, marker, s.resume_grant[1])
+            ),
         )
 
     # -- degraded mode: TCP fallback ---------------------------------------------------
-    def _on_transport_fallback(self, thread, msg: ControlMessage) -> Generator:
+    def _on_transport_fallback(
+        self, thread, msg: ControlMessage, s: Optional[SinkSession]
+    ) -> Generator:
         """TRANSPORT_FALLBACK_REQ: carry the session on over TCP.
 
         ``msg.data`` is ``(total_bytes, stream)``.  The reply is
@@ -596,7 +715,7 @@ class SinkEngine:
         a SESSION_RESUME, so nothing below the contiguous-written prefix
         crosses the wire twice.  All RDMA credits of the session die here
         (the data QPs are gone); WAITING regions are revoked like on a
-        resume.
+        resume, and nothing is granted.
         """
         sid = msg.session_id
         total, stream = msg.data
@@ -612,129 +731,70 @@ class SinkEngine:
                 ControlMessage(CtrlType.TRANSPORT_FALLBACK_REP, sid, (False, 0)),
             )
             return
-        bs = self.pool.block_size
-        if sid in self._acked:
-            nblocks = (self._acked[sid] + bs - 1) // bs
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(CtrlType.TRANSPORT_FALLBACK_REP, sid, (True, nblocks)),
-            )
+        if s is not None and s.state is _ACKED:
+            yield from self._reply_past_end(thread, s, CtrlType.TRANSPORT_FALLBACK_REP)
             return
-        if self._fallback_streams.get(sid) is stream:
-            # Retransmitted request for the stream we already consume:
-            # answer identically, the consumer thread is already running.
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(
-                    CtrlType.TRANSPORT_FALLBACK_REP,
-                    sid,
-                    (True, self._fallback_resume_seq[sid]),
-                ),
-            )
-            return
-        marker = self._marker_upto.get(sid, 0)
-        self._m_fallback_sessions.add()
-        self.engine.trace("sink", "transport_fallback", session=sid, marker=marker)
-        if sid in self._expected_bytes:
-            # Un-consumed RDMA arrivals above the marker will be re-sent
-            # over the stream; free them now.
-            self._drop_unconsumed(sid)
-        done = self.session_done.get(sid)
-        if done is None or done.triggered:
-            # Unlike a resume this is the *same* session incarnation
-            # degrading transports — keep a live done-event if one exists
-            # (the GC may have failed it if the session was reclaimed).
-            self.session_done[sid] = Event(self.engine)
-        self._expected_bytes[sid] = total
-        self._retired.pop(sid, None)  # revived: back out of eviction order
-        self._consumed_bytes[sid] = min(marker * bs, total)
-        self._accounting_epoch[sid] = self._accounting_epoch.get(sid, 0) + 1
-        self._dataset_done_total.pop(sid, None)
-        self._last_activity[sid] = self.engine.now
-        self._marker_upto[sid] = marker
-        self._marker_pending.pop(sid, None)
-        self._marker_sent[sid] = marker
-        self.reassembly.set_next_seq(sid, marker)
-        self._resume_grants.pop(sid, None)
-        self._restore_grants.pop(sid, None)
-        # Degraded transport is a byte stream: no eager SEND path.
-        self._eager_sessions.discard(sid)
-        if not self._consumers_started:
-            self._consumers_started = True
-            for i in range(self.config.writer_threads):
-                self.engine.process(self._consumer_thread(i))
-        if not self._gc_running:
-            self._gc_running = True
-            self.engine.process(self._gc_thread())
-        # Same reasoning as the resume path: the degrading source flushed
-        # its whole link ledger, so every WAITING region is a stale
-        # credit no live ledger can honour — revoke unconditionally (the
-        # old sole-pool-user guard leaked blocks while a dead sibling
-        # lingered in ``_expected_bytes``).
-        for blk in self.pool.blocks.values():
-            if blk.state is SinkBlockState.WAITING:
-                blk.mr.take(blk.mr.buffer.addr)
-                blk.revoke()
-                self.pool.put_free_blk(blk)
-        if self.granter is not None:
-            self.granter.pending_request = False
-        self._fallback_streams[sid] = stream
-        self._fallback_resume_seq[sid] = marker
-        self._fallback_done.pop(sid, None)
-        self.engine.process(self._tcp_consumer_thread(sid, stream, marker))
+        # A retransmitted request for the stream we already consume is
+        # answered identically: the consumer thread is already running.
+        if s is None or s.stream is not stream:
+            marker = s.upto if s is not None else 0
+            self._m_fallback_sessions.add()
+            self.engine.trace("sink", "transport_fallback", session=sid, marker=marker)
+            # The *same* incarnation degrading transports: a live ``done``
+            # and the negotiated marker interval are kept; no grant.
+            s = self._reattach(sid, s, total, marker, supersede_done=False)
+            s.stream = stream
+            s.fallback_seq = marker
+            self.engine.process(self._tcp_consumer_thread(s, stream, marker))
         yield from self.ctrl.send(
             thread,
-            ControlMessage(CtrlType.TRANSPORT_FALLBACK_REP, sid, (True, marker)),
+            ControlMessage(CtrlType.TRANSPORT_FALLBACK_REP, sid, (True, s.fallback_seq)),
         )
 
-    def _tcp_consumer_thread(self, sid: int, stream, start_seq: int) -> Generator:
+    def _tcp_consumer_thread(self, s: SinkSession, stream, start_seq: int) -> Generator:
         """Drain one degraded session's TCP stream into the data sink.
 
         Blocks arrive strictly in order (TCP), so delivery bypasses the
         reassembly buffer and the credit machinery entirely; checksums
         are still verified end to end.  The thread stands down the moment
         the session's registered stream is no longer *this* one — a
-        reclaim, crash, restore, or superseding fallback all pop/replace
-        the registration.
+        reclaim, crash, restore, or superseding fallback all clear or
+        replace the registration.
         """
-        thread = self.host.thread(f"snk-tcp{sid}", "app")
+        thread = self.host.thread(f"snk-tcp{s.sid}", "app")
         cursor = start_seq
         while True:
-            if self._fallback_streams.get(sid) is not stream:
+            if s.stream is not stream:
                 return
             frame = yield from stream.recv_block(thread)
-            if self._fallback_streams.get(sid) is not stream:
+            if s.stream is not stream:
                 return
             if frame is None:
                 # EOF sentinel: the source's pump stopped (dataset done or
                 # a repromotion pending).  Record the restore anchor.
-                self._fallback_done[sid] = cursor
-                self.engine.trace("sink", "fallback_eof", session=sid, seq=cursor)
+                s.fallback_eof = cursor
+                self.engine.trace("sink", "fallback_eof", session=s.sid, seq=cursor)
                 return
             header, payload = frame
             if self.config.checksum_blocks and header.checksum != block_checksum(
                 payload
             ):
-                self._m_mismatches.add()
-                self.engine.trace(
-                    "sink", "checksum_mismatch",
-                    session=header.session_id, seq=header.seq,
-                )
+                self._count_mismatch(header)
                 continue
             yield from self.data_sink.write(thread, header.length, header, payload)
-            if self._fallback_streams.get(sid) is not stream:
+            if s.stream is not stream:
                 return
             self._m_fallback_blocks.add()
             self._m_delivered.add()
             cursor = header.seq + 1
-            self._consumed_bytes[sid] = (
-                self._consumed_bytes.get(sid, 0) + header.length
-            )
-            self._last_activity[sid] = self.engine.now
-            self._advance_written(sid, header.seq)
-            yield from self._maybe_finish(thread, sid)
+            s.consumed += header.length
+            s.last_activity = self.engine.now
+            self._advance_written(s, header.seq)
+            yield from self._maybe_finish(thread, s)
 
-    def _on_transport_restore(self, thread, msg: ControlMessage) -> Generator:
+    def _on_transport_restore(
+        self, thread, msg: ControlMessage, s: Optional[SinkSession]
+    ) -> Generator:
         """TRANSPORT_RESTORE_REQ: promote a degraded session back to RDMA.
 
         ``msg.data`` is ``(total_bytes, marker_interval)``.  The reply is
@@ -744,70 +804,43 @@ class SinkEngine:
         """
         sid = msg.session_id
         total, marker_interval = msg.data
+        not_ready = ControlMessage(CtrlType.TRANSPORT_RESTORE_REP, sid, (False, 0, ()))
         if self.pool is None or self.granter is None:
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(CtrlType.TRANSPORT_RESTORE_REP, sid, (False, 0, ())),
+            yield from self.ctrl.send(thread, not_ready)
+            return
+        if s is not None and s.state is _ACKED:
+            yield from self._reply_past_end(
+                thread, s, CtrlType.TRANSPORT_RESTORE_REP, ()
             )
             return
-        bs = self.pool.block_size
-        if sid in self._acked:
-            nblocks = (self._acked[sid] + bs - 1) // bs
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(
-                    CtrlType.TRANSPORT_RESTORE_REP, sid, (True, nblocks, ())
-                ),
-            )
+        if s is None or s.state is not _LIVE:
+            yield from self.ctrl.send(thread, not_ready)
             return
-        if sid not in self._expected_bytes:
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(CtrlType.TRANSPORT_RESTORE_REP, sid, (False, 0, ())),
-            )
-            return
-        stored = self._restore_grants.get(sid)
-        if (
+        stored = s.restore_grant
+        # A duplicate request before any restored block landed gets the
+        # same grant again (the regions are still WAITING for it).
+        if not (
             stored is not None
             and self.reassembly.next_seq(sid) == stored[0]
             and self.reassembly.pending(sid) == 0
         ):
-            # Duplicate request before any restored block landed: same
-            # grant again (the regions are still WAITING for it).
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(
-                    CtrlType.TRANSPORT_RESTORE_REP, sid, (True, stored[0], stored[1])
-                ),
-            )
-            return
-        done_seq = self._fallback_done.get(sid)
-        if done_seq is None:
-            # The consumer has not reached the EOF sentinel yet; the
-            # source retries after a patience interval.
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(CtrlType.TRANSPORT_RESTORE_REP, sid, (False, 0, ())),
-            )
-            return
-        self.engine.trace("sink", "transport_restore", session=sid, seq=done_seq)
-        self._fallback_streams.pop(sid, None)
-        self._fallback_done.pop(sid, None)
-        self._fallback_resume_seq.pop(sid, None)
-        self._marker_interval[sid] = marker_interval
-        self._consumed_bytes[sid] = min(done_seq * bs, total)
-        self._last_activity[sid] = self.engine.now
-        self._marker_upto[sid] = done_seq
-        self._marker_pending.pop(sid, None)
-        self._marker_sent[sid] = done_seq
-        self.reassembly.set_next_seq(sid, done_seq)
-        initial = tuple(self.granter.initial_grant(self.config.initial_credits))
-        self._restore_grants[sid] = (done_seq, initial)
+            done_seq = s.fallback_eof
+            if done_seq is None:
+                # The consumer has not reached the EOF sentinel yet; the
+                # source retries after a patience interval.
+                yield from self.ctrl.send(thread, not_ready)
+                return
+            # Back on RDMA at the consumer's EOF cursor.  The fallback
+            # accept already revoked every region and bumped the epoch,
+            # and the stream is drained: neither happens again.
+            self.engine.trace("sink", "transport_restore", session=sid, seq=done_seq)
+            s.stream = s.fallback_seq = s.fallback_eof = None
+            s.interval = marker_interval
+            self._reanchor(s, done_seq, total)
+            initial = tuple(self.granter.initial_grant(self.config.initial_credits))
+            s.restore_grant = stored = (done_seq, initial)
         yield from self.ctrl.send(
-            thread,
-            ControlMessage(
-                CtrlType.TRANSPORT_RESTORE_REP, sid, (True, done_seq, initial)
-            ),
+            thread, ControlMessage(CtrlType.TRANSPORT_RESTORE_REP, sid, (True, *stored))
         )
 
     def _drop_unconsumed(self, session_id: int) -> None:
@@ -816,13 +849,13 @@ class SinkEngine:
         for _hdr, blk in self.reassembly.reclaim_session(session_id):
             blk.consume()
             self.pool.put_free_blk(blk)
-        survivors = [
-            item for item in self._ready.items if item[0].session_id != session_id
-        ]
-        for hdr, blk in self._ready.items:
-            if hdr.session_id == session_id:
-                blk.consume()
-                self.pool.put_free_blk(blk)
+        survivors = []
+        for item in self._ready.items:
+            if item[0].session_id == session_id:
+                item[1].consume()
+                self.pool.put_free_blk(item[1])
+            else:
+                survivors.append(item)
         self._ready.items.clear()
         self._ready.items.extend(survivors)
 
@@ -841,27 +874,10 @@ class SinkEngine:
         """
         self._m_crashes.add()
         self.engine.trace("sink", "crash")
-        for sid in list(self._expected_bytes):
-            done = self.session_done.get(sid)
-            if done is not None and not done.triggered:
-                done.fail(EndpointCrashed(sid, "sink process crashed")).defuse()
-            # Writer threads survive the "process restart" (they are sim
-            # processes); invalidate any write in flight across the crash.
-            self._accounting_epoch[sid] = self._accounting_epoch.get(sid, 0) + 1
-        self._expected_bytes.clear()
-        for sid in list(self._accounting_epoch):
-            if sid not in self._retired:
-                self._retire(sid)
-        self._consumed_bytes.clear()
-        self._dataset_done_total.clear()
-        self._last_activity.clear()
-        self._resume_grants.clear()
-        self._restore_grants.clear()
-        # The TCP consumers key their liveness on these registrations: a
-        # crash orphans any degraded-mode stream.
-        self._fallback_streams.clear()
-        self._fallback_done.clear()
-        self._fallback_resume_seq.clear()
+        for s in self._live_sessions():
+            self._end_incarnation(
+                s, SessionState.CRASHED, EndpointCrashed(s.sid, "sink process crashed")
+            )
         if self.pool is not None:
             for sid in self.reassembly.sessions():
                 for _hdr, blk in self.reassembly.reclaim_session(sid):
@@ -871,18 +887,7 @@ class SinkEngine:
                 blk.consume()
                 self.pool.put_free_blk(blk)
             self._ready.items.clear()
-            for blk in self.pool.blocks.values():
-                if blk.state is SinkBlockState.WAITING:
-                    blk.mr.take(blk.mr.buffer.addr)
-                    blk.revoke()
-                    self.pool.put_free_blk(blk)
-            if self.granter is not None:
-                self.granter.pending_request = False
-        for sid in list(self._marker_sent):
-            # The sent cursor was in memory only; re-derive it from what
-            # is actually on disk so post-resume markers stay truthful.
-            self._marker_sent[sid] = self._marker_upto.get(sid, 0)
-        self._marker_pending.clear()
+            self._revoke_waiting()
 
     def _send_credits(self, thread, session_id: int, credits: List[Credit]) -> Generator:
         yield from self.ctrl.send(
@@ -901,57 +906,57 @@ class SinkEngine:
         while True:
             header, block = yield self.get_ready_blk()
             payload = block.payload
-            epoch = self._accounting_epoch.get(header.session_id, 0)
+            s = self._sessions.get(header.session_id)
+            epoch = s.epoch if s is not None else None
             yield from self.data_sink.write(thread, header.length, header, payload)
             block.consume()
             self.pool.put_free_blk(block)
-            if self._accounting_epoch.get(header.session_id, 0) != epoch:
+            if s is None or s.epoch != epoch:
                 # The accounting was re-anchored mid-write; this block is
-                # below the new marker and will arrive again.
+                # below the new marker and will arrive again.  (Or its
+                # session was reclaimed and evicted before pickup.)
                 continue
-            self._consumed_bytes[header.session_id] = (
-                self._consumed_bytes.get(header.session_id, 0) + header.length
-            )
-            if header.session_id in self._expected_bytes:
-                self._last_activity[header.session_id] = self.engine.now
+            s.consumed += header.length
+            if s.state is _LIVE:
+                s.last_activity = self.engine.now
             # Freed eager blocks go back to the pool, not out as credits
             # (nothing would ever write into them) — except when a
             # starved rendezvous sibling has a request outstanding.
-            if (
-                header.session_id not in self._eager_sessions
-                or self.granter.pending_request
-            ):
+            if not s.eager or self.granter.pending_request:
                 granted = self.granter.on_block_freed()
                 if granted:
                     yield from self._send_credits(thread, header.session_id, granted)
-            self._advance_written(header.session_id, header.seq)
-            yield from self._maybe_finish(thread, header.session_id)
+            self._advance_written(s, header.seq)
+            if s.dataset_done_total is not None:
+                yield from self._maybe_finish(thread, s)
 
-    def _advance_written(self, session_id: int, seq: int) -> None:
+    def _advance_written(self, s: SinkSession, seq: int) -> None:
         """Advance the contiguous-written prefix (the restart marker a
         resume re-attaches to — only bytes on stable storage count)."""
         if not (self.config.block_repair or self.config.session_resume):
             return
-        if session_id in self._acked:
+        if s.state is _ACKED:
             # A sibling writer thread finished (and retired) the session
             # while this one was still inside data_sink.write; don't
             # resurrect marker state for an acked dataset.
             return
-        upto = self._marker_upto.get(session_id, 0)
+        upto = s.upto
         if seq < upto:
             return
-        pending = self._marker_pending.setdefault(session_id, set())
+        pending = s.pending
+        if pending is None:
+            pending = s.pending = set()
         pending.add(seq)
         while upto in pending:
             pending.remove(upto)
             upto += 1
-        self._marker_upto[session_id] = upto
+        s.upto = upto
         if not pending:
-            self._marker_pending.pop(session_id, None)
+            s.pending = None
 
-    def _maybe_send_marker(self, thread, session_id: int) -> Generator:
-        """Emit a BLOCK_MARKER every ``marker_interval`` blocks of
-        *delivered* progress (``ReassemblyBuffer.next_seq``).
+    def _maybe_send_marker(self, thread, s: SinkSession) -> Generator:
+        """Emit a BLOCK_MARKER every ``s.interval`` blocks of *delivered*
+        progress (``ReassemblyBuffer.next_seq``).
 
         Markers are cumulative acks: everything below one passed its
         checksum, so the source releases the repair copies it holds for
@@ -961,85 +966,34 @@ class SinkEngine:
         """
         if not (self.config.block_repair or self.config.session_resume):
             return
-        if session_id not in self._expected_bytes:
+        if s.state is not _LIVE:
             return
-        delivered = self.reassembly.next_seq(session_id)
-        interval = self._marker_interval.get(
-            session_id, self.config.marker_interval_blocks
-        )
-        if delivered - self._marker_sent.get(session_id, 0) < interval:
+        delivered = self.reassembly.next_seq(s.sid)
+        if delivered - s.sent < s.interval:
             return
-        self._marker_sent[session_id] = delivered
+        s.sent = delivered
         self._m_markers.add()
         yield from self.ctrl.send(
-            thread, ControlMessage(CtrlType.BLOCK_MARKER, session_id, delivered)
+            thread, ControlMessage(CtrlType.BLOCK_MARKER, s.sid, delivered)
         )
 
-    def _retire(self, session_id: int) -> None:
-        """Register a no-longer-active session in the bounded history.
-
-        Evicts the oldest retired sessions past the configured cap —
-        dropping their idempotent-ack entries, restart-marker anchors
-        and accounting epochs.  Sessions that came back to life (in
-        ``_expected_bytes`` again) are skipped, never evicted.
-        """
-        # Re-insert at the back: retirement refreshes recency.
-        self._retired.pop(session_id, None)
-        self._retired[session_id] = None
-        while len(self._retired) > self.config.sink_session_history:
-            oldest = next(iter(self._retired))
-            del self._retired[oldest]
-            if oldest in self._expected_bytes:  # pragma: no cover - revived
-                continue
-            self._acked.pop(oldest, None)
-            self._consumed_bytes.pop(oldest, None)
-            self.session_done.pop(oldest, None)
-            self._accounting_epoch.pop(oldest, None)
-            self._marker_upto.pop(oldest, None)
-            self._marker_sent.pop(oldest, None)
-            self._marker_pending.pop(oldest, None)
-
-    def _maybe_finish(self, thread, session_id: int) -> Generator:
-        total = self._dataset_done_total.get(session_id)
-        if total is None:
+    def _maybe_finish(self, thread, s: SinkSession) -> Generator:
+        total = s.dataset_done_total
+        if total is None or s.consumed < total:
             return
-        if self._consumed_bytes.get(session_id, 0) < total:
-            return
-        done = self.session_done.get(session_id)
-        if done is not None and not done.triggered:
-            # Mark before yielding: two consumer threads can both reach
-            # this point in the same instant otherwise.
-            done.succeed(total)
-            # Retire the GC-relevant bookkeeping so the dicts stay bounded
-            # on long-lived links; _consumed_bytes and session_done remain
-            # for post-run observability.
-            self._acked[session_id] = total
-            self._expected_bytes.pop(session_id, None)
-            self._dataset_done_total.pop(session_id, None)
-            self._last_activity.pop(session_id, None)
-            self._marker_upto.pop(session_id, None)
-            self._marker_pending.pop(session_id, None)
-            self._marker_sent.pop(session_id, None)
-            self._marker_interval.pop(session_id, None)
-            self._resume_grants.pop(session_id, None)
-            self._restore_grants.pop(session_id, None)
-            self._fallback_streams.pop(session_id, None)
-            self._fallback_done.pop(session_id, None)
-            self._fallback_resume_seq.pop(session_id, None)
-            self._accounting_epoch.pop(session_id, None)
-            self._eager_sessions.discard(session_id)
-            self.reassembly.reclaim_session(session_id)  # drops the seq cursor
-            self._retire(session_id)
-            yield from self.ctrl.send(
-                thread,
-                ControlMessage(CtrlType.DATASET_DONE_ACK, session_id, total),
-            )
+        # End the incarnation before yielding: two consumer threads can
+        # both reach this point in the same instant otherwise.
+        self._end_incarnation(s, _ACKED, total)
+        self.reassembly.reclaim_session(s.sid)  # drops the seq cursor
+        yield from self.ctrl.send(
+            thread, ControlMessage(CtrlType.DATASET_DONE_ACK, s.sid, total)
+        )
 
     # -- stale-session garbage collection --------------------------------------------
     def _gc_thread(self) -> Generator:
         """Sweep idle sessions and watch the peer.  Runs only while
         sessions are live, so a drained engine is not kept awake by a
-        housekeeping timer; the next SESSION_REQ restarts it.
+        housekeeping timer; the next session to go live restarts it.
 
         With heartbeats on, a sweep that finds the whole *link* silent
         past the adaptive PING cadence sends its own PING; after
@@ -1050,10 +1004,10 @@ class SinkEngine:
         never below the configured floor, scaled up by the RTT estimate
         on long paths."""
         thread = self.host.thread("snk-gc", "app")
-        while self._expected_bytes:
+        while self._live:
             yield self.engine.timeout(self.config.gc_interval)
             now = self.engine.now
-            if self.config.heartbeats and self._expected_bytes:
+            if self.config.heartbeats and self._live:
                 interval = self.health.heartbeat_interval()
                 silent = now - self.health.last_heard
                 if silent >= interval and now - self._last_ping_at >= interval:
@@ -1063,11 +1017,11 @@ class SinkEngine:
                         self.engine.trace(
                             "sink", "peer_dead", misses=self.health.misses
                         )
-                        for sid in list(self._expected_bytes):
+                        for s in self._live_sessions():
                             self._reclaim_session(
-                                sid,
-                                error=PeerDead(
-                                    sid,
+                                s,
+                                PeerDead(
+                                    s.sid,
                                     f"source silent for {self.health.misses} "
                                     "heartbeat intervals",
                                 ),
@@ -1079,58 +1033,25 @@ class SinkEngine:
                         thread,
                         ControlMessage(CtrlType.PING, 0, self.health.next_ping()),
                     )
-            for sid in list(self._expected_bytes):
-                last = self._last_activity.get(sid, now)
-                if now - last >= self.health.idle_timeout():
-                    self._reclaim_session(sid)
+            for s in self._live_sessions():
+                if now - s.last_activity >= self.health.idle_timeout():
+                    self._reclaim_session(s)
         self._gc_running = False
 
-    def _reclaim_session(self, session_id: int, error: Exception = None) -> None:
+    def _reclaim_session(self, s: SinkSession, error: Optional[TransferError] = None) -> None:
         """Free everything a dead session still pins at the sink."""
-        assert self.pool is not None
         self._m_reclaimed.add()
-        self.engine.trace("sink", "gc_reclaim", session=session_id)
+        self.engine.trace("sink", "gc_reclaim", session=s.sid)
         # Parked out-of-order arrivals and undelivered in-order blocks
         # both hold pool blocks with payload.
-        self._drop_unconsumed(session_id)
-        self._expected_bytes.pop(session_id, None)
-        self._dataset_done_total.pop(session_id, None)
-        self._last_activity.pop(session_id, None)
-        # A writer mid-``write`` must not resurrect consumed-bytes
-        # accounting for the reclaimed incarnation.
-        self._accounting_epoch[session_id] = (
-            self._accounting_epoch.get(session_id, 0) + 1
-        )
-        # Keep _marker_upto/_marker_sent: they anchor a later
-        # SESSION_RESUME (or TRANSPORT_FALLBACK).  The out-of-order
-        # window, stored grants, and any degraded-mode stream die with
-        # the incarnation (its credits are revoked below).
-        self._marker_pending.pop(session_id, None)
-        self._resume_grants.pop(session_id, None)
-        self._restore_grants.pop(session_id, None)
-        self._fallback_streams.pop(session_id, None)
-        self._fallback_done.pop(session_id, None)
-        self._fallback_resume_seq.pop(session_id, None)
-        self._eager_sessions.discard(session_id)
-        self._retire(session_id)
-        done = self.session_done.get(session_id)
-        if done is not None and not done.triggered:
-            # Defused: reclamation is the handling — whoever polls the
-            # event later still sees the typed error.
-            if error is None:
-                error = StaleSessionReclaimed(
-                    session_id,
-                    f"idle past {self.config.session_idle_timeout}s, reclaimed",
-                )
-            done.fail(error).defuse()
-        if not self._expected_bytes:
+        self._drop_unconsumed(s.sid)
+        if error is None:
+            error = StaleSessionReclaimed(
+                s.sid, f"idle past {self.config.session_idle_timeout}s, reclaimed"
+            )
+        self._end_incarnation(s, SessionState.RECLAIMED, error)
+        if not self._live:
             # No live session shares the pool: advertised credits held by
             # dead sources can never be honoured — revoke them so the next
             # session starts from a full pool.
-            for blk in self.pool.blocks.values():
-                if blk.state is SinkBlockState.WAITING:
-                    blk.mr.take(blk.mr.buffer.addr)  # discard unnotified data
-                    blk.revoke()
-                    self.pool.put_free_blk(blk)
-            if self.granter is not None:
-                self.granter.pending_request = False
+            self._revoke_waiting()

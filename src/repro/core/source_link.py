@@ -106,8 +106,11 @@ class TransferJob:
         self.eager = False
         #: First block this incarnation sends.  0 for a fresh session; a
         #: resumed session starts at the sink's restart marker and never
-        #: re-reads (or re-sends) the prefix below it.
+        #: re-reads (or re-sends) the prefix below it.  Moved only by
+        #: :meth:`SourceLink._arm`, together with ``blocks_to_send``.
         self.start_seq = 0
+        #: Blocks this incarnation owes the sink.
+        self.blocks_to_send = self.total_blocks
         # Session-labelled registry counters are cumulative across every
         # incarnation reusing this session id (resumes, id reuse after
         # completion); the plain attributes below stay per-incarnation, so
@@ -203,11 +206,6 @@ class TransferJob:
     def halted(self) -> bool:
         """RDMA-plane threads must stop (abort or TCP degradation)."""
         return self.aborted or self.fallback_active
-
-    @property
-    def blocks_to_send(self) -> int:
-        """Blocks this incarnation owes the sink."""
-        return self.total_blocks - self.start_seq
 
     def _block_extent(self, seq: int) -> Tuple[int, int]:
         offset = seq * self.block_size
@@ -384,6 +382,47 @@ class SourceLink:
             self.engine.process(self._heartbeat_thread())
 
     # -- public API --------------------------------------------------------------
+    def _open_session(self, data_source: Any, total_bytes: int, session_id: int) -> TransferJob:
+        """Register a new job on the link: take its channel lease (pooled
+        links) and make sure the shared threads run."""
+        job = TransferJob(self, session_id, total_bytes, data_source)
+        if session_id in self.jobs:
+            raise ValueError(f"session {session_id} already active on this link")
+        if self._host_pool is not None and not self._host_pool.sessions.lease(job):
+            raise ValueError(
+                f"session {session_id}: host pool at lease capacity"
+                f" ({self._host_pool.sessions.capacity} sessions)"
+            )
+        self.jobs[session_id] = job
+        self._active_jobs += 1
+        self._start_shared_threads()
+        return job
+
+    def _arm(
+        self, thread, job: TransferJob, start_seq: int, marker_watchdog: bool = True
+    ) -> Generator:
+        """Arm the RDMA plane at block ``start_seq``: cursors at the
+        sink's durable prefix and a new reader/sender generation."""
+        job.start_seq = min(start_seq, job.total_blocks)
+        job.blocks_to_send = job.total_blocks - job.start_seq
+        job.marker = job.start_seq
+        job._next_load_seq = job.start_seq
+        if job.blocks_to_send == 0:
+            # Everything already landed (the sink holds the whole
+            # dataset, acked or not): go straight to the completion
+            # handshake.
+            yield from self.ctrl.send(
+                thread,
+                ControlMessage(CtrlType.DATASET_DONE, job.session_id, job.total_bytes),
+            )
+            self.engine.process(self._ack_watchdog(job))
+            return
+        for i in range(self.config.reader_threads):
+            self.engine.process(self._reader_thread(job, i))
+        self.engine.process(self._sender_thread(job))
+        if marker_watchdog and self.config.block_repair:
+            self.engine.process(self._marker_watchdog(job))
+
     def transfer(
         self,
         data_source: Any,
@@ -402,15 +441,8 @@ class SourceLink:
         exchanges and opens the session with a single SESSION_REQ round
         trip — the fast path for many small files to one peer.
         """
-        job = TransferJob(self, session_id, total_bytes, data_source)
-        if session_id in self.jobs:
-            raise ValueError(f"session {session_id} already active on this link")
+        job = self._open_session(data_source, total_bytes, session_id)
         if self._host_pool is not None:
-            if not self._host_pool.sessions.lease(job):
-                raise ValueError(
-                    f"session {session_id}: host pool at lease capacity"
-                    f" ({self._host_pool.sessions.capacity} sessions)"
-                )
             # Eager iff every payload this session sends fits under the
             # negotiated threshold — a sub-threshold dataset, or one whose
             # negotiated block size is already that small.  The decision
@@ -422,9 +454,6 @@ class SourceLink:
                 cfg.eager_threshold > 0
                 and min(cfg.block_size, total_bytes) <= cfg.eager_threshold
             )
-        self.jobs[session_id] = job
-        self._active_jobs += 1
-        self._start_shared_threads()
         skip_link_setup = reuse_negotiation and self._negotiated
 
         def _run() -> Generator:
@@ -432,11 +461,7 @@ class SourceLink:
             yield from self._negotiate(thread, job, skip_link_setup=skip_link_setup)
             if not job.aborted:
                 job.started_at = self.engine.now
-                for i in range(self.config.reader_threads):
-                    self.engine.process(self._reader_thread(job, i))
-                self.engine.process(self._sender_thread(job))
-                if self.config.block_repair:
-                    self.engine.process(self._marker_watchdog(job))
+                yield from self._arm(thread, job, 0)
             finished: TransferJob = yield job.done
             return finished
 
@@ -458,20 +483,10 @@ class SourceLink:
         grants from the dead incarnation target regions the sink has
         revoked), which would strand a healthy neighbour's credits.
         """
-        job = TransferJob(self, session_id, total_bytes, data_source)
-        if session_id in self.jobs:
-            raise ValueError(f"session {session_id} already active on this link")
-        if self._host_pool is not None and not self._host_pool.sessions.lease(job):
-            raise ValueError(
-                f"session {session_id}: host pool at lease capacity"
-                f" ({self._host_pool.sessions.capacity} sessions)"
-            )
         # A resumed session always rides rendezvous: the sink re-anchors
         # it with a fresh credit grant, and the restart marker already
         # paid the MR-exchange cost eager exists to avoid.
-        self.jobs[session_id] = job
-        self._active_jobs += 1
-        self._start_shared_threads()
+        job = self._open_session(data_source, total_bytes, session_id)
 
         def _run() -> Generator:
             thread = self.host.thread(f"src-resume-{session_id}", "app")
@@ -489,31 +504,12 @@ class SourceLink:
                         NegotiationTimeout(session_id, "sink rejected session resume"),
                     )
                 elif not job.aborted:
-                    job.start_seq = min(resume_seq, job.total_blocks)
-                    job.marker = job.start_seq
-                    job._next_load_seq = job.start_seq
                     job.started_at = self.engine.now
                     self.engine.trace(
-                        "link", "resume",
-                        session=session_id, start_seq=job.start_seq,
+                        "link", "resume", session=session_id,
+                        start_seq=min(resume_seq, job.total_blocks),
                     )
-                    if job.blocks_to_send == 0:
-                        # Everything already landed (the sink holds the
-                        # whole dataset, acked or not): go straight to the
-                        # completion handshake.
-                        yield from self.ctrl.send(
-                            thread,
-                            ControlMessage(
-                                CtrlType.DATASET_DONE, session_id, job.total_bytes
-                            ),
-                        )
-                        self.engine.process(self._ack_watchdog(job))
-                    else:
-                        for i in range(self.config.reader_threads):
-                            self.engine.process(self._reader_thread(job, i))
-                        self.engine.process(self._sender_thread(job))
-                        if self.config.block_repair:
-                            self.engine.process(self._marker_watchdog(job))
+                    yield from self._arm(thread, job, resume_seq)
             finished: TransferJob = yield job.done
             return finished
 
@@ -576,20 +572,7 @@ class SourceLink:
         self.jobs.pop(job.session_id, None)
         self._active_jobs -= 1
         self._release_lease(job)
-        while job._loaded.items:
-            blk = job._loaded.items.popleft()
-            if blk is None:
-                continue  # sender-release sentinel
-            blk.scrap()
-            self.pool.put_free_blk(blk)
-        # Repair copies held WAITING for markers that will never come.
-        # Seqs whose repair re-send is in flight are not in the map — the
-        # completion thread recycles those.
-        while job.unacked:
-            _seq, blk = job.unacked.popitem()
-            blk.scrap()
-            self.pool.put_free_blk(blk)
-        job.nack_attempts.clear()
+        self._scrap_held(job)
         self.engine.trace(
             "link", "abort", session=job.session_id, error=type(exc).__name__
         )
@@ -605,6 +588,23 @@ class SourceLink:
         # abandoned session still fails loudly through the transfer's
         # outer process event.
         job.done.defuse()
+
+    def _scrap_held(self, job: TransferJob) -> None:
+        """Reclaim what a halting session parks outside any thread: the
+        loaded queue and the repair copies (held WAITING for markers that
+        will never come).  Seqs whose repair re-send is in flight are not
+        in the map — the completion thread recycles those."""
+        while job._loaded.items:
+            blk = job._loaded.items.popleft()
+            if blk is None:
+                continue  # sender-release sentinel
+            blk.scrap()
+            self.pool.put_free_blk(blk)
+        while job.unacked:
+            _seq, blk = job.unacked.popitem()
+            blk.scrap()
+            self.pool.put_free_blk(blk)
+        job.nack_attempts.clear()
 
     def _recycle(self, block: SourceBlock, credit: Optional[Credit] = None) -> None:
         """Return an abandoned block (and optionally its credit) to the
@@ -1128,28 +1128,20 @@ class SourceLink:
                     _accepted, initial = msg.data
                     if initial:
                         self.ledger.deposit(list(initial))
-                if msg.type is CtrlType.SESSION_RESUME_REP:
+                if msg.type in (
+                    CtrlType.SESSION_RESUME_REP, CtrlType.TRANSPORT_RESTORE_REP
+                ):
                     accepted, _resume_seq, initial = msg.data
                     if accepted:
                         # Stale grants in the ledger belong to the dead
-                        # incarnation and target regions the sink revoked
-                        # at re-attach.  Control-QP FIFO ordering means
-                        # any in-flight stale MR_INFO_REP was delivered
-                        # before this REP, so flushing here is airtight;
-                        # the sink re-grants from a clean pool on every
-                        # non-idempotent resume, so a duplicate REP's
-                        # flush-then-deposit is also safe.
-                        self.ledger.flush()
-                        if initial:
-                            self.ledger.deposit(list(initial))
-                if msg.type is CtrlType.TRANSPORT_RESTORE_REP:
-                    ready, _resume_seq, initial = msg.data
-                    if ready:
-                        # Same reasoning as SESSION_RESUME_REP: stale
-                        # grants target regions the sink revoked when it
-                        # accepted the fallback, and the sink re-grants
-                        # from a clean pool, so flush-then-deposit is
-                        # safe under duplicate replies too.
+                        # (or degraded) incarnation and target regions the
+                        # sink revoked at re-attach / fallback accept.
+                        # Control-QP FIFO ordering means any in-flight
+                        # stale MR_INFO_REP was delivered before this REP,
+                        # so flushing here is airtight; the sink re-grants
+                        # from a clean pool on every non-idempotent reply,
+                        # so a duplicate REP's flush-then-deposit is also
+                        # safe.
                         self.ledger.flush()
                         if initial:
                             self.ledger.deposit(list(initial))
@@ -1298,17 +1290,7 @@ class SourceLink:
         # reclaimed here — the fallback pump re-reads straight from the
         # data source, and the sink's accept revokes every RDMA region,
         # so neither the copies nor their credits stay meaningful.
-        while job._loaded.items:
-            blk = job._loaded.items.popleft()
-            if blk is None:
-                continue
-            blk.scrap()
-            self.pool.put_free_blk(blk)
-        while job.unacked:
-            _seq, blk = job.unacked.popitem()
-            blk.scrap()
-            self.pool.put_free_blk(blk)
-        job.nack_attempts.clear()
+        self._scrap_held(job)
         if not job._halt.triggered:
             job._halt.succeed()
         self.engine.trace(
@@ -1431,26 +1413,16 @@ class SourceLink:
         self.engine.trace("link", "repromote", session=sid, start_seq=resume_seq)
         # Re-arm the RDMA plane exactly like a session resume, minus the
         # session handshake: fresh halt event, cursors at the sink's
-        # durable prefix, and a new reader/sender generation.
+        # durable prefix, and a new reader/sender generation.  The first
+        # arming's marker watchdog idled through the fallback: still running.
         job.fallback_active = False
         job.repromote_ready = False
         job._fallback_pump_done = False
         job._fallback_stream = None
         job._halt = Event(self.engine)
-        job.start_seq = min(resume_seq, job.total_blocks)
-        job.marker = job.start_seq
         job.completed_blocks = 0
-        job._next_load_seq = job.start_seq
         job._done_sent_at.clear()
-        if job.blocks_to_send == 0:
-            yield from self.ctrl.send(
-                thread, ControlMessage(CtrlType.DATASET_DONE, sid, job.total_bytes)
-            )
-            self.engine.process(self._ack_watchdog(job))
-            return
-        for i in range(self.config.reader_threads):
-            self.engine.process(self._reader_thread(job, i))
-        self.engine.process(self._sender_thread(job))
+        yield from self._arm(thread, job, resume_seq, marker_watchdog=False)
 
     def _fallback_stall_watchdog(self, job: TransferJob, stream) -> Generator:
         """A sink that dies *during* fallback must not hang the session:

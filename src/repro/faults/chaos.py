@@ -234,15 +234,9 @@ def run_chaos(
 
     sink_engine = next(iter(server.sink_engines.values()), None)
     if sink_engine is not None:
-        parked = sink_engine.reassembly.sessions_with_parked()
-        if parked:
-            leaks.append(f"reassembly entries parked for sessions {parked}")
-        if len(sink_engine._ready.items):
-            leaks.append(f"{len(sink_engine._ready.items)} ready blocks unconsumed")
-        if sink_engine.active_sessions():
-            leaks.append(
-                f"{sink_engine.active_sessions()} sink sessions never retired"
-            )
+        # Sessions never retired, parked / READY blocks left behind, history
+        # over its cap, restart-marker state outliving an acked session.
+        leaks.extend(sink_engine.audit())
         if sink_engine.pool is not None:
             free_state = waiting = 0
             for blk in sink_engine.pool.blocks.values():
@@ -277,25 +271,6 @@ def run_chaos(
                 )
 
     if sink_engine is not None:
-        # Restart-marker state must not outlive its session: completed
-        # (acked) sessions have no business keeping resume anchors.
-        for attr in (
-            "_marker_upto",
-            "_marker_pending",
-            "_marker_sent",
-            "_marker_interval",
-            "_resume_grants",
-            "_restore_grants",
-            "_fallback_streams",
-            "_fallback_done",
-            "_fallback_resume_seq",
-        ):
-            stranded = set(getattr(sink_engine, attr)) & set(sink_engine._acked)
-            if stranded:
-                leaks.append(
-                    f"restart-marker state {attr} stranded for acked"
-                    f" sessions {sorted(stranded)}"
-                )
         # Every injected corruption must be *detected*.  When nothing
         # raced the accounting (no crash, no GC reclaim, no stray
         # BLOCK_DONE) the counters must agree exactly; otherwise

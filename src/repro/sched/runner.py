@@ -337,24 +337,8 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
             )
     server = result.server
     if server is not None:
-        history_cap = server.config.sink_session_history
         for client_id, eng in sorted(server.middleware.sink_engines.items()):
-            if eng.active_sessions():
-                leaks.append(
-                    f"sink engine {client_id}: {eng.active_sessions()} "
-                    f"sessions never retired"
-                )
-            if len(eng._retired) > history_cap:
-                leaks.append(
-                    f"sink engine {client_id}: retired-session history "
-                    f"{len(eng._retired)} exceeds cap {history_cap}"
-                )
-            parked = eng.reassembly.sessions_with_parked()
-            if parked:
-                leaks.append(
-                    f"sink engine {client_id}: reassembly entries parked "
-                    f"for sessions {parked}"
-                )
+            leaks.extend(f"sink engine {client_id}: {leak}" for leak in eng.audit())
     return leaks
 
 

@@ -274,3 +274,54 @@ def test_source_crash_returns_every_lease():
     p = tb.engine.process(driver(tb.engine))
     tb.engine.run()
     assert p.triggered and p.ok, getattr(p, "value", "deadlock")
+
+
+def test_sink_crash_clears_the_eager_flag():
+    """A pooled eager session live at a sink crash and never resumed must
+    not stay flagged eager for ever (``crash()`` used to skip the flag):
+    a later *rendezvous* SESSION_REQ reusing the id gets its credits."""
+    from repro.core.messages import ControlMessage, CtrlType
+    from repro.core.sink_engine import SessionState
+
+    tb = roce_lan()
+    c = cfg(session_idle_timeout=0.5, idle_rto_multiplier=4.0)
+    server, sink, client = wire(tb, c)
+    link_ev = client.open_link(tb.dst_dev, 4000)
+    sid = 900
+
+    def driver(env):
+        link = yield link_ev
+        se = server.sink_engines[link._client_id]
+        ev = link.transfer(PatternSource(tb.src), 64 * BS, session_id=sid)
+        yield env.timeout(4e-4)
+        assert se.has_session(sid) and se.session(sid).eager  # mid-transfer
+        se.crash()
+        try:
+            yield ev
+        except TransferError:
+            pass
+        else:  # pragma: no cover - nothing acks the dataset any more
+            raise AssertionError("session survived the sink crash")
+
+    p = tb.engine.process(driver(tb.engine))
+    tb.engine.run()
+    assert p.triggered and p.ok, getattr(p, "value", "deadlock")
+    se = next(iter(server.sink_engines.values()))
+    assert se.active_sessions() == 0
+    assert se.session(sid).state is SessionState.CRASHED
+    assert not se.session(sid).eager
+    assert se.audit() == []
+
+    sent = []
+    se.ctrl.send = lambda th, msg: sent.append(msg) or iter(())
+    tb.engine.process(
+        se._dispatch(
+            tb.dst.thread("test-peer", "app"),
+            ControlMessage(CtrlType.SESSION_REQ, sid, (4 * BS, 2)),
+        )
+    )
+    tb.engine.run()  # ... until the idle GC reclaims the hand-made session
+    (rep,) = [m for m in sent if m.type is CtrlType.SESSION_REP]
+    accepted, grant = rep.data
+    assert accepted and len(grant) == c.initial_credits
+    assert se.active_sessions() == 0 and se.audit() == []

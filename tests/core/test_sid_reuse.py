@@ -4,7 +4,7 @@ A sink keeps a reclaimed session's restart marker around so a later
 SESSION_RESUME can re-attach.  But a session id may also be *legitimately
 reused* by a fresh incarnation (back-to-back transfers to the same
 destination path on one link).  The fresh SESSION_REQ must wipe the
-predecessor's marker state: a stale ``_marker_upto`` overstates the new
+predecessor's marker state: a stale marker ``upto`` overstates the new
 incarnation's durable prefix, and a resume anchored on it silently skips
 blocks the new incarnation never delivered.
 """
@@ -61,8 +61,8 @@ def test_fresh_incarnation_does_not_inherit_stale_restart_marker():
 
         # Idle GC reclaims sid 7 but keeps the marker as a resume anchor.
         yield env.timeout(3.0)
-        assert 7 not in se._expected_bytes
-        stale = se._marker_upto.get(7, 0)
+        assert not se.has_session(7)
+        stale = se.session(7).upto
         assert stale >= 1, "precondition: incarnation 1 left a stale marker"
 
         # Incarnation 2 reuses sid 7 and dies before any block lands.

@@ -453,7 +453,7 @@ def test_overload_spike_sheds_reports_and_stays_leak_free():
     # nothing parked in reassembly).
     for eng in result.server.middleware.sink_engines.values():
         assert eng.active_sessions() == 0
-        assert len(eng._retired) <= result.server.config.sink_session_history
+        assert eng.known_sessions() <= result.server.config.sink_session_history
         assert eng.reassembly.sessions_with_parked() == []
 
 
