@@ -1,0 +1,212 @@
+"""Pinned simulated results: the oracle for kernel / verbs hop removals.
+
+Six small end-to-end scenarios, each reduced to a fingerprint — the
+final clock, the bytes delivered, a sha256 of every block (or file)
+latency in the order it was observed and, for the broker runs, a sha256
+of the journal bytes and of ``stable_report_lines``.  The values were
+recorded at the commit *before* the hot-path hops were removed
+(``python tests/test_sim_pins.py`` prints them); a change that only
+removes events which neither advance time nor wake someone not already
+runnable must reproduce every one of them bit for bit, on the fluid and
+on the discrete engine.  Do not edit a pinned value to make a kernel
+change pass — a moved value is a model change and needs its own anchors.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+from functools import partial
+
+import pytest
+
+from repro.apps.rftp import run_rftp
+from repro.core import ProtocolConfig, middleware
+from repro.faults import FaultPlan, run_chaos
+from repro.obs.registry import HistogramMetric
+from repro.sched import overload_spec, run_sched, runner, stable_report_lines, synthetic_spec
+from repro.testbeds import TESTBEDS
+
+MiB = 1024 * 1024
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class _Latencies:
+    """Every histogram observation of one run, in observation order."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.seen = []
+        observe = HistogramMetric.observe
+
+        def recording(metric, value):
+            self.seen.append((metric.name, value))
+            observe(metric, value)
+
+        monkeypatch.setattr(HistogramMetric, "observe", recording)
+
+    def sha(self, family: str) -> str:
+        values = [v for name, v in self.seen if name == family]
+        assert values, f"no {family} observations"
+        return _sha(repr(values))
+
+
+def _bulk(testbed, fluid, latencies, chaos_plan=None):
+    tb = TESTBEDS[testbed](seed=3, use_fluid=fluid)
+    total = 256 * MiB + 12345
+    if chaos_plan is None:
+        outcome = run_rftp(tb, total).outcome
+        sim_time = tb.engine.now
+    else:
+        result = run_chaos(tb, total_bytes=total, plan=chaos_plan)
+        assert result.completed and result.byte_exact and result.clean
+        outcome = result.outcome
+        sim_time = result.sim_time  # engine.now is the chaos horizon
+    return {
+        "sim_time": sim_time,
+        "elapsed": outcome.elapsed,
+        "bytes": outcome.bytes,
+        "block_latency": latencies.sha("source.block_latency_seconds"),
+    }
+
+
+def _sched(spec, fluid, latencies, monkeypatch, **kwargs):
+    # Attempt records carry session ids, which come from a process-wide
+    # counter: start it afresh so the journal does not depend on which
+    # tests ran before this one.
+    monkeypatch.setattr(middleware, "_session_ids", itertools.count(1))
+    if not fluid:
+        monkeypatch.setattr(runner, "TESTBEDS", {
+            name: partial(build, use_fluid=False)
+            for name, build in TESTBEDS.items()
+        })
+    result = run_sched(spec, **kwargs)
+    assert not result.leaks
+    finished = [t for job in result.jobs for t in job.files
+                if t.state.value == "FINISHED"]
+    journal = "\n".join(
+        json.dumps(rec, sort_keys=True) for rec in result.journal.records
+    )
+    return {
+        "sim_time": result.testbed.engine.now,
+        "recoveries": result.recoveries,
+        "shed_files": result.shed_files,
+        "bytes": sum(t.size for t in finished if t.duplicate_of is None),
+        "file_latency": latencies.sha("sched.file_latency_seconds"),
+        "journal": _sha(journal),
+        "stable_report": _sha("\n".join(stable_report_lines(result.jobs))),
+    }
+
+
+def _rftp_wan(fluid, latencies, monkeypatch):
+    return _bulk("ani-wan", fluid, latencies)
+
+
+def _rftp_lan(fluid, latencies, monkeypatch):
+    return _bulk("roce-lan", fluid, latencies)
+
+
+def _chaos_lan(fluid, latencies, monkeypatch):
+    plan = FaultPlan(seed=3, write_fault_rate=0.10, payload_corrupt_rate=0.05,
+                     ctrl_drop_rate=0.05)
+    return _bulk("roce-lan", fluid, latencies, plan)
+
+
+def _sched_dedicated(fluid, latencies, monkeypatch):
+    spec = synthetic_spec(seed=3, total_files=120, doors=2)
+    return _sched(spec, fluid, latencies, monkeypatch)
+
+
+def _sched_pooled(fluid, latencies, monkeypatch):
+    spec = synthetic_spec(seed=3, total_files=120, doors=2, max_active=16)
+    config = ProtocolConfig(use_srq=True, eager_threshold=4 * MiB, srq_depth=24)
+    return _sched(spec, fluid, latencies, monkeypatch, config=config)
+
+
+def _overload_crash(fluid, latencies, monkeypatch):
+    spec = overload_spec(seed=3, total_files=400, spike_duration=2.0)
+    spec["faults"] = {"seed": 3, "broker_crashes": [5.0]}
+    return _sched(spec, fluid, latencies, monkeypatch, audit=True)
+
+
+SCENARIOS = {
+    "rftp_wan": _rftp_wan,
+    "rftp_lan": _rftp_lan,
+    "chaos_lan": _chaos_lan,
+    "sched_dedicated": _sched_dedicated,
+    "sched_pooled": _sched_pooled,
+    "overload_crash": _overload_crash,
+}
+
+#: Recorded at commit 8c293fa (the parent of the hop removals).  The
+#: fluid and the discrete engine agree on every value, so one entry
+#: pins both.
+PINS = {
+    "chaos_lan": {
+        "sim_time": 0.05905083211692305,
+        "elapsed": 0.058746545163076896,
+        "bytes": 268447801,
+        "block_latency": "c930e947106a10f5",
+    },
+    "overload_crash": {
+        "sim_time": 9.857554493599999,
+        "recoveries": 1,
+        "shed_files": 80,
+        "bytes": 1233125376,
+        "file_latency": "123a661e4114b7ab",
+        "journal": "2e5d91ad8fd7e12a",
+        "stable_report": "05445c06879f2cbd",
+    },
+    "rftp_lan": {
+        "sim_time": 2.000187692,
+        "elapsed": 0.05706842383999997,
+        "bytes": 268447801,
+        "block_latency": "43f19434adcebfbe",
+    },
+    "rftp_wan": {
+        "sim_time": 2.367500768,
+        "elapsed": 0.5048256278599961,
+        "bytes": 268447801,
+        "block_latency": "184e8e8f5cc881f1",
+    },
+    "sched_dedicated": {
+        "sim_time": 3.5205520741027705,
+        "recoveries": 0,
+        "shed_files": 0,
+        "bytes": 500170752,
+        "file_latency": "a537d0b3375de7ba",
+        "journal": "ec7b306ebc53edfc",
+        "stable_report": "7b62a6b226525195",
+    },
+    "sched_pooled": {
+        "sim_time": 2.4410009216,
+        "recoveries": 0,
+        "shed_files": 0,
+        "bytes": 500170752,
+        "file_latency": "d6e74e89b7916501",
+        "journal": "86a9c0cd20f186ff",
+        "stable_report": "7b62a6b226525195",
+    },
+}
+
+
+@pytest.mark.parametrize("fluid", [True, False], ids=["fluid", "discrete"])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_simulated_results_match_the_pinned_parent(scenario, fluid, monkeypatch):
+    got = SCENARIOS[scenario](fluid, _Latencies(monkeypatch), monkeypatch)
+    assert got == PINS[scenario]
+
+
+if __name__ == "__main__":  # pragma: no cover - records the pins
+    import pprint
+
+    recorded = {}
+    for name, scenario in sorted(SCENARIOS.items()):
+        for fluid_mode in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                got = scenario(fluid_mode, _Latencies(mp), mp)
+            assert recorded.setdefault(name, got) == got, (name, fluid_mode)
+    pprint.pprint(recorded, sort_dicts=False)
