@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List
 
 from repro.obs.stats import exact_percentile, mean
-from repro.sim.events import Event
 from repro.testbeds import Testbed
 from repro.verbs import (
     AccessFlags,
@@ -110,7 +109,6 @@ def run_fio(testbed: Testbed, job: FioJob) -> FioResult:
 
     post_times: Dict[int, float] = {}
     latencies: List[float] = []
-    finished = Event(engine)
 
     opcode = {
         "write": Opcode.RDMA_WRITE,
@@ -121,8 +119,8 @@ def run_fio(testbed: Testbed, job: FioJob) -> FioResult:
     def submitter() -> Generator:
         posted = 0
         while posted < job.total_blocks:
-            if qp_src.send_outstanding >= job.iodepth or qp_src.send_room == 0:
-                yield engine.timeout(1e-6)
+            if qp_src.send_outstanding >= job.iodepth:
+                yield qp_src.send_slot_retired()
                 continue
             slot = posted % job.iodepth
             yield src_thread.exec(profile_src.post_send_seconds)
@@ -147,7 +145,9 @@ def run_fio(testbed: Testbed, job: FioJob) -> FioResult:
                 yield channel.wait(src_cq_thread)
             wcs = yield send_cq.poll(src_cq_thread, max_entries=depth)
             if not wcs and channel is None:
-                # Busy-poll spin: the polling core burns flat out.
+                # Busy-poll spin: the polling core burns flat out.  This
+                # 1 µs chunk is modelled CPU time (it is what makes
+                # busy_poll cost more CPU), not a simulator poll.
                 yield src_cq_thread.exec(1e-6)
                 continue
             for wc in wcs:
@@ -155,7 +155,6 @@ def run_fio(testbed: Testbed, job: FioJob) -> FioResult:
                     raise RuntimeError(f"fio completion error: {wc.status}")
                 latencies.append(engine.now - post_times.pop(wc.wr_id))
                 done += 1
-        finished.succeed(done)
 
     def responder() -> Generator:
         """SEND semantics only: post receives and reap receive CQEs."""
@@ -177,11 +176,11 @@ def run_fio(testbed: Testbed, job: FioJob) -> FioResult:
     testbed.dst.cpu.reset_accounting()
     start = engine.now
     engine.process(submitter())
-    engine.process(reaper())
+    reaping = engine.process(reaper())
     if job.semantics == "send":
         engine.process(responder())
     engine.run()
-    if not finished.triggered:
+    if not reaping.triggered:
         raise RuntimeError("fio run did not complete")
     elapsed = engine.now - start
     total_bytes = job.total_blocks * job.block_size

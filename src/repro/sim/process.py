@@ -19,6 +19,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Process", "ProcessKilled"]
 
+#: What an eagerly started body is resumed with: "succeeded, no value".
+_STARTED = Event(None)  # type: ignore[arg-type]
+_STARTED._ok, _STARTED._value = True, None
+
 
 class ProcessKilled(Exception):
     """Thrown into a generator when its process is killed."""
@@ -34,6 +38,7 @@ class Process(Event):
         engine: "Engine",
         generator: Generator,
         name: Optional[str] = None,
+        _eager: bool = False,
     ) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(
@@ -48,6 +53,12 @@ class Process(Event):
         self._cancelled = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        if _eager:
+            # Private to ``repro``'s own layers (``QueuePair.post_send``):
+            # run the body to its first yield right here.  Legal only as
+            # the spawner's last action — nothing "after the spawn" to miss.
+            self._resume(_STARTED)
+            return
         # Bootstrap: a zero-delay timer resumes the body on the next
         # engine step at the current time.
         # Deliberately NOT run synchronously under fluid mode: the body
@@ -104,7 +115,15 @@ class Process(Event):
                     event.defuse()
                     target = gen.throw(event._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nobody is waiting: settle in place, not through an
+                    # event whose dispatch would do nothing.  A later
+                    # ``yield proc`` continues as on any processed event.
+                    self._ok = True
+                    self._value = stop.value
+                    self.callbacks = None
                 return
             except StopEngine:
                 # engine.stop(): end this process cleanly and let the

@@ -11,7 +11,7 @@ blocks mean fewer interrupts and lower CPU.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Generator, List, Optional
+from typing import TYPE_CHECKING, Deque, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout
 from repro.verbs.errors import CqOverflowError
@@ -124,42 +124,31 @@ class CompletionChannel:
         self.cq = cq
         self.engine = cq.engine
         cq.channel = self
-        self._waiter: Optional[Event] = None
+        #: ``(thread, done)`` of the one process blocked in :meth:`wait`.
+        self._waiter: Optional[Tuple["CpuThread", Event]] = None
+
+    def _wake_cost(self) -> float:
+        device = self.cq.device
+        return device.host.spec.interrupt_seconds + device.arch_profile.cq_event_seconds
 
     def _notify(self) -> None:
-        if self._waiter is not None and not self._waiter.triggered:
-            waiter, self._waiter = self._waiter, None
-            waiter.succeed()
+        if self._waiter is not None:
+            (thread, done), self._waiter = self._waiter, None
+            # The interrupt + event charge starts the instant the CQE
+            # lands, on the waiting thread; the caller resumes when it ends.
+            thread.exec(self._wake_cost()).add_callback(done.trigger)
 
-    def wait(self, thread: "CpuThread"):
-        """Process event: block until the CQ is non-empty.
+    def wait(self, thread: "CpuThread") -> Event:
+        """Event that fires once the CQ is non-empty and the wakeup is paid.
 
         Charges one interrupt-wakeup cost when the event fires; returns
         immediately (still charging the wakeup) if completions are already
         pending — matching the ack-and-rearm dance of the real API.
         """
-        profile = self.cq.device.arch_profile
-
-        if self.engine.use_fluid and len(self.cq):
-            # Completions already pending: the wakeup charge is the only
-            # work left, so return the CPU-chunk timer directly.
-            interrupt = self.cq.device.host.spec.interrupt_seconds
-            ev = thread.exec(interrupt + profile.cq_event_seconds)
-            if isinstance(ev, Timeout):
-                return ev
-
-            def _bridge() -> Generator:
-                yield ev
-
-            return self.engine.process(_bridge())
-
-        def _wait() -> Generator:
-            if not len(self.cq):
-                if self._waiter is not None:
-                    raise RuntimeError("completion channel supports one waiter")
-                self._waiter = Event(self.engine)
-                yield self._waiter
-            interrupt = self.cq.device.host.spec.interrupt_seconds
-            yield thread.exec(interrupt + profile.cq_event_seconds)
-
-        return self.engine.process(_wait())
+        if len(self.cq):
+            return thread.exec(self._wake_cost())
+        if self._waiter is not None:
+            raise RuntimeError("completion channel supports one waiter")
+        done = Event(self.engine)
+        self._waiter = (thread, done)
+        return done

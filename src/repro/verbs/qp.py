@@ -32,6 +32,8 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Generator, Optional
 
 
+from repro.sim.events import Event
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.verbs.errors import (
     MtuExceededError,
@@ -115,6 +117,7 @@ class QueuePair:
         self.srq = srq
         self._recv_queue: Deque[RecvWR] = deque()
         self._outstanding_sends = 0
+        self._slot_retired: Optional[Event] = None
         self._ssn = 0  # send sequence number (post order)
         self._next_complete = 0
         self._done: Dict[int, Optional[WorkCompletion]] = {}
@@ -200,6 +203,12 @@ class QueuePair:
         """Free send-queue slots."""
         return self.max_send_wr - self._outstanding_sends
 
+    def send_slot_retired(self) -> Event:
+        """One-shot event fired the next time a send-queue slot retires."""
+        if self._slot_retired is None:
+            self._slot_retired = Event(self.engine)
+        return self._slot_retired
+
     def post_send(self, wr: SendWR) -> None:
         """Post a work request; execution proceeds asynchronously."""
         if self.state is not QpState.RTS:
@@ -221,7 +230,9 @@ class QueuePair:
             "qp", "post_send",
             qp=self.qp_num, op=wr.opcode.value, wr_id=wr.wr_id, len=wr.length,
         )
-        self.engine.process(self._execute(wr, ssn))
+        # The WQE reaches the NIC inside this call, not one zero-delay hop
+        # later: must stay the last statement (see ``Process``'s ``_eager``).
+        Process(self.engine, self._execute(wr, ssn), _eager=True)
 
     # -- execution ----------------------------------------------------------------
     def _execute(self, wr: SendWR, ssn: int) -> Generator:
@@ -231,9 +242,7 @@ class QueuePair:
         peer = self.peer
         status = WcStatus.SUCCESS
         try:
-            if self.state is QpState.ERROR:
-                status = WcStatus.WR_FLUSH_ERR
-            elif wr.opcode is Opcode.SEND:
+            if wr.opcode is Opcode.SEND:
                 status = yield from self._do_send(wr, nic, peer)
             elif wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
                 status = yield from self._do_write(wr, nic, peer)
@@ -392,6 +401,9 @@ class QueuePair:
             self._outstanding_sends -= 1
             if pending is not None:
                 self.send_cq.push(pending)
+            if self._slot_retired is not None:
+                waiter, self._slot_retired = self._slot_retired, None
+                waiter.succeed()
 
     def _enter_error(self) -> None:
         if self.state is QpState.ERROR:

@@ -71,3 +71,15 @@ def test_every_declared_slot_is_set_on_every_event_class():
         # A fresh engine drains cleanly with the instance on its queue.
         engine.run()
         assert isinstance(repr(obj), str)
+
+
+def test_eagerly_started_process_sets_every_slot():
+    """The eager-start entry returns from ``Process.__init__`` early; it
+    must leave no slot for the deferred-start tail to have set."""
+    engine = Engine()
+    obj = Process(engine, _idle(engine), _eager=True)
+    slots = [s for k in Process.__mro__ for s in getattr(k, "__slots__", ())]
+    assert not [s for s in slots if not hasattr(obj, s)]
+    assert obj._waiting_on is not None and not obj.triggered
+    engine.run()
+    assert obj.processed

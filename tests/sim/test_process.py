@@ -144,3 +144,91 @@ def test_chained_already_processed_event(engine):
     p = engine.process(proc(engine))
     engine.run()
     assert p.value == "x"
+
+
+# -- the hop rule: a finished process nobody awaits queues nothing ----------
+def _quick(env, value="done"):
+    yield env.timeout(1)
+    return value
+
+
+def test_unawaited_return_settles_in_place(engine):
+    p = engine.process(_quick(engine))
+    engine.run(until=1)
+    # start hop + the body's timer; no "process finished" event follows.
+    assert engine.events_processed == 2
+    assert not engine._heap
+    assert p.processed and p.ok and p.value == "done"
+    p.kill()  # no-op on a settled process
+    assert p.value == "done" and not engine._heap
+
+
+def test_settled_process_can_still_be_awaited(engine):
+    p = engine.process(_quick(engine, 7))
+    seen = []
+
+    def late(env):
+        yield env.timeout(2)
+        seen.append((yield p))
+        both = yield env.process(_quick(env, 8)) & p
+        seen.append(sorted(both.values()))
+
+    engine.process(late(engine))
+    engine.run()
+    assert seen == [7, [7, 8]]
+
+
+def test_unawaited_failure_still_surfaces_at_its_instant(engine):
+    def failing(env):
+        yield env.timeout(3)
+        raise RuntimeError("boom")
+
+    engine.process(failing(engine))
+    with pytest.raises(SimulationError) as exc:
+        engine.run()
+    assert isinstance(exc.value.__cause__, RuntimeError)
+    assert engine.now == 3
+
+
+def test_awaited_process_resumes_its_waiter_one_hop_later(engine):
+    order = []
+
+    def outer(env):
+        value = yield env.process(_quick(env))
+        order.append(("outer", value, env.now))
+
+    def bystander(env):
+        yield env.timeout(0.5)
+        yield env.timeout(0.5)  # queued after the inner process's timer
+        order.append(("bystander", env.now))
+
+    engine.process(outer(engine))
+    engine.process(bystander(engine))
+    engine.run()
+    # The inner process finishes at t=1 *before* the bystander's timer
+    # fires, but its waiter resumes through a queued event, i.e. after.
+    assert order == [("bystander", 1), ("outer", "done", 1)]
+    # 3 starts + 3 timers + inner-finished (outer's own finish has no
+    # waiter and queues nothing).
+    assert engine.events_processed == 7
+
+
+def test_eager_start_runs_the_first_segment_inside_the_constructor(engine):
+    from repro.sim import Process
+
+    ran = []
+
+    def body(env):
+        ran.append("first")
+        yield env.timeout(1)
+        ran.append("second")
+
+    p = Process(engine, body(engine), _eager=True)
+    assert ran == ["first"] and p.is_alive
+    assert len(engine._heap) == 1  # the body's timer; no start hop
+    engine.run()
+    assert ran == ["first", "second"] and p.processed
+    assert engine.events_processed == 1
+    # engine.process() keeps the deferred start.
+    deferred = engine.process(body(engine))
+    assert ran == ["first", "second"] and deferred.is_alive

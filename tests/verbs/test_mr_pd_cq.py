@@ -186,7 +186,59 @@ def test_completion_channel_immediate_when_pending():
 
     p = f.engine.process(waiter(f.engine))
     f.engine.run()
-    assert p.ok
+    assert p.value == pytest.approx(_wake_cost(f))
+    assert channel._waiter is None  # nothing to wait for, nobody registered
+
+
+def _wake_cost(f):
+    return f.a.spec.interrupt_seconds + f.dev_a.arch_profile.cq_event_seconds
+
+
+def test_completion_channel_rejects_a_second_concurrent_waiter():
+    f = make_fabric()
+    from repro.verbs import CompletionChannel
+
+    channel = CompletionChannel(f.dev_a.create_cq())
+    channel.wait(f.a.thread("first"))
+    with pytest.raises(RuntimeError, match="one waiter"):
+        channel.wait(f.a.thread("second"))
+
+
+@pytest.mark.parametrize("cores_busy", [False, True], ids=["idle", "saturated"])
+@pytest.mark.parametrize("fluid", [True, False], ids=["fluid", "discrete"])
+def test_wake_charges_the_waiting_thread_and_resumes_after_the_cost(fluid, cores_busy):
+    """One wake = interrupt + cq_event on the *waiter's* accounting
+    group, started the instant the CQE lands; the caller resumes when
+    that chunk ends — the same in both engine modes, and also when the
+    chunk has to queue for a core (``thread.exec`` returns a process)."""
+    from repro.verbs import CompletionChannel
+
+    f = make_fabric(cores=1)
+    f.engine.use_fluid = fluid
+    cq = f.dev_a.create_cq()
+    channel = CompletionChannel(cq)
+    thread = f.a.thread("waiter", "cq-waiter")
+    cost = _wake_cost(f)
+    hog = 5 * cost if cores_busy else 0.0
+    woke = []
+
+    def waiter(env):
+        yield channel.wait(thread)
+        woke.append(env.now)
+
+    def pusher(env):
+        yield env.timeout(1.0)
+        if cores_busy:
+            # Occupy the only core until 1.0 + hog.
+            f.a.thread("hog", "other").exec(hog)
+        cq.push(_wc())
+
+    f.engine.process(waiter(f.engine))
+    f.engine.process(pusher(f.engine))
+    f.engine.run()
+    assert woke == [1.0 + hog + cost]
+    assert f.a.cpu.busy_seconds("cq-waiter") == cost
+    assert f.a.cpu.busy_seconds() == pytest.approx(hog + cost)
 
 
 def test_single_channel_per_cq():

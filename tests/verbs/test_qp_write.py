@@ -96,6 +96,25 @@ def test_write_bad_rkey_errors_qp():
         qa.post_send(_write_wr(mr, buf))
 
 
+def test_qp_killed_while_the_write_is_on_the_wire_flushes_it():
+    """``post_send`` rejects a non-RTS QP up front and the WQE starts
+    inside the call, so the only way a WR meets a dead QP is in flight."""
+    rtt = 1e-3
+    f = make_fabric(rtt=rtt)
+    qa, _ = f.qp_pair()
+    _, buf, mr = f.remote_mr()
+    qa.post_send(_write_wr(mr, buf, 3, payload="lost"))
+    f.engine.run(until=rtt / 4)  # past the NIC, not yet at the peer
+    qa.kill()
+    f.engine.run()
+    (wc,) = qa.send_cq.poll_nocost()
+    assert wc.wr_id == 3 and wc.status is WcStatus.WR_FLUSH_ERR
+    assert mr.fetch(buf.addr) is None  # the write never landed
+    assert qa.send_outstanding == 0
+    with pytest.raises(QpStateError):
+        qa.post_send(_write_wr(mr, buf, 4))
+
+
 def test_write_out_of_bounds_errors():
     f = make_fabric()
     qa, _ = f.qp_pair()
