@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Sequence
 
-import numpy as np
-
 from repro.obs.stats import exact_percentile, mean
 from repro.sim.monitor import TimeSeries
 
@@ -28,7 +26,7 @@ class BandwidthMeter:
 
     @property
     def total_bytes(self) -> float:
-        return float(np.sum(self.series.values)) if len(self.series) else 0.0
+        return float(self.series.values.sum()) if len(self.series) else 0.0
 
     def gbps(self, since: float = 0.0) -> float:
         """Average rate in Gbps from ``since`` until now."""
@@ -37,7 +35,7 @@ class BandwidthMeter:
             return 0.0
         times = self.series.times
         mask = times >= since
-        return float(np.sum(self.series.values[mask]) * 8.0 / span / 1e9)
+        return float(self.series.values[mask].sum() * 8.0 / span / 1e9)
 
 
 def summarize_latencies(latencies_s: Sequence[float]) -> Dict[str, float]:

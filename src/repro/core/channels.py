@@ -95,9 +95,10 @@ class ControlChannel:
                 # route eating the datagram before the NIC retransmit
                 # window, or an injected switch fault).
                 self._m_dropped.add()
-                self.engine.trace(
-                    "ctrl", "drop", type=msg.type.value, session=msg.session_id
-                )
+                if self.engine.tracer is not None:
+                    self.engine.trace(
+                        "ctrl", "drop", type=msg.type.value, session=msg.session_id
+                    )
                 self._m_sent.add()
                 return
             if verdict is not None and verdict > 0:
@@ -105,9 +106,10 @@ class ControlChannel:
                 # is preserved — only this message's departure slips.
                 self._m_delayed.add()
                 yield self.engine.timeout(verdict)
-        self.engine.trace(
-            "ctrl", "send", type=msg.type.value, session=msg.session_id
-        )
+        if self.engine.tracer is not None:
+            self.engine.trace(
+                "ctrl", "send", type=msg.type.value, session=msg.session_id
+            )
         self.qp.post_send(
             SendWR(
                 opcode=Opcode.SEND,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, Optional
 
-from repro.sim.monitor import TimeWeightedStat
+from repro.sim.events import Timeout
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +44,6 @@ class CpuScheduler:
         self._pool = Resource(engine, capacity=cores)
         #: Busy-core-seconds per accounting group ("app", "kernel", ...).
         self._group_busy: Dict[str, float] = {}
-        self._busy = TimeWeightedStat(engine)
         self._epoch = engine.now
 
     # -- execution -----------------------------------------------------------
@@ -55,11 +54,9 @@ class CpuScheduler:
         if seconds == 0:
             return
         yield self._pool.request()
-        self._busy.add(1)
         try:
             yield self.engine.timeout(seconds)
         finally:
-            self._busy.add(-1)
             self._pool.release()
             self._charge(group, seconds)
 
@@ -82,7 +79,6 @@ class CpuScheduler:
     def reset_accounting(self) -> None:
         """Restart utilisation measurement from the current instant."""
         self._group_busy.clear()
-        self._busy.reset()
         self._epoch = self.engine.now
 
     def busy_seconds(self, group: Optional[str] = None) -> float:
@@ -97,11 +93,6 @@ class CpuScheduler:
         if span <= 0:
             return 0.0
         return 100.0 * self.busy_seconds(group) / span
-
-    @property
-    def cores_busy(self) -> float:
-        """Instantaneous number of busy cores (scheduled work only)."""
-        return self._busy.level
 
 
 class CpuThread:
@@ -131,6 +122,7 @@ class CpuThread:
                 f"thread {self.name!r} is already executing a chunk; "
                 "one CpuThread maps to one OS thread"
             )
+        self._active = True
         scheduler = self.scheduler
         engine = scheduler.engine
         if engine.use_fluid and seconds > 0 and scheduler._pool.try_acquire():
@@ -138,12 +130,9 @@ class CpuThread:
             # collapse into one timer at the analytically-known end.
             # Contended chunks (no free core) fall through to the
             # discrete FIFO queue, whose wakeup order must be exact.
-            self._active = True
-            scheduler._busy.add(1)
-            timer = engine.timeout(seconds)
-            timer.add_callback(self._fluid_done)
+            timer = Timeout(engine, seconds)
+            timer.callbacks.append(self._fluid_done)
             return timer
-        self._active = True
 
         def _run():
             try:
@@ -155,9 +144,9 @@ class CpuThread:
 
     def _fluid_done(self, event) -> None:
         scheduler = self.scheduler
-        scheduler._busy.add(-1)
         scheduler._pool.release()
-        scheduler._charge(self.group, event.delay)
+        busy = scheduler._group_busy
+        busy[self.group] = busy.get(self.group, 0.0) + event.delay
         self._active = False
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
+from repro.sim.events import Timeout, TimeoutAt
 from repro.sim.monitor import Counter
 from repro.sim.resources import Resource
 
@@ -83,48 +84,51 @@ class Nic:
         self.wqes_processed = Counter(f"{name}.wqes")
         self.read_requests_served = Counter(f"{name}.reads")
 
-    # -- hardware-timing primitives (process generators) ----------------------
+    # -- hardware-timing primitives -------------------------------------------
+    def book_wqe(self) -> float:
+        """Fluid form of :meth:`process_wqe`: book the earliest-free
+        pipeline and return the instant the WQE clears it; the caller
+        sleeps until then and adds to :attr:`wqes_processed`."""
+        free = self._wqe_free
+        i = free.index(min(free))
+        now = self.engine.now
+        start = now if now > free[i] else free[i]
+        free[i] = end = start + self.profile.wqe_seconds
+        return end
+
     def process_wqe(self) -> Generator:
         """Occupy a NIC pipeline for one WQE's processing time."""
         engine = self.engine
         if engine.use_fluid:
-            free = self._wqe_free
-            i = free.index(min(free))
-            now = engine.now
-            start = now if now > free[i] else free[i]
-            end = start + self.profile.wqe_seconds
-            free[i] = end
-            yield engine.timeout_at(end)
-            self.wqes_processed.add()
-            return
-        yield self._wqe_pipe.request()
-        try:
-            yield engine.timeout(self.profile.wqe_seconds)
-        finally:
-            self._wqe_pipe.release()
+            yield engine.timeout_at(self.book_wqe())
+        else:
+            yield self._wqe_pipe.request()
+            try:
+                yield engine.timeout(self.profile.wqe_seconds)
+            finally:
+                self._wqe_pipe.release()
         self.wqes_processed.add()
-
-    def dma_fetch(self, nbytes: int) -> Generator:
-        """DMA-read payload from host memory over the host's PCIe bus."""
-        yield from self.host.pcie.dma(nbytes)
-
-    def dma_place(self, nbytes: int) -> Generator:
-        """DMA-write arriving payload into host memory."""
-        yield from self.host.pcie.dma(nbytes)
 
     def serve_read(self, nbytes: int) -> Generator:
         """Serve one RDMA READ request through the responder read engine.
 
         Unlike the send path (where WQE processing and DMA pipeline
         freely), the read responder processes requests one at a time:
-        the per-request gap *and* the payload DMA occupy the engine
-        serially, which is what keeps READ below WRITE at small and
-        medium block sizes.
+        the per-request gap *and* the payload DMA (a fetch from host
+        memory over the host's PCIe bus) occupy the engine serially,
+        which is what keeps READ below WRITE at small and medium block
+        sizes.
         """
+        engine = self.engine
+        bus = self.host.pcie
         yield self._read_engine.request()
         try:
-            yield self.engine.timeout(self.profile.read_gap_seconds)
-            yield from self.dma_fetch(nbytes)
+            yield Timeout(engine, self.profile.read_gap_seconds)
+            if engine.use_fluid and nbytes > 0:
+                yield TimeoutAt(engine, bus.book(nbytes))
+                bus.bytes_moved.add(nbytes)
+            else:
+                yield from bus.dma(nbytes)
         finally:
             self._read_engine.release()
         self.read_requests_served.add()

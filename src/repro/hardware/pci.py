@@ -37,6 +37,16 @@ class PcieBus:
         self._fluid_free = 0.0
         self.bytes_moved = Counter("pcie_bytes")
 
+    def book(self, nbytes: int) -> float:
+        """Fluid form of :meth:`dma`: book the bus and return the instant
+        the DMA ends; the caller sleeps until then and adds to
+        :attr:`bytes_moved`."""
+        free = self._fluid_free
+        now = self.engine.now
+        start = now if now > free else free
+        self._fluid_free = end = start + nbytes / self.bytes_per_second
+        return end
+
     def dma(self, nbytes: int) -> Generator:
         """Process generator: move ``nbytes`` across the bus (FIFO)."""
         if nbytes < 0:
@@ -45,19 +55,13 @@ class PcieBus:
             return
         engine = self.engine
         if engine.use_fluid:
-            free = self._fluid_free
-            now = engine.now
-            start = now if now > free else free
-            end = start + nbytes / self.bytes_per_second
-            self._fluid_free = end
-            yield engine.timeout_at(end)
-            self.bytes_moved.add(nbytes)
-            return
-        yield self._bus.request()
-        try:
-            yield engine.timeout(nbytes / self.bytes_per_second)
-        finally:
-            self._bus.release()
+            yield engine.timeout_at(self.book(nbytes))
+        else:
+            yield self._bus.request()
+            try:
+                yield engine.timeout(nbytes / self.bytes_per_second)
+            finally:
+                self._bus.release()
         self.bytes_moved.add(nbytes)
 
     @property

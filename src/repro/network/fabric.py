@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List, Sequence, Tuple
 
 from repro.network.link import Link
-from repro.sim.events import AllOf
+from repro.sim.events import AllOf, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -30,78 +30,88 @@ class Path:
         self.name = name
         for link in self.links:
             link._path_uses += 1
+        # A link's rate and delay, and a path's link list, are fixed at
+        # construction, so the sums below are computed once.
+        #: Rate of the slowest link on the path.
+        self.bottleneck_gbps = min(link.gbps for link in self.links)
+        self.bottleneck_bytes_per_second = self.bottleneck_gbps * 1e9 / 8.0
+        #: One-way propagation delay (sum over hops), seconds.
+        self.latency = sum(link.delay for link in self.links)
+        self.mtu = min(link.mtu for link in self.links)
         reg = engine.metrics
         labels = {"path": name, "i": reg.sequence("path")}
         self._m_bytes = reg.counter("path.bytes_total", **labels)
         self._m_ctrl = reg.counter("path.ctrl_datagrams", **labels)
 
-    @property
-    def bottleneck_gbps(self) -> float:
-        """Rate of the slowest link on the path."""
-        return min(link.gbps for link in self.links)
+    def chain_ok(self) -> bool:
+        """Can a transfer be booked over the whole hop chain right now?
 
-    @property
-    def bottleneck_bytes_per_second(self) -> float:
-        return self.bottleneck_gbps * 1e9 / 8.0
+        Only under fluid mode with every link clean (no fault hook armed,
+        never flapped, not pinned to discrete events) and owned by this
+        path alone; anything else goes per hop through ``Link.serialize``.
+        """
+        if not self.engine.use_fluid:
+            return False
+        for link in self.links:
+            if (
+                link.use_fluid is False
+                or link.fault_hook is not None
+                or link._flap_seen
+                or link._path_uses != 1
+            ):
+                return False
+        return True
 
-    @property
-    def latency(self) -> float:
-        """One-way propagation delay (sum over hops), seconds."""
-        return sum(link.delay for link in self.links)
+    def book(self, nbytes: int, count: int = 1) -> float:
+        """Book ``count`` back-to-back units of ``nbytes`` down a
+        :meth:`chain_ok` path; returns the instant the last one arrives.
 
-    @property
-    def mtu(self) -> int:
-        return min(link.mtu for link in self.links)
+        ``start_i = max(end_{i-1}, free_i)`` per hop plus the summed
+        propagation: the float expressions hop-by-hop execution evaluates,
+        so arrivals are bit-identical.  Unit *j* starts when the wire
+        frees, not when unit *j-1* arrives.  The caller sleeps until the
+        instant if it is in the future, then calls :meth:`arrived`.
+        """
+        now = t = self.engine.now
+        for _ in range(count):
+            t = now
+            for link in self.links:
+                free = link._fluid_free
+                start = t if t > free else free
+                t = start + nbytes / link.bytes_per_second
+                link._fluid_free = t
+        delay = self.latency
+        if delay > 0:
+            t = t + delay
+        return t
+
+    def arrived(self, nbytes: int) -> None:
+        """Count ``nbytes`` delivered over a :meth:`book`-ed chain."""
+        for link in self.links:
+            link.bytes_sent.add(nbytes)
+        self._m_bytes.add(nbytes)
 
     def transmit(self, nbytes: int) -> Generator:
         """Process generator: move ``nbytes`` along the path.
 
         Completes when the last byte arrives at the far end.  Consecutive
         transfers pipeline across hops because each link is an independent
-        FIFO resource.
-
-        Under fluid mode a path whose links are clean (no faults armed,
-        never flapped) and exclusively owned books the whole hop chain
-        analytically — ``start_i = max(end_{i-1}, free_i)`` per hop plus
-        the summed propagation — as one timer.  The chain evaluates the
-        same float expressions hop-by-hop execution would, so arrival
-        times are bit-identical; any ineligible link drops the transfer
-        to per-hop serialisation.
+        FIFO resource.  A :meth:`chain_ok` path books the whole hop chain
+        as one timer; any ineligible link drops the transfer to per-hop
+        serialisation.
         """
         engine = self.engine
-        if engine.use_fluid and nbytes > 0:
-            links = self.links
-            chain_ok = True
-            for link in links:
-                if (
-                    link.use_fluid is False
-                    or link.fault_hook is not None
-                    or link._flap_seen
-                    or link._path_uses != 1
-                ):
-                    chain_ok = False
-                    break
-            if chain_ok:
-                t = engine.now
-                for link in links:
-                    free = link._fluid_free
-                    start = t if t > free else free
-                    t = start + nbytes / link.bytes_per_second
-                    link._fluid_free = t
-                delay = self.latency
-                if delay > 0:
-                    t = t + delay
-                if t > engine.now:
-                    yield engine.timeout_at(t)
-                for link in links:
-                    link.bytes_sent.add(nbytes)
-                self._m_bytes.add(nbytes)
-                return
+        if nbytes > 0 and self.chain_ok():
+            t = self.book(nbytes)
+            if t > engine.now:
+                yield engine.timeout_at(t)
+            self.arrived(nbytes)
+            return
         for link in self.links:
             yield from link.serialize(nbytes)
         delay = self.latency
         if delay > 0:
-            yield self.engine.timeout(delay)
+            yield engine.timeout(delay)
         self._m_bytes.add(nbytes)
 
     def transmit_burst(self, nbytes: int, count: int) -> Generator:
@@ -110,12 +120,10 @@ class Path:
 
         Models a packetized window (a cwnd of MTU-sized segments): units
         pipeline across hops exactly as ``count`` concurrent
-        :meth:`transmit` calls issued in order would — unit *j*'s first
-        hop starts as soon as the wire frees, not after unit *j-1*
-        arrives.  Under fluid mode an eligible path books the entire
-        burst analytically as a single timer (this is the fast-forward
-        that replaces per-packet events); otherwise the units run as
-        real concurrent transfers joined by ``AllOf``.
+        :meth:`transmit` calls issued in order would.  A :meth:`chain_ok`
+        path books the entire burst as a single timer (this is the
+        fast-forward that replaces per-packet events); otherwise the
+        units run as real concurrent transfers joined by ``AllOf``.
         """
         if nbytes < 0:
             raise ValueError("transfer size must be non-negative")
@@ -127,38 +135,12 @@ class Path:
             yield from self.transmit(nbytes)
             return
         engine = self.engine
-        if engine.use_fluid:
-            links = self.links
-            chain_ok = True
-            for link in links:
-                if (
-                    link.use_fluid is False
-                    or link.fault_hook is not None
-                    or link._flap_seen
-                    or link._path_uses != 1
-                ):
-                    chain_ok = False
-                    break
-            if chain_ok:
-                now = engine.now
-                t = now
-                for _ in range(count):
-                    t = now
-                    for link in links:
-                        free = link._fluid_free
-                        start = t if t > free else free
-                        t = start + nbytes / link.bytes_per_second
-                        link._fluid_free = t
-                delay = self.latency
-                if delay > 0:
-                    t = t + delay
-                if t > now:
-                    yield engine.timeout_at(t)
-                total = nbytes * count
-                for link in links:
-                    link.bytes_sent.add(total)
-                self._m_bytes.add(total)
-                return
+        if self.chain_ok():
+            t = self.book(nbytes, count)
+            if t > engine.now:
+                yield engine.timeout_at(t)
+            self.arrived(nbytes * count)
+            return
         procs = [engine.process(self.transmit(nbytes)) for _ in range(count)]
         yield AllOf(engine, procs)
 
@@ -168,10 +150,9 @@ class Path:
         Serialises only on the bottleneck (the rest is negligible at this
         granularity), then propagates.
         """
-        rate = self.bottleneck_bytes_per_second
-        wait = self.latency + nbytes / rate
+        wait = self.latency + nbytes / self.bottleneck_bytes_per_second
         if wait > 0:
-            yield self.engine.timeout(wait)
+            yield Timeout(self.engine, wait)
         self._m_ctrl.add()
 
     def __repr__(self) -> str:  # pragma: no cover

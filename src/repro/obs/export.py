@@ -14,80 +14,90 @@ distinguished by the ``run`` index.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, List
+from typing import Any, Callable, Iterable, Iterator, List
 
 __all__ = ["metrics_lines", "trace_lines", "write_metrics_jsonl", "write_trace_jsonl"]
 
 
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion for trace fields (enums, objects...)."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
+#: Field values that go to JSON as they are; anything else (enums,
+#: objects, containers) is written as its ``str``.
+_PLAIN = (str, int, float, bool, type(None))
 
 
-def metrics_lines(engines: Iterable[Any]) -> List[str]:
-    lines: List[str] = []
+def _encoder() -> Callable[[Any], str]:
+    """One encoder per export: ``json.dumps`` builds one per call."""
+    return json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def _metrics_lines(engines: Iterable[Any]) -> Iterator[str]:
+    encode = _encoder()
     for run, engine in enumerate(engines):
         snapshot = engine.metrics.snapshot()
-        header = {
-            "record": "engine",
-            "run": run,
-            "sim_time": engine.now,
-            "events_processed": getattr(engine, "events_processed", None),
-            "metrics": len(snapshot),
-        }
-        lines.append(json.dumps(header, sort_keys=True))
+        yield encode(
+            {
+                "record": "engine",
+                "run": run,
+                "sim_time": engine.now,
+                "events_processed": getattr(engine, "events_processed", None),
+                "metrics": len(snapshot),
+            }
+        )
         for rec in snapshot:
-            rec = {"record": "metric", "run": run, **rec}
-            lines.append(json.dumps(rec, sort_keys=True, default=_jsonable))
-    return lines
+            yield encode({"record": "metric", "run": run, **rec})
 
 
-def trace_lines(engines: Iterable[Any]) -> List[str]:
-    lines: List[str] = []
+def _trace_lines(engines: Iterable[Any]) -> Iterator[str]:
+    encode = _encoder()
     for run, engine in enumerate(engines):
         tracer = getattr(engine, "tracer", None)
         if tracer is None:
             continue
-        header = {
-            "record": "tracer",
-            "run": run,
-            "emitted": tracer.emitted,
-            "dropped": tracer.dropped,
-            "retained": len(tracer),
-        }
-        lines.append(json.dumps(header, sort_keys=True))
-        for rec in tracer.query():
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "trace",
-                        "run": run,
-                        "time": rec.time,
-                        "category": rec.category,
-                        "message": rec.message,
-                        "fields": {k: _jsonable(v) for k, v in rec.fields.items()},
+        yield encode(
+            {
+                "record": "tracer",
+                "run": run,
+                "emitted": tracer.emitted,
+                "dropped": tracer.dropped,
+                "retained": len(tracer),
+            }
+        )
+        for time, category, message, fields in tracer.rows():
+            yield encode(
+                {
+                    "record": "trace",
+                    "run": run,
+                    "time": time,
+                    "category": category,
+                    "message": message,
+                    "fields": {
+                        k: v if isinstance(v, _PLAIN) else str(v)
+                        for k, v in fields.items()
                     },
-                    sort_keys=True,
-                )
+                }
             )
-    return lines
 
 
-def _write(path: str, lines: List[str]) -> None:
+def metrics_lines(engines: Iterable[Any]) -> List[str]:
+    return list(_metrics_lines(engines))
+
+
+def trace_lines(engines: Iterable[Any]) -> List[str]:
+    return list(_trace_lines(engines))
+
+
+def _write(path: str, lines: Iterator[str]) -> int:
+    """Stream ``lines`` to ``path``; returns how many were written."""
+    count = 0
     with open(path, "w") as fh:
         for line in lines:
             fh.write(line + "\n")
+            count += 1
+    return count
 
 
 def write_metrics_jsonl(path: str, engines: Iterable[Any]) -> int:
-    lines = metrics_lines(engines)
-    _write(path, lines)
-    return len(lines)
+    return _write(path, _metrics_lines(engines))
 
 
 def write_trace_jsonl(path: str, engines: Iterable[Any]) -> int:
-    lines = trace_lines(engines)
-    _write(path, lines)
-    return len(lines)
+    return _write(path, _trace_lines(engines))

@@ -125,11 +125,12 @@ class HistogramMetric(_Metric):
     Observations land in log-spaced buckets (:attr:`BUCKETS_PER_DECADE`
     per decade over ``[1e-9, 1e3)``, with under/overflow clamped to the
     edge buckets), so ``observe`` is O(1) and memory is bounded no matter
-    how long a run is.  ``count``/``total``/``min``/``max`` stay exact;
-    percentiles are interpolated inside the containing bucket and are
-    therefore accurate to one bucket width (a factor of
-    :attr:`BUCKET_WIDTH` ≈ 1.037, i.e. < 4 %) — inside the 10 % tolerance
-    the bench regression gate allows.
+    how long a run is; only touched buckets are stored, and a per-session
+    latency series touches a handful of the 768.  ``count``/``total``/
+    ``min``/``max`` stay exact; percentiles are interpolated inside the
+    containing bucket and are therefore accurate to one bucket width (a
+    factor of :attr:`BUCKET_WIDTH` ≈ 1.037, i.e. < 4 %) — inside the
+    10 % tolerance the bench regression gate allows.
     """
 
     kind = "histogram"
@@ -149,7 +150,8 @@ class HistogramMetric(_Metric):
         self.total: float = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._counts: List[int] = [0] * self._NBUCKETS
+        #: ``{bucket index: observations}``, touched buckets only.
+        self._counts: Dict[int, int] = {}
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -166,7 +168,8 @@ class HistogramMetric(_Metric):
             )
             if index >= self._NBUCKETS:
                 index = self._NBUCKETS - 1
-        self._counts[index] += 1
+        counts = self._counts
+        counts[index] = counts.get(index, 0) + 1
 
     @property
     def min(self) -> float:
@@ -192,9 +195,7 @@ class HistogramMetric(_Metric):
         if j >= self.count - 1:
             return self._max
         cum = 0
-        for index, c in enumerate(self._counts):
-            if not c:
-                continue
+        for index, c in sorted(self._counts.items()):
             if j < cum + c:
                 lo = self._bucket_edge(index)
                 hi = self._bucket_edge(index + 1)
@@ -242,9 +243,8 @@ class HistogramMetric(_Metric):
         if other._max > self._max:
             self._max = other._max
         counts = self._counts
-        for index, c in enumerate(other._counts):
-            if c:
-                counts[index] += c
+        for index, c in other._counts.items():
+            counts[index] = counts.get(index, 0) + c
 
     @staticmethod
     def merged(metrics: Iterable["HistogramMetric"]) -> "HistogramMetric":

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import numpy as np
-
 from repro.obs.stats import exact_percentile
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads on first use
+    import numpy as np
+
     from repro.sim.engine import Engine
 
 __all__ = ["Counter", "TimeSeries", "TimeWeightedStat"]
@@ -57,14 +57,18 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self._times)
 
     @property
     def values(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self._values)
 
     def mean(self) -> float:
-        return float(np.mean(self._values)) if self._values else float("nan")
+        return float(self.values.mean()) if self._values else float("nan")
 
     def percentile(self, q: float) -> float:
         if not self._values:
@@ -81,7 +85,7 @@ class TimeSeries:
         if span <= 0:
             return 0.0
         mask = (times >= since) & (times <= end)
-        return float(np.sum(self.values[mask]) / span)
+        return float(self.values[mask].sum() / span)
 
 
 class TimeWeightedStat:

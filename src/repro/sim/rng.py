@@ -8,9 +8,10 @@ adding a new random consumer never perturbs the draws of existing ones.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads on first use
+    import numpy as np
 
 __all__ = ["RandomStreams"]
 
@@ -30,6 +31,8 @@ class RandomStreams:
         """
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             digest = hashlib.blake2b(
                 f"{self.seed}:{name}".encode(), digest_size=8
             ).digest()

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, Optional, Set
+from typing import Any, Deque, Dict, Iterator, Optional, Set, Tuple
 
 __all__ = ["Tracer", "TraceRecord"]
+
+#: One retained event as the ring stores it: time, category, message, fields.
+Row = Tuple[float, str, str, Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,9 @@ class Tracer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.categories = set(categories) if categories is not None else None
-        self._records: Deque[TraceRecord] = deque(maxlen=capacity)
+        #: :meth:`query` wraps the rows a caller asks for in
+        #: :class:`TraceRecord`; nothing is built per emit.
+        self._records: Deque[Row] = deque(maxlen=capacity)
         self.dropped = 0
         self.emitted = 0
 
@@ -75,13 +80,19 @@ class Tracer:
         """Record one event (no-op if the category is filtered out)."""
         if not self.wants(category):
             return
-        if len(self._records) == self._records.maxlen:
+        records = self._records
+        if len(records) == records.maxlen:
             self.dropped += 1
-        self._records.append(TraceRecord(time, category, message, fields))
+        records.append((time, category, message, fields))
         self.emitted += 1
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def rows(self) -> Iterator[Row]:
+        """Retained events, oldest first, as raw rows — what the
+        exporters walk."""
+        return iter(self._records)
 
     def query(
         self,
@@ -91,13 +102,13 @@ class Tracer:
     ) -> Iterator[TraceRecord]:
         """Iterate matching records in chronological order."""
         for rec in self._records:
-            if rec.time < since:
+            if rec[0] < since:
                 continue
-            if category is not None and rec.category != category:
+            if category is not None and rec[1] != category:
                 continue
-            if any(rec.fields.get(k) != v for k, v in field_filters.items()):
+            if any(rec[3].get(k) != v for k, v in field_filters.items()):
                 continue
-            yield rec
+            yield TraceRecord(*rec)
 
     def clear(self) -> None:
         """Reset the buffer and both lifetime counters, so a tracer

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List, Optional, Protocol
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads on first use
+    import numpy as np
 
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
 
 __all__ = ["Bottleneck", "FluidFlow"]
@@ -59,7 +58,11 @@ class Bottleneck:
         #: not loss-free, and loss sensitivity is exactly what separates a
         #: single TCP stream from a parallel aggregate on a 49 ms path.
         self.random_loss_per_byte = random_loss_per_byte
-        self.rng = rng or np.random.default_rng(0)
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng(0)
+        self.rng = rng
         self._flows: List[FluidFlow] = []
         self._queue = 0.0
         self._running = False
@@ -155,6 +158,8 @@ class Bottleneck:
         return True
 
     def _step_round(self, now: float) -> bool:
+        import numpy as np
+
         flows = list(self._flows)
         arrivals = np.array([max(f.offered_bytes(), 0.0) for f in flows])
         total = float(arrivals.sum())
@@ -203,6 +208,8 @@ class Bottleneck:
         so under small overloads only some flows back off — the
         desynchronisation that lets stream aggregates hold utilisation.
         """
+        import numpy as np
+
         order = [i for i in self.rng.permutation(len(flows)) if arrivals[i] > 0.0]
         marked: List[int] = []
         projected = 0.0

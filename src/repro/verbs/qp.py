@@ -32,7 +32,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Generator, Optional
 
 
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout, TimeoutAt
 from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.verbs.errors import (
@@ -226,10 +226,11 @@ class QueuePair:
         self._outstanding_sends += 1
         ssn = self._ssn
         self._ssn += 1
-        self.engine.trace(
-            "qp", "post_send",
-            qp=self.qp_num, op=wr.opcode.value, wr_id=wr.wr_id, len=wr.length,
-        )
+        if self.engine.tracer is not None:
+            self.engine.trace(
+                "qp", "post_send",
+                qp=self.qp_num, op=wr.opcode.value, wr_id=wr.wr_id, len=wr.length,
+            )
         # The WQE reaches the NIC inside this call, not one zero-delay hop
         # later: must stay the last statement (see ``Process``'s ``_eager``).
         Process(self.engine, self._execute(wr, ssn), _eager=True)
@@ -241,13 +242,18 @@ class QueuePair:
         nic = self.device.nic
         peer = self.peer
         status = WcStatus.SUCCESS
+        # The opcode bodies book the hardware stages and sleep on the booked
+        # instants themselves (one frame below this one).  The stages'
+        # generator forms take the discrete engine, zero-length WRs (no DMA,
+        # no serialisation) and paths that are not ``chain_ok``.
+        booked = self.engine.use_fluid and wr.length > 0
         try:
             if wr.opcode is Opcode.SEND:
-                status = yield from self._do_send(wr, nic, peer)
+                status = yield from self._do_send(wr, nic, peer, booked)
             elif wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
-                status = yield from self._do_write(wr, nic, peer)
+                status = yield from self._do_write(wr, nic, peer, booked)
             elif wr.opcode is Opcode.RDMA_READ:
-                status = yield from self._do_read(wr, nic, peer)
+                status = yield from self._do_read(wr, nic, peer, booked)
             else:  # pragma: no cover - defensive
                 raise QpStateError(f"unsupported opcode {wr.opcode}")
         finally:
@@ -266,12 +272,26 @@ class QueuePair:
             # faults leave it usable so recovery paths can be tested.
             self._enter_error()
 
-    def _do_send(self, wr: SendWR, nic, peer: "QueuePair") -> Generator:
-        yield from nic.process_wqe()
-        yield from nic.dma_fetch(wr.length)
+    def _do_send(self, wr: SendWR, nic, peer: "QueuePair", booked: bool) -> Generator:
+        engine, path, n = self.engine, self.path, wr.length
+        bus, peer_bus = nic.host.pcie, peer.device.nic.host.pcie
+        if booked:
+            yield TimeoutAt(engine, nic.book_wqe())
+            nic.wqes_processed.add()
+            yield TimeoutAt(engine, bus.book(n))  # payload fetch
+            bus.bytes_moved.add(n)
+        else:
+            yield from nic.process_wqe()
+            yield from bus.dma(n)
         attempts = 0
         while True:
-            yield from self.path.transmit(wr.length)
+            if booked and path.chain_ok():
+                arrival = path.book(n)
+                if arrival > engine.now:
+                    yield TimeoutAt(engine, arrival)
+                path.arrived(n)
+            else:
+                yield from path.transmit(n)
             if self.qp_type is QpType.UD:
                 # Unreliable: local completion as soon as it is on the wire.
                 peer._deliver_datagram(wr)
@@ -284,17 +304,21 @@ class QueuePair:
             if self.rnr_retry != RNR_RETRY_INFINITE and attempts > self.rnr_retry:
                 return WcStatus.RNR_RETRY_EXC_ERR
             yield from self.rpath.deliver_latency()
-            yield self.engine.timeout(self.rnr_timer)
+            yield Timeout(engine, self.rnr_timer)
         rwr = peer._take_recv()
-        if wr.length > rwr.length:
+        if n > rwr.length:
             return WcStatus.LOC_LEN_ERR
-        yield from peer.device.nic.dma_place(wr.length)
+        if booked:
+            yield TimeoutAt(engine, peer_bus.book(n))  # payload placement
+            peer_bus.bytes_moved.add(n)
+        else:
+            yield from peer_bus.dma(n)
         peer.recv_cq.push(
             WorkCompletion(
                 wr_id=rwr.wr_id,
                 opcode=Opcode.RECV,
                 status=WcStatus.SUCCESS,
-                byte_len=wr.length,
+                byte_len=n,
                 payload=wr.payload,
                 qp_num=peer.qp_num,
             )
@@ -302,11 +326,25 @@ class QueuePair:
         yield from self.rpath.deliver_latency()  # hardware ACK
         return WcStatus.SUCCESS
 
-    def _do_write(self, wr: SendWR, nic, peer: "QueuePair") -> Generator:
+    def _do_write(self, wr: SendWR, nic, peer: "QueuePair", booked: bool) -> Generator:
         target = peer.pd.lookup_rkey(wr.rkey)
-        yield from nic.process_wqe()
-        yield from nic.dma_fetch(wr.length)
-        yield from self.path.transmit(wr.length)
+        engine, path, n = self.engine, self.path, wr.length
+        bus, peer_bus = nic.host.pcie, peer.device.nic.host.pcie
+        if booked:
+            yield TimeoutAt(engine, nic.book_wqe())
+            nic.wqes_processed.add()
+            yield TimeoutAt(engine, bus.book(n))  # payload fetch
+            bus.bytes_moved.add(n)
+        else:
+            yield from nic.process_wqe()
+            yield from bus.dma(n)
+        if booked and path.chain_ok():
+            arrival = path.book(n)
+            if arrival > engine.now:
+                yield TimeoutAt(engine, arrival)
+            path.arrived(n)
+        else:
+            yield from path.transmit(n)
         if self.state is QpState.ERROR:
             # The QP was killed while this WR was on the wire; the write
             # never lands and the WR flushes.
@@ -317,11 +355,15 @@ class QueuePair:
         try:
             if target is None:
                 raise RemoteAccessError(f"unknown rkey {wr.rkey!r}")
-            target.check_remote(wr.remote_addr, wr.length, write=True)
+            target.check_remote(wr.remote_addr, n, write=True)
         except RemoteAccessError:
             yield from self.rpath.deliver_latency()  # NAK
             return WcStatus.REM_ACCESS_ERR
-        yield from peer.device.nic.dma_place(wr.length)
+        if booked:
+            yield TimeoutAt(engine, peer_bus.book(n))  # payload placement
+            peer_bus.bytes_moved.add(n)
+        else:
+            yield from peer_bus.dma(n)
         payload = wr.payload
         if self.corrupt_injector is not None:
             tampered = self.corrupt_injector(wr)
@@ -333,15 +375,15 @@ class QueuePair:
                 # Immediate data consumes a receive WR; RNR applies.
                 self.rnr_naks.add()
                 yield from self.rpath.deliver_latency()
-                yield self.engine.timeout(self.rnr_timer)
-                return (yield from self._do_write(wr, nic, peer))
+                yield Timeout(engine, self.rnr_timer)
+                return (yield from self._do_write(wr, nic, peer, booked))
             rwr = peer._take_recv()
             peer.recv_cq.push(
                 WorkCompletion(
                     wr_id=rwr.wr_id,
                     opcode=Opcode.RECV,
                     status=WcStatus.SUCCESS,
-                    byte_len=wr.length,
+                    byte_len=n,
                     imm_data=wr.imm_data,
                     qp_num=peer.qp_num,
                 )
@@ -349,23 +391,38 @@ class QueuePair:
         yield from self.rpath.deliver_latency()  # hardware ACK
         return WcStatus.SUCCESS
 
-    def _do_read(self, wr: SendWR, nic, peer: "QueuePair") -> Generator:
+    def _do_read(self, wr: SendWR, nic, peer: "QueuePair", booked: bool) -> Generator:
         source = peer.pd.lookup_rkey(wr.rkey)
-        yield from nic.process_wqe()
+        engine, rpath, n = self.engine, self.rpath, wr.length
+        bus = nic.host.pcie
+        if booked:
+            yield TimeoutAt(engine, nic.book_wqe())
+            nic.wqes_processed.add()
+        else:
+            yield from nic.process_wqe()
         yield self._ord.request()  # outstanding-read limit (ORD)
         try:
             yield from self.path.deliver_latency()  # READ request packet
             try:
                 if source is None:
                     raise RemoteAccessError(f"unknown rkey {wr.rkey!r}")
-                source.check_remote(wr.remote_addr, wr.length, write=False)
+                source.check_remote(wr.remote_addr, n, write=False)
             except RemoteAccessError:
-                yield from self.rpath.deliver_latency()
+                yield from rpath.deliver_latency()
                 return WcStatus.REM_ACCESS_ERR
-            peer_nic = peer.device.nic
-            yield from peer_nic.serve_read(wr.length)
-            yield from self.rpath.transmit(wr.length)
-            yield from nic.dma_place(wr.length)
+            yield from peer.device.nic.serve_read(n)
+            if booked and rpath.chain_ok():
+                arrival = rpath.book(n)
+                if arrival > engine.now:
+                    yield TimeoutAt(engine, arrival)
+                rpath.arrived(n)
+            else:
+                yield from rpath.transmit(n)
+            if booked:
+                yield TimeoutAt(engine, bus.book(n))  # payload placement
+                bus.bytes_moved.add(n)
+            else:
+                yield from bus.dma(n)
             wr.payload = source.fetch(wr.remote_addr)
             return WcStatus.SUCCESS
         finally:
@@ -390,10 +447,11 @@ class QueuePair:
 
     # -- completion ordering ------------------------------------------------------------
     def _retire(self, ssn: int, wc: WorkCompletion, signaled: bool) -> None:
-        self.engine.trace(
-            "qp", "complete",
-            qp=self.qp_num, wr_id=wc.wr_id, status=wc.status.value,
-        )
+        if self.engine.tracer is not None:
+            self.engine.trace(
+                "qp", "complete",
+                qp=self.qp_num, wr_id=wc.wr_id, status=wc.status.value,
+            )
         self._done[ssn] = wc if signaled else None
         while self._next_complete in self._done:
             pending = self._done.pop(self._next_complete)

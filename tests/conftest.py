@@ -106,6 +106,15 @@ def make_fabric(
     return MiniFabric(engine, a, b, dev_a, dev_b, duplex, fabric, cm)
 
 
+#: ``(arrival instant, bytes)`` for the booking-seam tests: bursts that
+#: queue behind each other, a gap long enough for the resource to go
+#: idle, and a simultaneous pair.
+INTERLEAVED_ARRIVALS = [
+    (0.0, 4 << 20), (0.0, 1 << 20), (1e-4, 64 << 10), (3e-4, 4 << 20),
+    (0.5, 1 << 20), (0.5, 1 << 20), (0.5000001, 123_457),
+]
+
+
 @pytest.fixture
 def engine() -> Engine:
     return Engine()

@@ -134,3 +134,60 @@ def test_negative_chunk_rejected(engine):
 def test_scheduler_requires_core(engine):
     with pytest.raises(ValueError):
         CpuScheduler(engine, 0)
+
+
+# -- the one-timer chunk ------------------------------------------------------
+def _three_threads_one_core(engine):
+    """Two groups on a single core: the first chunk takes the fluid
+    one-timer path, the other two find no free core and queue."""
+    sched = CpuScheduler(engine, cores=1)
+    finished = []
+
+    def proc(thread, seconds):
+        yield thread.exec(seconds)
+        finished.append((thread.name, engine.now))
+
+    for name, group, seconds in (("a", "app", 0.3), ("b", "aux", 0.1), ("c", "app", 0.2)):
+        engine.process(proc(CpuThread(sched, name, group), seconds))
+    engine.run()
+    return sched, finished
+
+
+def test_contended_chunks_queue_fifo_and_groups_are_charged_exactly(engine):
+    sched, finished = _three_threads_one_core(engine)
+    # FIFO behind the running chunk, not shortest-first.
+    assert finished == [("a", 0.3), ("b", 0.3 + 0.1), ("c", 0.3 + 0.1 + 0.2)]
+    assert sched.busy_seconds("app") == 0.3 + 0.2
+    assert sched.busy_seconds("aux") == 0.1
+    assert sched.busy_seconds() == (0.3 + 0.2) + 0.1
+    span = engine.now
+    assert sched.utilization_pct("app") == 100.0 * (0.3 + 0.2) / span
+    assert sched.utilization_pct("aux") == 100.0 * 0.1 / span
+    assert sched._pool.in_use == 0 and sched._pool.queued == 0
+
+
+def test_chunk_accounting_is_the_same_on_both_engines():
+    from repro.sim.engine import Engine
+
+    runs = []
+    for fluid in (True, False):
+        engine = Engine(use_fluid=fluid)
+        sched, finished = _three_threads_one_core(engine)
+        runs.append((finished, sched.busy_seconds("app"), sched.busy_seconds("aux"),
+                     sched.utilization_pct()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("hog", [False, True], ids=["core-free", "core-contended"])
+def test_second_exec_on_a_busy_thread_raises(engine, hog):
+    sched = CpuScheduler(engine, cores=1)
+    thread = CpuThread(sched, "t", "app")
+    if hog:
+        CpuThread(sched, "hog", "app").exec(1.0)  # thread's chunk must queue
+    thread.exec(1.0)
+    with pytest.raises(RuntimeError, match="already executing"):
+        thread.exec(1.0)
+    engine.run()
+    thread.exec(1.0)  # released once the chunk has run
+    engine.run()
+    assert sched.busy_seconds("app") == (3.0 if hog else 2.0)

@@ -89,6 +89,26 @@ def test_trace_lines_skip_tracerless_and_coerce_fields(tmp_path):
     assert write_trace_jsonl(str(path), [plain, traced]) == 2
 
 
+def test_writers_stream_exactly_the_lines_the_list_forms_return(tmp_path):
+    engine = Engine()
+    engine.tracer = Tracer()
+    engine.metrics.counter("c", i=0).add(2)
+    engine.metrics.histogram("h").observe(0.5)
+    # Containers and objects are written as their str, scalars as JSON.
+    engine.trace("sched", "brownout", parked=["a", "b"], pool=0.25, why=None)
+    engine.trace("qp", "send", n=1, ok=True)
+    m_path, t_path = tmp_path / "m.jsonl", tmp_path / "t.jsonl"
+    assert write_metrics_jsonl(str(m_path), [engine]) == 3
+    assert write_trace_jsonl(str(t_path), [engine]) == 3
+    assert m_path.read_text().splitlines() == metrics_lines([engine])
+    assert t_path.read_text().splitlines() == trace_lines([engine])
+    assert trace_lines([engine])[1] == (
+        '{"category": "sched", "fields": {"parked": "[\'a\', \'b\']", '
+        '"pool": 0.25, "why": null}, "message": "brownout", "record": "trace", '
+        '"run": 0, "time": 0.0}'
+    )
+
+
 def test_chaos_snapshot_covers_all_subsystems():
     from repro.faults import FaultPlan, run_chaos
 

@@ -140,3 +140,100 @@ def test_iter_and_get():
     assert isinstance(reg.gauge("b"), GaugeMetric)
     assert isinstance(reg.histogram("c"), HistogramMetric)
     assert isinstance(reg.gauge_fn("d", lambda: 0), CallbackGauge)
+
+
+# -- sparse buckets vs the dense layout they replaced ------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+class _DenseHistogram(HistogramMetric):
+    """The 768-slot list layout ``HistogramMetric`` used to carry: the
+    reference the sparse dict must reproduce bit for bit."""
+
+    def __init__(self, name="dense", labels=None):
+        super().__init__(name, labels or {})
+        self._dense = [0] * self._NBUCKETS
+
+    def observe(self, value):
+        self.count += 1
+        self.total += value
+        self._min = min(self._min, value)
+        self._max = max(self._max, value)
+        if value <= self._FLOOR:
+            index = 0
+        else:
+            index = int((math.log10(value) - self._MIN_EXP) * self.BUCKETS_PER_DECADE)
+            index = min(index, self._NBUCKETS - 1)
+        self._dense[index] += 1
+
+    def _order_stat(self, j):
+        if j <= 0:
+            return self._min
+        if j >= self.count - 1:
+            return self._max
+        cum = 0
+        for index, c in enumerate(self._dense):
+            if not c:
+                continue
+            if j < cum + c:
+                lo = max(self._bucket_edge(index), self._min)
+                hi = min(self._bucket_edge(index + 1), self._max)
+                hi = max(hi, lo)
+                return lo + (hi - lo) * ((j - cum + 0.5) / c)
+            cum += c
+        return self._max
+
+    def merge(self, other):
+        if other.count == 0:
+            return
+        self.count += other.count
+        self.total += other.total
+        self._min = min(self._min, other._min)
+        self._max = max(self._max, other._max)
+        for index, c in enumerate(other._dense):
+            self._dense[index] += c
+
+
+# Latency-like magnitudes plus both clamped edges: <= 1e-9 lands in the
+# underflow bucket (zero included), >= 1e3 in the overflow bucket.
+_samples = st.lists(
+    st.one_of(
+        st.floats(min_value=1e-7, max_value=10.0),
+        st.floats(min_value=0.0, max_value=2e-9),
+        st.floats(min_value=500.0, max_value=1e6),
+    ),
+    max_size=200,
+)
+
+
+def _same(sparse: HistogramMetric, dense: _DenseHistogram) -> None:
+    assert sparse.count == dense.count
+    assert sparse.total == dense.total
+    if not sparse.count:
+        assert math.isnan(sparse.min) and math.isnan(sparse.percentile(50))
+        return
+    assert (sparse.min, sparse.max) == (dense.min, dense.max)
+    for q in (0, 50, 90, 99, 100):
+        assert sparse.percentile(q) == dense.percentile(q)
+    assert sparse.summary() == dense.summary()
+    assert sum(sparse._counts.values()) == sparse.count
+    assert all(0 <= i < HistogramMetric._NBUCKETS for i in sparse._counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_samples, _samples)
+def test_sparse_histogram_matches_dense_reference(first, second):
+    sparse = [HistogramMetric("h", {}), HistogramMetric("h", {})]
+    dense = [_DenseHistogram(), _DenseHistogram()]
+    for values, s, d in zip((first, second), sparse, dense):
+        for v in values:
+            s.observe(v)
+            d.observe(v)
+        _same(s, d)
+    merged = HistogramMetric.merged(sparse)
+    sparse[0].merge(sparse[1])
+    dense[0].merge(dense[1])
+    _same(sparse[0], dense[0])
+    _same(merged, dense[0])

@@ -42,3 +42,26 @@ def test_spawn_children_independent():
 
 def test_spawn_deterministic():
     assert RandomStreams(5).spawn("x").seed == RandomStreams(5).spawn("x").seed
+
+
+def test_numpy_loads_on_first_draw_not_at_import():
+    # The fault-free workloads never draw a random number, so they must
+    # not pay numpy's import; a fresh interpreter keeps other tests'
+    # imports out of the answer.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "import repro.testbeds, repro.apps.rftp, repro.apps.fio, repro.sched\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported at module load'\n"
+        "from repro.sim import RandomStreams\n"
+        "RandomStreams(0).stream('x').random()\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)

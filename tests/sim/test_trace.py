@@ -101,3 +101,17 @@ def test_capacity_has_a_single_source_of_truth():
         tracer.emit(float(i), "c", f"m{i}")
     assert len(tracer) == tracer.capacity == 4
     assert tracer.dropped == 2
+
+
+def test_ring_holds_raw_rows_and_query_wraps_them_on_demand():
+    from repro.sim.trace import TraceRecord
+
+    tracer = Tracer(capacity=3)
+    for i in range(4):
+        tracer.emit(float(i), "c", f"m{i}", i=i)
+    rows = list(tracer.rows())
+    assert rows == [(float(i), "c", f"m{i}", {"i": i}) for i in (1, 2, 3)]
+    records = list(tracer.query())
+    assert records == [TraceRecord(*row) for row in rows]
+    assert all(isinstance(r, TraceRecord) for r in records)
+    assert [r.fields["i"] for r in tracer.query(since=2.0)] == [2, 3]
