@@ -36,6 +36,10 @@ __all__ = [
     "NoLiveChannelError",
 ]
 
+# Trace shapes of the per-message points: (category, message, *field_names).
+_T_SEND = ("ctrl", "send", "type", "session")
+_T_DROP = ("ctrl", "drop", "type", "session")
+
 
 class NoLiveChannelError(RuntimeError):
     """Every data QP is in ERROR state; nothing can carry a WRITE.
@@ -95,9 +99,10 @@ class ControlChannel:
                 # route eating the datagram before the NIC retransmit
                 # window, or an injected switch fault).
                 self._m_dropped.add()
-                if self.engine.tracer is not None:
-                    self.engine.trace(
-                        "ctrl", "drop", type=msg.type.value, session=msg.session_id
+                tracer = self.engine.tracer
+                if tracer is not None:
+                    tracer.point(
+                        self.engine._now, _T_DROP, msg.type._value_, msg.session_id
                     )
                 self._m_sent.add()
                 return
@@ -106,9 +111,10 @@ class ControlChannel:
                 # is preserved — only this message's departure slips.
                 self._m_delayed.add()
                 yield self.engine.timeout(verdict)
-        if self.engine.tracer is not None:
-            self.engine.trace(
-                "ctrl", "send", type=msg.type.value, session=msg.session_id
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.point(
+                self.engine._now, _T_SEND, msg.type._value_, msg.session_id
             )
         self.qp.post_send(
             SendWR(

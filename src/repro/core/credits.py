@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Credit", "CreditLedger", "CreditGranter"]
 
+# Trace shape of the per-grant point: (category, message, *field_names).
+_T_DEPOSIT = ("credits", "deposit", "granted", "balance", "total")
+
 
 @dataclass(frozen=True)
 class Credit:
@@ -104,11 +107,12 @@ class CreditLedger:
         self._credits.put_many(credits)
         self._m_received.add(len(credits))
         self._m_peak.set_max(self.balance)
-        self.history.append((self.engine.now, self.total_received))
-        if self.engine.tracer is not None:
-            self.engine.trace(
-                "credits", "deposit",
-                granted=len(credits), balance=self.balance, total=self.total_received,
+        now = self.engine.now
+        self.history.append((now, self.total_received))
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.point(
+                now, _T_DEPOSIT, len(credits), self.balance, self.total_received
             )
 
     def refund(self, credits: List[Credit]) -> None:

@@ -4,8 +4,8 @@ One line per record keeps the files streamable and diff-friendly:
 
 * metrics files: a ``{"record": "engine", ...}`` header per engine run
   followed by one ``{"record": "metric", ...}`` line per metric;
-* trace files: one ``{"record": "trace", ...}`` line per
-  :class:`~repro.sim.trace.TraceRecord`.
+* trace files: a ``{"record": "tracer", ...}`` header per traced run
+  followed by one ``{"record": "trace", ...}`` line per retained row.
 
 Multi-engine commands (ablations) produce several runs in one file,
 distinguished by the ``run`` index.
@@ -13,8 +13,11 @@ distinguished by the ``run`` index.
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Any, Callable, Iterable, Iterator, List
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 __all__ = ["metrics_lines", "trace_lines", "write_metrics_jsonl", "write_trace_jsonl"]
 
@@ -23,17 +26,14 @@ __all__ = ["metrics_lines", "trace_lines", "write_metrics_jsonl", "write_trace_j
 #: objects, containers) is written as its ``str``.
 _PLAIN = (str, int, float, bool, type(None))
 
-
-def _encoder() -> Callable[[Any], str]:
-    """One encoder per export: ``json.dumps`` builds one per call."""
-    return json.JSONEncoder(sort_keys=True, default=str).encode
+#: The one generic encoder; every line is what it makes of the record.
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def _metrics_lines(engines: Iterable[Any]) -> Iterator[str]:
-    encode = _encoder()
     for run, engine in enumerate(engines):
         snapshot = engine.metrics.snapshot()
-        yield encode(
+        yield _encode(
             {
                 "record": "engine",
                 "run": run,
@@ -43,16 +43,46 @@ def _metrics_lines(engines: Iterable[Any]) -> Iterator[str]:
             }
         )
         for rec in snapshot:
-            yield encode({"record": "metric", "run": run, **rec})
+            yield _encode({"record": "metric", "run": run, **rec})
+
+
+def _float(value: float) -> str:
+    return float.__repr__(value) if isfinite(value) else _encode(value)
+
+
+def _field(value: Any) -> str:
+    return _encode(value if isinstance(value, _PLAIN) else str(value))
+
+
+#: What ``_encode`` itself calls for a value of exactly these types
+#: (``bool`` and enum members are subclasses and go through ``_field``).
+_FAST = {str: encode_basestring_ascii, int: int.__repr__, float: _float}
+
+
+def _template(run: int, shape: Tuple[Any, ...]) -> Tuple[str, List[int]]:
+    """What the lines of one shape in one run share: the sorted-key text
+    around the values as a ``%`` format (field values, then the time),
+    and where in a row each field value sits, in the order names sort."""
+    names = shape[2:]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    category, message, run_, *keys = (
+        _encode(v).replace("%", "%%") for v in (*shape[:2], run, *names)
+    )
+    fields = ", ".join(f"{keys[i]}: %s" for i in order)
+    return (
+        f'{{"category": {category}, "fields": {{{fields}}}, "message": {message}, '
+        f'"record": "trace", "run": {run_}, "time": %s}}',
+        [i + 2 for i in order],
+    )
 
 
 def _trace_lines(engines: Iterable[Any]) -> Iterator[str]:
-    encode = _encoder()
+    fast = _FAST.get
     for run, engine in enumerate(engines):
         tracer = getattr(engine, "tracer", None)
         if tracer is None:
             continue
-        yield encode(
+        yield _encode(
             {
                 "record": "tracer",
                 "run": run,
@@ -61,19 +91,15 @@ def _trace_lines(engines: Iterable[Any]) -> Iterator[str]:
                 "retained": len(tracer),
             }
         )
-        for time, category, message, fields in tracer.rows():
-            yield encode(
-                {
-                    "record": "trace",
-                    "run": run,
-                    "time": time,
-                    "category": category,
-                    "message": message,
-                    "fields": {
-                        k: v if isinstance(v, _PLAIN) else str(v)
-                        for k, v in fields.items()
-                    },
-                }
+        templates: Dict[Tuple[Any, ...], Tuple[str, List[int]]] = {}
+        for row in tracer.rows():
+            template = templates.get(row[1])
+            if template is None:
+                template = templates[row[1]] = _template(run, row[1])
+            text, order = template
+            yield text % (
+                *[fast(type(row[i]), _field)(row[i]) for i in order],
+                fast(type(row[0]), _encode)(row[0]),
             )
 
 
@@ -87,12 +113,11 @@ def trace_lines(engines: Iterable[Any]) -> List[str]:
 
 def _write(path: str, lines: Iterator[str]) -> int:
     """Stream ``lines`` to ``path``; returns how many were written."""
-    count = 0
+    counter = itertools.count()
     with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-            count += 1
-    return count
+        # zip stops at the last line before it draws from the counter.
+        fh.writelines(line + "\n" for line, _ in zip(lines, counter))
+    return next(counter)
 
 
 def write_metrics_jsonl(path: str, engines: Iterable[Any]) -> int:

@@ -76,7 +76,7 @@ class Engine:
     def trace(self, category: str, message: str, **fields) -> None:
         """Emit a trace record if a tracer is attached (cheap when not)."""
         if self.tracer is not None:
-            self.tracer.emit(self._now, category, message, **fields)
+            self.tracer.record(self._now, category, message, fields)
 
     # -- clock -------------------------------------------------------------
     @property

@@ -5,6 +5,18 @@ and instrumented components (queue pairs, control channels, the credit
 ledger, the TCP bottleneck) emit timestamped records.  Tracing is off by
 default and costs one attribute check per event when disabled.
 
+The ring stores one packed row per record, ``(time, shape, *values)``
+with ``shape = (category, message, *field_names)`` — no dict per record;
+:meth:`Tracer.query` rebuilds a :class:`TraceRecord` for the rows a
+caller asks for.  Two spellings write the same row:
+
+* ``engine.trace("link", "repair", block=7)`` (or ``tracer.emit``): by
+  keyword, for sites that fire a few times per transfer;
+* ``tracer.point(now, _T_POST, qp, op, wr_id, length)``, where the module
+  constant ``_T_POST = ("qp", "post_send", "qp", "op", "wr_id", "len")``
+  is the shape: positional, for sites that fire per block, each behind
+  its own ``tracer is not None`` guard.
+
 Example
 -------
 >>> from repro.sim.trace import Tracer
@@ -22,13 +34,15 @@ from typing import Any, Deque, Dict, Iterator, Optional, Set, Tuple
 
 __all__ = ["Tracer", "TraceRecord"]
 
-#: One retained event as the ring stores it: time, category, message, fields.
-Row = Tuple[float, str, str, Dict[str, Any]]
+#: What a kind of record looks like: ``(category, message, *field_names)``.
+Shape = Tuple[str, ...]
+#: One retained event as the ring stores it: ``(time, shape, *values)``.
+Row = Tuple[Any, ...]
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One trace event."""
+    """One trace event, as :meth:`Tracer.query` hands it out."""
 
     time: float
     category: str
@@ -59,9 +73,10 @@ class Tracer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.categories = set(categories) if categories is not None else None
-        #: :meth:`query` wraps the rows a caller asks for in
-        #: :class:`TraceRecord`; nothing is built per emit.
         self._records: Deque[Row] = deque(maxlen=capacity)
+        #: Intern table: one shared shape per distinct ``(category,
+        #: message, *names)`` that came in by keyword.
+        self._shapes: Dict[Shape, Shape] = {}
         self.dropped = 0
         self.emitted = 0
 
@@ -76,15 +91,26 @@ class Tracer:
     def wants(self, category: str) -> bool:
         return self.categories is None or category in self.categories
 
-    def emit(self, time: float, category: str, message: str, **fields: Any) -> None:
-        """Record one event (no-op if the category is filtered out)."""
-        if not self.wants(category):
+    def point(self, time: float, shape: Shape, *values: Any) -> None:
+        """Record one event of a known shape, one value per field name
+        (no-op if the category is filtered out)."""
+        categories = self.categories
+        if categories is not None and shape[0] not in categories:
             return
         records = self._records
         if len(records) == records.maxlen:
             self.dropped += 1
-        records.append((time, category, message, fields))
+        records.append((time, shape) + values)
         self.emitted += 1
+
+    def record(self, time: float, category: str, message: str, fields: Dict[str, Any]) -> None:
+        """:meth:`point` for a site that has its fields in a dict."""
+        key = (category, message, *fields)
+        self.point(time, self._shapes.setdefault(key, key), *fields.values())
+
+    def emit(self, time: float, category: str, message: str, **fields: Any) -> None:
+        """Record one event given by keyword."""
+        self.record(time, category, message, fields)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -101,18 +127,19 @@ class Tracer:
         **field_filters: Any,
     ) -> Iterator[TraceRecord]:
         """Iterate matching records in chronological order."""
-        for rec in self._records:
-            if rec[0] < since:
+        for row in self._records:
+            shape = row[1]
+            if row[0] < since or (category is not None and shape[0] != category):
                 continue
-            if category is not None and rec[1] != category:
+            fields = dict(zip(shape[2:], row[2:]))
+            if any(fields.get(k) != v for k, v in field_filters.items()):
                 continue
-            if any(rec[3].get(k) != v for k, v in field_filters.items()):
-                continue
-            yield TraceRecord(*rec)
+            yield TraceRecord(row[0], shape[0], shape[1], fields)
 
     def clear(self) -> None:
-        """Reset the buffer and both lifetime counters, so a tracer
-        reused across runs starts every run from zero."""
+        """Reset the buffer, the shape table and both lifetime counters,
+        so a tracer reused across runs starts every run from zero."""
         self._records.clear()
+        self._shapes.clear()
         self.dropped = 0
         self.emitted = 0

@@ -52,6 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["QpType", "QpState", "QueuePair", "connect_pair"]
 
+# Trace shapes of the per-WQE points: (category, message, *field_names).
+_T_POST = ("qp", "post_send", "qp", "op", "wr_id", "len")
+_T_COMPLETE = ("qp", "complete", "qp", "wr_id", "status")
+
 #: Per the InfiniBand spec, an RNR retry count of 7 means "retry forever".
 RNR_RETRY_INFINITE = 7
 
@@ -226,10 +230,11 @@ class QueuePair:
         self._outstanding_sends += 1
         ssn = self._ssn
         self._ssn += 1
-        if self.engine.tracer is not None:
-            self.engine.trace(
-                "qp", "post_send",
-                qp=self.qp_num, op=wr.opcode.value, wr_id=wr.wr_id, len=wr.length,
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.point(
+                self.engine._now, _T_POST,
+                self.qp_num, wr.opcode._value_, wr.wr_id, wr.length,
             )
         # The WQE reaches the NIC inside this call, not one zero-delay hop
         # later: must stay the last statement (see ``Process``'s ``_eager``).
@@ -447,10 +452,11 @@ class QueuePair:
 
     # -- completion ordering ------------------------------------------------------------
     def _retire(self, ssn: int, wc: WorkCompletion, signaled: bool) -> None:
-        if self.engine.tracer is not None:
-            self.engine.trace(
-                "qp", "complete",
-                qp=self.qp_num, wr_id=wc.wr_id, status=wc.status.value,
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.point(
+                self.engine._now, _T_COMPLETE,
+                self.qp_num, wc.wr_id, wc.status._value_,
             )
         self._done[ssn] = wc if signaled else None
         while self._next_complete in self._done:

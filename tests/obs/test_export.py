@@ -4,9 +4,13 @@ and per-QP channel counters."""
 
 from __future__ import annotations
 
+import enum
 import json
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import runtime
 from repro.obs.export import metrics_lines, trace_lines, write_metrics_jsonl, write_trace_jsonl
@@ -134,3 +138,94 @@ def test_chaos_snapshot_covers_all_subsystems():
     # Faults actually drove the resend counter family.
     per_qp = engines[0].metrics.family("data.qp_blocks_posted")
     assert sum(m.total for m in per_qp) > 0
+
+
+# -- the templated trace encoder against json.dumps ---------------------------
+
+
+class _Color(enum.IntEnum):
+    RED = 3
+
+
+class _Mode(str, enum.Enum):
+    FAST = 'fa"st'
+
+
+class _Plain(enum.Enum):
+    ONE = "one"
+
+
+class _Thing:
+    def __str__(self) -> str:
+        return "thing ü\n"
+
+
+#: ``emit`` takes these by position, so a field cannot be called that.
+_RESERVED = {"self", "time", "category", "message"}
+_names = st.one_of(
+    st.sampled_from(["m", "messag", "messagez", "n", 'q"uote', "back\\slash", "%s", "é", "{}"]),
+    st.text(max_size=6),
+).filter(lambda name: name not in _RESERVED)
+_values = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.sampled_from([_Color.RED, _Mode.FAST, _Plain.ONE, "%d %%", "\x00\x1f\x7f "]),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.builds(_Thing),
+)
+_records = st.tuples(
+    st.one_of(st.floats(), st.integers()),  # time
+    st.sampled_from(["qp", "ctrl", 'c"at', "100%", "ü"]),  # category
+    st.text(max_size=6),  # message
+    st.lists(_names, unique=True, max_size=5).flatmap(
+        lambda names: st.tuples(
+            st.just(tuple(names)),
+            st.tuples(*[_values] * len(names)),
+        )
+    ),
+)
+
+
+def _expected_line(run, time, category, message, fields) -> str:
+    plain = (str, int, float, bool, type(None))
+    return json.dumps(
+        {
+            "record": "trace", "run": run, "time": time,
+            "category": category, "message": message,
+            "fields": {k: v if isinstance(v, plain) else str(v) for k, v in fields.items()},
+        },
+        sort_keys=True, default=str,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(_records, max_size=8),
+    run=st.integers(0, 3),
+    categories=st.sampled_from([None, {"qp", "ü"}]),
+)
+def test_trace_lines_equal_json_dumps_and_point_equals_emit(records, run, categories):
+    by_keyword = Tracer(categories=categories, capacity=3)
+    by_position = Tracer(categories=categories, capacity=3)
+    for time, category, message, (names, values) in records:
+        by_keyword.emit(time, category, message, **dict(zip(names, values)))
+        by_position.point(time, (category, message, *names), *values)
+    assert list(by_keyword.rows()) == list(by_position.rows())
+    assert list(by_keyword.query()) == list(by_position.query())
+    assert (by_keyword.emitted, by_keyword.dropped) == (by_position.emitted, by_position.dropped)
+
+    wanted = [r for r in records if categories is None or r[1] in categories]
+    assert by_keyword.emitted == len(wanted)
+    assert by_keyword.dropped == max(0, len(wanted) - 3)
+    untraced = [types.SimpleNamespace(tracer=None)] * run
+    for tracer in (by_keyword, by_position):
+        lines = trace_lines(untraced + [types.SimpleNamespace(tracer=tracer)])
+        assert lines[1:] == [
+            _expected_line(run, time, category, message, dict(zip(names, values)))
+            for time, category, message, (names, values) in wanted[-3:]
+        ]

@@ -5,6 +5,7 @@ import pytest
 from repro.apps.io import CollectingSink, PatternSource
 from repro.core import ProtocolConfig, RdmaMiddleware
 from repro.sim import Engine
+from repro.sim import trace as trace_module
 from repro.sim.trace import Tracer
 from repro.testbeds import roce_lan
 
@@ -110,8 +111,69 @@ def test_ring_holds_raw_rows_and_query_wraps_them_on_demand():
     for i in range(4):
         tracer.emit(float(i), "c", f"m{i}", i=i)
     rows = list(tracer.rows())
-    assert rows == [(float(i), "c", f"m{i}", {"i": i}) for i in (1, 2, 3)]
+    assert rows == [(float(i), ("c", f"m{i}", "i"), i) for i in (1, 2, 3)]
     records = list(tracer.query())
-    assert records == [TraceRecord(*row) for row in rows]
+    assert records == [
+        TraceRecord(time, shape[0], shape[1], {"i": i}) for time, shape, i in rows
+    ]
     assert all(isinstance(r, TraceRecord) for r in records)
     assert [r.fields["i"] for r in tracer.query(since=2.0)] == [2, 3]
+
+
+_T_POST = ("qp", "post_send", "qp", "op", "wr_id", "len")
+
+
+def _post_sends(tracer, start, count):
+    for i in range(start, start + count):
+        tracer.point(i * 1e-6, _T_POST, 7, "rdma_write", 1000 + i, 4 << 20)
+
+
+def test_retained_bytes_per_record_and_a_full_ring_stays_flat():
+    import tracemalloc
+
+    n = 50_000
+    tracer = Tracer(capacity=n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _post_sends(tracer, 0, n)
+        filled = tracemalloc.get_traced_memory()[0] - base
+        _post_sends(tracer, n, n)
+        grown = tracemalloc.get_traced_memory()[0] - base - filled
+    finally:
+        tracemalloc.stop()
+    # 152 B on CPython 3.11: a 6-slot tuple, the time, the one value that
+    # is not shared (wr_id) and the ring slot.  A dict per record was 320.
+    assert filled / n <= 200
+    assert grown < 0.01 * filled
+    assert (len(tracer), tracer.emitted, tracer.dropped) == (n, 2 * n, n)
+
+
+def test_query_by_category_builds_nothing_for_other_categories(monkeypatch):
+    tracer = Tracer()
+    _post_sends(tracer, 0, 100)
+    tracer.emit(1.0, "credits", "deposit", granted=4)
+    built = []
+    real = trace_module.TraceRecord
+    monkeypatch.setattr(
+        trace_module, "TraceRecord", lambda *a: built.append(a) or real(*a)
+    )
+    assert [r.fields for r in tracer.query(category="credits")] == [{"granted": 4}]
+    assert len(built) == 1
+
+
+def test_shape_table_is_bounded_by_emit_sites_and_cleared():
+    from repro.faults import FaultPlan, run_chaos
+
+    tb = roce_lan(seed=0)
+    tracer = tb.engine.tracer = Tracer()
+    plan = FaultPlan(
+        seed=21, write_fault_rate=0.10, payload_corrupt_rate=0.05, ctrl_drop_rate=0.05
+    )
+    assert run_chaos(tb, total_bytes=256 << 20, plan=plan).completed
+    # Hundreds of records, a handful of shapes: label cardinality is the
+    # number of distinct (category, message, names), not of events.
+    assert tracer.emitted > 500
+    assert 0 < len(tracer._shapes) <= len({row[1] for row in tracer.rows()}) <= 64
+    tracer.clear()
+    assert len(tracer._shapes) == 0
