@@ -62,17 +62,19 @@ _FAST = {str: encode_basestring_ascii, int: int.__repr__, float: _float}
 def _template(run: int, shape: Tuple[Any, ...]) -> Tuple[str, List[int]]:
     """What the lines of one shape in one run share: the sorted-key text
     around the values as a ``%`` format (field values, then the time),
-    and where in a row each field value sits, in the order names sort."""
-    names = shape[2:]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    category, message, run_, *keys = (
-        _encode(v).replace("%", "%%") for v in (*shape[:2], run, *names)
-    )
-    fields = ", ".join(f"{keys[i]}: %s" for i in order)
+    and the indices of the field values in the order their names sort —
+    a value sits in its row where its name sits in the shape."""
+    order = sorted(range(2, len(shape)), key=shape.__getitem__)
+
+    def literal(value: Any) -> str:
+        return _encode(value).replace("%", "%%")
+
+    fields = ", ".join(f"{literal(shape[i])}: %s" for i in order)
     return (
-        f'{{"category": {category}, "fields": {{{fields}}}, "message": {message}, '
-        f'"record": "trace", "run": {run_}, "time": %s}}',
-        [i + 2 for i in order],
+        f'{{"category": {literal(shape[0])}, "fields": {{{fields}}}, '
+        f'"message": {literal(shape[1])}, "record": "trace", '
+        f'"run": {literal(run)}, "time": %s}}',
+        order,
     )
 
 

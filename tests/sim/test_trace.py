@@ -8,6 +8,7 @@ from repro.sim import Engine
 from repro.sim import trace as trace_module
 from repro.sim.trace import Tracer
 from repro.testbeds import roce_lan
+from repro.verbs.qp import _T_POST
 
 
 def test_tracer_records_and_filters():
@@ -120,9 +121,6 @@ def test_ring_holds_raw_rows_and_query_wraps_them_on_demand():
     assert [r.fields["i"] for r in tracer.query(since=2.0)] == [2, 3]
 
 
-_T_POST = ("qp", "post_send", "qp", "op", "wr_id", "len")
-
-
 def _post_sends(tracer, start, count):
     for i in range(start, start + count):
         tracer.point(i * 1e-6, _T_POST, 7, "rdma_write", 1000 + i, 4 << 20)
@@ -154,9 +152,9 @@ def test_query_by_category_builds_nothing_for_other_categories(monkeypatch):
     _post_sends(tracer, 0, 100)
     tracer.emit(1.0, "credits", "deposit", granted=4)
     built = []
-    real = trace_module.TraceRecord
+    # A module global shadows the builtin for ``query`` alone.
     monkeypatch.setattr(
-        trace_module, "TraceRecord", lambda *a: built.append(a) or real(*a)
+        trace_module, "dict", lambda pairs: built.append(1) or dict(pairs), raising=False
     )
     assert [r.fields for r in tracer.query(category="credits")] == [{"granted": 4}]
     assert len(built) == 1
