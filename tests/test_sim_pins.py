@@ -1,6 +1,6 @@
 """Pinned simulated results: the oracle for kernel / verbs hop removals.
 
-Six small end-to-end scenarios, each reduced to a fingerprint — the
+Eight small end-to-end scenarios, each reduced to a fingerprint — the
 final clock, the bytes delivered, a sha256 of every block (or file)
 latency in the order it was observed and, for the broker runs, a sha256
 of the journal bytes and of ``stable_report_lines``.  The values were
@@ -8,7 +8,10 @@ recorded at the commit *before* the hot-path hops were removed
 (``python tests/test_sim_pins.py`` prints them); a change that only
 removes events which neither advance time nor wake someone not already
 runnable must reproduce every one of them bit for bit, on the fluid and
-on the discrete engine.  Do not edit a pinned value to make a kernel
+on the discrete engine.  ``fallback_repromote_lan`` and
+``crash_resume_lan`` were added later, before the source session's exit
+paths were folded into one, and pin the TCP fallback / re-promotion and
+crash / resume endings the other six never reach.  Do not edit a pinned value to make a kernel
 change pass — a moved value is a model change and needs its own anchors.
 """
 
@@ -54,22 +57,28 @@ class _Latencies:
         return _sha(repr(values))
 
 
-def _bulk(testbed, fluid, latencies, chaos_plan=None):
+def _bulk(testbed, fluid, latencies, chaos_plan=None, total=256 * MiB + 12345,
+          counters=(), **chaos):
+    """One transfer, plain or under ``chaos_plan``; ``chaos`` passes
+    ``config`` / ``resume_attempts`` / ... through to ``run_chaos`` and
+    ``counters`` names the ``ChaosResult`` fields the fingerprint adds."""
     tb = TESTBEDS[testbed](seed=3, use_fluid=fluid)
-    total = 256 * MiB + 12345
+    extra = {}
     if chaos_plan is None:
         outcome = run_rftp(tb, total).outcome
         sim_time = tb.engine.now
     else:
-        result = run_chaos(tb, total_bytes=total, plan=chaos_plan)
+        result = run_chaos(tb, total_bytes=total, plan=chaos_plan, **chaos)
         assert result.completed and result.byte_exact and result.clean
         outcome = result.outcome
         sim_time = result.sim_time  # engine.now is the chaos horizon
+        extra = {name: getattr(result, name) for name in counters}
     return {
         "sim_time": sim_time,
         "elapsed": outcome.elapsed,
         "bytes": outcome.bytes,
         "block_latency": latencies.sha("source.block_latency_seconds"),
+        **extra,
     }
 
 
@@ -115,6 +124,28 @@ def _chaos_lan(fluid, latencies, monkeypatch):
     return _bulk("roce-lan", fluid, latencies, plan)
 
 
+_DEGRADED = ("fallbacks", "repromotions", "fallback_blocks")
+
+
+def _fallback_repromote_lan(fluid, latencies, monkeypatch):
+    # Every data QP dies at 2 ms: the session degrades to the TCP pump,
+    # a short breaker cooldown lets the re-promotion watchdog reopen a
+    # channel, and the tail goes back over RDMA.
+    plan = FaultPlan(seed=3, qp_kills=tuple((0.002, i) for i in range(4)))
+    return _bulk("roce-lan", fluid, latencies, plan, total=64 * MiB + 12345,
+                 counters=_DEGRADED,
+                 config=ProtocolConfig(breaker_cooldown_min=0.01))
+
+
+def _crash_resume_lan(fluid, latencies, monkeypatch):
+    # The source process dies mid-transfer; the harness resumes the
+    # session from the sink's restart marker.
+    plan = FaultPlan(seed=3, source_crashes=(0.0015,))
+    return _bulk("roce-lan", fluid, latencies, plan, total=64 * MiB + 12345,
+                 counters=_DEGRADED, resume_attempts=3, resume_backoff=0.5,
+                 horizon=120)
+
+
 def _sched_dedicated(fluid, latencies, monkeypatch):
     spec = synthetic_spec(seed=3, total_files=120, doors=2)
     return _sched(spec, fluid, latencies, monkeypatch)
@@ -136,20 +167,40 @@ SCENARIOS = {
     "rftp_wan": _rftp_wan,
     "rftp_lan": _rftp_lan,
     "chaos_lan": _chaos_lan,
+    "fallback_repromote_lan": _fallback_repromote_lan,
+    "crash_resume_lan": _crash_resume_lan,
     "sched_dedicated": _sched_dedicated,
     "sched_pooled": _sched_pooled,
     "overload_crash": _overload_crash,
 }
 
-#: Recorded at commit 8c293fa (the parent of the hop removals).  The
-#: fluid and the discrete engine agree on every value, so one entry
-#: pins both.
+#: Recorded at commit 8c293fa (the parent of the hop removals); the two
+#: degraded-mode scenarios at 44107b0.  The fluid and the discrete engine
+#: agree on every value, so one entry pins both.
 PINS = {
     "chaos_lan": {
         "sim_time": 0.05905083211692305,
         "elapsed": 0.058746545163076896,
         "bytes": 268447801,
         "block_latency": "c930e947106a10f5",
+    },
+    "crash_resume_lan": {
+        "sim_time": 0.5185183298707685,
+        "elapsed": 0.0167917728861533,
+        "bytes": 67121209,
+        "block_latency": "7ef432a1f13073fe",
+        "fallbacks": 0,
+        "repromotions": 0,
+        "fallback_blocks": 0,
+    },
+    "fallback_repromote_lan": {
+        "sim_time": 0.2799990756923082,
+        "elapsed": 0.27969478873846204,
+        "bytes": 67121209,
+        "block_latency": "e9f729af304da0e9",
+        "fallbacks": 1,
+        "repromotions": 1,
+        "fallback_blocks": 4,
     },
     "overload_crash": {
         "sim_time": 9.857554493599999,
