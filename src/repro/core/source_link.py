@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.core.blocks import SourceBlock
 from repro.core.channels import ControlChannel, DataChannels, NoLiveChannelError
@@ -91,8 +91,6 @@ class TransferJob:
         total_bytes: int,
         data_source: Any,
     ) -> None:
-        if total_bytes <= 0:
-            raise ValueError("total_bytes must be positive")
         self.link = link
         self.session_id = session_id
         self.total_bytes = total_bytes
@@ -143,7 +141,6 @@ class TransferJob:
         #: Per-block source-side latency: post of the RDMA WRITE to the
         #: polled completion (includes the RC ACK round trip), seconds.
         self.block_latencies: list = []
-        self._post_times: Dict[int, float] = {}
         self._next_load_seq = 0
         self._loaded: Store = Store(link.engine)
         #: Reply type -> Store, built on first use (by the requester or the control thread).
@@ -155,6 +152,9 @@ class TransferJob:
         #: failure goes through ``done``.
         self._abort: Event = Event(link.engine)
         self.aborted = False
+        #: Set by :meth:`SourceLink._end_session`, the one way a session
+        #: leaves its link (ACKed or aborted) and ``done`` resolves.
+        self.ended = False
         #: Succeeds when this incarnation's RDMA-plane threads (readers,
         #: sender, credit waits) must stop: on abort, and on degradation
         #: to the TCP fallback path.  Replaced with a fresh event when
@@ -272,7 +272,7 @@ class SourceLink:
         self._m_breaker_trips = reg.counter("source.breaker_trips", **labels)
         self._m_fallbacks = reg.counter("source.fallbacks", **labels)
         self._m_repromotions = reg.counter("source.repromotions", **labels)
-        reg.gauge_fn("source.active_jobs", lambda: self._active_jobs, **labels)
+        reg.gauge_fn("source.active_jobs", lambda: len(self.jobs), **labels)
         reg.gauge_fn("source.inflight_wrs", lambda: len(self._inflight), **labels)
         reg.gauge_fn("source.rto_seconds", lambda: self.health.rtt.rto, **labels)
         #: qp_num -> circuit breaker, created lazily as channels carry
@@ -285,11 +285,10 @@ class SourceLink:
         #: Pooled links draw wr_ids from the pool-wide space (the shared
         #: send CQ needs collision-free routing across links).
         self._wr_ids = itertools.count() if host_pool is None else host_pool.wr_ids
-        #: wr_id -> (job, block, credit, failed_attempts, is_repair).
+        #: wr_id -> (job, block, credit, failed_attempts, is_repair, posted_at).
         self._inflight: Dict[
-            int, Tuple[TransferJob, SourceBlock, Credit, int, bool]
+            int, Tuple[TransferJob, SourceBlock, Credit, int, bool, float]
         ] = {}
-        self._active_jobs = 0
         self._started = False
         #: True once a full negotiation (block size + channel count) has
         #: succeeded on this link.  Both parameters are link-level: a
@@ -354,23 +353,11 @@ class SourceLink:
             self._breakers[qp_num] = breaker
         return breaker
 
-    def _new_wr_id(self) -> int:
-        """Allocate a wr_id, registering the completion route when the
-        send CQ is shared (pooled links)."""
-        wr_id = next(self._wr_ids)
-        if self._host_pool is not None:
-            self._host_pool.routes[wr_id] = self
-        return wr_id
-
     def _release_lease(self, job: TransferJob) -> None:
-        """Return the session's channel lease to the host pool.
-
-        Idempotent, and the single choke point for every way a session
-        ends — normal completion, abort (cancel, deadline, watchdog,
-        crash) — so leases cannot leak through any teardown path.
-        """
+        """Return the lease :meth:`_open_session` took, keyed by ``(link,
+        session id)`` because it is taken before the job exists."""
         if self._host_pool is not None:
-            self._host_pool.sessions.release(job)
+            self._host_pool.sessions.release((self, job.session_id))
 
     def _start_shared_threads(self) -> None:
         if not self._started:
@@ -384,17 +371,19 @@ class SourceLink:
     # -- public API --------------------------------------------------------------
     def _open_session(self, data_source: Any, total_bytes: int, session_id: int) -> TransferJob:
         """Register a new job on the link: take its channel lease (pooled
-        links) and make sure the shared threads run."""
-        job = TransferJob(self, session_id, total_bytes, data_source)
+        links) and make sure the shared threads run.  Every rejection
+        comes first, so a rejected session registers no metric series."""
+        if total_bytes <= 0:
+            raise ValueError("total_bytes must be positive")
         if session_id in self.jobs:
             raise ValueError(f"session {session_id} already active on this link")
-        if self._host_pool is not None and not self._host_pool.sessions.lease(job):
+        pool = self._host_pool
+        if pool is not None and not pool.sessions.lease((self, session_id)):
             raise ValueError(
                 f"session {session_id}: host pool at lease capacity"
-                f" ({self._host_pool.sessions.capacity} sessions)"
+                f" ({pool.sessions.capacity} sessions)"
             )
-        self.jobs[session_id] = job
-        self._active_jobs += 1
+        job = self.jobs[session_id] = TransferJob(self, session_id, total_bytes, data_source)
         self._start_shared_threads()
         return job
 
@@ -421,7 +410,21 @@ class SourceLink:
             self.engine.process(self._reader_thread(job, i))
         self.engine.process(self._sender_thread(job))
         if marker_watchdog and self.config.block_repair:
-            self.engine.process(self._marker_watchdog(job))
+            # The repair hold: copies stay WAITING until a marker covers
+            # them.  Nothing held is nothing at stake; the hold idles
+            # through a fallback window (degradation drains ``unacked``).
+            self.engine.process(self._stall_watchdog(
+                job,
+                lambda: (
+                    job.marker, len(job.unacked), job.repairs, job.completed_blocks
+                ) if job.unacked else None,
+                lambda: False,
+                lambda n: MarkerTimeout(
+                    job.session_id,
+                    f"{len(job.unacked)} repair copies held with no"
+                    f" restart-marker progress after {n} timeouts",
+                ),
+            ))
 
     def transfer(
         self,
@@ -556,30 +559,43 @@ class SourceLink:
         self.engine.trace("link", "kill_channel", qp=qp.qp_num, index=index)
         return True
 
-    # -- abort / cleanup -------------------------------------------------------------
+    # -- the end of a session ---------------------------------------------------------
     def _abort_job(self, job: TransferJob, exc: TransferError) -> None:
-        """Tear a session down without leaking link-shared resources.
+        """Fail a live session with a typed error; a no-op once it ended."""
+        if not job.ended:
+            self._end_session(job, exc)
 
-        Idempotent.  Reclaims blocks parked in the loaded queue here;
-        blocks held by a live reader/sender or posted in ``_inflight`` are
-        recycled by their owning thread once it observes the abort (that
-        thread holds the only safe reference at that moment).
-        """
-        if job.aborted or job.done.triggered:
+    def _end_session(self, job: TransferJob, result: TransferJob | TransferError) -> None:
+        """The one exit of a session: off the link table, lease returned,
+        ``done`` resolved — with the job (DATASET_DONE_ACK) or the typed
+        :class:`TransferError` in ``result``.  Each ending keeps its pool
+        work and its order relative to ``done`` (DESIGN.md §8).  An abort
+        scraps only what is parked outside any thread; a block a reader /
+        sender holds or ``_inflight`` owns is reclaimed by that thread
+        once it sees the halt (it holds the only safe reference)."""
+        job.ended = True
+        # Off the table: the id can be reused, and the dict stays bounded.
+        self.jobs.pop(job.session_id, None)
+        self._release_lease(job)
+        if result is job:
+            job.finished_at = self.engine.now
+            # The final cumulative ack: every repair copy is covered.
+            for blk in job.unacked.values():
+                blk.release()
+                self.pool.put_free_blk(blk)
+            job.unacked.clear()
+            job.nack_attempts.clear()
+            job.done.succeed(job)
             return
         job.aborted = True
-        job.error = exc
-        self.jobs.pop(job.session_id, None)
-        self._active_jobs -= 1
-        self._release_lease(job)
+        job.error = result
         self._scrap_held(job)
         self.engine.trace(
-            "link", "abort", session=job.session_id, error=type(exc).__name__
+            "link", "abort", session=job.session_id, error=type(result).__name__
         )
         job._abort.succeed()
         if not job._halt.triggered:
             job._halt.succeed()
-        job.done.fail(exc)
         # An external teardown (crash/cancel) can land while the session's
         # own process is parked microseconds away from ``yield job.done``
         # (mid-negotiation send, thread.exec) with no waiter attached yet.
@@ -587,34 +603,31 @@ class SourceLink:
         # attached before processing still receive the typed error, and an
         # abandoned session still fails loudly through the transfer's
         # outer process event.
-        job.done.defuse()
+        job.done.fail(result).defuse()
 
     def _scrap_held(self, job: TransferJob) -> None:
         """Reclaim what a halting session parks outside any thread: the
         loaded queue and the repair copies (held WAITING for markers that
         will never come).  Seqs whose repair re-send is in flight are not
-        in the map — the completion thread recycles those."""
+        in the map — the completion thread reclaims those."""
         while job._loaded.items:
             blk = job._loaded.items.popleft()
-            if blk is None:
-                continue  # sender-release sentinel
-            blk.scrap()
-            self.pool.put_free_blk(blk)
+            if blk is not None:  # None: the sender-release sentinel
+                self._reclaim(job, blk)
         while job.unacked:
-            _seq, blk = job.unacked.popitem()
-            blk.scrap()
-            self.pool.put_free_blk(blk)
+            self._reclaim(job, job.unacked.popitem()[1])
         job.nack_attempts.clear()
 
-    def _recycle(self, block: SourceBlock, credit: Optional[Credit] = None) -> None:
-        """Return an abandoned block (and optionally its credit) to the
-        shared pools."""
+    def _reclaim(self, job: TransferJob, block: SourceBlock,
+                 credit: Optional[Credit] = None) -> None:
+        """Scrap a block the session will not send (again); the one
+        refund-or-drop rule for its credit.  Dropped while a TCP fallback
+        carries the session (the sink revoked every RDMA region);
+        otherwise the region is still writable — the WRITE never landed,
+        or BLOCK_DONE no longer matters — so the shared ledger gets it."""
         block.scrap()
         self.pool.put_free_blk(block)
-        if credit is not None:
-            # The WRITE never landed (or the session died before BLOCK_DONE
-            # was meaningful), so the sink region is still writable: hand
-            # the credit to whichever session acquires it next.
+        if credit is not None and not (job.fallback_active and not job.aborted):
             self.ledger.refund([credit])
 
     # -- control-plane request/reply with retry ----------------------------------------
@@ -768,7 +781,7 @@ class SourceLink:
             block.reserve()
             payload = yield from job.data_source.read(thread, length, seq)
             if job.halted:
-                self._recycle(block)
+                self._reclaim(job, block)
                 return
             header = BlockHeader(
                 job.session_id, seq, offset, length,
@@ -841,12 +854,12 @@ class SourceLink:
             else:
                 job._loaded.cancel_get(get_ev)
                 if get_ev.triggered and get_ev.ok and get_ev.value is not None:
-                    self._recycle(get_ev.value)
+                    self._reclaim(job, get_ev.value)
                 return
             if block is None:
                 return  # all blocks of this job completed
             if job.halted:
-                self._recycle(block)
+                self._reclaim(job, block)
                 return
             if job.eager:
                 # Eager transport: the shared receive queue at the sink
@@ -855,33 +868,28 @@ class SourceLink:
             else:
                 credit = yield from self._acquire_credit(thread, job)
                 if credit is None:
-                    self._recycle(block)
+                    self._reclaim(job, block)
                     return
             if job.halted:
-                if job.fallback_active and not job.aborted:
-                    # Degrading to TCP: the sink revokes every RDMA
-                    # region when it accepts, so drop the credit rather
-                    # than refund a reference to a revoked region.
-                    self._recycle(block)
-                else:
-                    self._recycle(block, credit)
+                self._reclaim(job, block, credit)
                 return
-            assert block.header is not None
-            block.sending()
-            wr_id = self._new_wr_id()
-            self._inflight[wr_id] = (job, block, credit, 0, False)
-            job._post_times[wr_id] = self.engine.now
-            ok = yield from self._post_block(thread, job, block, credit, wr_id)
-            if not ok:
+            if not (yield from self._post_block(thread, job, block, credit, 0, False)):
                 return
 
     def _post_block(self, thread, job: TransferJob, block: SourceBlock,
-                    credit: Credit, wr_id: int) -> Generator:
-        """Post one WRITE; degrade to the TCP fallback (or fail the job
-        with :class:`DataChannelsLost`) when no data channel survives.
-        Returns False after either outcome (the block and credit have
-        been reclaimed)."""
+                    credit: Credit, attempts: int, is_repair: bool) -> Generator:
+        """The one post path: SENDING, a wr_id (routed back to this link
+        when the send CQ is shared), the ``_inflight`` entry (post time
+        taken before the CPU charge of the post) and the WRITE — or the
+        SEND, for an eager session.  Degrades to the TCP fallback (or
+        fails the job with :class:`DataChannelsLost`) when no data channel
+        survives; returns False then, the block and credit reclaimed."""
         assert block.header is not None
+        block.sending()
+        wr_id = next(self._wr_ids)
+        if self._host_pool is not None:
+            self._host_pool.routes[wr_id] = self
+        self._inflight[wr_id] = (job, block, credit, attempts, is_repair, self.engine.now)
         try:
             if credit is None:  # eager transport (srq mode)
                 yield from self.data.post_send_block(
@@ -895,17 +903,12 @@ class SourceLink:
             self._inflight.pop(wr_id, None)
             if self._host_pool is not None:
                 self._host_pool.routes.pop(wr_id, None)
-            job._post_times.pop(wr_id, None)
-            if job.fallback_active or self._begin_fallback(job):
-                # Degrading to TCP: the sink revokes every RDMA region
-                # when it accepts the fallback, so the credit is
-                # dropped, not refunded.
-                self._recycle(block)
-                return False
-            self._recycle(block, credit)
-            self._abort_job(
-                job, DataChannelsLost(job.session_id, "every data channel is dead")
-            )
+            fell_back = self._begin_fallback(job)
+            self._reclaim(job, block, credit)
+            if not fell_back:
+                self._abort_job(
+                    job, DataChannelsLost(job.session_id, "every data channel is dead")
+                )
             return False
         block.waiting()
         return True
@@ -922,8 +925,7 @@ class SourceLink:
                 yield self.data_cc.wait(thread)
                 wcs = yield self.data_send_cq.poll(thread, max_entries=64)
             for wc in wcs:
-                job, block, credit, attempts, is_repair = self._inflight.pop(wc.wr_id)
-                posted_at = job._post_times.pop(wc.wr_id, None)
+                job, block, credit, attempts, is_repair, posted_at = self._inflight.pop(wc.wr_id)
                 if not wc.ok and wc.status is WcStatus.WR_FLUSH_ERR:
                     # A dead channel flushed this WR: detach it so the
                     # rotation shrinks to the survivors (idempotent — the
@@ -942,18 +944,12 @@ class SourceLink:
                     # The session died (or degraded to TCP) while this
                     # WRITE was in flight; the completion thread holds
                     # the last live reference.
-                    if job.fallback_active and not job.aborted:
-                        # Regions are revoked at fallback accept: drop
-                        # the credit instead of refunding it.
-                        self._recycle(block)
-                    else:
-                        self._recycle(block, credit)
+                    self._reclaim(job, block, credit)
                     continue
-                if posted_at is not None and wc.ok:
+                if wc.ok:
                     latency = self.engine.now - posted_at
                     job.block_latencies.append(latency)
                     job._m_latency.observe(latency)
-                if wc.ok:
                     assert block.header is not None
                     if credit is not None:
                         yield from self.ctrl.send(
@@ -1011,7 +1007,7 @@ class SourceLink:
                     attempts += 1
                     if attempts > self.config.max_block_resends:
                         seq = block.header.seq if block.header else -1
-                        self._recycle(block, credit)
+                        self._reclaim(job, block, credit)
                         self._abort_job(
                             job,
                             ResendLimitExceeded(
@@ -1022,11 +1018,7 @@ class SourceLink:
                         continue
                     job._count_resend()
                     block.resend()
-                    block.sending()
-                    wr_id = self._new_wr_id()
-                    self._inflight[wr_id] = (job, block, credit, attempts, is_repair)
-                    job._post_times[wr_id] = self.engine.now
-                    yield from self._post_block(thread, job, block, credit, wr_id)
+                    yield from self._post_block(thread, job, block, credit, attempts, is_repair)
 
     def _ack_watchdog(self, job: TransferJob) -> Generator:
         """Retransmit DATASET_DONE until the ACK lands, then give up with
@@ -1035,7 +1027,7 @@ class SourceLink:
         attempts = self.config.ctrl_retries + 1
         for attempt in range(attempts):
             yield self.engine.timeout(self.health.patience_timeout(attempt))
-            if job.done.triggered or job.aborted:
+            if job.ended:
                 return
             if attempt + 1 == attempts:
                 break
@@ -1051,48 +1043,38 @@ class SourceLink:
             ),
         )
 
-    def _marker_watchdog(self, job: TransferJob) -> Generator:
-        """Liveness guard for the repair hold.
-
-        Repair copies leave the free pool until a restart marker covers
-        them, so a sink that stops acking (crashed, or the path died)
-        would starve the readers *silently*: the sender idles on an empty
-        loaded-queue and the credit watchdog never runs.  Abort with a
-        typed :class:`MarkerTimeout` once copies have sat with zero
-        release/repair progress for the whole control retry budget — the
-        session becomes resumable instead of hung.
-        """
+    def _stall_watchdog(
+        self, job: TransferJob, progress: Callable[[], Any],
+        stand_down: Callable[[], bool], error: Callable[[int], TransferError],
+    ) -> Generator:
+        """The one liveness loop behind the two holds that would otherwise
+        hang a session silently: the repair hold (:meth:`_arm`; a sink that
+        stops sending markers starves the readers while no other timer
+        runs) and the TCP fallback pump (:meth:`_fallback_thread`; a sink
+        that dies mid-fallback).  Each patience timeout compares
+        ``progress()`` with the last tick: a change, or ``None`` (nothing
+        at stake), resets the budget, and ``ctrl_retries + 1`` unchanged
+        ticks abort with ``error(ticks)``.  The first tick always counts
+        as progress (the pump has sent nothing yet; the repair hold is
+        empty at a session's first arming).  ``stand_down()`` ends it
+        quietly, checked before each timer is armed and after each wait."""
         attempts = 0
-        while not job.aborted and not job.done.triggered:
-            signature = (
-                job.marker, len(job.unacked), job.repairs, job.completed_blocks
-            )
+        last = None
+        while not job.ended and not stand_down():
             timer = self.engine.timeout(self.health.patience_timeout(attempts))
             yield AnyOf(self.engine, [timer, job._abort])
             if not timer.triggered:
                 # Abort won the race: the pending timer is dead weight.
                 timer.cancel()
-            if job.aborted or job.done.triggered:
+            if job.ended or stand_down():
                 return
-            progressed = signature != (
-                job.marker, len(job.unacked), job.repairs, job.completed_blocks
-            )
-            if not job.unacked or progressed:
-                # Covers the fallback window too: degradation drains
-                # ``unacked``, so the watchdog idles instead of racing
-                # the fallback for a second abort decision.
-                attempts = 0
+            seen = progress()
+            if seen is None or seen != last:
+                last, attempts = seen, 0
                 continue
             attempts += 1
             if attempts > self.config.ctrl_retries:
-                self._abort_job(
-                    job,
-                    MarkerTimeout(
-                        job.session_id,
-                        f"{len(job.unacked)} repair copies held with no"
-                        f" restart-marker progress after {attempts} timeouts",
-                    ),
-                )
+                self._abort_job(job, error(attempts))
                 return
 
     def _control_thread(self) -> Generator:
@@ -1152,20 +1134,7 @@ class SourceLink:
                     self._m_stray.add()
                     continue
                 if msg.type is CtrlType.DATASET_DONE_ACK:
-                    job.finished_at = self.engine.now
-                    self._active_jobs -= 1
-                    self._release_lease(job)
-                    # The final cumulative ack: every repair copy is covered.
-                    for seq in list(job.unacked):
-                        blk = job.unacked.pop(seq)
-                        blk.release()
-                        self.pool.put_free_blk(blk)
-                    job.nack_attempts.clear()
-                    # Completed sessions leave the table so the session id
-                    # can be reused and the dict stays bounded on
-                    # long-lived links.
-                    self.jobs.pop(msg.session_id, None)
-                    job.done.succeed(job)
+                    self._end_session(job, job)
                 elif msg.type is CtrlType.BLOCK_MARKER:
                     self._apply_marker(job, msg.data)
                 elif msg.type is CtrlType.BLOCK_NACK:
@@ -1212,7 +1181,7 @@ class SourceLink:
         attempts = job.nack_attempts.get(seq, 0) + 1
         job.nack_attempts[seq] = attempts
         if attempts > self.config.max_block_resends:
-            self._recycle(block, credit)
+            self._reclaim(job, block, credit)
             self._abort_job(
                 job,
                 ResendLimitExceeded(
@@ -1226,11 +1195,7 @@ class SourceLink:
         )
         block.nacked()  # WAITING → NACKED (Fig. 6 extension)
         block.reload()  # NACKED → LOADED: the local copy is still valid
-        block.sending()
-        wr_id = self._new_wr_id()
-        self._inflight[wr_id] = (job, block, credit, 0, True)
-        job._post_times[wr_id] = self.engine.now
-        yield from self._post_block(thread, job, block, credit, wr_id)
+        yield from self._post_block(thread, job, block, credit, 0, True)
 
     # -- heartbeats (peer liveness in bounded time) -----------------------------------
     def _heartbeat_thread(self) -> Generator:
@@ -1276,7 +1241,7 @@ class SourceLink:
         caller then aborts with :class:`DataChannelsLost` as before."""
         if job.fallback_active:
             return True
-        if job.aborted or job.done.triggered:
+        if job.ended:
             return False
         if not self.config.tcp_fallback or self.tcp_factory is None:
             return False
@@ -1341,7 +1306,21 @@ class SourceLink:
         self.engine.trace(
             "link", "fallback_accepted", session=sid, resume_seq=resume_seq
         )
-        self.engine.process(self._fallback_stall_watchdog(job, stream))
+        # Stands down once the pump is done (the ack watchdog owns the
+        # endgame) or the session is promoted back to RDMA.
+        self.engine.process(self._stall_watchdog(
+            job,
+            lambda: stream.blocks_sent,
+            lambda: (
+                job._fallback_pump_done
+                or not job.fallback_active
+                or job._fallback_stream is not stream
+            ),
+            lambda n: TransportFallbackFailed(
+                sid, f"fallback stream stalled at {stream.blocks_sent}"
+                f" blocks for {n} timeouts",
+            ),
+        ))
         if self.config.fallback_repromote and self._reopen is not None:
             self.engine.process(self._repromote_watchdog(job))
         seq = resume_seq
@@ -1424,58 +1403,14 @@ class SourceLink:
         job._done_sent_at.clear()
         yield from self._arm(thread, job, resume_seq, marker_watchdog=False)
 
-    def _fallback_stall_watchdog(self, job: TransferJob, stream) -> Generator:
-        """A sink that dies *during* fallback must not hang the session:
-        abort with :class:`TransportFallbackFailed` once the pump makes
-        zero progress for the whole patience budget.  Stands down when
-        the pump finishes (the ack watchdog owns the endgame) or the
-        session is promoted back to RDMA."""
-        attempts = 0
-        last = -1
-        while not job.aborted and not job.done.triggered:
-            if (
-                job._fallback_pump_done
-                or not job.fallback_active
-                or job._fallback_stream is not stream
-            ):
-                return
-            timer = self.engine.timeout(self.health.patience_timeout(attempts))
-            yield AnyOf(self.engine, [timer, job._abort])
-            if not timer.triggered:
-                # Abort won the race: the pending timer is dead weight.
-                timer.cancel()
-            if job.aborted or job.done.triggered:
-                return
-            if (
-                job._fallback_pump_done
-                or not job.fallback_active
-                or job._fallback_stream is not stream
-            ):
-                return
-            if stream.blocks_sent != last:
-                last = stream.blocks_sent
-                attempts = 0
-                continue
-            attempts += 1
-            if attempts > self.config.ctrl_retries:
-                self._abort_job(
-                    job,
-                    TransportFallbackFailed(
-                        job.session_id,
-                        f"fallback stream stalled at {stream.blocks_sent}"
-                        f" blocks for {attempts} timeouts",
-                    ),
-                )
-                return
-
     def _repromote_watchdog(self, job: TransferJob) -> Generator:
         """While degraded, periodically probe for an RDMA path: once a
         channel re-establishes (a breaker cooldown's worth of waiting
         between attempts), flag the pump to hand the tail back to the
         RDMA plane."""
-        while job.fallback_active and not job.aborted and not job.done.triggered:
+        while job.fallback_active and not job.ended:
             yield self.engine.timeout(self.health.breaker_cooldown())
-            if not job.fallback_active or job.aborted or job.done.triggered:
+            if not job.fallback_active or job.ended:
                 return
             if job._fallback_pump_done or job.repromote_ready:
                 return

@@ -220,6 +220,40 @@ def test_lease_capacity_rejection_is_synchronous():
     assert sink.bytes_written == 3 * 8 * BS
 
 
+def test_rejected_session_leaves_no_metric_series():
+    """A duplicate id or a full host pool is refused before the job is
+    built, so the refusal registers none of a session's labelled series
+    (and the full pool still counts its rejected lease)."""
+    tb = roce_lan()
+    c = cfg(pool_sessions=2)
+    server, sink, client = wire(tb, c)
+    link_ev = client.open_link(tb.dst_dev, 4000)
+
+    def rejected(env):
+        return sum(
+            row["value"] for row in env.metrics.snapshot()
+            if row["metric"] == "qp_pool.lease_rejected"
+        )
+
+    def driver(env):
+        link = yield link_ev
+        a = link.transfer(PatternSource(tb.src), 8 * BS, session_id=500)
+        b = link.transfer(PatternSource(tb.src), 8 * BS, session_id=501)
+        series = len(env.metrics)
+        with pytest.raises(ValueError, match="lease capacity"):
+            link.transfer(PatternSource(tb.src), 8 * BS, session_id=502)
+        with pytest.raises(ValueError, match="already active"):
+            link.transfer(PatternSource(tb.src), 8 * BS, session_id=500)
+        assert len(env.metrics) == series
+        assert rejected(env) == 1
+        yield a
+        yield b
+
+    p = tb.engine.process(driver(tb.engine))
+    tb.engine.run()
+    assert p.triggered and p.ok, getattr(p, "value", "deadlock")
+
+
 def test_abort_returns_lease():
     """Surgical teardown (the scheduler's cancel/deadline/watchdog path)
     must return the channel lease like normal completion does."""

@@ -2,8 +2,9 @@
 
 A real :class:`RdmaMiddleware` pair on ``roce_lan`` with a 10-block pool
 and ``sink_session_history=3`` is driven by drawn sequences of
-start-session / abort-at-source / source-crash / sink-crash / resume /
-advance-time; at every quiescence the conservation laws must hold: no
+start-session / abort-at-source / source-crash / sink-crash /
+kill-channels (total channel loss: the live sessions fall back to TCP) /
+resume / advance-time; at every quiescence the conservation laws must hold: no
 block stuck in either pool, ``SinkEngine.audit()`` empty, the history
 bounded, every ended record's ``done`` resolved, every session that
 reported success byte-exact at the sink.  Sessions may *fail* — only
@@ -49,7 +50,9 @@ class World:
         self.sink = CollectingSink(self.tb.dst)
         self.server.serve(4000, self.sink)
         client = RdmaMiddleware(self.tb.src, self.tb.src_dev, self.tb.cm, c)
-        opened = client.open_link(self.tb.dst_dev, 4000, c)
+        opened = client.open_link(
+            self.tb.dst_dev, 4000, c, tcp_factory=self.tb.tcp_connection
+        )
         self.engine.run()
         self.link = opened.value
         self.se = self.server.sink_engines[self.link._client_id]
@@ -111,6 +114,10 @@ class World:
         self.se.crash()
         self.revoked = True
 
+    def kill_channels(self):
+        for index in range(len(self.link._all_data_qps)):
+            self.link.kill_channel(index)
+
     def resume(self, k):
         # SourceLink.resume's contract: no *healthy* sibling on the link
         # (accepting the REP flushes the shared ledger).
@@ -135,7 +142,6 @@ class World:
         link, se = self.link, self.se
         assert not link.jobs, f"jobs {sorted(link.jobs)} still live at quiescence"
         assert not link._inflight and link.ledger.waiters == 0
-        assert link._active_jobs == 0
         for blk in link.pool.blocks.values():
             assert blk.state is SourceBlockState.FREE, f"source block {blk.block_id}"
         assert se.audit() == []
@@ -171,6 +177,7 @@ _STEPS = st.one_of(
     st.tuples(st.just("abort"), st.integers(0, 3)),
     st.tuples(st.just("source_crash")),
     st.tuples(st.just("sink_crash")),
+    st.tuples(st.just("kill_channels")),
     st.tuples(st.just("resume"), st.integers(0, 3)),
     st.tuples(st.just("advance"), st.sampled_from([5e-5, 2e-4, 1e-3, 0.05, 3.0])),
     st.tuples(st.just("advance"), st.sampled_from([5e-5, 2e-4, 1e-3, 0.05, 3.0])),

@@ -91,7 +91,7 @@ def test_block_latencies_recorded():
     assert len(job.block_latencies) == job.total_blocks
     # Every WRITE completion waits at least the RC ACK round trip.
     assert min(job.block_latencies) >= tb.rtt
-    assert not job._post_times  # fully drained
+    assert not job.link._inflight  # fully drained
 
 
 def test_one_block_dataset():
