@@ -7,8 +7,10 @@ the LAN, potentially too eager on a congested WAN.  This module gives
 both engines the three classic self-tuning mechanisms:
 
 - :class:`RttEstimator` — Jacobson/Karels SRTT/RTTVAR smoothing with
-  Karn's rule (callers only feed unambiguous, first-attempt samples)
-  and floor/ceiling clamps, exactly TCP's RTO recipe (RFC 6298);
+  Karn's algorithm (callers only feed unambiguous, first-attempt
+  samples, and a timed-out first attempt backs the RTO off until the
+  next one) and floor/ceiling clamps, exactly TCP's RTO recipe
+  (RFC 6298);
 - :class:`HealthMonitor` — per-endpoint liveness bookkeeping: last time
   the peer was heard, adaptive heartbeat cadence, consecutive-miss
   accounting behind the typed ``PeerDead`` abort, and the timeout
@@ -46,6 +48,15 @@ class RttEstimator:
     never time a reply that may answer a retransmitted request.  Before
     the first sample :attr:`rto` returns the configured base timeout, so
     an estimator-driven path degrades to exactly the static behaviour.
+
+    Karn's rule discards exactly the slow samples a loaded path
+    produces, so the other half of the algorithm (RFC 6298 §5.5) keeps
+    the timeout that expired: :meth:`expired` multiplies :attr:`backoff`
+    and the next valid sample resets it to 1.0.  ``level`` counts the
+    back-offs since that sample; a request remembers the level it was
+    sent at and only an expiry at the current level backs off again, so
+    a burst of concurrent expiries doubles the timeout once, not once
+    per request.
     """
 
     ALPHA = 1.0 / 8.0
@@ -61,9 +72,12 @@ class RttEstimator:
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.samples = 0
+        self.backoff = 1.0
+        self.level = 0
 
     def observe(self, sample: float) -> None:
-        """Fold one round-trip sample into the smoothed estimate."""
+        """Fold one round-trip sample into the smoothed estimate (and
+        drop any backoff: the path has answered in time again)."""
         if sample < 0:
             return
         if self.srtt is None:
@@ -76,6 +90,17 @@ class RttEstimator:
             )
             self.srtt = (1.0 - self.ALPHA) * self.srtt + self.ALPHA * sample
         self.samples += 1
+        self.backoff = 1.0
+        self.level = 0
+
+    def expired(self, level: int, factor: float) -> None:
+        """A first attempt sent at ``level`` timed out: back off by
+        ``factor`` if that is still the current level (a concurrent
+        expiry has not already) and the ceiling is not yet reached."""
+        if level != self.level or self.rto * self.backoff >= self.ceiling:
+            return
+        self.backoff *= factor
+        self.level += 1
 
     @property
     def rto(self) -> float:
@@ -146,16 +171,18 @@ class HealthMonitor:
     def request_timeout(self, attempt: int = 0) -> float:
         """Timeout for attempt N of a synchronous request/reply exchange.
 
-        Attempt 0 is the pure adaptive RTO — a fast first retransmit
-        (microseconds on a converged LAN).  Retries back off but are
-        floored by the static ``ctrl_timeout`` ladder shifted one slot:
-        a sharp estimate must not shrink the *total* patience budget, or
-        a single delayed-but-delivered reply (queueing spike, injected
-        delay fault) would exhaust all retries before it lands.  Every
-        attempt is capped at ``ctrl_timeout_max`` — the satellite fix
-        for the previously unbounded doubling."""
+        Attempt 0 is the adaptive RTO times Karn's backoff — a fast
+        first retransmit (microseconds on a converged LAN) that stays
+        backed off after an expiry until a valid sample arrives.
+        Retries back off but are floored by the static ``ctrl_timeout``
+        ladder shifted one slot: a sharp estimate must not shrink the
+        *total* patience budget, or a single delayed-but-delivered reply
+        (queueing spike, injected delay fault) would exhaust all retries
+        before it lands.  Every attempt is capped at ``ctrl_timeout_max``
+        — the satellite fix for the previously unbounded doubling."""
         if attempt == 0:
-            return min(self.rtt.rto, self.config.ctrl_timeout_max)
+            return min(self.rtt.rto * self.rtt.backoff,
+                       self.config.ctrl_timeout_max)
         floor = self.config.ctrl_timeout * self.config.ctrl_backoff ** (attempt - 1)
         return min(
             max(self.rtt.rto * self.config.ctrl_backoff ** attempt, floor),

@@ -646,8 +646,8 @@ class SourceLink:
         a ladder floored by the static ``ctrl_timeout`` schedule, so a
         sharp estimate buys a fast first retransmit without shrinking the
         total patience budget below what injected delay faults need.
-        Per Karn's rule only an unambiguous (first-attempt) exchange
-        feeds the estimator.
+        Per Karn's algorithm only a first-attempt exchange feeds the
+        estimator, and a first-attempt expiry backs the next ones off.
 
         Returns the reply message, or ``None`` after aborting the job with
         :class:`NegotiationTimeout`.
@@ -655,6 +655,7 @@ class SourceLink:
         sid = job.session_id
         store = job._replies[rep_type]
         attempts = self.config.ctrl_retries + 1
+        level = self.health.rtt.level
         for attempt in range(attempts):
             if attempt:
                 job._count_ctrl_retry()
@@ -662,27 +663,23 @@ class SourceLink:
             yield from self.ctrl.send(thread, ControlMessage(req_type, sid, payload))
             get_ev = store.get()
             timer = self.engine.timeout(self.health.request_timeout(attempt))
-            outcome = yield AnyOf(self.engine, [get_ev, timer, job._abort])
+            yield AnyOf(self.engine, [get_ev, timer, job._abort])
+            timer.cancel()  # no-op once fired
+            store.cancel_get(get_ev)  # no-op once it holds the reply
             if job.aborted:
                 # Torn down externally (endpoint crash, cancel, watchdog
                 # kill) while this round trip was in flight: stop waiting
                 # so the abort completes instead of racing retries against
                 # a session that no longer exists.
-                timer.cancel()
-                store.cancel_get(get_ev)
                 return None
-            if get_ev in outcome:
-                timer.cancel()
-                if attempt == 0:
-                    self.health.rtt.observe(self.engine.now - sent_at)
-                return outcome[get_ev]
-            store.cancel_get(get_ev)
-            if get_ev.triggered and get_ev.ok:
-                # The reply slipped in between the timer firing and this
-                # process resuming — same instant, still a win.
+            if get_ev.triggered:
+                # The reply won, or slipped in between the timer firing
+                # and this process resuming — same instant, still a win.
                 if attempt == 0:
                     self.health.rtt.observe(self.engine.now - sent_at)
                 return get_ev.value
+            if attempt == 0:
+                self.health.rtt.expired(level, self.config.ctrl_backoff)
         self._abort_job(
             job,
             NegotiationTimeout(

@@ -24,10 +24,10 @@ alternative destinations.  The pieces:
   whose broker-level circuit breaker is OPEN or whose data channels are
   all quarantined (PR 4's :class:`~repro.core.health.ChannelBreaker`);
 - **dispatch pass**: one synchronous sweep of the queues asks each door
-  for its admission verdict once per slot taken, and the files it cannot
-  place (every alternative saturated or quarantined) wait together behind
-  ONE ``blocked_retry`` timer and requeue in the order they were parked —
-  a saturated pool costs one tick per pass, not three events per file;
+  for its verdict (admit / full / closed) once per slot taken.  A file
+  refused while every door is full and a slot is held keeps its queue
+  place until that slot's release runs the next pass; files a closed
+  door refuses wait behind ONE shared ``blocked_retry`` timer;
 - **session reuse**: transfers run with ``reuse_negotiation=True``, so
   after a door's first session the per-file cost is one SESSION_REQ
   round trip instead of three — the difference between 1×RTT and 3×RTT
@@ -64,7 +64,7 @@ from repro.core.errors import (
     TransferError,
 )
 from repro.core.health import BreakerState, ChannelBreaker
-from repro.core.jitter import jitter_fraction, jittered
+from repro.core.jitter import jittered
 from repro.core.middleware import allocate_session_id
 from repro.sched.jobs import FileState, FileTask, Job, TransferSpec
 from repro.sched.journal import Journal, JobTable, apply, replay, snapshot_jobs
@@ -124,8 +124,9 @@ class SchedulerConfig:
     #: per-(job, file, attempt) factor in [1, 1 + retry_jitter], derived
     #: from the run seed — replayable, yet retries de-synchronise.
     retry_jitter: float = 0.25
-    #: Wait before re-queuing files that found no admissible door (one
-    #: timer per dispatch pass, shared by every file that pass parked).
+    #: Wait before re-queuing files a closed door refused (one timer per
+    #: dispatch pass, shared by every file that pass parked).  Full doors
+    #: need no timer: a slot release wakes dispatch.
     blocked_retry: float = 0.25
     #: Consecutive failures that trip a door's breaker OPEN.
     breaker_failures: int = 2
@@ -173,12 +174,9 @@ class SchedulerConfig:
 BrokerConfig = SchedulerConfig
 
 
-def _retry_jitter_fraction(seed: int, job_id: str, path: str,
-                           attempt: int) -> float:
-    """Deterministic per-task jitter in [0, 1) — a thin view over the
-    shared :func:`repro.core.jitter.jitter_fraction` (same digest key,
-    bit-identical schedules), kept under the PR 7 name for callers."""
-    return jitter_fraction(seed, job_id, path, attempt)
+#: A door's verdict at one instant.  FULL clears when a slot is released;
+#: CLOSED (link not open, breaker refusing, channels quarantined) with time.
+ADMIT, FULL, CLOSED = "admit", "full", "closed"
 
 
 class RftpDoor:
@@ -234,7 +232,7 @@ class RftpDoor:
                     # Pooled link: the session cap is the host pool's real
                     # lease capacity, not the configured constant.  Every
                     # door on this (host, port) shares that one pool, so
-                    # admissible() below also checks live availability.
+                    # admission() below also checks live availability.
                     self.max_sessions = hp.sessions.capacity
             return self.link
 
@@ -252,19 +250,25 @@ class RftpDoor:
                 return False
         return True  # every live channel is OPEN (or there is none at all)
 
-    def admissible(self, now: float, session_cap: Optional[int] = None) -> bool:
+    def admission(self, now: float, session_cap: Optional[int] = None) -> str:
+        """ADMIT, FULL or CLOSED at ``now``.  CLOSED wins over FULL: a
+        door that is both will not admit when a slot frees."""
+        if (
+            self.link is None
+            or (self.breaker is not None and not self.breaker.peek_admit(now))
+            or self.channels_quarantined(now)
+        ):
+            return CLOSED
         cap = self.max_sessions if session_cap is None else session_cap
-        if self.link is None or self.active >= cap:
-            return False
+        if self.active >= cap:
+            return FULL
         hp = getattr(self.link, "_host_pool", None)
         if hp is not None and hp.sessions.available <= 0:
             # Doors to the same (host, port) share one host pool; the
             # per-door cap alone could oversubscribe it and trip the
             # synchronous lease-capacity error inside transfer().
-            return False
-        if self.breaker is not None and not self.breaker.peek_admit(now):
-            return False
-        return not self.channels_quarantined(now)
+            return FULL
+        return ADMIT
 
     @property
     def pool_occupancy(self) -> float:
@@ -273,13 +277,6 @@ class RftpDoor:
         if self.link is None:
             return 0.0
         return self.link.pool.occupancy
-
-    @property
-    def session_load(self) -> int:
-        """Live middleware sessions on this door's link."""
-        if self.link is None:
-            return 0
-        return self.link.session_load
 
     def transfer(self, task: FileTask, session_id: Optional[int] = None):
         """Process event for one file transfer through this door."""
@@ -667,56 +664,50 @@ class TransferBroker:
                 best = name
         return best
 
-    def _door_admits(self, door: RftpDoor, cap: Optional[int], now: float) -> bool:
-        """The admission verdict for ``door`` under brownout cap ``cap``
-        at ``now``.  Pure — only a slot taken or time moving changes it —
-        so a dispatch pass memoises it (see :meth:`_pick_door`)."""
+    def _door_admits(self, door: RftpDoor, verdicts: Dict[tuple, str]) -> str:
+        """ADMIT / FULL / CLOSED for ``door`` now, under the brownout cap
+        in force.  Only a slot taken or time moving changes it, so one
+        synchronous pass memoises it in ``verdicts``, keyed by (door, cap):
+        a brownout transition inside the pass cannot reuse a stale one."""
+        ctrl = self.overload
+        cap = ctrl.door_session_cap(door.max_sessions) if ctrl is not None else None
+        key = (door.name, cap)
+        verdict = verdicts.get(key)
+        if verdict is not None:
+            return verdict
         # Only pass the brownout cap when one is in force: doors are
         # duck-typed (tests stub them) and the base signature works
         # everywhere.
-        if not (door.admissible(now) if cap is None
-                else door.admissible(now, session_cap=cap)):
-            return False
+        now = self.engine.now
+        verdict = (door.admission(now) if cap is None
+                   else door.admission(now, session_cap=cap))
         hp = getattr(door.link, "_host_pool", None)
-        if hp is None:
-            return True
-        # Dispatched-but-unfinished tasks on EVERY door sharing this host
-        # pool each hold (or are about to take, synchronously at transfer
-        # start) one channel lease.  door.active is bumped at dispatch,
-        # before the task's process first runs, so this aggregate cannot
-        # race the way the pool's own live lease count can — per-door
-        # caps alone oversubscribe the shared pool and trip the
-        # lease-capacity error.
-        inflight = sum(
-            d.active for d in self.doors.values()
-            if getattr(d.link, "_host_pool", None) is hp
-        )
-        return inflight < hp.sessions.capacity
+        if verdict == ADMIT and hp is not None:
+            # Dispatched-but-unfinished tasks on EVERY door sharing this
+            # host pool each hold (or are about to take, synchronously at
+            # transfer start) one channel lease.  door.active is bumped at
+            # dispatch, before the task's process first runs, so this
+            # aggregate cannot race the way the pool's own live lease
+            # count can — per-door caps alone oversubscribe the shared
+            # pool and trip the lease-capacity error.
+            inflight = sum(
+                d.active for d in self.doors.values()
+                if getattr(d.link, "_host_pool", None) is hp
+            )
+            if inflight >= hp.sessions.capacity:
+                verdict = FULL
+        verdicts[key] = verdict
+        return verdict
 
     def _pick_door(self, task: FileTask,
-                   verdicts: Dict[tuple, bool]) -> Optional[RftpDoor]:
-        """First admissible door from the task's alternatives, walking
-        ``orderly`` from the failure cursor.  ``verdicts`` memoises
-        :meth:`_door_admits` for one synchronous pass, keyed by (door, cap)
-        so a brownout transition inside the pass cannot reuse a stale one."""
+                   verdicts: Dict[tuple, str]) -> Optional[RftpDoor]:
+        """First admitting door from the task's alternatives, walking
+        ``orderly`` from the failure cursor."""
         names = task.spec.sources or tuple(self.doors)
-        now = self.engine.now
-        ctrl = self.overload
         n = len(names)
         for i in range(n):
-            name = names[(task.alt_cursor + i) % n]
-            door = self.doors.get(name)
-            if door is None:
-                continue
-            cap = (
-                ctrl.door_session_cap(door.max_sessions)
-                if ctrl is not None else None
-            )
-            key = (name, cap)
-            admits = verdicts.get(key)
-            if admits is None:
-                admits = verdicts[key] = self._door_admits(door, cap, now)
-            if admits:
+            door = self.doors.get(names[(task.alt_cursor + i) % n])
+            if door is not None and self._door_admits(door, verdicts) == ADMIT:
                 if i:
                     task.alt_cursor = (task.alt_cursor + i) % n
                 return door
@@ -756,7 +747,7 @@ class TransferBroker:
 
     def _dispatch_loop(self):
         while self._outstanding > 0 and not (self._dead or self._draining):
-            verdicts: Dict[tuple, bool] = {}
+            verdicts: Dict[tuple, str] = {}
             cohort: List[FileTask] = []  # files this pass cannot place
             while (
                 self._active < self.config.max_active
@@ -767,16 +758,24 @@ class TransferBroker:
                 if tenant_name is None:
                     break
                 state = self._tenants[tenant_name]
-                _neg_prio, _seq, task = heapq.heappop(state.queue)
+                entry = heapq.heappop(state.queue)
+                task = entry[2]
                 if task.state.terminal:
                     continue  # canceled while queued; entry is stale
                 door = self._pick_door(task, verdicts)
                 if door is None:
-                    # Every alternative is quarantined or saturated: park
-                    # the file in this pass's cohort (ONE shared retry tick
-                    # below), without burning a slot or charging the
-                    # tenant's stride pass.
+                    # No slot burnt, no stride pass charged.
                     self._m_blocked.add()
+                    if self._active and all(
+                        self._door_admits(d, verdicts) == FULL
+                        for d in self.doors.values()
+                    ):
+                        # Every door full, a slot held: the file keeps its
+                        # heap place; that slot's release runs the next pass.
+                        heapq.heappush(state.queue, entry)
+                        break
+                    # A closed door, a free one elsewhere or no slot held:
+                    # park in this pass's cohort (ONE shared tick below).
                     state.parked += 1
                     self._parked[id(task)] = (None, state)
                     cohort.append(task)

@@ -118,6 +118,94 @@ def test_heartbeat_interval_clamped_to_band():
     assert mon.heartbeat_interval() == cfg.heartbeat_interval_max
 
 
+def _converged_monitor(sample=0.049):
+    eng = _FakeEngine()
+    mon = HealthMonitor(eng, ProtocolConfig())
+    for _ in range(64):
+        mon.rtt.observe(sample)
+    return eng, mon
+
+
+def test_without_an_expiry_the_first_attempt_is_the_rto_exactly():
+    _, mon = _converged_monitor()
+    assert mon.rtt.backoff == 1.0
+    assert mon.request_timeout(0) == mon.rtt.rto
+
+
+def test_a_first_attempt_expiry_doubles_the_next_first_timeout():
+    """Karn's algorithm, second half: the timeout that expired is kept
+    (backed off) for the next request instead of the un-backed-off RTO."""
+    cfg = ProtocolConfig()
+    _, mon = _converged_monitor()
+    rto = mon.rtt.rto
+    mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
+    assert mon.request_timeout(0) == pytest.approx(rto * cfg.ctrl_backoff)
+    mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
+    assert mon.request_timeout(0) == pytest.approx(rto * cfg.ctrl_backoff ** 2)
+    assert mon.rtt.rto == rto  # the estimate (and its gauge) is untouched
+    # The retry ladder for attempts >= 1 and the patience paths do not
+    # take the factor.
+    _, fresh = _converged_monitor()
+    for attempt in range(1, 6):
+        assert mon.request_timeout(attempt) == fresh.request_timeout(attempt)
+        assert mon.patience_timeout(attempt) == fresh.patience_timeout(attempt)
+
+
+def test_concurrent_expiries_from_one_level_back_off_once():
+    cfg = ProtocolConfig()
+    _, mon = _converged_monitor()
+    rto, level = mon.rtt.rto, mon.rtt.level
+    for _ in range(32):  # 32 requests sent at one level, all expiring
+        mon.rtt.expired(level, cfg.ctrl_backoff)
+    assert mon.request_timeout(0) == pytest.approx(rto * cfg.ctrl_backoff)
+
+
+def test_backoff_is_capped_at_ctrl_timeout_max():
+    cfg = ProtocolConfig()
+    _, mon = _converged_monitor()
+    for _ in range(40):
+        mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
+    assert mon.request_timeout(0) == cfg.ctrl_timeout_max
+    # It stopped growing at the cap instead of escalating 40 times.
+    assert mon.rtt.backoff < cfg.ctrl_backoff * cfg.ctrl_timeout_max / mon.rtt.rto
+    assert mon.rtt.level < 40
+
+
+def test_a_reply_sample_and_a_pong_each_reset_the_backoff():
+    cfg = ProtocolConfig()
+    eng, mon = _converged_monitor()
+    mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
+    mon.rtt.observe(0.049)  # a first-attempt reply
+    assert mon.rtt.backoff == 1.0 and mon.rtt.level == 0
+    assert mon.request_timeout(0) == mon.rtt.rto
+
+    mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
+    nonce = mon.next_ping()
+    eng.now += 0.049
+    mon.on_pong(nonce)
+    assert mon.rtt.backoff == 1.0 and mon.rtt.level == 0
+    assert mon.request_timeout(0) == mon.rtt.rto
+
+
+def test_pooled_small_files_rarely_retransmit_session_requests():
+    """Regression: the 400-file pooled mix of ``sessions_per_host`` on the
+    WAN.  Loaded SESSION_REPs (up to ~85 ms against a 49.04 ms RTO) used
+    to expire the first attempt of 282 requests; with the backed-off RTO
+    kept across requests about 49 do."""
+    from repro.sched import run_sched, synthetic_spec
+
+    files = 400
+    result = run_sched(
+        synthetic_spec(seed=0, total_files=files, doors=2, max_active=64),
+        config=ProtocolConfig(use_srq=True, eager_threshold=4 << 20,
+                              srq_depth=24),
+    )
+    assert result.all_finished and not result.leaks
+    metrics = result.testbed.engine.metrics
+    retries = sum(m.count for m in metrics.family("source.ctrl_retries"))
+    assert retries <= 0.2 * files
+
+
 def test_pong_rtt_sampling_follows_karns_rule():
     eng = _FakeEngine()
     mon = HealthMonitor(eng, ProtocolConfig())

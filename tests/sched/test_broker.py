@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.rftp import RftpClient, RftpServer
+from repro.core.health import ChannelBreaker
 from repro.sched import (
     BrokerConfig,
     FileState,
@@ -16,7 +17,7 @@ from repro.sched import (
     TenantPolicy,
     TransferSpec,
 )
-from repro.sched.broker import TransferBroker
+from repro.sched.broker import ADMIT, CLOSED, FULL, RftpDoor, TransferBroker
 from repro.sched.runner import quiescence_leaks
 from repro.sim import Engine
 from repro.testbeds import roce_lan
@@ -167,15 +168,15 @@ def test_retry_and_watchdog_config_validation():
 
 
 def test_retry_jitter_is_deterministic_per_task_and_attempt():
-    from repro.sched.broker import _retry_jitter_fraction
+    from repro.core.jitter import jitter_fraction
 
-    a = _retry_jitter_fraction(0, "job-1", "/x", 1)
-    assert a == _retry_jitter_fraction(0, "job-1", "/x", 1)
+    a = jitter_fraction(0, "job-1", "/x", 1)
+    assert a == jitter_fraction(0, "job-1", "/x", 1)
     assert 0.0 <= a < 1.0
     # Any coordinate change de-synchronises the retry.
-    assert a != _retry_jitter_fraction(0, "job-1", "/x", 2)
-    assert a != _retry_jitter_fraction(0, "job-1", "/y", 1)
-    assert a != _retry_jitter_fraction(7, "job-1", "/x", 1)
+    assert a != jitter_fraction(0, "job-1", "/x", 2)
+    assert a != jitter_fraction(0, "job-1", "/y", 1)
+    assert a != jitter_fraction(7, "job-1", "/x", 1)
 
 
 def test_retry_backoff_is_capped_exponential():
@@ -222,8 +223,8 @@ class _FailingDoor:
         self.link = None
         self.breaker = None
 
-    def admissible(self, now):
-        return True
+    def admission(self, now):
+        return ADMIT
 
     def transfer(self, task, session_id=None):
         from repro.core.errors import TransferError
@@ -318,8 +319,9 @@ def test_submit_rejects_nonpositive_deadline():
 
 
 class _GateDoor:
-    """Inadmissible until ``opens_at``; every attempt then succeeds after
-    ``delay``.  Counts the admission checks the broker makes."""
+    """Closed until ``opens_at``, full at ``max_sessions`` active; every
+    attempt succeeds after ``delay``.  Counts the admission checks the
+    broker makes."""
 
     def __init__(self, engine, opens_at, name="door-0", max_sessions=8,
                  delay=0.01):
@@ -333,9 +335,11 @@ class _GateDoor:
         self.link = None
         self.breaker = None  # the broker installs its own
 
-    def admissible(self, now, session_cap=None):
+    def admission(self, now, session_cap=None):
         self.checks += 1
-        return now >= self.opens_at and self.active < self.max_sessions
+        if now < self.opens_at:
+            return CLOSED
+        return FULL if self.active >= self.max_sessions else ADMIT
 
     def transfer(self, task, session_id=None):
         return self.engine.timeout(self.delay)
@@ -442,16 +446,105 @@ def test_crash_with_a_cohort_parked_and_recovery_finishes_every_file():
     assert _leaks(recovered) == []
 
 
+# -- full doors: a released slot wakes dispatch, no tick ---------------------------
+
+
+def _full_broker(max_sessions, delay):
+    engine = Engine()
+    door = _GateDoor(engine, 0.0, max_sessions=max_sessions, delay=delay)
+    broker = TransferBroker(
+        engine, [door], BrokerConfig(blocked_retry=0.25),
+        tenants={"t": TenantPolicy(max_inflight=8)},
+    )
+    return engine, broker
+
+
+def test_a_freed_slot_dispatches_the_head_file_at_the_release_instant():
+    """The door is full, not closed: the third file stays queued (no
+    cohort, no timer) and starts when the first two release their
+    slots at 0.1, not at the 0.25 tick."""
+    engine, broker = _full_broker(max_sessions=2, delay=0.1)
+    job = broker.submit(
+        "t", [TransferSpec(f"/data/f{i}", MiB) for i in range(3)], job_id="j"
+    )
+    engine.run(until=0.05)
+    assert broker._parked == {} and broker._tenants["t"].queued == 1
+    assert broker._m_blocked.count == 1
+    engine.run()
+    assert _attempts(broker) == [(0.0, "j", 0), (0.0, "j", 1), (0.1, "j", 2)]
+    assert job.state is JobState.FINISHED and engine.now == 0.2
+    assert _leaks(broker) == []
+
+
+def test_a_held_file_dispatches_before_a_later_arrival_of_equal_priority():
+    """A file waiting on a full door keeps its ``(-prio, seq)`` heap key,
+    so a later submission of the same priority queues behind it (a cohort
+    requeue would have given it a fresh seq behind the newcomer)."""
+    engine, broker = _full_broker(max_sessions=1, delay=0.1)
+    broker.submit("t", [TransferSpec(f"/data/a{i}", MiB) for i in range(2)],
+                  job_id="a")
+    engine.run(until=0.05)
+    broker.submit("t", [TransferSpec("/data/b0", MiB)], job_id="b")
+    engine.run()
+    assert _attempts(broker) == [(0.0, "a", 0), (0.1, "a", 1), (0.2, "b", 0)]
+    # a1 at t=0 and at b's kick, then b0 at a1's dispatch pass.
+    assert broker._m_blocked.count == 3
+    assert _leaks(broker) == []
+
+
+def test_a_closed_door_still_waits_for_the_tick():
+    """A release cannot open a closed door: a file whose only door is
+    closed parks in the cohort even while another door holds a slot, and
+    starts at the 0.25 tick rather than at that slot's release (1.0)."""
+    engine = Engine()
+    busy = _GateDoor(engine, 0.0, name="busy", max_sessions=1, delay=1.0)
+    gated = _GateDoor(engine, 0.05, name="gated")
+    broker = TransferBroker(
+        engine, [busy, gated], BrokerConfig(blocked_retry=0.25),
+        tenants={"t": TenantPolicy(max_inflight=8)},
+    )
+    broker.submit("t", [TransferSpec("/data/x", MiB, ("busy",))], job_id="x")
+    broker.submit("t", [TransferSpec("/data/y", MiB, ("gated",))], job_id="y")
+    engine.run(until=0.1)
+    assert len(broker._parked) == 1 and broker._m_blocked.count == 1
+    engine.run()
+    assert _attempts(broker) == [(0.0, "x", 0), (0.25, "y", 0)]
+    assert _leaks(broker) == []
+
+
+def test_a_real_door_is_closed_before_it_is_full():
+    """``RftpDoor.admission``: a door at its session cap whose channels
+    are all quarantined, or whose broker breaker is open, is CLOSED — a
+    released slot would not let it admit."""
+    door = RftpDoor("d", None, None, 0, None, max_sessions=1)
+    assert door.admission(0.0) == CLOSED  # link not open yet
+    channel = ChannelBreaker(7, 1, lambda: 1.0)
+    door.link = SimpleNamespace(data=SimpleNamespace(qps=[SimpleNamespace(qp_num=7)]),
+                                _breakers={7: channel})
+    door.active = 1
+    assert door.admission(0.0) == FULL
+    channel.record_failure(0.0)  # every channel quarantined until 1.0
+    assert door.admission(0.5) == CLOSED
+    assert door.admission(1.0) == FULL
+    door.breaker = ChannelBreaker(0, 1, lambda: 2.0)
+    door.breaker.record_failure(1.0)  # broker breaker open until 3.0
+    assert door.admission(1.5) == CLOSED
+    door.active = 0
+    assert door.admission(3.0) == ADMIT
+
+
 # -- equivalence oracle: the cohort path against a model of the per-file one ------
 
 
 class _PerFileParkModel:
-    """The deleted dispatch path as a model: a pass pops every file it
-    may, parks EACH blocked one behind its own ``blocked_retry`` timer,
-    and a fired timer requeues its file with a fresh fifo seq and kicks.
-    Same-instant events run in creation order, as in the kernel; an
-    attempt's completion timer is created after its pass (the process
-    bootstrap), hence after that pass's park timers."""
+    """The dispatch rule as a model with per-file timers: a pass pops
+    every file it may.  A file no door takes while EVERY door is full and
+    a slot is held goes back to its heap position and ends the pass (the
+    next ``finish`` kicks it); any other blocked file is parked behind
+    its own ``blocked_retry`` timer, and a fired timer requeues it with a
+    fresh fifo seq and kicks.  Same-instant events run in creation order,
+    as in the kernel; an attempt's completion timer is created after its
+    pass (the process bootstrap), hence after that pass's park timers."""
 
     def __init__(self, doors, tenants, max_active, retry, delay):
         self.doors, self.tenants = doors, tenants  # plain dicts, see _model()
@@ -503,10 +596,15 @@ class _PerFileParkModel:
             if not runnable:
                 break
             tenant = min(runnable, key=lambda t: t["pass"])  # first of equals
-            f = heapq.heappop(tenant["queue"])[2]
+            entry = heapq.heappop(tenant["queue"])
+            f = entry[2]
             door = self.pick(f)
             if door is None:
                 self.blocked += 1
+                if self.active and all(d["open"] and d["active"] >= d["cap"]
+                                       for d in self.doors.values()):
+                    heapq.heappush(tenant["queue"], entry)
+                    break
                 self.at(self.now + self.retry, "enqueue", f)
                 continue
             tenant["pass"] += 1.0 / tenant["weight"]
@@ -549,10 +647,10 @@ _DISPATCH_STEPS = st.one_of(
 @given(st.lists(_DISPATCH_STEPS, min_size=3, max_size=20))
 def test_cohort_dispatch_matches_the_per_file_park_model(steps):
     """Whatever mix of submissions (priorities, explicit sources, two
-    weighted tenants), door closures and time a real broker sees, it
-    dispatches the same files to the same doors at the same instants,
-    and counts the same ``sched.dispatch_blocked``, as the per-file park
-    path this PR deleted."""
+    weighted tenants), door closures, full doors and time a real broker
+    sees, it dispatches the same files to the same doors at the same
+    instants, and counts the same ``sched.dispatch_blocked``, as the
+    per-file model of the full / closed rule."""
     engine = Engine()
     doors = [_GateDoor(engine, 0.0, name=name, max_sessions=cap, delay=0.1)
              for name, cap in _DOOR_CAPS.items()]

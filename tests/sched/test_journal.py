@@ -22,7 +22,7 @@ from repro.sched import (
     snapshot_jobs,
     synthetic_spec,
 )
-from repro.sched.broker import TransferBroker
+from repro.sched.broker import ADMIT, CLOSED, FULL, TransferBroker
 from repro.sched.jobs import Job
 from repro.sim import Engine
 from repro.sim.events import Event
@@ -215,13 +215,14 @@ class _StubDoor:
         self.delay = delay
         self.active = 0
         self.max_sessions = 2
-        self.saturated = False  # True: admits nothing (files block and park)
+        self.saturated = False  # True: closed (files block and park)
         self.link = _StubLink()
         self.breaker = None  # the broker installs its own
 
-    def admissible(self, now, session_cap=None):
-        return (not self.saturated
-                and self.active < (session_cap or self.max_sessions))
+    def admission(self, now, session_cap=None):
+        if self.saturated:
+            return CLOSED
+        return ADMIT if self.active < (session_cap or self.max_sessions) else FULL
 
     def transfer(self, task, session_id=None):
         event = Event(self.engine)

@@ -17,7 +17,7 @@ from repro.sched import (
     run_sched,
     synthetic_spec,
 )
-from repro.sched.broker import RftpDoor, TransferBroker
+from repro.sched.broker import ADMIT, RftpDoor, TransferBroker
 from repro.sim.events import Event
 from repro.testbeds import roce_lan
 
@@ -60,8 +60,8 @@ class _StuckDoor:
         self.link = _StuckLink()
         self.breaker = None  # the broker installs its own
 
-    def admissible(self, now):
-        return True
+    def admission(self, now):
+        return ADMIT
 
     def transfer(self, task, session_id=None):
         event = Event(self.engine)

@@ -175,8 +175,11 @@ SCENARIOS = {
 }
 
 #: Recorded at commit 8c293fa (the parent of the hop removals); the two
-#: degraded-mode scenarios at 44107b0.  The fluid and the discrete engine
-#: agree on every value, so one entry pins both.
+#: degraded-mode scenarios at 44107b0.  ``sched_dedicated``,
+#: ``sched_pooled`` and ``overload_crash`` were re-recorded by the declared
+#: model change that hands a released slot to the next waiting file and
+#: keeps a timed-out control request's backed-off RTO (Karn).  The fluid
+#: and the discrete engine agree on every value, so one entry pins both.
 PINS = {
     "chaos_lan": {
         "sim_time": 0.05905083211692305,
@@ -207,8 +210,8 @@ PINS = {
         "recoveries": 1,
         "shed_files": 80,
         "bytes": 1233125376,
-        "file_latency": "123a661e4114b7ab",
-        "journal": "2e5d91ad8fd7e12a",
+        "file_latency": "91fa1ccb13c0582f",
+        "journal": "1e247ea290c99311",
         "stable_report": "05445c06879f2cbd",
     },
     "rftp_lan": {
@@ -224,7 +227,7 @@ PINS = {
         "block_latency": "184e8e8f5cc881f1",
     },
     "sched_dedicated": {
-        "sim_time": 3.5205520741027705,
+        "sim_time": 3.5228223214174483,
         "recoveries": 0,
         "shed_files": 0,
         "bytes": 500170752,
@@ -237,8 +240,8 @@ PINS = {
         "recoveries": 0,
         "shed_files": 0,
         "bytes": 500170752,
-        "file_latency": "d6e74e89b7916501",
-        "journal": "86a9c0cd20f186ff",
+        "file_latency": "1af79c8efa70d5bc",
+        "journal": "861dd9902b140940",
         "stable_report": "7b62a6b226525195",
     },
 }
