@@ -11,9 +11,10 @@ input:
   bit-rot, scheduled endpoint crashes and QP kills), seeded;
 - :class:`FaultInjector` — hooks the plan into the existing seams
   (``verbs.qp.fault_injector``, ``core.channels`` control hook,
-  ``network.link`` flap/spike hooks) using per-seam
-  :class:`~repro.sim.rng.RandomStreams`, so every chaos run replays
-  exactly;
+  ``network.link`` flap/spike hooks) using one pure-Python
+  :class:`~repro.sim.rng.Pcg64` stream per seam (from
+  :class:`~repro.sim.rng.RandomStreams`, draw-for-draw equal to numpy's
+  ``default_rng``), so every chaos run replays exactly without numpy;
 - :func:`run_chaos` — one-call harness: run an RFTP transfer under a
   plan, verify byte-exact delivery or a clean typed abort, and audit the
   middleware for leaked blocks, credits, and reassembly state.

@@ -623,8 +623,9 @@ def _warm_suite() -> None:
     import repro.testbeds  # noqa: F401
 
     # numpy defers its ``random`` subpackage to first attribute access;
-    # the first RandomStreams.stream() call would otherwise pay the
-    # ~10 ms subimport inside whichever case touches an RNG first.
+    # the first Testbed.tcp_bottleneck() (the only numpy generator left;
+    # fault streams are pure-Python PCG64) would otherwise pay the
+    # ~10 ms subimport inside whichever TCP case runs first.
     import numpy.random  # noqa: F401
 
     numpy.random.default_rng(0).random()

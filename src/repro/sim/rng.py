@@ -3,46 +3,123 @@
 Every stochastic component in the simulator pulls randomness from a named
 child stream of one root seed, so experiments are exactly reproducible and
 adding a new random consumer never perturbs the draws of existing ones.
+
+A stream is a pure-Python PCG64 whose draws are bit-identical to
+``numpy.random.default_rng(seed).random()``: the same ``SeedSequence``
+state words, the same 128-bit LCG and the same XSL-RR output and double
+conversion.  The simulator only ever draws scalar uniforms, so it keeps
+numpy's ~14 MB import off every fault-injecting run.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict
+from typing import Dict, List
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads on first use
-    import numpy as np
+__all__ = ["Pcg64", "RandomStreams"]
 
-__all__ = ["RandomStreams"]
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+#: numpy's SeedSequence hash constants (pool size 4, xor-shift 16).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> List[int]:
+    """``SeedSequence(seed).generate_state(4, uint64)`` without numpy."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    entropy = []
+    while True:
+        entropy.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _M32
+        value = (value * hash_const) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL:]:
+        for i_dst in range(_POOL):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    out32 = []
+    h = _INIT_B
+    for i in range(8):
+        v = pool[i % _POOL] ^ h
+        h = (h * _MULT_B) & _M32
+        v = (v * h) & _M32
+        out32.append(v ^ (v >> 16))
+    return [out32[i] | out32[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class Pcg64:
+    """PCG64 (XSL-RR 128/64), draw-for-draw equal to numpy's ``default_rng``."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int) -> None:
+        w = _seed_words(int(seed))
+        initstate = w[0] << 64 | w[1]
+        inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+        state = (inc + initstate) & _M128  # step from 0, then add initstate
+        self._state = (state * _PCG_MULT + inc) & _M128
+        self._inc = inc
+
+    def random(self) -> float:
+        """One uniform double in [0, 1)."""
+        state = (self._state * _PCG_MULT + self._inc) & _M128
+        self._state = state
+        x = ((state >> 64) ^ state) & _M64
+        rot = state >> 122
+        x = ((x >> rot) | (x << (64 - rot))) & _M64
+        return (x >> 11) * 2.0**-53
 
 
 class RandomStreams:
     """A factory of independent, deterministically-seeded RNG streams."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
-        self._streams: Dict[str, np.random.Generator] = {}
+        self.root = int(seed)
+        self._streams: Dict[str, Pcg64] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name``, creating it on first use.
+    def seed(self, name: str) -> int:
+        """The child seed of ``name``, derived from ``(root, name)`` with
+        BLAKE2b so streams are independent of creation order."""
+        digest = hashlib.blake2b(
+            f"{self.root}:{name}".encode(), digest_size=8
+        ).digest()
+        return int.from_bytes(digest, "little")
 
-        The child seed is derived from ``(root seed, name)`` with BLAKE2b,
-        so streams are independent of creation order.
-        """
+    def stream(self, name: str) -> Pcg64:
+        """Return the stream for ``name``, creating it on first use."""
         gen = self._streams.get(name)
         if gen is None:
-            import numpy as np
-
-            digest = hashlib.blake2b(
-                f"{self.seed}:{name}".encode(), digest_size=8
-            ).digest()
-            gen = np.random.default_rng(int.from_bytes(digest, "little"))
-            self._streams[name] = gen
+            gen = self._streams[name] = Pcg64(self.seed(name))
         return gen
 
     def spawn(self, name: str) -> "RandomStreams":
         """Derive a child factory (e.g. per-host) with an independent seed."""
         digest = hashlib.blake2b(
-            f"{self.seed}/{name}".encode(), digest_size=8
+            f"{self.root}/{name}".encode(), digest_size=8
         ).digest()
         return RandomStreams(int.from_bytes(digest, "little"))

@@ -73,11 +73,15 @@ class Testbed:
     def tcp_bottleneck(self) -> Bottleneck:
         """The shared WAN bottleneck (created once, shared by all flows)."""
         if self._bottleneck is None:
+            # The fluid model draws numpy arrays (``random(n)``,
+            # ``permutation(n)``), so numpy stays a TCP-only import.
+            import numpy as np
+
             self._bottleneck = Bottleneck(
                 self.engine,
                 capacity_bytes_per_second=self.nic_gbps * 1e9 / 8.0,
                 rtt=self.rtt,
-                rng=self.rng.stream("bottleneck"),
+                rng=np.random.default_rng(self.rng.seed("bottleneck")),
                 random_loss_per_byte=self.wan_loss_per_byte,
             )
         return self._bottleneck
