@@ -415,7 +415,7 @@ class RdmaMiddleware:
             the_link = link
             if the_link is None:
                 the_link = yield self.open_link(*link_args)
-            mr_reqs_before = the_link.mr_requests_sent
+            mr_reqs_before = int(the_link.mr_requests_sent.total)
             launch = the_link.resume if resumed else the_link.transfer
             job = yield launch(*job_args, **job_kwargs)
             assert job.started_at is not None and job.finished_at is not None
@@ -428,10 +428,10 @@ class RdmaMiddleware:
                 elapsed=job.finished_at - job.started_at,
                 blocks=job.total_blocks - first,
                 resends=job.resends,
-                mr_requests=the_link.mr_requests_sent - mr_reqs_before,
+                mr_requests=int(the_link.mr_requests_sent.total) - mr_reqs_before,
                 ctrl_sent=int(the_link.ctrl._m_sent.total),
                 ctrl_received=int(the_link.ctrl._m_received.total),
-                peak_credits=the_link.ledger.peak_balance,
+                peak_credits=int(the_link.ledger.peak_balance.value),
                 rnr_naks=sum([qp.rnr_naks.count for qp in the_link._data_qps])
                 + the_link._ctrl_qp.rnr_naks.count,
                 ctrl_retries=job.ctrl_retries,

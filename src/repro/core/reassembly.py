@@ -38,15 +38,15 @@ class ReassemblyBuffer:
         self._parked: Dict[int, Dict[int, Tuple[BlockHeader, Any]]] = {}
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._labels = dict(labels)
-        self._m_duplicates = self.metrics.counter("reassembly.duplicates", **labels)
+        self.duplicates = self.metrics.counter("reassembly.duplicates", **labels)
         #: A "duplicate" whose payload differed from the parked/delivered
         #: copy.  Still dropped (first-writer-wins, as RDMA WRITE would
         #: behave), but counted separately — silent divergence is a bug
         #: signal, not a benign replay.
-        self._m_conflicts = self.metrics.counter(
+        self.payload_conflicts = self.metrics.counter(
             "reassembly.payload_conflicts", **labels
         )
-        self._m_max_parked = self.metrics.gauge("reassembly.max_parked", **labels)
+        self.max_parked = self.metrics.gauge("reassembly.max_parked", **labels)
         #: session id -> bound duplicate counter; resolved once per
         #: session (see :meth:`_bind_session_counter`) and dropped with
         #: the session's other bookkeeping in :meth:`reclaim_session`.
@@ -55,19 +55,6 @@ class ReassemblyBuffer:
         self.metrics.gauge_fn(
             "reassembly.sessions", lambda: len(self.sessions()), **labels
         )
-
-    # -- backwards-compat stat views ------------------------------------------
-    @property
-    def duplicates(self) -> int:
-        return int(self._m_duplicates.total)
-
-    @property
-    def payload_conflicts(self) -> int:
-        return int(self._m_conflicts.total)
-
-    @property
-    def max_parked(self) -> int:
-        return int(self._m_max_parked.value)
 
     @property
     def duplicates_by_session(self) -> Dict[int, int]:
@@ -145,13 +132,13 @@ class ReassemblyBuffer:
 
     def _count_duplicate(self, sid: int, payload: Any, parked_payload: Any,
                          comparable: bool) -> None:
-        self._m_duplicates.add()
+        self.duplicates.add()
         counter = self._m_dup_by_session.get(sid)
         if counter is None:
             counter = self._bind_session_counter(sid)
         counter.add()
         if comparable and parked_payload != payload:
-            self._m_conflicts.add()
+            self.payload_conflicts.add()
 
     def push(self, header: BlockHeader, payload: Any) -> List[Tuple[BlockHeader, Any]]:
         """Insert an arrival; return the blocks now deliverable in order.
@@ -177,7 +164,7 @@ class ReassemblyBuffer:
         if per is None:
             per = self._parked.setdefault(sid, {})
         per[header.seq] = (header, payload)
-        self._m_max_parked.set_max(self._total_parked())
+        self.max_parked.set_max(self._total_parked())
         released: List[Tuple[BlockHeader, Any]] = []
         while nxt in per:
             released.append(per.pop(nxt))

@@ -190,14 +190,14 @@ class SinkEngine:
         self._sessions: Dict[int, SinkSession] = {}
         #: Records currently LIVE.
         self._live = 0
-        self._m_delivered = reg.counter("sink.blocks_delivered", **labels)
-        self._m_reclaimed = reg.counter("sink.sessions_reclaimed", **labels)
-        self._m_stray = reg.counter("sink.stray_messages", **labels)
-        self._m_mismatches = reg.counter("sink.checksum_mismatches", **labels)
-        self._m_nacks = reg.counter("sink.nacks_sent", **labels)
-        self._m_markers = reg.counter("sink.markers_sent", **labels)
-        self._m_resumes = reg.counter("sink.resumes", **labels)
-        self._m_crashes = reg.counter("sink.crashes", **labels)
+        self.blocks_delivered = reg.counter("sink.blocks_delivered", **labels)
+        self.sessions_reclaimed = reg.counter("sink.sessions_reclaimed", **labels)
+        self.stray_messages = reg.counter("sink.stray_messages", **labels)
+        self.checksum_mismatches = reg.counter("sink.checksum_mismatches", **labels)
+        self.nacks_sent = reg.counter("sink.nacks_sent", **labels)
+        self.markers_sent = reg.counter("sink.markers_sent", **labels)
+        self.resumes = reg.counter("sink.resumes", **labels)
+        self.crashes = reg.counter("sink.crashes", **labels)
         reg.gauge_fn("sink.ready_blocks", lambda: len(self._ready.items), **labels)
         reg.gauge_fn("sink.active_sessions", lambda: self._live, **labels)
         self._consumers_started = False
@@ -212,49 +212,8 @@ class SinkEngine:
         self._last_ping_at = float("-inf")
         self._m_pings = reg.counter("sink.pings", **labels)
         self._m_peer_dead = reg.counter("sink.peer_dead", **labels)
-        self._m_fallback_sessions = reg.counter("sink.fallback_sessions", **labels)
-        self._m_fallback_blocks = reg.counter("sink.fallback_blocks", **labels)
-
-    # -- backwards-compat stat views ------------------------------------------
-    @property
-    def blocks_delivered(self) -> int:
-        return int(self._m_delivered.total)
-
-    @property
-    def sessions_reclaimed(self) -> int:
-        return int(self._m_reclaimed.total)
-
-    @property
-    def stray_messages(self) -> int:
-        return int(self._m_stray.total)
-
-    @property
-    def checksum_mismatches(self) -> int:
-        return int(self._m_mismatches.total)
-
-    @property
-    def nacks_sent(self) -> int:
-        return int(self._m_nacks.total)
-
-    @property
-    def markers_sent(self) -> int:
-        return int(self._m_markers.total)
-
-    @property
-    def resumes(self) -> int:
-        return int(self._m_resumes.total)
-
-    @property
-    def crashes(self) -> int:
-        return int(self._m_crashes.total)
-
-    @property
-    def fallback_sessions(self) -> int:
-        return int(self._m_fallback_sessions.total)
-
-    @property
-    def fallback_blocks(self) -> int:
-        return int(self._m_fallback_blocks.total)
+        self.fallback_sessions = reg.counter("sink.fallback_sessions", **labels)
+        self.fallback_blocks = reg.counter("sink.fallback_blocks", **labels)
 
     # -- public -----------------------------------------------------------------
     def start(self) -> None:
@@ -441,7 +400,7 @@ class SinkEngine:
             s.last_activity = self.engine.now
         handler = self._HANDLERS.get(msg.type)
         if handler is None:
-            self._m_stray.add()
+            self.stray_messages.add()
             return None
         return handler(self, thread, msg, s)
 
@@ -500,7 +459,7 @@ class SinkEngine:
         # Credits are link-level: answer as long as *any* session is
         # live, whichever session id the starved sender stamped on it.
         if self.granter is None or not self._live:
-            self._m_stray.add()
+            self.stray_messages.add()
             return
         granted = self.granter.on_request()
         if granted:
@@ -523,14 +482,14 @@ class SinkEngine:
             # session was retired: re-ack idempotently.
             yield from self.ctrl.send(thread, self._reply(msg, s.acked_total))
         else:
-            self._m_stray.add()
+            self.stray_messages.add()
 
     def _on_block_done(self, thread, msg, s) -> Generator:
         if s is None or s.state is not _LIVE:
             # In flight when its session was reclaimed (or a replay).
             # The block's region may since have been refunded to a live
             # session or revoked — not ours to touch.
-            self._m_stray.add()
+            self.stray_messages.add()
             return
         assert self.pool is not None and self.granter is not None
         block_id, header = msg.data
@@ -561,7 +520,7 @@ class SinkEngine:
                     yield from self._send_credits(thread, msg.session_id, granted)
             return
         block.finish(header, payload)
-        self._m_delivered.add()
+        self.blocks_delivered.add()
         for hdr, blk in self.reassembly.push(header, block):
             yield self._ready.put((hdr, blk))
         # An eager session reaches here only through the rendezvous
@@ -576,7 +535,7 @@ class SinkEngine:
         yield from self._maybe_send_marker(thread, s)
 
     def _count_mismatch(self, header) -> None:
-        self._m_mismatches.add()
+        self.checksum_mismatches.add()
         self.engine.trace(
             "sink", "checksum_mismatch", session=header.session_id, seq=header.seq
         )
@@ -584,7 +543,7 @@ class SinkEngine:
     def _nack(self, thread, header, block: SinkBlock) -> Generator:
         """BLOCK_NACK: have the source re-send its still-WAITING copy of
         ``header.seq`` into the credit for ``block``'s region."""
-        self._m_nacks.add()
+        self.nacks_sent.add()
         yield from self.ctrl.send(
             thread,
             ControlMessage(
@@ -614,7 +573,7 @@ class SinkEngine:
         if self.pool is None or s is None or s.state is not _LIVE:
             # Reclaimed or unknown session: the WQE was consumed but the
             # payload has no home.  Counted, not fatal — like strays.
-            self._m_stray.add()
+            self.stray_messages.add()
             return
         s.last_activity = self.engine.now
         if self.reassembly.reject_duplicate(header, payload):
@@ -633,7 +592,7 @@ class SinkEngine:
                 self.pool.put_free_blk(block)
             return
         block.finish(header, payload)
-        self._m_delivered.add()
+        self.blocks_delivered.add()
         for hdr, blk in self.reassembly.push(header, block):
             yield self._ready.put((hdr, blk))
         yield from self._maybe_send_marker(thread, s)
@@ -684,7 +643,7 @@ class SinkEngine:
         )
         if answer is None:
             marker = s.upto if s is not None else 0
-            self._m_resumes.add()
+            self.resumes.add()
             self.engine.trace("sink", "session_resume", session=sid, marker=marker)
             # A resume is a NEW incarnation: a still-pending ``done`` of
             # the old one fails with EndpointCrashed.
@@ -723,7 +682,7 @@ class SinkEngine:
             self.engine.trace("sink", "fallback_denied", session=sid)
         elif answer is None:
             marker = s.upto if s is not None else 0
-            self._m_fallback_sessions.add()
+            self.fallback_sessions.add()
             self.engine.trace("sink", "transport_fallback", session=sid, marker=marker)
             # The *same* incarnation degrading transports: a live ``done``
             # and the negotiated marker interval are kept; no grant.
@@ -818,8 +777,8 @@ class SinkEngine:
             yield from self.data_sink.write(thread, header.length, header, payload)
             if s.stream is not stream:
                 return
-            self._m_fallback_blocks.add()
-            self._m_delivered.add()
+            self.fallback_blocks.add()
+            self.blocks_delivered.add()
             cursor = header.seq + 1
             s.consumed += header.length
             s.last_activity = self.engine.now
@@ -855,7 +814,7 @@ class SinkEngine:
         restarted sink cannot tell them from garbage, so a resume
         re-writes them identically.
         """
-        self._m_crashes.add()
+        self.crashes.add()
         self.engine.trace("sink", "crash")
         for s in self._live_sessions():
             self._end_incarnation(
@@ -955,7 +914,7 @@ class SinkEngine:
         if delivered - s.sent < s.interval:
             return
         s.sent = delivered
-        self._m_markers.add()
+        self.markers_sent.add()
         yield from self.ctrl.send(
             thread, ControlMessage(CtrlType.BLOCK_MARKER, s.sid, delivered)
         )
@@ -1023,7 +982,7 @@ class SinkEngine:
 
     def _reclaim_session(self, s: SinkSession, error: Optional[TransferError] = None) -> None:
         """Free everything a dead session still pins at the sink."""
-        self._m_reclaimed.add()
+        self.sessions_reclaimed.add()
         self.engine.trace("sink", "gc_reclaim", session=s.sid)
         # Parked out-of-order arrivals and undelivered in-order blocks
         # both hold pool blocks with payload.

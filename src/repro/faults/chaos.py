@@ -95,6 +95,11 @@ class ChaosResult:
         return self.error is not None
 
 
+def _count(owner: object, counter: str) -> int:
+    """``owner``'s named counter as an int; 0 when there is no owner."""
+    return int(getattr(owner, counter).total) if owner is not None else 0
+
+
 def _verify_delivery(
     sink: CollectingSink,
     source: PatternSource,
@@ -279,13 +284,13 @@ def run_chaos(
             cfg.checksum_blocks
             and not injector.sink_crashes_fired
             and not injector.source_crashes_fired
-            and not sink_engine.sessions_reclaimed
-            and not sink_engine.stray_messages
-            and sink_engine.checksum_mismatches != injector.payload_corruptions
+            and not sink_engine.sessions_reclaimed.total
+            and not sink_engine.stray_messages.total
+            and sink_engine.checksum_mismatches.total != injector.payload_corruptions
         ):
             leaks.append(
                 f"{injector.payload_corruptions} corruptions injected but only"
-                f" {sink_engine.checksum_mismatches} detected"
+                f" {int(sink_engine.checksum_mismatches.total)} detected"
             )
 
     byte_exact: Optional[bool] = None
@@ -325,26 +330,20 @@ def run_chaos(
         qp_kills_fired=injector.qp_kills_fired,
         resends=outcome.resends if outcome else 0,
         ctrl_retries=outcome.ctrl_retries if outcome else 0,
-        stray_source=link.stray_messages if link is not None else 0,
-        stray_sink=sink_engine.stray_messages if sink_engine is not None else 0,
-        sessions_reclaimed=(
-            sink_engine.sessions_reclaimed if sink_engine is not None else 0
-        ),
-        duplicates=sink_engine.reassembly.duplicates if sink_engine is not None else 0,
-        checksum_mismatches=(
-            sink_engine.checksum_mismatches if sink_engine is not None else 0
-        ),
+        stray_source=_count(link, "stray_messages"),
+        stray_sink=_count(sink_engine, "stray_messages"),
+        sessions_reclaimed=_count(sink_engine, "sessions_reclaimed"),
+        duplicates=_count(sink_engine and sink_engine.reassembly, "duplicates"),
+        checksum_mismatches=_count(sink_engine, "checksum_mismatches"),
         repairs=outcome.repairs if outcome else 0,
-        markers_sent=sink_engine.markers_sent if sink_engine is not None else 0,
+        markers_sent=_count(sink_engine, "markers_sent"),
         resume_attempts_used=holder.get("resume_attempts_used", 0),
         resumed_from=outcome.resumed_from if outcome else 0,
         data_bytes_sent=data_bytes_sent,
-        fallbacks=link.fallbacks if link is not None else 0,
-        fallback_blocks=(
-            sink_engine.fallback_blocks if sink_engine is not None else 0
-        ),
-        repromotions=link.repromotions if link is not None else 0,
-        breaker_trips=link.breaker_trips if link is not None else 0,
+        fallbacks=_count(link, "fallbacks"),
+        fallback_blocks=_count(sink_engine, "fallback_blocks"),
+        repromotions=_count(link, "repromotions"),
+        breaker_trips=_count(link, "breaker_trips"),
         heartbeat_drops=injector.heartbeat_drops,
         fallback_denials=injector.fallback_denials,
     )

@@ -130,12 +130,10 @@ class FaultInjector:
             testbed.duplex.backward.links
         )
         if self.plan.latency_spike_rate > 0.0 or self.plan.link_flaps:
-            # Fault-armed links must run discrete: outage/spike timing
+            # A link with a hook runs discrete: outage/spike timing
             # interacts with wire occupancy in ways the fluid booking
             # only approximates, and chaos runs assert exact semantics.
-            for link in links:
-                link.use_fluid = False
-        if self.plan.latency_spike_rate > 0.0:
+            # With no spike rate the hook returns 0.0 and draws nothing.
             for link in links:
                 link.fault_hook = self._spike_hook
         engine = testbed.engine

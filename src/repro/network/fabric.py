@@ -47,15 +47,14 @@ class Path:
         """Can a transfer be booked over the whole hop chain right now?
 
         Only under fluid mode with every link clean (no fault hook armed,
-        never flapped, not pinned to discrete events) and owned by this
-        path alone; anything else goes per hop through ``Link.serialize``.
+        never flapped) and owned by this path alone; anything else goes
+        per hop through ``Link.serialize``.
         """
         if not self.engine.use_fluid:
             return False
         for link in self.links:
             if (
-                link.use_fluid is False
-                or link.fault_hook is not None
+                link.fault_hook is not None
                 or link._flap_seen
                 or link._path_uses != 1
             ):

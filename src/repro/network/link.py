@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.sim.resources import Resource
 
@@ -61,29 +61,16 @@ class Link:
         #: chains and fall back to per-hop reservations, which model the
         #: outage window.
         self._flap_seen = False
-        #: Per-link escape hatch: ``False`` forces discrete events on
-        #: this link even when the engine runs fluid.  Flip it before
-        #: traffic flows — the two modes must not share a busy wire.
-        self.use_fluid: Optional[bool] = None
         reg = engine.metrics
         labels = {"link": name, "i": reg.sequence("link")}
         self.bytes_sent = reg.counter("link.bytes_sent", **labels)
-        self._m_flap_stalls = reg.counter("link.flap_stalls", **labels)
-        self._m_latency_spikes = reg.counter("link.latency_spikes", **labels)
+        self.flap_stalls = reg.counter("link.flap_stalls", **labels)
+        self.latency_spikes = reg.counter("link.latency_spikes", **labels)
         #: Absolute sim time until which the link is down (flap injection).
         self._down_until = 0.0
         #: Optional fault hook ``(nbytes) -> float``: extra serialisation
         #: delay in seconds (latency spike), 0.0 for a clean transit.
         self.fault_hook = None
-
-    # -- backwards-compat stat views ------------------------------------------
-    @property
-    def flap_stalls(self) -> int:
-        return int(self._m_flap_stalls.total)
-
-    @property
-    def latency_spikes(self) -> int:
-        return int(self._m_latency_spikes.total)
 
     def fail_for(self, duration: float) -> None:
         """Take the link down for ``duration`` seconds (a flap).
@@ -98,10 +85,6 @@ class Link:
         self._flap_seen = True
         self.engine.trace("link", "flap", name=self.name, until=self._down_until)
 
-    @property
-    def is_down(self) -> bool:
-        return self.engine.now < self._down_until
-
     def serialize(self, nbytes: int) -> Generator:
         """Process generator: occupy the wire while ``nbytes`` serialise.
 
@@ -113,22 +96,19 @@ class Link:
         if nbytes == 0:
             return
         engine = self.engine
-        if (
-            engine.use_fluid
-            and self.use_fluid is not False
-            and self.fault_hook is None
-        ):
+        if engine.use_fluid and self.fault_hook is None:
             # Fluid fast path: book the wire analytically and sleep once
             # until the completion instant.  The arrival loop replicates
             # the discrete stall loop's float arithmetic (and stall
             # counts) for a flap that is already in force; a flap
             # injected *while* a reservation is parked is absorbed
             # optimistically (bits treated as already scheduled) — the
-            # fault injector therefore pins flap-armed links to discrete
-            # mode, where the outage semantics are exact.
+            # fault injector therefore arms a hook on flap-armed links,
+            # which keeps them discrete, where the outage semantics are
+            # exact.
             arrival = engine.now
             while arrival < self._down_until:
-                self._m_flap_stalls.add()
+                self.flap_stalls.add()
                 arrival = arrival + (self._down_until - arrival)
             free = self._fluid_free
             start = arrival if arrival > free else free
@@ -138,19 +118,19 @@ class Link:
             self.bytes_sent.add(nbytes)
             return
         while self.engine.now < self._down_until:
-            self._m_flap_stalls.add()
+            self.flap_stalls.add()
             yield self.engine.timeout(self._down_until - self.engine.now)
         yield self._wire.request()
         try:
             # A flap may have started while we queued for the wire.
             while self.engine.now < self._down_until:
-                self._m_flap_stalls.add()
+                self.flap_stalls.add()
                 yield self.engine.timeout(self._down_until - self.engine.now)
             delay = nbytes / self.bytes_per_second
             if self.fault_hook is not None:
                 spike = self.fault_hook(nbytes)
                 if spike > 0:
-                    self._m_latency_spikes.add()
+                    self.latency_spikes.add()
                     delay += spike
             yield self.engine.timeout(delay)
         finally:
@@ -163,13 +143,6 @@ class Link:
             raise ValueError(
                 f"datagram of {nbytes} bytes exceeds MTU {self.mtu} on {self.name}"
             )
-
-    def utilization(self, since: float, until: float) -> float:
-        """Fraction of capacity used over a window (needs ``bytes_sent``)."""
-        span = until - since
-        if span <= 0:
-            return 0.0
-        return self.bytes_sent.total / (self.bytes_per_second * span)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Link {self.name} {self.gbps}Gbps delay={self.delay * 1e3:.3f}ms>"

@@ -21,7 +21,6 @@ write-ahead log with nothing lost and nothing transferred twice.
 """
 
 from repro.sched.broker import (
-    BrokerConfig,
     RftpDoor,
     SchedulerConfig,
     TenantPolicy,
@@ -57,7 +56,6 @@ from repro.sched.spec import (
 )
 
 __all__ = [
-    "BrokerConfig",
     "BrokerSupervisor",
     "FileState",
     "FileTask",

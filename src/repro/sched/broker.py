@@ -78,7 +78,6 @@ from repro.sim.events import Event
 __all__ = [
     "TenantPolicy",
     "SchedulerConfig",
-    "BrokerConfig",
     "RftpDoor",
     "TransferBroker",
 ]
@@ -168,10 +167,6 @@ class SchedulerConfig:
             raise ValueError("watchdog_rto_multiplier must be positive")
         if self.watchdog_min_interval <= 0:
             raise ValueError("watchdog_min_interval must be positive")
-
-
-#: Historical name, kept for callers of the PR 6 API.
-BrokerConfig = SchedulerConfig
 
 
 #: A door's verdict at one instant.  FULL clears when a slot is released;

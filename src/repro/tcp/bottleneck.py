@@ -66,10 +66,6 @@ class Bottleneck:
         self._flows: List[FluidFlow] = []
         self._queue = 0.0
         self._running = False
-        #: Escape hatch for the fluid round batcher: set ``False`` to
-        #: force one kernel timer per RTT round even when the engine
-        #: runs fluid.
-        self.use_fluid = True
         reg = engine.metrics
         labels = {"i": reg.sequence("bottleneck")}
         self.bytes_served = reg.counter("tcp.bottleneck_bytes_served", **labels)
@@ -142,14 +138,14 @@ class Bottleneck:
     def _batch_ok(self) -> bool:
         """True when rounds may be integrated ahead of the clock.
 
-        Requires fluid mode (engine and bottleneck), no tracer (trace
-        records carry real timestamps), and every flow quiescent — a
-        flow without ``fluid_quiescent`` (or reporting False, i.e. a
-        process is parked on one of its socket buffers) pins the loop to
-        real time so wakeups happen at their exact instants.
+        Requires a fluid engine, no tracer (trace records carry real
+        timestamps), and every flow quiescent — a flow without
+        ``fluid_quiescent`` (or reporting False, i.e. a process is parked
+        on one of its socket buffers) pins the loop to real time so
+        wakeups happen at their exact instants.
         """
         engine = self.engine
-        if not engine.use_fluid or not self.use_fluid or engine.tracer is not None:
+        if not engine.use_fluid or engine.tracer is not None:
             return False
         for flow in self._flows:
             quiescent = getattr(flow, "fluid_quiescent", None)

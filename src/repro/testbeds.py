@@ -126,9 +126,8 @@ def _build(
     seed: int,
     with_disk: bool,
     wan_loss_per_byte: float = 0.0,
-    use_fluid: bool = True,
 ) -> Testbed:
-    engine = Engine(use_fluid=use_fluid)
+    engine = Engine()
     src, dst = Host(engine, src_spec), Host(engine, dst_spec)
     src.add_nic(nic)
     dst.add_nic(nic)
@@ -163,7 +162,7 @@ def _build(
     )
 
 
-def roce_lan(seed: int = 0, with_disk: bool = False, use_fluid: bool = True) -> Testbed:
+def roce_lan(seed: int = 0, with_disk: bool = False) -> Testbed:
     """Stony Brook back-to-back 40 Gbps RoCE testbed (Table I col. 2)."""
     spec = lambda n: HostSpec(  # noqa: E731 - local factory
         name=n,
@@ -185,11 +184,10 @@ def roce_lan(seed: int = 0, with_disk: bool = False, use_fluid: bool = True) -> 
         tcp_mode=TcpMode.PIPE,
         seed=seed,
         with_disk=with_disk,
-        use_fluid=use_fluid,
     )
 
 
-def infiniband_lan(seed: int = 0, with_disk: bool = False, use_fluid: bool = True) -> Testbed:
+def infiniband_lan(seed: int = 0, with_disk: bool = False) -> Testbed:
     """NERSC 4X QDR InfiniBand LAN (Table I col. 1).
 
     The 40 Gbps HCA sits in an 8-lane PCIe 2.0 slot; vendor-validated
@@ -215,11 +213,10 @@ def infiniband_lan(seed: int = 0, with_disk: bool = False, use_fluid: bool = Tru
         tcp_mode=TcpMode.PIPE,
         seed=seed,
         with_disk=with_disk,
-        use_fluid=use_fluid,
     )
 
 
-def ani_wan(seed: int = 0, with_disk: bool = True, use_fluid: bool = True) -> Testbed:
+def ani_wan(seed: int = 0, with_disk: bool = True) -> Testbed:
     """DOE ANI 100G testbed: ANL → NERSC, 10 Gbps RoCE NICs, 49 ms RTT."""
     src_spec = HostSpec(
         name="anl",
@@ -249,11 +246,10 @@ def ani_wan(seed: int = 0, with_disk: bool = True, use_fluid: bool = True) -> Te
         seed=seed,
         with_disk=with_disk,
         wan_loss_per_byte=5e-10,
-        use_fluid=use_fluid,
     )
 
 
-def iwarp_lan(seed: int = 0, with_disk: bool = False, use_fluid: bool = True) -> Testbed:
+def iwarp_lan(seed: int = 0, with_disk: bool = False) -> Testbed:
     """A 10 Gbps iWARP LAN — an *extension* testbed (not in Table I).
 
     The paper's middleware claims transparency across all three RDMA
@@ -282,7 +278,6 @@ def iwarp_lan(seed: int = 0, with_disk: bool = False, use_fluid: bool = True) ->
         tcp_mode=TcpMode.PIPE,
         seed=seed,
         with_disk=with_disk,
-        use_fluid=use_fluid,
     )
 
 

@@ -188,9 +188,9 @@ def _reach(state, variant, make):
 def _deliver(rig, type_, data):
     """One delivery: its outcome (reply, stray or handled) and replies."""
     rule = PROTOCOL[type_]
-    strays = rig.se.stray_messages
+    strays = rig.se.stray_messages.total
     replies = rig.tell(type_, SID, data)
-    strays = rig.se.stray_messages - strays
+    strays = rig.se.stray_messages.total - strays
     sent = {m.type for m in replies}
     if strays:
         assert strays == 1 and not sent, (strays, sent)
@@ -310,10 +310,10 @@ def _check_source(type_, job):
     rig = SourceRig(job)
     ledger = rig.link.ledger
     data = SOURCE_DATA.get(type_)
-    before = (rig.link.stray_messages, ledger.total_received, ledger.flushed, ledger.balance)
+    before = (rig.link.stray_messages.total, ledger.total_received.total, ledger.flushed.total, ledger.balance)
     rig.deliver(ControlMessage(type_, SID, data))
-    strays = rig.link.stray_messages - before[0]
-    received, flushed = ledger.total_received - before[1], ledger.flushed - before[2]
+    strays = rig.link.stray_messages.total - before[0]
+    received, flushed = ledger.total_received.total - before[1], ledger.flushed.total - before[2]
 
     if rule.direction is Direction.TO_SINK:
         expected = 1

@@ -76,7 +76,7 @@ def test_resume_next_to_lingering_dead_sibling_leaks_nothing():
     se = next(iter(server.sink_engines.values()))
     # The dead sibling was GC-reclaimed and nothing pins the pool.
     assert se.active_sessions() == 0
-    assert se.sessions_reclaimed >= 1
+    assert se.sessions_reclaimed.total >= 1
     assert se.pool.free_count == len(se.pool)
 
 
@@ -118,9 +118,9 @@ def _assert_history_bounded(ending):
     if ending == "finish":
         assert sink.bytes_written == sessions * 4 * BS
     elif ending == "gc_reclaim":
-        assert se.sessions_reclaimed == sessions
+        assert se.sessions_reclaimed.total == sessions
     else:
-        assert se.crashes == sessions
+        assert se.crashes.total == sessions
     # One count covers everything held per session id: the idempotent-ack
     # ledger, consumed bytes, done events, restart markers, epochs.
     assert se.active_sessions() == 0

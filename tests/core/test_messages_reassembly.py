@@ -74,10 +74,10 @@ def test_duplicates_dropped_and_counted():
     r = ReassemblyBuffer()
     r.push(hdr(0), "a")
     assert r.push(hdr(0), "a-again") == []
-    assert r.duplicates == 1
+    assert r.duplicates.total == 1
     r.push(hdr(2), "c")
     assert r.push(hdr(2), "c-again") == []
-    assert r.duplicates == 2
+    assert r.duplicates.total == 2
 
 
 def test_finish_session_discards_stranded():
@@ -93,7 +93,7 @@ def test_max_parked_tracks_high_water():
     r = ReassemblyBuffer()
     for seq in (4, 3, 2, 1):
         r.push(hdr(seq), None)
-    assert r.max_parked == 4
+    assert r.max_parked.value == 4
 
 
 @settings(max_examples=100, deadline=None)

@@ -171,7 +171,7 @@ def test_shared_ledger_and_pool_across_sessions():
     assert p.ok
     link = captured["link"]
     # One ledger served both sessions; the pool fully recycled.
-    assert link.ledger.total_received > 0
+    assert link.ledger.total_received.total > 0
     assert link.pool.free_count == len(link.pool)
     assert not link._inflight
 
@@ -206,12 +206,12 @@ def test_reply_stores_are_built_on_first_use():
         assert list(job._replies) == [CtrlType.CHANNELS_REP]
 
         # A type nobody waits for is still stray, and builds nothing.
-        stray = link.stray_messages
+        stray = link.stray_messages.total
         yield from sink_eng.ctrl.send(
             peer, ControlMessage(CtrlType.CHANNELS_REQ, 77, 2)
         )
         yield env.timeout(1e-3)
-        assert link.stray_messages == stray + 1
+        assert link.stray_messages.total == stray + 1
         assert list(job._replies) == [CtrlType.CHANNELS_REP]
 
         asker = link.host.thread("test-asker", "app")

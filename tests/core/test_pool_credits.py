@@ -89,7 +89,7 @@ def test_ledger_deposit_and_acquire():
     ledger.deposit([credit])
     f.engine.run()
     assert got == [credit]
-    assert ledger.total_received == 1
+    assert ledger.total_received.total == 1
     assert ledger.balance == 0
 
 
@@ -97,7 +97,7 @@ def test_ledger_peak_tracking():
     f = make_fabric()
     ledger = CreditLedger(f.engine)
     ledger.deposit([Credit(i, i, i) for i in range(5)])
-    assert ledger.peak_balance == 5
+    assert ledger.peak_balance.value == 5
     f.engine.run()
 
 

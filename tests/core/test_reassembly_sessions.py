@@ -33,7 +33,7 @@ def test_duplicates_attributed_to_their_session():
     buf.push(hdr(2, 5), "b")
     buf.push(hdr(2, 5), "b")  # replay of a parked entry
     buf.push(hdr(2, 5), "b")
-    assert buf.duplicates == 3
+    assert buf.duplicates.total == 3
     assert buf.duplicates_by_session == {1: 1, 2: 2}
 
 
@@ -42,8 +42,8 @@ def test_payload_conflict_detected_while_parked():
     buf.push(hdr(1, 5), "original")
     released = buf.push(hdr(1, 5), "DIVERGENT")
     assert released == []
-    assert buf.payload_conflicts == 1
-    assert buf.duplicates == 1
+    assert buf.payload_conflicts.total == 1
+    assert buf.duplicates.total == 1
     # First writer wins: the original payload is still the parked one.
     buf.push(hdr(1, 0), "p0")
     buf.push(hdr(1, 1), "p1")
@@ -57,8 +57,8 @@ def test_conflict_undetectable_after_delivery_counts_duplicate_only():
     buf = ReassemblyBuffer()
     buf.push(hdr(1, 0), "delivered")
     buf.push(hdr(1, 0), "DIVERGENT")  # original payload is gone
-    assert buf.duplicates == 1
-    assert buf.payload_conflicts == 0
+    assert buf.duplicates.total == 1
+    assert buf.payload_conflicts.total == 0
 
 
 def test_reclaim_session_returns_stranded_entries_sorted():
@@ -90,7 +90,7 @@ def test_reclaim_session_prunes_all_per_session_state():
     assert buf.next_seq(1) == 0
     assert buf.sessions() == [2]
     # The aggregate counter keeps history; only per-session state goes.
-    assert buf.duplicates == 1
+    assert buf.duplicates.total == 1
 
 
 def test_finish_session_counts_discards():
@@ -115,7 +115,7 @@ def test_resume_cursor_reset_discards_stale_and_counts_replays():
     # The dead incarnation replays blocks 0-3.
     for seq in range(4):
         assert buf.reject_duplicate(hdr(7, seq), f"replay{seq}")
-    assert buf.duplicates == 4
+    assert buf.duplicates.total == 4
     assert buf.duplicates_by_session == {7: 4}
     assert buf.pending(7) == 1            # no parked state resurrected
     # push() agrees with reject_duplicate() on below-cursor replays.
@@ -155,4 +155,4 @@ def test_replay_against_reclaimed_session_leaves_no_state():
     # the aggregate chaos-audit counter survives.
     buf.reclaim_session(9)
     assert buf.duplicates_by_session == {}
-    assert buf.duplicates == 1
+    assert buf.duplicates.total == 1

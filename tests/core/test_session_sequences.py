@@ -69,7 +69,7 @@ class World:
 
     # -- steps ----------------------------------------------------------------
     def _note_revokes(self):
-        seen = (self.se.sessions_reclaimed, self.se.crashes)
+        seen = (self.se.sessions_reclaimed.total, self.se.crashes.total)
         if seen != self._seen:
             self._seen = seen
             self.revoked = True
@@ -205,7 +205,7 @@ def test_all_endings_in_one_sequence():
         ("start", 4), ("start", 4), ("settle",),  # eviction past the cap
     ])
     assert sum(1 for _b, ev in world.sessions.values() if ev.ok) >= 5
-    assert world.se.sessions_reclaimed >= 1 and world.se.crashes == 1
+    assert world.se.sessions_reclaimed.total >= 1 and world.se.crashes.total == 1
     assert world.se.known_sessions() == HISTORY
 
 

@@ -199,7 +199,7 @@ def end_idle_reclaim(rig):
     # Survive: the resume anchor, the cadence, consumed bytes, bumped epoch.
     assert (s.upto, s.sent, s.interval, s.consumed, s.epoch) == (1, 1, 1, BS, 1)
     assert_incarnation_cleared(s)
-    assert rig.se.sessions_reclaimed == 1
+    assert rig.se.sessions_reclaimed.total == 1
     assert rig.pool_is_free() and rig.se.audit() == []
 
 
@@ -244,9 +244,9 @@ def end_eviction(rig):
     assert rig.se.session(2).state is rig.se.session(3).state is SessionState.ACKED
     assert rig.se.known_sessions() == 2 and rig.se.audit() == []
     # Its retransmitted DATASET_DONE is a stray now, not a re-ack.
-    stray = rig.se.stray_messages
+    stray = rig.se.stray_messages.total
     assert rig.tell(CtrlType.DATASET_DONE, 1, BS) == []
-    assert rig.se.stray_messages == stray + 1
+    assert rig.se.stray_messages.total == stray + 1
 
 
 ENDS = {
@@ -351,7 +351,7 @@ def start_resume_live(rig):
     assert rig.se.reassembly.next_seq(SID) == 1
     assert rig.states().count(SinkBlockState.WAITING) == len(grant)
     assert rig.states().count(SinkBlockState.FREE) == len(rig.states()) - len(grant)
-    assert rig.se.resumes == 1
+    assert rig.se.resumes.total == 1
 
 
 def start_resume_reclaimed(rig):
@@ -376,7 +376,7 @@ def start_resume_acked(rig):
     # DATASET_DONE, which is re-acked from the ledger.
     assert _resume(rig, blocks=2) == (True, 2, ())
     assert (s.state, s.acked_total, s.consumed, s.done, rig.states()) == before
-    assert rig.se.resumes == 0  # nothing re-attached, granted or revoked
+    assert rig.se.resumes.total == 0  # nothing re-attached, granted or revoked
 
 
 def start_resume_retransmitted(rig):
@@ -386,7 +386,7 @@ def start_resume_retransmitted(rig):
     done, epoch = s.done, s.epoch
     waiting = rig.states().count(SinkBlockState.WAITING)
     assert _resume(rig) == first  # the identical stored grant
-    assert rig.se.resumes == 1  # not a second re-attach
+    assert rig.se.resumes.total == 1  # not a second re-attach
     assert s.done is done and not done.triggered and s.epoch == epoch
     assert rig.states().count(SinkBlockState.WAITING) == waiting
 
@@ -417,7 +417,7 @@ def start_fallback_live(rig):
     # Nothing granted, every RDMA region revoked.
     assert [m.type for m in rig.ctrl.sent[sent:]] == [CtrlType.TRANSPORT_FALLBACK_REP]
     assert rig.pool_is_free()
-    assert rig.se.fallback_sessions == 1
+    assert rig.se.fallback_sessions.total == 1
 
 
 def start_fallback_reclaimed(rig):
@@ -444,7 +444,7 @@ def start_fallback_retransmitted(rig):
     first = _fallback(rig, stream)
     epoch = s.epoch
     assert _fallback(rig, stream) == first
-    assert rig.se.fallback_sessions == 1 and s.epoch == epoch
+    assert rig.se.fallback_sessions.total == 1 and s.epoch == epoch
     assert s.stream is stream
 
 

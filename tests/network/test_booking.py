@@ -100,15 +100,11 @@ def _flap(path):
     path.links[0].fail_for(1e-3)  # over long before the transfer starts
 
 
-def _pin_discrete(path):
-    path.links[0].use_fluid = False
-
-
 def _share(path):
     Path(path.engine, [path.links[0]], "second-owner")
 
 
-UNCLEAN = [_arm_fault_hook, _flap, _pin_discrete, _share]
+UNCLEAN = [_arm_fault_hook, _flap, _share]
 
 
 def _write_once(spoil):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from repro.apps.rftp import RftpClient, RftpServer
 from repro.core.health import ChannelBreaker
 from repro.sched import (
-    BrokerConfig,
     FileState,
     JobState,
+    SchedulerConfig,
     TenantPolicy,
     TransferSpec,
 )
@@ -143,9 +143,9 @@ def test_broker_and_policy_validation():
     with pytest.raises(ValueError):
         TenantPolicy(max_inflight=0)
     with pytest.raises(ValueError):
-        BrokerConfig(max_active=0)
+        SchedulerConfig(max_active=0)
     with pytest.raises(ValueError):
-        BrokerConfig(max_attempts=0)
+        SchedulerConfig(max_attempts=0)
     with pytest.raises(ValueError):
         TransferSpec("", MiB)
     with pytest.raises(ValueError):
@@ -154,17 +154,17 @@ def test_broker_and_policy_validation():
 
 def test_retry_and_watchdog_config_validation():
     with pytest.raises(ValueError):
-        BrokerConfig(retry_backoff_factor=0.5)
+        SchedulerConfig(retry_backoff_factor=0.5)
     with pytest.raises(ValueError):
-        BrokerConfig(retry_backoff=2.0, retry_backoff_cap=1.0)
+        SchedulerConfig(retry_backoff=2.0, retry_backoff_cap=1.0)
     with pytest.raises(ValueError):
-        BrokerConfig(retry_jitter=1.5)
+        SchedulerConfig(retry_jitter=1.5)
     with pytest.raises(ValueError):
-        BrokerConfig(retry_jitter=-0.1)
+        SchedulerConfig(retry_jitter=-0.1)
     with pytest.raises(ValueError):
-        BrokerConfig(watchdog_rto_multiplier=0)
+        SchedulerConfig(watchdog_rto_multiplier=0)
     with pytest.raises(ValueError):
-        BrokerConfig(watchdog_min_interval=0)
+        SchedulerConfig(watchdog_min_interval=0)
 
 
 def test_retry_jitter_is_deterministic_per_task_and_attempt():
@@ -184,7 +184,7 @@ def test_retry_backoff_is_capped_exponential():
 
     tb = roce_lan()
     server, client = wire(tb)
-    cfg = BrokerConfig(retry_backoff=0.5, retry_backoff_factor=2.0,
+    cfg = SchedulerConfig(retry_backoff=0.5, retry_backoff_factor=2.0,
                        retry_backoff_cap=3.0, retry_jitter=0.0)
     out = {}
 
@@ -204,7 +204,7 @@ def test_retry_backoff_is_capped_exponential():
 
     # With jitter on, the delay stretches by at most the jitter fraction
     # and is reproducible (seeded, not drawn from a shared RNG).
-    broker.config = BrokerConfig(retry_backoff=0.5, retry_jitter=0.25)
+    broker.config = SchedulerConfig(retry_backoff=0.5, retry_jitter=0.25)
     task.attempts = 1
     d1 = broker._retry_delay(task)
     assert 0.5 <= d1 <= 0.5 * 1.25
@@ -246,7 +246,7 @@ def test_cancel_unparks_a_file_waiting_in_retry_backoff():
     timer must cancel it NOW (timer cancelled, cancel journaled) — not
     leak it parked until the timer fires."""
     tb = roce_lan()
-    cfg = BrokerConfig(retry_backoff=60.0, retry_backoff_cap=60.0,
+    cfg = SchedulerConfig(retry_backoff=60.0, retry_backoff_cap=60.0,
                        retry_jitter=0.0, max_attempts=3, breaker_failures=5)
     out = {}
 
@@ -349,7 +349,7 @@ def _blocked_broker(opens_at, **cfg):
     engine = Engine()
     door = _GateDoor(engine, opens_at)
     broker = TransferBroker(
-        engine, [door], BrokerConfig(blocked_retry=0.25, **cfg),
+        engine, [door], SchedulerConfig(blocked_retry=0.25, **cfg),
         tenants={"t": TenantPolicy(max_inflight=8)},
     )
     return engine, door, broker
@@ -453,7 +453,7 @@ def _full_broker(max_sessions, delay):
     engine = Engine()
     door = _GateDoor(engine, 0.0, max_sessions=max_sessions, delay=delay)
     broker = TransferBroker(
-        engine, [door], BrokerConfig(blocked_retry=0.25),
+        engine, [door], SchedulerConfig(blocked_retry=0.25),
         tenants={"t": TenantPolicy(max_inflight=8)},
     )
     return engine, broker
@@ -500,7 +500,7 @@ def test_a_closed_door_still_waits_for_the_tick():
     busy = _GateDoor(engine, 0.0, name="busy", max_sessions=1, delay=1.0)
     gated = _GateDoor(engine, 0.05, name="gated")
     broker = TransferBroker(
-        engine, [busy, gated], BrokerConfig(blocked_retry=0.25),
+        engine, [busy, gated], SchedulerConfig(blocked_retry=0.25),
         tenants={"t": TenantPolicy(max_inflight=8)},
     )
     broker.submit("t", [TransferSpec("/data/x", MiB, ("busy",))], job_id="x")
@@ -655,7 +655,7 @@ def test_cohort_dispatch_matches_the_per_file_park_model(steps):
     doors = [_GateDoor(engine, 0.0, name=name, max_sessions=cap, delay=0.1)
              for name, cap in _DOOR_CAPS.items()]
     broker = TransferBroker(
-        engine, doors, BrokerConfig(max_active=4, blocked_retry=0.25),
+        engine, doors, SchedulerConfig(max_active=4, blocked_retry=0.25),
         tenants=_TENANTS,
     )
     model = _PerFileParkModel(

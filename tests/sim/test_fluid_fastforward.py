@@ -205,7 +205,7 @@ def test_link_escape_hatch_forces_per_hop_events():
         path = wan_path(engine, 10.0, 0.05).forward
         if pinned:
             for link in path.links:
-                link.use_fluid = False
+                link.fault_hook = lambda nbytes: 0.0  # zero hook: discrete
         arrivals[pinned] = _drive(engine, path.transmit(1 << 20))
         events[pinned] = engine.events_processed
     assert arrivals[True] == arrivals[False]

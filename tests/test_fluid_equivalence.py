@@ -1,7 +1,8 @@
 """Fluid fast-forward must be invisible in results — only in event counts.
 
-Every application workload is run twice, on a testbed built with
-``use_fluid=True`` (the default) and ``use_fluid=False``, and the
+Every application workload is run twice, on a testbed whose engine runs
+fluid (the default) and one switched to ``engine.use_fluid = False``
+before any traffic, and the
 simulated outcomes — goodput and final clock — must agree **exactly**
 (float equality, not approx): the fluid paths are constructed to
 evaluate the same float expressions the discrete event chains would.
@@ -17,10 +18,16 @@ from repro.testbeds import TESTBEDS
 MiB = 1024 * 1024
 
 
+def _testbed(testbed_name, fluid):
+    tb = TESTBEDS[testbed_name]()
+    tb.engine.use_fluid = fluid  # before any traffic: one mode per wire
+    return tb
+
+
 def _rftp(testbed_name, fluid):
     from repro.apps.rftp import run_rftp
 
-    tb = TESTBEDS[testbed_name](use_fluid=fluid)
+    tb = _testbed(testbed_name, fluid)
     result = run_rftp(tb, total_bytes=16 * MiB)
     return result.gbps, tb.engine.now, tb.engine.events_processed
 
@@ -28,7 +35,7 @@ def _rftp(testbed_name, fluid):
 def _gridftp(testbed_name, fluid):
     from repro.apps.gridftp import run_gridftp
 
-    tb = TESTBEDS[testbed_name](use_fluid=fluid)
+    tb = _testbed(testbed_name, fluid)
     result = run_gridftp(tb, total_bytes=16 * MiB, streams=4)
     return result.gbps, tb.engine.now, tb.engine.events_processed
 
@@ -36,7 +43,7 @@ def _gridftp(testbed_name, fluid):
 def _fio(testbed_name, fluid):
     from repro.apps.fio import FioJob, run_fio
 
-    tb = TESTBEDS[testbed_name](use_fluid=fluid)
+    tb = _testbed(testbed_name, fluid)
     job = FioJob(semantics="write", block_size=128 * 1024, iodepth=16,
                  total_blocks=200)
     result = run_fio(tb, job)
@@ -75,9 +82,10 @@ def test_burst_workload_event_ratio_exceeds_three():
 
 
 def test_fault_armed_links_auto_pin_to_discrete():
-    """Arming flaps or spikes must flip every path link to discrete mode
-    (fluid flap handling is optimistic for in-flight reservations), and
-    the chaos run must still end clean and byte-exact."""
+    """Arming flaps or spikes must arm a fault hook on every path link,
+    which keeps it discrete (fluid flap handling is optimistic for
+    in-flight reservations), and the chaos run must still end clean and
+    byte-exact."""
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FaultPlan
 
@@ -86,13 +94,13 @@ def test_fault_armed_links_auto_pin_to_discrete():
                      link_flaps=((0.2, 0.05),))
     result = run_chaos(tb, total_bytes=8 * MiB, plan=plan)
     links = list(tb.duplex.forward.links) + list(tb.duplex.backward.links)
-    assert all(link.use_fluid is False for link in links)
+    assert all(link.fault_hook is not None for link in links)
     assert result.completed and result.clean and result.byte_exact
     assert result.flaps_fired == 1
 
 
 def test_clean_chaos_leaves_links_fluid():
-    """A plan with no link-level faults must not pin anything."""
+    """A plan with no link-level faults must arm no link hook."""
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FaultPlan
 
@@ -100,19 +108,19 @@ def test_clean_chaos_leaves_links_fluid():
     plan = FaultPlan(seed=5, write_fault_rate=0.02)
     result = run_chaos(tb, total_bytes=8 * MiB, plan=plan)
     links = list(tb.duplex.forward.links) + list(tb.duplex.backward.links)
-    assert all(link.use_fluid is None for link in links)
+    assert all(link.fault_hook is None for link in links)
     assert result.completed and result.clean
 
 
 def test_chaos_with_link_faults_matches_discrete_engine():
-    """With armed links pinned, a fluid-engine chaos run must land on the
+    """With armed links hooked, a fluid-engine chaos run must land on the
     same clock as a fully discrete one."""
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FaultPlan
 
     outcomes = {}
     for fluid in (True, False):
-        tb = TESTBEDS["ani-wan"](use_fluid=fluid)
+        tb = _testbed("ani-wan", fluid)
         plan = FaultPlan(seed=3, latency_spike_rate=0.05,
                          link_flaps=((0.2, 0.05),))
         result = run_chaos(tb, total_bytes=8 * MiB, plan=plan)

@@ -20,8 +20,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from functools import partial
-
 import pytest
 
 from repro.apps.rftp import run_rftp
@@ -62,7 +60,8 @@ def _bulk(testbed, fluid, latencies, chaos_plan=None, total=256 * MiB + 12345,
     """One transfer, plain or under ``chaos_plan``; ``chaos`` passes
     ``config`` / ``resume_attempts`` / ... through to ``run_chaos`` and
     ``counters`` names the ``ChaosResult`` fields the fingerprint adds."""
-    tb = TESTBEDS[testbed](seed=3, use_fluid=fluid)
+    tb = TESTBEDS[testbed](seed=3)
+    tb.engine.use_fluid = fluid  # before any traffic: one mode per wire
     extra = {}
     if chaos_plan is None:
         outcome = run_rftp(tb, total).outcome
@@ -82,6 +81,17 @@ def _bulk(testbed, fluid, latencies, chaos_plan=None, total=256 * MiB + 12345,
     }
 
 
+def _discrete(build):
+    """``build`` with its engine switched to the discrete oracle."""
+
+    def wrapped(*args, **kwargs):
+        tb = build(*args, **kwargs)
+        tb.engine.use_fluid = False
+        return tb
+
+    return wrapped
+
+
 def _sched(spec, fluid, latencies, monkeypatch, **kwargs):
     # Attempt records carry session ids, which come from a process-wide
     # counter: start it afresh so the journal does not depend on which
@@ -89,8 +99,7 @@ def _sched(spec, fluid, latencies, monkeypatch, **kwargs):
     monkeypatch.setattr(middleware, "_session_ids", itertools.count(1))
     if not fluid:
         monkeypatch.setattr(runner, "TESTBEDS", {
-            name: partial(build, use_fluid=False)
-            for name, build in TESTBEDS.items()
+            name: _discrete(build) for name, build in TESTBEDS.items()
         })
     result = run_sched(spec, **kwargs)
     assert not result.leaks
