@@ -473,6 +473,11 @@ class QueuePair:
         if self.state is QpState.ERROR:
             return
         self.state = QpState.ERROR
+        # A SEND stuck in RNR retry never retires, so a poster waiting
+        # for a send slot is woken here and fails over instead.
+        if self._slot_retired is not None:
+            waiter, self._slot_retired = self._slot_retired, None
+            waiter.succeed()
         # Flush posted receives.  Shared WQEs are deliberately *not*
         # flushed: an SRQ outlives any one attached QP and keeps serving
         # the survivors (matching ibv_srq semantics).
