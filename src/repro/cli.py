@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.apps.fio import FioJob, run_fio
 from repro.apps.gridftp import run_gridftp
@@ -48,6 +48,18 @@ def parse_size(text: str) -> int:
     if result <= 0:
         raise ValueError(f"size must be positive, got {text!r}")
     return result
+
+
+def _pair(second: Callable[[str], float]) -> Callable[[str], Tuple[float, float]]:
+    """An argparse type for 'A:B' flags: A a float, B a ``second``."""
+
+    def pair(text: str) -> Tuple[float, float]:
+        first, sep, rest = text.partition(":")
+        if not sep:
+            raise ValueError(f"expected A:B, got {text!r}")
+        return float(first), second(rest)
+
+    return pair
 
 
 def _add_testbed_arg(parser: argparse.ArgumentParser) -> None:
@@ -87,14 +99,14 @@ def _cmd_testbeds(args: argparse.Namespace) -> int:
 def _cmd_rftp(args: argparse.Namespace) -> int:
     tb = TESTBEDS[args.testbed](seed=args.seed, with_disk=args.disk)
     config = ProtocolConfig(
-        block_size=parse_size(args.block_size),
+        block_size=args.block_size,
         num_channels=args.channels,
         source_blocks=args.pool,
         sink_blocks=args.pool,
         proactive_credits=not args.on_demand_credits,
     )
     sink = DiskSink(tb.dst, direct=not args.posix) if args.disk else None
-    result = run_rftp(tb, parse_size(args.bytes), config, sink=sink)
+    result = run_rftp(tb, args.bytes, config, sink=sink)
     o = result.outcome
     print(f"{result.gbps:.2f} Gbps over {tb.name} "
           f"({100 * result.gbps / tb.bare_metal_gbps:.0f}% of bare metal)")
@@ -118,9 +130,9 @@ def _cmd_gridftp(args: argparse.Namespace) -> int:
     tb = TESTBEDS[args.testbed](seed=args.seed)
     result = run_gridftp(
         tb,
-        parse_size(args.bytes),
+        args.bytes,
         streams=args.streams,
-        block_size=parse_size(args.block_size),
+        block_size=args.block_size,
         cc=args.cc,
     )
     print(f"{result.gbps:.2f} Gbps over {tb.name} with {args.streams} stream(s)")
@@ -137,7 +149,7 @@ def _cmd_fio(args: argparse.Namespace) -> int:
         tb,
         FioJob(
             semantics=args.semantics,
-            block_size=parse_size(args.block_size),
+            block_size=args.block_size,
             iodepth=args.iodepth,
             total_blocks=args.blocks,
         ),
@@ -212,25 +224,24 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan, run_chaos
 
-    plan = FaultPlan(
-        seed=args.seed,
-        write_fault_rate=args.write_fault_rate,
-        ctrl_drop_rate=args.ctrl_drop_rate,
-        ctrl_delay_rate=args.ctrl_delay_rate,
-        latency_spike_rate=args.latency_spike_rate,
-        link_flaps=tuple(
-            tuple(float(x) for x in flap.split(":", 1)) for flap in args.link_flap
-        ),
-        payload_corrupt_rate=args.payload_corrupt_rate,
-        sink_crashes=tuple(float(x) for x in args.sink_crash),
-        source_crashes=tuple(float(x) for x in args.source_crash),
-        qp_kills=tuple(
-            (float(kill.split(":", 1)[0]), int(kill.split(":", 1)[1]))
-            for kill in args.qp_kill
-        ),
-        heartbeat_drop_rate=args.heartbeat_drop_rate,
-        fallback_deny=args.deny_fallback,
-    )
+    try:
+        plan = FaultPlan(
+            seed=args.seed,
+            write_fault_rate=args.write_fault_rate,
+            ctrl_drop_rate=args.ctrl_drop_rate,
+            ctrl_delay_rate=args.ctrl_delay_rate,
+            latency_spike_rate=args.latency_spike_rate,
+            link_flaps=tuple(args.link_flap),
+            payload_corrupt_rate=args.payload_corrupt_rate,
+            sink_crashes=tuple(args.sink_crash),
+            source_crashes=tuple(args.source_crash),
+            qp_kills=tuple(args.qp_kill),
+            heartbeat_drop_rate=args.heartbeat_drop_rate,
+            fallback_deny=args.deny_fallback,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = None
     overrides = {}
     if args.no_repair:
@@ -243,7 +254,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         config = ProtocolConfig(**overrides)
     result = run_chaos(
         args.testbed,
-        total_bytes=parse_size(args.bytes),
+        total_bytes=args.bytes,
         plan=plan,
         config=config,
         horizon=args.horizon,
@@ -332,7 +343,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         spec = overload_spec(
             seed=args.seed,
             total_files=args.files if args.files is not None else 600,
-            tenants=_parse_tenants(args.tenants),
+            tenants=args.tenants,
             testbed=args.testbed,
             doors=args.doors,
             max_active=args.max_active,
@@ -344,7 +355,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         spec = synthetic_spec(
             seed=args.seed,
             total_files=files,
-            tenants=_parse_tenants(args.tenants),
+            tenants=args.tenants,
             testbed=args.testbed,
             doors=args.doors,
             max_active=args.max_active,
@@ -489,55 +500,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.report import Table, format_gbps
-    from repro.obs.bench import bench_filename, run_bench, write_bench
-    from repro.obs.compare import compare_files
-
-    mode = "quick" if args.quick else "full"
-
-    def progress(name: str, result: dict) -> None:
-        print(f"  {name}: done ({result['events']} events)", file=sys.stderr)
-
-    doc = run_bench(mode, only=args.only or None, progress=progress)
-    out = args.out or bench_filename(doc["date"])
-    write_bench(doc, out)
-
-    table = Table(
-        f"Benchmark ({mode} mode, {doc['date']})",
-        ["case", "Gbps", "p50 us", "p99 us", "events/s", "sim s"],
-    )
-    for name, r in doc["results"].items():
-        table.add_row(
-            name,
-            format_gbps(r["gbps"]),
-            format_gbps(r["p50_us"]),
-            format_gbps(r["p99_us"]),
-            f"{r['events_per_sec']:.0f}" if r["events_per_sec"] else "—",
-            f"{r['sim_time']:.3f}",
-        )
-    table.print()
-    print(f"\nwrote {out}")
-
-    if args.baseline:
-        cmp = compare_files(args.baseline, out, tolerance=args.tolerance)
-        print()
-        print(cmp.report())
-        return 0 if cmp.ok else 1
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.obs.compare import compare_files
-
-    cmp = compare_files(
-        args.baseline, args.current,
-        tolerance=args.tolerance, cases=args.case or None,
-    )
-    print(cmp.report())
-    return 0 if cmp.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -549,8 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rftp", help="run an RFTP transfer")
     _add_testbed_arg(p)
-    p.add_argument("--bytes", default="1G", help="dataset size (e.g. 8G)")
-    p.add_argument("--block-size", default="4M")
+    p.add_argument("--bytes", type=parse_size, default="1G",
+                   help="dataset size (e.g. 8G)")
+    p.add_argument("--block-size", type=parse_size, default="4M")
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--pool", type=int, default=32, help="source/sink block pool size")
     p.add_argument("--disk", action="store_true", help="write to the RAID sink")
@@ -565,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gridftp", help="run the GridFTP baseline")
     _add_testbed_arg(p)
-    p.add_argument("--bytes", default="1G")
-    p.add_argument("--block-size", default="1M")
+    p.add_argument("--bytes", type=parse_size, default="1G")
+    p.add_argument("--block-size", type=parse_size, default="1M")
     p.add_argument("--streams", type=int, default=1)
     p.add_argument("--cc", default=None, help="override congestion control")
     _add_export_args(p)
@@ -575,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fio", help="run the RDMA I/O engine")
     _add_testbed_arg(p)
     p.add_argument("--semantics", choices=("write", "read", "send"), default="write")
-    p.add_argument("--block-size", default="128K")
+    p.add_argument("--block-size", type=parse_size, default="128K")
     p.add_argument("--iodepth", type=int, default=16)
     p.add_argument("--blocks", type=int, default=2000)
     _add_export_args(p)
@@ -594,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="run a transfer under deterministic fault injection"
     )
     _add_testbed_arg(p)
-    p.add_argument("--bytes", default="256M", help="dataset size (e.g. 256M)")
+    p.add_argument("--bytes", type=parse_size, default="256M",
+                   help="dataset size (e.g. 256M)")
     p.add_argument("--write-fault-rate", type=float, default=0.0,
                    help="probability an RDMA WRITE fails transiently")
     p.add_argument("--ctrl-drop-rate", type=float, default=0.0,
@@ -603,16 +567,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability a control message is delayed")
     p.add_argument("--latency-spike-rate", type=float, default=0.0,
                    help="probability a link serialisation picks up a spike")
-    p.add_argument("--link-flap", action="append", default=[],
-                   metavar="START:DURATION",
+    p.add_argument("--link-flap", type=_pair(float), action="append",
+                   default=[], metavar="START:DURATION",
                    help="schedule a link outage (seconds); repeatable")
     p.add_argument("--payload-corrupt-rate", type=float, default=0.0,
                    help="probability an RDMA WRITE lands silently corrupted")
-    p.add_argument("--sink-crash", action="append", default=[], metavar="T",
+    p.add_argument("--sink-crash", type=float, action="append", default=[],
+                   metavar="T",
                    help="crash the sink process at sim-time T; repeatable")
-    p.add_argument("--source-crash", action="append", default=[], metavar="T",
+    p.add_argument("--source-crash", type=float, action="append", default=[],
+                   metavar="T",
                    help="crash the source process at sim-time T; repeatable")
-    p.add_argument("--qp-kill", action="append", default=[], metavar="T:INDEX",
+    p.add_argument("--qp-kill", type=_pair(int), action="append", default=[],
+                   metavar="T:INDEX",
                    help="kill data channel INDEX at sim-time T; repeatable")
     p.add_argument("--resume-attempts", type=int, default=0,
                    help="SESSION_RESUME retries after a typed abort")
@@ -643,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "mix on the ANI WAN")
     p.add_argument("--files", type=int, default=None,
                    help="synthetic mix size (overrides --quick's 1000)")
-    p.add_argument("--tenants", default="gold:3,bronze:1",
+    p.add_argument("--tenants", type=_parse_tenants, default="gold:3,bronze:1",
                    metavar="NAME:WEIGHT[,NAME:WEIGHT...]",
                    help="synthetic mix tenants (default gold:3,bronze:1)")
     p.add_argument("--testbed", choices=sorted(TESTBEDS), default="ani-wan",
@@ -724,33 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write merged JSONL here (default: stdout)")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "bench", help="run the deterministic benchmark suite, write BENCH_<date>.json"
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="scaled-down sizes for CI (the committed baseline's mode)")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="output path (default: BENCH_<date>.json in the cwd)")
-    p.add_argument("--only", action="append", default=[], metavar="CASE",
-                   help="run only this case; repeatable")
-    p.add_argument("--baseline", metavar="PATH", default=None,
-                   help="compare against this BENCH_*.json and gate on regression")
-    p.add_argument("--tolerance", type=float, default=0.10,
-                   help="relative regression tolerance for --baseline (default 0.10)")
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
-        "bench-compare", help="gate one BENCH_*.json against a baseline"
-    )
-    p.add_argument("baseline", help="baseline BENCH_*.json")
-    p.add_argument("current", help="current BENCH_*.json")
-    p.add_argument("--tolerance", type=float, default=0.10,
-                   help="relative regression tolerance (default 0.10)")
-    p.add_argument("--case", action="append", default=[],
-                   help="gate only this baseline case (repeatable); "
-                        "other cases are neither gated nor missing")
-    p.set_defaults(func=_cmd_bench_compare)
 
     return parser
 

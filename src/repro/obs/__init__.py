@@ -1,10 +1,8 @@
-"""Unified observability layer: metrics registry, collection hooks,
-JSONL export, and the regression-gated benchmark harness.
+"""Unified observability layer: metrics registry, collection hooks and
+JSONL export.
 
-Kept import-light: the engine imports this package at startup, so only
-the registry and runtime hooks load eagerly.  The bench/compare modules
-(which pull in testbeds and application stacks) are imported lazily by
-the CLI.
+Kept import-light: the engine imports this package at startup, so it
+pulls in no testbed or application stack.
 """
 
 from repro.obs.registry import (

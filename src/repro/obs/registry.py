@@ -129,8 +129,7 @@ class HistogramMetric(_Metric):
     latency series touches a handful of the 768.  ``count``/``total``/
     ``min``/``max`` stay exact; percentiles are interpolated inside the
     containing bucket and are therefore accurate to one bucket width (a
-    factor of :attr:`BUCKET_WIDTH` ≈ 1.037, i.e. < 4 %) — inside the
-    10 % tolerance the bench regression gate allows.
+    factor of :attr:`BUCKET_WIDTH` ≈ 1.037, i.e. < 4 %).
     """
 
     kind = "histogram"

@@ -1,8 +1,8 @@
 """Small numpy-free statistics helpers for hot/timed paths.
 
 ``numpy.percentile`` is exact but its first call pays a lazy-import
-warm-up of several milliseconds — enough to dominate a quick bench case
-when it lands inside the timed region.  These helpers reproduce numpy's
+warm-up of several milliseconds — enough to dominate a short benchmark
+run when it lands inside the timed region.  These helpers reproduce numpy's
 default linear-interpolation percentile in plain Python so result paths
 that run inside benchmarks stay free of one-time numpy costs.
 """

@@ -3,7 +3,8 @@
 A spec is a plain dict (JSON-serialisable) describing one broker run —
 testbed, seed, broker knobs, doors, tenants, and the submission
 schedule.  :func:`synthetic_spec` generates a deterministic mix from a
-seed, used by ``repro sched --quick`` and the ``sched_10k`` bench case.
+seed, used by ``repro sched --quick`` and the ``sched_10k`` anchor in
+``tests/test_sim_pins.py``.
 
 Format::
 

@@ -62,10 +62,9 @@ class Engine:
         #: Registry every instrumented component on this engine hangs
         #: its counters/gauges/histograms off.
         self.metrics = MetricsRegistry()
-        #: Events popped by the dispatch loop — the denominator of the
-        #: engine-throughput (events/sec) benchmark metric.  Includes
-        #: cancelled-timer tombstones, so the count is a determinism
-        #: anchor independent of cancellation behaviour.
+        #: Events popped by the dispatch loop (``sim.events`` in
+        #: ``bench/``).  Includes cancelled-timer tombstones, so the count
+        #: does not depend on cancellation behaviour.
         self.events_processed: int = 0
         #: Optional :class:`repro.sim.trace.Tracer`; instrumented
         #: components emit records when this is set.  The CLI's

@@ -281,7 +281,7 @@ def iwarp_lan(seed: int = 0, with_disk: bool = False) -> Testbed:
     )
 
 
-#: Name → factory, for CLI/bench parameterisation.  The first three are
+#: Name → factory, for CLI and workload parameterisation.  The first three are
 #: the paper's Table I; ``iwarp-lan`` is this reproduction's extension.
 TESTBEDS = {
     "roce-lan": roce_lan,
