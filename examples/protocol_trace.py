@@ -36,7 +36,7 @@ def main() -> None:
     links = {}
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 2811, config)
+        link = yield client.open_link(tb.dst_dev, 2811)
         links["link"] = link
         outcome = yield client.transfer(
             tb.dst_dev, 2811, PatternSource(tb.src), 2 << 30, link=link

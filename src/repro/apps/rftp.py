@@ -16,7 +16,6 @@ from typing import Any, Optional
 
 from repro.apps.io import NullSink, ZeroSource
 from repro.core import ProtocolConfig, RdmaMiddleware, TransferOutcome
-from repro.core.errors import TransferError
 from repro.testbeds import Testbed
 
 __all__ = ["RftpServer", "RftpClient", "RftpResult", "run_rftp"]
@@ -75,74 +74,12 @@ class RftpClient:
             tcp_factory=self.testbed.tcp_connection,
         )
 
-    def put_resumable(
-        self,
-        total_bytes: int,
-        port: int = 2811,
-        resume_attempts: int = 3,
-        resume_backoff: float = 1.0,
-        fault_injector: Any = None,
-    ):
-        """A ``put`` that survives hard mid-transfer death.
-
-        Process event resolving to the final
-        :class:`~repro.core.middleware.TransferOutcome`.  On a typed
-        :class:`~repro.core.errors.TransferError` the client waits
-        ``resume_backoff`` seconds, re-establishes a data channel if none
-        survived, and SESSION_RESUMEs from the sink's restart marker — so
-        only the missing suffix is re-read and re-sent.  After
-        ``resume_attempts`` failed resumes the last typed error is
-        re-raised.
-        """
-        mw = self.middleware
-        testbed = self.testbed
-
-        def _run():
-            link = yield mw.open_link(
-                testbed.dst_dev,
-                port,
-                fault_injector=fault_injector,
-                tcp_factory=testbed.tcp_connection,
-            )
-            try:
-                return (
-                    yield mw.transfer(
-                        testbed.dst_dev, port, self.source, total_bytes, link=link
-                    )
-                )
-            except TransferError as exc:
-                last_error = exc
-            for _ in range(resume_attempts):
-                yield mw.engine.timeout(resume_backoff)
-                if link.data.alive_count == 0:
-                    yield mw.reopen_channel(link, testbed.dst_dev, port)
-                try:
-                    return (
-                        yield mw.resume(
-                            testbed.dst_dev,
-                            port,
-                            self.source,
-                            total_bytes,
-                            last_error.session_id,
-                            link=link,
-                        )
-                    )
-                except TransferError as exc:
-                    last_error = exc
-            raise last_error
-
-        return mw.engine.process(_run())
-
     def open_broker(
         self,
         doors: int = 1,
         port: int = 2811,
         broker_config: Any = None,
         tenants: Any = None,
-        door_sessions: int = 4,
-        fault_injector: Any = None,
-        journal: Any = None,
-        seed: int = 0,
         overload: Any = None,
     ):
         """Process event resolving to an opened
@@ -166,9 +103,7 @@ class RftpClient:
                 testbed.dst_dev,
                 port,
                 self.source,
-                max_sessions=door_sessions,
                 tcp_factory=testbed.tcp_connection,
-                fault_injector=fault_injector if i == 0 else None,
             )
             for i in range(doors)
         ]
@@ -177,8 +112,7 @@ class RftpClient:
             for door in door_objs:
                 yield door.open()
             return TransferBroker(
-                mw.engine, door_objs, broker_config, tenants,
-                journal=journal, seed=seed, overload=overload,
+                mw.engine, door_objs, broker_config, tenants, overload=overload
             )
 
         return mw.engine.process(_open())

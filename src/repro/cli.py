@@ -224,24 +224,20 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan, run_chaos
 
-    try:
-        plan = FaultPlan(
-            seed=args.seed,
-            write_fault_rate=args.write_fault_rate,
-            ctrl_drop_rate=args.ctrl_drop_rate,
-            ctrl_delay_rate=args.ctrl_delay_rate,
-            latency_spike_rate=args.latency_spike_rate,
-            link_flaps=tuple(args.link_flap),
-            payload_corrupt_rate=args.payload_corrupt_rate,
-            sink_crashes=tuple(args.sink_crash),
-            source_crashes=tuple(args.source_crash),
-            qp_kills=tuple(args.qp_kill),
-            heartbeat_drop_rate=args.heartbeat_drop_rate,
-            fallback_deny=args.deny_fallback,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = FaultPlan(
+        seed=args.seed,
+        write_fault_rate=args.write_fault_rate,
+        ctrl_drop_rate=args.ctrl_drop_rate,
+        ctrl_delay_rate=args.ctrl_delay_rate,
+        latency_spike_rate=args.latency_spike_rate,
+        link_flaps=tuple(args.link_flap),
+        payload_corrupt_rate=args.payload_corrupt_rate,
+        sink_crashes=tuple(args.sink_crash),
+        source_crashes=tuple(args.source_crash),
+        qp_kills=tuple(args.qp_kill),
+        heartbeat_drop_rate=args.heartbeat_drop_rate,
+        fallback_deny=args.deny_fallback,
+    )
     config = None
     overrides = {}
     if args.no_repair:
@@ -329,8 +325,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
     if args.overload is not None:
         overload_overrides = json.loads(args.overload)
         if not isinstance(overload_overrides, dict):
-            print("error: --overload must be a JSON object", file=sys.stderr)
-            return 2
+            raise ValueError("--overload must be a JSON object")
 
     spec = None
     if args.spec:
@@ -363,9 +358,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         if overload_overrides is not None:
             spec["overload"] = overload_overrides
     if spec is None and args.recover is None:
-        print("error: need --spec, --quick, --files, --spike, or --recover",
-              file=sys.stderr)
-        return 2
+        raise ValueError("need --spec, --quick, --files, --spike, or --recover")
     if spec is not None:
         if args.watchdog:
             spec["watchdog"] = True
@@ -488,8 +481,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     elif args.quick:
         spec = copy.deepcopy(QUICK_SPEC)
     else:
-        print("error: need --spec or --quick", file=sys.stderr)
-        return 2
+        raise ValueError("need --spec or --quick")
     records = run_sweep(spec, jobs=args.jobs)
     if args.out:
         with open(args.out, "w") as fh:
@@ -751,6 +743,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # scripted callers and CI gate on the exit code, not the text.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        # Out-of-range options fail config / spec / plan validation, and
+        # an unreadable --spec or --recover path is a usage error too.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,12 @@
-"""Protocol configuration knobs (and the ablation switches)."""
+"""Protocol configuration knobs (and the ablation switches).
+
+Only what a run may vary lives here.  Fixed implementation constants
+sit beside the code that reads them: the control-plane timeout ladder
+and RTO multipliers in :mod:`repro.core.health`, the per-block resend
+budget in :mod:`repro.core.source_link`, the QP queue depths in
+:mod:`repro.core.middleware`.  Block checksums are always stamped and
+verified, and the sink always accepts SESSION_RESUME.
+"""
 
 from __future__ import annotations
 
@@ -37,48 +45,18 @@ class ProtocolConfig:
     reader_threads: int = 2
     #: Number of consumer threads at the sink.
     writer_threads: int = 2
-    #: Per-QP send queue depth.
-    send_queue_depth: int = 512
-    #: Control QP receive ring size.
-    ctrl_recv_depth: int = 128
-    #: Base timeout for control-plane request/reply exchanges (negotiation,
-    #: MR_INFO_REQ when starved, DATASET_DONE_ACK).  Doubled per retry.
-    #: Once the RTT estimator has samples it replaces this as the per-
-    #: attempt base; before any sample, adaptive paths degrade to it.
-    ctrl_timeout: float = 0.25
-    #: Multiplier applied to ctrl_timeout after each failed attempt.
-    ctrl_backoff: float = 2.0
-    #: Ceiling on any single control-plane timeout step: the exponential
-    #: backoff (previously unbounded) and the adaptive RTO both clamp
-    #: here.  The default equals ctrl_timeout * ctrl_backoff^ctrl_retries
-    #: with the stock knobs, so default behaviour is unchanged.
-    ctrl_timeout_max: float = 8.0
-    #: Floor under the adaptive RTO, so a µs-RTT LAN estimate can never
-    #: collapse a timeout below the scheduler/processing noise floor.
-    ctrl_timeout_min: float = 100e-6
-    #: Retries (beyond the first attempt) before a control exchange aborts
-    #: the session with a typed error.
-    ctrl_retries: int = 5
-    #: RDMA WRITE failures tolerated per block before the session aborts.
-    max_block_resends: int = 16
     #: Sink-side: a session with no traffic for this long is reclaimed.
     session_idle_timeout: float = 5.0
     #: Sink-side garbage-collector sweep period.
     gc_interval: float = 0.5
-    #: Stamp a per-block checksum into every BlockHeader and verify it at
-    #: the sink before delivering the block (end-to-end integrity).
-    checksum_blocks: bool = True
     #: Repair corrupt blocks via BLOCK_NACK selective re-send from the
-    #: source's still-WAITING copy.  Requires ``checksum_blocks``.  When
-    #: False a detected mismatch is counted and the block withheld, so
+    #: source's still-WAITING copy.  When False a detected mismatch is counted and the block withheld, so
     #: the session dies with a typed error instead of delivering garbage.
     block_repair: bool = True
     #: Sink-side restart-marker cadence: one BLOCK_MARKER (cumulative
     #: consumed-prefix ack) per this many consumed blocks.  Markers both
     #: release the source's repair copies and anchor SESSION_RESUME.
     marker_interval_blocks: int = 4
-    #: Accept SESSION_RESUME_REQ re-attachments at the sink.
-    session_resume: bool = True
     #: Control-channel PING/PONG liveness probes on both engines, so an
     #: idle peer's death is detected in bounded time instead of at the
     #: next request.
@@ -86,8 +64,6 @@ class ProtocolConfig:
     #: Clamp band for the adaptive heartbeat cadence.
     heartbeat_interval_min: float = 0.05
     heartbeat_interval_max: float = 2.0
-    #: Heartbeat cadence in RTOs (clamped to the band above).
-    heartbeat_rto_multiplier: float = 8.0
     #: Consecutive unanswered heartbeat intervals tolerated before the
     #: peer is declared dead (typed PeerDead abort / sink reclaim).
     heartbeat_misses: int = 3
@@ -96,8 +72,6 @@ class ProtocolConfig:
     breaker_failures: int = 3
     #: Floor on the breaker's quarantine cooldown, seconds.
     breaker_cooldown_min: float = 0.1
-    #: Adaptive cooldown in RTOs (the larger of this and the floor wins).
-    breaker_rto_multiplier: float = 8.0
     #: Sink-side idle GC patience in RTOs; the configured
     #: session_idle_timeout stays the floor, so on a long path sessions
     #: are reclaimed later, never sooner.
@@ -158,40 +132,22 @@ class ProtocolConfig:
             raise ValueError("initial_credits cannot exceed the sink pool")
         if self.reader_threads < 1 or self.writer_threads < 1:
             raise ValueError("need at least one reader and one writer thread")
-        if self.ctrl_timeout <= 0:
-            raise ValueError("ctrl_timeout must be positive")
-        if self.ctrl_backoff < 1.0:
-            raise ValueError("ctrl_backoff must be >= 1")
-        if self.ctrl_retries < 0:
-            raise ValueError("ctrl_retries must be >= 0")
-        if self.max_block_resends < 1:
-            raise ValueError("max_block_resends must be >= 1")
         if self.session_idle_timeout <= 0 or self.gc_interval <= 0:
             raise ValueError("GC timings must be positive")
-        if self.block_repair and not self.checksum_blocks:
-            raise ValueError("block_repair requires checksum_blocks")
         if self.marker_interval_blocks < 1:
             raise ValueError("marker_interval_blocks must be >= 1")
-        if self.ctrl_timeout_max < self.ctrl_timeout:
-            raise ValueError("ctrl_timeout_max must be >= ctrl_timeout")
-        if not 0 < self.ctrl_timeout_min <= self.ctrl_timeout:
-            raise ValueError("need 0 < ctrl_timeout_min <= ctrl_timeout")
         if self.heartbeat_interval_min <= 0:
             raise ValueError("heartbeat_interval_min must be positive")
         if self.heartbeat_interval_max < self.heartbeat_interval_min:
             raise ValueError(
                 "heartbeat_interval_max must be >= heartbeat_interval_min"
             )
-        if self.heartbeat_rto_multiplier <= 0:
-            raise ValueError("heartbeat_rto_multiplier must be positive")
         if self.heartbeat_misses < 1:
             raise ValueError("heartbeat_misses must be >= 1")
         if self.breaker_failures < 1:
             raise ValueError("breaker_failures must be >= 1")
         if self.breaker_cooldown_min <= 0:
             raise ValueError("breaker_cooldown_min must be positive")
-        if self.breaker_rto_multiplier <= 0:
-            raise ValueError("breaker_rto_multiplier must be positive")
         if self.idle_rto_multiplier <= 0:
             raise ValueError("idle_rto_multiplier must be positive")
         if self.sink_session_history < 1:

@@ -52,7 +52,7 @@ class CreditStarvation(TransferError):
 
 
 class ResendLimitExceeded(TransferError):
-    """A block's RDMA WRITE failed more than ``max_block_resends`` times."""
+    """A block's RDMA WRITE failed more than ``MAX_BLOCK_RESENDS`` times."""
 
 
 class StaleSessionReclaimed(TransferError):

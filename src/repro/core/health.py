@@ -2,7 +2,7 @@
 
 The paper's middleware must behave on radically different paths — a
 13 µs-RTT InfiniBand LAN and the 49 ms ANI WAN (Table I) — yet a fixed
-``ctrl_timeout`` is wrong on both: orders of magnitude too patient on
+``CTRL_TIMEOUT`` is wrong on both: orders of magnitude too patient on
 the LAN, potentially too eager on a congested WAN.  This module gives
 both engines the three classic self-tuning mechanisms:
 
@@ -23,8 +23,8 @@ both engines the three classic self-tuning mechanisms:
 Timeout policy: synchronous request/reply exchanges use the pure RTO
 (the sink answers immediately, so µs convergence on the LAN is safe);
 *patience* paths — credit waits, the DATASET_DONE ack, the marker
-watchdog, the sink's idle GC — use ``max(config base, k·rto)`` so they
-can only adapt *upwards* on a long path, never below the configured
+watchdog, the sink's idle GC — use ``max(static base, k·rto)`` so they
+can only adapt *upwards* on a long path, never below the static
 behaviour that slow disks and queued grants legitimately need.
 """
 
@@ -40,13 +40,36 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["RttEstimator", "HealthMonitor", "ChannelBreaker", "BreakerState"]
 
+#: Base timeout for control-plane request/reply exchanges (negotiation,
+#: MR_INFO_REQ when starved, DATASET_DONE_ACK).  Once the RTT estimator
+#: has samples it replaces this as the per-attempt base; before any
+#: sample, adaptive paths degrade to it.
+CTRL_TIMEOUT = 0.25
+#: Multiplier applied to the timeout after each failed attempt.
+BACKOFF_FACTOR = 2.0
+#: Retries (beyond the first attempt) before a control exchange aborts
+#: the session with a typed error.
+CTRL_RETRIES = 5
+#: Ceiling on any single control-plane timeout step: the exponential
+#: backoff and the adaptive RTO both clamp here.  It equals
+#: ``CTRL_TIMEOUT · BACKOFF_FACTOR^CTRL_RETRIES``, the last step of the
+#: static ladder, so the cap never clips that ladder.
+CTRL_TIMEOUT_MAX = 8.0
+#: Floor under the adaptive RTO, so a µs-RTT LAN estimate can never
+#: collapse a timeout below the scheduler/processing noise floor.
+CTRL_TIMEOUT_MIN = 100e-6
+#: Heartbeat cadence in RTOs (clamped to the configured band).
+HEARTBEAT_RTO_MULTIPLIER = 8.0
+#: Adaptive breaker cooldown in RTOs (the configured floor wins if larger).
+BREAKER_RTO_MULTIPLIER = 8.0
+
 
 class RttEstimator:
     """SRTT/RTTVAR smoothing with clamps (RFC 6298 constants).
 
     ``observe`` must only be fed unambiguous samples — Karn's rule:
     never time a reply that may answer a retransmitted request.  Before
-    the first sample :attr:`rto` returns the configured base timeout, so
+    the first sample :attr:`rto` returns the initial timeout, so
     an estimator-driven path degrades to exactly the static behaviour.
 
     Karn's rule discards exactly the slow samples a loaded path
@@ -124,9 +147,7 @@ class HealthMonitor:
         self.engine = engine
         self.config = config
         self.rtt = RttEstimator(
-            initial=config.ctrl_timeout,
-            floor=config.ctrl_timeout_min,
-            ceiling=config.ctrl_timeout_max,
+            initial=CTRL_TIMEOUT, floor=CTRL_TIMEOUT_MIN, ceiling=CTRL_TIMEOUT_MAX
         )
         self.last_heard: float = engine.now
         #: Consecutive heartbeat intervals that elapsed with nothing
@@ -160,9 +181,7 @@ class HealthMonitor:
 
     # -- derived timeouts -------------------------------------------------------
     def _capped(self, base: float, attempt: int) -> float:
-        return min(
-            base * self.config.ctrl_backoff ** attempt, self.config.ctrl_timeout_max
-        )
+        return min(base * BACKOFF_FACTOR ** attempt, CTRL_TIMEOUT_MAX)
 
     def request_timeout(self, attempt: int = 0) -> float:
         """Timeout for attempt N of a synchronous request/reply exchange.
@@ -170,34 +189,32 @@ class HealthMonitor:
         Attempt 0 is the adaptive RTO times Karn's backoff — a fast
         first retransmit (microseconds on a converged LAN) that stays
         backed off after an expiry until a valid sample arrives.
-        Retries back off but are floored by the static ``ctrl_timeout``
+        Retries back off but are floored by the static ``CTRL_TIMEOUT``
         ladder shifted one slot: a sharp estimate must not shrink the
         *total* patience budget, or a single delayed-but-delivered reply
         (queueing spike, injected delay fault) would exhaust all retries
-        before it lands.  Every attempt is capped at ``ctrl_timeout_max``
+        before it lands.  Every attempt is capped at ``CTRL_TIMEOUT_MAX``
         — the satellite fix for the previously unbounded doubling."""
         if attempt == 0:
-            return min(self.rtt.rto * self.rtt.backoff,
-                       self.config.ctrl_timeout_max)
-        floor = self.config.ctrl_timeout * self.config.ctrl_backoff ** (attempt - 1)
+            return min(self.rtt.rto * self.rtt.backoff, CTRL_TIMEOUT_MAX)
+        floor = CTRL_TIMEOUT * BACKOFF_FACTOR ** (attempt - 1)
         return min(
-            max(self.rtt.rto * self.config.ctrl_backoff ** attempt, floor),
-            self.config.ctrl_timeout_max,
+            max(self.rtt.rto * BACKOFF_FACTOR ** attempt, floor), CTRL_TIMEOUT_MAX
         )
 
     def patience_timeout(self, attempt: int = 0) -> float:
         """Timeout for waits whose reply is legitimately slow (credit
         grants behind a full pool, the final ack behind disk writes, the
-        marker watchdog).  Never shrinks below the configured base — the
+        marker watchdog).  Never shrinks below ``CTRL_TIMEOUT`` — the
         estimator can only make these *more* patient on a long path."""
-        base = max(self.config.ctrl_timeout, self.rtt.rto)
+        base = max(CTRL_TIMEOUT, self.rtt.rto)
         return self._capped(base, attempt)
 
     def heartbeat_interval(self) -> float:
         """Adaptive PING cadence: a few RTOs, clamped to a sane band."""
         return min(
             max(
-                self.config.heartbeat_rto_multiplier * self.rtt.rto,
+                HEARTBEAT_RTO_MULTIPLIER * self.rtt.rto,
                 self.config.heartbeat_interval_min,
             ),
             self.config.heartbeat_interval_max,
@@ -215,7 +232,7 @@ class HealthMonitor:
         """How long an OPEN channel breaker stays quarantined."""
         return max(
             self.config.breaker_cooldown_min,
-            self.config.breaker_rto_multiplier * self.rtt.rto,
+            BREAKER_RTO_MULTIPLIER * self.rtt.rto,
         )
 
 

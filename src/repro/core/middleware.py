@@ -35,6 +35,11 @@ __all__ = ["RdmaMiddleware", "TransferOutcome", "allocate_session_id"]
 _session_ids = itertools.count(1)
 _client_ids = itertools.count(1)
 
+#: Per-QP send queue depth.
+SEND_QUEUE_DEPTH = 512
+#: Control QP receive ring size.
+CTRL_RECV_DEPTH = 128
+
 
 def allocate_session_id() -> int:
     """Draw the next id from the shared session-id space.
@@ -146,10 +151,10 @@ class RdmaMiddleware:
                         self.pd,
                         self.device.create_cq(),
                         self.device.create_cq(),
-                        max_send_wr=self.config.send_queue_depth,
+                        max_send_wr=SEND_QUEUE_DEPTH,
                     )
                     request.accept(ctrl_qp)
-                    ctrl = ControlChannel(ctrl_qp, self.config.ctrl_recv_depth)
+                    ctrl = ControlChannel(ctrl_qp, CTRL_RECV_DEPTH)
                     engine = SinkEngine(
                         self.host,
                         ctrl,
@@ -171,7 +176,7 @@ class RdmaMiddleware:
                         self.pd,
                         self.device.create_cq(),
                         recv_cq,
-                        max_send_wr=self.config.send_queue_depth,
+                        max_send_wr=SEND_QUEUE_DEPTH,
                         srq=self._srq,
                     )
                     request.accept(data_qp)
@@ -223,7 +228,6 @@ class RdmaMiddleware:
         self,
         remote: "Device",
         port: int,
-        cfg: ProtocolConfig,
         client_id: int,
         fault_injector: Any,
     ) -> Generator:
@@ -237,6 +241,7 @@ class RdmaMiddleware:
         first opener's hooks cover every rider, matching the shared
         fate of shared channels.
         """
+        cfg = self.config
         key = (remote, port)
         entry = self._host_pools.get(key)
         if isinstance(entry, HostChannelPool):
@@ -253,7 +258,7 @@ class RdmaMiddleware:
                 self.pd,
                 send_cq,
                 self.device.create_cq(),
-                max_send_wr=cfg.send_queue_depth,
+                max_send_wr=SEND_QUEUE_DEPTH,
             )
             yield self.cm.connect(qp, remote, port, ("data", client_id, i))
             qp.fault_injector = getattr(
@@ -276,7 +281,6 @@ class RdmaMiddleware:
         self,
         remote: "Device",
         port: int,
-        config: Optional[ProtocolConfig] = None,
         fault_injector: Any = None,
         tcp_factory: Any = None,
     ):
@@ -294,7 +298,7 @@ class RdmaMiddleware:
         a session that loses every data channel degrades to the TCP
         fallback path instead of aborting.
         """
-        cfg = config or self.config
+        cfg = self.config
         client_id = next(_client_ids)
 
         def _open() -> Generator:
@@ -302,10 +306,10 @@ class RdmaMiddleware:
                 self.pd,
                 self.device.create_cq(),
                 self.device.create_cq(),
-                max_send_wr=cfg.send_queue_depth,
+                max_send_wr=SEND_QUEUE_DEPTH,
             )
             yield self.cm.connect(ctrl_qp, remote, port, ("ctrl", client_id))
-            ctrl = ControlChannel(ctrl_qp, cfg.ctrl_recv_depth)
+            ctrl = ControlChannel(ctrl_qp, CTRL_RECV_DEPTH)
             ctrl_hook = getattr(fault_injector, "ctrl_hook", None)
             if ctrl_hook is not None:
                 ctrl.fault_hook = ctrl_hook
@@ -314,7 +318,7 @@ class RdmaMiddleware:
                 # pool instead of opening num_channels dedicated QPs and
                 # a dedicated block pool for this link.
                 hpool = yield from self._get_host_pool(
-                    remote, port, cfg, client_id, fault_injector
+                    remote, port, client_id, fault_injector
                 )
                 link = SourceLink(
                     self.host,
@@ -332,7 +336,7 @@ class RdmaMiddleware:
                 link._client_id = client_id
                 link._fault_injector = fault_injector
                 link.tcp_factory = tcp_factory
-                link._reopen = lambda: self.reopen_channel(link, remote, port, cfg)
+                link._reopen = lambda: self.reopen_channel(link, remote, port)
                 return link
             data_send_cq = self.device.create_cq()
             data_recv_cq = self.device.create_cq()
@@ -342,7 +346,7 @@ class RdmaMiddleware:
                     self.pd,
                     data_send_cq,
                     data_recv_cq,
-                    max_send_wr=cfg.send_queue_depth,
+                    max_send_wr=SEND_QUEUE_DEPTH,
                 )
                 yield self.cm.connect(qp, remote, port, ("data", client_id, i))
                 # A FaultInjector exposes its data-plane hook; plain
@@ -364,7 +368,7 @@ class RdmaMiddleware:
             link._client_id = client_id  # for reopen_channel
             link._fault_injector = fault_injector
             link.tcp_factory = tcp_factory
-            link._reopen = lambda: self.reopen_channel(link, remote, port, cfg)
+            link._reopen = lambda: self.reopen_channel(link, remote, port)
             return link
 
         return self.engine.process(_open())
@@ -375,7 +379,6 @@ class RdmaMiddleware:
         port: int,
         data_source: Any,
         total_bytes: int,
-        config: Optional[ProtocolConfig] = None,
         fault_injector: Any = None,
         link: Optional[SourceLink] = None,
         tcp_factory: Any = None,
@@ -402,14 +405,14 @@ class RdmaMiddleware:
         if session_id is None:
             session_id = next(_session_ids)
         return self._run_session(
-            link, (remote, port, config, fault_injector, tcp_factory), False,
+            link, (remote, port, fault_injector, tcp_factory), False,
             data_source, total_bytes, session_id, reuse_negotiation=reuse_negotiation,
         )
 
     def _run_session(self, link, link_args, resumed: bool, *job_args, **job_kwargs):
-        """Process event: open a link unless one was passed, run the job
-        on it (:meth:`SourceLink.resume` or ``.transfer``) and report it
-        as a :class:`TransferOutcome`."""
+        """Process event: open a link from ``link_args`` unless one was
+        passed, run the job on it (:meth:`SourceLink.resume` or
+        ``.transfer``) and report it as a :class:`TransferOutcome`."""
 
         def _run() -> Generator:
             the_link = link
@@ -451,13 +454,10 @@ class RdmaMiddleware:
         data_source: Any,
         total_bytes: int,
         session_id: int,
-        config: Optional[ProtocolConfig] = None,
-        fault_injector: Any = None,
-        link: Optional[SourceLink] = None,
-        tcp_factory: Any = None,
+        link: SourceLink,
     ):
         """Process event resolving to a :class:`TransferOutcome` for a
-        *resumed* session.
+        *resumed* session, re-attached on ``link``.
 
         ``session_id`` must be the id of a session that previously died
         mid-transfer (on this link or a dead predecessor).  The sink is
@@ -466,32 +466,22 @@ class RdmaMiddleware:
         with a typed :class:`~repro.core.errors.TransferError` when the
         sink rejects the resume or the re-attached session aborts again.
         """
-        return self._run_session(
-            link, (remote, port, config, fault_injector, tcp_factory), True,
-            data_source, total_bytes, session_id,
-        )
+        return self._run_session(link, None, True, data_source, total_bytes, session_id)
 
-    def reopen_channel(
-        self,
-        link: SourceLink,
-        remote: "Device",
-        port: int,
-        config: Optional[ProtocolConfig] = None,
-    ):
+    def reopen_channel(self, link: SourceLink, remote: "Device", port: int):
         """Process event re-establishing one data channel on ``link``.
 
         After a failover shrank the rotation, this restores parallelism:
         a fresh data QP is connected, inherits the link's fault hooks,
         and joins the send rotation.  Resolves to the new QueuePair.
         """
-        cfg = config or self.config
 
         def _reopen() -> Generator:
             qp = self.device.create_qp(
                 self.pd,
                 link.data_send_cq,
                 self.device.create_cq(),
-                max_send_wr=cfg.send_queue_depth,
+                max_send_wr=SEND_QUEUE_DEPTH,
             )
             yield self.cm.connect(
                 qp, remote, port, ("data", link._client_id, len(link._all_data_qps))

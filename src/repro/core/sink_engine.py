@@ -497,7 +497,7 @@ class SinkEngine:
         # Extract what the one-sided WRITE deposited in the region.
         wire = block.mr.take(block.mr.buffer.addr)
         payload = wire.payload if wire is not None else None
-        if self.config.checksum_blocks and header.checksum != block_checksum(payload):
+        if header.checksum != block_checksum(payload):
             # The transport's CRC passed but the end-to-end checksum did
             # not: the region holds garbage.  Withhold the block — it
             # stays WAITING on the same region — and, when repair is on,
@@ -580,7 +580,7 @@ class SinkEngine:
             return  # no region was claimed; nothing to recycle
         block = yield self.pool.get_free_blk()
         block.advertise()  # FREE → WAITING: the region now owns this seq
-        if self.config.checksum_blocks and header.checksum != block_checksum(payload):
+        if header.checksum != block_checksum(payload):
             self._count_mismatch(header)
             if self.config.block_repair:
                 yield from self._nack(thread, header, block)
@@ -599,7 +599,8 @@ class SinkEngine:
 
     # -- re-attach: resume, TCP fallback, restore (DESIGN.md §8) -----------------------
     def _reattach_answer(
-        self, msg, s: Optional[SinkSession], enabled: bool, stored: Optional[tuple], total: int
+        self, msg, s: Optional[SinkSession], stored: Optional[tuple], total: int,
+        enabled: bool = True,
     ) -> Optional[tuple]:
         """The prologue the three re-attach requests share: the reply's
         data when the request is refused (``enabled`` off, or no pool
@@ -638,8 +639,7 @@ class SinkEngine:
         sid = msg.session_id
         total, marker_interval = msg.data
         answer = self._reattach_answer(
-            msg, s, self.config.session_resume,
-            s.resume_grant if s is not None else None, total,
+            msg, s, s.resume_grant if s is not None else None, total
         )
         if answer is None:
             marker = s.upto if s is not None else 0
@@ -676,7 +676,7 @@ class SinkEngine:
         # answered identically: the consumer thread is already running.
         same = s is not None and s.stream is stream
         answer = self._reattach_answer(
-            msg, s, not deny, (s.fallback_seq,) if same else None, total
+            msg, s, (s.fallback_seq,) if same else None, total, enabled=not deny
         )
         if deny:
             self.engine.trace("sink", "fallback_denied", session=sid)
@@ -704,7 +704,7 @@ class SinkEngine:
         sid = msg.session_id
         total, marker_interval = msg.data
         answer = self._reattach_answer(
-            msg, s, True, s.restore_grant if s is not None else None, total
+            msg, s, s.restore_grant if s is not None else None, total
         )
         if answer is None:
             if s is None or s.state is not _LIVE or s.fallback_eof is None:
@@ -769,9 +769,7 @@ class SinkEngine:
                 self.engine.trace("sink", "fallback_eof", session=s.sid, seq=cursor)
                 return
             header, payload = frame
-            if self.config.checksum_blocks and header.checksum != block_checksum(
-                payload
-            ):
+            if header.checksum != block_checksum(payload):
                 self._count_mismatch(header)
                 continue
             yield from self.data_sink.write(thread, header.length, header, payload)
@@ -875,8 +873,6 @@ class SinkEngine:
     def _advance_written(self, s: SinkSession, seq: int) -> None:
         """Advance the contiguous-written prefix (the restart marker a
         resume re-attaches to — only bytes on stable storage count)."""
-        if not (self.config.block_repair or self.config.session_resume):
-            return
         if s.state is _ACKED:
             # A sibling writer thread finished (and retired) the session
             # while this one was still inside data_sink.write; don't
@@ -906,8 +902,6 @@ class SinkEngine:
         writer threads — a repair copy pinned until fsync would starve
         the source pool for nothing.
         """
-        if not (self.config.block_repair or self.config.session_resume):
-            return
         if s.state is not _LIVE:
             return
         delivered = self.reassembly.next_seq(s.sid)

@@ -22,7 +22,7 @@ LOADED blocks with credits, post RDMA WRITEs).
 Recovery model: every control-plane exchange (negotiation requests,
 MR_INFO_REQ when starved, the DATASET_DONE/ACK handshake) carries a
 timeout with exponential backoff and a bounded retry budget; each block's
-RDMA WRITE may fail at most ``max_block_resends`` times.  Exhausting any
+RDMA WRITE may fail at most ``MAX_BLOCK_RESENDS`` times.  Exhausting any
 budget aborts the session *gracefully*: pool blocks return to the free
 list, unconsumed credits are refunded to the shared ledger, and the job's
 ``done`` event fails with a typed :class:`~repro.core.errors.TransferError`
@@ -51,7 +51,7 @@ from repro.core.errors import (
     TransferError,
     TransportFallbackFailed,
 )
-from repro.core.health import ChannelBreaker, HealthMonitor
+from repro.core.health import BACKOFF_FACTOR, CTRL_RETRIES, ChannelBreaker, HealthMonitor
 from repro.core.messages import (
     PROTOCOL,
     BlockHeader,
@@ -75,6 +75,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SourceLink", "TransferJob"]
 
 _NO_GRANT, _REPLACE, _SESSION = Grant.NONE, Grant.REPLACE, Scope.SESSION
+
+#: RDMA WRITE failures (and BLOCK_NACK repairs) tolerated per block
+#: before the session aborts with :class:`ResendLimitExceeded`.
+MAX_BLOCK_RESENDS = 16
 
 
 class TransferJob:
@@ -132,7 +136,7 @@ class TransferJob:
         self.unacked: Dict[int, SourceBlock] = {}
         #: Highest cumulative restart marker received from the sink.
         self.marker = 0
-        #: seq -> BLOCK_NACK repair attempts (bounded by max_block_resends).
+        #: seq -> BLOCK_NACK repair attempts (bounded by MAX_BLOCK_RESENDS).
         self.nack_attempts: Dict[int, int] = {}
         #: Per-block source-side latency: post of the RDMA WRITE to the
         #: polled completion (includes the RC ACK round trip), seconds.
@@ -588,7 +592,7 @@ class SourceLink:
 
         The first attempt waits one adaptive RTO (microseconds on a quiet
         LAN once the estimator has samples); later attempts back off along
-        a ladder floored by the static ``ctrl_timeout`` schedule, so a
+        a ladder floored by the static ``CTRL_TIMEOUT`` schedule, so a
         sharp estimate buys a fast first retransmit without shrinking the
         total patience budget below what injected delay faults need.
         Per Karn's algorithm only a first-attempt exchange feeds the
@@ -601,7 +605,7 @@ class SourceLink:
         sid = job.session_id
         rep_type = PROTOCOL[req_type].reply
         store = job._replies[rep_type]
-        attempts = self.config.ctrl_retries + 1
+        attempts = CTRL_RETRIES + 1
         level = self.health.rtt.level
         for attempt in range(attempts):
             if attempt:
@@ -630,7 +634,7 @@ class SourceLink:
                     return None
                 return reply
             if attempt == 0:
-                self.health.rtt.expired(level, self.config.ctrl_backoff)
+                self.health.rtt.expired(level, BACKOFF_FACTOR)
         self._abort_job(
             job,
             NegotiationTimeout(
@@ -706,10 +710,7 @@ class SourceLink:
                 self._reclaim(job, block)
                 return
             header = BlockHeader(
-                job.session_id, seq, offset, length,
-                checksum=(
-                    block_checksum(payload) if self.config.checksum_blocks else 0
-                ),
+                job.session_id, seq, offset, length, block_checksum(payload)
             )
             block.loaded(header, payload)
             yield job._loaded.put(block)
@@ -749,7 +750,7 @@ class SourceLink:
             if job.halted:
                 return None
             attempts += 1
-            if attempts > self.config.ctrl_retries:
+            if attempts > CTRL_RETRIES:
                 self._abort_job(
                     job,
                     CreditStarvation(
@@ -919,7 +920,7 @@ class SourceLink:
                     # deadlock).  After a channel death the re-post lands
                     # on a surviving QP (least-loaded pick skips ERROR).
                     attempts += 1
-                    if attempts > self.config.max_block_resends:
+                    if attempts > MAX_BLOCK_RESENDS:
                         seq = block.header.seq if block.header else -1
                         self._reclaim(job, block, credit)
                         self._abort_job(
@@ -945,7 +946,7 @@ class SourceLink:
         """Retransmit DATASET_DONE until the ACK lands, then give up with
         a typed :class:`AckTimeout`."""
         thread = self.host.thread(f"src-ack{job.session_id}", "app")
-        attempts = self.config.ctrl_retries + 1
+        attempts = CTRL_RETRIES + 1
         for attempt in range(attempts):
             yield self.engine.timeout(self.health.patience_timeout(attempt))
             if job.ended:
@@ -971,7 +972,7 @@ class SourceLink:
         runs) and the TCP fallback pump (:meth:`_fallback_thread`; a sink
         that dies mid-fallback).  Each patience timeout compares
         ``progress()`` with the last tick: a change, or ``None`` (nothing
-        at stake), resets the budget, and ``ctrl_retries + 1`` unchanged
+        at stake), resets the budget, and ``CTRL_RETRIES + 1`` unchanged
         ticks abort with ``error(ticks)``.  The first tick always counts
         as progress (the pump has sent nothing yet; the repair hold is
         empty at a session's first arming).  ``stand_down()`` ends it
@@ -991,7 +992,7 @@ class SourceLink:
                 last, attempts = seen, 0
                 continue
             attempts += 1
-            if attempts > self.config.ctrl_retries:
+            if attempts > CTRL_RETRIES:
                 self._abort_job(job, error(attempts))
                 return
 
@@ -1081,7 +1082,7 @@ class SourceLink:
             return
         attempts = job.nack_attempts.get(seq, 0) + 1
         job.nack_attempts[seq] = attempts
-        if attempts > self.config.max_block_resends:
+        if attempts > MAX_BLOCK_RESENDS:
             self._reclaim(job, block, credit)
             self._abort_job(
                 job,
@@ -1246,12 +1247,7 @@ class SourceLink:
             payload = yield from job.data_source.read(thread, length, seq)
             if job.aborted:
                 return
-            header = BlockHeader(
-                sid, seq, offset, length,
-                checksum=(
-                    block_checksum(payload) if self.config.checksum_blocks else 0
-                ),
-            )
+            header = BlockHeader(sid, seq, offset, length, block_checksum(payload))
             yield from stream.send_block(thread, header, payload)
             job._count_fallback_block()
             seq += 1
@@ -1274,7 +1270,7 @@ class SourceLink:
         handshake is polled under the patience budget."""
         sid = job.session_id
         store = job._replies[CtrlType.TRANSPORT_RESTORE_REP]
-        for round_ in range(self.config.ctrl_retries + 1):
+        for round_ in range(CTRL_RETRIES + 1):
             store.items.clear()  # drop stale not-ready replies
             reply = yield from self._request_reply(
                 thread, job, CtrlType.TRANSPORT_RESTORE_REQ,

@@ -175,7 +175,7 @@ def run_chaos(
 
     def _run():
         link = yield client.open_link(
-            testbed.dst_dev, port, cfg, injector, testbed.tcp_connection
+            testbed.dst_dev, port, injector, testbed.tcp_connection
         )
         holder["link"] = link
         injector.arm_source(link)
@@ -194,7 +194,7 @@ def run_chaos(
             holder["resume_attempts_used"] = attempts
             yield testbed.engine.timeout(resume_backoff)
             if link.data.alive_count == 0:
-                yield client.reopen_channel(link, testbed.dst_dev, port, cfg)
+                yield client.reopen_channel(link, testbed.dst_dev, port)
             sid = holder["error"].session_id
             try:
                 holder["outcome"] = yield client.resume(
@@ -281,8 +281,7 @@ def run_chaos(
         # BLOCK_DONE) the counters must agree exactly; otherwise
         # byte-exactness below is the backstop.
         if (
-            cfg.checksum_blocks
-            and not injector.sink_crashes_fired
+            not injector.sink_crashes_fired
             and not injector.source_crashes_fired
             and not sink_engine.sessions_reclaimed.total
             and not sink_engine.stray_messages.total

@@ -83,7 +83,7 @@ def test_credit_ramp_is_exponential_on_wan():
     links = {}
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         links["link"] = link
         yield client.transfer(
             tb.dst_dev, 4000, PatternSource(tb.src), 2 << 30, link=link
@@ -130,7 +130,7 @@ def test_x2_ramp_accumulates_credits_faster_than_x1():
         links = {}
 
         def driver(env):
-            link = yield client.open_link(tb.dst_dev, 4000, c)
+            link = yield client.open_link(tb.dst_dev, 4000)
             links["link"] = link
             yield client.transfer(
                 tb.dst_dev, 4000, PatternSource(tb.src), 2 << 30, link=link

@@ -266,7 +266,7 @@ class SourceRig:
         server = RdmaMiddleware(self.tb.dst, self.tb.dst_dev, self.tb.cm, self.config)
         server.serve(4000, CollectingSink(self.tb.dst))
         client = RdmaMiddleware(self.tb.src, self.tb.src_dev, self.tb.cm, self.config)
-        opened = client.open_link(self.tb.dst_dev, 4000, self.config)
+        opened = client.open_link(self.tb.dst_dev, 4000)
         self.engine.run()
         self.link = opened.value
         self.peer_ctrl = server.sink_engines[self.link._client_id].ctrl

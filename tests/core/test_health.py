@@ -17,7 +17,13 @@ from repro.core import (
     RdmaMiddleware,
     RttEstimator,
 )
-from repro.core.health import HealthMonitor
+from repro.core.health import (
+    BACKOFF_FACTOR,
+    CTRL_TIMEOUT,
+    CTRL_TIMEOUT_MAX,
+    CTRL_TIMEOUT_MIN,
+    HealthMonitor,
+)
 from repro.core.messages import CtrlType
 from repro.faults import FaultInjector, FaultPlan, run_chaos
 from repro.testbeds import TESTBEDS
@@ -73,13 +79,13 @@ class _FakeEngine:
 
 
 def test_request_timeout_backoff_is_capped():
-    """Satellite fix: the retry ladder must flatten at ctrl_timeout_max
-    instead of doubling without bound."""
+    """The retry ladder must flatten at CTRL_TIMEOUT_MAX instead of
+    doubling without bound."""
     cfg = ProtocolConfig()
     mon = HealthMonitor(_FakeEngine(), cfg)
     ladder = [mon.request_timeout(a) for a in range(12)]
-    assert all(t <= cfg.ctrl_timeout_max for t in ladder)
-    assert ladder[-1] == cfg.ctrl_timeout_max  # saturates, stays finite
+    assert all(t <= CTRL_TIMEOUT_MAX for t in ladder)
+    assert ladder[-1] == CTRL_TIMEOUT_MAX  # saturates, stays finite
     assert all(b >= a for a, b in zip(ladder, ladder[1:]))
 
 
@@ -89,29 +95,29 @@ def test_sharp_estimate_cannot_shrink_total_retry_patience():
     cfg = ProtocolConfig()
     mon = HealthMonitor(_FakeEngine(), cfg)
     for _ in range(64):
-        mon.rtt.observe(cfg.ctrl_timeout_min)
-    assert mon.request_timeout(0) < cfg.ctrl_timeout  # fast first retry
+        mon.rtt.observe(CTRL_TIMEOUT_MIN)
+    assert mon.request_timeout(0) < CTRL_TIMEOUT  # fast first retry
     for attempt in range(1, 6):
-        floor = cfg.ctrl_timeout * cfg.ctrl_backoff ** (attempt - 1)
-        assert mon.request_timeout(attempt) >= min(floor, cfg.ctrl_timeout_max)
+        floor = CTRL_TIMEOUT * BACKOFF_FACTOR ** (attempt - 1)
+        assert mon.request_timeout(attempt) >= min(floor, CTRL_TIMEOUT_MAX)
 
 
 def test_patience_timeout_only_adapts_upwards():
     cfg = ProtocolConfig()
     mon = HealthMonitor(_FakeEngine(), cfg)
     for _ in range(64):
-        mon.rtt.observe(cfg.ctrl_timeout_min)
-    assert mon.patience_timeout(0) == cfg.ctrl_timeout
+        mon.rtt.observe(CTRL_TIMEOUT_MIN)
+    assert mon.patience_timeout(0) == CTRL_TIMEOUT
     for _ in range(64):
         mon.rtt.observe(2.0)  # a slow path makes patience grow
-    assert mon.patience_timeout(0) > cfg.ctrl_timeout
+    assert mon.patience_timeout(0) > CTRL_TIMEOUT
 
 
 def test_heartbeat_interval_clamped_to_band():
     cfg = ProtocolConfig()
     mon = HealthMonitor(_FakeEngine(), cfg)
     for _ in range(64):
-        mon.rtt.observe(cfg.ctrl_timeout_min)
+        mon.rtt.observe(CTRL_TIMEOUT_MIN)
     assert mon.heartbeat_interval() == cfg.heartbeat_interval_min
     for _ in range(64):
         mon.rtt.observe(5.0)
@@ -135,13 +141,12 @@ def test_without_an_expiry_the_first_attempt_is_the_rto_exactly():
 def test_a_first_attempt_expiry_doubles_the_next_first_timeout():
     """Karn's algorithm, second half: the timeout that expired is kept
     (backed off) for the next request instead of the un-backed-off RTO."""
-    cfg = ProtocolConfig()
     _, mon = _converged_monitor()
     rto = mon.rtt.rto
-    mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
-    assert mon.request_timeout(0) == pytest.approx(rto * cfg.ctrl_backoff)
-    mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
-    assert mon.request_timeout(0) == pytest.approx(rto * cfg.ctrl_backoff ** 2)
+    mon.rtt.expired(mon.rtt.level, BACKOFF_FACTOR)
+    assert mon.request_timeout(0) == pytest.approx(rto * BACKOFF_FACTOR)
+    mon.rtt.expired(mon.rtt.level, BACKOFF_FACTOR)
+    assert mon.request_timeout(0) == pytest.approx(rto * BACKOFF_FACTOR ** 2)
     assert mon.rtt.rto == rto  # the estimate (and its gauge) is untouched
     # The retry ladder for attempts >= 1 and the patience paths do not
     # take the factor.
@@ -152,34 +157,31 @@ def test_a_first_attempt_expiry_doubles_the_next_first_timeout():
 
 
 def test_concurrent_expiries_from_one_level_back_off_once():
-    cfg = ProtocolConfig()
     _, mon = _converged_monitor()
     rto, level = mon.rtt.rto, mon.rtt.level
     for _ in range(32):  # 32 requests sent at one level, all expiring
-        mon.rtt.expired(level, cfg.ctrl_backoff)
-    assert mon.request_timeout(0) == pytest.approx(rto * cfg.ctrl_backoff)
+        mon.rtt.expired(level, BACKOFF_FACTOR)
+    assert mon.request_timeout(0) == pytest.approx(rto * BACKOFF_FACTOR)
 
 
 def test_backoff_is_capped_at_ctrl_timeout_max():
-    cfg = ProtocolConfig()
     _, mon = _converged_monitor()
     for _ in range(40):
-        mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
-    assert mon.request_timeout(0) == cfg.ctrl_timeout_max
+        mon.rtt.expired(mon.rtt.level, BACKOFF_FACTOR)
+    assert mon.request_timeout(0) == CTRL_TIMEOUT_MAX
     # It stopped growing at the cap instead of escalating 40 times.
-    assert mon.rtt.backoff < cfg.ctrl_backoff * cfg.ctrl_timeout_max / mon.rtt.rto
+    assert mon.rtt.backoff < BACKOFF_FACTOR * CTRL_TIMEOUT_MAX / mon.rtt.rto
     assert mon.rtt.level < 40
 
 
 def test_a_reply_sample_and_a_pong_each_reset_the_backoff():
-    cfg = ProtocolConfig()
     eng, mon = _converged_monitor()
-    mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
+    mon.rtt.expired(mon.rtt.level, BACKOFF_FACTOR)
     mon.rtt.observe(0.049)  # a first-attempt reply
     assert mon.rtt.backoff == 1.0 and mon.rtt.level == 0
     assert mon.request_timeout(0) == mon.rtt.rto
 
-    mon.rtt.expired(mon.rtt.level, cfg.ctrl_backoff)
+    mon.rtt.expired(mon.rtt.level, BACKOFF_FACTOR)
     nonce = mon.next_ping()
     eng.now += 0.049
     mon.on_pong(nonce)
@@ -222,10 +224,6 @@ def test_pong_rtt_sampling_follows_karns_rule():
 
 # -- config validation --------------------------------------------------------------
 def test_config_rejects_inconsistent_health_knobs():
-    with pytest.raises(ValueError):
-        ProtocolConfig(ctrl_timeout_max=0.01)  # below ctrl_timeout
-    with pytest.raises(ValueError):
-        ProtocolConfig(ctrl_timeout_min=1.0)  # above ctrl_timeout
     with pytest.raises(ValueError):
         ProtocolConfig(heartbeat_interval_min=5.0, heartbeat_interval_max=1.0)
     with pytest.raises(ValueError):
@@ -303,10 +301,9 @@ def test_rto_converges_per_path_from_one_config():
     assert wan.rtt.rto / lan.rtt.rto > 50.0
     # Synchronous first-attempt timeouts inherit the split; patience
     # paths never dip below the configured base on either path.
-    cfg = ProtocolConfig()
     assert lan.request_timeout(0) < 1e-3
     assert wan.request_timeout(0) > 0.045
-    assert lan.patience_timeout(0) >= cfg.ctrl_timeout
+    assert lan.patience_timeout(0) >= CTRL_TIMEOUT
 
 
 # -- heartbeats end to end ----------------------------------------------------------

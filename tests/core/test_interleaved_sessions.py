@@ -50,7 +50,7 @@ def test_resume_next_to_lingering_dead_sibling_leaks_nothing():
     server, sink, client = wire(tb, c)
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         se = server.sink_engines[link._client_id]
         evs = [
             link.transfer(PatternSource(tb.src), 8 * BS, session_id=100),
@@ -87,7 +87,7 @@ def _assert_history_bounded(ending):
     sessions = 6
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         se = server.sink_engines[link._client_id]
         for i in range(sessions):
             if ending == "finish":

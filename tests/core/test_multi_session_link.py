@@ -35,7 +35,7 @@ def test_concurrent_sessions_share_one_link():
     results = {}
 
     def driver(env):
-        link = client.open_link(tb.dst_dev, 4000, c)
+        link = client.open_link(tb.dst_dev, 4000)
         link = yield link
         qps_after_link = len(tb.src_dev.qps)
         jobs = [
@@ -78,7 +78,7 @@ def test_sequential_sessions_reuse_link():
     server, sink, client = wire(tb, c)
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         for i in range(3):
             outcome = yield client.transfer(
                 tb.dst_dev, 4000, PatternSource(tb.src), 4 << 20, link=link
@@ -100,7 +100,7 @@ def test_duplicate_session_id_rejected():
     server, sink, client = wire(tb, c)
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         link.transfer(PatternSource(tb.src), 4 << 20, session_id=5)
         with pytest.raises(ValueError):
             link.transfer(PatternSource(tb.src), 4 << 20, session_id=5)
@@ -157,7 +157,7 @@ def test_shared_ledger_and_pool_across_sessions():
     captured = {}
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         captured["link"] = link
         jobs = [
             link.transfer(PatternSource(tb.src), 8 << 20, session_id=200 + i)
@@ -190,7 +190,7 @@ def test_reply_stores_are_built_on_first_use():
     out = {}
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         job = TransferJob(link, 77, 1 << 20, PatternSource(tb.src))
         stores = [v for v in vars(job).values() if isinstance(v, Store)]
         assert stores == [job._loaded] and not job._replies

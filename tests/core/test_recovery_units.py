@@ -37,7 +37,7 @@ def test_ack_pops_job_and_session_id_can_be_reused():
     holder = {}
 
     def _run():
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         holder["link"] = link
         job1 = yield link.transfer(PatternSource(tb.src), 2 << 20, 7)
         # Regression: the completed job must leave the session table at
@@ -82,7 +82,7 @@ def test_failed_write_reposts_same_credit_new_wr_id():
     holder = {}
 
     def _run():
-        link = yield client.open_link(tb.dst_dev, 4000, c, injector)
+        link = yield client.open_link(tb.dst_dev, 4000, fault_injector=injector)
         holder["job"] = yield link.transfer(PatternSource(tb.src), 4 << 20, 1)
 
     tb.engine.process(_run())
@@ -109,7 +109,7 @@ def test_block_latencies_exclude_failed_completions():
     holder = {}
 
     def _run():
-        link = yield client.open_link(tb.dst_dev, 4000, c, injector)
+        link = yield client.open_link(tb.dst_dev, 4000, fault_injector=injector)
         holder["job"] = yield link.transfer(PatternSource(tb.src), 4 << 20, 1)
 
     tb.engine.process(_run())

@@ -33,7 +33,7 @@ def chaos(plan, total=16 << 20, **kw):
     over = {
         k: kw.pop(k)
         for k in list(kw)
-        if k in ("num_channels", "block_repair", "session_resume", "checksum_blocks")
+        if k in ("num_channels", "block_repair")
     }
     return run_chaos(
         "roce-lan", total_bytes=total, plan=plan, config=cfg(**over), **kw

@@ -51,7 +51,7 @@ class World:
         self.server.serve(4000, self.sink)
         client = RdmaMiddleware(self.tb.src, self.tb.src_dev, self.tb.cm, c)
         opened = client.open_link(
-            self.tb.dst_dev, 4000, c, tcp_factory=self.tb.tcp_connection
+            self.tb.dst_dev, 4000, tcp_factory=self.tb.tcp_connection
         )
         self.engine.run()
         self.link = opened.value

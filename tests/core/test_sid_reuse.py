@@ -50,7 +50,7 @@ def test_fresh_incarnation_does_not_inherit_stale_restart_marker():
     server, sink, client = wire(tb, c)
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         se = server.sink_engines[link._client_id]
 
         # Incarnation 1: killed with a durable prefix behind the marker.
@@ -99,7 +99,7 @@ def test_reused_sid_after_clean_finish_is_a_fresh_session():
     server, sink, client = wire(tb, c)
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, c)
+        link = yield client.open_link(tb.dst_dev, 4000)
         yield link.transfer(PatternSource(tb.src), 4 * BS, session_id=9)
         before = len(sink.deliveries)
         yield link.transfer(PatternSource(tb.src), 4 * BS, session_id=9)

@@ -455,15 +455,17 @@ def _restore(rig, blocks=4, interval=3):
     )
 
 
-def _pump(rig, stream, seqs, eof=True):
-    """Send blocks (and the EOF sentinel) down the fallback stream."""
+def _pump(rig, stream, seqs, eof=True, corrupt=()):
+    """Send blocks (and the EOF sentinel) down the fallback stream; the
+    ``corrupt`` seqs carry a checksum that does not match their payload."""
     src = rig.tb.src.thread("test-pump", "app")
 
     def pump():
         for seq in seqs:
             payload = ("blk", seq, BS)
             header = BlockHeader(
-                SID, seq, seq * BS, BS, checksum=block_checksum(payload)
+                SID, seq, seq * BS, BS,
+                checksum=block_checksum(payload) ^ (seq in corrupt),
             )
             yield from stream.send_block(src, header, payload)
         if eof:
@@ -558,3 +560,57 @@ STARTS = {
 @pytest.mark.parametrize("row", STARTS)
 def test_start_of_incarnation(row):
     STARTS[row](Rig())
+
+
+# -- checksum mismatches off the RDMA WRITE path -----------------------------
+# The fault injector corrupts only RDMA WRITEs, so these branches are
+# driven with a tampered wire / frame.
+
+@pytest.mark.parametrize("repair", [True, False])
+def test_eager_checksum_mismatch(repair):
+    rig = Rig(block_repair=repair)
+    rig.open(blocks=4, interval=2, eager=True)
+    payload = ("blk", 0, BS)
+    header = BlockHeader(SID, 0, 0, BS, checksum=block_checksum(payload) ^ 1)
+    sent = len(rig.ctrl.sent)
+    rig.engine.process(
+        rig.se.on_eager_block(rig.thread, DataBlockWire(header, payload))
+    )
+    rig.step()
+    replies = rig.ctrl.sent[sent:]
+    assert rig.se.checksum_mismatches.total == 1
+    assert rig.se.blocks_delivered.total == 0 and rig.sink.written == []
+    if not repair:
+        # Withheld, and the claimed region goes straight back: it holds nothing.
+        assert replies == [] and rig.se.nacks_sent.total == 0
+        assert rig.pool_is_free()
+        return
+    # Repair rides the rendezvous path: a NACK with a one-off credit for
+    # the region just claimed, which stays WAITING for the re-WRITE.
+    (nack,) = replies
+    assert nack.type is CtrlType.BLOCK_NACK and rig.se.nacks_sent.total == 1
+    seq, credit = nack.data
+    assert seq == 0
+    assert rig.states().count(SinkBlockState.WAITING) == 1
+    assert rig.se.pool.by_id(credit.block_id).state is SinkBlockState.WAITING
+    rig.credits.append(credit)
+    rig.write_block(SID, 0)
+    assert rig.se.blocks_delivered.total == 1 and rig.sink.written == [0]
+
+
+def test_fallback_checksum_mismatch_is_counted_and_skipped():
+    rig = Rig()
+    s = _half_done(rig)
+    stream = _stream(rig)
+    assert _fallback(rig, stream) == (True, 1)
+    rig.forget_credits()
+    _pump(rig, stream, [1, 2, 3], corrupt={2})
+    assert rig.se.checksum_mismatches.total == 1
+    # Blocks 1 and 3 are written; 2 is skipped, so the contiguous-written
+    # prefix stops below it and the dataset cannot finish.
+    assert rig.se.fallback_blocks.total == 2
+    assert sorted(rig.sink.written) == [0, 1, 3]
+    assert (s.upto, s.consumed, s.fallback_eof) == (2, 3 * BS, 4)
+    rig.tell(CtrlType.DATASET_DONE, SID, 4 * BS)
+    assert s.state is SessionState.LIVE and not s.done.triggered
+    assert rig.pool_is_free()

@@ -72,7 +72,7 @@ class Rig:
         # Small TCP buffers: a fallback pump whose consumer is gone stalls
         # within a few blocks instead of parking the whole dataset in them.
         opened = client.open_link(
-            self.tb.dst_dev, 4000, self.config,
+            self.tb.dst_dev, 4000,
             tcp_factory=lambda: self.tb.tcp_connection(sndbuf=4 * BS, rcvbuf=4 * BS),
         )
         self.engine.run()

@@ -81,7 +81,7 @@ def test_block_latencies_recorded():
     captured = {}
 
     def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000, cfg)
+        link = yield client.open_link(tb.dst_dev, 4000)
         job = yield link.transfer(PatternSource(tb.src), 512 << 20, session_id=31)
         captured["job"] = job
 
