@@ -62,8 +62,9 @@ class ReassemblyBuffer:
         attribute replay storms to the session that caused them)."""
         out: Dict[int, int] = {}
         for metric in self.metrics.family("reassembly.session_duplicates"):
-            if all(metric.labels.get(k) == v for k, v in self._labels.items()):
-                out[metric.labels["session"]] = int(metric.total)
+            labels = metric.labels
+            if all(labels.get(k) == v for k, v in self._labels.items()):
+                out[labels["session"]] = int(metric.total)
         return out
 
     def _total_parked(self) -> int:

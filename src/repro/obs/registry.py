@@ -35,16 +35,25 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
 
 
 class _Metric:
-    """Common base: a name plus an immutable label set."""
+    """Common base: a name plus an immutable label set.  Slotted, since a
+    run holds six series per source session (DESIGN.md §10)."""
 
+    __slots__ = ("name", "key")
     kind = "metric"
 
     def __init__(self, name: str, labels: Dict[str, Any]) -> None:
         self.name = name
-        self.labels = dict(labels)
+        #: Sorted ``(label, value)`` pairs; the registry swaps in its
+        #: interned copy so equal label sets share one tuple.
+        self.key: LabelKey = _label_key(labels)
+
+    @property
+    def labels(self) -> Dict[str, Any]:
+        """A fresh dict of the label set; mutating it changes nothing."""
+        return dict(self.key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        lbl = ",".join(f"{k}={v}" for k, v in sorted(self.labels.items()))
+        lbl = ",".join(f"{k}={v}" for k, v in self.key)
         return f"<{type(self).__name__} {self.name}{{{lbl}}}>"
 
 
@@ -57,6 +66,7 @@ class CounterMetric(_Metric):
     byte total and the number of additions.
     """
 
+    __slots__ = ("total", "count")
     kind = "counter"
 
     def __init__(self, name: str, labels: Dict[str, Any]) -> None:
@@ -68,8 +78,6 @@ class CounterMetric(_Metric):
         self.total += amount
         self.count += 1
 
-    inc = add
-
     @property
     def value(self) -> float:
         return self.total
@@ -78,6 +86,7 @@ class CounterMetric(_Metric):
 class GaugeMetric(_Metric):
     """A point-in-time value that can move both ways."""
 
+    __slots__ = ("value",)
     kind = "gauge"
 
     def __init__(self, name: str, labels: Dict[str, Any]) -> None:
@@ -103,6 +112,7 @@ class CallbackGauge(_Metric):
     the registry calls ``fn()`` only when a snapshot is taken.
     """
 
+    __slots__ = ("_fn",)
     kind = "gauge"
 
     def __init__(
@@ -132,6 +142,7 @@ class HistogramMetric(_Metric):
     factor of :attr:`BUCKET_WIDTH` ≈ 1.037, i.e. < 4 %).
     """
 
+    __slots__ = ("count", "total", "_min", "_max", "_counts")
     kind = "histogram"
 
     BUCKETS_PER_DECADE = 64
@@ -216,8 +227,12 @@ class HistogramMetric(_Metric):
         bracketing observations).  Each bracketing observation is
         estimated to one bucket width, so the result tracks the exact
         sample percentile to one bucket width even where the tail is
-        sparse and adjacent observations sit buckets apart.
+        sparse and adjacent observations sit buckets apart.  A ``q``
+        outside [0, 100] raises :class:`ValueError`, as
+        :func:`repro.obs.stats.exact_percentile` does.
         """
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile q must be in [0, 100], got {q!r}")
         n = self.count
         if n == 0:
             return float("nan")
@@ -279,14 +294,22 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], _Metric] = {}
         self._sequences: Dict[str, int] = {}
+        #: Interned label keys: ``{key: [shared key, series holding it]}``.
+        #: The count lets :meth:`remove` forget a key with its last series,
+        #: so pruning per-session series also prunes their key.
+        self._keys: Dict[LabelKey, List[Any]] = {}
 
     # -- get-or-create constructors -----------------------------------------
-    def _get(self, cls, name: str, labels: Dict[str, Any]) -> _Metric:
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
+    def _get(self, cls, name: str, labels: Dict[str, Any], *args: Any) -> _Metric:
+        metric = self._metrics.get((name, _label_key(labels)))
         if metric is None:
-            metric = cls(name, labels)
-            self._metrics[key] = metric
+            metric = cls(name, labels, *args)
+            entry = self._keys.get(metric.key)
+            if entry is None:
+                entry = self._keys[metric.key] = [metric.key, 0]
+            entry[1] += 1
+            metric.key = entry[0]
+            self._metrics[(name, metric.key)] = metric
         elif not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r}{labels!r} already registered as "
@@ -304,21 +327,11 @@ class MetricsRegistry:
         return self._get(HistogramMetric, name, labels)
 
     def gauge_fn(self, name: str, fn: Callable[[], float], **labels: Any) -> CallbackGauge:
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = CallbackGauge(name, labels, fn)
-            self._metrics[key] = metric
-        elif not isinstance(metric, CallbackGauge):
-            raise TypeError(
-                f"metric {name!r}{labels!r} already registered as "
-                f"{type(metric).__name__}, not CallbackGauge"
-            )
-        else:
-            # Re-registration rebinds the callback: a component restarted
-            # on the same engine (e.g. a recovered broker) must report its
-            # NEW incarnation's state, not a closure over the dead one's.
-            metric._fn = fn
+        metric = self._get(CallbackGauge, name, labels, fn)
+        # Re-registration rebinds the callback: a component restarted
+        # on the same engine (e.g. a recovered broker) must report its
+        # NEW incarnation's state, not a closure over the dead one's.
+        metric._fn = fn
         return metric
 
     # -- instance numbering ---------------------------------------------------
@@ -335,7 +348,14 @@ class MetricsRegistry:
     # -- removal (pruned sessions etc.) --------------------------------------
     def remove(self, name: str, **labels: Any) -> bool:
         """Drop one metric; returns whether it existed."""
-        return self._metrics.pop((name, _label_key(labels)), None) is not None
+        metric = self._metrics.pop((name, _label_key(labels)), None)
+        if metric is None:
+            return False
+        entry = self._keys[metric.key]
+        entry[1] -= 1
+        if not entry[1]:
+            del self._keys[metric.key]
+        return True
 
     # -- queries --------------------------------------------------------------
     def __len__(self) -> int:
@@ -351,15 +371,6 @@ class MetricsRegistry:
         """All metrics sharing ``name``, in registration order."""
         return [m for (n, _), m in self._metrics.items() if n == name]
 
-    def label_values(self, name: str, label: str) -> Dict[Any, float]:
-        """``{label value -> metric value}`` for one family — the shape
-        the old hand-rolled per-session dicts exposed."""
-        out: Dict[Any, float] = {}
-        for metric in self.family(name):
-            if label in metric.labels:
-                out[metric.labels[label]] = metric.value
-        return out
-
     # -- snapshots -------------------------------------------------------------
     def snapshot(self) -> List[Dict[str, Any]]:
         """Flatten every metric to a JSON-friendly record."""
@@ -368,7 +379,7 @@ class MetricsRegistry:
             rec: Dict[str, Any] = {
                 "metric": metric.name,
                 "kind": metric.kind,
-                "labels": dict(metric.labels),
+                "labels": metric.labels,
             }
             if isinstance(metric, CounterMetric):
                 rec["value"] = metric.total

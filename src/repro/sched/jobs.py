@@ -46,7 +46,7 @@ class JobState(str, enum.Enum):
         return self in (JobState.FINISHED, JobState.FAILED, JobState.CANCELED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferSpec:
     """One requested file: destination path, size, ordered alternatives.
 
@@ -66,7 +66,7 @@ class TransferSpec:
             raise ValueError("file needs a destination path")
 
 
-@dataclass
+@dataclass(slots=True)
 class FileTask:
     """Mutable per-file scheduling state."""
 
@@ -135,7 +135,7 @@ class FileTask:
         return completed
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One bulk submission."""
 

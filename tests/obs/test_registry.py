@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -32,9 +33,40 @@ def test_labels_partition_families():
     reg.counter("x.bytes", link="fwd").add(1)
     reg.counter("x.bytes", link="rev").add(2)
     assert len(reg.family("x.bytes")) == 2
-    assert reg.label_values("x.bytes", "link") == {"fwd": 1, "rev": 2}
+    assert {m.labels["link"]: m.value for m in reg.family("x.bytes")} == {
+        "fwd": 1, "rev": 2,
+    }
     # Label order in the call never matters.
     assert reg.counter("y", a=1, b=2) is reg.counter("y", b=2, a=1)
+    # Equal label sets, in either keyword order, share one interned key.
+    z = reg.gauge("z", b=2, a=1)
+    assert z.key is reg.counter("y", a=1, b=2).key
+    for metric in (z, reg.histogram("h", a=1), reg.gauge_fn("f", lambda: 0)):
+        assert not hasattr(metric, "__dict__")
+    # ``labels`` is a fresh dict: mutating it cannot rename a series.
+    z.labels["a"] = 99
+    assert reg.get("z", a=1, b=2) is z and z.labels == {"a": 1, "b": 2}
+
+    # One source session's six series (five counters and the latency
+    # histogram, labelled link + session) cost at most 2 KiB, averaged
+    # over enough sessions that one dict resize cannot dominate.
+    names = ("source.blocks_completed", "source.block_resends",
+             "source.block_repairs", "source.ctrl_retries",
+             "source.fallback_blocks")
+    sessions = 200
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for session in range(1000, 1000 + sessions):
+            for name in names:
+                reg.counter(name, link=0, session=session).add()
+            reg.histogram(
+                "source.block_latency_seconds", link=0, session=session
+            ).observe(1e-3)
+        per_session = (tracemalloc.get_traced_memory()[0] - before) / sessions
+    finally:
+        tracemalloc.stop()
+    assert per_session <= 2048, per_session
 
 
 def test_kind_mismatch_raises():
@@ -95,6 +127,11 @@ def test_histogram_summary_and_empty_nan():
     # bracketing order statistics to within one bucket width.
     assert 2.0 / h.BUCKET_WIDTH <= s["p50"] <= 3.0 * h.BUCKET_WIDTH
     assert s["max"] == 4.0
+    # Out-of-range q raises, as obs.stats.exact_percentile does, instead
+    # of silently clamping to the max or min.
+    for q in (990, -5):
+        with pytest.raises(ValueError, match="must be in"):
+            h.percentile(q)
 
 
 def test_snapshot_shapes():
@@ -121,6 +158,14 @@ def test_remove_prunes_one_label_set():
     assert not reg.remove("dup", session=1)
     assert [m.labels["session"] for m in reg.family("dup")] == [2]
     assert len(reg) == 1
+    # The interned key lives while any series holds it and goes with
+    # the last one.
+    reg.gauge("other", session=2)
+    assert reg.remove("dup", session=2)
+    assert (("session", 2),) in reg._keys
+    assert reg.remove("other", session=2)
+    assert (("session", 2),) not in reg._keys
+    assert (("session", 1),) not in reg._keys
 
 
 def test_sequence_numbers_instances():

@@ -58,6 +58,9 @@ def test_duplicate_destination_rides_along_on_the_primary():
     assert broker._m_dedup_hits.count == 1
     # The primary and the non-duplicate file each ran exactly once.
     assert j1.files[0].attempts == 1 and j2.files[1].attempts == 1
+    # Per-file records are slotted: no instance dict per spec, task or job.
+    for record in (dup.spec, dup, j2):
+        assert not hasattr(record, "__dict__")
 
 
 def test_dedupe_window_closes_when_the_primary_finishes():
