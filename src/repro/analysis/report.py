@@ -77,9 +77,6 @@ class Series:
     def add(self, x: float, y: float, **extra: float) -> None:
         self.points.append({self.x_name: x, self.y_name: y, **extra})
 
-    def ys(self) -> List[float]:
-        return [p[self.y_name] for p in self.points]
-
     def xs(self) -> List[float]:
         return [p[self.x_name] for p in self.points]
 

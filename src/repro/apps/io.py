@@ -10,7 +10,7 @@ POSIX or direct I/O.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import BlockHeader
@@ -25,7 +25,11 @@ __all__ = [
     "CollectingSink",
     "DiskSource",
     "DiskSink",
+    "audit_blocks",
 ]
+
+#: seq -> every ``(header, payload)`` delivered for it, in arrival order.
+Copies = Dict[int, List[Tuple[Any, Any]]]
 
 
 class ZeroSource:
@@ -92,6 +96,51 @@ class CollectingSink:
         yield thread.exec(self.host.spec.syscall_seconds)
         self.deliveries.append((header, payload))
         self.bytes_written += nbytes
+
+    def by_session(self) -> Dict[int, Copies]:
+        """The delivery log grouped by session id, then by seq (one pass)."""
+        sessions: Dict[int, Copies] = {}
+        for header, payload in self.deliveries:
+            sessions.setdefault(header.session_id, {}) \
+                .setdefault(header.seq, []).append((header, payload))
+        return sessions
+
+
+def audit_blocks(
+    label: str, blocks: Copies, size: int, block_size: int, tag: str, overlap_ok: bool
+) -> Tuple[List[str], int]:
+    """Byte-exactness of one ``size``-byte dataset's deliveries.
+
+    ``blocks`` (one session of :meth:`CollectingSink.by_session`) must
+    cover exactly seqs ``0..nblocks-1``, each with its expected length and
+    the :class:`PatternSource` payload for ``tag``.  A block may repeat
+    only as an identical copy, and only when ``overlap_ok`` (the session
+    re-sent a prefix the sink had already consumed: a resume, fallback or
+    repromotion) — divergent re-delivery is corruption.  Returns
+    ``(problems, overlap_bytes)``, the latter being the bytes repeated
+    copies carried beyond the first.
+    """
+    total_blocks = -(-size // block_size)
+    if sorted(blocks) != list(range(total_blocks)):
+        return [f"{label}: delivered seqs {sorted(blocks)} != 0..{total_blocks - 1}"], 0
+    problems: List[str] = []
+    overlap_bytes = 0
+    for seq in range(total_blocks):
+        first, *rest = blocks[seq]
+        header, payload = first
+        expected_len = min(block_size, size - seq * block_size)
+        if header.length != expected_len:
+            problems.append(f"{label}: seq {seq} length {header.length} != {expected_len}")
+        if payload != (tag, seq, expected_len):
+            problems.append(f"{label}: seq {seq} payload corrupted ({payload!r})")
+        for copy in rest:
+            if copy != first:
+                problems.append(f"{label}: seq {seq} re-delivered with divergent content")
+            else:
+                overlap_bytes += header.length
+        if rest and not overlap_ok:
+            problems.append(f"{label}: seq {seq} delivered twice where no overlap is allowed")
+    return problems, overlap_bytes
 
 
 class DiskSource:

@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BlockStateError",
+    "IDLE_STATES",
     "SourceBlock",
     "SourceBlockState",
     "SinkBlock",
@@ -54,6 +55,15 @@ class SinkBlockState(enum.Enum):
     FREE = "free"
     WAITING = "waiting"
     READY = "data_ready"
+
+
+#: The states a block may rest in at quiescence, per FSM: a source block
+#: only FREE; a sink block FREE or WAITING (an advertised, unspent
+#: credit).  Anything else is a leak (:meth:`BlockPool.audit`).
+IDLE_STATES = {
+    SourceBlockState: frozenset({SourceBlockState.FREE}),
+    SinkBlockState: frozenset({SinkBlockState.FREE, SinkBlockState.WAITING}),
+}
 
 
 class SourceBlock:

@@ -9,7 +9,6 @@ runs sessions over a :class:`~repro.core.source_link.SourceLink`, and returns a
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
@@ -32,24 +31,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["RdmaMiddleware", "TransferOutcome", "allocate_session_id"]
 
-_session_ids = itertools.count(1)
-_client_ids = itertools.count(1)
-
 #: Per-QP send queue depth.
 SEND_QUEUE_DEPTH = 512
 #: Control QP receive ring size.
 CTRL_RECV_DEPTH = 128
 
 
-def allocate_session_id() -> int:
-    """Draw the next id from the shared session-id space.
+def allocate_session_id(engine: "Engine") -> int:
+    """Draw the next id (1, 2, 3, ...) from ``engine``'s session-id space.
 
     Exposed for callers (the transfer broker) that must know a session's
     id *before* launching the transfer, so the attempt can be journaled
     and — after a crash — re-attached via SESSION_RESUME under the same
-    id the sink already holds marker state for.
+    id the sink already holds marker state for.  Ids are per engine, so
+    two identical runs in one process draw identical ids.
     """
-    return next(_session_ids)
+    return engine.metrics.sequence("session_id") + 1
 
 
 @dataclass(frozen=True)
@@ -299,7 +296,7 @@ class RdmaMiddleware:
         fallback path instead of aborting.
         """
         cfg = self.config
-        client_id = next(_client_ids)
+        client_id = self.engine.metrics.sequence("client_id") + 1
 
         def _open() -> Generator:
             ctrl_qp = self.device.create_qp(
@@ -403,7 +400,7 @@ class RdmaMiddleware:
         lets the broker journal the attempt before it starts.
         """
         if session_id is None:
-            session_id = next(_session_ids)
+            session_id = allocate_session_id(self.engine)
         return self._run_session(
             link, (remote, port, fault_injector, tcp_factory), False,
             data_source, total_bytes, session_id, reuse_negotiation=reuse_negotiation,

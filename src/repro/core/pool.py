@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, Generic, List, TypeVar, Union
 
-from repro.core.blocks import SinkBlock, SourceBlock
+from repro.core.blocks import IDLE_STATES, SinkBlock, SourceBlock
 from repro.core.messages import HEADER_BYTES
 from repro.sim.resources import Store
 from repro.verbs.mr import AccessFlags
@@ -172,6 +172,25 @@ class BlockPool(Generic[BlockT]):
 
     def by_id(self, block_id: int) -> BlockT:
         return self.blocks[block_id]
+
+    def audit(self) -> List[str]:
+        """What a quiescent pool must not hold, as leak messages: blocks
+        outside their FSM's :data:`~repro.core.blocks.IDLE_STATES`, and a
+        free list whose size differs from the number of FREE blocks."""
+        leaks: List[str] = []
+        free = 0
+        for blk in self.blocks.values():
+            state = blk.state
+            if state is type(state).FREE:
+                free += 1
+            elif state not in IDLE_STATES[type(state)]:
+                leaks.append(f"{self.role} block {blk.block_id} stuck {state.value}")
+        if free != len(self.free):
+            leaks.append(
+                f"{self.role} pool accounting: free list holds {len(self.free)},"
+                f" {free} blocks are FREE"
+            )
+        return leaks
 
     # -- constructors -------------------------------------------------------------
     @classmethod

@@ -242,7 +242,7 @@ class SinkEngine:
 
     def audit(self) -> List[str]:
         """What a quiescent engine must not hold, as leak messages."""
-        leaks: List[str] = []
+        leaks: List[str] = [] if self.pool is None else self.pool.audit()
         parked = self.reassembly.sessions_with_parked()
         if parked:
             leaks.append(f"reassembly entries parked for sessions {parked}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.blocks import SourceBlock
 from repro.core.channels import ControlChannel, DataChannels, NoLiveChannelError
@@ -138,9 +138,6 @@ class TransferJob:
         self.marker = 0
         #: seq -> BLOCK_NACK repair attempts (bounded by MAX_BLOCK_RESENDS).
         self.nack_attempts: Dict[int, int] = {}
-        #: Per-block source-side latency: post of the RDMA WRITE to the
-        #: polled completion (includes the RC ACK round trip), seconds.
-        self.block_latencies: list = []
         self._next_load_seq = 0
         self._loaded: Store = Store(link.engine)
         #: Reply type -> Store, built on first use (by the requester or the control thread).
@@ -511,6 +508,13 @@ class SourceLink:
         self.engine.trace("link", "kill_channel", qp=qp.qp_num, index=index)
         return True
 
+    def audit(self) -> List[str]:
+        """What a quiescent link must not hold, as leak messages."""
+        held = ((len(self.jobs), f"sessions never retired: {sorted(self.jobs)}"),
+                (len(self._inflight), "WRs still in flight"),
+                (self.ledger.waiters, "credit waiters stuck"))
+        return self.pool.audit() + [f"{n} {what}" for n, what in held if n]
+
     # -- the end of a session ---------------------------------------------------------
     def _abort_job(self, job: TransferJob, exc: TransferError) -> None:
         """Fail a live session with a typed error; a no-op once it ended."""
@@ -714,7 +718,6 @@ class SourceLink:
             )
             block.loaded(header, payload)
             yield job._loaded.put(block)
-        return
 
     def _acquire_credit(self, thread, job: TransferJob) -> Generator:
         """Obtain one credit, begging the sink (deduplicated MR_INFO_REQ)
@@ -870,9 +873,7 @@ class SourceLink:
                     self._reclaim(job, block, credit)
                     continue
                 if wc.ok:
-                    latency = self.engine.now - posted_at
-                    job.block_latencies.append(latency)
-                    job._m_latency.observe(latency)
+                    job._m_latency.observe(self.engine.now - posted_at)
                     assert block.header is not None
                     if credit is not None:
                         yield from self.ctrl.send(
@@ -1240,9 +1241,7 @@ class SourceLink:
         if self.config.fallback_repromote and self._reopen is not None:
             self.engine.process(self._repromote_watchdog(job))
         seq = resume_seq
-        while seq < job.total_blocks and not job.aborted:
-            if job.repromote_ready:
-                break
+        while seq < job.total_blocks and not job.aborted and not job.repromote_ready:
             offset, length = job._block_extent(seq)
             payload = yield from job.data_source.read(thread, length, seq)
             if job.aborted:

@@ -9,9 +9,9 @@ a :class:`FaultPlan` armed, then checks the only two acceptable endings:
   :class:`~repro.core.errors.TransferError` raised within the configured
   retry budgets, not a hang.
 
-Either way the middleware must come out clean: all source pool blocks
-free, nothing in flight, no stuck credit waiters, no parked reassembly
-entries, and every sink block either free or advertised.  Any violation
+Either way the middleware must come out clean — :meth:`SourceLink.audit`
+and :meth:`SinkEngine.audit` both empty — and, on a completed run, the
+delivery must pass :func:`~repro.apps.io.audit_blocks`.  Any violation
 is reported in :attr:`ChaosResult.leaks`.
 """
 
@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from repro.apps.io import CollectingSink, PatternSource
+from repro.apps.io import CollectingSink, PatternSource, audit_blocks
 from repro.core import ProtocolConfig, RdmaMiddleware, TransferOutcome
-from repro.core.blocks import SinkBlockState, SourceBlockState
+from repro.core.blocks import SinkBlockState
 from repro.core.errors import TransferError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -98,44 +98,6 @@ class ChaosResult:
 def _count(owner: object, counter: str) -> int:
     """``owner``'s named counter as an int; 0 when there is no owner."""
     return int(getattr(owner, counter).total) if owner is not None else 0
-
-
-def _verify_delivery(
-    sink: CollectingSink,
-    source: PatternSource,
-    total_bytes: int,
-    block_size: int,
-    allow_overlap: bool = False,
-) -> Tuple[bool, List[str]]:
-    """Byte-exactness audit.  ``allow_overlap`` (resumed sessions): a
-    block consumed both before and after a crash may appear twice in the
-    delivery log, which is fine as long as both copies are identical and
-    coverage is still exact."""
-    problems: List[str] = []
-    total_blocks = -(-total_bytes // block_size)
-    by_seq = {}
-    for header, payload in sink.deliveries:
-        if header.seq in by_seq:
-            if not allow_overlap:
-                problems.append(f"block seq {header.seq} delivered twice")
-            elif by_seq[header.seq] != (header, payload):
-                problems.append(
-                    f"block seq {header.seq} re-delivered with divergent content"
-                )
-        by_seq[header.seq] = (header, payload)
-    if len(by_seq) != total_blocks:
-        problems.append(f"delivered {len(by_seq)}/{total_blocks} blocks")
-    delivered = 0
-    for seq, (header, payload) in sorted(by_seq.items()):
-        expected_len = min(block_size, total_bytes - seq * block_size)
-        if header.length != expected_len:
-            problems.append(f"seq {seq}: length {header.length} != {expected_len}")
-        if payload != (source.tag, seq, expected_len):
-            problems.append(f"seq {seq}: payload corrupted ({payload!r})")
-        delivered += header.length
-    if delivered != total_bytes:
-        problems.append(f"delivered {delivered} bytes, expected {total_bytes}")
-    return not problems, problems
 
 
 def run_chaos(
@@ -223,66 +185,35 @@ def run_chaos(
 
     link = holder.get("link")
     if link is not None:
-        if link.pool.free_count != len(link.pool):
-            leaks.append(
-                f"source pool leak: {link.pool.free_count}/{len(link.pool)} free"
-            )
-        for blk in link.pool.blocks.values():
-            if blk.state is not SourceBlockState.FREE:
-                leaks.append(f"source block {blk.block_id} stuck {blk.state.value}")
-        if link._inflight:
-            leaks.append(f"{len(link._inflight)} WRs still in flight")
-        if link.jobs:
-            leaks.append(f"{len(link.jobs)} jobs never retired: {list(link.jobs)}")
-        if link.ledger.waiters:
-            leaks.append(f"{link.ledger.waiters} credit waiters stuck")
-
+        leaks.extend(link.audit())
     sink_engine = next(iter(server.sink_engines.values()), None)
     if sink_engine is not None:
-        # Sessions never retired, parked / READY blocks left behind, history
-        # over its cap, restart-marker state outliving an acked session.
+        # Sessions never retired, blocks outside their idle states,
+        # parked / READY blocks left behind, history over its cap,
+        # restart-marker state outliving an acked session.
         leaks.extend(sink_engine.audit())
-        if sink_engine.pool is not None:
-            free_state = waiting = 0
-            for blk in sink_engine.pool.blocks.values():
-                if blk.state is SinkBlockState.FREE:
-                    free_state += 1
-                elif blk.state is SinkBlockState.WAITING:
-                    waiting += 1
-                else:
-                    leaks.append(
-                        f"sink block {blk.block_id} stuck {blk.state.value}"
-                    )
-            if sink_engine.pool.free_count != free_state:
-                leaks.append(
-                    f"sink pool accounting: store has {sink_engine.pool.free_count},"
-                    f" {free_state} blocks are FREE"
-                )
-            if (
-                completed
-                and link is not None
-                and not injector.sink_crashes_fired
-                and not injector.source_crashes_fired
-                and link.ledger.balance != waiting
-            ):
-                # An endpoint crash legitimately de-synchronises the two
-                # ledgers (the dead side's view is gone); only a resume
-                # reconciles them, and whether one ran after the *last*
-                # crash is timing-dependent — so this strict audit only
-                # applies to crash-free runs.
+        # An endpoint crash legitimately de-synchronises the two credit
+        # ledgers (the dead side's view is gone); only a resume reconciles
+        # them, and whether one ran after the *last* crash is
+        # timing-dependent — so the two audits below apply to crash-free
+        # runs only.
+        crash_free = not injector.sink_crashes_fired and not injector.source_crashes_fired
+        if completed and crash_free and link is not None and sink_engine.pool is not None:
+            waiting = sum(
+                blk.state is SinkBlockState.WAITING
+                for blk in sink_engine.pool.blocks.values()
+            )
+            if link.ledger.balance != waiting:
                 leaks.append(
                     f"credit imbalance: source holds {link.ledger.balance},"
                     f" sink advertises {waiting}"
                 )
-
-    if sink_engine is not None:
         # Every injected corruption must be *detected*.  When nothing
-        # raced the accounting (no crash, no GC reclaim, no stray
-        # BLOCK_DONE) the counters must agree exactly; otherwise
-        # byte-exactness below is the backstop.
+        # raced the accounting (no GC reclaim, no stray BLOCK_DONE) the
+        # counters must agree exactly; otherwise byte-exactness below is
+        # the backstop.
         if (
-            not injector.sink_crashes_fired
-            and not injector.source_crashes_fired
+            crash_free
             and not sink_engine.sessions_reclaimed.total
             and not sink_engine.stray_messages.total
             and sink_engine.checksum_mismatches.total != injector.payload_corruptions
@@ -294,15 +225,17 @@ def run_chaos(
 
     byte_exact: Optional[bool] = None
     if completed:
-        byte_exact, problems = _verify_delivery(
-            sink,
-            source,
-            total_bytes,
-            cfg.block_size,
-            allow_overlap=holder.get("resume_attempts_used", 0) > 0
+        sid = outcome.session_id
+        sessions = sink.by_session()
+        problems, _overlap = audit_blocks(
+            f"session {sid}", sessions.pop(sid, {}), total_bytes, cfg.block_size,
+            source.tag,
+            overlap_ok=holder.get("resume_attempts_used", 0) > 0
             or outcome.fallbacks > 0
             or outcome.repromotions > 0,
         )
+        problems += [f"blocks delivered under foreign session {other}" for other in sessions]
+        byte_exact = not problems
         leaks.extend(problems)
 
     data_bytes_sent = 0

@@ -870,7 +870,7 @@ class TransferBroker:
             metrics["queue_wait"].observe(now - task.submitted_at)
         if task.attempts:
             metrics["retries"].add()
-        session_id = allocate_session_id()
+        session_id = allocate_session_id(self.engine)
         self._transition(
             "attempt", t=now, job_id=task.job.job_id, index=task.index,
             door=door.name, session=session_id, attempts=task.attempts + 1,

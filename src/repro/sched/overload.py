@@ -34,7 +34,7 @@ event, so the pre-existing bench anchors stay bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.jitter import jittered
@@ -53,9 +53,6 @@ __all__ = [
 NORMAL = 0
 BROWNOUT = 1
 RECOVERING = 2
-
-_STATE_NAMES = {NORMAL: "normal", BROWNOUT: "brownout",
-                RECOVERING: "recovering"}
 
 
 @dataclass(frozen=True)
@@ -165,19 +162,11 @@ class OverloadConfig:
             or self.brownout_enabled
         )
 
-    _SPEC_KEYS = (
-        "max_queued_files", "global_rate", "global_burst", "tenant_rate",
-        "tenant_burst", "priority_overdraft", "retry_after_base",
-        "retry_after_cap", "retry_after_jitter", "retry_budget_ratio",
-        "retry_budget_burst", "brownout_high", "brownout_low", "pool_high",
-        "pool_low", "brownout_hold", "brownout_session_factor",
-        "brownout_park_tenants",
-    )
-
     @classmethod
     def from_spec(cls, obj: Dict[str, Any]) -> "OverloadConfig":
-        """Build from a spec's ``overload`` object; typo'd keys fail."""
-        unknown = set(obj) - set(cls._SPEC_KEYS)
+        """Build from a spec's ``overload`` object: any field by name;
+        typo'd keys fail."""
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown overload keys: {sorted(unknown)}")
         return cls(**obj)
@@ -512,10 +501,6 @@ class OverloadController:
         self.engine.trace("sched", "brownout_exit", unparked=unparked)
 
     # -- brownout effects (queried by the broker) -------------------------------
-    @property
-    def state_name(self) -> str:
-        return _STATE_NAMES[self.state]
-
     def tenant_parked(self, tenant: str) -> bool:
         return tenant in self._parked_tenants
 

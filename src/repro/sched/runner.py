@@ -17,12 +17,13 @@ Besides the happy path, the runner owns the durability harness:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.io import CollectingSink, PatternSource, ZeroSource
+from repro.apps.io import CollectingSink, PatternSource, ZeroSource, audit_blocks
 from repro.apps.rftp import RftpServer
 from repro.core import ProtocolConfig, RdmaMiddleware
+from repro.faults.plan import FaultPlan
 from repro.sched.broker import (
     RftpDoor,
     SchedulerConfig,
@@ -42,16 +43,11 @@ __all__ = [
 
 _PORT = 2811
 
-#: FaultPlan fields a spec's ``faults`` object may set (scheduled and
-#: probabilistic seams both; anything else in the object is an error so
-#: a typo'd key fails loudly instead of silently doing nothing).
-_FAULT_KEYS = {
-    "seed", "write_fault_rate", "ctrl_drop_rate", "ctrl_delay_rate",
-    "ctrl_delay_seconds", "link_flaps", "latency_spike_rate",
-    "latency_spike_seconds", "payload_corrupt_rate", "sink_crashes",
-    "source_crashes", "broker_crashes", "qp_kills", "heartbeat_drop_rate",
-    "fallback_deny", "attempt_fault_rate", "attempt_fault_window",
-}
+#: FaultPlan fields a spec's ``faults`` object may set: every one but
+#: ``ctrl_droppable`` (a tuple of message types, not JSON).  Anything else
+#: in the object is an error so a typo'd key fails loudly instead of
+#: silently doing nothing.
+_FAULT_KEYS = {f.name for f in fields(FaultPlan)} - {"ctrl_droppable"}
 
 
 class BrokerSupervisor:
@@ -198,9 +194,7 @@ class SchedResult:
         return not self.unresolved
 
 
-def _build_fault_plan(obj: Dict[str, Any]):
-    from repro.faults.plan import FaultPlan
-
+def _build_fault_plan(obj: Dict[str, Any]) -> FaultPlan:
     unknown = set(obj) - _FAULT_KEYS
     if unknown:
         raise ValueError(f"unknown fault keys: {sorted(unknown)}")
@@ -223,25 +217,18 @@ def audit_delivery(
     """Byte-exactness audit over a collecting sink's delivery log.
 
     For every FINISHED primary file, the blocks delivered under its
-    successful session id must cover exactly ``0..nblocks-1`` with the
-    expected pattern payloads and lengths.  A block may appear twice only
-    when the session was resumed across a crash AND both copies are
-    identical — divergent re-delivery is corruption.  Returns
-    ``(ok, problems, overlap_bytes, recovered_suffix_bytes)``.
+    successful session id must pass :func:`~repro.apps.io.audit_blocks`;
+    a block may repeat only when the file was recovered across a crash
+    (``task.recovered``).  Returns ``(ok, problems, overlap_bytes,
+    recovered_suffix_bytes)``.
     """
-    by_session: Dict[int, Dict[int, List[Tuple[Any, Any]]]] = {}
-    for header, payload in sink.deliveries:
-        by_session.setdefault(header.session_id, {}) \
-            .setdefault(header.seq, []).append((header, payload))
-
+    by_session = sink.by_session()
     problems: List[str] = []
     overlap_bytes = 0
     recovered_suffix_bytes = 0
     for job in jobs:
         for task in job.files:
-            if task.duplicate_of is not None:
-                continue
-            if task.state is not FileState.FINISHED:
+            if task.duplicate_of is not None or task.state is not FileState.FINISHED:
                 continue
             label = f"{job.job_id}:{task.path}"
             sid = task.last_session
@@ -249,44 +236,11 @@ def audit_delivery(
             if blocks is None:
                 problems.append(f"{label}: no deliveries for session {sid}")
                 continue
-            total_blocks = -(-task.size // block_size)
-            if sorted(blocks) != list(range(total_blocks)):
-                problems.append(
-                    f"{label}: delivered seqs {sorted(blocks)} != "
-                    f"0..{total_blocks - 1}"
-                )
-                continue
-            delivered = 0
-            for seq, copies in sorted(blocks.items()):
-                header, payload = copies[0]
-                expected_len = min(block_size, task.size - seq * block_size)
-                if header.length != expected_len:
-                    problems.append(
-                        f"{label}: seq {seq} length {header.length} != "
-                        f"{expected_len}"
-                    )
-                if payload != (source.tag, seq, expected_len):
-                    problems.append(
-                        f"{label}: seq {seq} payload corrupted ({payload!r})"
-                    )
-                for other_header, other_payload in copies[1:]:
-                    if (other_header, other_payload) != (header, payload):
-                        problems.append(
-                            f"{label}: seq {seq} re-delivered with divergent "
-                            f"content"
-                        )
-                    else:
-                        overlap_bytes += header.length
-                if len(copies) > 1 and not task.recovered:
-                    problems.append(
-                        f"{label}: seq {seq} delivered twice without a "
-                        f"session resume"
-                    )
-                delivered += header.length
-            if delivered != task.size:
-                problems.append(
-                    f"{label}: delivered {delivered} bytes != {task.size}"
-                )
+            found, overlap = audit_blocks(
+                label, blocks, task.size, block_size, source.tag, task.recovered
+            )
+            problems += found
+            overlap_bytes += overlap
             if task.resumed_from > 0:
                 recovered_suffix_bytes += max(
                     0, task.size - task.resumed_from * block_size
@@ -300,8 +254,9 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
 
     Shedding rejects work at admission, so nothing it touches may linger:
     broker worker slots, parked files, tenant queues and stride
-    bookkeeping, destination ownership, and — on the server side — sink
-    session tables and reassembly parking must all be empty/terminal.
+    bookkeeping, destination ownership, host-pool leases, every door
+    link (:meth:`SourceLink.audit`) and — on the server side — every sink
+    engine (:meth:`SinkEngine.audit`) must all be empty/terminal/idle.
     Returns a list of problems (empty means quiescent).
     """
     leaks: List[str] = []
@@ -325,6 +280,8 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
             )
     seen_pools: set = set()
     for name, door in sorted(broker.doors.items()):
+        if door.link is not None:
+            leaks.extend(f"{name} link: {leak}" for leak in door.link.audit())
         hp = getattr(door.link, "_host_pool", None)
         if hp is None or id(hp) in seen_pools:
             continue  # dedicated-QP door, or a pool already audited

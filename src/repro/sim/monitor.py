@@ -6,7 +6,7 @@ latency-percentile meters in :mod:`repro.analysis`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.obs.stats import exact_percentile
 
@@ -134,8 +134,3 @@ class TimeWeightedStat:
         self._integral = 0.0
         self._last_time = self.engine.now
         self._epoch = self.engine.now
-
-
-def snapshot_interval(stat: TimeWeightedStat) -> Tuple[float, float]:
-    """Return ``(integral, span)`` since the stat's epoch (testing aid)."""
-    return stat.integral(), stat.engine.now - stat._epoch

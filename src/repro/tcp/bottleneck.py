@@ -73,14 +73,6 @@ class Bottleneck:
         self._m_loss_rounds = reg.counter("tcp.bottleneck_loss_rounds", **labels)
         reg.gauge_fn("tcp.bottleneck_queue_bytes", lambda: self._queue, **labels)
 
-    @property
-    def loss_rounds(self) -> int:
-        return int(self._m_loss_rounds.total)
-
-    @property
-    def queue_bytes(self) -> float:
-        return self._queue
-
     def attach(self, flow: FluidFlow) -> None:
         self._flows.append(flow)
         self.ensure_running()

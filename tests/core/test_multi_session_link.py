@@ -172,8 +172,7 @@ def test_shared_ledger_and_pool_across_sessions():
     link = captured["link"]
     # One ledger served both sessions; the pool fully recycled.
     assert link.ledger.total_received.total > 0
-    assert link.pool.free_count == len(link.pool)
-    assert not link._inflight
+    assert link.audit() == []
 
 
 def test_reply_stores_are_built_on_first_use():

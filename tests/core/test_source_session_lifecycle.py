@@ -19,7 +19,6 @@ import pytest
 
 from repro.apps.io import CollectingSink, PatternSource
 from repro.core import ProtocolConfig, RdmaMiddleware
-from repro.core.blocks import SourceBlockState
 from repro.core.errors import (
     AckTimeout,
     CreditStarvation,
@@ -279,9 +278,8 @@ def test_every_ending_goes_through_end_session_once(row, srq):
     rig.engine.run()
 
     link, job = rig.link, rig.job
-    assert not link.jobs and not link._inflight and link.ledger.waiters == 0
-    for blk in link.pool.blocks.values():
-        assert blk.state is SourceBlockState.FREE, f"block {blk.block_id} {blk.state}"
+    # Off the table, nothing in flight, no credit waiter, every block FREE.
+    assert link.audit() == []
     if srq:
         assert rig.metric("qp_pool.leases") == rig.metric("qp_pool.releases") == 1
     assert len(rig.resolutions) == 1 and job.ended

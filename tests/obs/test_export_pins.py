@@ -19,13 +19,12 @@ which reaches ``ctrl/drop``, the repair-path keyword sites in
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 
 import pytest
 
 from repro.apps.rftp import run_rftp
-from repro.core import ProtocolConfig, middleware
+from repro.core import ProtocolConfig
 from repro.faults import FaultPlan, run_chaos
 from repro.obs import runtime
 from repro.sched.jobs import JobState
@@ -54,12 +53,10 @@ def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _traced_testbed(name, tracer_factory, monkeypatch):
+def _traced_testbed(name, tracer_factory):
     """A seed-0 testbed born under collection with ``tracer_factory``'s
     tracer, and the byte count of ``bulk_*``'s smallest scale (64 blocks
     with a seeded short tail)."""
-    # Session ids come from a process-wide counter and label metrics.
-    monkeypatch.setattr(middleware, "_session_ids", itertools.count(1))
     runtime.install_tracer_factory(tracer_factory)
     runtime.start_collection()
     config = ProtocolConfig()
@@ -68,9 +65,9 @@ def _traced_testbed(name, tracer_factory, monkeypatch):
 
 
 @pytest.mark.parametrize("capacity", sorted(PINS))
-def test_bulk_wan_obs_exports_are_byte_identical(capacity, tmp_path, monkeypatch):
+def test_bulk_wan_obs_exports_are_byte_identical(capacity, tmp_path):
     testbed, config, total = _traced_testbed(
-        "ani-wan", lambda: Tracer(capacity=capacity), monkeypatch
+        "ani-wan", lambda: Tracer(capacity=capacity)
     )
     run_rftp(testbed, total, config=config)
     engines = runtime.collected_engines()
@@ -84,9 +81,9 @@ def test_bulk_wan_obs_exports_are_byte_identical(capacity, tmp_path, monkeypatch
     assert _sha(trace) == sha
 
 
-def test_category_filtered_trace_export_is_byte_identical(tmp_path, monkeypatch):
+def test_category_filtered_trace_export_is_byte_identical(tmp_path):
     testbed, config, total = _traced_testbed(
-        "ani-wan", lambda: Tracer(categories={"qp", "credits"}), monkeypatch
+        "ani-wan", lambda: Tracer(categories={"qp", "credits"})
     )
     run_rftp(testbed, total, config=config)
     trace = tmp_path / "trace.jsonl"
@@ -95,8 +92,8 @@ def test_category_filtered_trace_export_is_byte_identical(tmp_path, monkeypatch)
     assert _sha(trace) == sha
 
 
-def test_faulted_lan_trace_export_is_byte_identical(tmp_path, monkeypatch):
-    testbed, config, total = _traced_testbed("roce-lan", Tracer, monkeypatch)
+def test_faulted_lan_trace_export_is_byte_identical(tmp_path):
+    testbed, config, total = _traced_testbed("roce-lan", Tracer)
     # Plan seed 21 is the first whose 64 blocks reach a control drop, a
     # checksum repair and a breaker trip in one run.
     plan = FaultPlan(

@@ -9,6 +9,7 @@ byte-identically.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -92,6 +93,14 @@ def test_overload_config_validation():
         OverloadConfig(brownout_session_factor=0.0)
     with pytest.raises(ValueError, match="unknown overload keys"):
         OverloadConfig.from_spec({"global_rte": 1.0})
+    # Spec keys are the dataclass fields: every one is accepted by name.
+    every = {f.name: getattr(OverloadConfig(), f.name) for f in fields(OverloadConfig)}
+    assert len(every) == 18 and OverloadConfig.from_spec(every) == OverloadConfig()
+    # A typo in a spec's ``faults`` object fails the same way.
+    spec = synthetic_spec(seed=0, total_files=1)
+    spec["faults"] = {"write_fault_rte": 0.1}
+    with pytest.raises(ValueError, match="unknown fault keys"):
+        run_sched(spec)
 
 
 def test_token_bucket_refill_take_and_overdraft():

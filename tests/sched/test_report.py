@@ -6,18 +6,22 @@ from repro.sched import report_lines, run_sched, synthetic_spec
 
 
 def _run_report(seed=3):
+    """The run's report lines and its journal records."""
     spec = synthetic_spec(seed=seed, total_files=60, doors=2)
     result = run_sched(spec)
     assert result.all_finished
-    return report_lines(result.jobs, result.testbed.engine, result.header)
+    lines = report_lines(result.jobs, result.testbed.engine, result.header)
+    return lines, result.journal.records
 
 
 def test_same_seed_produces_byte_identical_reports():
+    # The journal too: session ids are drawn per engine, so a second run
+    # in the same process journals the same attempt records.
     assert _run_report() == _run_report()
 
 
 def test_different_seed_produces_a_different_mix():
-    a, b = _run_report(seed=3), _run_report(seed=4)
+    a, b = _run_report(seed=3)[0], _run_report(seed=4)[0]
     assert a != b  # the synthetic generator actually varies with the seed
 
 

@@ -7,6 +7,7 @@ shared leases, and teardown paths — including deadline cancellation —
 return every lease (audited by ``quiescence_leaks``).
 """
 
+from repro.core.messages import BlockHeader
 from repro.sched import quiescence_leaks, run_sched, synthetic_spec
 
 
@@ -72,9 +73,26 @@ def test_deadline_cancel_returns_leases():
 def test_quiescence_audit_flags_unreturned_lease():
     result = run_sched(srq_spec())
     assert not result.leaks
-    hp = next(iter(result.broker.doors.values())).link._host_pool
+    link = next(iter(result.broker.doors.values())).link
+    hp = link._host_pool
     hp.sessions.lease(("stuck", 1))
     leaks = quiescence_leaks(result)
     assert any("lease" in leak for leak in leaks), leaks
     hp.sessions.release(("stuck", 1))
+    assert not quiescence_leaks(result)
+    # A source block out of FREE and a sink block left READY: both named.
+    src_blk = link.pool.try_get_free_blk().reserve()
+    sink_engine = next(iter(result.server.middleware.sink_engines.values()))
+    # Every sink block rests WAITING (advertised): land data in one.
+    sink_blk = next(iter(sink_engine.pool.blocks.values()))
+    sink_blk.finish(BlockHeader(1, 0, 0, 1))
+    leaks = quiescence_leaks(result)
+    assert any(f"source block {src_blk.block_id} stuck loading" in leak
+               for leak in leaks), leaks
+    assert any(f"sink block {sink_blk.block_id} stuck data_ready" in leak
+               for leak in leaks), leaks
+    src_blk.scrap()
+    link.pool.put_free_blk(src_blk)
+    sink_blk.consume()
+    sink_blk.advertise()
     assert not quiescence_leaks(result)

@@ -82,16 +82,15 @@ def test_block_latencies_recorded():
 
     def driver(env):
         link = yield client.open_link(tb.dst_dev, 4000)
-        job = yield link.transfer(PatternSource(tb.src), 512 << 20, session_id=31)
-        captured["job"] = job
+        captured["job"] = yield link.transfer(PatternSource(tb.src), 512 << 20, session_id=31)
 
     tb.engine.process(driver(tb.engine))
     tb.engine.run()
     job = captured["job"]
-    assert len(job.block_latencies) == job.total_blocks
+    (latency,) = tb.engine.metrics.family("source.block_latency_seconds")
     # Every WRITE completion waits at least the RC ACK round trip.
-    assert min(job.block_latencies) >= tb.rtt
-    assert not job.link._inflight  # fully drained
+    assert latency.count == job.total_blocks and latency.min >= tb.rtt
+    assert job.link.audit() == []  # fully drained
 
 
 def test_one_block_dataset():

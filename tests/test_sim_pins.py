@@ -28,14 +28,13 @@ make a change pass either: a moved anchor is a declared model change.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import pytest
 
 from repro.apps.fio import FioJob, run_fio
 from repro.apps.gridftp import run_gridftp
 from repro.apps.rftp import run_rftp
-from repro.core import ProtocolConfig, middleware
+from repro.core import ProtocolConfig
 from repro.core.messages import HEADER_BYTES
 from repro.faults import FaultPlan, run_chaos
 from repro.obs.registry import HistogramMetric
@@ -107,10 +106,6 @@ def _discrete(build):
 
 
 def _sched(spec, fluid, latencies, monkeypatch, **kwargs):
-    # Attempt records carry session ids, which come from a process-wide
-    # counter: start it afresh so the journal does not depend on which
-    # tests ran before this one.
-    monkeypatch.setattr(middleware, "_session_ids", itertools.count(1))
     if not fluid:
         monkeypatch.setattr(runner, "TESTBEDS", {
             name: _discrete(build) for name, build in TESTBEDS.items()
