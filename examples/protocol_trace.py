@@ -33,17 +33,7 @@ def main() -> None:
     server.serve(2811, CollectingSink(tb.dst))
     client = RdmaMiddleware(tb.src, tb.src_dev, tb.cm, config)
 
-    links = {}
-
-    def driver(env):
-        link = yield client.open_link(tb.dst_dev, 2811)
-        links["link"] = link
-        outcome = yield client.transfer(
-            tb.dst_dev, 2811, PatternSource(tb.src), 2 << 30, link=link
-        )
-        links["outcome"] = outcome
-
-    tb.engine.process(driver(tb.engine))
+    done = client.transfer(tb.dst_dev, 2811, PatternSource(tb.src), 2 << 30)
     tb.engine.run()
 
     tracer = tb.engine.tracer
@@ -54,7 +44,10 @@ def main() -> None:
         print(f"  t={rec.time * 1e3:8.3f} ms  {rec.fields['type']}")
 
     print("\n--- credit ramp (cumulative grants vs round trips) ---")
-    history = links["link"].ledger.history
+    # Each deposit row carries the cumulative count received so far.
+    history = [(rec.time, rec.fields["total"])
+               for rec in tracer.query(category="credits")
+               if rec.message == "deposit"]
     t0 = history[0][0]
     for rtts in (1, 2, 3, 4, 5, 6, 8):
         cutoff = t0 + rtts * tb.rtt
@@ -63,7 +56,7 @@ def main() -> None:
         bar = "#" * total
         print(f"  {rtts:>2} RTT: {total:>3} credits  {bar}")
 
-    outcome = links["outcome"]
+    outcome = done.value
     print(f"\ntransfer: {outcome.gbps:.2f} Gbps, "
           f"{outcome.mr_requests} explicit credit requests, "
           f"peak balance {outcome.peak_credits}")

@@ -71,9 +71,6 @@ class CreditLedger:
         self.peak_balance = reg.gauge("credits.peak_balance", **labels)
         reg.gauge_fn("credits.balance", lambda: len(self._credits), **labels)
         reg.gauge_fn("credits.waiters", lambda: self._credits.waiters, **labels)
-        #: (time, cumulative credits received) — lets experiments verify
-        #: the exponential ramp of the ×2 grant policy.
-        self.history: List[tuple] = []
         #: An MR_INFO_REQ is already in flight for this link.  Senders of
         #: *all* sessions sharing the ledger consult this before asking
         #: again, so a zero balance with N concurrent jobs produces one
@@ -94,18 +91,19 @@ class CreditLedger:
         self._credits.put_many(credits)
         self.total_received.add(len(credits))
         self.peak_balance.set_max(self.balance)
-        now = self.engine.now
-        received = int(self.total_received.total)
-        self.history.append((now, received))
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.point(now, _T_DEPOSIT, len(credits), self.balance, received)
+            # ``total`` is the cumulative count: the rows trace the ×2 ramp.
+            tracer.point(
+                self.engine.now, _T_DEPOSIT, len(credits), self.balance,
+                int(self.total_received.total),
+            )
 
     def refund(self, credits: List[Credit]) -> None:
         """Return credits an aborted session never consumed.
 
         Unlike :meth:`deposit` this does not count toward
-        ``total_received`` or the grant-ramp history — the sink already
+        ``total_received`` or trace a deposit — the sink already
         accounted for these when it granted them.
         """
         self._credits.put_many(credits)

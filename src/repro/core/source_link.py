@@ -109,19 +109,6 @@ class TransferJob:
         self.start_seq = 0
         #: Blocks this incarnation owes the sink.
         self.blocks_to_send = self.total_blocks
-        # Session-labelled registry counters are cumulative across every
-        # incarnation reusing this session id (resumes, id reuse after
-        # completion); the plain attributes below stay per-incarnation, so
-        # both are maintained: the attribute for job-local views and tests,
-        # the counter for exported snapshots.
-        reg = link.engine.metrics
-        labels = {"link": link._m_idx, "session": session_id}
-        self._m_completed = reg.counter("source.blocks_completed", **labels)
-        self._m_resends = reg.counter("source.block_resends", **labels)
-        self._m_repairs = reg.counter("source.block_repairs", **labels)
-        self._m_ctrl_retries = reg.counter("source.ctrl_retries", **labels)
-        self._m_fallback_blocks = reg.counter("source.fallback_blocks", **labels)
-        self._m_latency = reg.histogram("source.block_latency_seconds", **labels)
         self.completed_blocks = 0
         self.resends = 0
         #: NACK-driven selective re-sends performed.
@@ -142,7 +129,7 @@ class TransferJob:
         self._loaded: Store = Store(link.engine)
         #: Reply type -> Store, built on first use (by the requester or the control thread).
         self._replies: Dict[CtrlType, Store] = defaultdict(lambda: Store(link.engine))
-        #: Succeeds (with this job) when the sink acknowledges the dataset.
+        #: Succeeds, with no value, when the sink acknowledges the dataset.
         self.done: Event = Event(link.engine)
         #: Succeeds when the session aborts — always success-typed so it
         #: can sit inside AnyOf waits without failing them; the *typed*
@@ -178,26 +165,26 @@ class TransferJob:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
 
-    # -- incarnation-local increments that also feed the registry --------------
+    # -- incarnation-local increments that also feed the link's series --------
     def _count_completed(self) -> None:
         self.completed_blocks += 1
-        self._m_completed.add()
+        self.link._m_completed.add()
 
     def _count_resend(self) -> None:
         self.resends += 1
-        self._m_resends.add()
+        self.link._m_resends.add()
 
     def _count_repair(self) -> None:
         self.repairs += 1
-        self._m_repairs.add()
+        self.link._m_repairs.add()
 
     def _count_ctrl_retry(self) -> None:
         self.ctrl_retries += 1
-        self._m_ctrl_retries.add()
+        self.link._m_ctrl_retries.add()
 
     def _count_fallback_block(self) -> None:
         self.fallback_blocks += 1
-        self._m_fallback_blocks.add()
+        self.link._m_fallback_blocks.add()
 
     @property
     def halted(self) -> bool:
@@ -275,6 +262,13 @@ class SourceLink:
         reg.gauge_fn("source.active_jobs", lambda: len(self.jobs), **labels)
         reg.gauge_fn("source.inflight_wrs", lambda: len(self._inflight), **labels)
         reg.gauge_fn("source.rto_seconds", lambda: self.health.rtt.rto, **labels)
+        # Every session's block counts: one set per link (DESIGN.md §10).
+        self._m_completed = reg.counter("source.blocks_completed", **labels)
+        self._m_resends = reg.counter("source.block_resends", **labels)
+        self._m_repairs = reg.counter("source.block_repairs", **labels)
+        self._m_ctrl_retries = reg.counter("source.ctrl_retries", **labels)
+        self._m_fallback_blocks = reg.counter("source.fallback_blocks", **labels)
+        self._m_latency = reg.histogram("source.block_latency_seconds", **labels)
         #: qp_num -> circuit breaker, created lazily as channels carry
         #: traffic; survives detach/adopt so a flapping QP that comes
         #: back keeps its quarantine history.
@@ -331,9 +325,8 @@ class SourceLink:
 
     # -- public API --------------------------------------------------------------
     def _open_session(self, data_source: Any, total_bytes: int, session_id: int) -> TransferJob:
-        """Register a new job on the link: take its channel lease (pooled
-        links) and make sure the shared threads run.  Every rejection
-        comes first, so a rejected session registers no metric series."""
+        """Register a new job on the link, after every rejection: take its
+        channel lease (pooled links) and make sure the shared threads run."""
         if total_bytes <= 0:
             raise ValueError("total_bytes must be positive")
         if session_id in self.jobs:
@@ -383,6 +376,17 @@ class SourceLink:
                 ),
             ))
 
+    def _run_session(self, job: TransferJob, name: str, opening: Callable) -> Generator:
+        """The process of :meth:`transfer` / :meth:`resume`: ``opening(thread,
+        job)`` on the session's own thread, then the job — or its typed error."""
+        yield from opening(self.host.thread(f"{name}-{job.session_id}", "app"), job)
+        try:
+            yield job.done
+        except TransferError:
+            job = None  # the error's traceback keeps this frame: let go of the job
+            raise
+        return job
+
     def transfer(
         self,
         data_source: Any,
@@ -416,16 +420,13 @@ class SourceLink:
             )
         skip_link_setup = reuse_negotiation and self._negotiated
 
-        def _run() -> Generator:
-            thread = self.host.thread(f"src-nego-{session_id}", "app")
+        def _open(thread, job: TransferJob) -> Generator:
             yield from self._negotiate(thread, job, skip_link_setup=skip_link_setup)
             if not job.aborted:
                 job.started_at = self.engine.now
                 yield from self._arm(thread, job, 0)
-            finished: TransferJob = yield job.done
-            return finished
 
-        return self.engine.process(_run())
+        return self.engine.process(self._run_session(job, "src-nego", _open))
 
     def resume(self, data_source: Any, total_bytes: int, session_id: int):
         """Process event re-attaching a dead session at its restart marker.
@@ -448,8 +449,7 @@ class SourceLink:
         # paid the MR-exchange cost eager exists to avoid.
         job = self._open_session(data_source, total_bytes, session_id)
 
-        def _run() -> Generator:
-            thread = self.host.thread(f"src-resume-{session_id}", "app")
+        def _open(thread, job: TransferJob) -> Generator:
             reply = yield from self._request_reply(
                 thread, job, CtrlType.SESSION_RESUME_REQ,
                 (job.total_bytes, self._marker_interval()), "sink rejected session resume",
@@ -462,10 +462,8 @@ class SourceLink:
                     start_seq=min(resume_seq, job.total_blocks),
                 )
                 yield from self._arm(thread, job, resume_seq)
-            finished: TransferJob = yield job.done
-            return finished
 
-        return self.engine.process(_run())
+        return self.engine.process(self._run_session(job, "src-resume", _open))
 
     def crash(self) -> None:
         """Kill the source process: every live job dies with
@@ -523,12 +521,13 @@ class SourceLink:
 
     def _end_session(self, job: TransferJob, result: TransferJob | TransferError) -> None:
         """The one exit of a session: off the link table, lease returned,
-        ``done`` resolved — with the job (DATASET_DONE_ACK) or the typed
-        :class:`TransferError` in ``result``.  Each ending keeps its pool
-        work and its order relative to ``done`` (DESIGN.md §8).  An abort
-        scraps only what is parked outside any thread; a block a reader /
-        sender holds or ``_inflight`` owns is reclaimed by that thread
-        once it sees the halt (it holds the only safe reference)."""
+        ``done`` succeeded (``result`` is the job: DATASET_DONE_ACK) or
+        failed with the typed :class:`TransferError` in ``result``.  Each
+        ending keeps its pool work and its order relative to ``done``
+        (DESIGN.md §8).  An abort scraps only what is parked outside any
+        thread; a block a reader / sender holds or ``_inflight`` owns is
+        reclaimed by that thread once it sees the halt (it holds the only
+        safe reference)."""
         job.ended = True
         # Off the table: the id can be reused, and the dict stays bounded.
         self.jobs.pop(job.session_id, None)
@@ -541,7 +540,7 @@ class SourceLink:
                 self.pool.put_free_blk(blk)
             job.unacked.clear()
             job.nack_attempts.clear()
-            job.done.succeed(job)
+            job.done.succeed()
             return
         job.aborted = True
         job.error = result
@@ -843,6 +842,7 @@ class SourceLink:
     def _completion_thread(self) -> Generator:
         thread = self.host.thread("src-completion", "app")
         while True:
+            job = None  # parked between batches: hold no ended session
             if self._wc_inbox is not None:
                 # Pooled link: the host pool's dispatcher owns the shared
                 # CQ and routes this link's completions here by wr_id.
@@ -873,7 +873,7 @@ class SourceLink:
                     self._reclaim(job, block, credit)
                     continue
                 if wc.ok:
-                    job._m_latency.observe(self.engine.now - posted_at)
+                    self._m_latency.observe(self.engine.now - posted_at)
                     assert block.header is not None
                     if credit is not None:
                         yield from self.ctrl.send(
@@ -1000,6 +1000,7 @@ class SourceLink:
     def _control_thread(self) -> Generator:
         thread = self.host.thread("src-ctrl", "app")
         while True:
+            job = None  # parked between batches: hold no ended session
             msgs = yield from self.ctrl.receive(thread)
             for msg in msgs:
                 self.health.heard()
@@ -1016,14 +1017,12 @@ class SourceLink:
                     credits = data[-1]
                     if credits:
                         self.ledger.deposit(list(credits))
-                job = None
-                if rule.scope is _SESSION:
-                    job = self.jobs.get(msg.session_id)
-                    if job is None:
-                        # Finished or aborted session: stale replies, markers
-                        # and duplicate ACKs are expected under retransmission.
-                        self.stray_messages.add()
-                        continue
+                job = self.jobs.get(msg.session_id) if rule.scope is _SESSION else None
+                if job is None and rule.scope is _SESSION:
+                    # Finished or aborted session: stale replies, markers
+                    # and duplicate ACKs are expected under retransmission.
+                    self.stray_messages.add()
+                    continue
                 handler = self._HANDLERS.get(msg.type)
                 if handler is not None:
                     step = handler(self, thread, job, msg)

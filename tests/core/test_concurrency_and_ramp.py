@@ -5,7 +5,22 @@ from hypothesis import strategies as st
 
 from repro.apps.io import CollectingSink, PatternSource
 from repro.core import ProtocolConfig, RdmaMiddleware
+from repro.sim.trace import Tracer
 from repro.testbeds import ani_wan, roce_lan
+
+
+def traced_ani_wan():
+    """``ani_wan`` with a tracer keeping the credit ledger's rows."""
+    tb = ani_wan()
+    tb.engine.tracer = Tracer(categories={"credits"})
+    return tb
+
+
+def received_history(tb):
+    """(time, cumulative credits received) per deposit, off the
+    ``credits/deposit`` trace rows."""
+    return [(r.time, r.fields["total"]) for r in tb.engine.tracer.query("credits")
+            if r.message == "deposit"]
 
 
 def cfg(**over):
@@ -67,7 +82,7 @@ def test_credit_ramp_is_exponential_on_wan():
     """§IV-C: 'an exponential increase in the number of available remote
     MR in the data source at the beginning of a data transfer session...
     similar to the slow start of TCP'."""
-    tb = ani_wan()
+    tb = traced_ani_wan()
     c = ProtocolConfig(
         block_size=4 << 20,
         num_channels=2,
@@ -79,20 +94,10 @@ def test_credit_ramp_is_exponential_on_wan():
     server = RdmaMiddleware(tb.dst, tb.dst_dev, tb.cm, c)
     server.serve(4000, CollectingSink(tb.dst))
     client = RdmaMiddleware(tb.src, tb.src_dev, tb.cm, c)
-
-    links = {}
-
-    def driver(env):
-        link = yield client.open_link(tb.dst_dev, 4000)
-        links["link"] = link
-        yield client.transfer(
-            tb.dst_dev, 4000, PatternSource(tb.src), 2 << 30, link=link
-        )
-
-    done = tb.engine.process(driver(tb.engine))
+    done = client.transfer(tb.dst_dev, 4000, PatternSource(tb.src), 2 << 30)
     tb.engine.run()
     assert done.ok
-    history = links["link"].ledger.history
+    history = received_history(tb)
     t0 = history[0][0]
     rtt = tb.rtt
 
@@ -116,7 +121,7 @@ def test_x2_ramp_accumulates_credits_faster_than_x1():
     block-recycling for both policies)."""
 
     def credits_after(ratio, rtts=5.2):
-        tb = ani_wan()
+        tb = traced_ani_wan()
         c = ProtocolConfig(
             block_size=4 << 20,
             num_channels=2,
@@ -127,18 +132,9 @@ def test_x2_ramp_accumulates_credits_faster_than_x1():
         server = RdmaMiddleware(tb.dst, tb.dst_dev, tb.cm, c)
         server.serve(4000, CollectingSink(tb.dst))
         client = RdmaMiddleware(tb.src, tb.src_dev, tb.cm, c)
-        links = {}
-
-        def driver(env):
-            link = yield client.open_link(tb.dst_dev, 4000)
-            links["link"] = link
-            yield client.transfer(
-                tb.dst_dev, 4000, PatternSource(tb.src), 2 << 30, link=link
-            )
-
-        tb.engine.process(driver(tb.engine))
+        client.transfer(tb.dst_dev, 4000, PatternSource(tb.src), 2 << 30)
         tb.engine.run()
-        history = links["link"].ledger.history
+        history = received_history(tb)
         t0 = history[0][0]
         cutoff = t0 + rtts * tb.rtt
         received = [total for ts, total in history if ts <= cutoff]

@@ -76,14 +76,17 @@ def test_sequential_sessions_reuse_link():
     tb = roce_lan()
     c = cfg()
     server, sink, client = wire(tb, c)
+    reg = tb.engine.metrics
+    jobs, series = [], []
 
     def driver(env):
         link = yield client.open_link(tb.dst_dev, 4000)
-        for i in range(3):
-            outcome = yield client.transfer(
-                tb.dst_dev, 4000, PatternSource(tb.src), 4 << 20, link=link
-            )
-            assert outcome.bytes == 4 << 20
+        for sid in range(20):
+            job = yield link.transfer(PatternSource(tb.src), 1 << 20, session_id=sid)
+            assert job.completed_blocks == job.total_blocks == 4
+            jobs.append(job)
+            if sid in (0, 19):
+                series.append(len(reg))
         return len(tb.src_dev.qps)
 
     p = tb.engine.process(driver(tb.engine))
@@ -91,7 +94,19 @@ def test_sequential_sessions_reuse_link():
     assert p.ok
     # ctrl + num_channels QPs, once.
     assert p.value == 1 + c.num_channels
-    assert sink.bytes_written == 12 << 20
+    assert sink.bytes_written == 20 << 20
+    # The registry does not grow with the sessions: one set of source
+    # series per link, summing every session's own counts.
+    assert series[0] == series[1]
+    for name, attr in (("source.blocks_completed", "completed_blocks"),
+                       ("source.block_resends", "resends"),
+                       ("source.block_repairs", "repairs"),
+                       ("source.ctrl_retries", "ctrl_retries"),
+                       ("source.fallback_blocks", "fallback_blocks")):
+        (metric,) = reg.family(name)
+        assert metric.total == sum(getattr(job, attr) for job in jobs)
+    (latency,) = reg.family("source.block_latency_seconds")
+    assert latency.count == 20 * 4
 
 
 def test_duplicate_session_id_rejected():

@@ -33,7 +33,7 @@ from repro.sim.trace import Tracer
 from repro.testbeds import TESTBEDS
 from repro.verbs.wr import WcStatus
 
-METRICS_SHA = "ef3bc7dcdde713315922d0df4efc5ae6b49459d91b491a7e414d1190ea3fc687"
+METRICS_SHA = "e25d74f521e8ef190753e5efe234a6b97c6a7bb7a093bb991d8cbd73405586a3"
 PINS = {
     100_000: (743, "4ca79be1f2c6ed5c5bd258cf44c6b1d33038de81caf43e87fc83d52cfda9cf5b"),
     256: (257, "7b1f63b085bc764259b0c00486b2e5794a0ea6867ed8631b247c642effd1163e"),

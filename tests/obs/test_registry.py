@@ -47,9 +47,9 @@ def test_labels_partition_families():
     z.labels["a"] = 99
     assert reg.get("z", a=1, b=2) is z and z.labels == {"a": 1, "b": 2}
 
-    # One source session's six series (five counters and the latency
-    # histogram, labelled link + session) cost at most 2 KiB, averaged
-    # over enough sessions that one dict resize cannot dominate.
+    # Six series sharing one two-label key (five counters and a
+    # histogram) cost at most 2 KiB, averaged over enough keys that one
+    # dict resize cannot dominate.
     names = ("source.blocks_completed", "source.block_resends",
              "source.block_repairs", "source.ctrl_retries",
              "source.fallback_blocks")
