@@ -7,8 +7,8 @@ a discrete-event simulation kernel (:mod:`repro.sim`), hardware models
 (:mod:`repro.hardware`), network fabrics (:mod:`repro.network`), a
 simulated OFED verbs API (:mod:`repro.verbs`), a TCP stack with
 cubic/bic/htcp congestion control (:mod:`repro.tcp`), the middleware
-itself (:mod:`repro.core`), applications (:mod:`repro.apps`), analysis
-helpers (:mod:`repro.analysis`) and the Table I testbeds
+itself (:mod:`repro.core`), applications (:mod:`repro.apps`), report
+tables (:mod:`repro.analysis`) and the Table I testbeds
 (:mod:`repro.testbeds`).
 
 Quickstart::

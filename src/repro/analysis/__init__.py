@@ -1,13 +1,5 @@
-"""Measurement and reporting helpers for experiments."""
+"""Reporting helpers for experiments."""
 
-from repro.analysis.metrics import BandwidthMeter, summarize_latencies
-from repro.analysis.report import Series, Table, format_gbps, format_pct
+from repro.analysis.report import Table
 
-__all__ = [
-    "BandwidthMeter",
-    "Series",
-    "Table",
-    "format_gbps",
-    "format_pct",
-    "summarize_latencies",
-]
+__all__ = ["Table"]

@@ -1,31 +1,14 @@
-"""ASCII tables and series for benchmark output.
+"""ASCII tables for benchmark output.
 
-The benchmark harness prints the same rows/series the paper's figures
-plot; these helpers keep that output consistent and parseable.
+The experiments print the same rows the paper's figures plot; one
+table class keeps that output consistent and parseable.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Sequence
 
-__all__ = ["Table", "Series", "format_gbps", "format_pct"]
-
-# ``summarize_latencies`` returns NaN for empty samples (e.g. GridFTP
-# runs that never record per-block latency); render those cells as an
-# em-dash instead of "    nan".
-
-
-def format_gbps(value: float) -> str:
-    if value is None or math.isnan(value):
-        return "—".rjust(7)
-    return f"{value:7.2f}"
-
-
-def format_pct(value: float) -> str:
-    if value is None or math.isnan(value):
-        return "—".rjust(7)
-    return f"{value:6.1f}%"
+__all__ = ["Table"]
 
 
 class Table:
@@ -63,31 +46,3 @@ class Table:
 
     def print(self) -> None:
         print("\n" + self.render())
-
-
-class Series:
-    """A labelled (x, y) series — one curve of a paper figure."""
-
-    def __init__(self, label: str, x_name: str = "x", y_name: str = "y") -> None:
-        self.label = label
-        self.x_name = x_name
-        self.y_name = y_name
-        self.points: List[Dict[str, float]] = []
-
-    def add(self, x: float, y: float, **extra: float) -> None:
-        self.points.append({self.x_name: x, self.y_name: y, **extra})
-
-    def xs(self) -> List[float]:
-        return [p[self.x_name] for p in self.points]
-
-    def y_at(self, x: float) -> Optional[float]:
-        for p in self.points:
-            if p[self.x_name] == x:
-                return p[self.y_name]
-        return None
-
-    def render(self) -> str:
-        pts = "  ".join(
-            f"({p[self.x_name]:g}, {p[self.y_name]:.2f})" for p in self.points
-        )
-        return f"{self.label}: {pts}"

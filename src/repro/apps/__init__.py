@@ -12,7 +12,6 @@
 from repro.apps.io import (
     CollectingSink,
     DiskSink,
-    DiskSource,
     NullSink,
     PatternSource,
     ZeroSource,
@@ -25,7 +24,6 @@ from repro.apps.sockets import SocketFtpResult, socket_transfer
 __all__ = [
     "CollectingSink",
     "DiskSink",
-    "DiskSource",
     "FioJob",
     "FioResult",
     "GridFtpPair",

@@ -23,7 +23,6 @@ __all__ = [
     "PatternSource",
     "NullSink",
     "CollectingSink",
-    "DiskSource",
     "DiskSink",
     "audit_blocks",
 ]
@@ -141,23 +140,6 @@ def audit_blocks(
         if rest and not overlap_ok:
             problems.append(f"{label}: seq {seq} delivered twice where no overlap is allowed")
     return problems, overlap_bytes
-
-
-class DiskSource:
-    """Reads file data from the host's disk array."""
-
-    def __init__(self, host: "Host", direct: bool = True) -> None:
-        if host.disk is None:
-            raise RuntimeError(f"host {host.name} has no disk array")
-        self.host = host
-        self.disk: "DiskArray" = host.disk
-        self.direct = direct
-        self.bytes_read = 0
-
-    def read(self, thread: "CpuThread", nbytes: int, seq: int) -> Generator:
-        yield from self.disk.read(thread, nbytes, direct=self.direct)
-        self.bytes_read += nbytes
-        return ("disk", seq, nbytes)
 
 
 class DiskSink:

@@ -74,49 +74,6 @@ class RftpClient:
             tcp_factory=self.testbed.tcp_connection,
         )
 
-    def open_broker(
-        self,
-        doors: int = 1,
-        port: int = 2811,
-        broker_config: Any = None,
-        tenants: Any = None,
-        overload: Any = None,
-    ):
-        """Process event resolving to an opened
-        :class:`~repro.sched.broker.TransferBroker` — the job-level API.
-
-        Opens ``doors`` independent connection sets to the server (each a
-        named ``orderly``-failover alternative) and wires them into a
-        broker.  Submit bulk jobs with
-        :meth:`~repro.sched.broker.TransferBroker.submit` and ``yield
-        job.done``; sessions are reused per door, so runs of small files
-        pay one negotiation round trip each, not three.
-        """
-        from repro.sched.broker import RftpDoor, TransferBroker
-
-        mw = self.middleware
-        testbed = self.testbed
-        door_objs = [
-            RftpDoor(
-                f"door-{i}",
-                mw,
-                testbed.dst_dev,
-                port,
-                self.source,
-                tcp_factory=testbed.tcp_connection,
-            )
-            for i in range(doors)
-        ]
-
-        def _open():
-            for door in door_objs:
-                yield door.open()
-            return TransferBroker(
-                mw.engine, door_objs, broker_config, tenants, overload=overload
-            )
-
-        return mw.engine.process(_open())
-
     def put_many(self, file_sizes, port: int = 2811, concurrent: bool = False):
         """Transfer several files over ONE connection set (§IV-C multi-
         session).  Process event resolving to a list of

@@ -41,10 +41,10 @@ def parse_size(text: str) -> int:
     unit = text[-1] if text[-1] in _UNITS and not text[-1].isdigit() else ""
     number = text[: len(text) - len(unit)]
     try:
-        value = float(number)
-    except ValueError:
+        # int() raises OverflowError on inf, ValueError on nan.
+        result = int(float(number) * _UNITS[unit])
+    except (ValueError, OverflowError):
         raise ValueError(f"cannot parse size {text!r}") from None
-    result = int(value * _UNITS[unit])
     if result <= 0:
         raise ValueError(f"size must be positive, got {text!r}")
     return result

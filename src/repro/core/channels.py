@@ -305,14 +305,6 @@ class DataChannels:
         self.blocks_posted.add()
         self._m_posted_by_qp[qp.qp_num].add()
 
-    @property
-    def outstanding(self) -> int:
-        # Detached QPs still drain flush completions; count them so the
-        # chaos audit's "no stranded WRs" check covers failover too.
-        return sum(qp.send_outstanding for qp in self.qps) + sum(
-            qp.send_outstanding for qp in self.dead
-        )
-
 
 class HostChannelPool:
     """Shared data-plane for every link to one ``(host, port)`` peer.

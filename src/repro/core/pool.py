@@ -10,7 +10,7 @@ side, built on FIFO stores so waiting is fair and deterministic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, Generic, List, TypeVar, Union
+from typing import TYPE_CHECKING, Dict, Generic, List, TypeVar
 
 from repro.core.blocks import IDLE_STATES, SinkBlock, SourceBlock
 from repro.core.messages import HEADER_BYTES
@@ -18,7 +18,6 @@ from repro.sim.resources import Store
 from repro.verbs.mr import AccessFlags
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hardware.cpu import CpuThread
     from repro.hardware.host import Host
     from repro.sim.engine import Engine
     from repro.verbs.pd import ProtectionDomain
@@ -34,9 +33,7 @@ class ResourcePool:
     The host channel pool hands each session a *lease* on its shared
     QPs/WQE budget instead of letting every session allocate dedicated
     state.  Capacity is what the scheduler's door caps derive from
-    (real resources, not a config constant), and
-    :attr:`pinned_fraction` is the brownout watermark seam — the
-    srq-mode analogue of :attr:`BlockPool.occupancy`.
+    (real resources, not a config constant).
 
     Leases are tracked per owner so a double release (an abort path
     racing normal teardown) is idempotent rather than corrupting the
@@ -66,16 +63,6 @@ class ResourcePool:
     def available(self) -> int:
         return self.capacity - len(self._owners)
 
-    @property
-    def pinned_fraction(self) -> float:
-        """Fraction of lease capacity in use, in [0, 1].
-
-        Brownout watches this in srq mode: each lease pins a share of
-        the pool's registered blocks and shared WQEs, so lease pressure
-        is the real pinned-memory pressure signal.
-        """
-        return len(self._owners) / self.capacity
-
     def lease(self, owner) -> bool:
         """Take one lease for ``owner``; False when the pool is full or
         the owner already holds one (leases are per-owner, not counted)."""
@@ -95,9 +82,6 @@ class ResourcePool:
         self._owners.discard(owner)
         self._m_releases.add()
         return True
-
-    def holds(self, owner) -> bool:
-        return owner in self._owners
 
     @property
     def balanced(self) -> bool:
@@ -132,10 +116,6 @@ class BlockPool(Generic[BlockT]):
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    @property
-    def free_count(self) -> int:
-        return len(self.free)
 
     @property
     def occupancy(self) -> float:
@@ -228,21 +208,3 @@ class BlockPool(Generic[BlockT]):
             )
             blocks.append(SinkBlock(i, mr))
         return cls(host.engine, blocks, block_size, role="sink")
-
-    @classmethod
-    def build_source_timed(
-        cls,
-        host: "Host",
-        pd: "ProtectionDomain",
-        thread: "CpuThread",
-        count: int,
-        block_size: int,
-    ) -> Generator:
-        """Process generator: like :meth:`build_source` but charges the
-        registration (pinning) CPU cost — used where setup time matters."""
-        blocks: List[SourceBlock] = []
-        for i in range(count):
-            buf = host.memory.alloc(block_size + HEADER_BYTES)
-            mr = yield pd.reg_mr(thread, buf, AccessFlags.LOCAL_WRITE)
-            blocks.append(SourceBlock(i, mr))
-        return cls(host.engine, blocks, block_size, role="source")

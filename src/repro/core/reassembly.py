@@ -7,9 +7,8 @@ sequence number), so upper layers always see an in-order byte stream.
 
 Bookkeeping lives in a :class:`~repro.obs.registry.MetricsRegistry`
 (one may be passed in — the sink engine shares its engine's registry —
-or a private one is created).  The historical stat attributes
-(``duplicates``, ``duplicates_by_session``, ``payload_conflicts``,
-``max_parked``) remain available as read-only views over the registry.
+or a private one is created).  Duplicates are attributed per session in
+the ``reassembly.session_duplicates`` family.
 """
 
 from __future__ import annotations
@@ -55,17 +54,6 @@ class ReassemblyBuffer:
         self.metrics.gauge_fn(
             "reassembly.sessions", lambda: len(self.sessions()), **labels
         )
-
-    @property
-    def duplicates_by_session(self) -> Dict[int, int]:
-        """session id -> duplicates dropped for that session (chaos tests
-        attribute replay storms to the session that caused them)."""
-        out: Dict[int, int] = {}
-        for metric in self.metrics.family("reassembly.session_duplicates"):
-            labels = metric.labels
-            if all(labels.get(k) == v for k, v in self._labels.items()):
-                out[labels["session"]] = int(metric.total)
-        return out
 
     def _total_parked(self) -> int:
         return sum(len(per) for per in self._parked.values())
@@ -192,7 +180,3 @@ class ReassemblyBuffer:
             "reassembly.session_duplicates", session=session_id, **self._labels
         )
         return [per[seq] for seq in sorted(per)]
-
-    def finish_session(self, session_id: int) -> int:
-        """Close a session; returns the number of discarded stranded blocks."""
-        return len(self.reclaim_session(session_id))

@@ -229,16 +229,9 @@ class SinkEngine:
         s = self._sessions.get(session_id)
         return s is not None and s.state is _LIVE
 
-    def active_sessions(self) -> int:
-        return self._live
-
     def _live_sessions(self) -> List[SinkSession]:
         """LIVE records, in the order they went live."""
         return [s for s in self._sessions.values() if s.state is _LIVE]
-
-    def known_sessions(self) -> int:
-        """Session ids the engine holds *any* state for (live + history)."""
-        return len(self._sessions)
 
     def audit(self) -> List[str]:
         """What a quiescent engine must not hold, as leak messages."""

@@ -141,21 +141,3 @@ class FaultPlan:
                 raise ValueError(
                     f"bad attempt_fault_window {self.attempt_fault_window!r}"
                 )
-
-    @property
-    def any_faults(self) -> bool:
-        return bool(
-            self.write_fault_rate
-            or self.ctrl_drop_rate
-            or self.ctrl_delay_rate
-            or self.link_flaps
-            or self.latency_spike_rate
-            or self.payload_corrupt_rate
-            or self.sink_crashes
-            or self.source_crashes
-            or self.broker_crashes
-            or self.qp_kills
-            or self.heartbeat_drop_rate
-            or self.fallback_deny
-            or self.attempt_fault_rate
-        )

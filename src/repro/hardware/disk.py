@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
-from repro.sim.monitor import Counter
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,8 +28,6 @@ class DiskProfile:
 
     #: Aggregate streaming write bandwidth, bytes/second.
     write_bytes_per_second: float = 2.0e9
-    #: Aggregate streaming read bandwidth, bytes/second.
-    read_bytes_per_second: float = 2.5e9
     #: Number of stripes that can be written concurrently (RAID lanes).
     lanes: int = 4
     #: Page-cache copy cost for POSIX buffered I/O, ns per byte (on the
@@ -42,7 +39,7 @@ class DiskProfile:
     direct_setup_seconds: float = 4.0e-6
 
     def __post_init__(self) -> None:
-        if self.write_bytes_per_second <= 0 or self.read_bytes_per_second <= 0:
+        if self.write_bytes_per_second <= 0:
             raise ValueError("disk bandwidth must be positive")
         if self.lanes < 1:
             raise ValueError("lanes must be >= 1")
@@ -56,8 +53,7 @@ class DiskArray:
         self.profile = profile
         self.name = name
         self._lanes = Resource(engine, capacity=profile.lanes)
-        self.bytes_written = Counter(f"{name}.written")
-        self.bytes_read = Counter(f"{name}.read")
+        self.bytes_written = 0
 
     def _lane_time(self, nbytes: int, rate: float) -> float:
         # Each lane delivers its share of the aggregate bandwidth.
@@ -83,21 +79,4 @@ class DiskArray:
             yield self.engine.timeout(self._lane_time(nbytes, prof.write_bytes_per_second))
         finally:
             self._lanes.release()
-        self.bytes_written.add(nbytes)
-
-    def read(self, thread: "CpuThread", nbytes: int, direct: bool = False) -> Generator:
-        """Process generator: synchronously read ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError("read size must be non-negative")
-        prof = self.profile
-        if direct:
-            cpu = prof.direct_setup_seconds + prof.syscall_seconds
-        else:
-            cpu = prof.syscall_seconds + nbytes * prof.posix_copy_ns_per_byte * 1e-9
-        yield thread.exec(cpu)
-        yield self._lanes.request()
-        try:
-            yield self.engine.timeout(self._lane_time(nbytes, prof.read_bytes_per_second))
-        finally:
-            self._lanes.release()
-        self.bytes_read.add(nbytes)
+        self.bytes_written += nbytes

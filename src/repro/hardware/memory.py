@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["MemoryBuffer", "MemoryManager"]
 
-#: Page size used for registration-cost accounting (x86-64 default).
+#: Page size allocations are aligned to (x86-64 default).
 PAGE_SIZE = 4096
 
 
@@ -33,11 +33,6 @@ class MemoryBuffer:
     def end(self) -> int:
         """One past the last byte of the region."""
         return self.addr + self.size
-
-    @property
-    def pages(self) -> int:
-        """Number of pages the region spans (for pinning cost models)."""
-        return -(-self.size // PAGE_SIZE)
 
     def contains(self, addr: int, length: int) -> bool:
         """True if ``[addr, addr+length)`` lies wholly inside this buffer."""

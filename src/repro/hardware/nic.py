@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
 from repro.sim.events import Timeout, TimeoutAt
-from repro.sim.monitor import Counter
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,8 +80,8 @@ class Nic:
         #: order — and the ``max(now, free) + service`` floats — exactly.
         self._wqe_free = [0.0] * profile.engines
         self._read_engine = Resource(engine, capacity=1)
-        self.wqes_processed = Counter(f"{name}.wqes")
-        self.read_requests_served = Counter(f"{name}.reads")
+        self.wqes_processed = 0
+        self.read_requests_served = 0
 
     # -- hardware-timing primitives -------------------------------------------
     def book_wqe(self) -> float:
@@ -107,7 +106,7 @@ class Nic:
                 yield engine.timeout(self.profile.wqe_seconds)
             finally:
                 self._wqe_pipe.release()
-        self.wqes_processed.add()
+        self.wqes_processed += 1
 
     def serve_read(self, nbytes: int) -> Generator:
         """Serve one RDMA READ request through the responder read engine.
@@ -126,12 +125,12 @@ class Nic:
             yield Timeout(engine, self.profile.read_gap_seconds)
             if engine.use_fluid and nbytes > 0:
                 yield TimeoutAt(engine, bus.book(nbytes))
-                bus.bytes_moved.add(nbytes)
+                bus.bytes_moved += nbytes
             else:
                 yield from bus.dma(nbytes)
         finally:
             self._read_engine.release()
-        self.read_requests_served.add()
+        self.read_requests_served += 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Nic {self.name} {self.profile.gbps}Gbps on {self.host.name}>"

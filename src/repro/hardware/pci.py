@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.sim.monitor import Counter
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,7 +34,7 @@ class PcieBus:
         #: the exact floats of the discrete request/timeout/release
         #: chain, so DMA completions are bit-identical in both modes.
         self._fluid_free = 0.0
-        self.bytes_moved = Counter("pcie_bytes")
+        self.bytes_moved = 0
 
     def book(self, nbytes: int) -> float:
         """Fluid form of :meth:`dma`: book the bus and return the instant
@@ -62,7 +61,7 @@ class PcieBus:
                 yield engine.timeout(nbytes / self.bytes_per_second)
             finally:
                 self._bus.release()
-        self.bytes_moved.add(nbytes)
+        self.bytes_moved += nbytes
 
     @property
     def queued(self) -> int:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Generator, List, Sequence
 
 from repro.network.link import Link
-from repro.sim.events import AllOf, Timeout
+from repro.sim.events import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -61,24 +61,23 @@ class Path:
                 return False
         return True
 
-    def book(self, nbytes: int, count: int = 1) -> float:
-        """Book ``count`` back-to-back units of ``nbytes`` down a
-        :meth:`chain_ok` path; returns the instant the last one arrives.
+    def book(self, nbytes: int) -> float:
+        """Book ``nbytes`` down a :meth:`chain_ok` path; returns the
+        instant it arrives.
 
         ``start_i = max(end_{i-1}, free_i)`` per hop plus the summed
         propagation: the float expressions hop-by-hop execution evaluates,
-        so arrivals are bit-identical.  Unit *j* starts when the wire
-        frees, not when unit *j-1* arrives.  The caller sleeps until the
-        instant if it is in the future, then calls :meth:`arrived`.
+        so arrivals are bit-identical.  Back-to-back bookings pipeline:
+        the next one starts when the wire frees, not when this one
+        arrives.  The caller sleeps until the instant if it is in the
+        future, then calls :meth:`arrived`.
         """
-        now = t = self.engine.now
-        for _ in range(count):
-            t = now
-            for link in self.links:
-                free = link._fluid_free
-                start = t if t > free else free
-                t = start + nbytes / link.bytes_per_second
-                link._fluid_free = t
+        t = self.engine.now
+        for link in self.links:
+            free = link._fluid_free
+            start = t if t > free else free
+            t = start + nbytes / link.bytes_per_second
+            link._fluid_free = t
         delay = self.latency
         if delay > 0:
             t = t + delay
@@ -112,36 +111,6 @@ class Path:
         if delay > 0:
             yield engine.timeout(delay)
         self._m_bytes.add(nbytes)
-
-    def transmit_burst(self, nbytes: int, count: int) -> Generator:
-        """Process generator: move ``count`` back-to-back units of
-        ``nbytes`` down the path, completing when the *last* unit arrives.
-
-        Models a packetized window (a cwnd of MTU-sized segments): units
-        pipeline across hops exactly as ``count`` concurrent
-        :meth:`transmit` calls issued in order would.  A :meth:`chain_ok`
-        path books the entire burst as a single timer (this is the
-        fast-forward that replaces per-packet events); otherwise the
-        units run as real concurrent transfers joined by ``AllOf``.
-        """
-        if nbytes < 0:
-            raise ValueError("transfer size must be non-negative")
-        if count < 0:
-            raise ValueError("burst count must be non-negative")
-        if count == 0:
-            return
-        if count == 1 or nbytes == 0:
-            yield from self.transmit(nbytes)
-            return
-        engine = self.engine
-        if self.chain_ok():
-            t = self.book(nbytes, count)
-            if t > engine.now:
-                yield engine.timeout_at(t)
-            self.arrived(nbytes * count)
-            return
-        procs = [engine.process(self.transmit(nbytes)) for _ in range(count)]
-        yield AllOf(engine, procs)
 
     def deliver_latency(self, nbytes: int = 64) -> Generator:
         """Process generator: deliver a small control datagram.

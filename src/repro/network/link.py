@@ -22,9 +22,10 @@ class Link:
     delay:
         One-way propagation delay in seconds.
     mtu:
-        Maximum transmission unit in bytes.  Only enforced for callers that
-        ask (:meth:`check_mtu`); bulk RDMA transfers are segmented by
-        hardware below the granularity we simulate.
+        Maximum transmission unit in bytes.  A path's MTU is its smallest
+        link's; only UD datagrams are checked against it, bulk RDMA
+        transfers are segmented by hardware below the granularity we
+        simulate.
     name:
         Label for tracing and error messages.
     """
@@ -136,13 +137,6 @@ class Link:
         finally:
             self._wire.release()
         self.bytes_sent.add(nbytes)
-
-    def check_mtu(self, nbytes: int) -> None:
-        """Raise if a single unsegmented datagram exceeds the link MTU."""
-        if nbytes > self.mtu:
-            raise ValueError(
-                f"datagram of {nbytes} bytes exceeds MTU {self.mtu} on {self.name}"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Link {self.name} {self.gbps}Gbps delay={self.delay * 1e3:.3f}ms>"

@@ -30,7 +30,8 @@ _PLAIN = (str, int, float, bool, type(None))
 _encode = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
-def _metrics_lines(engines: Iterable[Any]) -> Iterator[str]:
+def metrics_lines(engines: Iterable[Any]) -> Iterator[str]:
+    """The metrics file's lines, one engine run after another."""
     for run, engine in enumerate(engines):
         snapshot = engine.metrics.snapshot()
         yield _encode(
@@ -78,7 +79,8 @@ def _template(run: int, shape: Tuple[Any, ...]) -> Tuple[str, List[int]]:
     )
 
 
-def _trace_lines(engines: Iterable[Any]) -> Iterator[str]:
+def trace_lines(engines: Iterable[Any]) -> Iterator[str]:
+    """The trace file's lines; engines without a tracer are skipped."""
     fast = _FAST.get
     for run, engine in enumerate(engines):
         tracer = getattr(engine, "tracer", None)
@@ -105,14 +107,6 @@ def _trace_lines(engines: Iterable[Any]) -> Iterator[str]:
             )
 
 
-def metrics_lines(engines: Iterable[Any]) -> List[str]:
-    return list(_metrics_lines(engines))
-
-
-def trace_lines(engines: Iterable[Any]) -> List[str]:
-    return list(_trace_lines(engines))
-
-
 def _write(path: str, lines: Iterator[str]) -> int:
     """Stream ``lines`` to ``path``; returns how many were written."""
     counter = itertools.count()
@@ -123,8 +117,8 @@ def _write(path: str, lines: Iterator[str]) -> int:
 
 
 def write_metrics_jsonl(path: str, engines: Iterable[Any]) -> int:
-    return _write(path, _metrics_lines(engines))
+    return _write(path, metrics_lines(engines))
 
 
 def write_trace_jsonl(path: str, engines: Iterable[Any]) -> int:
-    return _write(path, _trace_lines(engines))
+    return _write(path, trace_lines(engines))

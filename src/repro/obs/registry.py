@@ -8,10 +8,8 @@ same call site is a get-or-create: two components asking for the same
 name+labels share one metric, and label-partitioned families
 (per-session, per-QP, per-link) fall out of passing different labels.
 
-The numeric API of :class:`CounterMetric` is intentionally identical to
-:class:`repro.sim.monitor.Counter` (``add`` / ``total`` / ``count`` /
-``name``) so existing call sites and tests keep working unchanged when
-a plain Counter attribute is swapped for a registry counter.
+The registry is the one metrics API: a component either registers its
+series here or keeps a plain ``int`` attribute that nothing exports.
 """
 
 from __future__ import annotations
@@ -61,9 +59,8 @@ class CounterMetric(_Metric):
     """A monotonically increasing sum plus an event count.
 
     ``add(amount)`` adds ``amount`` to :attr:`total` and bumps
-    :attr:`count` by one — the same contract as
-    :class:`repro.sim.monitor.Counter`, so byte counters track both the
-    byte total and the number of additions.
+    :attr:`count` by one, so byte counters track both the byte total
+    and the number of additions.
     """
 
     __slots__ = ("total", "count")

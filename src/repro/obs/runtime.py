@@ -28,7 +28,6 @@ from typing import Any, Callable, List, Optional
 __all__ = [
     "start_collection",
     "stop_collection",
-    "collecting",
     "track_engine",
     "collected_engines",
     "install_tracer_factory",
@@ -52,10 +51,6 @@ def stop_collection() -> None:
     global _collecting
     _collecting = False
     _engines.clear()
-
-
-def collecting() -> bool:
-    return _collecting
 
 
 def track_engine(engine: Any) -> None:

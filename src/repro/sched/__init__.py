@@ -37,7 +37,6 @@ from repro.sched.journal import (
 from repro.sched.overload import OverloadConfig, OverloadController
 from repro.sched.report import (
     report_lines,
-    stable_report_lines,
     summarize,
     write_report,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "restore_jobs",
     "run_sched",
     "snapshot_jobs",
-    "stable_report_lines",
     "summarize",
     "synthetic_spec",
     "validate_spec",

@@ -97,8 +97,8 @@ class TenantPolicy:
     max_queued: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("tenant weight must be positive")
+        if not 0 < self.weight < float("inf"):
+            raise ValueError("tenant weight must be positive and finite")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if self.max_queued < 0:

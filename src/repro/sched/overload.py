@@ -422,11 +422,6 @@ class OverloadController:
             cfg.retry_budget_burst, budget + cfg.retry_budget_ratio
         )
 
-    def retry_budget(self, tenant: str) -> float:
-        return self._retry_budget.get(
-            tenant, self.config.retry_budget_burst
-        )
-
     # -- brownout FSM -----------------------------------------------------------
     def observe(
         self,
@@ -504,10 +499,6 @@ class OverloadController:
     def tenant_parked(self, tenant: str) -> bool:
         return tenant in self._parked_tenants
 
-    @property
-    def parked_tenants(self) -> Tuple[str, ...]:
-        return self._parked_tenants
-
     def door_session_cap(self, base: int) -> int:
         """The effective per-door session cap right now: shrunk while
         browned out (never below one — brownout degrades, halting is
@@ -515,6 +506,3 @@ class OverloadController:
         if self.state != BROWNOUT:
             return base
         return max(1, int(base * self.config.brownout_session_factor))
-
-    def suspend_ride_alongs(self) -> bool:
-        return self.state == BROWNOUT

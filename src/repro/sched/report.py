@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterable, List
 
 from repro.sched.jobs import Job
 
-__all__ = ["report_lines", "stable_report_lines", "write_report", "summarize"]
+__all__ = ["report_lines", "write_report", "summarize"]
 
 SCHEMA = "repro.sched.report/3"
 
@@ -109,56 +109,6 @@ def report_lines(jobs: List[Job], engine: Any, header: Dict[str, Any]) -> List[s
                 ),
             })
     records.append(summarize(jobs, engine))
-    return [json.dumps(r, sort_keys=True) for r in records]
-
-
-def stable_report_lines(jobs: List[Job]) -> List[str]:
-    """Outcome-only report: what a run *achieved*, with every field that
-    legitimately shifts under crash/recovery timing stripped.
-
-    A run crashed at any journaled point and recovered must produce
-    byte-identical stable lines to the uncrashed run (modulo the
-    ``recovered`` flag): the same jobs reach the same terminal states,
-    the same files land from the same submissions, nothing is lost and
-    nothing transfers twice.  Timing fields (queue waits, finish times),
-    attempt counts, and door choices are excluded — a crash changes
-    *when* and *through which door*, never *whether*.
-    """
-    records: List[Dict[str, Any]] = []
-    for job in jobs:
-        records.append({
-            "kind": "job",
-            "job_id": job.job_id,
-            "tenant": job.tenant,
-            "priority": job.priority,
-            "state": job.state.value,
-            "files": len(job.files),
-            "shed": job.shed,
-        })
-        for task in job.files:
-            records.append({
-                "kind": "file",
-                "job_id": job.job_id,
-                "index": task.index,
-                "path": task.path,
-                "size": task.size,
-                "state": task.state.value,
-                "duplicate": task.duplicate_of is not None,
-            })
-    totals = {"jobs": 0, "files": 0, "finished": 0, "failed": 0,
-              "canceled": 0, "bytes_finished": 0}
-    for job in jobs:
-        totals["jobs"] += 1
-        totals["files"] += len(job.files)
-        for task in job.files:
-            if task.state.value == "FINISHED":
-                totals["finished"] += 1
-                totals["bytes_finished"] += task.size
-            elif task.state.value == "FAILED":
-                totals["failed"] += 1
-            elif task.state.value == "CANCELED":
-                totals["canceled"] += 1
-    records.append({"kind": "summary", **totals})
     return [json.dumps(r, sort_keys=True) for r in records]
 
 

@@ -6,7 +6,7 @@ built on: an event-heap :class:`~repro.sim.engine.Engine`, generator-based
 resources (:class:`~repro.sim.resources.Store`,
 :class:`~repro.sim.resources.Resource`,
 :class:`~repro.sim.resources.Container`), deterministic named random
-streams, and lightweight time-series monitors.
+streams, and a record tracer.
 
 The design deliberately mirrors the small core of ``simpy`` so that the
 rest of the codebase reads like ordinary process-oriented simulation code,
@@ -31,14 +31,12 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.monitor import Counter, TimeSeries, TimeWeightedStat
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Container",
-    "Counter",
     "Engine",
     "Event",
     "Process",
@@ -48,8 +46,6 @@ __all__ = [
     "SimulationError",
     "Store",
     "StopEngine",
-    "TimeSeries",
-    "TimeWeightedStat",
     "Timeout",
     "TraceRecord",
     "Tracer",

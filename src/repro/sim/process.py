@@ -69,11 +69,6 @@ class Process(Event):
         start.callbacks.append(self._resume)
         self._waiting_on: Optional[Event] = start
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
     def kill(self, reason: str = "killed") -> None:
         """Forcibly terminate the process.
 

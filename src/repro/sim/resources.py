@@ -183,11 +183,6 @@ class Resource:
         self._waiters: Deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        """Number of slots currently held."""
-        return self._in_use
-
-    @property
     def queued(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._waiters)

@@ -10,8 +10,8 @@ with ``shape = (category, message, *field_names)`` — no dict per record;
 :meth:`Tracer.query` rebuilds a :class:`TraceRecord` for the rows a
 caller asks for.  Two spellings write the same row:
 
-* ``engine.trace("link", "repair", block=7)`` (or ``tracer.emit``): by
-  keyword, for sites that fire a few times per transfer;
+* ``engine.trace("link", "repair", block=7)`` (``tracer.record`` with a
+  dict): by keyword, for sites that fire a few times per transfer;
 * ``tracer.point(now, _T_POST, qp, op, wr_id, length)``, where the module
   constant ``_T_POST = ("qp", "post_send", "qp", "op", "wr_id", "len")``
   is the shape: positional, for sites that fire per block, each behind
@@ -88,9 +88,6 @@ class Tracer:
         assert maxlen is not None
         return maxlen
 
-    def wants(self, category: str) -> bool:
-        return self.categories is None or category in self.categories
-
     def point(self, time: float, shape: Shape, *values: Any) -> None:
         """Record one event of a known shape, one value per field name
         (no-op if the category is filtered out)."""
@@ -107,10 +104,6 @@ class Tracer:
         """:meth:`point` for a site that has its fields in a dict."""
         key = (category, message, *fields)
         self.point(time, self._shapes.setdefault(key, key), *fields.values())
-
-    def emit(self, time: float, category: str, message: str, **fields: Any) -> None:
-        """Record one event given by keyword."""
-        self.record(time, category, message, fields)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -160,14 +160,6 @@ class TcpConnection:
         if self.mode is TcpMode.FLUID and self.bottleneck is not None:
             self.bottleneck.detach(self)
 
-    @property
-    def unsent_bytes(self) -> float:
-        return self._sndbuf.level
-
-    @property
-    def unread_bytes(self) -> float:
-        return self._rcvbuf.level
-
     # -- kernel cost accounting ---------------------------------------------------
     def _charge_kernel(self, nbytes: float) -> None:
         self.src.cpu.charge_background(

@@ -38,10 +38,6 @@ class ArchProfile:
     poll_empty_seconds: float
     #: Completion-channel event wakeup (ibv_get_cq_event + ack + rearm).
     cq_event_seconds: float
-    #: ibv_reg_mr fixed cost.
-    reg_mr_base_seconds: float
-    #: ibv_reg_mr per-page pinning cost.
-    reg_mr_page_seconds: float
 
     @classmethod
     def for_arch(cls, arch: RdmaArch) -> "ArchProfile":
@@ -60,8 +56,6 @@ class ArchProfile:
                 poll_cqe_seconds=0.30e-6,
                 poll_empty_seconds=0.05e-6,
                 cq_event_seconds=1.5e-6,
-                reg_mr_base_seconds=30e-6,
-                reg_mr_page_seconds=0.25e-6,
             )
         if arch is RdmaArch.ROCE:
             return cls(
@@ -71,8 +65,6 @@ class ArchProfile:
                 poll_cqe_seconds=0.50e-6,
                 poll_empty_seconds=0.05e-6,
                 cq_event_seconds=2.0e-6,
-                reg_mr_base_seconds=30e-6,
-                reg_mr_page_seconds=0.25e-6,
             )
         if arch is RdmaArch.IWARP:
             return cls(
@@ -82,7 +74,5 @@ class ArchProfile:
                 poll_cqe_seconds=0.60e-6,
                 poll_empty_seconds=0.05e-6,
                 cq_event_seconds=2.5e-6,
-                reg_mr_base_seconds=35e-6,
-                reg_mr_page_seconds=0.30e-6,
             )
         raise ValueError(f"unknown architecture: {arch!r}")

@@ -95,10 +95,6 @@ class CompletionQueue:
 
         return self.engine.process(_bridge())
 
-    def poll_nocost(self, max_entries: int = 16) -> List[WorkCompletion]:
-        """Synchronous, zero-cost reap for tests and setup phases."""
-        return self._reap(max_entries)
-
 
 class CompletionChannel:
     """Event-driven notification (``ibv_get_cq_event`` analogue)."""

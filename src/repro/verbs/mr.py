@@ -41,24 +41,10 @@ class MemoryRegion:
         self.access = access
         self.pd_handle = pd_handle
         self._contents: Dict[int, Any] = {}
-        self._valid = True
-
-    # -- lifecycle -------------------------------------------------------------
-    @property
-    def valid(self) -> bool:
-        """False after deregistration."""
-        return self._valid
-
-    def invalidate(self) -> None:
-        """Deregister: further remote access fails."""
-        self._valid = False
-        self._contents.clear()
 
     # -- simulated contents ------------------------------------------------------
     def check_remote(self, addr: int, length: int, write: bool) -> None:
         """Validate a one-sided access; raises :class:`RemoteAccessError`."""
-        if not self._valid:
-            raise RemoteAccessError("access to a deregistered region")
         needed = AccessFlags.REMOTE_WRITE if write else AccessFlags.REMOTE_READ
         if not (self.access & needed):
             raise RemoteAccessError(
@@ -85,5 +71,5 @@ class MemoryRegion:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<MemoryRegion addr={self.buffer.addr:#x} size={self.buffer.size} "
-            f"rkey={self.rkey:#x}{'' if self._valid else ' INVALID'}>"
+            f"rkey={self.rkey:#x}>"
         )

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.hardware.memory import MemoryBuffer
 from repro.verbs.mr import AccessFlags, MemoryRegion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hardware.cpu import CpuThread
     from repro.verbs.device import Device
     from repro.verbs.srq import SharedReceiveQueue
 
@@ -28,36 +27,17 @@ class ProtectionDomain:
         self._regions: Dict[int, MemoryRegion] = {}  # by rkey
         self.srqs: List["SharedReceiveQueue"] = []
 
-    def reg_mr(
-        self,
-        thread: "CpuThread",
-        buffer: MemoryBuffer,
-        access: AccessFlags = AccessFlags.LOCAL_WRITE,
-    ):
-        """Register ``buffer`` (process event; charges pinning CPU cost).
-
-        Returns a process whose value is the :class:`MemoryRegion` —
-        registration pins pages and is deliberately expensive, which is
-        why the middleware registers once and reuses regions.
-        """
-        profile = self.device.arch_profile
-        cost = (
-            profile.reg_mr_base_seconds
-            + buffer.pages * profile.reg_mr_page_seconds
-        )
-
-        def _register() -> Generator:
-            yield thread.exec(cost)
-            return self._admit(buffer, access)
-
-        return self.device.engine.process(_register())
-
     def reg_mr_sync(
         self,
         buffer: MemoryBuffer,
         access: AccessFlags = AccessFlags.LOCAL_WRITE,
     ) -> MemoryRegion:
-        """Zero-time registration for test fixtures and setup phases."""
+        """Register ``buffer`` and return its :class:`MemoryRegion`.
+
+        Zero-time: the middleware registers each pool once at setup and
+        reuses the regions for the whole transfer, so pinning cost never
+        lands on the data path.
+        """
         return self._admit(buffer, access)
 
     def _admit(self, buffer: MemoryBuffer, access: AccessFlags) -> MemoryRegion:
@@ -82,19 +62,8 @@ class ProtectionDomain:
     def _admit_srq(self, srq: "SharedReceiveQueue") -> None:
         self.srqs.append(srq)
 
-    def dereg_mr(self, mr: MemoryRegion) -> None:
-        """Deregister: removes remote access rights immediately."""
-        mr.invalidate()
-        self._regions.pop(mr.rkey, None)
-
     def lookup_rkey(self, rkey: Optional[int]) -> Optional[MemoryRegion]:
         """Resolve an rkey presented by a remote peer."""
         if rkey is None:
             return None
         return self._regions.get(rkey)
-
-    def lookup_lkey(self, lkey: Optional[int]) -> Optional[MemoryRegion]:
-        """Resolve a local key on a posted WR (lkey == rkey & ~high bit)."""
-        if lkey is None:
-            return None
-        return self._regions.get(lkey | 0x8000_0000)

@@ -126,9 +126,9 @@ class QueuePair:
         self._next_complete = 0
         self._done: Dict[int, Optional[WorkCompletion]] = {}
 
-        # Registry counters keep the monitor.Counter API (.add/.total/
-        # .count); host + qp_num labels make them unique per endpoint
-        # (qp_num allocation is per device, one device per host here).
+        # Registry counters; host + qp_num labels make them unique per
+        # endpoint (qp_num allocation is per device, one device per host
+        # here).
         reg = self.engine.metrics
         labels = {"host": device.host.name, "qp": qp_num}
         self.rnr_naks = reg.counter("qp.rnr_naks", **labels)
@@ -282,9 +282,9 @@ class QueuePair:
         bus, peer_bus = nic.host.pcie, peer.device.nic.host.pcie
         if booked:
             yield TimeoutAt(engine, nic.book_wqe())
-            nic.wqes_processed.add()
+            nic.wqes_processed += 1
             yield TimeoutAt(engine, bus.book(n))  # payload fetch
-            bus.bytes_moved.add(n)
+            bus.bytes_moved += n
         else:
             yield from nic.process_wqe()
             yield from bus.dma(n)
@@ -315,7 +315,7 @@ class QueuePair:
             return WcStatus.LOC_LEN_ERR
         if booked:
             yield TimeoutAt(engine, peer_bus.book(n))  # payload placement
-            peer_bus.bytes_moved.add(n)
+            peer_bus.bytes_moved += n
         else:
             yield from peer_bus.dma(n)
         peer.recv_cq.push(
@@ -337,9 +337,9 @@ class QueuePair:
         bus, peer_bus = nic.host.pcie, peer.device.nic.host.pcie
         if booked:
             yield TimeoutAt(engine, nic.book_wqe())
-            nic.wqes_processed.add()
+            nic.wqes_processed += 1
             yield TimeoutAt(engine, bus.book(n))  # payload fetch
-            bus.bytes_moved.add(n)
+            bus.bytes_moved += n
         else:
             yield from nic.process_wqe()
             yield from bus.dma(n)
@@ -366,7 +366,7 @@ class QueuePair:
             return WcStatus.REM_ACCESS_ERR
         if booked:
             yield TimeoutAt(engine, peer_bus.book(n))  # payload placement
-            peer_bus.bytes_moved.add(n)
+            peer_bus.bytes_moved += n
         else:
             yield from peer_bus.dma(n)
         payload = wr.payload
@@ -402,7 +402,7 @@ class QueuePair:
         bus = nic.host.pcie
         if booked:
             yield TimeoutAt(engine, nic.book_wqe())
-            nic.wqes_processed.add()
+            nic.wqes_processed += 1
         else:
             yield from nic.process_wqe()
         yield self._ord.request()  # outstanding-read limit (ORD)
@@ -425,7 +425,7 @@ class QueuePair:
                 yield from rpath.transmit(n)
             if booked:
                 yield TimeoutAt(engine, bus.book(n))  # payload placement
-                bus.bytes_moved.add(n)
+                bus.bytes_moved += n
             else:
                 yield from bus.dma(n)
             wr.payload = source.fetch(wr.remote_addr)

@@ -128,3 +128,21 @@ def fabric() -> MiniFabric:
 def run_to_end(engine: Engine, until: float = None) -> None:
     """Run the engine; small alias to keep intent clear in tests."""
     engine.run(until)
+
+
+def open_broker(client, broker_config=None, tenants=None, overload=None):
+    """Process event resolving to a broker over one door ("door-0")
+    opened from ``client`` (an ``RftpClient`` whose server listens on
+    2811), wired the way ``run_sched`` wires its doors."""
+    from repro.sched.broker import RftpDoor, TransferBroker
+
+    mw, tb = client.middleware, client.testbed
+    door = RftpDoor("door-0", mw, tb.dst_dev, 2811, client.source,
+                    tcp_factory=tb.tcp_connection)
+
+    def _open():
+        yield door.open()
+        return TransferBroker(mw.engine, [door], broker_config, tenants,
+                              overload=overload)
+
+    return mw.engine.process(_open())

@@ -38,7 +38,7 @@ def test_sim_fault_fails_wr_but_keeps_qp():
             )
         )
     f.engine.run()
-    wcs = qa.send_cq.poll_nocost()
+    wcs = qa.send_cq._reap(16)
     assert wcs[0].status is WcStatus.SIM_FAULT
     assert wcs[1].status is WcStatus.SUCCESS
     from repro.verbs import QpState

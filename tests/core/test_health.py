@@ -376,5 +376,3 @@ def test_heartbeat_seam_is_independent_of_data_seam():
 def test_plan_validates_heartbeat_drop_rate():
     with pytest.raises(ValueError):
         FaultPlan(heartbeat_drop_rate=1.5)
-    assert FaultPlan(heartbeat_drop_rate=0.2).any_faults
-    assert FaultPlan(fallback_deny=True).any_faults

@@ -84,7 +84,7 @@ def test_finish_session_discards_stranded():
     r = ReassemblyBuffer()
     r.push(hdr(3), "x")
     r.push(hdr(5), "y")
-    assert r.finish_session(1) == 2
+    assert len(r.reclaim_session(1)) == 2
     assert r.pending(1) == 0
     assert r.next_seq(1) == 0  # state reset
 

@@ -99,7 +99,7 @@ def test_pools_fully_recycled_after_transfer():
         s in (SinkBlockState.FREE, SinkBlockState.WAITING) for s in states
     )
     advertised = sum(1 for s in states if s is SinkBlockState.WAITING)
-    assert engine.pool.free_count + advertised == cfg.sink_blocks
+    assert len(engine.pool.free) + advertised == cfg.sink_blocks
     assert engine.reassembly.pending(1) == 0
 
 

@@ -9,6 +9,14 @@ def hdr(sid, seq, length=64):
     return BlockHeader(sid, seq, seq * length, length)
 
 
+def dups(buf):
+    """session id -> duplicates dropped for it, off the registry family."""
+    return {
+        m.labels["session"]: int(m.total)
+        for m in buf.metrics.family("reassembly.session_duplicates")
+    }
+
+
 def test_parked_index_is_per_session():
     buf = ReassemblyBuffer()
     buf.push(hdr(1, 1), "s1b1")
@@ -34,7 +42,7 @@ def test_duplicates_attributed_to_their_session():
     buf.push(hdr(2, 5), "b")  # replay of a parked entry
     buf.push(hdr(2, 5), "b")
     assert buf.duplicates.total == 3
-    assert buf.duplicates_by_session == {1: 1, 2: 2}
+    assert dups(buf) == {1: 1, 2: 2}
 
 
 def test_payload_conflict_detected_while_parked():
@@ -84,9 +92,9 @@ def test_reclaim_session_prunes_all_per_session_state():
     buf.push(hdr(1, 0), "a")  # one duplicate attributed to session 1
     buf.push(hdr(1, 2), "c")
     buf.push(hdr(2, 0), "other")
-    assert buf.duplicates_by_session == {1: 1}
+    assert dups(buf) == {1: 1}
     buf.reclaim_session(1)
-    assert 1 not in buf.duplicates_by_session
+    assert 1 not in dups(buf)
     assert buf.next_seq(1) == 0
     assert buf.sessions() == [2]
     # The aggregate counter keeps history; only per-session state goes.
@@ -97,8 +105,8 @@ def test_finish_session_counts_discards():
     buf = ReassemblyBuffer()
     buf.push(hdr(4, 2), "x")
     buf.push(hdr(4, 3), "y")
-    assert buf.finish_session(4) == 2
-    assert buf.finish_session(4) == 0
+    assert len(buf.reclaim_session(4)) == 2
+    assert len(buf.reclaim_session(4)) == 0
 
 
 def test_resume_cursor_reset_discards_stale_and_counts_replays():
@@ -116,11 +124,11 @@ def test_resume_cursor_reset_discards_stale_and_counts_replays():
     for seq in range(4):
         assert buf.reject_duplicate(hdr(7, seq), f"replay{seq}")
     assert buf.duplicates.total == 4
-    assert buf.duplicates_by_session == {7: 4}
+    assert dups(buf) == {7: 4}
     assert buf.pending(7) == 1            # no parked state resurrected
     # push() agrees with reject_duplicate() on below-cursor replays.
     assert buf.push(hdr(7, 2), "replay2") == []
-    assert buf.duplicates_by_session == {7: 5}
+    assert dups(buf) == {7: 5}
     assert buf.pending(7) == 1
 
 
@@ -145,14 +153,14 @@ def test_replay_against_reclaimed_session_leaves_no_state():
     buf.push(hdr(9, 2), "stranded")
     buf.reclaim_session(9)
     assert buf.sessions() == []
-    assert buf.duplicates_by_session == {}
+    assert dups(buf) == {}
     buf.set_next_seq(9, 3)                # resume re-attaches the session
     assert buf.push(hdr(9, 1), "latereplay") == []
-    assert buf.duplicates_by_session == {9: 1}
+    assert dups(buf) == {9: 1}
     assert buf.sessions_with_parked() == []
     assert buf.sessions() == [9]
     # Reclaim again: the per-session duplicate attribution is pruned but
     # the aggregate chaos-audit counter survives.
     buf.reclaim_session(9)
-    assert buf.duplicates_by_session == {}
+    assert dups(buf) == {}
     assert buf.duplicates.total == 1

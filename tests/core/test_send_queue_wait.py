@@ -114,7 +114,7 @@ def test_full_queue_post_resumes_at_the_retire_with_no_timer(form, monkeypatch):
     assert rig.exec_at[2] == retired[0]
     assert timers == []
     assert channels.blocks_posted.total == 3
-    assert [wc.status for wc in qp.send_cq.poll_nocost()] == [WcStatus.SUCCESS] * 3
+    assert [wc.status for wc in qp.send_cq._reap(16)] == [WcStatus.SUCCESS] * 3
 
 
 def _kill_under_a_waiting_post(rig, doomed, live, form, until=None):
@@ -155,7 +155,7 @@ def _check_failover(seen, live, cost):
     channels = seen["channels"]
     if live is not None:
         assert "raised_at" not in seen
-        (wc,) = live.send_cq.poll_nocost()
+        (wc,) = live.send_cq._reap(16)
         assert wc.status is WcStatus.SUCCESS and wc.wr_id == 2
         assert channels.blocks_posted.total == 3
     else:
@@ -174,7 +174,7 @@ def test_a_qp_that_dies_under_a_waiting_post_wakes_it(form, survivor):
 
     # Both WRs already on the wire retire after the kill: a WRITE as a
     # flush, a SEND (checked by the QP before it flies) as delivered.
-    retired_wcs = doomed.send_cq.poll_nocost()
+    retired_wcs = doomed.send_cq._reap(16)
     assert [wc.wr_id for wc in retired_wcs] == [0, 1]
     if form == "write":
         assert {wc.status for wc in retired_wcs} == {WcStatus.WR_FLUSH_ERR}
@@ -224,6 +224,6 @@ def test_posters_woken_by_one_retire_race_and_the_loser_waits_again(form):
     assert rig.exec_at[2] == retired[0]
     assert other_exec_at == [retired[0], retired[1]]
     assert channels.blocks_posted.total == 4
-    wcs = qp.send_cq.poll_nocost()
+    wcs = qp.send_cq._reap(16)
     assert sorted(wc.wr_id for wc in wcs) == [0, 1, 2, 3]
     assert {wc.status for wc in wcs} == {WcStatus.SUCCESS}

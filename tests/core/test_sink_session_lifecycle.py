@@ -242,7 +242,7 @@ def end_eviction(rig):
     # History cap 2: the oldest ended record is gone, whole.
     assert rig.se.session(1) is None
     assert rig.se.session(2).state is rig.se.session(3).state is SessionState.ACKED
-    assert rig.se.known_sessions() == 2 and rig.se.audit() == []
+    assert len(rig.se._sessions) == 2 and rig.se.audit() == []
     # Its retransmitted DATASET_DONE is a stray now, not a re-ack.
     stray = rig.se.stray_messages.total
     assert rig.tell(CtrlType.DATASET_DONE, 1, BS) == []
@@ -360,7 +360,7 @@ def start_resume_reclaimed(rig):
     old_done, old_epoch = s.done, s.epoch
     accepted, marker, grant = _resume(rig)
     assert accepted and marker == 1
-    assert s.state is SessionState.LIVE and rig.se.active_sessions() == 1
+    assert s.state is SessionState.LIVE and rig.se._live == 1
     assert s.done is not old_done and not s.done.triggered
     assert failed_with(old_done, StaleSessionReclaimed)  # not re-failed
     assert s.epoch == old_epoch + 1

@@ -57,9 +57,3 @@ def test_buffer_contains():
     assert buf.contains(1050, 50)
     assert not buf.contains(1050, 51)
     assert not buf.contains(999, 1)
-
-
-def test_buffer_pages():
-    assert MemoryBuffer(0, 1).pages == 1
-    assert MemoryBuffer(0, PAGE_SIZE).pages == 1
-    assert MemoryBuffer(0, PAGE_SIZE + 1).pages == 2

@@ -34,13 +34,6 @@ def test_link_fifo(engine):
     assert order[1] == (pytest.approx(2e-3), "b")
 
 
-def test_link_mtu_check(engine):
-    link = Link(engine, gbps=10, mtu=9000)
-    link.check_mtu(9000)
-    with pytest.raises(ValueError):
-        link.check_mtu(9001)
-
-
 def test_link_validation(engine):
     with pytest.raises(ValueError):
         Link(engine, gbps=0)

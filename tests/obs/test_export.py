@@ -104,9 +104,9 @@ def test_writers_stream_exactly_the_lines_the_list_forms_return(tmp_path):
     m_path, t_path = tmp_path / "m.jsonl", tmp_path / "t.jsonl"
     assert write_metrics_jsonl(str(m_path), [engine]) == 3
     assert write_trace_jsonl(str(t_path), [engine]) == 3
-    assert m_path.read_text().splitlines() == metrics_lines([engine])
-    assert t_path.read_text().splitlines() == trace_lines([engine])
-    assert trace_lines([engine])[1] == (
+    assert m_path.read_text().splitlines() == list(metrics_lines([engine]))
+    assert t_path.read_text().splitlines() == list(trace_lines([engine]))
+    assert list(trace_lines([engine]))[1] == (
         '{"category": "sched", "fields": {"parked": "[\'a\', \'b\']", '
         '"pool": 0.25, "why": null}, "message": "brownout", "record": "trace", '
         '"run": 0, "time": 0.0}'
@@ -213,7 +213,7 @@ def test_trace_lines_equal_json_dumps_and_point_equals_emit(records, run, catego
     by_keyword = Tracer(categories=categories, capacity=3)
     by_position = Tracer(categories=categories, capacity=3)
     for time, category, message, (names, values) in records:
-        by_keyword.emit(time, category, message, **dict(zip(names, values)))
+        by_keyword.record(time, category, message, dict(zip(names, values)))
         by_position.point(time, (category, message, *names), *values)
     assert list(by_keyword.rows()) == list(by_position.rows())
     assert list(by_keyword.query()) == list(by_position.query())
@@ -224,7 +224,7 @@ def test_trace_lines_equal_json_dumps_and_point_equals_emit(records, run, catego
     assert by_keyword.dropped == max(0, len(wanted) - 3)
     untraced = [types.SimpleNamespace(tracer=None)] * run
     for tracer in (by_keyword, by_position):
-        lines = trace_lines(untraced + [types.SimpleNamespace(tracer=tracer)])
+        lines = list(trace_lines(untraced + [types.SimpleNamespace(tracer=tracer)]))
         assert lines[1:] == [
             _expected_line(run, time, category, message, dict(zip(names, values)))
             for time, category, message, (names, values) in wanted[-3:]

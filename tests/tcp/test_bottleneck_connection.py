@@ -254,8 +254,8 @@ def test_fluid_conserves_bytes_under_loss(engine, cc_name):
     assert p.ok, f"{cc_name}: transfer stalled"
     assert conn.cc.losses > 0  # the run actually saw congestion
     # Nothing left in flight, nothing double-delivered.
-    assert conn.unsent_bytes == pytest.approx(0.0, abs=1.0)
-    assert conn.unread_bytes == pytest.approx(0.0, abs=1.0)
+    assert conn._sndbuf.level == pytest.approx(0.0, abs=1.0)
+    assert conn._rcvbuf.level == pytest.approx(0.0, abs=1.0)
     assert conn.bytes_delivered.total == pytest.approx(total, abs=1.0)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.testbeds import TESTBEDS
+from tests.oracles import transmit_burst
 
 MiB = 1024 * 1024
 
@@ -104,7 +105,7 @@ def _run_fluid_pipeline(use_fluid, flows, blocks, unit, packets):
             yield t_src.exec(2e-6)
             yield from nic.process_wqe()
             yield from src_pcie.dma(block_bytes)
-            yield from forward.transmit_burst(unit, packets)
+            yield from transmit_burst(forward, unit, packets)
             yield from snk_pcie.dma(block_bytes)
             yield t_snk.exec(2e-6)
             yield from backward.deliver_latency(64)

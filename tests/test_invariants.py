@@ -85,7 +85,7 @@ def test_granter_conserves_blocks(pool_size, ratio, events):
         )
         advertised = sum(1 for s in states if s is SinkBlockState.WAITING)
         assert advertised == len(outstanding)
-        assert advertised + pool.free_count == pool_size
+        assert advertised + len(pool.free) == pool_size
         # No credit ever duplicated.
         ids = [c.block_id for c in outstanding]
         assert len(ids) == len(set(ids))
@@ -121,7 +121,7 @@ def test_qp_completion_count_matches_posts(n, block):
 
     f.engine.process(pump(f.engine))
     f.engine.run()
-    wcs = qa.send_cq.poll_nocost(max_entries=n + 10)
+    wcs = qa.send_cq._reap(max_entries=n + 10)
     assert [wc.wr_id for wc in wcs] == list(range(n))
     assert all(wc.ok for wc in wcs)
     assert qa.send_outstanding == 0
@@ -162,5 +162,5 @@ def test_pipe_tcp_delivers_exact_byte_counts(chunks):
     p = engine.process(receiver(engine))
     engine.run()
     assert p.ok
-    assert conn.unread_bytes == pytest.approx(0.0, abs=1e-3)
+    assert conn._rcvbuf.level == pytest.approx(0.0, abs=1e-3)
     assert conn.bytes_delivered.total == pytest.approx(total, abs=1e-3)

@@ -5,7 +5,7 @@ final clock, the bytes delivered, a sha256 of every block (or file)
 latency in the order it was observed and, for the broker runs, a sha256
 of the journal bytes and of ``stable_report_lines``.  The values were
 recorded at the commit *before* the hot-path hops were removed
-(``python tests/test_sim_pins.py`` prints them); a change that only
+(``python -m tests.test_sim_pins`` prints them); a change that only
 removes events which neither advance time nor wake someone not already
 runnable must reproduce every one of them bit for bit, on the fluid and
 on the discrete engine.  ``fallback_repromote_lan`` and
@@ -38,8 +38,9 @@ from repro.core import ProtocolConfig
 from repro.core.messages import HEADER_BYTES
 from repro.faults import FaultPlan, run_chaos
 from repro.obs.registry import HistogramMetric
-from repro.sched import overload_spec, run_sched, runner, stable_report_lines, synthetic_spec
+from repro.sched import overload_spec, run_sched, runner, synthetic_spec
 from repro.testbeds import TESTBEDS
+from tests.oracles import stable_report_lines
 
 MiB = 1024 * 1024
 

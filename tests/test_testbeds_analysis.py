@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import BandwidthMeter, Series, Table, summarize_latencies
+from repro.analysis import Table
 from repro.tcp import TcpMode
 from repro.testbeds import TESTBEDS, ani_wan, infiniband_lan, roce_lan
 from repro.verbs import RdmaArch
@@ -94,28 +94,6 @@ def test_wan_tcp_connection_bdp_buffers():
 
 
 # -- analysis ---------------------------------------------------------------------
-def test_bandwidth_meter(engine):
-    meter = BandwidthMeter(engine, "m")
-
-    def proc(env):
-        for _ in range(10):
-            yield env.timeout(0.1)
-            meter.record(125_000_000 * 0.1)
-
-    engine.process(proc(engine))
-    engine.run()
-    assert meter.gbps() == pytest.approx(1.0, rel=1e-6)
-    assert meter.total_bytes == pytest.approx(125_000_000)
-
-
-def test_latency_summary():
-    stats = summarize_latencies([1e-6, 2e-6, 3e-6, 100e-6])
-    assert stats["p50"] <= stats["p90"] <= stats["p99"] <= stats["max"]
-    assert stats["max"] == pytest.approx(100.0)
-    empty = summarize_latencies([])
-    assert empty["mean"] != empty["mean"]  # NaN
-
-
 def test_table_renders():
     t = Table("demo", ["a", "b"])
     t.add_row(1, "x")
@@ -123,29 +101,3 @@ def test_table_renders():
     assert "demo" in text and "a" in text and "x" in text
     with pytest.raises(ValueError):
         t.add_row(1)
-
-
-def test_series():
-    s = Series("rftp", x_name="block", y_name="gbps")
-    s.add(128, 39.9, cpu=80.0)
-    s.add(256, 39.95)
-    assert s.xs() == [128, 256]
-    assert s.y_at(128) == pytest.approx(39.9)
-    assert s.y_at(999) is None
-    assert "rftp" in s.render()
-
-
-def test_formatters_render_nan_and_none_as_dash():
-    import math
-
-    from repro.analysis.report import format_gbps, format_pct
-
-    # GridFTP latency summaries are NaN (no per-block samples); cells
-    # must render as an em-dash, never "nan" or a ValueError.
-    assert format_gbps(float("nan")).strip() == "—"
-    assert format_pct(float("nan")).strip() == "—"
-    assert format_gbps(None).strip() == "—"
-    assert format_pct(None).strip() == "—"
-    assert len(format_gbps(math.nan)) == len(format_gbps(1.0)) == 7
-    assert format_gbps(12.345) == "  12.35"
-    assert format_pct(42.0) == "  42.0%"

@@ -14,9 +14,9 @@ def test_send_delivers_payload_to_recv():
     qb.post_recv(RecvWR(length=8192, wr_id=3))
     qa.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=1, payload="msg"))
     f.engine.run()
-    rwc = qb.recv_cq.poll_nocost()[0]
+    rwc = qb.recv_cq._reap(16)[0]
     assert rwc.ok and rwc.payload == "msg" and rwc.wr_id == 3
-    swc = qa.send_cq.poll_nocost()[0]
+    swc = qa.send_cq._reap(16)[0]
     assert swc.ok and swc.wr_id == 1
 
 
@@ -32,8 +32,8 @@ def test_send_without_recv_rnr_retries_until_posted():
     f.engine.process(poster(f.engine))
     f.engine.run()
     assert qa.rnr_naks.count >= 1
-    assert qb.recv_cq.poll_nocost()[0].payload == "late"
-    assert qa.send_cq.poll_nocost()[0].ok
+    assert qb.recv_cq._reap(16)[0].payload == "late"
+    assert qa.send_cq._reap(16)[0].ok
 
 
 def test_rnr_retry_exhaustion_errors_qp():
@@ -41,7 +41,7 @@ def test_rnr_retry_exhaustion_errors_qp():
     qa, qb = f.qp_pair(rnr_retry=2)
     qa.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=1))
     f.engine.run()
-    wc = qa.send_cq.poll_nocost()[0]
+    wc = qa.send_cq._reap(16)[0]
     assert wc.status is WcStatus.RNR_RETRY_EXC_ERR
     assert qa.state is QpState.ERROR
 
@@ -52,7 +52,7 @@ def test_send_longer_than_recv_buffer_errors():
     qb.post_recv(RecvWR(length=1024, wr_id=2))
     qa.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=1))
     f.engine.run()
-    assert qa.send_cq.poll_nocost()[0].status is WcStatus.LOC_LEN_ERR
+    assert qa.send_cq._reap(16)[0].status is WcStatus.LOC_LEN_ERR
 
 
 def test_qp_error_flushes_posted_recvs():
@@ -62,7 +62,7 @@ def test_qp_error_flushes_posted_recvs():
     qa.post_recv(qb_own_recv)
     qa.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=1))
     f.engine.run()
-    flushed = qa.recv_cq.poll_nocost()
+    flushed = qa.recv_cq._reap(16)
     assert any(wc.status is WcStatus.WR_FLUSH_ERR for wc in flushed)
 
 
@@ -92,7 +92,7 @@ def test_read_fetches_remote_payload():
     )
     qa.post_send(wr)
     f.engine.run()
-    assert qa.send_cq.poll_nocost()[0].ok
+    assert qa.send_cq._reap(16)[0].ok
     assert wr.payload == "remote-data"
 
 
@@ -110,7 +110,7 @@ def test_read_requires_remote_read_permission():
         )
     )
     f.engine.run()
-    assert qa.send_cq.poll_nocost()[0].status is WcStatus.REM_ACCESS_ERR
+    assert qa.send_cq._reap(16)[0].status is WcStatus.REM_ACCESS_ERR
 
 
 def test_read_latency_includes_request_round_trip():
@@ -128,7 +128,7 @@ def test_read_latency_includes_request_round_trip():
         )
     )
     f.engine.run()
-    assert qa.send_cq.poll_nocost()[0].timestamp >= rtt
+    assert qa.send_cq._reap(16)[0].timestamp >= rtt
 
 
 def test_read_ord_caps_wan_throughput():
@@ -220,11 +220,11 @@ def test_ud_delivery_and_silent_drop():
     qa.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=1, payload="d1"))
     qa.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=2, payload="d2"))
     f.engine.run()
-    delivered = qb.recv_cq.poll_nocost()
+    delivered = qb.recv_cq._reap(16)
     assert len(delivered) == 1 and delivered[0].payload == "d1"
     assert qb.ud_drops.count == 1
     # Sender still gets local completions for both (unreliable service).
-    assert len(qa.send_cq.poll_nocost()) == 2
+    assert len(qa.send_cq._reap(16)) == 2
 
 
 def test_ud_rejects_rdma_opcodes():

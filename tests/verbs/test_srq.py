@@ -38,8 +38,8 @@ def test_sends_on_many_qps_draw_from_one_srq():
     qa1.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=2, payload="p1"))
     f.engine.run()
     # Each completion lands on the consuming QP's own recv CQ.
-    wc0 = qb0.recv_cq.poll_nocost()[0]
-    wc1 = qb1.recv_cq.poll_nocost()[0]
+    wc0 = qb0.recv_cq._reap(16)[0]
+    wc1 = qb1.recv_cq._reap(16)[0]
     assert wc0.ok and wc0.payload == "p0" and wc0.qp_num == qb0.qp_num
     assert wc1.ok and wc1.payload == "p1" and wc1.qp_num == qb1.qp_num
     assert srq._m_posted.count == 4
@@ -60,7 +60,7 @@ def test_empty_srq_rnr_retries_until_posted():
     f.engine.run()
     assert qa.rnr_naks.count >= 1
     assert srq._m_empty.count >= 1
-    assert qb.recv_cq.poll_nocost()[0].payload == "late"
+    assert qb.recv_cq._reap(16)[0].payload == "late"
 
 
 def test_post_recv_on_srq_qp_is_rejected():
@@ -89,8 +89,8 @@ def test_qp_error_does_not_flush_shared_wqes():
     f.engine.run()
     # The dead QP flushed nothing from the shared queue; the survivor
     # consumed exactly one WQE.
-    assert qb0.recv_cq.poll_nocost() == []
-    assert qb1.recv_cq.poll_nocost()[0].payload == "ok"
+    assert qb0.recv_cq._reap(16) == []
+    assert qb1.recv_cq._reap(16)[0].payload == "ok"
     assert srq.recv_posted == 1
 
 
