@@ -81,6 +81,22 @@ def test_sweep_output_identical_across_jobs_and_repeats():
         assert "wall" not in record["result"]
 
 
+def test_gridftp_sweep_runs_each_stream_count():
+    spec = {
+        "runner": "gridftp",
+        "testbed": "roce-lan",
+        "base": {"bytes": "8M", "block_size": "1M"},
+        "axes": {"streams": [1, 2]},
+    }
+    records = run_sweep(spec)
+    assert [r["params"]["streams"] for r in records] == [1, 2]
+    for record in records:
+        result = record["result"]
+        assert result["gbps"] > 0 and result["events"] > 0
+        assert result["losses"] == 0  # a LAN with no competing traffic
+    assert _render(spec, records) == _render(spec, run_sweep(spec))
+
+
 # -- CLI ---------------------------------------------------------------------
 def test_cli_sweep_roundtrip(tmp_path):
     spec_path = tmp_path / "spec.json"
