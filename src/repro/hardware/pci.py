@@ -62,8 +62,3 @@ class PcieBus:
             finally:
                 self._bus.release()
         self.bytes_moved += nbytes
-
-    @property
-    def queued(self) -> int:
-        """Number of DMA requests waiting for the bus."""
-        return self._bus.queued

@@ -79,41 +79,62 @@ def _template(run: int, shape: Tuple[Any, ...]) -> Tuple[str, List[int]]:
     )
 
 
+def _tracer_lines(run: int, engine: Any) -> Iterator[str]:
+    """One traced run's header and lines: a packed group's lines are one
+    ``%`` each of its shape's template over a zip of its columns, taken
+    in sorted-name order, and its times.  A packed value is exactly an
+    ``int`` or an interned ``str``, encoded once per export, and a
+    packed time a finite ``float``: ``%s`` of each is its JSON."""
+    tracer = getattr(engine, "tracer", None)
+    if tracer is None:
+        return iter(())
+    header = _encode(
+        {
+            "record": "tracer",
+            "run": run,
+            "emitted": tracer.emitted,
+            "dropped": tracer.dropped,
+            "retained": len(tracer),
+        }
+    )
+    templates: Dict[Tuple[Any, ...], Tuple[str, List[int]]] = {}
+
+    def template(shape: Tuple[Any, ...]) -> Tuple[str, List[int]]:
+        found = templates.get(shape)
+        if found is None:
+            found = templates[shape] = _template(run, shape)
+        return found
+
+    def packed(shape, times, fields) -> Iterator[str]:
+        text, order = template(shape)
+        return map(text.__mod__, zip(*[fields[i - 2] for i in order], times))
+
+    def verbatim(row: Tuple[Any, ...]) -> str:
+        text, order = template(row[1])
+        fast = _FAST.get
+        return text % (
+            *[fast(type(row[i]), _field)(row[i]) for i in order],
+            fast(type(row[0]), _encode)(row[0]),
+        )
+
+    return itertools.chain(
+        (header,),
+        tracer.render(packed, lambda rows: map(verbatim, rows), encode_basestring_ascii),
+    )
+
+
 def trace_lines(engines: Iterable[Any]) -> Iterator[str]:
     """The trace file's lines; engines without a tracer are skipped."""
-    fast = _FAST.get
-    for run, engine in enumerate(engines):
-        tracer = getattr(engine, "tracer", None)
-        if tracer is None:
-            continue
-        yield _encode(
-            {
-                "record": "tracer",
-                "run": run,
-                "emitted": tracer.emitted,
-                "dropped": tracer.dropped,
-                "retained": len(tracer),
-            }
-        )
-        templates: Dict[Tuple[Any, ...], Tuple[str, List[int]]] = {}
-        for row in tracer.rows():
-            template = templates.get(row[1])
-            if template is None:
-                template = templates[row[1]] = _template(run, row[1])
-            text, order = template
-            yield text % (
-                *[fast(type(row[i]), _field)(row[i]) for i in order],
-                fast(type(row[0]), _encode)(row[0]),
-            )
+    return itertools.chain.from_iterable(map(_tracer_lines, itertools.count(), engines))
 
 
 def _write(path: str, lines: Iterator[str]) -> int:
     """Stream ``lines`` to ``path``; returns how many were written."""
-    counter = itertools.count()
+    count = 0
     with open(path, "w") as fh:
-        # zip stops at the last line before it draws from the counter.
-        fh.writelines(line + "\n" for line, _ in zip(lines, counter))
-    return next(counter)
+        for count, line in enumerate(lines, 1):
+            fh.write(line + "\n")
+    return count
 
 
 def write_metrics_jsonl(path: str, engines: Iterable[Any]) -> int:

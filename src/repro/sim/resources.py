@@ -293,6 +293,13 @@ class Container:
         self._dispatch()
         return event
 
+    def release_putters(self) -> None:
+        """Wake every parked putter without storing its amount: nothing
+        will drain the container again (a closed socket's send buffer)."""
+        putters, self._putters = self._putters, deque()
+        for putter in putters:
+            putter.succeed()
+
     #: Absolute slack for float comparisons: repeated fractional puts (the
     #: fluid TCP rounds) accumulate representation error; without slack a
     #: getter can starve on a quantity that is 1e-7 short forever.

@@ -116,7 +116,8 @@ class TcpConnection:
         """Process generator: write ``nbytes`` to the socket.
 
         Charges the user→kernel copy and one syscall to ``thread`` and
-        blocks while the send buffer is full (backpressure).
+        blocks while the send buffer is full (backpressure).  Returns at
+        once, the rest unsent, when the connection is closed under it.
         """
         if self._closed:
             raise RuntimeError("send on closed connection")
@@ -130,7 +131,11 @@ class TcpConnection:
         while remaining > 0:
             chunk = min(remaining, max_chunk)
             yield thread.exec(chunk * spec.memcpy_ns_per_byte * 1e-9)
+            if self._closed:
+                return
             yield self._sndbuf.put(chunk)
+            if self._closed:
+                return
             remaining -= chunk
             if self.mode is TcpMode.FLUID and self.bottleneck is not None:
                 self.bottleneck.ensure_running()
@@ -155,8 +160,10 @@ class TcpConnection:
                 self.bottleneck.ensure_running()
 
     def close(self) -> None:
-        """Detach from the bottleneck / stop pumping new data."""
+        """Detach from the bottleneck / stop pumping new data, and let a
+        sender parked on the full send buffer return."""
         self._closed = True
+        self._sndbuf.release_putters()
         if self.mode is TcpMode.FLUID and self.bottleneck is not None:
             self.bottleneck.detach(self)
 

@@ -68,6 +68,3 @@ class TcpBlockStream:
             yield from self.conn.recv(thread, header.length)
         self.blocks_received += 1
         return frame
-
-    def close(self) -> None:
-        self.conn.close()

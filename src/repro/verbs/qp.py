@@ -168,14 +168,6 @@ class QueuePair:
             raise QueueFullError("receive queue full")
         self._recv_queue.append(wr)
 
-    @property
-    def recv_posted(self) -> int:
-        """Number of receive WRs currently posted (shared WQEs when an
-        SRQ is attached)."""
-        if self.srq is not None:
-            return self.srq.recv_posted
-        return len(self._recv_queue)
-
     def _has_recv(self) -> bool:
         """Is a receive WQE available for an arriving message?
 
@@ -498,15 +490,10 @@ class QueuePair:
         In-flight WRs flush with WR_FLUSH_ERR instead of landing, new
         posts are rejected, and posted receives are flushed — the same
         observable behaviour as a NIC port or cable failure on this
-        channel.  Unlike :meth:`close` the QP stays in ERROR so failover
-        logic can observe the state.
+        channel.  The QP stays in ERROR so failover logic can observe
+        the state.
         """
         self._enter_error()
-
-    def close(self) -> None:
-        """Tear the QP down (flushes receives)."""
-        self._enter_error()
-        self.state = QpState.RESET
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -64,9 +64,6 @@ class SharedReceiveQueue:
         self._m_empty = reg.counter("srq.empty_naks", **labels)
         reg.gauge_fn("srq.occupancy", lambda: len(self._queue), **labels)
 
-    def __len__(self) -> int:
-        return len(self._queue)
-
     @property
     def recv_posted(self) -> int:
         """Number of shared receive WQEs currently posted."""

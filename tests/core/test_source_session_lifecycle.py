@@ -295,10 +295,8 @@ def test_every_ending_goes_through_end_session_once(row, srq):
         assert [r.fields["error"] for r in aborts] == [expected.__name__]
     # Reference counting frees the ended job once its caller lets go: no
     # cycle through ``done`` or the error's traceback waits for the
-    # collector.  The stalled pump is the exception: parked for good in
-    # TCP backpressure, it keeps its job (ROADMAP item 12).
-    if row == ("on-fallback", "TransportFallbackFailed-stalled"):
-        return
+    # collector.  That holds for the stalled fallback pump too: closing
+    # the TCP connection releases it from backpressure, and it leaves.
     ref = weakref.ref(job)
     gc.disable()
     try:

@@ -9,13 +9,14 @@ import json
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import runtime
 from repro.obs.export import metrics_lines, trace_lines, write_metrics_jsonl, write_trace_jsonl
 from repro.sim.engine import Engine
 from repro.sim.trace import Tracer
+from tests.oracles import DequeTracer
 
 
 @pytest.fixture(autouse=True)
@@ -203,11 +204,30 @@ def _expected_line(run, time, category, message, fields) -> str:
     )
 
 
+def _typed(rows):
+    """Rows as (type, repr) pairs: ``==`` alone equates 1, 1.0 and True."""
+    return [[(type(value), repr(value)) for value in row] for row in rows]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     records=st.lists(_records, max_size=8),
     run=st.integers(0, 3),
     categories=st.sampled_from([None, {"qp", "ü"}]),
+)
+# Rows the columns must not pack: a time that is not a finite float, a
+# bool, an int past int64, an int subclass and a str subclass.
+@example(
+    records=[
+        (float("nan"), "qp", "m", (("a", "b"), (1, "x"))),
+        (float("-inf"), "qp", "m", (("a", "b"), (2, "y"))),
+        (-0.0, "qp", "m", (("a", "b"), (True, "x"))),
+        (1.5, "qp", "m", (("a", "b"), (1 << 63, "x"))),
+        (2.5, "qp", "m", (("a", "b"), (_Color.RED, _Mode.FAST))),
+        (7, "qp", "m", (("a", "b"), (3, "z"))),
+    ],
+    run=1,
+    categories=None,
 )
 def test_trace_lines_equal_json_dumps_and_point_equals_emit(records, run, categories):
     by_keyword = Tracer(categories=categories, capacity=3)
@@ -228,4 +248,24 @@ def test_trace_lines_equal_json_dumps_and_point_equals_emit(records, run, catego
         assert lines[1:] == [
             _expected_line(run, time, category, message, dict(zip(names, values)))
             for time, category, message, (names, values) in wanted[-3:]
+        ]
+
+    # The packed ring against the deque ring it replaced, row for row and
+    # type for type: one-row chunks (capacity 3), and 2-row chunks mixing
+    # shapes, dropped into a chunk and with an open chunk (capacity 301).
+    for capacity, laps in ((3, 1), (301, 40)):
+        ring = Tracer(categories=categories, capacity=capacity)
+        reference = DequeTracer(categories=categories, capacity=capacity)
+        for _ in range(laps):
+            for time, category, message, (names, values) in records:
+                for tracer in (ring, reference):
+                    tracer.record(time, category, message, dict(zip(names, values)))
+                    tracer.point(time, (category, message, *names), *values)
+        assert _typed(ring.rows()) == _typed(reference.rows())
+        assert (len(ring), ring.emitted, ring.dropped) == (
+            len(reference), reference.emitted, reference.dropped
+        )
+        assert list(trace_lines([types.SimpleNamespace(tracer=ring)]))[1:] == [
+            _expected_line(0, time, shape[0], shape[1], dict(zip(shape[2:], values)))
+            for time, shape, *values in reference.rows()
         ]

@@ -5,6 +5,7 @@ Nothing in ``src/`` calls it, so it lives with the tests (CI fails a
 """
 
 import json
+from collections import deque
 
 from repro.sim.events import AllOf
 
@@ -84,3 +85,35 @@ def stable_report_lines(jobs):
                 totals["canceled"] += 1
     records.append({"kind": "summary", **totals})
     return [json.dumps(r, sort_keys=True) for r in records]
+
+
+class DequeTracer:
+    """The trace ring as one ``deque`` of ``(time, shape, *values)``
+    tuples: what ``repro.sim.trace.Tracer`` stored before it packed its
+    rows into columns.  Its ``rows()`` are the rows exactly as written,
+    so a packed ring must give back equal rows of the same types."""
+
+    def __init__(self, categories=None, capacity=100_000):
+        self.categories = set(categories) if categories is not None else None
+        self._records = deque(maxlen=capacity)
+        self._shapes = {}
+        self.dropped = 0
+        self.emitted = 0
+
+    def point(self, time, shape, *values):
+        if self.categories is not None and shape[0] not in self.categories:
+            return
+        if len(self._records) == self._records.maxlen:
+            self.dropped += 1
+        self._records.append((time, shape) + values)
+        self.emitted += 1
+
+    def record(self, time, category, message, fields):
+        key = (category, message, *fields)
+        self.point(time, self._shapes.setdefault(key, key), *fields.values())
+
+    def __len__(self):
+        return len(self._records)
+
+    def rows(self):
+        return iter(self._records)

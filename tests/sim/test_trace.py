@@ -93,14 +93,15 @@ def test_clear_resets_drop_and_emit_accounting():
 
 def test_capacity_has_a_single_source_of_truth():
     tracer = Tracer(capacity=4)
-    assert tracer.capacity == 4 == tracer._records.maxlen
-    # `capacity` is a read-only view of the deque bound, so the drop
-    # detector can never disagree with the ring's actual size.
+    assert tracer.capacity == 4
+    # `capacity` is read-only, so the drop detector can never disagree
+    # with the bound the ring was built with.
     with pytest.raises(AttributeError):
         tracer.capacity = 8
     for i in range(6):
         tracer.record(float(i), "c", f"m{i}", {})
     assert len(tracer) == tracer.capacity == 4
+    assert len(list(tracer.rows())) == tracer.capacity
     assert tracer.dropped == 2
 
 
@@ -139,11 +140,14 @@ def test_retained_bytes_per_record_and_a_full_ring_stays_flat():
         grown = tracemalloc.get_traced_memory()[0] - base - filled
     finally:
         tracemalloc.stop()
-    # 152 B on CPython 3.11: a 6-slot tuple, the time, the one value that
-    # is not shared (wr_id) and the ring slot.  A dict per record was 320.
-    assert filled / n <= 200
+    # 41 B packed: the time (8), a group byte (1) and four int64 fields,
+    # the op as its string's index.  A row tuple was 152, a dict 320.
+    assert filled / n <= 48
     assert grown < 0.01 * filled
     assert (len(tracer), tracer.emitted, tracer.dropped) == (n, 2 * n, n)
+    rows = list(tracer.rows())
+    assert rows[0] == (n * 1e-6, _T_POST, 7, "rdma_write", 1000 + n, 4 << 20)
+    assert [row[4] for row in rows] == list(range(1000 + n, 1000 + 2 * n))
 
 
 def test_query_by_category_builds_nothing_for_other_categories(monkeypatch):
