@@ -35,7 +35,7 @@ __all__ = ["Credit", "CreditLedger", "CreditGranter"]
 _T_DEPOSIT = ("credits", "deposit", "granted", "balance", "total")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credit:
     """Permission to write one block into a specific sink memory region."""
 

@@ -107,7 +107,7 @@ class Duplicate(enum.Enum):
     IDEMPOTENT = "idempotent"  #: the same answer, recomputed from what it holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CtrlRule:
     """One row of :data:`PROTOCOL`.  A reply's data leads with whether it
     was accepted, and a granting message's ends with its credits:
@@ -158,7 +158,7 @@ PROTOCOL: Dict[CtrlType, CtrlRule] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlMessage:
     """A control-plane message (SEND/RECV on the control QP)."""
 
@@ -182,7 +182,7 @@ def block_checksum(payload: Any) -> int:
     return zlib.crc32(repr(payload).encode()) & 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     """Per-block header prefixed to every user payload block.
 
@@ -218,7 +218,7 @@ class BlockHeader:
         return (self.session_id, self.seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataBlockWire:
     """What actually lands in a sink memory region: header + payload."""
 

@@ -49,7 +49,7 @@ class ReassemblyBuffer:
         #: session id -> bound duplicate counter; resolved once per
         #: session (see :meth:`_bind_session_counter`) and dropped with
         #: the session's other bookkeeping in :meth:`reclaim_session`.
-        self._m_dup_by_session: Dict[int, Any] = {}
+        self._m_dup_per_session: Dict[int, Any] = {}
         self.metrics.gauge_fn("reassembly.parked", self._total_parked, **labels)
         self.metrics.gauge_fn(
             "reassembly.sessions", lambda: len(self.sessions()), **labels
@@ -116,13 +116,13 @@ class ReassemblyBuffer:
         counter = self.metrics.counter(
             "reassembly.session_duplicates", session=sid, **self._labels
         )
-        self._m_dup_by_session[sid] = counter
+        self._m_dup_per_session[sid] = counter
         return counter
 
     def _count_duplicate(self, sid: int, payload: Any, parked_payload: Any,
                          comparable: bool) -> None:
         self.duplicates.add()
-        counter = self._m_dup_by_session.get(sid)
+        counter = self._m_dup_per_session.get(sid)
         if counter is None:
             counter = self._bind_session_counter(sid)
         counter.add()
@@ -175,7 +175,7 @@ class ReassemblyBuffer:
         """
         per = self._parked.pop(session_id, {})
         self._next_seq.pop(session_id, None)
-        self._m_dup_by_session.pop(session_id, None)
+        self._m_dup_per_session.pop(session_id, None)
         self.metrics.remove(
             "reassembly.session_duplicates", session=session_id, **self._labels
         )

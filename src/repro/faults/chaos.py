@@ -11,7 +11,7 @@ a :class:`FaultPlan` armed, then checks the only two acceptable endings:
 
 Either way the middleware must come out clean — :meth:`SourceLink.audit`
 and :meth:`SinkEngine.audit` both empty — and, on a completed run, the
-delivery must pass :func:`~repro.apps.io.audit_blocks`.  Any violation
+delivery must pass :meth:`~repro.apps.io.CollectingSink.audit_blocks`.  Any violation
 is reported in :attr:`ChaosResult.leaks`.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from repro.apps.io import CollectingSink, PatternSource, audit_blocks
+from repro.apps.io import CollectingSink, PatternSource
 from repro.core import ProtocolConfig, RdmaMiddleware, TransferOutcome
 from repro.core.blocks import SinkBlockState
 from repro.core.errors import TransferError
@@ -226,9 +226,9 @@ def run_chaos(
     byte_exact: Optional[bool] = None
     if completed:
         sid = outcome.session_id
-        sessions = sink.by_session()
-        problems, _overlap = audit_blocks(
-            f"session {sid}", sessions.pop(sid, {}), total_bytes, cfg.block_size,
+        sessions = sink.session_rows()
+        problems, _overlap = sink.audit_blocks(
+            f"session {sid}", sessions.pop(sid, ()), total_bytes, cfg.block_size,
             source.tag,
             overlap_ok=holder.get("resume_attempts_used", 0) > 0
             or outcome.fallbacks > 0

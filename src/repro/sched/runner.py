@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.io import CollectingSink, PatternSource, ZeroSource, audit_blocks
+from repro.apps.io import CollectingSink, PatternSource, ZeroSource
 from repro.apps.rftp import RftpServer
 from repro.core import ProtocolConfig, RdmaMiddleware
 from repro.faults.plan import FaultPlan
@@ -217,12 +217,12 @@ def audit_delivery(
     """Byte-exactness audit over a collecting sink's delivery log.
 
     For every FINISHED primary file, the blocks delivered under its
-    successful session id must pass :func:`~repro.apps.io.audit_blocks`;
+    successful session id must pass :meth:`CollectingSink.audit_blocks`;
     a block may repeat only when the file was recovered across a crash
     (``task.recovered``).  Returns ``(ok, problems, overlap_bytes,
     recovered_suffix_bytes)``.
     """
-    by_session = sink.by_session()
+    sessions = sink.session_rows()
     problems: List[str] = []
     overlap_bytes = 0
     recovered_suffix_bytes = 0
@@ -232,12 +232,12 @@ def audit_delivery(
                 continue
             label = f"{job.job_id}:{task.path}"
             sid = task.last_session
-            blocks = by_session.get(sid or -1)
-            if blocks is None:
+            rows = sessions.get(sid or -1)
+            if rows is None:
                 problems.append(f"{label}: no deliveries for session {sid}")
                 continue
-            found, overlap = audit_blocks(
-                label, blocks, task.size, block_size, source.tag, task.recovered
+            found, overlap = sink.audit_blocks(
+                label, rows, task.size, block_size, source.tag, task.recovered
             )
             problems += found
             overlap_bytes += overlap

@@ -34,7 +34,7 @@ class WcStatus(enum.Enum):
     SIM_FAULT = "simulated_fault"
 
 
-@dataclass
+@dataclass(slots=True)
 class SendWR:
     """A send-queue work request.
 
@@ -70,7 +70,7 @@ class SendWR:
             raise ValueError("RDMA_WRITE_WITH_IMM requires imm_data")
 
 
-@dataclass
+@dataclass(slots=True)
 class RecvWR:
     """A receive-queue work request (a registered landing buffer)."""
 
@@ -84,7 +84,7 @@ class RecvWR:
             raise ValueError("length must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkCompletion:
     """A completion-queue entry."""
 

@@ -94,7 +94,7 @@ def test_rftp_delivers_correct_data():
     source = PatternSource(tb.src)
     r = run_rftp(tb, 64 << 20, cfg(), source=source, sink=sink)
     assert sink.bytes_written == 64 << 20
-    assert [h.seq for h, _ in sink.deliveries] == list(range(r.outcome.blocks))
+    assert [h.seq for h, _ in sink.rows()] == list(range(r.outcome.blocks))
 
 
 def test_rftp_memory_to_disk_matches_memory_to_memory():
@@ -161,7 +161,7 @@ def test_rftp_put_many_concurrent():
     assert sink.bytes_written == 24 << 20
     # Each session delivered in order.
     for o in done.value:
-        seqs = [h.seq for h, _ in sink.deliveries if h.session_id == o.session_id]
+        seqs = [h.seq for h, _ in sink.rows() if h.session_id == o.session_id]
         assert seqs == list(range(o.blocks))
 
 

@@ -56,7 +56,7 @@ def test_two_concurrent_clients_one_server():
     assert sink.bytes_written == 2 * total
     # Per-session in-order delivery despite interleaved arrivals.
     for sid in session_ids:
-        seqs = [h.seq for h, _ in sink.deliveries if h.session_id == sid]
+        seqs = [h.seq for h, _ in sink.rows() if h.session_id == sid]
         assert seqs == sorted(seqs) == list(range(len(seqs)))
 
 
@@ -174,5 +174,5 @@ def test_transfer_correct_for_any_configuration(block_kib, channels, pool, extra
     assert done.triggered and done.ok
     outcome = done.value
     assert sink.bytes_written == total
-    assert [h.seq for h, _ in sink.deliveries] == list(range(outcome.blocks))
+    assert [h.seq for h, _ in sink.rows()] == list(range(outcome.blocks))
     assert outcome.rnr_naks == 0

@@ -84,9 +84,9 @@ def test_transfer_survives_sporadic_faults():
     outcome, sink = run_with_faults(injector)
     assert outcome.resends == len(injector.failed) > 0
     # Despite the faults: complete, in-order, correct payloads.
-    assert len(sink.deliveries) == outcome.blocks
-    assert [h.seq for h, _ in sink.deliveries] == list(range(outcome.blocks))
-    for h, payload in sink.deliveries:
+    assert len(list(sink.rows())) == outcome.blocks
+    assert [h.seq for h, _ in sink.rows()] == list(range(outcome.blocks))
+    for h, payload in sink.rows():
         assert payload == ("blk", h.seq, h.length)
 
 
@@ -94,7 +94,7 @@ def test_heavy_fault_rate_still_completes():
     injector = EveryNth(2)  # half of all first attempts fail
     outcome, sink = run_with_faults(injector, total=8 << 20)
     assert outcome.resends >= outcome.blocks // 2 - 1
-    assert len(sink.deliveries) == outcome.blocks
+    assert len(list(sink.rows())) == outcome.blocks
 
 
 def test_faults_do_not_leak_credits():

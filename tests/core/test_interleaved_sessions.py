@@ -65,7 +65,7 @@ def test_resume_next_to_lingering_dead_sibling_leaks_nothing():
         assert se.has_session(101)
         res = yield link.resume(PatternSource(tb.src), 8 * BS, 100)
         assert res.start_seq < 8  # re-attached, suffix re-sent
-        seqs = sorted({h.seq for h, _ in sink.deliveries
+        seqs = sorted({h.seq for h, _ in sink.rows()
                        if h.session_id == 100})
         assert seqs == list(range(8))
         return True

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.credits import Credit
 from repro.core.messages import (
     CTRL_MSG_BYTES,
     HEADER_BYTES,
+    PROTOCOL,
     BlockHeader,
     ControlMessage,
     CtrlType,
+    DataBlockWire,
 )
 from repro.core.reassembly import ReassemblyBuffer
+from repro.verbs.wr import Opcode, RecvWR, SendWR, WcStatus, WorkCompletion
 
 
 def hdr(seq, sid=1, length=4096):
@@ -22,6 +26,12 @@ def hdr(seq, sid=1, length=4096):
 def test_control_message_wire_size():
     msg = ControlMessage(CtrlType.BLOCK_DONE, 1, (0, None))
     assert msg.wire_bytes == CTRL_MSG_BYTES
+    # The records built for every WQE or block carry no __dict__.
+    for record in (
+        msg, hdr(0), DataBlockWire(hdr(0)), PROTOCOL[CtrlType.PING], Credit(0, 0, 0),
+        SendWR(Opcode.SEND, 8), RecvWR(8), WorkCompletion(0, Opcode.RECV, WcStatus.SUCCESS),
+    ):
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_header_wire_size_includes_payload():

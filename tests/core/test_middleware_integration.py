@@ -39,11 +39,11 @@ def test_all_bytes_delivered_in_order():
     outcome, sink, source, _ = run_transfer(tb, cfg, total)
     blocks = total // cfg.block_size
     assert outcome.blocks == blocks
-    assert len(sink.deliveries) == blocks
+    assert len(list(sink.rows())) == blocks
     # Strictly in-order delivery of the full sequence.
-    assert [h.seq for h, _ in sink.deliveries] == list(range(blocks))
+    assert [h.seq for h, _ in sink.rows()] == list(range(blocks))
     # Payload integrity end to end.
-    for h, payload in sink.deliveries:
+    for h, payload in sink.rows():
         assert payload == ("blk", h.seq, h.length)
     assert sink.bytes_written == total
     assert source.bytes_read == total
@@ -55,7 +55,7 @@ def test_partial_final_block():
     total = cfg.block_size * 3 + 12345
     outcome, sink, _, _ = run_transfer(tb, cfg, total)
     assert outcome.blocks == 4
-    assert sink.deliveries[-1][0].length == 12345
+    assert list(sink.rows())[-1][0].length == 12345
     assert sink.bytes_written == total
 
 
@@ -65,7 +65,7 @@ def test_offsets_cover_dataset_exactly():
     total = 8 << 20
     _, sink, _, _ = run_transfer(tb, cfg, total)
     covered = 0
-    for h, _ in sink.deliveries:
+    for h, _ in sink.rows():
         assert h.offset == covered
         covered += h.length
     assert covered == total
@@ -108,13 +108,13 @@ def test_multiple_channels_preserve_order():
     cfg = small_cfg(num_channels=4)
     total = 32 << 20
     outcome, sink, _, _ = run_transfer(tb, cfg, total)
-    assert [h.seq for h, _ in sink.deliveries] == list(range(outcome.blocks))
+    assert [h.seq for h, _ in sink.rows()] == list(range(outcome.blocks))
 
 
 def test_single_channel_works():
     tb = roce_lan()
     outcome, sink, _, _ = run_transfer(tb, small_cfg(num_channels=1), 8 << 20)
-    assert len(sink.deliveries) == outcome.blocks
+    assert len(list(sink.rows())) == outcome.blocks
 
 
 def test_on_demand_credits_still_correct_but_chattier():
@@ -123,8 +123,8 @@ def test_on_demand_credits_still_correct_but_chattier():
     cfg = small_cfg(proactive_credits=False)
     total = 16 << 20
     outcome, sink, _, _ = run_transfer(tb, cfg, total)
-    assert len(sink.deliveries) == outcome.blocks
-    assert [h.seq for h, _ in sink.deliveries] == list(range(outcome.blocks))
+    assert len(list(sink.rows())) == outcome.blocks
+    assert [h.seq for h, _ in sink.rows()] == list(range(outcome.blocks))
     assert outcome.mr_requests >= outcome.blocks / 2  # begging constantly
 
 

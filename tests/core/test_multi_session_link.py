@@ -56,11 +56,11 @@ def test_concurrent_sessions_share_one_link():
     # Every session delivered fully and in order.
     blocks = total // c.block_size
     for sid in results:
-        seqs = [h.seq for h, _ in sink.deliveries if h.session_id == sid]
+        seqs = [h.seq for h, _ in sink.rows() if h.session_id == sid]
         assert seqs == list(range(blocks))
     assert sink.bytes_written == 3 * total
     # Sessions truly interleaved on the shared link (not serialised).
-    order = [h.session_id for h, _ in sink.deliveries]
+    order = [h.session_id for h, _ in sink.rows()]
     first_of = {sid: order.index(sid) for sid in results}
     last_of = {sid: len(order) - 1 - order[::-1].index(sid) for sid in results}
     overlaps = sum(

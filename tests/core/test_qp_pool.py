@@ -57,9 +57,9 @@ def run_transfer(c, total):
 
 def assert_delivery(sink, c, total):
     blocks = (total + c.block_size - 1) // c.block_size
-    assert len(sink.deliveries) == blocks
-    assert [h.seq for h, _ in sink.deliveries] == list(range(blocks))
-    for h, payload in sink.deliveries:
+    assert len(list(sink.rows())) == blocks
+    assert [h.seq for h, _ in sink.rows()] == list(range(blocks))
+    for h, payload in sink.rows():
         assert payload == ("blk", h.seq, h.length)
     assert sink.bytes_written == total
 

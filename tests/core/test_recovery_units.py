@@ -54,7 +54,7 @@ def test_ack_pops_job_and_session_id_can_be_reused():
     assert job1.completed_blocks == job1.total_blocks
     assert job2.completed_blocks == job2.total_blocks
     # Both sessions delivered in full (16 blocks of 256K across 2 runs).
-    assert len(sink.deliveries) == job1.total_blocks + job2.total_blocks
+    assert len(list(sink.rows())) == job1.total_blocks + job2.total_blocks
     assert link.audit() == []
 
 

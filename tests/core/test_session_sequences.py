@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.io import CollectingSink, PatternSource, audit_blocks
+from repro.apps.io import CollectingSink, PatternSource
 from repro.core import ProtocolConfig, RdmaMiddleware
 from repro.core.errors import TransferCanceled, TransferError
 from repro.core.sink_engine import SessionState
@@ -145,7 +145,7 @@ class World:
         # the history within its cap, every block FREE or WAITING (an
         # advertised, unspent credit) and the free list in step.
         assert link.audit() == [] and se.audit() == []
-        deliveries = self.sink.by_session()
+        sessions = self.sink.session_rows()
         for sid, (blocks, ev) in self.sessions.items():
             assert ev.triggered, f"session {sid} never settled"
             rec = se.session(sid)
@@ -154,8 +154,8 @@ class World:
             if ev.ok:
                 # A resumed or degraded session may re-deliver a consumed
                 # prefix, but only as identical copies.
-                problems, _ = audit_blocks(
-                    f"session {sid}", deliveries.get(sid, {}), blocks * BS, BS, "blk",
+                problems, _ = self.sink.audit_blocks(
+                    f"session {sid}", sessions.get(sid, ()), blocks * BS, BS, "blk",
                     overlap_ok=True,
                 )
                 assert problems == []

@@ -66,12 +66,12 @@ def test_fresh_incarnation_does_not_inherit_stale_restart_marker():
         assert stale >= 1, "precondition: incarnation 1 left a stale marker"
 
         # Incarnation 2 reuses sid 7 and dies before any block lands.
-        before = len(sink.deliveries)
+        before = len(list(sink.rows()))
         ev2 = link.transfer(PatternSource(tb.src), 4 * BS, session_id=7)
         yield env.timeout(1.2e-4)
         link.crash()
         ev2.defuse()
-        delivered = len(sink.deliveries) - before
+        delivered = len(list(sink.rows())) - before
         assert delivered < stale, (
             "precondition: incarnation 2 delivered less than the stale marker"
         )
@@ -81,7 +81,7 @@ def test_fresh_incarnation_does_not_inherit_stale_restart_marker():
         # The resume point reflects THIS incarnation's progress, not the
         # dead predecessor's.
         assert res.start_seq <= delivered
-        seqs = sorted({h.seq for h, _ in sink.deliveries[before:]
+        seqs = sorted({h.seq for h, _ in list(sink.rows())[before:]
                        if h.session_id == 7})
         assert seqs == [0, 1, 2, 3]  # nothing silently skipped
         return True
@@ -101,9 +101,9 @@ def test_reused_sid_after_clean_finish_is_a_fresh_session():
     def driver(env):
         link = yield client.open_link(tb.dst_dev, 4000)
         yield link.transfer(PatternSource(tb.src), 4 * BS, session_id=9)
-        before = len(sink.deliveries)
+        before = len(list(sink.rows()))
         yield link.transfer(PatternSource(tb.src), 4 * BS, session_id=9)
-        seqs = sorted(h.seq for h, _ in sink.deliveries[before:]
+        seqs = sorted(h.seq for h, _ in list(sink.rows())[before:]
                       if h.session_id == 9)
         assert seqs == [0, 1, 2, 3]
         return True

@@ -117,3 +117,54 @@ class DequeTracer:
 
     def rows(self):
         return iter(self._records)
+
+
+class ListSink:
+    """The delivery log as one list of ``(header, payload)`` pairs: what
+    ``repro.apps.io.CollectingSink`` stored before it packed its rows
+    into header columns.  A packed log must give back equal rows of the
+    same types, and audit to the same problems."""
+
+    def __init__(self, host):
+        self.host = host
+        self.deliveries = []
+        self.bytes_written = 0
+
+    def write(self, thread, nbytes, header=None, payload=None):
+        yield thread.exec(self.host.spec.syscall_seconds)
+        self.deliveries.append((header, payload))
+        self.bytes_written += nbytes
+
+    def by_session(self):
+        """The log grouped by session id, then by seq (one pass)."""
+        sessions = {}
+        for header, payload in self.deliveries:
+            sessions.setdefault(header.session_id, {}) \
+                .setdefault(header.seq, []).append((header, payload))
+        return sessions
+
+
+def audit_blocks(label, blocks, size, block_size, tag, overlap_ok):
+    """``CollectingSink.audit_blocks`` over one session of
+    :meth:`ListSink.by_session` (seq -> every copy, in arrival order)."""
+    total_blocks = -(-size // block_size)
+    if sorted(blocks) != list(range(total_blocks)):
+        return [f"{label}: delivered seqs {sorted(blocks)} != 0..{total_blocks - 1}"], 0
+    problems = []
+    overlap_bytes = 0
+    for seq in range(total_blocks):
+        first, *rest = blocks[seq]
+        header, payload = first
+        expected_len = min(block_size, size - seq * block_size)
+        if header.length != expected_len:
+            problems.append(f"{label}: seq {seq} length {header.length} != {expected_len}")
+        if payload != (tag, seq, expected_len):
+            problems.append(f"{label}: seq {seq} payload corrupted ({payload!r})")
+        for copy in rest:
+            if copy != first:
+                problems.append(f"{label}: seq {seq} re-delivered with divergent content")
+            else:
+                overlap_bytes += header.length
+        if rest and not overlap_ok:
+            problems.append(f"{label}: seq {seq} delivered twice where no overlap is allowed")
+    return problems, overlap_bytes

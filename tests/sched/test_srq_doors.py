@@ -7,8 +7,9 @@ shared leases, and teardown paths — including deadline cancellation —
 return every lease (audited by ``quiescence_leaks``).
 """
 
+from repro.apps.io import CollectingSink
 from repro.core.messages import BlockHeader
-from repro.sched import quiescence_leaks, run_sched, synthetic_spec
+from repro.sched import audit_delivery, quiescence_leaks, run_sched, synthetic_spec
 
 
 def srq_spec(**over):
@@ -24,6 +25,14 @@ def test_doors_share_one_pool_and_derive_caps():
     result = run_sched(srq_spec(), audit=True)
     assert result.all_finished
     assert result.audit_ok, result.audit_problems[:3]
+    # Audited against an empty log, every file names its missing session.
+    ok, problems, _, _ = audit_delivery(
+        result.jobs, CollectingSink(result.testbed.dst), result.source, result.block_size
+    )
+    assert not ok and problems == [
+        f"{job.job_id}:{task.path}: no deliveries for session {task.last_session}"
+        for job in result.jobs for task in job.files
+    ]
     assert not result.leaks, result.leaks[:3]
     doors = list(result.broker.doors.values())
     pools = {id(d.link._host_pool) for d in doors}

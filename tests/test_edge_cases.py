@@ -106,7 +106,7 @@ def test_one_block_dataset():
     tb.engine.run()
     assert done.ok
     assert done.value.blocks == 1
-    assert sink.deliveries[0][0].length == 777
+    assert next(sink.rows())[0].length == 777
 
 
 def test_tiny_pool_still_completes():
