@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
-from repro.sim.events import Timeout, TimeoutAt
+from repro.sim.events import Timeout
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,7 +79,10 @@ class Nic:
         #: earliest-free pipeline reproduces the discrete FIFO grant
         #: order — and the ``max(now, free) + service`` floats — exactly.
         self._wqe_free = [0.0] * profile.engines
-        self._read_engine = Resource(engine, capacity=1)
+        #: The responder's READ engine: one request at a time.  A booked
+        #: READ drives it by callbacks on ``request()``; :meth:`serve_read`
+        #: is its generator form.
+        self.read_engine = Resource(engine, capacity=1)
         self.wqes_processed = 0
         self.read_requests_served = 0
 
@@ -118,18 +121,12 @@ class Nic:
         which is what keeps READ below WRITE at small and medium block
         sizes.
         """
-        engine = self.engine
-        bus = self.host.pcie
-        yield self._read_engine.request()
+        yield self.read_engine.request()
         try:
-            yield Timeout(engine, self.profile.read_gap_seconds)
-            if engine.use_fluid and nbytes > 0:
-                yield TimeoutAt(engine, bus.book(nbytes))
-                bus.bytes_moved += nbytes
-            else:
-                yield from bus.dma(nbytes)
+            yield Timeout(self.engine, self.profile.read_gap_seconds)
+            yield from self.host.pcie.dma(nbytes)
         finally:
-            self._read_engine.release()
+            self.read_engine.release()
         self.read_requests_served += 1
 
     def __repr__(self) -> str:  # pragma: no cover

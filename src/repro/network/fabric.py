@@ -38,6 +38,9 @@ class Path:
         #: One-way propagation delay (sum over hops), seconds.
         self.latency = sum(link.delay for link in self.links)
         self.mtu = min(link.mtu for link in self.links)
+        #: One-way time of a 64 B control datagram (an ACK, a NAK, a READ
+        #: request): :meth:`deliver_latency`'s wait, booked by the QP.
+        self.ctrl_wait = self.latency + 64 / self.bottleneck_bytes_per_second
         reg = engine.metrics
         labels = {"path": name, "i": reg.sequence("path")}
         self._m_bytes = reg.counter("path.bytes_total", **labels)

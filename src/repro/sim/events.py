@@ -9,10 +9,12 @@ them; the engine resumes the process when the event is processed.
 Scheduling is one ``heappush`` of ``(time, eid, event)`` onto
 ``engine._heap`` with ``eid`` taken from the engine's global counter;
 :class:`Timeout`, :class:`TimeoutAt` and :meth:`Event.succeed` /
-:meth:`Event.fail` do it inline.  ``Timeout``, ``TimeoutAt`` and
-``Process`` also set the :class:`Event` slots by hand instead of chaining
-through ``super().__init__`` — a slot added to ``Event`` must be added in
-those three constructors too (``tests/sim/test_event_slots.py`` fails
+:meth:`Event.fail` do it inline, and :func:`_schedule` does it for an
+event that re-queues itself (a posted WR's record, ``verbs/qp.py``).
+``Timeout``, ``TimeoutAt``, ``Process`` and that record also set the
+:class:`Event` slots by hand instead of chaining through
+``super().__init__`` — a slot added to ``Event`` must be added in those
+four constructors too (``tests/sim/test_event_slots.py`` fails
 otherwise).
 """
 
@@ -229,6 +231,21 @@ class TimeoutAt(Timeout):
         self.delay = when - now
         engine._eid = eid = engine._eid + 1
         heappush(engine._heap, (when, eid, self))
+
+
+def _schedule(event: Event, when: float, callback: Callable[[Event], None]) -> None:
+    """Queue ``event`` at the absolute instant ``when`` with ``callback``
+    as its one callback.
+
+    For an event that is its own timer, stage after stage: it goes back
+    on the heap exactly as a :class:`TimeoutAt` created here would (same
+    instant, same insertion id), without the object.  ``when`` comes
+    from a booking, so it is never in the past; nothing checks.
+    """
+    engine = event.engine
+    engine._eid = eid = engine._eid + 1
+    event.callbacks = [callback]
+    heappush(engine._heap, (when, eid, event))
 
 
 class Condition(Event):

@@ -54,9 +54,10 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         if _eager:
-            # Private to ``repro``'s own layers (``QueuePair.post_send``):
-            # run the body to its first yield right here.  Legal only as
-            # the spawner's last action — nothing "after the spawn" to miss.
+            # Private to ``repro``'s own layers (the stage sub-processes
+            # of a posted WR, ``verbs/qp.py::_Wqe._run``): run the body to
+            # its first yield right here.  Legal only as the spawner's
+            # last action — nothing "after the spawn" to miss.
             self._resume(_STARTED)
             return
         # Bootstrap: a zero-delay timer resumes the body on the next

@@ -20,6 +20,12 @@ relies on:
 - **UD**: datagrams bounded by path MTU, no acknowledgement, silent drop
   when no receive WR is posted.
 
+A posted WR is a :class:`_Wqe` record that drives itself through the
+hardware stages — NIC pipeline, payload fetch, wire, placement, ACK —
+by callback: each stage books its resource and re-queues the record at
+the booked instant, and a stage that cannot be booked runs its
+generator form in a sub-process (DESIGN.md §9, "The booking seam").
+
 CPU cost of *posting* is charged by callers via
 :meth:`QueuePair.post_send_cost`-style helpers in the middleware layer;
 the QP itself consumes no host CPU (kernel bypass).
@@ -29,10 +35,9 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Generator, Optional
 
-
-from repro.sim.events import Event, Timeout, TimeoutAt
+from repro.sim.events import Event, StopEngine, Timeout, _schedule
 from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.verbs.errors import (
@@ -219,6 +224,8 @@ class QueuePair:
                 )
             if wr.opcode is not Opcode.SEND:
                 raise QpStateError("UD supports only SEND")
+        elif wr.opcode is Opcode.RECV:
+            raise QpStateError("RECV is not a send-queue opcode")
         self._outstanding_sends += 1
         ssn = self._ssn
         self._ssn += 1
@@ -229,201 +236,9 @@ class QueuePair:
                 self.qp_num, wr.opcode._value_, wr.wr_id, wr.length,
             )
         # The WQE reaches the NIC inside this call, not one zero-delay hop
-        # later: must stay the last statement (see ``Process``'s ``_eager``).
-        Process(self.engine, self._execute(wr, ssn), _eager=True)
-
-    # -- execution ----------------------------------------------------------------
-    def _execute(self, wr: SendWR, ssn: int) -> Generator:
-        assert self.peer is not None and self.path is not None
-        assert self.rpath is not None
-        nic = self.device.nic
-        peer = self.peer
-        status = WcStatus.SUCCESS
-        # The opcode bodies book the hardware stages and sleep on the booked
-        # instants themselves (one frame below this one).  The stages'
-        # generator forms take the discrete engine, zero-length WRs (no DMA,
-        # no serialisation) and paths that are not ``chain_ok``.
-        booked = self.engine.use_fluid and wr.length > 0
-        try:
-            if wr.opcode is Opcode.SEND:
-                status = yield from self._do_send(wr, nic, peer, booked)
-            elif wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
-                status = yield from self._do_write(wr, nic, peer, booked)
-            elif wr.opcode is Opcode.RDMA_READ:
-                status = yield from self._do_read(wr, nic, peer, booked)
-            else:  # pragma: no cover - defensive
-                raise QpStateError(f"unsupported opcode {wr.opcode}")
-        finally:
-            wc = WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode=wr.opcode,
-                status=status,
-                byte_len=wr.length,
-                qp_num=self.qp_num,
-            )
-            self._retire(ssn, wc, signaled=wr.signaled)
-        if status is WcStatus.SUCCESS:
-            self.bytes_sent.add(wr.length)
-        elif status is not WcStatus.SIM_FAULT:
-            # Real RC errors are fatal to the QP; injected transient
-            # faults leave it usable so recovery paths can be tested.
-            self._enter_error()
-
-    def _do_send(self, wr: SendWR, nic, peer: "QueuePair", booked: bool) -> Generator:
-        engine, path, n = self.engine, self.path, wr.length
-        bus, peer_bus = nic.host.pcie, peer.device.nic.host.pcie
-        if booked:
-            yield TimeoutAt(engine, nic.book_wqe())
-            nic.wqes_processed += 1
-            yield TimeoutAt(engine, bus.book(n))  # payload fetch
-            bus.bytes_moved += n
-        else:
-            yield from nic.process_wqe()
-            yield from bus.dma(n)
-        attempts = 0
-        while True:
-            if booked and path.chain_ok():
-                arrival = path.book(n)
-                if arrival > engine.now:
-                    yield TimeoutAt(engine, arrival)
-                path.arrived(n)
-            else:
-                yield from path.transmit(n)
-            if self.qp_type is QpType.UD:
-                # Unreliable: local completion as soon as it is on the wire.
-                peer._deliver_datagram(wr)
-                return WcStatus.SUCCESS
-            if peer._has_recv():
-                break
-            # Receiver Not Ready: NAK travels back, wait RNR timer, retry.
-            self.rnr_naks.add()
-            attempts += 1
-            if self.rnr_retry != RNR_RETRY_INFINITE and attempts > self.rnr_retry:
-                return WcStatus.RNR_RETRY_EXC_ERR
-            yield from self.rpath.deliver_latency()
-            yield Timeout(engine, self.rnr_timer)
-        rwr = peer._take_recv()
-        if n > rwr.length:
-            return WcStatus.LOC_LEN_ERR
-        if booked:
-            yield TimeoutAt(engine, peer_bus.book(n))  # payload placement
-            peer_bus.bytes_moved += n
-        else:
-            yield from peer_bus.dma(n)
-        peer.recv_cq.push(
-            WorkCompletion(
-                wr_id=rwr.wr_id,
-                opcode=Opcode.RECV,
-                status=WcStatus.SUCCESS,
-                byte_len=n,
-                payload=wr.payload,
-                qp_num=peer.qp_num,
-            )
-        )
-        yield from self.rpath.deliver_latency()  # hardware ACK
-        return WcStatus.SUCCESS
-
-    def _do_write(self, wr: SendWR, nic, peer: "QueuePair", booked: bool) -> Generator:
-        target = peer.pd.lookup_rkey(wr.rkey)
-        engine, path, n = self.engine, self.path, wr.length
-        bus, peer_bus = nic.host.pcie, peer.device.nic.host.pcie
-        if booked:
-            yield TimeoutAt(engine, nic.book_wqe())
-            nic.wqes_processed += 1
-            yield TimeoutAt(engine, bus.book(n))  # payload fetch
-            bus.bytes_moved += n
-        else:
-            yield from nic.process_wqe()
-            yield from bus.dma(n)
-        if booked and path.chain_ok():
-            arrival = path.book(n)
-            if arrival > engine.now:
-                yield TimeoutAt(engine, arrival)
-            path.arrived(n)
-        else:
-            yield from path.transmit(n)
-        if self.state is QpState.ERROR:
-            # The QP was killed while this WR was on the wire; the write
-            # never lands and the WR flushes.
-            return WcStatus.WR_FLUSH_ERR
-        if self.fault_injector is not None and self.fault_injector(wr):
-            yield from self.rpath.deliver_latency()  # NAK comes back
-            return WcStatus.SIM_FAULT
-        try:
-            if target is None:
-                raise RemoteAccessError(f"unknown rkey {wr.rkey!r}")
-            target.check_remote(wr.remote_addr, n, write=True)
-        except RemoteAccessError:
-            yield from self.rpath.deliver_latency()  # NAK
-            return WcStatus.REM_ACCESS_ERR
-        if booked:
-            yield TimeoutAt(engine, peer_bus.book(n))  # payload placement
-            peer_bus.bytes_moved += n
-        else:
-            yield from peer_bus.dma(n)
-        payload = wr.payload
-        if self.corrupt_injector is not None:
-            tampered = self.corrupt_injector(wr)
-            if tampered is not None:
-                payload = tampered
-        target.place(wr.remote_addr, payload)
-        if wr.opcode is Opcode.RDMA_WRITE_WITH_IMM:
-            if not peer._has_recv():
-                # Immediate data consumes a receive WR; RNR applies.
-                self.rnr_naks.add()
-                yield from self.rpath.deliver_latency()
-                yield Timeout(engine, self.rnr_timer)
-                return (yield from self._do_write(wr, nic, peer, booked))
-            rwr = peer._take_recv()
-            peer.recv_cq.push(
-                WorkCompletion(
-                    wr_id=rwr.wr_id,
-                    opcode=Opcode.RECV,
-                    status=WcStatus.SUCCESS,
-                    byte_len=n,
-                    imm_data=wr.imm_data,
-                    qp_num=peer.qp_num,
-                )
-            )
-        yield from self.rpath.deliver_latency()  # hardware ACK
-        return WcStatus.SUCCESS
-
-    def _do_read(self, wr: SendWR, nic, peer: "QueuePair", booked: bool) -> Generator:
-        source = peer.pd.lookup_rkey(wr.rkey)
-        engine, rpath, n = self.engine, self.rpath, wr.length
-        bus = nic.host.pcie
-        if booked:
-            yield TimeoutAt(engine, nic.book_wqe())
-            nic.wqes_processed += 1
-        else:
-            yield from nic.process_wqe()
-        yield self._ord.request()  # outstanding-read limit (ORD)
-        try:
-            yield from self.path.deliver_latency()  # READ request packet
-            try:
-                if source is None:
-                    raise RemoteAccessError(f"unknown rkey {wr.rkey!r}")
-                source.check_remote(wr.remote_addr, n, write=False)
-            except RemoteAccessError:
-                yield from rpath.deliver_latency()
-                return WcStatus.REM_ACCESS_ERR
-            yield from peer.device.nic.serve_read(n)
-            if booked and rpath.chain_ok():
-                arrival = rpath.book(n)
-                if arrival > engine.now:
-                    yield TimeoutAt(engine, arrival)
-                rpath.arrived(n)
-            else:
-                yield from rpath.transmit(n)
-            if booked:
-                yield TimeoutAt(engine, bus.book(n))  # payload placement
-                bus.bytes_moved += n
-            else:
-                yield from bus.dma(n)
-            wr.payload = source.fetch(wr.remote_addr)
-            return WcStatus.SUCCESS
-        finally:
-            self._ord.release()
+        # later: must stay the last statement (the record's first stage,
+        # and an eager sub-process it may start, run here).
+        _Wqe(self, wr, ssn)
 
     # -- UD delivery -----------------------------------------------------------------
     def _deliver_datagram(self, wr: SendWR) -> None:
@@ -443,23 +258,43 @@ class QueuePair:
         )
 
     # -- completion ordering ------------------------------------------------------------
-    def _retire(self, ssn: int, wc: WorkCompletion, signaled: bool) -> None:
+    def _retire(self, ssn: int, wr: SendWR, status: WcStatus) -> None:
+        """Complete the WR posted as ``ssn``: CQEs leave in post order.
+
+        Only a signaled WR gets a :class:`WorkCompletion`; a WR that
+        finishes ahead of an older one parks in ``_done`` until the
+        older one retires.
+        """
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.point(
                 self.engine._now, _T_COMPLETE,
-                self.qp_num, wc.wr_id, wc.status._value_,
+                self.qp_num, wr.wr_id, status._value_,
             )
-        self._done[ssn] = wc if signaled else None
-        while self._next_complete in self._done:
-            pending = self._done.pop(self._next_complete)
-            self._next_complete += 1
+        wc = None
+        if wr.signaled:
+            wc = WorkCompletion(
+                wr_id=wr.wr_id,
+                opcode=wr.opcode,
+                status=status,
+                byte_len=wr.length,
+                qp_num=self.qp_num,
+            )
+        done = self._done
+        if ssn != self._next_complete:
+            done[ssn] = wc
+            return
+        while True:
+            self._next_complete = ssn = ssn + 1
             self._outstanding_sends -= 1
-            if pending is not None:
-                self.send_cq.push(pending)
+            if wc is not None:
+                self.send_cq.push(wc)
             if self._slot_retired is not None:
                 waiter, self._slot_retired = self._slot_retired, None
                 waiter.succeed()
+            if ssn not in done:
+                return
+            wc = done.pop(ssn)
 
     def _enter_error(self) -> None:
         if self.state is QpState.ERROR:
@@ -500,6 +335,333 @@ class QueuePair:
             f"<QP {self.qp_num} {self.qp_type.value} {self.state.value} "
             f"out={self._outstanding_sends}>"
         )
+
+
+class _Wqe(Event):
+    """One posted send WR on its way through the hardware stages.
+
+    The record is its own timer.  A stage that books a resource through
+    the booking seam (``Nic.book_wqe``, ``PcieBus.book``, ``Path.book``,
+    ``Path.ctrl_wait``) queues the record at the booked instant with the
+    next stage as its one callback: one heap entry per stage, no
+    ``Process``, no generator frame, no ``Timeout``.  A stage that cannot
+    be booked (the discrete engine, a zero-length WR, a per-hop wire, an
+    RNR wait) runs its generator form in an eager sub-process whose body
+    calls the next stage when the form returns, as ``yield from`` did.
+
+    A stage method's argument is the record when a booking of the stage
+    before it brought the WR here (the method then does that stage's
+    accounting, which a generator form does itself), the ``Resource``
+    grant for a stage that takes one, and ``None`` otherwise.
+
+    The stages that reach a CQ, an MR or a hook (``_landed``,
+    ``_placed``, ``_replied``, ``_requested``) and the sub-process body
+    catch what they raise and fail the record (:meth:`_fail`); the
+    others only book.
+    """
+
+    __slots__ = ("qp", "wr", "ssn", "booked", "target", "status", "attempts")
+
+    def __init__(self, qp: QueuePair, wr: SendWR, ssn: int) -> None:
+        # The Event slots, set by hand (see the note in ``sim/events.py``);
+        # each booking sets ``callbacks``.
+        self.engine = engine = qp.engine
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self.qp = qp
+        self.wr = wr
+        self.ssn = ssn
+        # Under the fluid engine a WR with a payload books its stages;
+        # otherwise each stage runs its generator form.
+        self.booked = engine.use_fluid and wr.length > 0
+        #: Where the payload lands: the rkey's region for WRITE / READ,
+        #: the consumed receive WR for SEND.
+        self.target = None
+        #: The status the ACK / NAK in flight will complete the WR with.
+        self.status = WcStatus.SUCCESS
+        self.attempts = 0  # RNR NAKs so far
+        self._issue()
+
+    # -- stages, in the order a WR meets them ----------------------------------------
+    def _issue(self) -> None:
+        """The WQE takes a NIC pipeline (and an RNR-NAKed
+        WRITE_WITH_IMM starts over here)."""
+        qp, wr = self.qp, self.wr
+        if wr.opcode is not Opcode.SEND:
+            self.target = qp.peer.pd.lookup_rkey(wr.rkey)
+        nic = qp.device.nic
+        if self.booked:
+            _schedule(self, nic.book_wqe(), self._wqe_done)
+        else:
+            self._run(nic.process_wqe(), self._wqe_done)
+
+    def _wqe_done(self, ev: Optional[Event] = None) -> None:
+        """READ takes an ORD slot; SEND / WRITE fetch the payload."""
+        qp = self.qp
+        nic = qp.device.nic
+        if ev is not None:
+            nic.wqes_processed += 1
+        if self.wr.opcode is Opcode.RDMA_READ:
+            grant = qp._ord.request()  # outstanding-read limit (ORD)
+            if grant.callbacks is None:
+                self._request(grant)
+            else:
+                grant.callbacks.append(self._request)
+            return
+        bus, n = nic.host.pcie, self.wr.length
+        if self.booked:
+            _schedule(self, bus.book(n), self._wire)
+        else:
+            self._run(bus.dma(n), self._wire)
+
+    def _request(self, grant: Event) -> None:
+        """READ holds an ORD slot: the request packet crosses the path."""
+        wait = self.qp.path.ctrl_wait
+        if wait > 0:
+            _schedule(self, self.engine._now + wait, self._requested)
+        else:
+            self._requested()
+
+    def _requested(self, ev: Optional[Event] = None) -> None:
+        """The READ request is at the responder: its read engine serves it."""
+        try:
+            qp = self.qp
+            qp.path._m_ctrl.add()
+            if not self._rkey_ok(write=False):
+                self._reply(WcStatus.REM_ACCESS_ERR)
+                return
+            nic = qp.peer.device.nic
+            if not self.booked:
+                self._run(nic.serve_read(self.wr.length), self._wire)
+                return
+            grant = nic.read_engine.request()
+            if grant.callbacks is None:
+                self._serve(grant)
+            else:
+                grant.callbacks.append(self._serve)
+        except Exception as exc:
+            self._fail(exc)
+
+    def _serve(self, grant: Event) -> None:
+        """The responder's read engine is ours: its per-request gap."""
+        gap = self.qp.peer.device.nic.profile.read_gap_seconds
+        _schedule(self, self.engine._now + gap, self._gap_done)
+
+    def _gap_done(self, ev: Event) -> None:
+        """The read engine fetches the payload over the responder's bus."""
+        bus = self.qp.peer.device.nic.host.pcie
+        _schedule(self, bus.book(self.wr.length), self._served)
+
+    def _served(self, ev: Event) -> None:
+        """The read engine frees; the response goes on the wire."""
+        nic, n = self.qp.peer.device.nic, self.wr.length
+        nic.host.pcie.bytes_moved += n
+        nic.read_engine.release()
+        nic.read_requests_served += 1
+        self._wire()
+
+    def _wire(self, ev: Optional[Event] = None) -> None:
+        """The payload crosses the wire: the request path for SEND /
+        WRITE (and a SEND's retransmit after an RNR NAK), the response
+        path for READ."""
+        qp, n = self.qp, self.wr.length
+        if ev is not None:
+            qp.device.nic.host.pcie.bytes_moved += n  # the payload fetch
+        path = qp.rpath if self.wr.opcode is Opcode.RDMA_READ else qp.path
+        if self.booked and path.chain_ok():
+            arrival = path.book(n)
+            if arrival > self.engine._now:
+                _schedule(self, arrival, self._landed)
+            else:
+                self._landed(self)
+        else:
+            self._run(path.transmit(n), self._landed)
+
+    def _landed(self, ev: Optional[Event] = None) -> None:
+        """The payload is at the far end: the verbs rules of arrival,
+        then the placement DMA over the receiving host's bus."""
+        try:
+            qp, wr = self.qp, self.wr
+            n, op, peer = wr.length, wr.opcode, qp.peer
+            if ev is not None:
+                (qp.rpath if op is Opcode.RDMA_READ else qp.path).arrived(n)
+            bus = peer.device.nic.host.pcie
+            if op is Opcode.RDMA_READ:
+                bus = qp.device.nic.host.pcie
+            elif op is Opcode.SEND:
+                if qp.qp_type is QpType.UD:
+                    # Unreliable: local completion as soon as it is on the wire.
+                    peer._deliver_datagram(wr)
+                    self._finish(WcStatus.SUCCESS)
+                    return
+                if not peer._has_recv():
+                    self._rnr(self._wire)
+                    return
+                self.target = rwr = peer._take_recv()
+                if n > rwr.length:
+                    self._finish(WcStatus.LOC_LEN_ERR)
+                    return
+            else:
+                if qp.state is QpState.ERROR:
+                    # The QP was killed while this WR was on the wire; the
+                    # write never lands and the WR flushes.
+                    self._finish(WcStatus.WR_FLUSH_ERR)
+                    return
+                if qp.fault_injector is not None and qp.fault_injector(wr):
+                    self._reply(WcStatus.SIM_FAULT)
+                    return
+                if not self._rkey_ok(write=True):
+                    self._reply(WcStatus.REM_ACCESS_ERR)
+                    return
+            if self.booked:
+                _schedule(self, bus.book(n), self._placed)
+            else:
+                self._run(bus.dma(n), self._placed)
+        except Exception as exc:
+            self._fail(exc)
+
+    def _placed(self, ev: Optional[Event] = None) -> None:
+        """The payload is in memory: the receive CQE (SEND, WRITE with
+        immediate), the landed region (WRITE) or the fetched data (READ)."""
+        try:
+            qp, wr = self.qp, self.wr
+            n, op, peer = wr.length, wr.opcode, qp.peer
+            if ev is not None:
+                (qp if op is Opcode.RDMA_READ else peer).device.nic.host.pcie.bytes_moved += n
+            if op is Opcode.RDMA_READ:
+                wr.payload = self.target.fetch(wr.remote_addr)
+                self._finish(WcStatus.SUCCESS)
+                return
+            if op is Opcode.SEND:
+                rwr = self.target
+                peer.recv_cq.push(
+                    WorkCompletion(
+                        wr_id=rwr.wr_id,
+                        opcode=Opcode.RECV,
+                        status=WcStatus.SUCCESS,
+                        byte_len=n,
+                        payload=wr.payload,
+                        qp_num=peer.qp_num,
+                    )
+                )
+            else:
+                payload = wr.payload
+                if qp.corrupt_injector is not None:
+                    tampered = qp.corrupt_injector(wr)
+                    if tampered is not None:
+                        payload = tampered
+                self.target.place(wr.remote_addr, payload)
+                if op is Opcode.RDMA_WRITE_WITH_IMM:
+                    if not peer._has_recv():
+                        # Immediate data consumes a receive WR; RNR
+                        # applies, and the WR is issued again.
+                        self._rnr(self._issue)
+                        return
+                    rwr = peer._take_recv()
+                    peer.recv_cq.push(
+                        WorkCompletion(
+                            wr_id=rwr.wr_id,
+                            opcode=Opcode.RECV,
+                            status=WcStatus.SUCCESS,
+                            byte_len=n,
+                            imm_data=wr.imm_data,
+                            qp_num=peer.qp_num,
+                        )
+                    )
+            self._reply(WcStatus.SUCCESS)
+        except Exception as exc:
+            self._fail(exc)
+
+    def _reply(self, status: WcStatus) -> None:
+        """The responder's ACK (or NAK) travels back; it completes the WR."""
+        self.status = status
+        wait = self.qp.rpath.ctrl_wait
+        if wait > 0:
+            _schedule(self, self.engine._now + wait, self._replied)
+        else:
+            self._replied()
+
+    def _replied(self, ev: Optional[Event] = None) -> None:
+        """The ACK / NAK is back."""
+        try:
+            self.qp.rpath._m_ctrl.add()
+            self._finish(self.status)
+        except Exception as exc:
+            self._fail(exc)
+
+    # -- the verbs rules every opcode shares ------------------------------------------
+    def _rkey_ok(self, write: bool) -> bool:
+        """Does the rkey name a region that admits this access?"""
+        wr, region = self.wr, self.target
+        if region is None:
+            return False
+        try:
+            region.check_remote(wr.remote_addr, wr.length, write=write)
+        except RemoteAccessError:
+            return False
+        return True
+
+    def _rnr(self, resume: Callable[[], None]) -> None:
+        """Receiver Not Ready: past the retry limit the WR fails;
+        otherwise the NAK travels back, the RNR timer runs, and the WR
+        tries again from ``resume``."""
+        qp = self.qp
+        qp.rnr_naks.add()
+        self.attempts += 1
+        if qp.rnr_retry != RNR_RETRY_INFINITE and self.attempts > qp.rnr_retry:
+            self._finish(WcStatus.RNR_RETRY_EXC_ERR)
+        else:
+            self._run(self._rnr_wait(), resume)
+
+    def _rnr_wait(self) -> Generator:
+        """The RNR NAK travels back, then the RNR timer runs."""
+        qp = self.qp
+        yield from qp.rpath.deliver_latency()
+        yield Timeout(self.engine, qp.rnr_timer)
+
+    def _finish(self, status: WcStatus) -> None:
+        """The retire epilogue: free the ORD slot (READ), retire in post
+        order, count the bytes, and put the QP in ERROR on a real RC
+        error (an injected SIM_FAULT leaves it usable, so recovery
+        paths can be tested)."""
+        qp, wr = self.qp, self.wr
+        if wr.opcode is Opcode.RDMA_READ:
+            qp._ord.release()
+        qp._retire(self.ssn, wr, status)
+        if status is WcStatus.SUCCESS:
+            qp.bytes_sent.add(wr.length)
+        elif status is not WcStatus.SIM_FAULT:
+            qp._enter_error()
+
+    # -- plumbing ---------------------------------------------------------------------
+    def _run(self, form: Generator, stage: Callable[[], None]) -> None:
+        """Run a stage's generator form, then ``stage``, in an eager
+        sub-process.  Always a stage's last action (``Process``'s
+        ``_eager`` rule)."""
+        Process(self.engine, self._then(form, stage), _eager=True)
+
+    def _then(self, form: Generator, stage: Callable[[], None]) -> Generator:
+        try:
+            yield from form
+            stage()
+        except Exception as exc:
+            self._fail(exc)
+
+    def _fail(self, exc: Exception) -> None:
+        """A stage raised: fail the record at this instant, so
+        ``Engine.run`` raises ``SimulationError`` from ``exc`` where a
+        failed process body's failure would surface.  The WR never
+        retires.  ``engine.stop()`` passes through."""
+        if isinstance(exc, StopEngine):
+            raise exc
+        self._value = exc
+        _schedule(self, self.engine._now, self._surface)
+
+    def _surface(self, ev: Event) -> None:
+        self._ok = False
 
 
 def connect_pair(qp_a: QueuePair, qp_b: QueuePair, duplex: "DuplexPath") -> None:

@@ -150,10 +150,18 @@ def test_write_run_spends_no_event_on_bookkeeping(monkeypatch):
     """The hop budget as a structural ratchet: every popped event either
     advances time or wakes a party, none is the old 1 µs submitter poll,
     and the per-I/O event count is pinned — a reintroduced hop fails
-    here, not in a benchmark."""
-    from repro.sim import Engine, Timeout
+    here, not in a benchmark.  A posted WR is a record that re-queues
+    itself stage by stage, so the fluid engine starts no ``Process`` per
+    WR."""
+    from repro.sim import Engine, Process, Timeout
 
     popped = []
+    started = []
+    start_process = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        started.append(self)
+        start_process(self, *args, **kwargs)
 
     def stepping_run(engine, until=None):
         while engine._heap:
@@ -163,9 +171,11 @@ def test_write_run_spends_no_event_on_bookkeeping(monkeypatch):
             engine.step()
 
     monkeypatch.setattr(Engine, "run", stepping_run)
+    monkeypatch.setattr(Process, "__init__", counting_init)
     ios = 256
     r = run_fio(roce_lan(), job(semantics="write", iodepth=16, total_blocks=ios))
     assert len(r._latencies) == ios
+    assert len(started) < 8  # the job's own processes, none per WR
     assert not [p for p in popped if p[2] == 0]
     assert not [p for p in popped if issubclass(p[0], Timeout) and p[1] == 1e-6]
     assert len(popped) == EVENTS_PER_256_WRITES

@@ -94,8 +94,9 @@ def make_fabric(
     arch: RdmaArch = RdmaArch.ROCE,
     cores: int = 8,
     pcie_gbps: float = 64.0,
+    engine: Engine = None,
 ) -> MiniFabric:
-    engine = Engine()
+    engine = engine or Engine()
     a = make_host(engine, "a", cores=cores, pcie_gbps=pcie_gbps, nic_gbps=gbps)
     b = make_host(engine, "b", cores=cores, pcie_gbps=pcie_gbps, nic_gbps=gbps)
     dev_a, dev_b = Device(a.nic, arch), Device(b.nic, arch)

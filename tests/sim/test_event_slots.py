@@ -1,11 +1,12 @@
 """Guard for the hand-inlined event constructors.
 
-``Timeout``, ``TimeoutAt`` and ``Process`` set the ``Event`` slots
-themselves instead of calling ``Event.__init__`` (one Python frame less
-per timer).  The price is that a slot added to ``Event`` later could be
-missed there; this test instantiates every ``Event`` subclass in
-``repro`` the way production code does and checks that every slot
-declared along its MRO is set.
+``Timeout``, ``TimeoutAt``, ``Process`` and a posted WR's record
+(``verbs.qp._Wqe``) set the ``Event`` slots themselves instead of
+calling ``Event.__init__`` (one Python frame less per timer).  The
+price is that a slot added to ``Event`` later could be missed there;
+this test instantiates every ``Event`` subclass in ``repro`` the way
+production code does and checks that every slot declared along its MRO
+is set.
 """
 
 from __future__ import annotations
@@ -17,10 +18,24 @@ import repro
 from repro.sim import AllOf, AnyOf, Container, Engine, Event, Process, Store, Timeout
 from repro.sim.events import Condition, TimeoutAt
 from repro.sim.resources import _AmountEvent, _PutEvent
+from repro.verbs import Opcode, SendWR
+from repro.verbs.qp import _Wqe
+from tests.conftest import make_fabric
 
 
 def _idle(engine):
     yield engine.timeout(1.0)
+
+
+def _posted_wqe(engine):
+    """The record ``post_send`` queues for an RDMA WRITE."""
+    f = make_fabric(engine=engine)
+    qa, _ = f.qp_pair()
+    _, buf, mr = f.remote_mr()
+    qa.post_send(SendWR(opcode=Opcode.RDMA_WRITE, length=4096,
+                        remote_addr=buf.addr, rkey=mr.rkey))
+    [wqe] = [ev for _, _, ev in engine._heap if type(ev) is _Wqe]
+    return wqe
 
 
 #: How production code builds an instance of each class.  A new Event
@@ -35,6 +50,7 @@ FACTORIES = {
     AnyOf: lambda e: e.event() | e.timeout(1.0),
     _PutEvent: lambda e: Store(e).put("item"),
     _AmountEvent: lambda e: Container(e, capacity=4.0).get(1.0),
+    _Wqe: _posted_wqe,
 }
 
 

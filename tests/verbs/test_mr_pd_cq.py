@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.verbs import AccessFlags, WcStatus, WorkCompletion, Opcode
+from repro.sim import SimulationError
+from repro.verbs import (
+    AccessFlags,
+    Opcode,
+    RecvWR,
+    SendWR,
+    WcStatus,
+    WorkCompletion,
+    connect_pair,
+)
 from repro.verbs.errors import RemoteAccessError
 from tests.conftest import make_fabric
 
@@ -115,6 +124,24 @@ def test_cq_overflow_raises_typed_error():
     f2 = make_fabric()
     f2.dev_a.create_cq(depth=2).push(_wc(0))
     assert f2.engine.metrics.get("cq.overflow") is None
+    # A WR whose receive CQE overflows fails the run: SimulationError from
+    # the CqOverflowError, at the instant the second SEND's payload is
+    # placed, on both engines (the instant the process-per-WR QP raised it).
+    for fluid in (True, False):
+        f3 = make_fabric()
+        f3.engine.use_fluid = fluid
+        pd_a, pd_b = f3.dev_a.alloc_pd(), f3.dev_b.alloc_pd()
+        qa = f3.dev_a.create_qp(pd_a, f3.dev_a.create_cq(), f3.dev_a.create_cq())
+        qb = f3.dev_b.create_qp(pd_b, f3.dev_b.create_cq(), f3.dev_b.create_cq(depth=1))
+        connect_pair(qa, qb, f3.duplex)
+        for i in range(2):
+            qb.post_recv(RecvWR(length=4096, wr_id=i))
+            qa.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=i))
+        with pytest.raises(SimulationError) as err:
+            f3.engine.run()
+        assert isinstance(err.value.__cause__, CqOverflowError)
+        assert f3.engine.now == 1.63624e-05
+        assert f3.engine.events_processed == (9 if fluid else 19)
 
 
 def test_completion_channel_wakes_on_push():

@@ -236,3 +236,8 @@ def test_ud_rejects_rdma_opcodes():
         qa.post_send(
             SendWR(opcode=Opcode.RDMA_WRITE, length=64, wr_id=1, rkey=1)
         )
+    # Nor does an RC QP take a receive opcode on its send queue.
+    rc, _ = f.qp_pair()
+    with pytest.raises(QpStateError):
+        rc.post_send(SendWR(opcode=Opcode.RECV, length=64, wr_id=2))
+    assert rc.send_outstanding == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.verbs import Opcode, SendWR, WcStatus
+from repro.verbs import Opcode, QpState, SendWR, WcStatus
 from repro.verbs.errors import QpStateError, QueueFullError
 from tests.conftest import make_fabric
 
@@ -184,6 +184,20 @@ def test_write_with_imm_consumes_recv():
     assert rwcs[0].imm_data == 0x1234
     assert rwcs[0].wr_id == 42
     assert mr.fetch(buf.addr) == "imm-payload"
+    # With no receive posted the immediate is RNR-NAKed like a SEND: each
+    # retry issues the WR again, and past ``rnr_retry`` it fails.
+    f = make_fabric()
+    qa, qb = f.qp_pair(rnr_retry=2)
+    _, buf, mr = f.remote_mr()
+    qa.post_send(
+        SendWR(opcode=Opcode.RDMA_WRITE_WITH_IMM, length=4096, wr_id=2,
+               remote_addr=buf.addr, rkey=mr.rkey, imm_data=7, payload="p")
+    )
+    f.engine.run()
+    [wc] = qa.send_cq._reap(16)
+    assert (wc.wr_id, wc.status) == (2, WcStatus.RNR_RETRY_EXC_ERR)
+    assert qa.rnr_naks.total == 3 and f.a.nic.wqes_processed == 3
+    assert qa.state is QpState.ERROR and not qb.recv_cq._reap(16)
 
 
 def test_pcie_cap_limits_write_bandwidth():
@@ -243,9 +257,9 @@ def _mixed_traffic(fluid):
 
 
 def test_booked_wqes_complete_exactly_when_staged_ones_do():
-    # The opcode bodies sleep on booked instants under the fluid engine
-    # and run the stages' generator forms under the discrete one (and
-    # for zero-length WRs under both): same completions, same counters.
+    # A WR's record books its stages under the fluid engine and runs the
+    # stages' generator forms under the discrete one (and for zero-length
+    # WRs under both): same completions, same counters.
     booked, staged = _mixed_traffic(True), _mixed_traffic(False)
     assert booked[:3] == staged[:3]
     assert len(booked[0]) == 15 and all(s is WcStatus.SUCCESS for _, s, _ in booked[0])
