@@ -664,10 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sim-time window outside which --attempt-fault-rate "
                         "is dormant")
     p.add_argument("--use-srq", action="store_true",
-                   help="connection-scaling mode: sessions lease shared "
-                        "data channels from one per-host QP pool (SRQ "
-                        "receive side, eager SEND path for small blocks) "
-                        "instead of opening dedicated QPs per door")
+                   help="sharing scope: every door to a host rides one "
+                        "shared channel set (per-host QP pool with session "
+                        "leases, SRQ receive side, eager SEND path for "
+                        "small blocks) instead of a private set per door")
     _add_export_args(p)
     p.set_defaults(func=_cmd_sched)
 

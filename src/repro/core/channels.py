@@ -9,7 +9,7 @@ calling thread here, in one place.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from repro.core.health import ChannelBreaker
 from repro.core.messages import ControlMessage, CTRL_MSG_BYTES, DataBlockWire
@@ -307,21 +307,20 @@ class DataChannels:
 
 
 class HostChannelPool:
-    """Shared data-plane for every link to one ``(host, port)`` peer.
+    """The data plane a :class:`~repro.core.source_link.SourceLink` rides:
+    data QPs on one send CQ, the registered source block pool, a wr_id
+    space, the channel breakers and the CQ's one reaper.
 
-    In srq mode (``config.use_srq``) the middleware opens the data-plane
-    *once per peer host*: ``qp_pool_size`` QPs sharing one send CQ, one
-    registered source block pool, and a :class:`~repro.core.pool.ResourcePool`
-    of session leases.  Links lease a slot instead of creating
-    ``num_channels`` dedicated QPs and a dedicated pool each — per-host
-    pinned memory and QP count stay constant as session concurrency
-    grows, which is the whole point of the SRQ design.
-
-    The pool owns the one :class:`CompletionChannel` on the shared send
-    CQ and runs the completion dispatcher: every posted WR is registered
-    in :attr:`routes` (wr_id → owning link) and its completion is routed
-    to that link's inbox.  Circuit breakers are pool-level too — a
-    flapping shared QP is quarantined for every rider at once.
+    ``config.use_srq`` picks the *sharing scope*.  A **private** set is a
+    dedicated link's ``num_channels`` QPs with one rider and no
+    ``sessions``; its breakers cool down by that rider's adaptive
+    ``health.breaker_cooldown`` (bound when it boards).  A **shared** set
+    serves every link to one ``(host, port)`` peer with ``qp_pool_size``
+    QPs and a :class:`~repro.core.pool.ResourcePool` of session leases,
+    so pinned memory and QP count stay constant as sessions grow; its
+    breakers use the static floor, quarantining a flapping QP for every
+    rider at once.  Each posted WR is routed in :attr:`routes` (wr_id →
+    owning link) for the reaper, :func:`repro.core.source_link._reap`.
     """
 
     def __init__(
@@ -330,8 +329,8 @@ class HostChannelPool:
         data: DataChannels,
         send_cq: "CompletionQueue",
         block_pool: "BlockPool",
-        sessions: "ResourcePool",
         config: "ProtocolConfig",
+        sessions: Optional["ResourcePool"] = None,
     ) -> None:
         self.host = host
         self.engine = host.engine
@@ -339,45 +338,30 @@ class HostChannelPool:
         self.send_cq = send_cq
         self.cc = CompletionChannel(send_cq)
         self.block_pool = block_pool
-        self.sessions = sessions
         self.config = config
-        #: One wr_id space for every link riding the shared send CQ.
+        self.sessions = sessions
+        #: Breaker cooldown, ``() -> seconds``.
+        self.cooldown: Optional[Callable[[], float]] = (
+            None if sessions is None else lambda: config.breaker_cooldown_min
+        )
+        #: Data QPs in creation order, reopened ones included; the live
+        #: rotation in ``data`` shrinks as channels die.
+        self.qps: List["QueuePair"] = list(data.qps)
         self.wr_ids = itertools.count()
-        #: wr_id -> owning SourceLink; popped as completions are routed.
-        #: A link that abandons a post before the WR reaches the wire
-        #: (no-live-channel cleanup) pops its own entry.
+        #: wr_id -> owning SourceLink, popped by the reaper (or by the
+        #: link, for a post withdrawn before the WR reached the wire).
         self.routes: Dict[int, object] = {}
-        self._breakers: Dict[int, ChannelBreaker] = {}
-        self._started = False
+        #: qp_num -> breaker, created lazily; survives detach/adopt so a
+        #: QP that comes back keeps its quarantine history.
+        self.breakers: Dict[int, ChannelBreaker] = {}
+        data.breaker_lookup = self.breaker_for
+        self.reaping = False  # the first rider's first session starts it
 
     def breaker_for(self, qp_num: int) -> ChannelBreaker:
-        """Pool-level circuit breakers: quarantine history is shared by
-        every link (cooldown uses the static floor — the pool has no
-        single RTT estimator to adapt with)."""
-        breaker = self._breakers.get(qp_num)
+        breaker = self.breakers.get(qp_num)
         if breaker is None:
             breaker = ChannelBreaker(
-                qp_num,
-                self.config.breaker_failures,
-                lambda: self.config.breaker_cooldown_min,
+                qp_num, self.config.breaker_failures, self.cooldown
             )
-            self._breakers[qp_num] = breaker
+            self.breakers[qp_num] = breaker
         return breaker
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.data.breaker_lookup = self.breaker_for
-        self.engine.process(self._dispatch_thread())
-
-    def _dispatch_thread(self) -> Generator:
-        thread = self.host.thread("qp-pool", "app")
-        while True:
-            yield self.cc.wait(thread)
-            wcs = yield self.send_cq.poll(thread, max_entries=64)
-            for wc in wcs:
-                link = self.routes.pop(wc.wr_id, None)
-                if link is None:
-                    continue  # owner withdrew the post before it flew
-                yield link._wc_inbox.put(wc)

@@ -89,13 +89,13 @@ class ProtocolConfig:
     #: many short sessions this history previously grew without bound;
     #: the oldest retired session's state is evicted beyond the cap.
     sink_session_history: int = 4096
-    #: Connection-scaling mode: sessions to the same (host, port) lease
-    #: shared data channels from one per-host QP pool whose receive side
-    #: is a shared receive queue, instead of each opening ``num_channels``
-    #: dedicated QPs and a dedicated block pool.  Escape hatch like
-    #: ``Engine(use_fluid=...)``: with the default False every code path,
-    #: metric label and event order is bit-identical to the dedicated-QP
-    #: protocol.
+    #: Sharing scope of a link's channel set (``HostChannelPool``).
+    #: False: each link rides a private set of ``num_channels`` QPs and
+    #: its own block pool.  True: every link to one (host, port) rides
+    #: one shared set of ``qp_pool_size`` QPs with ``pool_sessions``
+    #: leases, the server's receive side is a shared receive queue, and
+    #: small sessions may ride eager SENDs.  Both scopes run the same
+    #: link and reaper code.
     use_srq: bool = False
     #: Shared receive-WQE budget per host pool (``use_srq`` only).  Sized
     #: for aggregate arrival rate, not per-connection: this bounds pinned

@@ -10,6 +10,7 @@ runs sessions over a :class:`~repro.core.source_link.SourceLink`, and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.core.channels import ControlChannel, DataChannels, HostChannelPool
@@ -49,9 +50,19 @@ def allocate_session_id(engine: "Engine") -> int:
     return engine.metrics.sequence("session_id") + 1
 
 
+#: A QP's RNR NAK count, read without a Python frame per QP.
+_RNR_NAKS = attrgetter("rnr_naks.count")
+
+
 @dataclass(frozen=True)
 class TransferOutcome:
-    """Result of one completed dataset transfer."""
+    """Result of one completed dataset transfer.
+
+    ``mr_requests``, ``ctrl_sent``, ``ctrl_received`` and ``rnr_naks``
+    are this session's: the link's counters (the control QP and every
+    data QP of its set) at the end minus at launch, so a concurrent
+    sibling session's traffic on the same link falls inside the window
+    too."""
 
     session_id: int
     bytes: int
@@ -61,6 +72,8 @@ class TransferOutcome:
     mr_requests: int
     ctrl_sent: int
     ctrl_received: int
+    #: The link credit ledger's high-water mark so far — a link-lifetime
+    #: peak, not this session's.
     peak_credits: int
     rnr_naks: int
     #: Control-plane retransmissions this session needed (timeouts on
@@ -103,10 +116,10 @@ class RdmaMiddleware:
         self.engine: "Engine" = host.engine
         self.pd = device.alloc_pd()
         self.sink_engines: Dict[int, SinkEngine] = {}  # by client id
-        #: srq mode, client side: one shared data-plane per (peer, port).
-        #: Values are either a live :class:`HostChannelPool` or a
-        #: ``("pending", Event)`` sentinel while the first opener is
-        #: still connecting its QPs (racers wait on the event).
+        #: srq mode, client side: one shared channel set per (peer, port).
+        #: Values are either a live :class:`HostChannelPool` or, while
+        #: the first opener is still connecting its QPs, the ``Event``
+        #: racers wait on.
         self._host_pools: Dict[Any, Any] = {}
         #: srq mode, server side: the shared receive queue and its
         #: dispatcher state, created on the first :meth:`serve`.
@@ -221,58 +234,60 @@ class RdmaMiddleware:
                 self._srq.post_recv(RecvWR(length=wqe_len, wr_id=wc.wr_id))
 
     # -- client role -----------------------------------------------------------------
-    def _get_host_pool(
-        self,
-        remote: "Device",
-        port: int,
-        client_id: int,
+    def _connect_data_qp(
+        self, send_cq, remote: "Device", port: int, client_id: int, index: int,
         fault_injector: Any,
     ) -> Generator:
-        """The shared :class:`HostChannelPool` for ``(remote, port)``,
-        creating it on first use (srq mode only).
+        """Create data QP ``index`` of ``client_id`` on ``send_cq``, connect
+        it and wire its hooks.  A FaultInjector exposes its data-plane
+        hooks; a plain callable (the original testing interface) is the
+        WRITE hook itself."""
+        qp = self.device.create_qp(
+            self.pd, send_cq, self.device.create_cq(), max_send_wr=SEND_QUEUE_DEPTH
+        )
+        yield self.cm.connect(qp, remote, port, ("data", client_id, index))
+        qp.fault_injector = getattr(fault_injector, "data_qp_hook", fault_injector)
+        qp.corrupt_injector = getattr(fault_injector, "data_corrupt_hook", None)
+        return qp
 
-        Concurrent first openers race here; a pending sentinel is stored
-        synchronously (before the first yield) so exactly one of them
-        connects the pool QPs while the rest wait on its event.  Fault
-        injectors are installed on the pool QPs at creation only — the
-        first opener's hooks cover every rider, matching the shared
-        fate of shared channels.
+    def _channel_set(
+        self, remote: "Device", port: int, client_id: int, fault_injector: Any
+    ) -> Generator:
+        """The :class:`HostChannelPool` a new link rides: a private set of
+        ``num_channels`` QPs or, with ``use_srq``, the set of
+        ``qp_pool_size`` QPs and ``pool_sessions`` leases shared by every
+        link to ``(remote, port)``.
+
+        Only the first opener connects a shared set: it stores a pending
+        event synchronously (before the first yield) and concurrent
+        openers wait on it.  Its fault hooks cover every rider, matching
+        the shared fate of shared channels.
         """
         cfg = self.config
-        key = (remote, port)
-        entry = self._host_pools.get(key)
-        if isinstance(entry, HostChannelPool):
-            return entry
-        if entry is not None:  # ("pending", event): creation in flight
-            yield entry[1]
-            return self._host_pools[key]
-        pending = Event(self.engine)
-        self._host_pools[key] = ("pending", pending)
+        shared = cfg.use_srq
+        if shared:
+            entry = self._host_pools.get((remote, port))
+            if isinstance(entry, HostChannelPool):
+                return entry
+            if entry is not None:  # creation in flight
+                return (yield entry)
+            pending = self._host_pools[remote, port] = Event(self.engine)
         send_cq = self.device.create_cq()
         qps = []
-        for i in range(cfg.qp_pool_size):
-            qp = self.device.create_qp(
-                self.pd,
-                send_cq,
-                self.device.create_cq(),
-                max_send_wr=SEND_QUEUE_DEPTH,
-            )
-            yield self.cm.connect(qp, remote, port, ("data", client_id, i))
-            qp.fault_injector = getattr(
-                fault_injector, "data_qp_hook", fault_injector
-            )
-            qp.corrupt_injector = getattr(fault_injector, "data_corrupt_hook", None)
-            qps.append(qp)
+        for i in range(cfg.qp_pool_size if shared else cfg.num_channels):
+            qps.append((yield from self._connect_data_qp(
+                send_cq, remote, port, client_id, i, fault_injector
+            )))
         data = DataChannels(qps)
         pool = BlockPool.build_source(
             self.host, self.pd, cfg.source_blocks, cfg.block_size
         )
-        sessions = ResourcePool(self.engine, cfg.pool_sessions)
-        hpool = HostChannelPool(self.host, data, send_cq, pool, sessions, cfg)
-        hpool.start()
-        self._host_pools[key] = hpool
-        pending.succeed(hpool)
-        return hpool
+        sessions = ResourcePool(self.engine, cfg.pool_sessions) if shared else None
+        host_pool = HostChannelPool(self.host, data, send_cq, pool, cfg, sessions)
+        if shared:
+            self._host_pools[remote, port] = host_pool
+            pending.succeed(host_pool)
+        return host_pool
 
     def open_link(
         self,
@@ -283,9 +298,10 @@ class RdmaMiddleware:
     ):
         """Process event resolving to a :class:`SourceLink`.
 
-        Establishes the connection set of §IV: one control QP plus
-        ``num_channels`` data QPs sharing a send CQ, and the registered
-        source block pool.  Any number of concurrent or sequential
+        Establishes the connection set of §IV: one control QP plus the
+        data QPs of a :class:`HostChannelPool` — ``num_channels`` of its
+        own, or, with ``use_srq``, the set shared by every link to
+        ``(remote, port)``.  Any number of concurrent or sequential
         sessions can then run over the link via
         :meth:`SourceLink.transfer`.
 
@@ -310,59 +326,11 @@ class RdmaMiddleware:
             ctrl_hook = getattr(fault_injector, "ctrl_hook", None)
             if ctrl_hook is not None:
                 ctrl.fault_hook = ctrl_hook
-            if cfg.use_srq:
-                # Shared data-plane: lease channels from the per-host QP
-                # pool instead of opening num_channels dedicated QPs and
-                # a dedicated block pool for this link.
-                hpool = yield from self._get_host_pool(
-                    remote, port, client_id, fault_injector
-                )
-                link = SourceLink(
-                    self.host,
-                    ctrl,
-                    hpool.data,
-                    hpool.send_cq,
-                    hpool.block_pool,
-                    cfg,
-                    host_pool=hpool,
-                )
-                link._ctrl_qp = ctrl_qp  # for RNR stats in outcomes
-                # A *copy*: reopen_channel appends to both link.data.qps
-                # and _data_qps; aliasing would double-register the QP.
-                link._data_qps = list(hpool.data.qps)
-                link._client_id = client_id
-                link._fault_injector = fault_injector
-                link.tcp_factory = tcp_factory
-                link._reopen = lambda: self.reopen_channel(link, remote, port)
-                return link
-            data_send_cq = self.device.create_cq()
-            data_recv_cq = self.device.create_cq()
-            data_qps = []
-            for i in range(cfg.num_channels):
-                qp = self.device.create_qp(
-                    self.pd,
-                    data_send_cq,
-                    data_recv_cq,
-                    max_send_wr=SEND_QUEUE_DEPTH,
-                )
-                yield self.cm.connect(qp, remote, port, ("data", client_id, i))
-                # A FaultInjector exposes its data-plane hook; plain
-                # callables (the original testing interface) pass through.
-                qp.fault_injector = getattr(
-                    fault_injector, "data_qp_hook", fault_injector
-                )
-                qp.corrupt_injector = getattr(
-                    fault_injector, "data_corrupt_hook", None
-                )
-                data_qps.append(qp)
-            data = DataChannels(data_qps)
-            pool = BlockPool.build_source(
-                self.host, self.pd, cfg.source_blocks, cfg.block_size
+            host_pool = yield from self._channel_set(
+                remote, port, client_id, fault_injector
             )
-            link = SourceLink(self.host, ctrl, data, data_send_cq, pool, cfg)
-            link._ctrl_qp = ctrl_qp  # for RNR stats in outcomes
-            link._data_qps = data_qps
-            link._client_id = client_id  # for reopen_channel
+            link = SourceLink(self.host, ctrl, host_pool, cfg)
+            link._client_id = client_id
             link._fault_injector = fault_injector
             link.tcp_factory = tcp_factory
             link._reopen = lambda: self.reopen_channel(link, remote, port)
@@ -415,7 +383,13 @@ class RdmaMiddleware:
             the_link = link
             if the_link is None:
                 the_link = yield self.open_link(*link_args)
-            mr_reqs_before = int(the_link.mr_requests_sent.total)
+            # The link's counters at launch: the outcome reports this
+            # session's share of them (TransferOutcome).
+            ctrl, qps = the_link.ctrl, the_link._host_pool.qps
+            mr_at_launch = the_link.mr_requests_sent.total
+            sent_at_launch = ctrl._m_sent.total
+            received_at_launch = ctrl._m_received.total
+            rnr_at_launch = sum(map(_RNR_NAKS, qps)) + ctrl.qp.rnr_naks.count
             launch = the_link.resume if resumed else the_link.transfer
             job = yield launch(*job_args, **job_kwargs)
             assert job.started_at is not None and job.finished_at is not None
@@ -428,12 +402,12 @@ class RdmaMiddleware:
                 elapsed=job.finished_at - job.started_at,
                 blocks=job.total_blocks - first,
                 resends=job.resends,
-                mr_requests=int(the_link.mr_requests_sent.total) - mr_reqs_before,
-                ctrl_sent=int(the_link.ctrl._m_sent.total),
-                ctrl_received=int(the_link.ctrl._m_received.total),
+                mr_requests=int(the_link.mr_requests_sent.total - mr_at_launch),
+                ctrl_sent=int(ctrl._m_sent.total - sent_at_launch),
+                ctrl_received=int(ctrl._m_received.total - received_at_launch),
                 peak_credits=int(the_link.ledger.peak_balance.value),
-                rnr_naks=sum([qp.rnr_naks.count for qp in the_link._data_qps])
-                + the_link._ctrl_qp.rnr_naks.count,
+                rnr_naks=sum(map(_RNR_NAKS, qps))
+                + ctrl.qp.rnr_naks.count - rnr_at_launch,
                 ctrl_retries=job.ctrl_retries,
                 repairs=job.repairs,
                 resumed_from=first,
@@ -469,26 +443,19 @@ class RdmaMiddleware:
         """Process event re-establishing one data channel on ``link``.
 
         After a failover shrank the rotation, this restores parallelism:
-        a fresh data QP is connected, inherits the link's fault hooks,
-        and joins the send rotation.  Resolves to the new QueuePair.
+        a fresh data QP is connected on the link's set, inherits the
+        link's fault hooks, and joins the send rotation of every rider.
+        Resolves to the new QueuePair.
         """
+        host_pool = link._host_pool
 
         def _reopen() -> Generator:
-            qp = self.device.create_qp(
-                self.pd,
-                link.data_send_cq,
-                self.device.create_cq(),
-                max_send_wr=SEND_QUEUE_DEPTH,
+            qp = yield from self._connect_data_qp(
+                host_pool.send_cq, remote, port, link._client_id,
+                len(host_pool.qps), link._fault_injector,
             )
-            yield self.cm.connect(
-                qp, remote, port, ("data", link._client_id, len(link._all_data_qps))
-            )
-            injector = getattr(link, "_fault_injector", None)
-            qp.fault_injector = getattr(injector, "data_qp_hook", injector)
-            qp.corrupt_injector = getattr(injector, "data_corrupt_hook", None)
-            link.data.adopt(qp)
-            link._all_data_qps.append(qp)
-            link._data_qps.append(qp)
+            host_pool.data.adopt(qp)
+            host_pool.qps.append(qp)
             return qp
 
         return self.engine.process(_reopen())

@@ -13,8 +13,9 @@ Shared threads (Figure 2's pool):
 - one *control thread* routes inbound messages: credit grants feed the
   shared ledger, negotiation replies and DATASET_DONE_ACKs go to their
   session's job;
-- one *completion thread* reaps WRITE completions off the shared send CQ
-  and routes them to the owning job by work-request id.
+- the link's channel set (private, or shared per peer host) runs one
+  *reaper* on its send CQ, which routes each completion to the owning
+  link and job by work-request id (:func:`_reap`).
 
 Per-job threads: readers (load payload into blocks) and a sender (pair
 LOADED blocks with credits, post RDMA WRITEs).
@@ -31,12 +32,11 @@ instead of hanging the engine.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.blocks import SourceBlock
-from repro.core.channels import ControlChannel, DataChannels, NoLiveChannelError
+from repro.core.channels import ControlChannel, HostChannelPool, NoLiveChannelError
 from repro.core.config import ProtocolConfig
 from repro.core.credits import Credit, CreditLedger
 from repro.core.errors import (
@@ -51,7 +51,7 @@ from repro.core.errors import (
     TransferError,
     TransportFallbackFailed,
 )
-from repro.core.health import BACKOFF_FACTOR, CTRL_RETRIES, ChannelBreaker, HealthMonitor
+from repro.core.health import BACKOFF_FACTOR, CTRL_RETRIES, HealthMonitor
 from repro.core.messages import (
     PROTOCOL,
     BlockHeader,
@@ -61,10 +61,8 @@ from repro.core.messages import (
     Scope,
     block_checksum,
 )
-from repro.core.pool import BlockPool
 from repro.sim.events import AnyOf, Event
 from repro.sim.resources import Store
-from repro.verbs.cq import CompletionChannel, CompletionQueue
 from repro.verbs.qp import QpState
 from repro.verbs.wr import WcStatus
 
@@ -97,7 +95,7 @@ class TransferJob:
         self.data_source = data_source
         self.block_size = link.config.block_size
         self.total_blocks = -(-total_bytes // self.block_size)
-        #: Eager transport (srq mode): blocks ride SEND/RECV on the shared
+        #: Eager transport (a shared set): blocks ride SEND/RECV on the shared
         #: channels — no credits, no MR exchange, no BLOCK_DONE.  Decided
         #: per session at :meth:`SourceLink.transfer`; rendezvous (RDMA
         #: WRITE against credited regions) stays the default.
@@ -204,30 +202,19 @@ class SourceLink:
         self,
         host: "Host",
         ctrl: ControlChannel,
-        data: DataChannels,
-        data_send_cq: CompletionQueue,
-        pool: BlockPool[SourceBlock],
+        host_pool: HostChannelPool,
         config: ProtocolConfig,
-        host_pool=None,
     ) -> None:
         self.host = host
         self.engine: "Engine" = host.engine
         self.ctrl = ctrl
-        self.data = data
-        self.data_send_cq = data_send_cq
-        #: Shared :class:`~repro.core.channels.HostChannelPool` this link
-        #: rides (srq mode), or ``None`` for the dedicated-QP protocol.
-        #: A pooled link does not own the send CQ: the pool's dispatcher
-        #: holds the only completion channel and routes completions into
-        #: ``_wc_inbox`` by wr_id.
+        #: The :class:`~repro.core.channels.HostChannelPool` this link
+        #: rides: a private set (dedicated QPs) or one shared per peer
+        #: host (``use_srq``).  Its reaper routes this link's completions
+        #: back here by wr_id.
         self._host_pool = host_pool
-        if host_pool is None:
-            self.data_cc = CompletionChannel(data_send_cq)
-            self._wc_inbox = None
-        else:
-            self.data_cc = None
-            self._wc_inbox = Store(self.engine)
-        self.pool = pool
+        self.data = host_pool.data
+        self.pool = host_pool.block_pool
         self.config = config
         self.ledger = CreditLedger(self.engine)
         #: Adaptive RTT estimation and peer liveness — one per link; the
@@ -269,16 +256,10 @@ class SourceLink:
         self._m_ctrl_retries = reg.counter("source.ctrl_retries", **labels)
         self._m_fallback_blocks = reg.counter("source.fallback_blocks", **labels)
         self._m_latency = reg.histogram("source.block_latency_seconds", **labels)
-        #: qp_num -> circuit breaker, created lazily as channels carry
-        #: traffic; survives detach/adopt so a flapping QP that comes
-        #: back keeps its quarantine history.
-        self._breakers: Dict[int, ChannelBreaker] = {}
-        if host_pool is None:
-            data.breaker_lookup = self._breaker_for
+        if host_pool.cooldown is None:
+            # A private set's breakers adapt to its one rider's RTT.
+            host_pool.cooldown = self.health.breaker_cooldown
         self._hb_running = False
-        #: Pooled links draw wr_ids from the pool-wide space (the shared
-        #: send CQ needs collision-free routing across links).
-        self._wr_ids = itertools.count() if host_pool is None else host_pool.wr_ids
         #: wr_id -> (job, block, credit, failed_attempts, is_repair, posted_at).
         self._inflight: Dict[
             int, Tuple[TransferJob, SourceBlock, Credit, int, bool, float]
@@ -291,34 +272,22 @@ class SourceLink:
         #: three control round trips for one — the difference between one
         #: RTT and three per file on a WAN small-file run.
         self._negotiated = False
-        #: Data QPs in creation order, for fault injection by index — the
-        #: live rotation in ``self.data`` shrinks as channels die.
-        self._all_data_qps = list(data.qps)
-
-    def _breaker_for(self, qp_num: int) -> ChannelBreaker:
-        if self._host_pool is not None:
-            # Shared QPs carry every rider's traffic, so quarantine
-            # history lives at the pool, not per link.
-            return self._host_pool.breaker_for(qp_num)
-        breaker = self._breakers.get(qp_num)
-        if breaker is None:
-            breaker = ChannelBreaker(
-                qp_num, self.config.breaker_failures, self.health.breaker_cooldown
-            )
-            self._breakers[qp_num] = breaker
-        return breaker
 
     def _release_lease(self, job: TransferJob) -> None:
         """Return the lease :meth:`_open_session` took, keyed by ``(link,
         session id)`` because it is taken before the job exists."""
-        if self._host_pool is not None:
-            self._host_pool.sessions.release((self, job.session_id))
+        sessions = self._host_pool.sessions
+        if sessions is not None:
+            sessions.release((self, job.session_id))
 
     def _start_shared_threads(self) -> None:
         if not self._started:
             self._started = True
             self.engine.process(self._control_thread())
-            self.engine.process(self._completion_thread())
+            host_pool = self._host_pool
+            if not host_pool.reaping:
+                host_pool.reaping = True
+                self.engine.process(_reap(host_pool))
         if self.config.heartbeats and not self._hb_running:
             self._hb_running = True
             self.engine.process(self._heartbeat_thread())
@@ -326,16 +295,16 @@ class SourceLink:
     # -- public API --------------------------------------------------------------
     def _open_session(self, data_source: Any, total_bytes: int, session_id: int) -> TransferJob:
         """Register a new job on the link, after every rejection: take its
-        channel lease (pooled links) and make sure the shared threads run."""
+        channel lease (a shared set) and make sure the shared threads run."""
         if total_bytes <= 0:
             raise ValueError("total_bytes must be positive")
         if session_id in self.jobs:
             raise ValueError(f"session {session_id} already active on this link")
-        pool = self._host_pool
-        if pool is not None and not pool.sessions.lease((self, session_id)):
+        sessions = self._host_pool.sessions
+        if sessions is not None and not sessions.lease((self, session_id)):
             raise ValueError(
                 f"session {session_id}: host pool at lease capacity"
-                f" ({pool.sessions.capacity} sessions)"
+                f" ({sessions.capacity} sessions)"
             )
         job = self.jobs[session_id] = TransferJob(self, session_id, total_bytes, data_source)
         self._start_shared_threads()
@@ -406,18 +375,19 @@ class SourceLink:
         trip — the fast path for many small files to one peer.
         """
         job = self._open_session(data_source, total_bytes, session_id)
-        if self._host_pool is not None:
-            # Eager iff every payload this session sends fits under the
-            # negotiated threshold — a sub-threshold dataset, or one whose
-            # negotiated block size is already that small.  The decision
-            # is per *session* so the sink's credit machinery is either
-            # fully engaged or fully bypassed; mixing per-block would let
-            # eager arrivals starve while credits pin every free block.
-            cfg = self.config
-            job.eager = (
-                cfg.eager_threshold > 0
-                and min(cfg.block_size, total_bytes) <= cfg.eager_threshold
-            )
+        cfg = self.config
+        # Eager iff the link rides a shared set (the peer's SRQ is the
+        # landing buffer) and every payload this session sends fits under
+        # the negotiated threshold — a sub-threshold dataset, or one whose
+        # negotiated block size is already that small.  The decision is
+        # per *session* so the sink's credit machinery is either fully
+        # engaged or fully bypassed; mixing per-block would let eager
+        # arrivals starve while credits pin every free block.
+        job.eager = (
+            cfg.use_srq
+            and cfg.eager_threshold > 0
+            and min(cfg.block_size, total_bytes) <= cfg.eager_threshold
+        )
         skip_link_setup = reuse_negotiation and self._negotiated
 
         def _open(thread, job: TransferJob) -> Generator:
@@ -493,13 +463,14 @@ class SourceLink:
     def kill_channel(self, index: int) -> bool:
         """Kill the ``index``-th data QP (injected channel failure).
 
-        In-flight WRITEs on it flush with WR_FLUSH_ERR; the completion
-        thread detaches the dead channel and redistributes the blocks
-        across survivors.  Returns False for an unknown or already-dead
+        In-flight WRITEs on it flush with WR_FLUSH_ERR; the reaper
+        detaches the dead channel and redistributes the blocks across
+        survivors.  Returns False for an unknown or already-dead
         channel."""
-        if not 0 <= index < len(self._all_data_qps):
+        qps = self._host_pool.qps
+        if not 0 <= index < len(qps):
             return False
-        qp = self._all_data_qps[index]
+        qp = qps[index]
         if qp.state is QpState.ERROR:
             return False
         qp.kill()
@@ -564,7 +535,7 @@ class SourceLink:
         """Reclaim what a halting session parks outside any thread: the
         loaded queue and the repair copies (held WAITING for markers that
         will never come).  Seqs whose repair re-send is in flight are not
-        in the map — the completion thread reclaims those."""
+        in the map — the reaper reclaims those."""
         while job._loaded.items:
             blk = job._loaded.items.popleft()
             if blk is not None:  # None: the sender-release sentinel
@@ -811,12 +782,12 @@ class SourceLink:
         survives; returns False then, the block and credit reclaimed."""
         assert block.header is not None
         block.sending()
-        wr_id = next(self._wr_ids)
-        if self._host_pool is not None:
-            self._host_pool.routes[wr_id] = self
+        host_pool = self._host_pool
+        wr_id = next(host_pool.wr_ids)
+        host_pool.routes[wr_id] = self
         self._inflight[wr_id] = (job, block, credit, attempts, is_repair, self.engine.now)
         try:
-            if credit is None:  # eager transport (srq mode)
+            if credit is None:  # eager transport (a shared set)
                 yield from self.data.post_send_block(
                     thread, block, block.header, wr_id
                 )
@@ -826,8 +797,7 @@ class SourceLink:
                 )
         except NoLiveChannelError:
             self._inflight.pop(wr_id, None)
-            if self._host_pool is not None:
-                self._host_pool.routes.pop(wr_id, None)
+            host_pool.routes.pop(wr_id, None)
             fell_back = self._begin_fallback(job)
             self._reclaim(job, block, credit)
             if not fell_back:
@@ -839,103 +809,6 @@ class SourceLink:
         return True
 
     # -- shared threads -------------------------------------------------------------
-    def _completion_thread(self) -> Generator:
-        thread = self.host.thread("src-completion", "app")
-        while True:
-            job = None  # parked between batches: hold no ended session
-            if self._wc_inbox is not None:
-                # Pooled link: the host pool's dispatcher owns the shared
-                # CQ and routes this link's completions here by wr_id.
-                wcs = [(yield self._wc_inbox.get())]
-            else:
-                yield self.data_cc.wait(thread)
-                wcs = yield self.data_send_cq.poll(thread, max_entries=64)
-            for wc in wcs:
-                job, block, credit, attempts, is_repair, posted_at = self._inflight.pop(wc.wr_id)
-                if not wc.ok and wc.status is WcStatus.WR_FLUSH_ERR:
-                    # A dead channel flushed this WR: detach it so the
-                    # rotation shrinks to the survivors (idempotent — the
-                    # first flushed WR wins, later ones find it gone).
-                    self.data.detach(wc.qp_num)
-                breaker = self._breaker_for(wc.qp_num)
-                if wc.ok:
-                    breaker.record_success()
-                elif breaker.record_failure(self.engine.now):
-                    self.breaker_trips.add()
-                    self.engine.trace(
-                        "link", "breaker_trip", qp=wc.qp_num,
-                        trips=breaker.trips,
-                    )
-                if job.aborted or job.fallback_active:
-                    # The session died (or degraded to TCP) while this
-                    # WRITE was in flight; the completion thread holds
-                    # the last live reference.
-                    self._reclaim(job, block, credit)
-                    continue
-                if wc.ok:
-                    self._m_latency.observe(self.engine.now - posted_at)
-                    assert block.header is not None
-                    if credit is not None:
-                        yield from self.ctrl.send(
-                            thread,
-                            ControlMessage(
-                                CtrlType.BLOCK_DONE,
-                                job.session_id,
-                                (credit.block_id, block.header),
-                            ),
-                        )
-                    # Eager (credit is None): the SEND delivered header
-                    # and payload together — there is no region to name,
-                    # so no BLOCK_DONE rides the control QP.  Everything
-                    # below (marker bookkeeping, the repair hold, dataset
-                    # completion) applies to both transports.
-                    # Restart markers ack this send later; remember when
-                    # it left (Karn: a re-sent seq becomes ambiguous and
-                    # is struck from the sample book).
-                    seq = block.header.seq
-                    job._done_sent_at[seq] = (
-                        None if seq in job._done_sent_at else self.engine.now
-                    )
-                    if self.config.block_repair:
-                        # Keep the copy WAITING until a restart marker (or
-                        # the final ACK) covers it — a BLOCK_NACK re-sends
-                        # from exactly this copy.
-                        job.unacked[block.header.seq] = block
-                    else:
-                        block.release()
-                        self.pool.put_free_blk(block)
-                    if is_repair:
-                        continue  # counted when it first completed
-                    job._count_completed()
-                    if job.completed_blocks == job.blocks_to_send:
-                        yield job._loaded.put(None)  # release the sender
-                        yield from self._dataset_done(thread, job)
-                else:
-                    # Failed WRITE (Fig. 6: WAITING → LOADED re-send).
-                    # The payload never landed, so the credit's region is
-                    # still empty — re-post immediately with the SAME
-                    # credit.  Routing it back through the ledger would
-                    # let fresh blocks steal it and, with a fully
-                    # advertised sink pool, leave the retransmission
-                    # unable to ever acquire a region (head-of-line
-                    # deadlock).  After a channel death the re-post lands
-                    # on a surviving QP (least-loaded pick skips ERROR).
-                    attempts += 1
-                    if attempts > MAX_BLOCK_RESENDS:
-                        seq = block.header.seq if block.header else -1
-                        self._reclaim(job, block, credit)
-                        self._abort_job(
-                            job,
-                            ResendLimitExceeded(
-                                job.session_id,
-                                f"block seq {seq} failed {attempts} times",
-                            ),
-                        )
-                        continue
-                    job._count_resend()
-                    block.resend()
-                    yield from self._post_block(thread, job, block, credit, attempts, is_repair)
-
     def _dataset_done(self, thread, job: TransferJob) -> Generator:
         """Open the completion handshake: DATASET_DONE, and the watchdog
         that retransmits it."""
@@ -1331,3 +1204,107 @@ class SourceLink:
                     "link", "repromote_requested", session=job.session_id
                 )
                 return
+
+
+def _reap(host_pool: HostChannelPool) -> Generator:
+    """The one reader of a set's send CQ: pop each completion's owning
+    link off ``host_pool.routes`` and settle the WR on that link.
+
+    The per-WC body is inline, not a generator per completion (one more
+    frame per block on the hot path), and nothing it binds outlives a
+    batch: a parked reaper must not keep an ended session alive."""
+    thread = host_pool.host.thread("src-completion", "app")
+    engine = host_pool.engine
+    routes = host_pool.routes
+    while True:
+        link = job = block = credit = None  # parked: hold no rider or session
+        yield host_pool.cc.wait(thread)
+        wcs = yield host_pool.send_cq.poll(thread, max_entries=64)
+        for wc in wcs:
+            link = routes.pop(wc.wr_id, None)
+            if link is None:
+                continue  # the owner withdrew the post before it flew
+            job, block, credit, attempts, is_repair, posted_at = link._inflight.pop(wc.wr_id)
+            if not wc.ok and wc.status is WcStatus.WR_FLUSH_ERR:
+                # A dead channel flushed this WR: detach it so the
+                # rotation shrinks to the survivors (idempotent — the
+                # first flushed WR wins, later ones find it gone).
+                host_pool.data.detach(wc.qp_num)
+            breaker = host_pool.breaker_for(wc.qp_num)
+            if wc.ok:
+                breaker.record_success()
+            elif breaker.record_failure(engine.now):
+                link.breaker_trips.add()
+                engine.trace(
+                    "link", "breaker_trip", qp=wc.qp_num,
+                    trips=breaker.trips,
+                )
+            if job.aborted or job.fallback_active:
+                # The session died (or degraded to TCP) while this
+                # WRITE was in flight; the reaper holds the last live
+                # reference.
+                link._reclaim(job, block, credit)
+                continue
+            if wc.ok:
+                link._m_latency.observe(engine.now - posted_at)
+                assert block.header is not None
+                if credit is not None:
+                    yield from link.ctrl.send(
+                        thread,
+                        ControlMessage(
+                            CtrlType.BLOCK_DONE,
+                            job.session_id,
+                            (credit.block_id, block.header),
+                        ),
+                    )
+                # Eager (credit is None): the SEND delivered header
+                # and payload together — there is no region to name,
+                # so no BLOCK_DONE rides the control QP.  Everything
+                # below (marker bookkeeping, the repair hold, dataset
+                # completion) applies to both transports.
+                # Restart markers ack this send later; remember when
+                # it left (Karn: a re-sent seq becomes ambiguous and
+                # is struck from the sample book).
+                seq = block.header.seq
+                job._done_sent_at[seq] = (
+                    None if seq in job._done_sent_at else engine.now
+                )
+                if link.config.block_repair:
+                    # Keep the copy WAITING until a restart marker (or
+                    # the final ACK) covers it — a BLOCK_NACK re-sends
+                    # from exactly this copy.
+                    job.unacked[block.header.seq] = block
+                else:
+                    block.release()
+                    link.pool.put_free_blk(block)
+                if is_repair:
+                    continue  # counted when it first completed
+                job._count_completed()
+                if job.completed_blocks == job.blocks_to_send:
+                    yield job._loaded.put(None)  # release the sender
+                    yield from link._dataset_done(thread, job)
+            else:
+                # Failed WRITE (Fig. 6: WAITING → LOADED re-send).
+                # The payload never landed, so the credit's region is
+                # still empty — re-post immediately with the SAME
+                # credit.  Routing it back through the ledger would
+                # let fresh blocks steal it and, with a fully
+                # advertised sink pool, leave the retransmission
+                # unable to ever acquire a region (head-of-line
+                # deadlock).  After a channel death the re-post lands
+                # on a surviving QP (least-loaded pick skips ERROR).
+                attempts += 1
+                if attempts > MAX_BLOCK_RESENDS:
+                    seq = block.header.seq if block.header else -1
+                    link._reclaim(job, block, credit)
+                    link._abort_job(
+                        job,
+                        ResendLimitExceeded(
+                            job.session_id,
+                            f"block seq {seq} failed {attempts} times",
+                        ),
+                    )
+                    continue
+                job._count_resend()
+                block.resend()
+                yield from link._post_block(thread, job, block, credit, attempts, is_repair)

@@ -240,7 +240,7 @@ def run_chaos(
 
     data_bytes_sent = 0
     if link is not None:
-        data_bytes_sent = sum(qp.bytes_sent.total for qp in link._all_data_qps)
+        data_bytes_sent = sum(qp.bytes_sent.total for qp in link._host_pool.qps)
 
     return ChaosResult(
         testbed=testbed.name,

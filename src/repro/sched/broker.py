@@ -206,6 +206,8 @@ class RftpDoor:
         self.fault_injector = fault_injector
         self.link = None
         self.active = 0
+        #: The shared channel set's session leases (None: a private set).
+        self.leases = None
         #: Broker-level breaker over whole-transfer outcomes on this
         #: door (distinct from the link's per-QP channel breakers).
         self.breaker: Optional[ChannelBreaker] = None
@@ -222,13 +224,12 @@ class RftpDoor:
                     fault_injector=self.fault_injector,
                     tcp_factory=self.tcp_factory,
                 )
-                hp = getattr(self.link, "_host_pool", None)
-                if hp is not None:
-                    # Pooled link: the session cap is the host pool's real
-                    # lease capacity, not the configured constant.  Every
-                    # door on this (host, port) shares that one pool, so
+                self.leases = self.link._host_pool.sessions
+                if self.leases is not None:
+                    # The cap is the shared set's real lease capacity,
+                    # which every door to this (host, port) shares, so
                     # admission() below also checks live availability.
-                    self.max_sessions = hp.sessions.capacity
+                    self.max_sessions = self.leases.capacity
             return self.link
 
         return mw.engine.process(_open())
@@ -238,7 +239,7 @@ class RftpDoor:
         scheduler-level signal to prefer another door right now."""
         if self.link is None:
             return False
-        breakers = self.link._breakers
+        breakers = self.link._host_pool.breakers
         for qp in self.link.data.qps:
             b = breakers.get(qp.qp_num)
             if b is None or b.state is not BreakerState.OPEN or now >= b.open_until:
@@ -257,8 +258,7 @@ class RftpDoor:
         cap = self.max_sessions if session_cap is None else session_cap
         if self.active >= cap:
             return FULL
-        hp = getattr(self.link, "_host_pool", None)
-        if hp is not None and hp.sessions.available <= 0:
+        if self.leases is not None and self.leases.available <= 0:
             # Doors to the same (host, port) share one host pool; the
             # per-door cap alone could oversubscribe it and trip the
             # synchronous lease-capacity error inside transfer().
@@ -676,20 +676,19 @@ class TransferBroker:
         now = self.engine.now
         verdict = (door.admission(now) if cap is None
                    else door.admission(now, session_cap=cap))
-        hp = getattr(door.link, "_host_pool", None)
-        if verdict == ADMIT and hp is not None:
-            # Dispatched-but-unfinished tasks on EVERY door sharing this
-            # host pool each hold (or are about to take, synchronously at
-            # transfer start) one channel lease.  door.active is bumped at
+        leases = door.leases
+        if verdict == ADMIT and leases is not None:
+            # Dispatched-but-unfinished tasks on EVERY door sharing these
+            # leases each hold (or are about to take, synchronously at
+            # transfer start) one of them.  door.active is bumped at
             # dispatch, before the task's process first runs, so this
             # aggregate cannot race the way the pool's own live lease
             # count can — per-door caps alone oversubscribe the shared
             # pool and trip the lease-capacity error.
             inflight = sum(
-                d.active for d in self.doors.values()
-                if getattr(d.link, "_host_pool", None) is hp
+                d.active for d in self.doors.values() if d.leases is leases
             )
-            if inflight >= hp.sessions.capacity:
+            if inflight >= leases.capacity:
                 verdict = FULL
         verdicts[key] = verdict
         return verdict

@@ -282,14 +282,14 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
     for name, door in sorted(broker.doors.items()):
         if door.link is not None:
             leaks.extend(f"{name} link: {leak}" for leak in door.link.audit())
-        hp = getattr(door.link, "_host_pool", None)
-        if hp is None or id(hp) in seen_pools:
-            continue  # dedicated-QP door, or a pool already audited
+        leases = door.leases
+        if leases is None or id(leases) in seen_pools:
+            continue  # a private channel set, or a pool already audited
         # Doors to the same (host, port) share one pool: audit it once.
-        seen_pools.add(id(hp))
-        if not hp.sessions.balanced:
+        seen_pools.add(id(leases))
+        if not leases.balanced:
             leaks.append(
-                f"host pool via {name}: {hp.sessions.leased} channel "
+                f"host pool via {name}: {leases.leased} channel "
                 f"leases never returned"
             )
     server = result.server
@@ -340,8 +340,8 @@ def run_sched(
     engine = testbed.engine
     cfg = config or ProtocolConfig()
     if config is None and bool(spec.get("use_srq", False)):
-        # The spec's connection-scaling switch only fills in when the
-        # caller didn't hand us an explicit ProtocolConfig.
+        # The spec's sharing-scope key only fills in when the caller
+        # didn't hand us an explicit ProtocolConfig.
         cfg = replace(cfg, use_srq=True)
 
     injector = None

@@ -8,9 +8,9 @@ paper's middleware is written against:
 - :class:`~repro.verbs.cq.CompletionQueue` with polling and
   :class:`~repro.verbs.cq.CompletionChannel` event waits,
 - :class:`~repro.verbs.qp.QueuePair` (Reliable Connected and Unreliable
-  Datagram) supporting SEND/RECV, RDMA WRITE (optionally with immediate),
-  and RDMA READ, with in-order completions, RNR NAK + retry, and the
-  ORD outstanding-read limit,
+  Datagram) supporting SEND/RECV, RDMA WRITE and RDMA READ, with
+  in-order completions, RNR NAK + retry, and the ORD outstanding-read
+  limit,
 - :class:`~repro.verbs.cm.ConnectionManager`, an ``rdma_cm``-style
   listener/connector that resolves fabric paths between devices,
 - :class:`~repro.verbs.arch.ArchProfile`, per-architecture (RoCE /

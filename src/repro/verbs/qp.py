@@ -12,8 +12,8 @@ relies on:
   the RNR timer — the exact failure mode whose avoidance motivates the
   middleware's credit scheme.
 - **RDMA WRITE (memory semantics)**: one-sided; payload lands in a
-  remote, rkey-validated region with no responder CQE (unless WRITE-with-
-  immediate is used) and no responder CPU.
+  remote, rkey-validated region with no responder CQE and no responder
+  CPU.
 - **RDMA READ**: one-sided with a request round-trip, the responder's
   read-engine gap, and at most ``max_ord`` requests outstanding — which
   caps READ throughput at ``ord * block / RTT`` on long paths.
@@ -387,8 +387,7 @@ class _Wqe(Event):
 
     # -- stages, in the order a WR meets them ----------------------------------------
     def _issue(self) -> None:
-        """The WQE takes a NIC pipeline (and an RNR-NAKed
-        WRITE_WITH_IMM starts over here)."""
+        """The WQE takes a NIC pipeline."""
         qp, wr = self.qp, self.wr
         if wr.opcode is not Opcode.SEND:
             self.target = qp.peer.pd.lookup_rkey(wr.rkey)
@@ -524,8 +523,8 @@ class _Wqe(Event):
             self._fail(exc)
 
     def _placed(self, ev: Optional[Event] = None) -> None:
-        """The payload is in memory: the receive CQE (SEND, WRITE with
-        immediate), the landed region (WRITE) or the fetched data (READ)."""
+        """The payload is in memory: the receive CQE (SEND), the landed
+        region (WRITE) or the fetched data (READ)."""
         try:
             qp, wr = self.qp, self.wr
             n, op, peer = wr.length, wr.opcode, qp.peer
@@ -554,23 +553,6 @@ class _Wqe(Event):
                     if tampered is not None:
                         payload = tampered
                 self.target.place(wr.remote_addr, payload)
-                if op is Opcode.RDMA_WRITE_WITH_IMM:
-                    if not peer._has_recv():
-                        # Immediate data consumes a receive WR; RNR
-                        # applies, and the WR is issued again.
-                        self._rnr(self._issue)
-                        return
-                    rwr = peer._take_recv()
-                    peer.recv_cq.push(
-                        WorkCompletion(
-                            wr_id=rwr.wr_id,
-                            opcode=Opcode.RECV,
-                            status=WcStatus.SUCCESS,
-                            byte_len=n,
-                            imm_data=wr.imm_data,
-                            qp_num=peer.qp_num,
-                        )
-                    )
             self._reply(WcStatus.SUCCESS)
         except Exception as exc:
             self._fail(exc)

@@ -12,7 +12,7 @@ Semantics mirrored from the real API:
 
 - Receives are posted on the SRQ, never on an attached QP
   (:meth:`QueuePair.post_recv` raises for SRQ-attached QPs).
-- An arriving SEND (or WRITE-with-immediate) consumes one shared WQE;
+- An arriving SEND consumes one shared WQE;
   the completion lands on the *consuming QP's* receive CQ, carrying that
   QP's number, so demultiplexing stays per-connection.
 - An empty SRQ produces RNR NAKs exactly like an empty per-QP receive

@@ -15,7 +15,6 @@ class Opcode(enum.Enum):
     SEND = "send"
     RECV = "recv"
     RDMA_WRITE = "rdma_write"
-    RDMA_WRITE_WITH_IMM = "rdma_write_with_imm"
     RDMA_READ = "rdma_read"
 
 
@@ -53,8 +52,6 @@ class SendWR:
     local_addr: int = 0
     remote_addr: int = 0
     rkey: Optional[int] = None
-    #: Immediate data for RDMA_WRITE_WITH_IMM (consumes a remote recv WR).
-    imm_data: Optional[int] = None
     #: Simulated payload object transported with the data.
     payload: Any = None
     #: Request a completion (unsignalled sends skip the CQE).
@@ -63,11 +60,9 @@ class SendWR:
     def __post_init__(self) -> None:
         if self.length < 0:
             raise ValueError("length must be non-negative")
-        if self.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM, Opcode.RDMA_READ):
+        if self.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_READ):
             if self.rkey is None:
                 raise ValueError(f"{self.opcode.value} requires an rkey")
-        if self.opcode is Opcode.RDMA_WRITE_WITH_IMM and self.imm_data is None:
-            raise ValueError("RDMA_WRITE_WITH_IMM requires imm_data")
 
 
 @dataclass(slots=True)
@@ -94,8 +89,6 @@ class WorkCompletion:
     byte_len: int = 0
     #: For receive completions: the payload object the sender attached.
     payload: Any = None
-    #: For RDMA_WRITE_WITH_IMM receive completions.
-    imm_data: Optional[int] = None
     #: QP number the completion arrived on (for shared CQs).
     qp_num: int = -1
     #: Simulated completion timestamp (engine time), for latency stats.

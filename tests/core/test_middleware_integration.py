@@ -176,6 +176,31 @@ def test_control_traffic_scales_with_blocks():
     # Per block: one BLOCK_DONE; plus negotiation, teardown, MR requests.
     assert outcome.ctrl_sent >= outcome.blocks
     assert outcome.ctrl_sent < outcome.blocks * 3 + 16
+    # The counts are per session, not per link: two back-to-back sessions
+    # on one link each report their own share, and the shares add up to
+    # the link's totals.
+    tb = roce_lan()
+    server = RdmaMiddleware(tb.dst, tb.dst_dev, tb.cm, cfg)
+    server.serve(4000, CollectingSink(tb.dst))
+    client = RdmaMiddleware(tb.src, tb.src_dev, tb.cm, cfg)
+
+    def two_sessions(env):
+        link = yield client.open_link(tb.dst_dev, 4000)
+        outs = []
+        for _ in range(2):
+            outs.append((yield client.transfer(
+                tb.dst_dev, 4000, PatternSource(tb.src), total, link=link
+            )))
+        return link, outs
+
+    p = tb.engine.process(two_sessions(tb.engine))
+    tb.engine.run()
+    link, (first, second) = p.value
+    assert first.blocks <= second.ctrl_sent <= first.ctrl_sent
+    assert 0 < second.ctrl_received <= first.ctrl_received
+    assert first.ctrl_sent + second.ctrl_sent == link.ctrl._m_sent.total
+    assert first.ctrl_received + second.ctrl_received == link.ctrl._m_received.total
+    assert first.mr_requests + second.mr_requests == link.mr_requests_sent.total
 
 
 def test_bigger_blocks_less_control_traffic():

@@ -115,7 +115,7 @@ class World:
         self.revoked = True
 
     def kill_channels(self):
-        for index in range(len(self.link._all_data_qps)):
+        for index in range(len(self.link._host_pool.qps)):
             self.link.kill_channel(index)
 
     def resume(self, k):

@@ -93,11 +93,11 @@ class Rig:
             self.engine.run(until=self.engine.now + step)
 
     def kill_channels(self):
-        for i in range(len(self.link._all_data_qps)):
+        for i in range(len(self.link._host_pool.qps)):
             self.link.kill_channel(i)
 
     def on_data_qps(self, **hooks):
-        for qp in self.link._all_data_qps:
+        for qp in self.link._host_pool.qps:
             for name, hook in hooks.items():
                 setattr(qp, name, hook)
 

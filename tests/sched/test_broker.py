@@ -271,6 +271,7 @@ class _FailingDoor:
         self.active = 0
         self.max_sessions = 4
         self.link = None
+        self.leases = None  # no shared channel set
         self.breaker = None
 
     def admission(self, now):
@@ -383,6 +384,7 @@ class _GateDoor:
         self.active = 0
         self.checks = 0
         self.link = None
+        self.leases = None  # no shared channel set
         self.breaker = None  # the broker installs its own
 
     def admission(self, now, session_cap=None):
@@ -570,7 +572,7 @@ def test_a_real_door_is_closed_before_it_is_full():
     assert door.admission(0.0) == CLOSED  # link not open yet
     channel = ChannelBreaker(7, 1, lambda: 1.0)
     door.link = SimpleNamespace(data=SimpleNamespace(qps=[SimpleNamespace(qp_num=7)]),
-                                _breakers={7: channel})
+                                _host_pool=SimpleNamespace(breakers={7: channel}))
     door.active = 1
     assert door.admission(0.0) == FULL
     channel.record_failure(0.0)  # every channel quarantined until 1.0

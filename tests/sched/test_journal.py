@@ -217,6 +217,7 @@ class _StubDoor:
         self.max_sessions = 2
         self.saturated = False  # True: closed (files block and park)
         self.link = _StubLink()
+        self.leases = None  # no shared channel set
         self.breaker = None  # the broker installs its own
 
     def admission(self, now, session_cap=None):

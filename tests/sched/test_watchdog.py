@@ -58,6 +58,7 @@ class _StuckDoor:
         self.active = 0
         self.max_sessions = 4
         self.link = _StuckLink()
+        self.leases = None  # no shared channel set
         self.breaker = None  # the broker installs its own
 
     def admission(self, now):

@@ -160,46 +160,6 @@ def test_send_queue_depth_enforced():
         qa.post_send(_write_wr(mr, buf, 99))
 
 
-def test_write_with_imm_consumes_recv():
-    f = make_fabric()
-    qa, qb = f.qp_pair()
-    _, buf, mr = f.remote_mr()
-    from repro.verbs import RecvWR
-
-    qb.post_recv(RecvWR(length=0, wr_id=42))
-    qa.post_send(
-        SendWR(
-            opcode=Opcode.RDMA_WRITE_WITH_IMM,
-            length=4096,
-            wr_id=1,
-            remote_addr=buf.addr,
-            rkey=mr.rkey,
-            imm_data=0x1234,
-            payload="imm-payload",
-        )
-    )
-    f.engine.run()
-    rwcs = qb.recv_cq._reap(16)
-    assert len(rwcs) == 1
-    assert rwcs[0].imm_data == 0x1234
-    assert rwcs[0].wr_id == 42
-    assert mr.fetch(buf.addr) == "imm-payload"
-    # With no receive posted the immediate is RNR-NAKed like a SEND: each
-    # retry issues the WR again, and past ``rnr_retry`` it fails.
-    f = make_fabric()
-    qa, qb = f.qp_pair(rnr_retry=2)
-    _, buf, mr = f.remote_mr()
-    qa.post_send(
-        SendWR(opcode=Opcode.RDMA_WRITE_WITH_IMM, length=4096, wr_id=2,
-               remote_addr=buf.addr, rkey=mr.rkey, imm_data=7, payload="p")
-    )
-    f.engine.run()
-    [wc] = qa.send_cq._reap(16)
-    assert (wc.wr_id, wc.status) == (2, WcStatus.RNR_RETRY_EXC_ERR)
-    assert qa.rnr_naks.total == 3 and f.a.nic.wqes_processed == 3
-    assert qa.state is QpState.ERROR and not qb.recv_cq._reap(16)
-
-
 def test_pcie_cap_limits_write_bandwidth():
     """The InfiniBand-testbed effect: PCIe below line rate caps goodput."""
     f = make_fabric(gbps=40.0, pcie_gbps=25.6)
