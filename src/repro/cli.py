@@ -17,10 +17,13 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
 import json
 import sys
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import testbeds
 from repro.apps.fio import FioJob, run_fio
 from repro.apps.gridftp import run_gridftp
 from repro.apps.io import DiskSink
@@ -62,6 +65,14 @@ def _pair(second: Callable[[str], float]) -> Callable[[str], Tuple[float, float]
     return pair
 
 
+def _fields_of(cls: type, args: argparse.Namespace) -> Dict[str, Any]:
+    """The flags whose dest names a field of dataclass ``cls``."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(cls) if hasattr(args, f.name)
+    }
+
+
 def _add_testbed_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--testbed",
@@ -96,15 +107,37 @@ def _cmd_testbeds(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``rftp`` knobs its flags and a sweep point share, each with the
+#: ProtocolConfig fields it sets.
+RFTP_KNOBS = {
+    "block_size": ("block_size",),
+    "channels": ("num_channels",),
+    "pool": ("source_blocks", "sink_blocks"),
+}
+#: The ``gridftp`` knobs its flags and a sweep point share: the
+#: run_gridftp keywords of the same names.
+GRIDFTP_KNOBS = ("block_size", "streams", "cc")
+
+
+def rftp_config(knobs: Dict[str, Any], **fields: Any) -> ProtocolConfig:
+    """The ProtocolConfig of whichever :data:`RFTP_KNOBS` ``knobs`` sets."""
+    for knob, names in RFTP_KNOBS.items():
+        if knob in knobs:
+            fields.update(dict.fromkeys(names, int(knobs[knob])))
+    return ProtocolConfig(**fields)
+
+
+def gridftp_kwargs(knobs: Dict[str, Any]) -> Dict[str, Any]:
+    """The run_gridftp keywords of whichever :data:`GRIDFTP_KNOBS` ``knobs`` sets."""
+    return {
+        knob: knobs[knob] if knob == "cc" else int(knobs[knob])
+        for knob in GRIDFTP_KNOBS if knob in knobs
+    }
+
+
 def _cmd_rftp(args: argparse.Namespace) -> int:
     tb = TESTBEDS[args.testbed](seed=args.seed, with_disk=args.disk)
-    config = ProtocolConfig(
-        block_size=args.block_size,
-        num_channels=args.channels,
-        source_blocks=args.pool,
-        sink_blocks=args.pool,
-        proactive_credits=not args.on_demand_credits,
-    )
+    config = rftp_config(vars(args), proactive_credits=args.proactive_credits)
     sink = DiskSink(tb.dst, direct=not args.posix) if args.disk else None
     result = run_rftp(tb, args.bytes, config, sink=sink)
     o = result.outcome
@@ -128,13 +161,7 @@ def _cmd_rftp(args: argparse.Namespace) -> int:
 
 def _cmd_gridftp(args: argparse.Namespace) -> int:
     tb = TESTBEDS[args.testbed](seed=args.seed)
-    result = run_gridftp(
-        tb,
-        args.bytes,
-        streams=args.streams,
-        block_size=args.block_size,
-        cc=args.cc,
-    )
+    result = run_gridftp(tb, args.bytes, **gridftp_kwargs(vars(args)))
     print(f"{result.gbps:.2f} Gbps over {tb.name} with {args.streams} stream(s)")
     print(f"client CPU {result.client_cpu_pct:.0f}% "
           f"(app thread {result.client_app_cpu_pct:.0f}%)  "
@@ -161,98 +188,55 @@ def _cmd_fio(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        fig3_fig4_semantics,
-        fig8_fig9_lan_ftp,
-        fig10_wan_ftp,
-        fig11_disk,
-    )
-    from repro.testbeds import infiniband_lan, roce_lan
+#: ``repro figure N``: the experiment module, the testbed its ``run``
+#: takes and the title its ``render`` takes (None: takes none).
+FIGURES = {
+    3: ("fig3_fig4_semantics", "roce_lan", "Fig. 3 — RDMA semantics, RoCE LAN"),
+    4: ("fig3_fig4_semantics", "infiniband_lan", "Fig. 4 — RDMA semantics, InfiniBand LAN"),
+    8: ("fig8_fig9_lan_ftp", "roce_lan", "Fig. 8 — GridFTP vs RFTP, RoCE LAN"),
+    9: ("fig8_fig9_lan_ftp", "infiniband_lan", "Fig. 9 — GridFTP vs RFTP, InfiniBand LAN"),
+    10: ("fig10_wan_ftp", None, None),
+    11: ("fig11_disk", None, None),
+}
 
-    fig = args.number
-    if fig == 3:
-        points = fig3_fig4_semantics.run(roce_lan)
-        fig3_fig4_semantics.render(points, "Fig. 3 — RDMA semantics, RoCE LAN").print()
-    elif fig == 4:
-        points = fig3_fig4_semantics.run(infiniband_lan)
-        fig3_fig4_semantics.render(points, "Fig. 4 — RDMA semantics, InfiniBand LAN").print()
-    elif fig == 8:
-        points = fig8_fig9_lan_ftp.run(roce_lan)
-        fig8_fig9_lan_ftp.render(points, "Fig. 8 — GridFTP vs RFTP, RoCE LAN").print()
-    elif fig == 9:
-        points = fig8_fig9_lan_ftp.run(infiniband_lan)
-        fig8_fig9_lan_ftp.render(points, "Fig. 9 — GridFTP vs RFTP, InfiniBand LAN").print()
-    elif fig == 10:
-        fig10_wan_ftp.render(fig10_wan_ftp.run()).print()
-    elif fig == 11:
-        fig11_disk.render(fig11_disk.run()).print()
+#: ``repro ablation WHICH``: the ``repro.experiments.ablations`` runner
+#: and the title its rows render under.
+ABLATIONS = {
+    "credits": ("run_credit_ablation", "Ablation — credit flow control (ANI WAN)"),
+    "qp": ("run_qp_ablation", "Ablation — parallel data QPs (RoCE LAN)"),
+    "iodepth": ("run_iodepth_sweep", "Ablation — I/O depth (RoCE LAN)"),
+    "recovery": ("run_recovery_ablation", "Ablation — recovery overhead vs fault rate (ANI WAN)"),
+    "resume": ("run_resume_ablation",
+               "Ablation — integrity, repair, and session resume (ANI WAN)"),
+}
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    name, testbed, title = FIGURES[args.number]
+    module = importlib.import_module(f"repro.experiments.{name}")
+    if testbed is None:
+        module.render(module.run()).print()
     else:
-        print(f"no such figure: {fig} (have 3, 4, 8, 9, 10, 11)", file=sys.stderr)
-        return 2
+        module.render(module.run(getattr(testbeds, testbed)), title).print()
     return 0
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
     from repro.experiments import ablations
 
-    which = args.which
-    if which == "credits":
-        rows = ablations.run_credit_ablation()
-        ablations.render_rows(rows, "Ablation — credit flow control (ANI WAN)").print()
-    elif which == "qp":
-        rows = ablations.run_qp_ablation()
-        ablations.render_rows(rows, "Ablation — parallel data QPs (RoCE LAN)").print()
-    elif which == "iodepth":
-        rows = ablations.run_iodepth_sweep()
-        ablations.render_rows(rows, "Ablation — I/O depth (RoCE LAN)").print()
-    elif which == "recovery":
-        rows = ablations.run_recovery_ablation()
-        ablations.render_rows(
-            rows, "Ablation — recovery overhead vs fault rate (ANI WAN)"
-        ).print()
-    elif which == "resume":
-        rows = ablations.run_resume_ablation()
-        ablations.render_rows(
-            rows, "Ablation — integrity, repair, and session resume (ANI WAN)"
-        ).print()
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
+    runner, title = ABLATIONS[args.which]
+    ablations.render_rows(getattr(ablations, runner)(), title).print()
     return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan, run_chaos
 
-    plan = FaultPlan(
-        seed=args.seed,
-        write_fault_rate=args.write_fault_rate,
-        ctrl_drop_rate=args.ctrl_drop_rate,
-        ctrl_delay_rate=args.ctrl_delay_rate,
-        latency_spike_rate=args.latency_spike_rate,
-        link_flaps=tuple(args.link_flap),
-        payload_corrupt_rate=args.payload_corrupt_rate,
-        sink_crashes=tuple(args.sink_crash),
-        source_crashes=tuple(args.source_crash),
-        qp_kills=tuple(args.qp_kill),
-        heartbeat_drop_rate=args.heartbeat_drop_rate,
-        fallback_deny=args.deny_fallback,
-    )
-    config = None
-    overrides = {}
-    if args.no_repair:
-        overrides["block_repair"] = False
-    if args.no_fallback:
-        overrides["tcp_fallback"] = False
-    if args.no_repromote:
-        overrides["fallback_repromote"] = False
-    if overrides:
-        config = ProtocolConfig(**overrides)
     result = run_chaos(
         args.testbed,
         total_bytes=args.bytes,
-        plan=plan,
-        config=config,
+        plan=FaultPlan.from_spec(_fields_of(FaultPlan, args)),
+        config=ProtocolConfig(**_fields_of(ProtocolConfig, args)),
         horizon=args.horizon,
         resume_attempts=args.resume_attempts,
         resume_backoff=args.resume_backoff,
@@ -321,62 +305,45 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    overload_overrides = None
+    overload = None
     if args.overload is not None:
-        overload_overrides = json.loads(args.overload)
-        if not isinstance(overload_overrides, dict):
+        overload = json.loads(args.overload)
+        if not isinstance(overload, dict):
             raise ValueError("--overload must be a JSON object")
+    if args.attempt_fault_window is not None and args.attempt_fault_rate is None:
+        raise ValueError("--attempt-fault-window needs --attempt-fault-rate")
 
+    mix = dict(seed=args.seed, tenants=args.tenants, testbed=args.testbed,
+               doors=args.doors, max_active=args.max_active)
+    files = args.files
     spec = None
     if args.spec:
         spec = load_spec(args.spec)
-        if overload_overrides is not None:
-            spec["overload"] = {
-                **(spec.get("overload") or {}), **overload_overrides,
-            }
     elif args.spike is not None:
-        spec = overload_spec(
-            seed=args.seed,
-            total_files=args.files if args.files is not None else 600,
-            tenants=args.tenants,
-            testbed=args.testbed,
-            doors=args.doors,
-            max_active=args.max_active,
-            spike=args.spike,
-            overload=overload_overrides,
-        )
-    elif args.quick or args.files is not None:
-        files = args.files if args.files is not None else 1000
-        spec = synthetic_spec(
-            seed=args.seed,
-            total_files=files,
-            tenants=args.tenants,
-            testbed=args.testbed,
-            doors=args.doors,
-            max_active=args.max_active,
-        )
-        if overload_overrides is not None:
-            spec["overload"] = overload_overrides
-    if spec is None and args.recover is None:
+        spec = overload_spec(total_files=600 if files is None else files,
+                             spike=args.spike, **mix)
+    elif args.quick or files is not None:
+        spec = synthetic_spec(total_files=1000 if files is None else files, **mix)
+    elif args.recover is None:
         raise ValueError("need --spec, --quick, --files, --spike, or --recover")
     if spec is not None:
+        if overload is not None:
+            spec["overload"] = {**(spec.get("overload") or {}), **overload}
         if args.watchdog:
             spec["watchdog"] = True
         if args.drain_at is not None:
             spec["drain_at"] = args.drain_at
         if args.resubmit is not None:
             spec["resubmit_limit"] = args.resubmit
+        faults = dict(spec.get("faults") or {})
         if args.crash_at:
-            faults = dict(spec.get("faults") or {})
-            faults["broker_crashes"] = sorted(
-                list(faults.get("broker_crashes", ())) + args.crash_at
-            )
-            spec["faults"] = faults
+            crashes = [*faults.get("broker_crashes", ()), *args.crash_at]
+            faults["broker_crashes"] = sorted(crashes)
         if args.attempt_fault_rate is not None:
-            faults = dict(spec.get("faults") or {})
             faults["attempt_fault_rate"] = args.attempt_fault_rate
-            if args.attempt_fault_window is not None:
-                faults["attempt_fault_window"] = args.attempt_fault_window
+        if args.attempt_fault_window is not None:
+            faults["attempt_fault_window"] = args.attempt_fault_window
+        if faults:
             spec["faults"] = faults
         if args.use_srq:
             spec["use_srq"] = True
@@ -512,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--posix", action="store_true", help="POSIX I/O instead of direct")
     p.add_argument(
         "--on-demand-credits",
-        action="store_true",
+        dest="proactive_credits",
+        action="store_false",
         help="ablation: disable proactive credit feedback",
     )
     _add_export_args(p)
@@ -537,11 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fio)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
-    p.add_argument("number", type=int, choices=(3, 4, 8, 9, 10, 11))
+    p.add_argument("number", type=int, choices=tuple(FIGURES))
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("ablation", help="run a design-choice ablation")
-    p.add_argument("which", choices=("credits", "qp", "iodepth", "recovery", "resume"))
+    p.add_argument("which", choices=tuple(ABLATIONS))
     _add_export_args(p)
     p.set_defaults(func=_cmd_ablation)
 
@@ -559,33 +527,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability a control message is delayed")
     p.add_argument("--latency-spike-rate", type=float, default=0.0,
                    help="probability a link serialisation picks up a spike")
-    p.add_argument("--link-flap", type=_pair(float), action="append",
+    p.add_argument("--link-flap", dest="link_flaps", type=_pair(float), action="append",
                    default=[], metavar="START:DURATION",
                    help="schedule a link outage (seconds); repeatable")
     p.add_argument("--payload-corrupt-rate", type=float, default=0.0,
                    help="probability an RDMA WRITE lands silently corrupted")
-    p.add_argument("--sink-crash", type=float, action="append", default=[],
+    p.add_argument("--sink-crash", dest="sink_crashes", type=float, action="append", default=[],
                    metavar="T",
                    help="crash the sink process at sim-time T; repeatable")
-    p.add_argument("--source-crash", type=float, action="append", default=[],
+    p.add_argument("--source-crash", dest="source_crashes", type=float, action="append", default=[],
                    metavar="T",
                    help="crash the source process at sim-time T; repeatable")
-    p.add_argument("--qp-kill", type=_pair(int), action="append", default=[],
+    p.add_argument("--qp-kill", dest="qp_kills", type=_pair(int), action="append", default=[],
                    metavar="T:INDEX",
                    help="kill data channel INDEX at sim-time T; repeatable")
     p.add_argument("--resume-attempts", type=int, default=0,
                    help="SESSION_RESUME retries after a typed abort")
     p.add_argument("--resume-backoff", type=float, default=1.0,
                    help="seconds to wait before each resume attempt")
-    p.add_argument("--no-repair", action="store_true",
+    p.add_argument("--no-repair", dest="block_repair", action="store_false",
                    help="ablation: disable checksum-NACK block repair")
     p.add_argument("--heartbeat-drop-rate", type=float, default=0.0,
                    help="probability a PING/PONG is lost after posting")
-    p.add_argument("--deny-fallback", action="store_true",
+    p.add_argument("--deny-fallback", dest="fallback_deny", action="store_true",
                    help="sink denies every TRANSPORT_FALLBACK_REQ")
-    p.add_argument("--no-fallback", action="store_true",
+    p.add_argument("--no-fallback", dest="tcp_fallback", action="store_false",
                    help="ablation: source never attempts the TCP fallback")
-    p.add_argument("--no-repromote", action="store_true",
+    p.add_argument("--no-repromote", dest="fallback_repromote", action="store_false",
                    help="ablation: a degraded session stays on TCP")
     p.add_argument("--horizon", type=float, default=300.0,
                    help="sim-time bound for hang detection")

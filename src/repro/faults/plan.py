@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Tuple
 
 from repro.core.messages import CtrlType
 
@@ -141,3 +141,20 @@ class FaultPlan:
                 raise ValueError(
                     f"bad attempt_fault_window {self.attempt_fault_window!r}"
                 )
+
+    @classmethod
+    def from_spec(cls, obj: Dict[str, Any]) -> "FaultPlan":
+        """Build from a spec's ``faults`` object or the ``chaos`` flags:
+        any field by name but ``ctrl_droppable`` (message types, not
+        JSON), lists as tuples; typo'd keys fail."""
+        unknown = set(obj) - ({f.name for f in fields(cls)} - {"ctrl_droppable"})
+        if unknown:
+            raise ValueError(f"unknown fault keys: {sorted(unknown)}")
+        return cls(**{key: _tuples(value) for key, value in obj.items()})
+
+
+def _tuples(value: Any) -> Any:
+    """JSON lists, nested or not, as the tuples a frozen plan holds."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_tuples, value))
+    return value

@@ -29,7 +29,6 @@ from repro.sched.broker import (
 from repro.sched.jobs import FileState, FileTask, Job, JobState, TransferSpec
 from repro.sched.journal import (
     Journal,
-    RecoveredState,
     replay,
     restore_jobs,
     snapshot_jobs,
@@ -63,7 +62,6 @@ __all__ = [
     "Journal",
     "OverloadConfig",
     "OverloadController",
-    "RecoveredState",
     "RftpDoor",
     "SchedResult",
     "SchedulerConfig",

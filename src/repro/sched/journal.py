@@ -63,7 +63,6 @@ from repro.sched.jobs import FileState, FileTask, Job, TransferSpec
 __all__ = [
     "Journal",
     "JobTable",
-    "RecoveredState",
     "apply",
     "replay",
     "snapshot_jobs",
@@ -182,10 +181,6 @@ class JobTable:
             task for job in self.jobs for task in job.files
             if task.duplicate_of is None and task.state is FileState.ACTIVE
         ]
-
-
-#: Historical name for what :func:`replay` returns.
-RecoveredState = JobTable
 
 
 #: Fields a snapshot does not copy verbatim: ``spec`` is flattened to

@@ -17,7 +17,7 @@ Besides the happy path, the runner owns the durability harness:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps.io import CollectingSink, PatternSource, ZeroSource
@@ -42,13 +42,6 @@ __all__ = [
 ]
 
 _PORT = 2811
-
-#: FaultPlan fields a spec's ``faults`` object may set: every one but
-#: ``ctrl_droppable`` (a tuple of message types, not JSON).  Anything else
-#: in the object is an error so a typo'd key fails loudly instead of
-#: silently doing nothing.
-_FAULT_KEYS = {f.name for f in fields(FaultPlan)} - {"ctrl_droppable"}
-
 
 class BrokerSupervisor:
     """Restarts a crashed broker from its journal.
@@ -125,12 +118,7 @@ class BrokerSupervisor:
             journal.close()
             journal.sync(self.recover_path)
             journal = Journal.load(self.recover_path, mirror=True)
-        self.broker = TransferBroker.recover(
-            self.engine, self.doors, journal,
-            config=self.config, tenants=self.tenants, seed=self.seed,
-            overload=self.overload,
-        )
-        self.broker.attempt_fault_hook = self.attempt_fault_hook
+        self.recover(journal)
         self.recoveries += 1
         pending, self._pending = self._pending, []
         for tenant, files, priority, job_id, deadline in pending:
@@ -138,6 +126,16 @@ class BrokerSupervisor:
                 tenant, files, priority=priority, job_id=job_id,
                 deadline=deadline,
             )
+
+    def recover(self, journal: Journal) -> None:
+        """Replace the current incarnation with one replayed from
+        ``journal``, the chaos seam re-installed."""
+        self.broker = TransferBroker.recover(
+            self.engine, self.doors, journal,
+            config=self.config, tenants=self.tenants, seed=self.seed,
+            overload=self.overload,
+        )
+        self.broker.attempt_fault_hook = self.attempt_fault_hook
 
 
 @dataclass
@@ -192,20 +190,6 @@ class SchedResult:
         """Every job finished or was shed with a RETRY_AFTER hint (shed
         work is *reported*, not lost — that counts as resolved)."""
         return not self.unresolved
-
-
-def _build_fault_plan(obj: Dict[str, Any]) -> FaultPlan:
-    unknown = set(obj) - _FAULT_KEYS
-    if unknown:
-        raise ValueError(f"unknown fault keys: {sorted(unknown)}")
-    kwargs = dict(obj)
-    for key in ("link_flaps", "qp_kills"):
-        if key in kwargs:
-            kwargs[key] = tuple(tuple(item) for item in kwargs[key])
-    for key in ("sink_crashes", "source_crashes", "broker_crashes"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return FaultPlan(**kwargs)
 
 
 def audit_delivery(
@@ -348,7 +332,7 @@ def run_sched(
     if not recovering and spec.get("faults"):
         from repro.faults.injector import FaultInjector
 
-        injector = FaultInjector(_build_fault_plan(spec["faults"]))
+        injector = FaultInjector(FaultPlan.from_spec(spec["faults"]))
         injector.arm_network(testbed)
 
     sink = CollectingSink(testbed.dst) if audit else None
@@ -416,13 +400,7 @@ def run_sched(
         if recovering:
             # Jobs come back by journal replay, not submission; replace
             # the supervisor's fresh (empty) incarnation.
-            supervisor.broker = TransferBroker.recover(
-                engine, doors, journal,
-                config=broker_cfg, tenants=tenants, seed=seed,
-                overload=overload_cfg,
-            )
-            supervisor.broker.attempt_fault_hook = \
-                supervisor.attempt_fault_hook
+            supervisor.recover(journal)
             return
         for i, js in enumerate(job_specs):
             engine.process(_submit(i, js))

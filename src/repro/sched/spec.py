@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["load_spec", "validate_spec", "synthetic_spec", "overload_spec"]
 
@@ -100,6 +100,43 @@ def validate_spec(spec: Dict[str, Any]) -> None:
         raise ValueError("'resubmit_limit' must be a non-negative integer")
 
 
+def _mix_head(seed: int, total_files: int, tenants: Optional[Dict[str, float]],
+              doors: int) -> Tuple[Dict[str, float], random.Random, List[str]]:
+    """Both generators' start: the tenant weights (default 3:1 gold to
+    bronze), the file-size RNG and the doors every file may come from."""
+    if total_files < 1:
+        raise ValueError("total_files must be >= 1")
+    weights = tenants or {"gold": 3.0, "bronze": 1.0}
+    return weights, random.Random(seed), [f"door-{i}" for i in range(doors)]
+
+
+def _mix_file(name: str, index: int, rng: random.Random,
+              sources: List[str]) -> Dict[str, Any]:
+    return {"path": f"/data/{name}/f{index:06d}",
+            "size": rng.choice(_SIZE_PALETTE), "sources": sources}
+
+
+def _mix_spec(testbed: str, seed: int, max_active: int, doors: int,
+              weights: Dict[str, float], jobs: List[Dict[str, Any]],
+              **extra: Any) -> Dict[str, Any]:
+    """Both generators' end: the spec around ``jobs``, validated."""
+    spec = {
+        "testbed": testbed,
+        "seed": seed,
+        "max_active": max_active,
+        "doors": doors,
+        "door_sessions": 4,
+        "tenants": {
+            name: {"weight": w, "max_inflight": max_active, "max_queued": 10 ** 9}
+            for name, w in weights.items()
+        },
+        "jobs": jobs,
+        **extra,
+    }
+    validate_spec(spec)
+    return spec
+
+
 def synthetic_spec(
     seed: int = 0,
     total_files: int = 1000,
@@ -117,11 +154,7 @@ def synthetic_spec(
     ``files_per_job``; all jobs are submitted at t=0 so the tenants
     genuinely contend for the worker pool.
     """
-    if total_files < 1:
-        raise ValueError("total_files must be >= 1")
-    weights = tenants or {"gold": 3.0, "bronze": 1.0}
-    rng = random.Random(seed)
-    door_names = [f"door-{i}" for i in range(doors)]
+    weights, rng, door_names = _mix_head(seed, total_files, tenants, doors)
     names = sorted(weights)
     per_tenant = {name: total_files // len(names) for name in names}
     for i in range(total_files % len(names)):
@@ -129,13 +162,7 @@ def synthetic_spec(
     jobs: List[Dict[str, Any]] = []
     for name in names:
         count = per_tenant[name]
-        files: List[Dict[str, Any]] = []
-        for i in range(count):
-            files.append({
-                "path": f"/data/{name}/f{i:06d}",
-                "size": rng.choice(_SIZE_PALETTE),
-                "sources": door_names,
-            })
+        files = [_mix_file(name, i, rng, door_names) for i in range(count)]
         for start in range(0, count, files_per_job):
             jobs.append({
                 "tenant": name,
@@ -143,20 +170,7 @@ def synthetic_spec(
                 "submit_at": 0.0,
                 "files": files[start:start + files_per_job],
             })
-    spec = {
-        "testbed": testbed,
-        "seed": seed,
-        "max_active": max_active,
-        "doors": doors,
-        "door_sessions": 4,
-        "tenants": {
-            name: {"weight": w, "max_inflight": max_active, "max_queued": 10 ** 9}
-            for name, w in weights.items()
-        },
-        "jobs": jobs,
-    }
-    validate_spec(spec)
-    return spec
+    return _mix_spec(testbed, seed, max_active, doors, weights, jobs)
 
 
 def overload_spec(
@@ -186,13 +200,9 @@ def overload_spec(
     ``resubmit_limit`` is how many times the runner honours a shed job's
     RETRY_AFTER hint before giving up.
     """
-    if total_files < 1:
-        raise ValueError("total_files must be >= 1")
+    weights, rng, door_names = _mix_head(seed, total_files, tenants, doors)
     if base_rate <= 0 or spike < 1.0:
         raise ValueError("need base_rate > 0 and spike >= 1")
-    weights = tenants or {"gold": 3.0, "bronze": 1.0}
-    rng = random.Random(seed)
-    door_names = [f"door-{i}" for i in range(doors)]
     names = sorted(weights)
     top = max(names, key=lambda n: (weights[n], n))
     counters = {name: 0 for name in names}
@@ -206,13 +216,8 @@ def overload_spec(
         remaining -= count
         files = []
         for _ in range(count):
-            idx = counters[name]
+            files.append(_mix_file(name, counters[name], rng, door_names))
             counters[name] += 1
-            files.append({
-                "path": f"/data/{name}/f{idx:06d}",
-                "size": rng.choice(_SIZE_PALETTE),
-                "sources": door_names,
-            })
         jobs.append({
             "tenant": name,
             "priority": 1 if name == top else 0,
@@ -233,23 +238,7 @@ def overload_spec(
         "retry_budget_burst": 8.0,
         "retry_after_base": 0.5,
         "retry_after_cap": 20.0,
+        **(overload or {}),
     }
-    if overload:
-        controls.update(overload)
-    spec = {
-        "testbed": testbed,
-        "seed": seed,
-        "max_active": max_active,
-        "doors": doors,
-        "door_sessions": 4,
-        "tenants": {
-            name: {"weight": w, "max_inflight": max_active,
-                   "max_queued": 10 ** 9}
-            for name, w in weights.items()
-        },
-        "jobs": jobs,
-        "overload": controls,
-        "resubmit_limit": resubmit_limit,
-    }
-    validate_spec(spec)
-    return spec
+    return _mix_spec(testbed, seed, max_active, doors, weights, jobs,
+                     overload=controls, resubmit_limit=resubmit_limit)

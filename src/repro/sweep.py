@@ -10,6 +10,10 @@ A sweep spec is a JSON object naming a runner and a grid of parameters::
                 "block_size": ["1M", "4M"]}
     }
 
+A point's keys are ``bytes``, ``seed`` and the runner's CLI knobs
+(:data:`repro.cli.RFTP_KNOBS`, :data:`repro.cli.GRIDFTP_KNOBS`), mapped
+by the same functions the flags go through; any other key is an error.
+
 Points are expanded as the cartesian product of the axes (axis names
 iterated in sorted order, values in spec order) and sharded across a
 ``ProcessPoolExecutor``.  Every point is an independent, seeded
@@ -78,6 +82,12 @@ def validate_spec(spec: dict) -> None:
     for name, values in axes.items():
         if not isinstance(values, list) or not values:
             raise ValueError(f"axis {name!r} must be a non-empty list")
+    from repro.cli import GRIDFTP_KNOBS, RFTP_KNOBS
+
+    knobs = RFTP_KNOBS if runner == "rftp" else GRIDFTP_KNOBS
+    unknown = (base.keys() | axes.keys()) - {"bytes", "seed", *knobs}
+    if unknown:
+        raise ValueError(f"unknown {runner} sweep keys: {sorted(unknown)}")
     if "bytes" not in base and "bytes" not in axes:
         raise ValueError("sweep needs 'bytes' in base or axes")
 
@@ -116,19 +126,11 @@ def point_key(params: dict) -> str:
 
 def _run_rftp_point(testbed: str, params: dict) -> dict:
     from repro.apps.rftp import run_rftp
-    from repro.core import ProtocolConfig
+    from repro.cli import rftp_config
     from repro.testbeds import TESTBEDS
 
     tb = TESTBEDS[testbed](seed=int(params.get("seed", 0)))
-    overrides: Dict[str, Any] = {}
-    if "block_size" in params:
-        overrides["block_size"] = int(params["block_size"])
-    if "channels" in params:
-        overrides["num_channels"] = int(params["channels"])
-    if "pool" in params:
-        overrides["source_blocks"] = int(params["pool"])
-        overrides["sink_blocks"] = int(params["pool"])
-    result = run_rftp(tb, int(params["bytes"]), ProtocolConfig(**overrides))
+    result = run_rftp(tb, int(params["bytes"]), rftp_config(params))
     return {
         "gbps": result.gbps,
         "sim_time": tb.engine.now,
@@ -140,17 +142,11 @@ def _run_rftp_point(testbed: str, params: dict) -> dict:
 
 def _run_gridftp_point(testbed: str, params: dict) -> dict:
     from repro.apps.gridftp import run_gridftp
+    from repro.cli import gridftp_kwargs
     from repro.testbeds import TESTBEDS
 
     tb = TESTBEDS[testbed](seed=int(params.get("seed", 0)))
-    kwargs: Dict[str, Any] = {}
-    if "streams" in params:
-        kwargs["streams"] = int(params["streams"])
-    if "block_size" in params:
-        kwargs["block_size"] = int(params["block_size"])
-    if "cc" in params:
-        kwargs["cc"] = params["cc"]
-    result = run_gridftp(tb, int(params["bytes"]), **kwargs)
+    result = run_gridftp(tb, int(params["bytes"]), **gridftp_kwargs(params))
     return {
         "gbps": result.gbps,
         "sim_time": tb.engine.now,

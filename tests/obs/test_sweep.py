@@ -44,7 +44,17 @@ def test_validate_rejects_bad_specs():
                        "axes": {"channels": []}})
     with pytest.raises(ValueError, match="bytes"):
         validate_spec({"runner": "rftp", "axes": {"channels": [1]}})
+    # A point key outside the runner's vocabulary would run N identical
+    # points under different labels.
+    with pytest.raises(ValueError, match=r"unknown rftp sweep keys: \['chanels'\]"):
+        validate_spec({"runner": "rftp", "base": {"bytes": "8M"},
+                       "axes": {"chanels": [1, 4]}})
+    with pytest.raises(ValueError, match=r"unknown gridftp sweep keys: \['pool'\]"):
+        validate_spec({"runner": "gridftp", "base": {"bytes": 1, "pool": 4},
+                       "axes": {"streams": [1]}})
     validate_spec(QUICK_SPEC)
+    validate_spec({"runner": "gridftp", "base": {"bytes": 1, "seed": 0, "cc": "reno"},
+                   "axes": {"streams": [1], "block_size": ["1M"]}})
 
 
 def test_expand_points_is_deterministic_and_coerces_sizes():

@@ -117,6 +117,8 @@ OUT_OF_RANGE = [
     ("sched --quick --doors 0", "'doors' must be a positive integer"),
     ("sched --quick --files 0", "total_files must be >= 1"),
     ("sched --spec /nonexistent/spec.json", "No such file or directory"),
+    ("sched --quick --files 8 --testbed roce-lan --attempt-fault-window 0 1",
+     "--attempt-fault-window needs --attempt-fault-rate"),
     ("rftp --channels 0", "need at least one data channel"),
     ("rftp --pool 1", "pools need at least two blocks"),
     ("fio --iodepth 0", "iodepth must be >= 1"),

@@ -2,6 +2,9 @@
 synthetic-data shape checks.  The full figure runs live in benchmarks/.
 """
 
+import importlib
+import inspect
+
 import pytest
 
 from repro.experiments import (
@@ -102,6 +105,25 @@ def test_ablation_render():
     rows = [ablations.Row("a", 1.0, "x=1"), ablations.Row("b", 2.0)]
     text = ablations.render_rows(rows, "t").render()
     assert "a" in text and "2.00" in text
+
+    # Every `repro figure` / `repro ablation` choice resolves to its
+    # driver, and takes the arguments the dispatch passes, unrun.
+    from repro import testbeds
+    from repro.cli import ABLATIONS, FIGURES, build_parser
+
+    parser = build_parser()
+    for number, (name, testbed, title) in FIGURES.items():
+        assert parser.parse_args(["figure", str(number)]).number == number
+        module = importlib.import_module(f"repro.experiments.{name}")
+        takes = testbed is not None
+        assert (title is not None) is takes
+        assert len(inspect.signature(module.run).parameters) == takes
+        assert len(inspect.signature(module.render).parameters) == 1 + takes
+        if takes:
+            assert callable(getattr(testbeds, testbed))
+    for which, (runner, title) in ABLATIONS.items():
+        assert parser.parse_args(["ablation", which]).which == which
+        assert callable(getattr(ablations, runner)) and title.startswith("Ablation")
 
 
 def test_iodepth_check_rejects_nonmonotone():
