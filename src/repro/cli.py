@@ -172,15 +172,7 @@ def _cmd_gridftp(args: argparse.Namespace) -> int:
 
 def _cmd_fio(args: argparse.Namespace) -> int:
     tb = TESTBEDS[args.testbed](seed=args.seed)
-    result = run_fio(
-        tb,
-        FioJob(
-            semantics=args.semantics,
-            block_size=args.block_size,
-            iodepth=args.iodepth,
-            total_blocks=args.blocks,
-        ),
-    )
+    result = run_fio(tb, FioJob(**_fields_of(FioJob, args)))
     print(f"{result.gbps:.2f} Gbps  "
           f"src CPU {result.src_cpu_pct:.1f}%  dst CPU {result.dst_cpu_pct:.1f}%")
     print(f"latency us: mean {result.lat_mean_us:.1f}  "
@@ -326,27 +318,30 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         spec = synthetic_spec(total_files=1000 if files is None else files, **mix)
     elif args.recover is None:
         raise ValueError("need --spec, --quick, --files, --spike, or --recover")
-    if spec is not None:
-        if overload is not None:
-            spec["overload"] = {**(spec.get("overload") or {}), **overload}
-        if args.watchdog:
-            spec["watchdog"] = True
-        if args.drain_at is not None:
-            spec["drain_at"] = args.drain_at
-        if args.resubmit is not None:
-            spec["resubmit_limit"] = args.resubmit
-        faults = dict(spec.get("faults") or {})
-        if args.crash_at:
-            crashes = [*faults.get("broker_crashes", ()), *args.crash_at]
-            faults["broker_crashes"] = sorted(crashes)
-        if args.attempt_fault_rate is not None:
-            faults["attempt_fault_rate"] = args.attempt_fault_rate
-        if args.attempt_fault_window is not None:
-            faults["attempt_fault_window"] = args.attempt_fault_window
-        if faults:
-            spec["faults"] = faults
-        if args.use_srq:
-            spec["use_srq"] = True
+    edits = spec if spec is not None else {}  # --recover alone takes no edit
+    if overload is not None:
+        edits["overload"] = {**(edits.get("overload") or {}), **overload}
+    if args.watchdog:
+        edits["watchdog"] = True
+    if args.drain_at is not None:
+        edits["drain_at"] = args.drain_at
+    if args.resubmit is not None:
+        edits["resubmit_limit"] = args.resubmit
+    faults = dict(edits.get("faults") or {})
+    if args.crash_at:
+        crashes = [*faults.get("broker_crashes", ()), *args.crash_at]
+        faults["broker_crashes"] = sorted(crashes)
+    if args.attempt_fault_rate is not None:
+        faults["attempt_fault_rate"] = args.attempt_fault_rate
+    if args.attempt_fault_window is not None:
+        faults["attempt_fault_window"] = args.attempt_fault_window
+    if faults:
+        edits["faults"] = faults
+    if args.use_srq:
+        edits["use_srq"] = True
+    if spec is None and edits:
+        raise ValueError(f"--recover runs its journal's own spec; flags "
+                         f"cannot edit its {', '.join(edits)}")
     result = run_sched(
         spec,
         horizon=args.horizon,
@@ -500,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=("write", "read", "send"), default="write")
     p.add_argument("--block-size", type=parse_size, default="128K")
     p.add_argument("--iodepth", type=int, default=16)
-    p.add_argument("--blocks", type=int, default=2000)
+    p.add_argument("--blocks", type=int, default=2000, dest="total_blocks",
+                   metavar="BLOCKS")
     _add_export_args(p)
     p.set_defaults(func=_cmd_fio)
 

@@ -1124,9 +1124,8 @@ class TransferBroker:
             # Per-base-id shed counts survive the crash: a job shed
             # before the crash keeps doubling its RETRY_AFTER after it,
             # and replayed hints stay byte-identical.
-            for rec in journal.records:
-                if rec.get("kind") == "shed":
-                    broker.overload.count_shed(str(rec["job_id"]))
+            for rec in journal.select("shed"):
+                broker.overload.count_shed(str(rec["job_id"]))
         for door in broker.doors.values():
             door.active = 0  # the dead incarnation's slots are gone
         # Adopt the replayed table whole (resubmission and destination

@@ -45,7 +45,7 @@ Record kinds (every record carries the sim time ``t``; DESIGN.md
     clean restart-from-checkpoint distinguishable from crash recovery.
     Also carries a *full* job snapshot (:func:`snapshot_jobs`), which is
     what lets :meth:`Journal.compact` truncate the replayed prefix —
-    the in-memory record list stays bounded on long-lived brokers.
+    the journal stays bounded on long-lived brokers.
 ``recover``
     Boundary marker appended by the *new* incarnation at replay time.
 """
@@ -55,8 +55,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.sched.jobs import FileState, FileTask, Job, TransferSpec
 
@@ -71,26 +73,119 @@ __all__ = [
 
 SCHEMA = "repro.sched.journal/1"
 
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _code(value: Any) -> Optional[str]:
+    """Typecode of the column that gives ``value`` back exactly (``None``:
+    only a list of references does)."""
+    cls = type(value)
+    if cls is float or cls is int and value in _INT64:
+        return "d" if cls is float else "q"
+    if cls is list and all(
+        type(f) is dict and tuple(f) == ("path", "size", "sources") and _code(f["size"]) == "q"
+        and type(f["sources"]) is list and all(type(s) is str for s in f["sources"])
+        for f in value
+    ):
+        return "files"
+    return None
+
+
+class _Files:
+    """A column of ``submit`` file lists, flattened into three file
+    columns (path reference, size, interned sources tuple); each row
+    keeps its ``(offset, count)``."""
+
+    typecode = "files"
+
+    def __init__(self) -> None:
+        self.offset, self.count, self.size = array("q"), array("q"), array("q")
+        self.path, self.sources = [], []
+        self._interned: Dict[tuple, tuple] = {}
+
+    def append(self, files: List[Dict[str, Any]]) -> None:
+        self.offset.append(len(self.size))
+        self.count.append(len(files))
+        for f in files:
+            sources = tuple(f["sources"])
+            self.path.append(f["path"])
+            self.size.append(f["size"])
+            self.sources.append(self._interned.setdefault(sources, sources))
+
+    def __getitem__(self, row: int) -> List[Dict[str, Any]]:
+        start = self.offset[row]
+        return [
+            {"path": self.path[k], "size": self.size[k], "sources": list(self.sources[k])}
+            for k in range(start, start + self.count[row])
+        ]
+
 
 class Journal:
-    """In-memory record log with an optional always-flushed file mirror.
+    """The broker's record log, packed into typed columns, with an
+    optional always-flushed file mirror.
 
-    ``append`` is a list append (no simulation events, no I/O unless a
-    ``path`` is given), so journaling never perturbs the simulated
-    schedule — the determinism anchors hold with it always on.
+    A record's *shape* (kind and key tuple) is stored once; each key of a
+    shape has one column: ``array('d')`` / ``array('q')`` while every
+    value is exactly a ``float`` / an ``int`` within int64, ``files``
+    flattened by :class:`_Files`, else a list of references (strings,
+    ``spec`` and snapshots stay shared).  A column that meets a value it
+    cannot hold exactly becomes a reference list, so each record reads
+    back equal, with the same types, to the dict appended.  ``append``
+    adds one row (no simulation events, no I/O unless a ``path`` is
+    given), so journaling never perturbs the simulated schedule.
     """
 
     def __init__(self, path: Optional[str] = None,
-                 records: Optional[List[Dict[str, Any]]] = None) -> None:
-        self.records: List[Dict[str, Any]] = list(records or [])
+                 records: Optional[Iterable[Dict[str, Any]]] = None) -> None:
+        self._pack(records or ())
         self.path = path
         self._fh = None
         if path is not None:
             self._fh = open(path, "a", encoding="utf-8")
 
+    def _pack(self, records: Iterable[Dict[str, Any]]) -> None:
+        #: Per shape id: its (kind, keys), row count and one column per
+        #: key; per record, in append order: its shape id and its row there.
+        self._ids: Dict[tuple, int] = {}
+        self._shapes, self._rows, self._cols = [], [], []
+        self._sid, self._pos = array("I"), array("I")
+        for rec in records:
+            self._keep(rec)
+
+    def _keep(self, rec: Dict[str, Any]) -> None:
+        shape = (rec.get("kind"), tuple(rec))
+        sid = self._ids.get(shape)
+        if sid is None:
+            sid = self._ids[shape] = len(self._shapes)
+            self._shapes.append(shape)
+            self._rows.append(0)
+            self._cols.append([
+                [] if code is None else _Files() if code == "files" else array(code)
+                for code in map(_code, rec.values())
+            ])
+        cols, pos = self._cols[sid], self._rows[sid]
+        self._rows[sid] = pos + 1
+        self._sid.append(sid)
+        self._pos.append(pos)
+        for i, value in enumerate(rec.values()):
+            col = cols[i]
+            if type(col) is not list and _code(value) != col.typecode:
+                col = cols[i] = [col[row] for row in range(pos)]  # widen to references
+            col.append(value)
+
+    def _record(self, i: int) -> Dict[str, Any]:
+        sid, pos = self._sid[i], self._pos[i]
+        return dict(zip(self._shapes[sid][1], [col[pos] for col in self._cols[sid]]))
+
+    @property
+    def records(self) -> "_Records":
+        """Read-only view of the records in append order; each dict is
+        built when read, so a replay holds one at a time."""
+        return _Records(self)
+
     def append(self, kind: str, **fields: Any) -> Dict[str, Any]:
         rec = {"kind": kind, **fields}
-        self.records.append(rec)
+        self._keep(rec)
         if self._fh is not None:
             self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
             self._fh.flush()
@@ -110,44 +205,38 @@ class Journal:
     @classmethod
     def load(cls, path: str, mirror: bool = False) -> "Journal":
         """Read a journal file back; ``mirror`` keeps appending to it."""
-        records = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        return cls(path=path if mirror else None, records=records)
+            return cls(path=path if mirror else None,
+                       records=(json.loads(line) for line in fh if line.strip()))
+
+    def select(self, kind: str) -> Iterator[Dict[str, Any]]:
+        """The records of one ``kind``, in order; no other row is built."""
+        shapes = {sid for sid, shape in enumerate(self._shapes) if shape[0] == kind}
+        return (self._record(i) for i, sid in enumerate(self._sid)
+                if sid in shapes)
 
     def spec(self) -> Optional[Dict[str, Any]]:
         """The run spec embedded by the runner, if any."""
-        for rec in self.records:
-            if rec["kind"] == "spec":
-                return rec["spec"]
-        return None
+        return next((rec["spec"] for rec in self.select("spec")), None)
 
     def compact(self) -> int:
         """Truncate the replayed prefix behind the newest checkpoint
         that carries a full job snapshot.  Returns the record count
         dropped.  Replay of the compacted journal restores from the
         snapshot and is state-identical to replaying the full log, so
-        the in-memory list (and the file mirror, when attached) stays
-        bounded however long the broker lives."""
-        idx = None
-        for i in range(len(self.records) - 1, -1, -1):
-            rec = self.records[i]
-            if rec["kind"] == "checkpoint" and rec.get("snapshot") is not None:
-                idx = i
-                break
-        if idx is None:
-            return 0
-        head = [r for r in self.records[:idx] if r["kind"] == "spec"]
+        the journal (and the file mirror, when attached) stays bounded
+        however long the broker lives."""
+        kinds = [self._shapes[sid][0] for sid in self._sid]
+        idx = next((i for i in reversed(range(len(kinds))) if kinds[i] == "checkpoint"
+                    and self._record(i).get("snapshot") is not None), 0)
+        head = [i for i in range(idx) if kinds[i] == "spec"]
         dropped = idx - len(head)
-        if dropped <= 0:
+        if not dropped:  # no full checkpoint, or nothing but specs before it
             return 0
-        self.records = head + self.records[idx:]
+        self._pack([self._record(i) for i in [*head, *range(idx, len(kinds))]])
         if self.path is not None and self._fh is not None:
             # Rewrite the mirror so the on-disk log matches the
-            # compacted list, then keep appending to it.
+            # compacted journal, then keep appending to it.
             self._fh.close()
             self.sync(self.path)
             self._fh = open(self.path, "a", encoding="utf-8")
@@ -155,6 +244,24 @@ class Journal:
 
     def replay(self) -> "JobTable":
         return replay(self.records)
+
+
+class _Records(Sequence):
+    """:attr:`Journal.records`: ``len``, indexing, slicing, iteration."""
+
+    def __init__(self, journal: Journal) -> None:
+        self._journal = journal
+
+    def __len__(self) -> int:
+        return len(self._journal._sid)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return self._journal._record(index)
+
+    def __eq__(self, other: Any) -> bool:
+        return isinstance(other, (list, _Records)) and list(self) == list(other)
 
 
 @dataclass

@@ -114,7 +114,7 @@ class BrokerSupervisor:
         yield self.engine.timeout(self.restart_delay)
         if self.recover_path is not None:
             # Durability round trip: recovery must see what reached the
-            # file, not the dead incarnation's in-memory list.
+            # file, not the dead incarnation's in-memory journal.
             journal.close()
             journal.sync(self.recover_path)
             journal = Journal.load(self.recover_path, mirror=True)

@@ -119,6 +119,12 @@ OUT_OF_RANGE = [
     ("sched --spec /nonexistent/spec.json", "No such file or directory"),
     ("sched --quick --files 8 --testbed roce-lan --attempt-fault-window 0 1",
      "--attempt-fault-window needs --attempt-fault-rate"),
+    # --recover with no spec runs the journal's own: an edit is refused
+    # before the journal is read, not silently dropped.
+    ("sched --recover /nonexistent/run.journal --attempt-fault-rate 0.9",
+     "flags cannot edit its faults"),
+    ("sched --recover /nonexistent/run.journal --watchdog --drain-at 1 --use-srq",
+     "flags cannot edit its watchdog, drain_at, use_srq"),
     ("rftp --channels 0", "need at least one data channel"),
     ("rftp --pool 1", "pools need at least two blocks"),
     ("fio --iodepth 0", "iodepth must be >= 1"),
