@@ -37,9 +37,10 @@ alternative destinations.  The pieces:
   :class:`~repro.sched.journal.Journal` and applies it through the
   reducer ``replay()`` uses, so :meth:`TransferBroker.recover` rebuilds
   the same job table after a crash: FINISHED files are never
-  re-transferred, queued files re-admit idempotently, and files ACTIVE
-  at crash time re-attach via SESSION_RESUME under their journaled
-  session id (only the suffix past the sink's restart marker moves).
+  re-transferred, queued files re-admit idempotently, and a file ACTIVE
+  at crash time gets one attempt whose door call is SESSION_RESUME under
+  its journaled session id (only the suffix past the restart marker
+  moves).
   What lives here is everything that is *not* job-table state: queues,
   timers, worker slots, metrics, traces, breakers;
 - **watchdog / deadlines / drain**: an opt-in per-file progress watchdog
@@ -377,7 +378,6 @@ class TransferBroker:
         #: High-water mark of concurrent active transfers over the
         #: broker's lifetime (the sessions-per-host capacity metric).
         self.peak_active = 0
-        self._outstanding = 0  #: non-terminal primary tasks
         self._loop_running = False
         self._wake: Optional[Event] = None
         #: Crash flag: a dead incarnation journals nothing and touches no
@@ -409,7 +409,7 @@ class TransferBroker:
         self._m_rec_resume_failed = reg.counter("sched.recovery.resume_failed")
         self._per_tenant_metrics: Dict[str, dict] = {}
         reg.gauge_fn("sched.active_transfers", lambda: self._active)
-        reg.gauge_fn("sched.outstanding_files", lambda: self._outstanding)
+        reg.gauge_fn("sched.outstanding_files", lambda: self.table.outstanding)
 
     # -- per-tenant plumbing -----------------------------------------------------
     def _tenant(self, name: str) -> _TenantState:
@@ -433,12 +433,8 @@ class TransferBroker:
                 "queue_wait": reg.histogram("sched.queue_wait_seconds", tenant=tenant),
                 "latency": reg.histogram("sched.file_latency_seconds", tenant=tenant),
             }
-            reg.gauge_fn(
-                "sched.inflight", lambda s=state: s.inflight, tenant=tenant
-            )
-            reg.gauge_fn(
-                "sched.queued", lambda s=state: s.queued, tenant=tenant
-            )
+            reg.gauge_fn("sched.inflight", lambda s=state: s.inflight, tenant=tenant)
+            reg.gauge_fn("sched.queued", lambda s=state: s.queued, tenant=tenant)
             self._per_tenant_metrics[tenant] = m
         return m
 
@@ -486,9 +482,7 @@ class TransferBroker:
             # this broker (live, or replayed out of the journal after a
             # crash) — return it instead of creating a twin, so a client
             # retrying across a recovery boundary cannot double-submit.
-            self.engine.trace(
-                "sched", "job_resubmit_dedup", job=job_id, tenant=tenant
-            )
+            self.engine.trace("sched", "job_resubmit_dedup", job=job_id, tenant=tenant)
             return existing
         if self._dead:
             raise RuntimeError("submit on a crashed broker incarnation")
@@ -547,10 +541,7 @@ class TransferBroker:
                 # rides along on the primary instead of transferring twice.
                 self._m_dedup_hits.add()
                 continue
-            self._outstanding += 1
-            heapq.heappush(
-                state.queue, (-job.priority, next(self._fifo), task)
-            )
+            self._enqueue(task)
         if deadline is not None:
             self.engine.process(self._deadline_watch(job, deadline))
         self.engine.trace(
@@ -592,11 +583,7 @@ class TransferBroker:
             if task.state.terminal:
                 continue
             metrics["files_canceled"].add()
-            if task.duplicate_of is None:
-                # A duplicate holds no queue entry, timer or session; its
-                # primary (in some other job) keeps transferring.
-                self._unpark(task)
-                self._outstanding -= 1
+            self._unpark(task)  # (a duplicate is never parked)
             was_active = task.state is FileState.ACTIVE
             self._transition(
                 "cancel", t=now, job_id=job.job_id, index=task.index,
@@ -617,9 +604,7 @@ class TransferBroker:
         if state is not None and any(e[2].state.terminal for e in state.queue):
             state.queue = [e for e in state.queue if not e[2].state.terminal]
             heapq.heapify(state.queue)
-        self.engine.trace(
-            "sched", "job_canceled", job=job.job_id, reason=reason
-        )
+        self.engine.trace("sched", "job_canceled", job=job.job_id, reason=reason)
         return True
 
     def _deadline_watch(self, job: Job, delay: float):
@@ -636,7 +621,7 @@ class TransferBroker:
             self._wake.succeed(None)
         if (
             not self._loop_running
-            and self._outstanding > 0
+            and self.table.outstanding > 0
             and not (self._dead or self._draining or self._recovering)
         ):
             self._loop_running = True
@@ -670,12 +655,7 @@ class TransferBroker:
         verdict = verdicts.get(key)
         if verdict is not None:
             return verdict
-        # Only pass the brownout cap when one is in force: doors are
-        # duck-typed (tests stub them) and the base signature works
-        # everywhere.
-        now = self.engine.now
-        verdict = (door.admission(now) if cap is None
-                   else door.admission(now, session_cap=cap))
+        verdict = door.admission(self.engine.now, session_cap=cap)
         leases = door.leases
         if verdict == ADMIT and leases is not None:
             # Dispatched-but-unfinished tasks on EVERY door sharing these
@@ -685,25 +665,28 @@ class TransferBroker:
             # aggregate cannot race the way the pool's own live lease
             # count can — per-door caps alone oversubscribe the shared
             # pool and trip the lease-capacity error.
-            inflight = sum(
-                d.active for d in self.doors.values() if d.leases is leases
-            )
+            inflight = sum(d.active for d in self.doors.values() if d.leases is leases)
             if inflight >= leases.capacity:
                 verdict = FULL
         verdicts[key] = verdict
         return verdict
 
+    def _alternatives(self, task: FileTask) -> List[Tuple[int, str]]:
+        """``(cursor, door name)`` per alternative of ``task``, walking
+        ``orderly`` from its failure cursor (the first keeps the cursor
+        unreduced, as ``attempt_fail`` journals it)."""
+        names = task.spec.sources or tuple(self.doors)
+        n, cur = len(names), task.alt_cursor
+        return [((cur + i) % n if i else cur, names[(cur + i) % n])
+                for i in range(n)]
+
     def _pick_door(self, task: FileTask,
                    verdicts: Dict[tuple, str]) -> Optional[RftpDoor]:
-        """First admitting door from the task's alternatives, walking
-        ``orderly`` from the failure cursor."""
-        names = task.spec.sources or tuple(self.doors)
-        n = len(names)
-        for i in range(n):
-            door = self.doors.get(names[(task.alt_cursor + i) % n])
+        """First admitting door among the task's alternatives.  The
+        cursor stays: only an ``attempt_fail`` record moves it."""
+        for _, name in self._alternatives(task):
+            door = self.doors.get(name)
             if door is not None and self._door_admits(door, verdicts) == ADMIT:
-                if i:
-                    task.alt_cursor = (task.alt_cursor + i) % n
                 return door
         return None
 
@@ -715,9 +698,7 @@ class TransferBroker:
         ctrl = self.overload
         if ctrl is None or not ctrl.config.brownout_enabled:
             return
-        occupancy = max(
-            (d.pool_occupancy for d in self.doors.values()), default=0.0
-        )
+        occupancy = max((d.pool_occupancy for d in self.doors.values()), default=0.0)
         ctrl.observe(
             self._active, self.config.max_active, occupancy,
             {n: s.policy.weight for n, s in self._tenants.items()},
@@ -727,9 +708,7 @@ class TransferBroker:
             # quiet seconds; without this timer a fully-parked broker
             # would never observe again and never re-promote.
             self._recheck_pending = True
-            self.engine.process(
-                self._brownout_recheck(ctrl.config.brownout_hold)
-            )
+            self.engine.process(self._brownout_recheck(ctrl.config.brownout_hold))
 
     def _brownout_recheck(self, delay: float):
         yield self.engine.timeout(max(delay, 1e-3))
@@ -740,7 +719,7 @@ class TransferBroker:
         self._kick()
 
     def _dispatch_loop(self):
-        while self._outstanding > 0 and not (self._dead or self._draining):
+        while self.table.outstanding > 0 and not (self._dead or self._draining):
             verdicts: Dict[tuple, str] = {}
             cohort: List[FileTask] = []  # files this pass cannot place
             while (
@@ -784,12 +763,17 @@ class TransferBroker:
                     cohort, self.engine.timeout(self.config.blocked_retry)
                 ))
             self._wake = Event(self.engine)
-            if self._outstanding == 0 or self._dead or self._draining:
+            if self.table.outstanding == 0 or self._dead or self._draining:
                 break
             yield self._wake
         self._loop_running = False
 
     # -- parking (retry backoff: own timer; blocked: the pass's shared tick) -----
+    def _enqueue(self, task: FileTask) -> None:
+        """Queue ``task`` behind every queued file of its priority."""
+        heapq.heappush(self._tenants[task.job.tenant].queue,
+                       (-task.job.priority, next(self._fifo), task))
+
     def _park(self, task: FileTask, delay: float, state: _TenantState) -> None:
         state.parked += 1
         timer = self.engine.timeout(delay)
@@ -820,12 +804,9 @@ class TransferBroker:
             entry = self._parked.pop(id(task), None)
             if entry is None:
                 continue  # unparked while waiting (cancel won the race)
-            state = entry[1]
-            state.parked -= 1
+            entry[1].parked -= 1
             if not task.state.terminal:
-                heapq.heappush(
-                    state.queue, (-task.job.priority, next(self._fifo), task)
-                )
+                self._enqueue(task)
                 requeued = True
         if requeued:
             self._kick()
@@ -846,8 +827,7 @@ class TransferBroker:
     def _take_slot(self, state: _TenantState, door: RftpDoor) -> None:
         state.inflight += 1
         self._active += 1
-        if self._active > self.peak_active:
-            self.peak_active = self._active
+        self.peak_active = max(self.peak_active, self._active)
         door.active += 1
 
     def _release_slot(self, state: _TenantState, door: RftpDoor) -> None:
@@ -874,26 +854,38 @@ class TransferBroker:
             "attempt", t=now, job_id=task.job.job_id, index=task.index,
             door=door.name, session=session_id, attempts=task.attempts + 1,
         )
-        if self.config.watchdog:
-            self.engine.process(self._watchdog(task, door, session_id))
-        error: Optional[TransferError] = None
-        if self.attempt_fault_hook is not None \
-                and self.attempt_fault_hook(now):
+        error = None
+        if self.attempt_fault_hook is not None and self.attempt_fault_hook(now):
             # Retry-storm seam: the attempt dies at the broker boundary
             # before any transfer traffic — the cheapest, fastest failure
             # there is, which is exactly what makes storms metastable.
-            error = InjectedAttemptFault(
-                session_id, "injected broker-attempt fault"
-            )
-        else:
+            error = InjectedAttemptFault(session_id, "injected broker-attempt fault")
+        yield from self._attempt(task, state, door, session_id, error=error)
+
+    def _attempt(self, task: FileTask, state: _TenantState, door: RftpDoor,
+                 session_id: int, resume: bool = False,
+                 error: Optional[TransferError] = None):
+        """THE attempt: one alternative tried on one door, its worker slot
+        already taken.  The door call is ``resume`` for a file ACTIVE at
+        a crash and ``transfer`` otherwise; an ``error`` given up front
+        ends the attempt at the broker boundary, with no door call.  A
+        crashed incarnation touches nothing after its yield: the crash
+        owns the state now, and the next incarnation replays it."""
+        if self.config.watchdog:
+            self.engine.process(self._watchdog(task, door, session_id))
+        resumed_from = 0 if resume else None
+        if error is None:
+            call = door.resume if resume else door.transfer
             try:
-                yield door.transfer(task, session_id=session_id)
+                outcome = yield call(task, session_id)
+                if resume:
+                    resumed_from = getattr(outcome, "resumed_from", 0)
             except TransferError as exc:
                 error = exc
         if self._dead:
-            return  # the crash owns the state now; recovery will replay
+            return
         self._release_slot(state, door)
-        self._settle(task, door, error)
+        self._settle(task, door, error, resumed_from)
         self._kick()
 
     def _settle(self, task: FileTask, door: Optional[RftpDoor],
@@ -903,16 +895,9 @@ class TransferBroker:
         outcome and requeue, park or complete the file.
 
         ``resumed_from`` is not None when the attempt was a post-crash
-        SESSION_RESUME.  Resume settlement differs from a dispatched
-        attempt's in exactly these ways (each an explicit line below):
-
-        (a) a failed resume does not feed ``door.breaker.record_failure``;
-        (b) it does not consult ``overload.allow_retry``;
-        (c) it requeues immediately instead of parking with backoff;
-        (d) a resume never samples ``_observe_overload``, and a successful
-            one does not call ``overload.note_success``;
-        (e) a successful resume traces ``file_resumed`` and journals
-            ``resumed_from``.
+        SESSION_RESUME, which settles differently from a dispatched
+        attempt in exactly the five ways DESIGN.md §7 lists and justifies,
+        (a)–(e); each is marked on its line below.
         """
         resume = resumed_from is not None
         job = task.job
@@ -936,7 +921,6 @@ class TransferBroker:
                 extra["resumed_from"] = resumed_from  # (e)
             elif self.overload is not None:
                 self.overload.note_success(job.tenant)  # (d)
-            self._outstanding -= 1
             metrics["files_finished"].add()
             metrics["bytes_finished"].add(task.size)
             metrics["latency"].observe(now - task.submitted_at)
@@ -951,9 +935,12 @@ class TransferBroker:
                 self._m_rec_resume_failed.add()
             else:
                 door.breaker.record_failure(now)  # (a)
+            cursor = task.alt_cursor if resume else next(
+                c for c, name in self._alternatives(task) if name == door.name
+            )
             self._transition(
                 "attempt_fail", **ident,
-                alt_cursor=task.alt_cursor + 1,  # orderly: next alternative
+                alt_cursor=cursor + 1,  # orderly: the next alternative
                 attempts=task.attempts, error=kind,
             )
             self.engine.trace(
@@ -976,14 +963,10 @@ class TransferBroker:
                         "sched", "retry_budget_denied",
                         tenant=job.tenant, **where,
                     )
-                self._outstanding -= 1
                 metrics["files_failed"].add()
                 self._transition("file_failed", **ident, error=reason)
             elif resume:
-                # (c) Fall back to a fresh attempt through dispatch.
-                heapq.heappush(
-                    state.queue, (-job.priority, next(self._fifo), task)
-                )
+                self._enqueue(task)  # (c) a fresh attempt, through dispatch
             else:
                 self._park(task, self._retry_delay(task), state)
         self._notify_drain()
@@ -1005,9 +988,7 @@ class TransferBroker:
             rto = cfg.watchdog_min_interval
             if link is not None and link.health is not None:
                 rto = link.health.rtt.rto
-            interval = max(
-                cfg.watchdog_min_interval, cfg.watchdog_rto_multiplier * rto
-            )
+            interval = max(cfg.watchdog_min_interval, cfg.watchdog_rto_multiplier * rto)
             yield self.engine.timeout(interval)
             if (
                 self._dead
@@ -1109,13 +1090,14 @@ class TransferBroker:
         """Build a new incarnation from a journal replay.
 
         Terminal files keep their journaled outcome (FINISHED files are
-        never re-transferred), SUBMITTED/READY files re-enter the queue
-        in original order (dedupe decisions replay exactly), and files
-        ACTIVE at the journal's end are re-attached sequentially via
-        SESSION_RESUME on their journaled door/session — only the suffix
-        past the sink's restart marker moves.  Dispatch is held until the
-        resume pass completes (resume flushes the link's shared credit
-        ledger, so it must not race fresh sessions)."""
+        never re-transferred), SUBMITTED files re-enter the queue in
+        original order (dedupe decisions replay exactly), and each file
+        ACTIVE at the journal's end gets one attempt whose door call is
+        SESSION_RESUME on its journaled door/session — only the suffix
+        past the sink's restart marker moves.  The resume pass runs them
+        one at a time and holds dispatch until it completes (resume
+        flushes the link's shared credit ledger, so it must not race
+        fresh sessions)."""
         state = replay(journal.records)
         broker = cls(engine, doors, config, tenants,
                      journal=journal, seed=seed, overload=overload)
@@ -1134,26 +1116,18 @@ class TransferBroker:
         now = engine.now
         overdue: List[Job] = []
         for job in state.jobs:
-            job.recovered = True
             job.done = Event(engine)
             broker._m_rec_jobs.add()
             broker._m_rec_files.add(len(job.files))
             if job.state.terminal:
                 job.done.succeed(job)
                 continue
-            tstate = broker._tenant(job.tenant)
             broker._metrics(job.tenant)
             for task in job.files:
-                if task.duplicate_of is not None or task.state.terminal:
-                    continue
-                broker._outstanding += 1
-                if task.state is FileState.ACTIVE:
-                    continue  # the resume pass owns these
-                task.recovered = True
-                heapq.heappush(
-                    tstate.queue, (-job.priority, next(broker._fifo), task)
-                )
-                broker._m_rec_requeued.add()
+                # Replay leaves no file READY; an ACTIVE one is resumed.
+                if task.duplicate_of is None and task.state is FileState.SUBMITTED:
+                    broker._enqueue(task)
+                    broker._m_rec_requeued.add()
             if job.deadline is not None:
                 remaining = job.submitted_at + job.deadline - now
                 if remaining <= 0:
@@ -1169,21 +1143,20 @@ class TransferBroker:
         )
         for job in overdue:
             broker._m_deadline_cancels.add()
-            broker.cancel_job(
-                job, reason=f"deadline exceeded after {job.deadline}s"
-            )
+            broker.cancel_job(job, reason=f"deadline exceeded after {job.deadline}s")
         if resume:
             broker._recovering = True
-            engine.process(broker._recovery_loop(resume))
+            engine.process(broker._resume_pass(resume))
         else:
             broker._kick()
         return broker
 
-    def _recovery_loop(self, resume_tasks: List[FileTask]):
-        """Re-attach interrupted sessions one at a time (resume flushes
-        the shared credit ledger — see ``SourceLink.resume`` — so the
-        pass is serialised and dispatch is held until it finishes)."""
-        for task in resume_tasks:
+    def _resume_pass(self, tasks: List[FileTask]):
+        """Run each interrupted file's resume attempt, one at a time
+        (resume flushes the shared credit ledger — see
+        ``SourceLink.resume`` — so the pass is serialised and dispatch is
+        held until it finishes)."""
+        for task in tasks:
             if self._dead:
                 return
             if task.state.terminal:
@@ -1191,31 +1164,17 @@ class TransferBroker:
             state = self._tenant(task.job.tenant)
             door = self.doors.get(task.last_door or "")
             session_id = task.last_session
-            task.recovered = True
-            error: Optional[TransferError] = None
-            resumed_from = 0
             if door is None or door.link is None or session_id is None:
-                error = TransferError(
-                    session_id or 0, "no door to resume on"
+                self._settle(task, door, TransferError(
+                    session_id or 0, "no door to resume on"), 0)
+                continue
+            if door.link.data.alive_count == 0:
+                yield door.middleware.reopen_channel(
+                    door.link, door.remote_dev, door.port
                 )
-            else:
-                if door.link.data.alive_count == 0:
-                    yield door.middleware.reopen_channel(
-                        door.link, door.remote_dev, door.port
-                    )
-                self._take_slot(state, door)
-                if self.config.watchdog:
-                    self.engine.process(
-                        self._watchdog(task, door, session_id)
-                    )
-                try:
-                    outcome = yield door.resume(task, session_id)
-                    resumed_from = getattr(outcome, "resumed_from", 0)
-                except TransferError as exc:
-                    error = exc
                 if self._dead:
                     return
-                self._release_slot(state, door)
-            self._settle(task, door, error, resumed_from=resumed_from)
+            self._take_slot(state, door)
+            yield from self._attempt(task, state, door, session_id, resume=True)
         self._recovering = False
         self._kick()

@@ -95,8 +95,8 @@ class FileTask:
     #: recovery can re-attach an interrupted session via SESSION_RESUME.
     last_session: Optional[int] = None
     last_door: Optional[str] = None
-    #: True when this file's outcome was carried across a broker restart
-    #: (journal-replayed terminal state or a resumed/retried attempt).
+    #: True when the file was still to finish at a broker restart (the
+    #: ``recover`` record sets it) or finished by SESSION_RESUME.
     recovered: bool = False
     #: Block seq a post-crash SESSION_RESUME re-attached at (>0 means
     #: only the suffix moved after recovery).

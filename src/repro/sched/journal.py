@@ -11,8 +11,8 @@ construction, not by two hand-mirrored copies.  After a crash,
 job — terminal files keep their outcome (no double transfer), queued
 files are re-admitted idempotently (dedupe decisions replay in original
 order), and files that were ACTIVE at crash time come back with the
-session id and door of their interrupted attempt so the recovery loop
-can re-attach them via SESSION_RESUME and move only the missing suffix.
+session id and door of their interrupted attempt, so their next attempt
+re-attaches via SESSION_RESUME and moves only the missing suffix.
 
 Record kinds (every record carries the sim time ``t``; DESIGN.md
 "Broker lifecycle" has the from-state → to-state table):
@@ -47,7 +47,8 @@ Record kinds (every record carries the sim time ``t``; DESIGN.md
     what lets :meth:`Journal.compact` truncate the replayed prefix —
     the journal stays bounded on long-lived brokers.
 ``recover``
-    Boundary marker appended by the *new* incarnation at replay time.
+    Boundary marker appended by the *new* incarnation at replay time;
+    every job, and each primary file not yet terminal, is ``recovered``.
 """
 
 from __future__ import annotations
@@ -278,6 +279,8 @@ class JobTable:
     #: True when the journal ends at a drain checkpoint (clean restart)
     #: rather than mid-flight (crash recovery).
     clean: bool = False
+    #: Admitted primary files not yet terminal (the broker's work left).
+    outstanding: int = 0
 
     @property
     def resume(self) -> List[FileTask]:
@@ -375,7 +378,7 @@ def _specs(files: List[Dict[str, Any]]) -> List[TransferSpec]:
     ]
 
 
-# -- the reducer: one function per record kind ---------------------------------
+# -- the reducer: one entry per record kind ------------------------------------
 #
 # The ONLY place a record's effect on the table is written down.  Pure
 # bookkeeping: no engine, no events — except that completing a job
@@ -403,6 +406,7 @@ def _admit(table: JobTable, rec: Dict[str, Any]) -> Job:
             owner.duplicates.append(task)
         else:
             table.dest_owner[task.path] = task
+            table.outstanding += 1
     return job
 
 
@@ -414,10 +418,6 @@ def _refuse(table: JobTable, rec: Dict[str, Any], error: Optional[str]) -> Job:
         task.error = error
     job._note_progress()
     return job
-
-
-def _reject(table: JobTable, rec: Dict[str, Any]) -> Job:
-    return _refuse(table, rec, rec.get("reason"))
 
 
 def _shed(table: JobTable, rec: Dict[str, Any]) -> Job:
@@ -452,24 +452,15 @@ def _attempt_fail(table: JobTable, rec: Dict[str, Any]) -> FileTask:
     return task
 
 
-def _finish(table: JobTable, rec: Dict[str, Any]) -> List[Job]:
+def _resolve(table: JobTable, rec: Dict[str, Any], state: FileState,
+             **fields: Any) -> List[Job]:
     task = _task(table, rec)
+    if task.duplicate_of is None and not task.state.terminal:
+        table.outstanding -= 1
     if "resumed_from" in rec:  # only a SESSION_RESUME finish carries it
         task.resumed_from = int(rec["resumed_from"])
         task.recovered = True
-    return task.resolve(FileState.FINISHED, rec["t"], source_used=rec["door"])
-
-
-def _file_failed(table: JobTable, rec: Dict[str, Any]) -> List[Job]:
-    return _task(table, rec).resolve(
-        FileState.FAILED, rec["t"], error=rec.get("error")
-    )
-
-
-def _cancel(table: JobTable, rec: Dict[str, Any]) -> List[Job]:
-    return _task(table, rec).resolve(
-        FileState.CANCELED, rec["t"], error=rec.get("reason")
-    )
+    return task.resolve(state, rec["t"], **fields)
 
 
 def _checkpoint(table: JobTable, rec: Dict[str, Any]) -> None:
@@ -489,6 +480,7 @@ def _checkpoint(table: JobTable, rec: Dict[str, Any]) -> None:
                     # At most one live primary per path; a terminal
                     # owner dedupes nothing, so it need not be listed.
                     table.dest_owner[task.path] = task
+                    table.outstanding += 1
     states = rec.get("state", {}).get("jobs")
     if states is not None and states != {
         job.job_id: job.state.value for job in table.jobs
@@ -500,19 +492,27 @@ def _checkpoint(table: JobTable, rec: Dict[str, Any]) -> None:
     table.clean = True
 
 
+def _recover(table: JobTable, rec: Dict[str, Any]) -> None:
+    for job in table.jobs:  # every job crosses the restart, and so
+        job.recovered = True  # does each primary file still to finish
+        for task in job.files:
+            if task.duplicate_of is None and not task.state.terminal:
+                task.recovered = True
+
+
 _REDUCERS = {
     "spec": lambda table, rec: None,
-    "recover": lambda table, rec: None,
     "submit": _submit,
     "admit": _admit,
-    "reject": _reject,
+    "reject": lambda t, r: _refuse(t, r, r.get("reason")),
     "shed": _shed,
     "attempt": _attempt,
     "attempt_fail": _attempt_fail,
-    "finish": _finish,
-    "file_failed": _file_failed,
-    "cancel": _cancel,
+    "finish": lambda t, r: _resolve(t, r, FileState.FINISHED, source_used=r["door"]),
+    "file_failed": lambda t, r: _resolve(t, r, FileState.FAILED, error=r.get("error")),
+    "cancel": lambda t, r: _resolve(t, r, FileState.CANCELED, error=r.get("reason")),
     "checkpoint": _checkpoint,
+    "recover": _recover,
 }
 
 

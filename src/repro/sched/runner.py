@@ -247,8 +247,8 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
     broker = result.broker
     if broker._active:
         leaks.append(f"{broker._active} broker worker slots still active")
-    if broker._outstanding:
-        leaks.append(f"{broker._outstanding} primary files still outstanding")
+    if broker.table.outstanding:
+        leaks.append(f"{broker.table.outstanding} primary files still outstanding")
     if broker._parked:
         leaks.append(f"{len(broker._parked)} files still parked")
     for name, state in sorted(broker._tenants.items()):

@@ -274,7 +274,7 @@ class _FailingDoor:
         self.leases = None  # no shared channel set
         self.breaker = None
 
-    def admission(self, now):
+    def admission(self, now, session_cap=None):
         return ADMIT
 
     def transfer(self, task, session_id=None):
@@ -371,8 +371,8 @@ def test_submit_rejects_nonpositive_deadline():
 
 class _GateDoor:
     """Closed until ``opens_at``, full at ``max_sessions`` active; every
-    attempt succeeds after ``delay``.  Counts the admission checks the
-    broker makes."""
+    attempt, transfer or resume, succeeds after ``delay``.  Counts the
+    admission checks the broker makes and records the resumed sessions."""
 
     def __init__(self, engine, opens_at, name="door-0", max_sessions=8,
                  delay=0.01):
@@ -383,6 +383,7 @@ class _GateDoor:
         self.delay = delay
         self.active = 0
         self.checks = 0
+        self.resumed = []
         self.link = None
         self.leases = None  # no shared channel set
         self.breaker = None  # the broker installs its own
@@ -395,6 +396,33 @@ class _GateDoor:
 
     def transfer(self, task, session_id=None):
         return self.engine.timeout(self.delay)
+
+    def resume(self, task, session_id):
+        self.resumed.append(session_id)
+        return self.engine.timeout(self.delay)
+
+
+class _ReopenLink:
+    """A door link that a crash leaves with no live data channel; as the
+    door's middleware, it brings one back ``delay`` after a reopen."""
+
+    def __init__(self, engine, delay):
+        self.engine = engine
+        self.delay = delay
+        self.data = SimpleNamespace(alive_count=1)
+
+    def crash(self):
+        self.data.alive_count = 0
+
+    def audit(self):
+        return []  # no session state of its own to leak
+
+    def reopen_channel(self, link, remote_dev, port):
+        def _reopen():
+            yield self.engine.timeout(self.delay)
+            self.data.alive_count = 1
+
+        return self.engine.process(_reopen())
 
 
 def _blocked_broker(opens_at, **cfg):
@@ -473,8 +501,14 @@ def test_cancelling_a_whole_cohort_leaves_its_tick_to_fire_harmlessly():
 
 def test_crash_with_a_cohort_parked_and_recovery_finishes_every_file():
     """A dead incarnation's cohort tick touches nothing; the recovered
-    broker re-admits the SUBMITTED files and finishes them."""
+    broker re-admits the SUBMITTED files.  Crashed again while they are
+    ACTIVE, and once more while the next incarnation's resume pass waits
+    for a channel reopen: when the reopen lands, the dead incarnation
+    neither takes a slot nor resumes the session on the crashed link, and
+    the last incarnation resumes every file."""
     engine, door, broker = _blocked_broker(opens_at=0.3)
+    door.link = door.middleware = _ReopenLink(engine, delay=0.1)
+    door.remote_dev = door.port = None
     broker.submit("t", [TransferSpec(f"/data/f{i}", MiB) for i in range(5)],
                   job_id="j")
     engine.run(until=0.1)
@@ -487,15 +521,30 @@ def test_crash_with_a_cohort_parked_and_recovery_finishes_every_file():
     assert dead_state.queue == [] and door.active == 0
     assert len(broker.journal.records) == records_at_crash
 
-    recovered = TransferBroker.recover(
-        engine, [door], broker.journal, broker.config,
-        tenants={"t": TenantPolicy(max_inflight=8)},
-    )
-    engine.run()
-    (job,) = recovered.jobs
-    assert job.state is JobState.FINISHED
+    def recover(dead):
+        return TransferBroker.recover(
+            engine, [door], dead.journal, dead.config,
+            tenants={"t": TenantPolicy(max_inflight=8)},
+        )
+
+    recovered = recover(broker)
+    engine.run(until=0.305)  # the five attempts started at 0.3, end at 0.31
     assert [t for t, _, _ in _attempts(recovered)] == [0.3] * 5
-    assert _leaks(recovered) == []
+    recovered.crash()
+    resuming = recover(recovered)  # the link is down: the pass reopens it
+    engine.run(until=0.35)
+    resuming.crash()  # the reopen lands at 0.405, on a dead incarnation
+    records_at_crash = len(resuming.journal.records)
+    engine.run(until=0.5)
+    assert door.resumed == [] and door.active == 0
+    assert len(resuming.journal.records) == records_at_crash
+
+    final = recover(resuming)
+    engine.run()
+    (job,) = final.jobs
+    assert job.state is JobState.FINISHED
+    assert door.resumed == [t.last_session for t in job.files]
+    assert _leaks(final) == []
 
 
 # -- full doors: a released slot wakes dispatch, no tick ---------------------------

@@ -6,6 +6,7 @@ import gc
 import json
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -255,10 +256,18 @@ def test_unknown_record_kind_is_an_error():
 
 
 class _StubLink:
-    """Just enough link for ``cancel_job`` to abort a pending attempt."""
+    """Just enough link for ``cancel_job`` to abort a pending attempt and
+    for a broker crash to kill every live session (its channels stay
+    up, so a resume needs no reopen)."""
+
+    data = SimpleNamespace(alive_count=1)
 
     def __init__(self):
         self.pending = {}
+
+    def crash(self):
+        for session_id in list(self.pending):
+            self.abort_session(session_id, TransferError(session_id, "crash"))
 
     def abort_session(self, session_id, exc):
         event = self.pending.pop(session_id, None)
@@ -295,6 +304,8 @@ class _StubDoor:
         if self.outcome != "hang":
             self.engine.process(self._resolve(event, session_id))
         return event
+
+    resume = transfer  # a re-attach ends as a fresh attempt would
 
     def _resolve(self, event, session_id):
         yield self.engine.timeout(self.delay)
@@ -336,35 +347,33 @@ def test_file_parked_for_retry_checkpoints_as_submitted():
 
 
 def _assert_live_matches_replay(broker):
-    """The journal ↔ live conservation law.  Two live-only windows are
+    """The journal ↔ live conservation law.  One live-only window is
     documented (DESIGN.md "Broker lifecycle") and masked here: READY is
-    the dispatch-instant mark with no record, and ``_pick_door`` may
-    advance ``alt_cursor`` past inadmissible doors — the next
-    ``attempt_fail`` record re-syncs it, so it must agree whenever the
-    file is back to SUBMITTED."""
-    live = snapshot_jobs(broker.jobs)
-    replayed = snapshot_jobs(replay(broker.journal.records).jobs)
-    for live_job, replayed_job in zip(live, replayed):
-        for lf, rf in zip(live_job["files"], replayed_job["files"]):
+    the dispatch-instant mark with no record."""
+    table = replay(broker.journal.records)
+    live, replayed = snapshot_jobs(broker.jobs), snapshot_jobs(table.jobs)
+    for live_job in live:
+        for lf in live_job["files"]:
             if lf["state"] == "READY":
                 lf["state"] = "SUBMITTED"
-            if lf["state"] != "SUBMITTED":
-                del lf["alt_cursor"], rf["alt_cursor"]
     assert live == replayed
     assert (
         broker._active
         == sum(d.active for d in broker.doors.values())
         == sum(s.inflight for s in broker._tenants.values())
     )
-    assert broker._outstanding == sum(
-        1 for job in broker.jobs for t in job.files
-        if t.duplicate_of is None and not t.state.terminal
-    )
+    assert broker.table.outstanding == table.outstanding == _recount(broker.jobs)
     # Parked files (retry backoff, or a blocked pass's cohort) are counted
     # once in the index and once on their tenant.
     assert len(broker._parked) == sum(
         s.parked for s in broker._tenants.values()
     )
+
+
+def _recount(jobs):
+    """Admitted primary files not yet terminal, from the task states."""
+    return sum(1 for job in jobs for t in job.files
+               if t.duplicate_of is None and not t.state.terminal)
 
 
 _SOURCES = [(), ("ok",), ("fail", "ok"), ("fail",), ("hang", "ok"), ("hang",)]
@@ -382,6 +391,7 @@ _STEPS = st.one_of(
     _SUBMIT,
     st.tuples(st.just("cancel"), st.integers(0, 7)),
     st.tuples(st.just("saturate"), st.integers(0, 2), st.booleans()),
+    st.tuples(st.just("crash")),
     st.tuples(st.just("advance"), st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0])),
     st.tuples(st.just("advance"), st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0])),
 )
@@ -394,19 +404,18 @@ def test_live_job_table_equals_replay_after_every_step(steps, drain_at):
     """Generated-sequence oracle: whatever interleaving of submit (with
     duplicate paths, reused ids, deadlines), cancel, time and drain a
     real broker sees over succeed / fail / hang doors that saturate and
-    recover, replaying its journal reproduces its job table, and worker
-    slots and parked files are conserved."""
+    recover, and crash-and-recover (files ACTIVE at the crash resume on
+    the same doors), replaying its journal reproduces its job table, and
+    worker slots, parked files and the outstanding count are conserved."""
     engine = Engine()
     doors = [_StubDoor(engine, name, name) for name in ("ok", "fail", "hang")]
-    broker = TransferBroker(
-        engine, doors,
-        SchedulerConfig(max_active=3, max_attempts=3, retry_backoff=0.05,
-                        retry_backoff_cap=0.2, blocked_retry=0.05,
-                        breaker_failures=2, breaker_cooldown=0.1),
-        tenants={"a": TenantPolicy(max_inflight=2, max_queued=5)},
-        overload=OverloadConfig(global_rate=5.0, global_burst=6.0,
-                                retry_budget_ratio=0.5, retry_budget_burst=3.0),
-    )
+    config = SchedulerConfig(max_active=3, max_attempts=3, retry_backoff=0.05,
+                             retry_backoff_cap=0.2, blocked_retry=0.05,
+                             breaker_failures=2, breaker_cooldown=0.1)
+    tenants = {"a": TenantPolicy(max_inflight=2, max_queued=5)}
+    overload = OverloadConfig(global_rate=5.0, global_burst=6.0,
+                              retry_budget_ratio=0.5, retry_budget_burst=3.0)
+    broker = TransferBroker(engine, doors, config, tenants, overload=overload)
     for i, step in enumerate(steps):
         if i == drain_at:
             broker.drain()
@@ -423,14 +432,18 @@ def test_live_job_table_equals_replay_after_every_step(steps, drain_at):
             doors[step[1]].saturated = step[2]
         elif step[0] == "advance":
             engine.run(until=engine.now + step[1])
+        elif step[0] == "crash":
+            broker.crash()
+            broker = TransferBroker.recover(engine, doors, broker.journal, config,
+                                            tenants, overload=overload)
         _assert_live_matches_replay(broker)
     engine.run(until=engine.now + 5.0)  # retries, deadlines, drain settle
     _assert_live_matches_replay(broker)
     compacted = Journal(records=list(broker.journal.records))
     if compacted.compact():
-        assert snapshot_jobs(replay(compacted.records).jobs) == snapshot_jobs(
-            replay(broker.journal.records).jobs
-        )
+        full, compact = replay(broker.journal.records), replay(compacted.records)
+        assert snapshot_jobs(compact.jobs) == snapshot_jobs(full.jobs)
+        assert compact.outstanding == full.outstanding == _recount(compact.jobs)
 
 
 #: One non-default sample per annotation used on Job / FileTask; a field

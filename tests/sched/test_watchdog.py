@@ -61,7 +61,7 @@ class _StuckDoor:
         self.leases = None  # no shared channel set
         self.breaker = None  # the broker installs its own
 
-    def admission(self, now):
+    def admission(self, now, session_cap=None):
         return ADMIT
 
     def transfer(self, task, session_id=None):
