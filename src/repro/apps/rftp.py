@@ -74,49 +74,6 @@ class RftpClient:
             tcp_factory=self.testbed.tcp_connection,
         )
 
-    def put_many(self, file_sizes, port: int = 2811, concurrent: bool = False):
-        """Transfer several files over ONE connection set (§IV-C multi-
-        session).  Process event resolving to a list of
-        :class:`~repro.core.middleware.TransferOutcome`, in input order.
-
-        ``concurrent=True`` launches every file as a simultaneous session
-        (interleaved on the shared data QPs, reassembled per session);
-        otherwise files go back-to-back, still reusing the link.
-        """
-        sizes = list(file_sizes)
-        if not sizes:
-            raise ValueError("put_many needs at least one file")
-        mw = self.middleware
-        testbed = self.testbed
-
-        def _run():
-            link = yield mw.open_link(
-                testbed.dst_dev, port, tcp_factory=testbed.tcp_connection
-            )
-            events = []
-            if concurrent:
-                events = [
-                    mw.transfer(
-                        testbed.dst_dev, port, self.source, size, link=link
-                    )
-                    for size in sizes
-                ]
-            outcomes = []
-            for i, size in enumerate(sizes):
-                if concurrent:
-                    outcomes.append((yield events[i]))
-                else:
-                    outcomes.append(
-                        (
-                            yield mw.transfer(
-                                testbed.dst_dev, port, self.source, size, link=link
-                            )
-                        )
-                    )
-            return outcomes
-
-        return mw.engine.process(_run())
-
 
 @dataclass(frozen=True)
 class RftpResult:

@@ -417,18 +417,18 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         return 1
     if leaks:
         return 1
-    if not result.all_resolved:
-        # Shed jobs are *resolved*: rejected cooperatively, reported
-        # with a RETRY_AFTER hint.  Only unfinished non-shed jobs fail
-        # the run.
-        bad = len(result.unresolved)
-        if result.drained:
-            print(
-                f"drained: {bad} job(s) left for a later --recover "
-                f"(checkpoint written)"
-            )
-            return 0
-        print(f"error: {bad} job(s) did not finish", file=sys.stderr)
+    # Shed jobs are *resolved*: rejected cooperatively, reported with a
+    # RETRY_AFTER hint.  Only unfinished non-shed jobs fail the run; a
+    # drain leaves the non-terminal ones for a later --recover.
+    bad = result.unresolved
+    if result.drained:
+        left = [j for j in bad if not j.state.terminal]
+        bad = [j for j in bad if j.state.terminal]
+        if left:
+            print(f"drained: {len(left)} job(s) left for a later --recover "
+                  f"(checkpoint written)")
+    if bad:
+        print(f"error: {len(bad)} job(s) did not finish", file=sys.stderr)
         return 1
     return 0
 

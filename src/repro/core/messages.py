@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 __all__ = [
     "CtrlType",
@@ -213,9 +213,6 @@ class BlockHeader:
     def wire_bytes(self) -> int:
         """Bytes this block occupies on the wire (header + payload)."""
         return HEADER_BYTES + self.length
-
-    def key(self) -> Tuple[int, int]:
-        return (self.session_id, self.seq)
 
 
 @dataclass(frozen=True, slots=True)

@@ -55,11 +55,6 @@ class ResourcePool:
         reg.gauge_fn("qp_pool.capacity", lambda: self.capacity, **labels)
 
     @property
-    def leased(self) -> int:
-        """Leases currently outstanding."""
-        return len(self._owners)
-
-    @property
     def available(self) -> int:
         return self.capacity - len(self._owners)
 
@@ -114,9 +109,6 @@ class BlockPool(Generic[BlockT]):
         reg.gauge_fn("pool.blocks", lambda: len(self.blocks), **labels)
         reg.gauge_fn("pool.waiters", lambda: self.free.waiters, **labels)
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     @property
     def occupancy(self) -> float:
         """Fraction of pinned blocks currently in use, in [0, 1].
@@ -145,10 +137,6 @@ class BlockPool(Generic[BlockT]):
             raise KeyError(f"foreign block {block.block_id}")
         self.free.put_many([block])
         self._m_returns.add()
-
-    def cancel_get_free_blk(self, event) -> bool:
-        """Withdraw a pending :meth:`get_free_blk` (aborted waiter)."""
-        return self.free.cancel_get(event)
 
     def by_id(self, block_id: int) -> BlockT:
         return self.blocks[block_id]

@@ -220,10 +220,6 @@ class SinkEngine:
         """Launch the control-handling thread."""
         self.engine.process(self._control_thread())
 
-    def session(self, session_id: int) -> Optional[SinkSession]:
-        """The record held for ``session_id`` (any state), or ``None``."""
-        return self._sessions.get(session_id)
-
     def has_session(self, session_id: int) -> bool:
         """True while ``session_id`` is LIVE here."""
         s = self._sessions.get(session_id)

@@ -673,7 +673,7 @@ class SourceLink:
             if get_ev in outcome:
                 block: SourceBlock = outcome[get_ev]
             else:
-                self.pool.cancel_get_free_blk(get_ev)
+                self.pool.free.cancel_get(get_ev)
                 if get_ev.triggered and get_ev.ok:
                     # Raced with the halt: we own the block, hand it back.
                     self.pool.put_free_blk(get_ev.value)

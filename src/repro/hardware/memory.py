@@ -63,13 +63,3 @@ class MemoryManager:
             self._next_addr += PAGE_SIZE - rem
         self.used += size
         return buf
-
-    def free(self, buf: MemoryBuffer) -> None:
-        """Return a buffer's bytes to the pool."""
-        if buf.size > self.used:
-            raise RuntimeError("double free or foreign buffer")
-        self.used -= buf.size
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.used

@@ -56,10 +56,6 @@ class NicProfile:
         if self.engines < 1:
             raise ValueError("engines must be >= 1")
 
-    @property
-    def bytes_per_second(self) -> float:
-        return self.gbps * 1e9 / 8.0
-
 
 class Nic:
     """A NIC instance bound to one host.

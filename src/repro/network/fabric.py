@@ -138,11 +138,6 @@ class DuplexPath:
         self.forward = forward
         self.backward = backward
 
-    @property
-    def rtt(self) -> float:
-        """Round-trip propagation delay in seconds."""
-        return self.forward.latency + self.backward.latency
-
     def reversed(self) -> "DuplexPath":
         """The same channel viewed from the other endpoint."""
         return DuplexPath(self.backward, self.forward)

@@ -23,9 +23,8 @@ class Link:
         One-way propagation delay in seconds.
     mtu:
         Maximum transmission unit in bytes.  A path's MTU is its smallest
-        link's; only UD datagrams are checked against it, bulk RDMA
-        transfers are segmented by hardware below the granularity we
-        simulate.
+        link's; RC transfers are segmented by hardware below the
+        granularity we simulate, so nothing is checked against it.
     name:
         Label for tracing and error messages.
     """

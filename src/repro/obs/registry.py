@@ -15,7 +15,7 @@ series here or keeps a plain ``int`` attribute that nothing exports.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "MetricsRegistry",
@@ -90,16 +90,10 @@ class GaugeMetric(_Metric):
         super().__init__(name, labels)
         self.value: float = 0.0
 
-    def set(self, value: float) -> None:
-        self.value = value
-
     def set_max(self, value: float) -> None:
         """Retain the high-water mark of everything ``set_max`` saw."""
         if value > self.value:
             self.value = value
-
-    def add(self, delta: float = 1.0) -> None:
-        self.value += delta
 
 
 class CallbackGauge(_Metric):
@@ -177,14 +171,6 @@ class HistogramMetric(_Metric):
                 index = self._NBUCKETS - 1
         counts = self._counts
         counts[index] = counts.get(index, 0) + 1
-
-    @property
-    def min(self) -> float:
-        return self._min if self.count else float("nan")
-
-    @property
-    def max(self) -> float:
-        return self._max if self.count else float("nan")
 
     def _bucket_edge(self, index: int) -> float:
         return 10.0 ** (self._MIN_EXP + index / self.BUCKETS_PER_DECADE)
@@ -357,9 +343,6 @@ class MetricsRegistry:
     # -- queries --------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def __iter__(self) -> Iterator[_Metric]:
-        return iter(self._metrics.values())
 
     def get(self, name: str, **labels: Any) -> Optional[_Metric]:
         return self._metrics.get((name, _label_key(labels)))

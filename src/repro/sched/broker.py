@@ -313,10 +313,6 @@ class _TenantState:
     #: Files currently parked: in retry backoff, or in a blocked cohort.
     parked: int = 0
 
-    @property
-    def queued(self) -> int:
-        return len(self.queue)
-
 
 class TransferBroker:
     """Accepts jobs, schedules their files across the doors.
@@ -434,7 +430,7 @@ class TransferBroker:
                 "latency": reg.histogram("sched.file_latency_seconds", tenant=tenant),
             }
             reg.gauge_fn("sched.inflight", lambda s=state: s.inflight, tenant=tenant)
-            reg.gauge_fn("sched.queued", lambda s=state: s.queued, tenant=tenant)
+            reg.gauge_fn("sched.queued", lambda s=state: len(s.queue), tenant=tenant)
             self._per_tenant_metrics[tenant] = m
         return m
 
@@ -504,7 +500,7 @@ class TransferBroker:
             if dest_owner.get(t.path) is None
             or dest_owner[t.path].state.terminal
         ]
-        backlog = state.queued + state.parked
+        backlog = len(state.queue) + state.parked
         if self._draining:
             self._m_jobs_rejected.add()
             return self._refuse(
@@ -554,7 +550,7 @@ class TransferBroker:
     def _total_backlog(self) -> int:
         """Queued + parked primary files across every tenant (the
         global bound the overload queue cap applies to)."""
-        return sum(s.queued + s.parked for s in self._tenants.values())
+        return sum(len(s.queue) + s.parked for s in self._tenants.values())
 
     def _refuse(self, job: Job, kind: str, **fields: Any) -> Job:
         """Refuse a submission whole — ``reject`` (admission control,
@@ -1111,8 +1107,10 @@ class TransferBroker:
         for door in broker.doors.values():
             door.active = 0  # the dead incarnation's slots are gone
         # Adopt the replayed table whole (resubmission and destination
-        # dedupe indexes included).
+        # dedupe indexes included); auto ids continue past its own.
         broker.table = state
+        taken = [int(i[4:]) for i in state.by_id if i[:4] == "job-" and i[4:].isdecimal()]
+        broker._job_ids = itertools.count(1 + max(taken, default=0))
         now = engine.now
         overdue: List[Job] = []
         for job in state.jobs:

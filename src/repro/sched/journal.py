@@ -261,9 +261,6 @@ class _Records(Sequence):
             return [self[i] for i in range(len(self))[index]]
         return self._journal._record(index)
 
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, (list, _Records)) and list(self) == list(other)
-
 
 @dataclass
 class JobTable:

@@ -252,9 +252,9 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
     if broker._parked:
         leaks.append(f"{len(broker._parked)} files still parked")
     for name, state in sorted(broker._tenants.items()):
-        if state.queued or state.inflight or state.parked:
+        if state.queue or state.inflight or state.parked:
             leaks.append(
-                f"tenant {name!r} not at baseline: queued={state.queued} "
+                f"tenant {name!r} not at baseline: queued={len(state.queue)} "
                 f"inflight={state.inflight} parked={state.parked}"
             )
     for path, task in sorted(broker.table.dest_owner.items()):
@@ -273,7 +273,7 @@ def quiescence_leaks(result: "SchedResult") -> List[str]:
         seen_pools.add(id(leases))
         if not leases.balanced:
             leaks.append(
-                f"host pool via {name}: {leases.leased} channel "
+                f"host pool via {name}: {leases.capacity - leases.available} channel "
                 f"leases never returned"
             )
     server = result.server

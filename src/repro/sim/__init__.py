@@ -26,26 +26,23 @@ Example
 'done at 1.5'
 """
 
-from repro.sim.engine import Engine, SimulationError, StopEngine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process, ProcessKilled
+from repro.sim.engine import Engine, SimulationError
+from repro.sim.events import AnyOf, Event, Timeout
+from repro.sim.process import Process
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Container",
     "Engine",
     "Event",
     "Process",
-    "ProcessKilled",
     "RandomStreams",
     "Resource",
     "SimulationError",
     "Store",
-    "StopEngine",
     "Timeout",
     "TraceRecord",
     "Tracer",

@@ -21,10 +21,10 @@ from typing import Any, Generator, List, Optional, Tuple
 
 from repro.obs import runtime as _obs_runtime
 from repro.obs.registry import MetricsRegistry
-from repro.sim.events import Event, StopEngine, Timeout, TimeoutAt
+from repro.sim.events import Event, Timeout, TimeoutAt
 from repro.sim.process import Process
 
-__all__ = ["Engine", "SimulationError", "StopEngine"]
+__all__ = ["Engine", "SimulationError"]
 
 _INF = float("inf")
 
@@ -37,8 +37,8 @@ class Engine:
     """Deterministic discrete-event simulation engine.
 
     The engine owns the clock and the event queue.  User code creates
-    processes with :meth:`process` and builds delays/events with
-    :meth:`timeout` / :meth:`event`; everything else in the library layers
+    processes with :meth:`process` and builds delays with
+    :meth:`timeout`; everything else in the library layers
     on top of these primitives.
     """
 
@@ -73,9 +73,12 @@ class Engine:
         _obs_runtime.track_engine(self)
 
     def trace(self, category: str, message: str, **fields) -> None:
-        """Emit a trace record if a tracer is attached (cheap when not)."""
-        if self.tracer is not None:
-            self.tracer.record(self._now, category, message, fields)
+        """Emit a trace record if a tracer is attached (cheap when not):
+        :meth:`Tracer.point` under the tracer's one shape per key."""
+        tracer = self.tracer
+        if tracer is not None:
+            key = (category, message, *fields)
+            tracer.point(self._now, tracer._shapes.setdefault(key, key), *fields.values())
 
     # -- clock -------------------------------------------------------------
     @property
@@ -84,10 +87,6 @@ class Engine:
         return self._now
 
     # -- event construction -------------------------------------------------
-    def event(self) -> Event:
-        """Create a new pending :class:`Event` bound to this engine."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
@@ -111,24 +110,6 @@ class Engine:
         """Time of the next queued event, or ``inf`` if the queue is empty."""
         return self._heap[0][0] if self._heap else _INF
 
-    def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        if not self._heap:
-            raise SimulationError("step() on an empty event queue")
-        when, _, event = heappop(self._heap)
-        self._now = when
-        self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        if event._cancelled:
-            return
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise SimulationError(
-                f"unhandled failure of {event!r}"
-            ) from event._value
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock would pass ``until``.
 
@@ -136,9 +117,9 @@ class Engine:
         if the next event lies beyond it, which makes interval-based
         measurement code simple and exact.
 
-        This is the hot loop — :meth:`step` inlined, with the heap and the
-        ``until`` bound hoisted into locals — so a dispatch costs one C
-        ``heappop`` plus the event's own callbacks.
+        This is the hot loop, with the heap and the ``until`` bound
+        hoisted into locals, so a dispatch costs one C ``heappop`` plus
+        the event's own callbacks.
         """
         if until is not None and until < self._now:
             raise ValueError(
@@ -168,16 +149,10 @@ class Engine:
                     raise SimulationError(
                         f"unhandled failure of {event!r}"
                     ) from event._value
-        except StopEngine:
-            return
         finally:
             self.events_processed += processed
         if until is not None:
             self._now = until
-
-    def stop(self) -> None:
-        """Stop the current :meth:`run` call after the present event."""
-        raise StopEngine()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self._now:.9f} queued={len(self._heap)}>"

@@ -31,21 +31,11 @@ __all__ = [
     "Timeout",
     "TimeoutAt",
     "Condition",
-    "AllOf",
     "AnyOf",
-    "StopEngine",
 ]
 
 _PENDING = object()
 _INF = float("inf")
-
-
-class StopEngine(Exception):
-    """Raised to stop :meth:`Engine.run` after the current event.
-
-    Propagates out of processes and callbacks untouched so that
-    ``engine.stop()`` works from any context.
-    """
 
 
 class Event:
@@ -142,13 +132,6 @@ class Event:
         """Mark a potential failure as handled out-of-band."""
         self._defused = True
         return self
-
-    # -- composition -------------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.engine, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.engine, [self, other])
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback`` to run when the event is processed."""
@@ -313,15 +296,6 @@ class Condition(Event):
             for ev in self.events
             if ev.triggered and ev._ok
         }
-
-
-class AllOf(Condition):
-    """Succeeds once *all* child events have succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count == len(self.events)
 
 
 class AnyOf(Condition):

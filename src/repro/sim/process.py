@@ -12,20 +12,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.sim.events import _PENDING, Event, StopEngine, Timeout
+from repro.sim.events import _PENDING, Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
 
-__all__ = ["Process", "ProcessKilled"]
+__all__ = ["Process"]
 
 #: What an eagerly started body is resumed with: "succeeded, no value".
 _STARTED = Event(None)  # type: ignore[arg-type]
 _STARTED._ok, _STARTED._value = True, None
-
-
-class ProcessKilled(Exception):
-    """Thrown into a generator when its process is killed."""
 
 
 class Process(Event):
@@ -70,35 +66,6 @@ class Process(Event):
         start.callbacks.append(self._resume)
         self._waiting_on: Optional[Event] = start
 
-    def kill(self, reason: str = "killed") -> None:
-        """Forcibly terminate the process.
-
-        :class:`ProcessKilled` is thrown into the generator at its current
-        yield point; unless caught, the process fails *defused* (killing is
-        deliberate, so it is not an unhandled error).
-        """
-        if self.triggered:
-            return
-        waiting = self._waiting_on
-        if waiting is not None and not waiting.processed:
-            # Detach from whatever we were waiting on.
-            if waiting.callbacks is not None and self._resume in waiting.callbacks:
-                waiting.callbacks.remove(self._resume)
-        self._waiting_on = None
-        try:
-            self._generator.throw(ProcessKilled(reason))
-        except (ProcessKilled, StopIteration):
-            self.defuse()
-            self.fail(ProcessKilled(reason))
-        except BaseException as exc:
-            self.defuse()
-            self.fail(exc)
-        else:
-            # Generator swallowed the kill and yielded again: disallow.
-            self._generator.close()
-            self.defuse()
-            self.fail(ProcessKilled(reason))
-
     # -- internals -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
@@ -121,11 +88,6 @@ class Process(Event):
                     self._value = stop.value
                     self.callbacks = None
                 return
-            except StopEngine:
-                # engine.stop(): end this process cleanly and let the
-                # signal propagate to Engine.run().
-                self.succeed(None)
-                raise
             except BaseException as exc:
                 self.fail(exc)
                 return

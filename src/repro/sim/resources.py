@@ -182,11 +182,6 @@ class Resource:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def queued(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
     def request(self) -> Event:
         """Request a slot; the event fires once the slot is granted."""
         event = Event(self.engine)

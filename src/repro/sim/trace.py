@@ -10,8 +10,8 @@ A record is the row ``(time, shape, *values)`` with ``shape =
 in that form and :meth:`Tracer.query` wraps the ones a caller asks for
 in a :class:`TraceRecord`.  Two spellings write the same row:
 
-* ``engine.trace("link", "repair", block=7)`` (``tracer.record`` with a
-  dict): by keyword, for sites that fire a few times per transfer;
+* ``engine.trace("link", "repair", block=7)``: by keyword, for sites
+  that fire a few times per transfer;
 * ``tracer.point(now, _T_POST, qp, op, wr_id, length)``, where the module
   constant ``_T_POST = ("qp", "post_send", "qp", "op", "wr_id", "len")``
   is the shape: positional, for sites that fire per block, each behind
@@ -75,10 +75,6 @@ class TraceRecord:
     message: str
     fields: Dict[str, Any] = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        extras = " ".join(f"{k}={v}" for k, v in self.fields.items())
-        return f"[{self.time * 1e3:12.6f}ms] {self.category:10s} {self.message} {extras}"
-
 
 class Tracer:
     """A bounded in-memory trace buffer with category filtering.
@@ -114,11 +110,6 @@ class Tracer:
         self._chunk_rows = max(1, min(capacity >> 7, _CHUNK_ROWS))
         self.clear()
 
-    @property
-    def capacity(self) -> int:
-        """Ring size: the most rows :meth:`rows` ever returns."""
-        return self._capacity
-
     def point(self, time: float, shape: Shape, *values: Any) -> None:
         """Record one event of a known shape, one value per field name
         (no-op if the category is filtered out)."""
@@ -136,11 +127,6 @@ class Tracer:
         self._room -= 1
         if not self._room:
             self._seal()
-
-    def record(self, time: float, category: str, message: str, fields: Dict[str, Any]) -> None:
-        """:meth:`point` for a site that has its fields in a dict."""
-        key = (category, message, *fields)
-        self.point(time, self._shapes.setdefault(key, key), *fields.values())
 
     def _seal(self) -> None:
         """Pack the full open chunk, one group per shape object."""
@@ -257,8 +243,8 @@ class Tracer:
         self._open: List[Row] = []
         self._room = self._chunk_rows
         self._head = 0
-        #: Intern table: one shared shape per distinct ``(category,
-        #: message, *names)`` that came in by keyword.
+        #: Intern table, filled by ``Engine.trace``: one shared shape per
+        #: distinct ``(category, message, *names)`` that came in by keyword.
         self._shapes: Dict[Shape, Shape] = {}
         #: Interned strings, and each one's index.
         self._strings: List[str] = []

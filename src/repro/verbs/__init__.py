@@ -33,7 +33,7 @@ from repro.verbs.errors import (
 )
 from repro.verbs.mr import AccessFlags, MemoryRegion
 from repro.verbs.pd import ProtectionDomain
-from repro.verbs.qp import QpState, QpType, QueuePair, connect_pair
+from repro.verbs.qp import QpState, QueuePair, connect_pair
 from repro.verbs.srq import SharedReceiveQueue
 from repro.verbs.wr import Opcode, RecvWR, SendWR, WcStatus, WorkCompletion
 
@@ -50,7 +50,6 @@ __all__ = [
     "ProtectionDomain",
     "QpState",
     "QpStateError",
-    "QpType",
     "QueuePair",
     "RdmaArch",
     "RdmaFabric",

@@ -9,7 +9,7 @@ attached and ready to use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, Tuple
 
 from repro.sim.events import Event
 from repro.sim.resources import Store
@@ -48,7 +48,7 @@ class RdmaFabric:
 
 @dataclass
 class ConnectRequest:
-    """An inbound connection request awaiting accept/reject."""
+    """An inbound connection request awaiting accept."""
 
     source: "Device"
     port: int
@@ -58,10 +58,6 @@ class ConnectRequest:
     def accept(self, qp: QueuePair) -> None:
         """Accept with the server-side QP to pair with the initiator's."""
         self._reply.succeed(qp)
-
-    def reject(self, reason: str = "rejected") -> None:
-        """Refuse the connection; the initiator's connect fails."""
-        self._reply.fail(VerbsError(f"connection rejected: {reason}"))
 
 
 class Listener:
@@ -76,9 +72,6 @@ class Listener:
     def get_request(self) -> Event:
         """Event resolving to the next :class:`ConnectRequest`."""
         return self._backlog.get()
-
-    def close(self) -> None:
-        self.cm._unbind(self.device, self.port)
 
 
 class ConnectionManager:
@@ -98,9 +91,6 @@ class ConnectionManager:
         self._listeners[key] = listener
         return listener
 
-    def _unbind(self, device: "Device", port: int) -> None:
-        self._listeners.pop((device.guid, port), None)
-
     # -- active side -------------------------------------------------------------
     def connect(
         self,
@@ -112,7 +102,7 @@ class ConnectionManager:
         """Process event: connect ``qp`` to a listener on ``remote``.
 
         Resolves to the remote QP once both ends are RTS.  Fails if no
-        listener is bound or the server rejects.
+        listener is bound, or with the request's reply event.
         """
 
         def _connect() -> Generator:

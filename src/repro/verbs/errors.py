@@ -8,7 +8,6 @@ __all__ = [
     "QueueFullError",
     "CqOverflowError",
     "RemoteAccessError",
-    "MtuExceededError",
 ]
 
 
@@ -34,7 +33,3 @@ class CqOverflowError(VerbsError):
 
 class RemoteAccessError(VerbsError):
     """rkey validation or bounds check failed on a one-sided operation."""
-
-
-class MtuExceededError(VerbsError):
-    """A UD datagram exceeds the path MTU."""

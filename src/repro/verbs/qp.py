@@ -1,4 +1,4 @@
-"""Queue pairs: RC and UD transports with faithful completion semantics.
+"""Queue pairs: the RC transport with faithful completion semantics.
 
 The RC (Reliable Connected) QP implements what the paper's protocol
 relies on:
@@ -17,8 +17,6 @@ relies on:
 - **RDMA READ**: one-sided with a request round-trip, the responder's
   read-engine gap, and at most ``max_ord`` requests outstanding — which
   caps READ throughput at ``ord * block / RTT`` on long paths.
-- **UD**: datagrams bounded by path MTU, no acknowledgement, silent drop
-  when no receive WR is posted.
 
 A posted WR is a :class:`_Wqe` record that drives itself through the
 hardware stages — NIC pipeline, payload fetch, wire, placement, ACK —
@@ -37,11 +35,10 @@ import enum
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Generator, Optional
 
-from repro.sim.events import Event, StopEngine, Timeout, _schedule
+from repro.sim.events import Event, Timeout, _schedule
 from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.verbs.errors import (
-    MtuExceededError,
     QpStateError,
     QueueFullError,
     RemoteAccessError,
@@ -55,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verbs.pd import ProtectionDomain
     from repro.verbs.srq import SharedReceiveQueue
 
-__all__ = ["QpType", "QpState", "QueuePair", "connect_pair"]
+__all__ = ["QpState", "QueuePair", "connect_pair"]
 
 # Trace shapes of the per-WQE points: (category, message, *field_names).
 _T_POST = ("qp", "post_send", "qp", "op", "wr_id", "len")
@@ -63,11 +60,6 @@ _T_COMPLETE = ("qp", "complete", "qp", "wr_id", "status")
 
 #: Per the InfiniBand spec, an RNR retry count of 7 means "retry forever".
 RNR_RETRY_INFINITE = 7
-
-
-class QpType(enum.Enum):
-    RC = "rc"
-    UD = "ud"
 
 
 class QpState(enum.Enum):
@@ -88,7 +80,6 @@ class QueuePair:
         pd: "ProtectionDomain",
         send_cq: "CompletionQueue",
         recv_cq: "CompletionQueue",
-        qp_type: QpType = QpType.RC,
         max_send_wr: int = 512,
         max_recv_wr: int = 1024,
         max_ord: Optional[int] = None,
@@ -106,7 +97,6 @@ class QueuePair:
         self.pd = pd
         self.send_cq = send_cq
         self.recv_cq = recv_cq
-        self.qp_type = qp_type
         self.max_send_wr = max_send_wr
         self.max_recv_wr = max_recv_wr
         self.rnr_retry = rnr_retry
@@ -137,7 +127,9 @@ class QueuePair:
         reg = self.engine.metrics
         labels = {"host": device.host.name, "qp": qp_num}
         self.rnr_naks = reg.counter("qp.rnr_naks", **labels)
-        self.ud_drops = reg.counter("qp.ud_drops", **labels)
+        # Always zero (there is no unreliable transport); registered
+        # so the exported series set stays the same.
+        reg.counter("qp.ud_drops", **labels)
         self.bytes_sent = reg.counter("qp.bytes_sent", **labels)
         #: Optional fault hook ``(SendWR) -> bool``: return True to fail
         #: the WR with :data:`WcStatus.SIM_FAULT` after it crosses the
@@ -216,15 +208,7 @@ class QueuePair:
             raise QpStateError(f"post_send in state {self.state.value}")
         if self._outstanding_sends >= self.max_send_wr:
             raise QueueFullError("send queue full")
-        if self.qp_type is QpType.UD:
-            assert self.path is not None
-            if wr.length > self.path.mtu:
-                raise MtuExceededError(
-                    f"UD datagram {wr.length} exceeds path MTU {self.path.mtu}"
-                )
-            if wr.opcode is not Opcode.SEND:
-                raise QpStateError("UD supports only SEND")
-        elif wr.opcode is Opcode.RECV:
+        if wr.opcode is Opcode.RECV:
             raise QpStateError("RECV is not a send-queue opcode")
         self._outstanding_sends += 1
         ssn = self._ssn
@@ -239,23 +223,6 @@ class QueuePair:
         # later: must stay the last statement (the record's first stage,
         # and an eager sub-process it may start, run here).
         _Wqe(self, wr, ssn)
-
-    # -- UD delivery -----------------------------------------------------------------
-    def _deliver_datagram(self, wr: SendWR) -> None:
-        if not self._has_recv():
-            self.ud_drops.add()
-            return
-        rwr = self._take_recv()
-        self.recv_cq.push(
-            WorkCompletion(
-                wr_id=rwr.wr_id,
-                opcode=Opcode.RECV,
-                status=WcStatus.SUCCESS,
-                byte_len=wr.length,
-                payload=wr.payload,
-                qp_num=self.qp_num,
-            )
-        )
 
     # -- completion ordering ------------------------------------------------------------
     def _retire(self, ssn: int, wr: SendWR, status: WcStatus) -> None:
@@ -332,7 +299,7 @@ class QueuePair:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<QP {self.qp_num} {self.qp_type.value} {self.state.value} "
+            f"<QP {self.qp_num} {self.state.value} "
             f"out={self._outstanding_sends}>"
         )
 
@@ -491,11 +458,6 @@ class _Wqe(Event):
             if op is Opcode.RDMA_READ:
                 bus = qp.device.nic.host.pcie
             elif op is Opcode.SEND:
-                if qp.qp_type is QpType.UD:
-                    # Unreliable: local completion as soon as it is on the wire.
-                    peer._deliver_datagram(wr)
-                    self._finish(WcStatus.SUCCESS)
-                    return
                 if not peer._has_recv():
                     self._rnr(self._wire)
                     return
@@ -636,9 +598,7 @@ class _Wqe(Event):
         """A stage raised: fail the record at this instant, so
         ``Engine.run`` raises ``SimulationError`` from ``exc`` where a
         failed process body's failure would surface.  The WR never
-        retires.  ``engine.stop()`` passes through."""
-        if isinstance(exc, StopEngine):
-            raise exc
+        retires."""
         self._value = exc
         _schedule(self, self.engine._now, self._surface)
 
@@ -648,7 +608,5 @@ class _Wqe(Event):
 
 def connect_pair(qp_a: QueuePair, qp_b: QueuePair, duplex: "DuplexPath") -> None:
     """Wire two QPs together over a duplex path (both become RTS)."""
-    if qp_a.qp_type is not qp_b.qp_type:
-        raise QpStateError("QP types must match")
     qp_a.attach(qp_b, duplex)
     qp_b.attach(qp_a, duplex.reversed())

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List
+from typing import TYPE_CHECKING, Deque
 
-from repro.verbs.errors import QpStateError, QueueFullError
+from repro.verbs.errors import QueueFullError
 from repro.verbs.wr import RecvWR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,7 +54,6 @@ class SharedReceiveQueue:
         self.engine = pd.device.engine
         self.handle = next(_srq_handles)
         self.depth = depth
-        self.closed = False
         self._queue: Deque[RecvWR] = deque()
         pd._admit_srq(self)
         reg = self.engine.metrics
@@ -72,8 +71,6 @@ class SharedReceiveQueue:
     def post_recv(self, wr: RecvWR) -> None:
         """Queue a shared receive buffer (no timing; CPU cost is the
         caller's, as with :meth:`QueuePair.post_recv`)."""
-        if self.closed:
-            raise QpStateError("post_recv on a closed SRQ")
         if len(self._queue) >= self.depth:
             raise QueueFullError(
                 f"SRQ full ({self.depth} WQEs posted)"
@@ -91,16 +88,6 @@ class SharedReceiveQueue:
     def _note_empty(self) -> None:
         """An arrival found the shared queue dry (RNR on the wire)."""
         self._m_empty.add()
-
-    def close(self) -> List[RecvWR]:
-        """Tear the SRQ down; returns the unconsumed WQEs so the owner
-        can reclaim their buffers.  Attached QPs see an empty queue
-        (RNR) afterwards rather than an error — matching a drained
-        shared pool, which is all teardown needs here."""
-        self.closed = True
-        drained = list(self._queue)
-        self._queue.clear()
-        return drained
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

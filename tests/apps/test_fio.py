@@ -154,6 +154,7 @@ def test_write_run_spends_no_event_on_bookkeeping(monkeypatch):
     itself stage by stage, so the fluid engine starts no ``Process`` per
     WR."""
     from repro.sim import Engine, Process, Timeout
+    from tests.oracles import step
 
     popped = []
     started = []
@@ -168,7 +169,7 @@ def test_write_run_spends_no_event_on_bookkeeping(monkeypatch):
             event = engine._heap[0][2]
             popped.append((type(event), getattr(event, "delay", None),
                            len(event.callbacks)))
-            engine.step()
+            step(engine)
 
     monkeypatch.setattr(Engine, "run", stepping_run)
     monkeypatch.setattr(Process, "__init__", counting_init)

@@ -6,6 +6,7 @@ from repro.apps.gridftp import GridFtpPair, run_gridftp
 from repro.apps.io import CollectingSink, DiskSink, PatternSource
 from repro.apps.rftp import RftpClient, RftpServer, run_rftp
 from repro.core import ProtocolConfig
+from repro.sim import SimulationError
 from repro.testbeds import ani_wan, roce_lan
 
 
@@ -134,13 +135,34 @@ def test_rftp_larger_blocks_lower_cpu():
     assert large.client_cpu_pct < small.client_cpu_pct
 
 
+def _put_over_one_link(client, sizes, concurrent=False):
+    """Several files over ONE connection set (§IV-C multi-session): a
+    process resolving to their outcomes, in input order.  Concurrent
+    files are simultaneous sessions on the shared data QPs."""
+    mw, tb = client.middleware, client.testbed
+
+    def run():
+        link = yield mw.open_link(tb.dst_dev, 2811, tcp_factory=tb.tcp_connection)
+
+        def put(size):
+            return mw.transfer(tb.dst_dev, 2811, client.source, size, link=link)
+
+        events = [put(size) for size in sizes] if concurrent else []
+        outcomes = []
+        for i, size in enumerate(sizes):
+            outcomes.append((yield events[i] if concurrent else put(size)))
+        return outcomes
+
+    return mw.engine.process(run())
+
+
 def test_rftp_put_many_sequential():
     tb = roce_lan()
     client_cfg = cfg()
     server = RftpServer(tb, client_cfg)
     server.start(2811)
     client = RftpClient(tb, client_cfg)
-    done = client.put_many([4 << 20, 8 << 20, 2 << 20])
+    done = _put_over_one_link(client, [4 << 20, 8 << 20, 2 << 20])
     tb.engine.run()
     assert done.ok
     outcomes = done.value
@@ -155,7 +177,7 @@ def test_rftp_put_many_concurrent():
     server = RftpServer(tb, client_cfg, sink=sink)
     server.start(2811)
     client = RftpClient(tb, client_cfg)
-    done = client.put_many([8 << 20] * 3, concurrent=True)
+    done = _put_over_one_link(client, [8 << 20] * 3, concurrent=True)
     tb.engine.run()
     assert done.ok
     assert sink.bytes_written == 24 << 20
@@ -166,8 +188,10 @@ def test_rftp_put_many_concurrent():
 
 
 def test_rftp_put_many_validation():
-    client = RftpClient(roce_lan(), cfg())
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        client.put_many([])
+    """An empty put is refused: the middleware's ValueError fails the run."""
+    tb = roce_lan()
+    RftpServer(tb, cfg()).start(2811)
+    RftpClient(tb, cfg()).put(0)
+    with pytest.raises(SimulationError) as err:
+        tb.engine.run()
+    assert isinstance(err.value.__cause__, ValueError)

@@ -149,7 +149,7 @@ def _evict(rig):
     rig.open(sid=SID + 1, blocks=1, interval=1)
     rig.write_block(SID + 1, 0)
     rig.tell(T.DATASET_DONE, SID + 1, BS)
-    assert rig.se.session(SID) is None
+    assert rig.se._sessions.get(SID) is None
 
 
 #: state -> (expected record state, how a live incarnation ends to reach
@@ -180,7 +180,7 @@ def _reach(state, variant, make):
         end(rig)
     elif state not in ("live", "unknown"):
         end(rig)
-    record = rig.se.session(SID)
+    record = rig.se._sessions.get(SID)
     assert (record.state if record else None) is expected
     return rig, (data if variant == "dead-incarnation" else make(rig))
 
@@ -223,9 +223,9 @@ def _check_sink(type_, state, variant):
         # The one deferred answer: a DATASET_DONE for a live session
         # whose last block is still missing is ACKed once it is consumed.
         assert type_ is T.DATASET_DONE and rig.se.has_session(SID)
-        assert rig.se.session(SID).dataset_done_total == TOTAL
+        assert rig.se._sessions.get(SID).dataset_done_total == TOTAL
         _finish(rig)
-        assert rig.se.session(SID).state is SessionState.ACKED
+        assert rig.se._sessions.get(SID).state is SessionState.ACKED
     rig.step(3.0)  # past the idle GC: whatever went live is reclaimed
     assert rig.se.audit() == []
 

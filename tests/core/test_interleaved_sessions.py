@@ -77,7 +77,7 @@ def test_resume_next_to_lingering_dead_sibling_leaks_nothing():
     # The dead sibling was GC-reclaimed and nothing pins the pool.
     assert se._live == 0
     assert se.sessions_reclaimed.total >= 1
-    assert len(se.pool.free) == len(se.pool)
+    assert len(se.pool.free) == len(se.pool.blocks)
 
 
 def _assert_history_bounded(ending):

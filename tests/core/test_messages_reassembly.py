@@ -52,7 +52,9 @@ def test_header_field_ranges():
 
 
 def test_header_key():
-    assert hdr(5, sid=3).key() == (3, 5)
+    h = hdr(5, sid=3)
+    assert (h.session_id, h.seq, h.offset) == (3, 5, 5 * 4096)
+    assert h.wire_bytes == HEADER_BYTES + 4096
 
 
 # -- reassembly -----------------------------------------------------------------------

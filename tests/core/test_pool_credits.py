@@ -19,7 +19,7 @@ def test_source_pool_registers_blocks():
     f = make_fabric()
     pd = f.dev_a.alloc_pd()
     pool = BlockPool.build_source(f.a, pd, 4, 8192)
-    assert len(pool) == 4
+    assert len(pool.blocks) == 4
     assert len(pool.free) == 4
     blk = pool.try_get_free_blk()
     assert blk.mr.buffer.size == 8192 + HEADER_BYTES

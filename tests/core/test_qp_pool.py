@@ -73,13 +73,13 @@ def test_resource_pool_lease_accounting():
     assert pool.lease(a) and pool.lease(b)
     assert not pool.lease(a), "double lease by one owner must be refused"
     assert not pool.lease(c), "capacity exceeded"
-    assert pool.leased == 2 and pool.available == 0
+    assert (pool.capacity - pool.available) == 2 and pool.available == 0
     assert not pool.release(c), "a refused owner holds no lease"
     assert pool.release(a)
     assert not pool.release(a), "release must be idempotent"
     assert pool.lease(c)
     assert pool.release(b) and pool.release(c)
-    assert pool.balanced and pool.leased == 0
+    assert pool.balanced and (pool.capacity - pool.available) == 0
 
 
 def test_pinned_fraction_under_concurrent_interleavings():
@@ -99,16 +99,16 @@ def test_pinned_fraction_under_concurrent_interleavings():
         owner = ("session", i)
         while not pool.lease(owner):
             rejected += 1
-            samples.append(pool.leased)
+            samples.append(pool.capacity - pool.available)
             yield engine.timeout(3e-4)
         granted += 1
-        samples.append(pool.leased)
+        samples.append(pool.capacity - pool.available)
         # Staggered hold times force lease/release interleavings that
         # overlap every phase of the other sessions' lifecycles.
         yield engine.timeout((1 + i % 5) * 2e-4)
         assert pool.release(owner)
         assert not pool.release(owner), "idempotence under interleaving"
-        samples.append(pool.leased)
+        samples.append(pool.capacity - pool.available)
 
     for i in range(16):
         engine.process(session(i))
@@ -118,7 +118,7 @@ def test_pinned_fraction_under_concurrent_interleavings():
     assert rejected > 0, "capacity 4 under 16 sessions must refuse some"
     assert all(0 <= n <= pool.capacity for n in samples)
     assert max(samples) == pool.capacity, "peak contention must fill the pool"
-    assert pool.balanced and pool.leased == 0
+    assert pool.balanced and (pool.capacity - pool.available) == 0
     assert int(pool._m_leases.total) == 16
     assert int(pool._m_releases.total) == 16
     assert int(pool._m_rejected.total) == rejected
@@ -221,7 +221,7 @@ def test_concurrent_sessions_share_one_pool():
     assert sink.bytes_written == 6 * 8 * BS
     hpool = next(iter(client._host_pools.values()))
     assert len(client._host_pools) == 1
-    assert hpool.sessions.balanced, f"leaked: {hpool.sessions.leased}"
+    assert hpool.sessions.balanced, f"leaked: {(hpool.sessions.capacity - hpool.sessions.available)}"
 
 
 def test_reopened_channel_joins_every_rider():
@@ -328,7 +328,7 @@ def test_abort_returns_lease():
     def driver(env):
         link = yield link_ev
         ev = link.transfer(PatternSource(tb.src), 64 * BS, session_id=600)
-        assert link._host_pool.sessions.leased == 1
+        assert (link._host_pool.sessions.capacity - link._host_pool.sessions.available) == 1
         yield env.timeout(1e-3)
         assert link.abort_session(
             600, TransferError(600, "canceled by test")
@@ -358,7 +358,7 @@ def test_source_crash_returns_every_lease():
             link.transfer(PatternSource(tb.src), 32 * BS, session_id=700 + i)
             for i in range(3)
         ]
-        assert link._host_pool.sessions.leased == 3
+        assert (link._host_pool.sessions.capacity - link._host_pool.sessions.available) == 3
         yield env.timeout(1e-3)
         link.crash()
         assert link._host_pool.sessions.balanced, "crash leaked leases"
@@ -391,7 +391,7 @@ def test_sink_crash_clears_the_eager_flag():
         se = server.sink_engines[link._client_id]
         ev = link.transfer(PatternSource(tb.src), 64 * BS, session_id=sid)
         yield env.timeout(4e-4)
-        assert se.has_session(sid) and se.session(sid).eager  # mid-transfer
+        assert se.has_session(sid) and se._sessions.get(sid).eager  # mid-transfer
         se.crash()
         try:
             yield ev
@@ -404,8 +404,8 @@ def test_sink_crash_clears_the_eager_flag():
     tb.engine.run()
     assert p.triggered and p.ok, getattr(p, "value", "deadlock")
     se = next(iter(server.sink_engines.values()))
-    assert se.session(sid).state is SessionState.CRASHED
-    assert not se.session(sid).eager
+    assert se._sessions.get(sid).state is SessionState.CRASHED
+    assert not se._sessions.get(sid).eager
     assert se.audit() == []
 
     sent = []

@@ -148,7 +148,7 @@ class World:
         sessions = self.sink.session_rows()
         for sid, (blocks, ev) in self.sessions.items():
             assert ev.triggered, f"session {sid} never settled"
-            rec = se.session(sid)
+            rec = se._sessions.get(sid)
             if rec is not None:
                 assert rec.state is not SessionState.LIVE and rec.done.triggered
             if ev.ok:

@@ -62,7 +62,7 @@ def test_fresh_incarnation_does_not_inherit_stale_restart_marker():
         # Idle GC reclaims sid 7 but keeps the marker as a resume anchor.
         yield env.timeout(3.0)
         assert not se.has_session(7)
-        stale = se.session(7).upto
+        stale = se._sessions.get(7).upto
         assert stale >= 1, "precondition: incarnation 1 left a stale marker"
 
         # Incarnation 2 reuses sid 7 and dies before any block lands.

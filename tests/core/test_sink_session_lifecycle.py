@@ -128,7 +128,7 @@ class Rig:
         return self.tell(CtrlType.BLOCK_DONE, sid, (credit.block_id, header), dt=dt)
 
     def rec(self, sid=SID):
-        return self.se.session(sid)
+        return self.se._sessions.get(sid)
 
     def states(self):
         return [b.state for b in self.se.pool.blocks.values()]
@@ -240,8 +240,8 @@ def end_eviction(rig):
         rig.write_block(sid, 0)
         rig.tell(CtrlType.DATASET_DONE, sid, BS)
     # History cap 2: the oldest ended record is gone, whole.
-    assert rig.se.session(1) is None
-    assert rig.se.session(2).state is rig.se.session(3).state is SessionState.ACKED
+    assert rig.se._sessions.get(1) is None
+    assert rig.se._sessions.get(2).state is rig.se._sessions.get(3).state is SessionState.ACKED
     assert len(rig.se._sessions) == 2 and rig.se.audit() == []
     # Its retransmitted DATASET_DONE is a stray now, not a re-ack.
     stray = rig.se.stray_messages.total

@@ -163,7 +163,7 @@ def test_contended_chunks_queue_fifo_and_groups_are_charged_exactly(engine):
     span = engine.now
     assert sched.utilization_pct("app") == 100.0 * (0.3 + 0.2) / span
     assert sched.utilization_pct("aux") == 100.0 * 0.1 / span
-    assert sched._pool._in_use == 0 and sched._pool.queued == 0
+    assert sched._pool._in_use == 0 and not sched._pool._waiters
 
 
 def test_chunk_accounting_is_the_same_on_both_engines():

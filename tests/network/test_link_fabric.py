@@ -104,19 +104,19 @@ def test_empty_path_rejected(engine):
 # -- topologies --------------------------------------------------------------------
 def test_back_to_back_rtt(engine):
     duplex = back_to_back(engine, 40.0, rtt=25e-6)
-    assert duplex.rtt == pytest.approx(25e-6)
+    assert (duplex.forward.latency + duplex.backward.latency) == pytest.approx(25e-6)
     assert duplex.forward.bottleneck_gbps == 40.0
 
 
 def test_lan_switched_rtt_and_hops(engine):
     duplex = lan_switched(engine, 40.0, rtt=13e-6)
-    assert duplex.rtt == pytest.approx(13e-6)
+    assert (duplex.forward.latency + duplex.backward.latency) == pytest.approx(13e-6)
     assert len(duplex.forward.links) == 2
 
 
 def test_wan_path_topology(engine):
     duplex = wan_path(engine, 10.0, rtt=49e-3)
-    assert duplex.rtt == pytest.approx(49e-3, rel=1e-3)
+    assert (duplex.forward.latency + duplex.backward.latency) == pytest.approx(49e-3, rel=1e-3)
     assert duplex.forward.bottleneck_gbps == 10.0
     # Core link carries the delay; edges are local.
     core = duplex.forward.links[1]

@@ -63,7 +63,7 @@ def test_tracer_factory_attaches_to_new_engines():
 def test_metrics_lines_round_trip(tmp_path):
     e1, e2 = Engine(), Engine()
     e1.metrics.counter("c", i=0).add(5)
-    e2.metrics.gauge("g").set(1.5)
+    e2.metrics.gauge("g").set_max(1.5)
     lines = [json.loads(l) for l in metrics_lines([e1, e2])]
     headers = [r for r in lines if r["record"] == "engine"]
     metrics = [r for r in lines if r["record"] == "metric"]
@@ -232,8 +232,11 @@ def _typed(rows):
 def test_trace_lines_equal_json_dumps_and_point_equals_emit(records, run, categories):
     by_keyword = Tracer(categories=categories, capacity=3)
     by_position = Tracer(categories=categories, capacity=3)
+    engine = Engine()
+    engine.tracer = by_keyword
     for time, category, message, (names, values) in records:
-        by_keyword.record(time, category, message, dict(zip(names, values)))
+        engine._now = time  # ``engine.trace`` stamps the engine's clock
+        engine.trace(category, message, **dict(zip(names, values)))
         by_position.point(time, (category, message, *names), *values)
     assert list(by_keyword.rows()) == list(by_position.rows())
     assert list(by_keyword.query()) == list(by_position.query())
@@ -256,11 +259,14 @@ def test_trace_lines_equal_json_dumps_and_point_equals_emit(records, run, catego
     for capacity, laps in ((3, 1), (301, 40)):
         ring = Tracer(categories=categories, capacity=capacity)
         reference = DequeTracer(categories=categories, capacity=capacity)
+        engine.tracer = ring
         for _ in range(laps):
             for time, category, message, (names, values) in records:
-                for tracer in (ring, reference):
-                    tracer.record(time, category, message, dict(zip(names, values)))
-                    tracer.point(time, (category, message, *names), *values)
+                engine._now = time
+                engine.trace(category, message, **dict(zip(names, values)))
+                ring.point(time, (category, message, *names), *values)
+                reference.record(time, category, message, dict(zip(names, values)))
+                reference.point(time, (category, message, *names), *values)
         assert _typed(ring.rows()) == _typed(reference.rows())
         assert (len(ring), ring.emitted, ring.dropped) == (
             len(reference), reference.emitted, reference.dropped

@@ -1,13 +1,75 @@
 """Reference code the tests compare production runs against.
 
-Nothing in ``src/`` calls it, so it lives with the tests (CI fails a
-``src/`` name that only tests use).
+Nothing in ``src/`` calls it, so it lives with the tests (CI's reach
+step fails a ``src/`` function that only tests enter).
 """
 
 import json
 from collections import deque
+from heapq import heappop
 
-from repro.sim.events import AllOf
+from repro.sim.engine import SimulationError
+from repro.sim.events import Condition
+
+
+class AllOf(Condition):
+    """Succeeds once *all* child events have succeeded: the join the
+    oracles below and the kernel tests use (production code waits on
+    ``AnyOf`` only)."""
+
+    __slots__ = ()
+
+    def _satisfied(self) -> bool:
+        return self._count == len(self.events)
+
+
+class ProcessKilled(Exception):
+    """Thrown into a generator when :func:`kill` ends its process."""
+
+
+def kill(proc, reason="killed"):
+    """Forcibly end ``proc``: :class:`ProcessKilled` is thrown into the
+    generator at its current yield point; unless caught, the process
+    fails *defused* (killing is deliberate, so it is not an unhandled
+    error).  A settled process is left alone."""
+    if proc.triggered:
+        return
+    waiting = proc._waiting_on
+    if waiting is not None and not waiting.processed:
+        if waiting.callbacks is not None and proc._resume in waiting.callbacks:
+            waiting.callbacks.remove(proc._resume)
+    proc._waiting_on = None
+    try:
+        proc._generator.throw(ProcessKilled(reason))
+    except (ProcessKilled, StopIteration):
+        proc.defuse()
+        proc.fail(ProcessKilled(reason))
+    except BaseException as exc:
+        proc.defuse()
+        proc.fail(exc)
+    else:
+        # The generator swallowed the kill and yielded again: disallow.
+        proc._generator.close()
+        proc.defuse()
+        proc.fail(ProcessKilled(reason))
+
+
+def step(engine):
+    """Process exactly one event, advancing the clock to it: one turn
+    of ``Engine.run``'s loop."""
+    if not engine._heap:
+        raise SimulationError("step() on an empty event queue")
+    when, _, event = heappop(engine._heap)
+    engine._now = when
+    engine.events_processed += 1
+    callbacks = event.callbacks
+    event.callbacks = None
+    if event._cancelled:
+        return
+    for callback in callbacks:
+        callback(event)
+    if not event._ok and not event._defused:
+        raise SimulationError(f"unhandled failure of {event!r}") from event._value
 
 
 def transmit_burst(path, nbytes, count):

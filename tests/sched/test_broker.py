@@ -569,7 +569,7 @@ def test_a_freed_slot_dispatches_the_head_file_at_the_release_instant():
         "t", [TransferSpec(f"/data/f{i}", MiB) for i in range(3)], job_id="j"
     )
     engine.run(until=0.05)
-    assert broker._parked == {} and broker._tenants["t"].queued == 1
+    assert broker._parked == {} and len(broker._tenants["t"].queue) == 1
     assert broker._m_blocked.count == 1
     engine.run()
     assert _attempts(broker) == [(0.0, "j", 0), (0.0, "j", 1), (0.1, "j", 2)]

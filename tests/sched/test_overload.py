@@ -441,6 +441,18 @@ def test_resubmission_dedupes_against_journaled_incarnation(tmp_path):
     admits = [r for r in broker.journal.records if r["kind"] == "admit"]
     assert len([a for a in admits if a["job_id"] == job.job_id]) == 1
 
+    # A submit without an id is a new job in every incarnation: the next
+    # auto id is drawn past every id the replayed table holds, so it
+    # neither dedupes onto a replayed job nor leaves its files unqueued.
+    for n in range(2):
+        incarnation = recovered if n == 0 else run_sched(None, recover=path)
+        broker = incarnation.broker
+        known = {j.job_id for j in broker.jobs}
+        fresh = broker.submit("bronze", [TransferSpec(f"/fresh/{n}", 1 << 20)])
+        assert fresh.job_id not in known and not fresh.recovered
+        incarnation.testbed.engine.run()
+        assert fresh.state is JobState.FINISHED
+
 
 # -- the open-loop overload scenario ----------------------------------------------
 

@@ -11,7 +11,7 @@ def _run_report(seed=3):
     result = run_sched(spec)
     assert result.all_finished
     lines = report_lines(result.jobs, result.testbed.engine, result.header)
-    return lines, result.journal.records
+    return lines, list(result.journal.records)
 
 
 def test_same_seed_produces_byte_identical_reports():

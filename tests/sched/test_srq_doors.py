@@ -76,7 +76,7 @@ def test_deadline_cancel_returns_leases():
     assert canceled > 0, "deadline never fired — test is vacuous"
     assert not result.leaks, result.leaks[:3]
     hp = next(iter(result.broker.doors.values())).link._host_pool
-    assert hp.sessions.balanced, f"leaked {hp.sessions.leased} leases"
+    assert hp.sessions.balanced, f"leaked {(hp.sessions.capacity - hp.sessions.available)} leases"
 
 
 def test_quiescence_audit_flags_unreturned_lease():

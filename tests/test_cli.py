@@ -237,11 +237,32 @@ def test_sched_command_report_is_byte_identical_across_runs(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sched_command_exits_nonzero_when_jobs_do_not_finish(capsys):
+def test_sched_command_exits_nonzero_when_jobs_do_not_finish(tmp_path, capsys):
+    import json
+
+    from repro.sched.spec import synthetic_spec
+
     rc = main(["sched", "--files", "200", "--testbed", "ani-wan",
                "--horizon", "2.0"])
     assert rc == 1
     assert "did not finish" in capsys.readouterr().err
+
+    # A drain leaves only the non-terminal jobs for a later --recover;
+    # a job its deadline canceled fails the drained run as it fails an
+    # undrained one, and the recovered run says the same.
+    spec = synthetic_spec(total_files=120)
+    for job in spec["jobs"][::3]:
+        job["deadline"] = 0.6
+    spec["checkpoint_compact"] = True
+    spec["drain_at"] = 2.0
+    path, journal = tmp_path / "deadline.json", str(tmp_path / "deadline.journal")
+    path.write_text(json.dumps(spec))
+    assert main(["sched", "--spec", str(path), "--journal", journal]) == 1
+    out, err = capsys.readouterr()
+    assert "drained: 3 job(s) left for a later --recover" in out
+    assert "error: 2 job(s) did not finish" in err
+    assert main(["sched", "--recover", journal]) == 1
+    assert "error: 2 job(s) did not finish" in capsys.readouterr().err
 
 
 def test_sched_command_requires_a_mix(capsys):

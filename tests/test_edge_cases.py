@@ -6,7 +6,7 @@ from repro.apps.io import CollectingSink, PatternSource
 from repro.core import ProtocolConfig, RdmaMiddleware
 from repro.core.channels import DataChannels
 from repro.testbeds import ani_wan, roce_lan
-from repro.verbs import VerbsError
+from repro.sim import SimulationError
 from tests.conftest import make_fabric
 
 
@@ -38,18 +38,12 @@ def test_server_rejects_unknown_endpoint_kind():
     qp = tb.src_dev.create_qp(
         tb.src_dev.alloc_pd(), tb.src_dev.create_cq(), tb.src_dev.create_cq()
     )
-    connect = tb.cm.connect(qp, tb.dst_dev, 4000, ("mystery",))
-    caught = []
-
-    def watcher(env):
-        try:
-            yield connect
-        except VerbsError as exc:
-            caught.append(str(exc))
-
-    tb.engine.process(watcher(tb.engine))
-    tb.engine.run()
-    assert caught and "unknown endpoint kind" in caught[0]
+    tb.cm.connect(qp, tb.dst_dev, 4000, ("mystery",))
+    # Only this package's own clients connect, so an unknown kind is a
+    # bug, and it fails the run instead of being answered.
+    with pytest.raises(SimulationError) as err:
+        tb.engine.run()
+    assert "unknown endpoint kind" in str(err.value.__cause__)
 
 
 def test_transfer_rejects_nonpositive_bytes():
@@ -89,7 +83,7 @@ def test_block_latencies_recorded():
     job = captured["job"]
     (latency,) = tb.engine.metrics.family("source.block_latency_seconds")
     # Every WRITE completion waits at least the RC ACK round trip.
-    assert latency.count == job.total_blocks and latency.min >= tb.rtt
+    assert latency.count == job.total_blocks and latency.percentile(0) >= tb.rtt
     assert job.link.audit() == []  # fully drained
 
 

@@ -43,7 +43,7 @@ def test_ani_wan_matches_table1():
     assert tb.src.spec.mem_bytes == 64 << 30
     assert tb.dst.spec.mem_bytes == 24 << 30
     assert tb.tcp_mode is TcpMode.FLUID
-    assert tb.duplex.rtt == pytest.approx(49e-3, rel=1e-3)
+    assert (tb.duplex.forward.latency + tb.duplex.backward.latency) == pytest.approx(49e-3, rel=1e-3)
 
 
 def test_iwarp_lan_extension_testbed():

