@@ -155,8 +155,6 @@ class RdmaMiddleware:
             while True:
                 request = yield listener.get_request()
                 kind = request.private_data[0]
-                if kind not in ("ctrl", "data"):
-                    raise ValueError(f"unknown endpoint kind {kind!r}")
                 if kind == "ctrl":
                     client_id = request.private_data[1]
                     ctrl_qp = self.device.create_qp(
@@ -176,7 +174,7 @@ class RdmaMiddleware:
                     )
                     engine.start()
                     self.sink_engines[client_id] = engine
-                else:  # "data"
+                elif kind == "data":
                     # An empty CQ is falsy (len 0), so the shared recv CQ
                     # must be tested against None, not truthiness.
                     recv_cq = (
@@ -192,6 +190,8 @@ class RdmaMiddleware:
                         srq=self._srq,
                     )
                     request.accept(data_qp)
+                else:
+                    raise ValueError(f"unknown endpoint kind {kind!r}")
 
         self.engine.process(_accept_loop())
 

@@ -73,12 +73,9 @@ class Engine:
         _obs_runtime.track_engine(self)
 
     def trace(self, category: str, message: str, **fields) -> None:
-        """Emit a trace record if a tracer is attached (cheap when not):
-        :meth:`Tracer.point` under the tracer's one shape per key."""
-        tracer = self.tracer
-        if tracer is not None:
-            key = (category, message, *fields)
-            tracer.point(self._now, tracer._shapes.setdefault(key, key), *fields.values())
+        """Emit a trace record if a tracer is attached (cheap when not)."""
+        if self.tracer is not None:
+            self.tracer.record(self._now, category, message, fields)
 
     # -- clock -------------------------------------------------------------
     @property

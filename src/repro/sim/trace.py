@@ -10,8 +10,8 @@ A record is the row ``(time, shape, *values)`` with ``shape =
 in that form and :meth:`Tracer.query` wraps the ones a caller asks for
 in a :class:`TraceRecord`.  Two spellings write the same row:
 
-* ``engine.trace("link", "repair", block=7)``: by keyword, for sites
-  that fire a few times per transfer;
+* ``engine.trace("link", "repair", block=7)`` (``tracer.record`` with a
+  dict): by keyword, for sites that fire a few times per transfer;
 * ``tracer.point(now, _T_POST, qp, op, wr_id, length)``, where the module
   constant ``_T_POST = ("qp", "post_send", "qp", "op", "wr_id", "len")``
   is the shape: positional, for sites that fire per block, each behind
@@ -128,6 +128,11 @@ class Tracer:
         if not self._room:
             self._seal()
 
+    def record(self, time: float, category: str, message: str, fields: Dict[str, Any]) -> None:
+        """:meth:`point` for a site that has its fields in a dict."""
+        key = (category, message, *fields)
+        self.point(time, self._shapes.setdefault(key, key), *fields.values())
+
     def _seal(self) -> None:
         """Pack the full open chunk, one group per shape object."""
         rows, self._open, self._room = self._open, [], self._chunk_rows
@@ -243,8 +248,8 @@ class Tracer:
         self._open: List[Row] = []
         self._room = self._chunk_rows
         self._head = 0
-        #: Intern table, filled by ``Engine.trace``: one shared shape per
-        #: distinct ``(category, message, *names)`` that came in by keyword.
+        #: Intern table: one shared shape per distinct ``(category,
+        #: message, *names)`` that came in by keyword.
         self._shapes: Dict[Shape, Shape] = {}
         #: Interned strings, and each one's index.
         self._strings: List[str] = []

@@ -3,14 +3,19 @@
 
     python tools/reach.py
 
-Runs the production set below (the CLI commands users and CI run, the
-examples, the paper-fidelity suite, the bench smoke tests and one
-full-scale run of every bench workload) with every Python process it
-starts, children included, recording which ``src/`` functions they
-enter.  It records call events only: ``sys.monitoring`` (each code
-object reports once, then is disabled) on 3.12+, ``sys.settrace`` before.
-A ``sitecustomize`` on ``PYTHONPATH`` installs the hook, so
-``bench/run.py``'s subprocesses and the sweep's workers are traced too.
+The production set is the steps of CI's ``tests`` job (its CLI smokes
+and the paper-fidelity suite) plus ``extra()``: the commands for features
+no smoke reaches, the figures, ablations, apps and examples, the bench
+smoke tests and one full-scale run of every bench workload.  Every
+Python process they start, children included, records which ``src/``
+functions it enters: ``tools/reach_hook`` on ``PYTHONPATH`` installs a
+``sys.settrace`` hook that records call events while ``REACH_OUT`` names
+a directory.
+
+In CI the ``tests`` job sets both for every step (a step outside the
+set, such as tier-1, sets ``REACH_OUT`` empty), so this script runs only
+``extra()`` before its check.  Run without ``REACH_OUT``, it also runs
+those steps itself, read from ``.github/workflows/ci.yml`` (PyYAML).
 
 Exits 1 if a command exits other than expected, if a ``src/`` function
 (``def``, at any depth) is never entered and is neither a ``__repr__``
@@ -66,71 +71,13 @@ ALLOW = {
     "repro/tcp/cubic.py::Cubic._exit_slow_start": "as CongestionControl._exit_slow_start",
 }
 
-#: The hook each traced process installs at start-up.
-SITECUSTOMIZE = '''
-import os, sys, threading
-
-def _reach():
-    out_dir, src = os.environ["REACH_OUT"], os.environ["REACH_SRC"]
-    files = {}
-
-    def record(code):
-        # A module's own code starts at line 1, like a def on line 1.
-        if code.co_filename.startswith(src) and code.co_name != "<module>":
-            pid = os.getpid()
-            fh = files.get(pid)
-            if fh is None:
-                path = os.path.join(out_dir, f"{pid}.txt")
-                fh = files[pid] = open(path, "a", buffering=1)
-            fh.write(f"{code.co_filename}:{code.co_firstlineno}\\n")
-
-    monitoring = getattr(sys, "monitoring", None)
-    if monitoring is not None:
-        tool = monitoring.COVERAGE_ID
-        monitoring.use_tool_id(tool, "reach")
-
-        def start(code, offset):
-            record(code)
-            return monitoring.DISABLE
-
-        monitoring.register_callback(tool, monitoring.events.PY_START, start)
-        monitoring.set_events(tool, monitoring.events.PY_START)
-        return
-    # By identity: two functions can hold equal code objects.  The list
-    # keeps every id taken.
-    seen, held = set(), []
-
-    def trace(frame, event, arg):
-        code = frame.f_code
-        if id(code) not in seen:
-            seen.add(id(code))
-            held.append(code)
-            record(code)
-
-    threading.settrace(trace)
-    sys.settrace(trace)
-
-if os.environ.get("REACH_OUT"):
-    _reach()
-'''
-
 #: Commands run side by side: one per core of a 2-core CI host.
 JOBS = 2
+HOOK = ROOT / "tools" / "reach_hook"
+CI = ROOT / ".github" / "workflows" / "ci.yml"
 REPRO = [sys.executable, "-m", "repro"]
 BENCH_WORKLOADS = ("bulk_wan", "bulk_wan_obs", "bulk_lan_faults", "sched_mix",
                    "sched_spike", "pool_smallfiles", "fio_verbs")
-
-#: Run inside a traced process: CI's retry-storm check reads the denial
-#: counter off the registry.
-RETRY_STORM = """
-from repro.sched import overload_spec, run_sched
-spec = overload_spec(seed=0, total_files=200, spike=1.0)
-spec["faults"] = {"attempt_fault_rate": 0.3, "seed": 0}
-r = run_sched(spec, audit=True)
-denied = r.testbed.engine.metrics.get("sched.overload.retry_denied")
-assert denied is not None and denied.total > 0, "no retries denied"
-assert r.audit_ok and not r.leaks
-"""
 
 #: A job-mix spec with per-job deadlines, compaction at the drain
 #: checkpoint, and a drain: ``sched --spec`` then ``--recover`` on it.
@@ -151,7 +98,20 @@ GRIDFTP_SWEEP = {"runner": "gridftp", "testbed": "ani-wan",
                  "base": {"bytes": "256M"}, "axes": {"streams": [4]}}
 
 
-def production_set(tmp):
+def ci_steps():
+    """The ``tests`` job's steps that are production, as one chain of
+    bash scripts: each ``run`` step the job's ``REACH_OUT`` reaches,
+    except this script's own."""
+    import yaml
+
+    steps = yaml.safe_load(CI.read_text())["jobs"]["tests"]["steps"]
+    return [[(0, ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", step["run"]])
+             for step in steps
+             if "run" in step and step.get("env", {}).get("REACH_OUT", True) != ""
+             and "tools/reach.py" not in step["run"]]]
+
+
+def extra(tmp):
     """Chains of ``(expected exit code, argv)``, run in order per chain;
     the longest chains first, so two workers finish together."""
     t = pathlib.Path(tmp)
@@ -160,28 +120,19 @@ def production_set(tmp):
     kill_all = [a for q in range(4) for a in ("--qp-kill", f"0.25:{q}")]
     (t / "gridftp_sweep.json").write_text(json.dumps(GRIDFTP_SWEEP))
     return [
-        # The paper-fidelity suite and the bench: its smoke tests, and
-        # every workload once at full scale (the trace ring seals chunks
-        # only there), with its post-run report, audit and exports.
-        [(0, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-              "--benchmark-disable", "benchmarks"])],
+        # The bench: its smoke tests, and every workload once at full
+        # scale (the trace ring seals chunks only there), with its
+        # post-run report, audit and exports.
         [(0, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
               "bench/tests"])],
         *[[(0, [sys.executable, "bench/run.py", "--workload", w, "--seed", "0",
                 "--seconds", "0", "--trace", "1"])] for w in BENCH_WORKLOADS],
         [(0, REPRO + ["figure", fig]) for fig in ("3", "4", "8", "9", "10", "11")],
-        # CI's chaos smokes, and each degraded mode: re-promotion (2G),
-        # one channel's detach, a denied fallback, source and sink crashes.
-        [(0, chaos + ["--testbed", "roce-lan", "--bytes", "32M",
-                      "--write-fault-rate", "0.08", "--seed", "0"]),
-         (0, chaos + ["--testbed", "roce-lan", "--bytes", "64M",
-                      "--payload-corrupt-rate", "0.05", "--sink-crash", "0.005",
-                      "--resume-attempts", "3", "--resume-backoff", "1.0",
-                      "--seed", "1"]),
-         (0, chaos + ["--testbed", "roce-lan", "--bytes", "64M",
+        # Each degraded mode: re-promotion (2G), one channel's detach, a
+        # denied fallback, a source crash, a long link flap (traced: its
+        # sites trace by keyword).
+        [(0, chaos + ["--testbed", "roce-lan", "--bytes", "64M",
                       "--source-crash", "0.005", "--resume-attempts", "3"]),
-         (0, chaos + ["--testbed", "ani-wan", "--bytes", "32M", *kill_all,
-                      "--no-repromote", "--seed", "11"]),
          (0, chaos + ["--testbed", "ani-wan", "--bytes", "2G", *kill_all,
                       "--seed", "11"]),
          (0, chaos + ["--testbed", "ani-wan", "--bytes", "32M", *kill_all,
@@ -189,32 +140,18 @@ def production_set(tmp):
          (0, chaos + ["--testbed", "roce-lan", "--bytes", "256M",
                       "--qp-kill", "0.005:0"]),
          (0, chaos + ["--testbed", "roce-lan", "--bytes", "8M",
-                      "--link-flap", "0.001:120"])],
-        # CI's broker smokes, the watchdog, brownout and recovery.
+                      "--link-flap", "0.001:120", "--trace-out", str(t / "flap.jsonl")])],
+        # The broker's watchdog, brownout and recovery; deadlines cancel
+        # two jobs, so the deadline spec and its --recover exit 1.
         [(0, sched + ["--quick", "--files", "200", "--crash-at", "1.0",
-                      "--journal", str(t / "crash.journal"), "--audit"]),
-         (0, sched + ["--quick", "--files", "200", "--crash-at", "1.0",
                       "--recover", str(t / "roundtrip.journal"), "--audit"]),
-         (0, sched + ["--quick", "--files", "24", "--drain-at", "0.9",
-                      "--journal", str(t / "drain.journal")]),
-         (2, sched + ["--recover", str(t / "drain.journal"),
-                      "--attempt-fault-rate", "0.9"]),
-         (0, sched + ["--recover", str(t / "drain.journal")]),
          (0, sched + ["--quick", "--files", "200", "--watchdog", "--audit"]),
-         (0, sched + ["--spike", "10", "--audit",
-                      "--report", str(t / "spike.jsonl")]),
          (0, sched + ["--spike", "10", "--audit", "--overload",
                       '{"brownout_high": 0.75}']),
-         (0, [sys.executable, "-c", RETRY_STORM])],
-        # Deadlines cancel two jobs, so both runs exit 1.
-        [(0, [sys.executable, "-c", DEADLINE_SPEC, str(t / "deadline.json")]),
+         (0, [sys.executable, "-c", DEADLINE_SPEC, str(t / "deadline.json")]),
          (1, sched + ["--spec", str(t / "deadline.json"),
                       "--journal", str(t / "deadline.journal"), "--audit"]),
-         (1, sched + ["--recover", str(t / "deadline.journal")]),
-         (0, sched + ["--quick", "--report", str(t / "quick.jsonl")]),
-         (0, sched + ["--files", "120", "--report", str(t / "srq_off.jsonl")]),
-         (0, sched + ["--files", "120", "--use-srq", "--audit",
-                      "--report", str(t / "srq_on.jsonl")])],
+         (1, sched + ["--recover", str(t / "deadline.journal")])],
         # The apps, the ablations, the sweeps and the examples.
         [(0, REPRO + ["testbeds"]),
          (0, REPRO + ["rftp", "--testbed", "roce-lan", "--bytes", "64M",
@@ -308,20 +245,17 @@ def src_defs():
 def main() -> int:
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        hook, out = pathlib.Path(tmp, "hook"), pathlib.Path(tmp, "out")
-        hook.mkdir()
-        out.mkdir()
-        (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
-        env = dict(os.environ, REACH_OUT=str(out), REACH_SRC=str(SRC) + os.sep,
-                   PYTHONPATH=os.pathsep.join(
-                       [str(hook), str(SRC)]
-                       + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        chains = production_set(tmp)
+        # In CI the job's steps already ran under the hook, into REACH_OUT.
+        out = os.environ.get("REACH_OUT") or os.path.join(tmp, "out")
+        os.makedirs(out, exist_ok=True)
+        chains = extra(tmp) if os.environ.get("REACH_OUT") else ci_steps() + extra(tmp)
+        env = dict(os.environ, REACH_OUT=out, PYTHONPATH=os.pathsep.join(
+            [str(HOOK), str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
             problems = [p for ps in pool.map(lambda c: run_chain(c, env), chains)
                         for p in ps]
         entered = set()
-        for path in out.iterdir():
+        for path in pathlib.Path(out).iterdir():
             for line in path.read_text().splitlines():
                 filename, _, lineno = line.rpartition(":")
                 entered.add((filename, int(lineno)))
