@@ -50,8 +50,9 @@ class Path:
         """Can a transfer be booked over the whole hop chain right now?
 
         Only under fluid mode with every link clean (no fault hook armed,
-        never flapped) and owned by this path alone; anything else goes
-        per hop through ``Link.serialize``.
+        never flapped) and owned by this path alone.  Anything else goes
+        per hop through ``Link.serialize``, the exact discrete path, which
+        honours the bookings this path made before it was refused.
         """
         if not self.engine.use_fluid:
             return False

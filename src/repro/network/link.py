@@ -48,18 +48,19 @@ class Link:
         self.mtu = mtu
         self.name = name
         self._wire = Resource(engine, capacity=1)
-        #: Fluid busy-until horizon for the wire (absolute sim time).
+        #: Busy-until horizon of the wire's chain bookings (absolute sim
+        #: time), advanced by :meth:`~repro.network.fabric.Path.book`.
         #: ``start = max(arrival, free); end = start + service`` is the
         #: same float chain the discrete request/timeout/release path
-        #: produces, so fluid completions are bit-identical.
+        #: produces, so booked completions are bit-identical.
         self._fluid_free = 0.0
         #: How many :class:`~repro.network.fabric.Path` objects serialise
         #: through this link — whole-path chain booking is only sound for
         #: a link owned by exactly one path.
         self._path_uses = 0
         #: Set once a flap is injected: paths stop booking whole-path
-        #: chains and fall back to per-hop reservations, which model the
-        #: outage window.
+        #: chains and fall back to per-hop :meth:`serialize`, which models
+        #: the outage window.
         self._flap_seen = False
         reg = engine.metrics
         labels = {"link": name, "i": reg.sequence("link")}
@@ -88,51 +89,38 @@ class Link:
     def serialize(self, nbytes: int) -> Generator:
         """Process generator: occupy the wire while ``nbytes`` serialise.
 
-        Propagation delay is *not* included; multi-hop paths add the summed
-        propagation once (see :class:`~repro.network.fabric.Path`).
+        This is the exact per-hop path every transfer takes whose path is
+        not :meth:`~repro.network.fabric.Path.chain_ok`.  Once granted the
+        wire it also waits out ``_fluid_free``: a chain booking made
+        before the link left chain mode (a hook-less :meth:`fail_for`)
+        still owns the wire until then, as a discrete transfer in flight
+        would.  Propagation delay is *not* included; multi-hop paths add
+        the summed propagation once (see
+        :class:`~repro.network.fabric.Path`).
         """
         if nbytes < 0:
             raise ValueError("transfer size must be non-negative")
         if nbytes == 0:
             return
         engine = self.engine
-        if engine.use_fluid and self.fault_hook is None:
-            # Fluid fast path: book the wire analytically and sleep once
-            # until the completion instant.  The arrival loop replicates
-            # the discrete stall loop's float arithmetic (and stall
-            # counts) for a flap that is already in force; a flap
-            # injected *while* a reservation is parked is absorbed
-            # optimistically (bits treated as already scheduled) — the
-            # fault injector therefore arms a hook on flap-armed links,
-            # which keeps them discrete, where the outage semantics are
-            # exact.
-            arrival = engine.now
-            while arrival < self._down_until:
-                self.flap_stalls.add()
-                arrival = arrival + (self._down_until - arrival)
-            free = self._fluid_free
-            start = arrival if arrival > free else free
-            end = start + nbytes / self.bytes_per_second
-            self._fluid_free = end
-            yield engine.timeout_at(end)
-            self.bytes_sent.add(nbytes)
-            return
-        while self.engine.now < self._down_until:
+        while engine.now < self._down_until:
             self.flap_stalls.add()
-            yield self.engine.timeout(self._down_until - self.engine.now)
+            yield engine.timeout(self._down_until - engine.now)
         yield self._wire.request()
         try:
+            if self._fluid_free > engine.now:
+                yield engine.timeout_at(self._fluid_free)
             # A flap may have started while we queued for the wire.
-            while self.engine.now < self._down_until:
+            while engine.now < self._down_until:
                 self.flap_stalls.add()
-                yield self.engine.timeout(self._down_until - self.engine.now)
+                yield engine.timeout(self._down_until - engine.now)
             delay = nbytes / self.bytes_per_second
             if self.fault_hook is not None:
                 spike = self.fault_hook(nbytes)
                 if spike > 0:
                     self.latency_spikes.add()
                     delay += spike
-            yield self.engine.timeout(delay)
+            yield engine.timeout(delay)
         finally:
             self._wire.release()
         self.bytes_sent.add(nbytes)

@@ -246,11 +246,6 @@ class Container:
         """Current stored quantity."""
         return self._level
 
-    @property
-    def idle(self) -> bool:
-        """True when no putter or getter is parked on the container."""
-        return not self._putters and not self._getters
-
     def put(self, amount: float) -> Event:
         if amount < 0:
             raise ValueError("amount must be non-negative")

@@ -97,28 +97,9 @@ class Bottleneck:
         idle_rounds = 0
         engine = self.engine
         while self._flows and idle_rounds < 2:
-            progressed = self._step_round(engine.now)
+            progressed = self._step_round()
             idle_rounds = 0 if progressed else idle_rounds + 1
-            wake = engine.now + self.rtt
-            if progressed and self._batch_ok():
-                # Fluid fast-forward: while no foreign event is due
-                # before the next round and every flow is quiescent (no
-                # parked socket-buffer waiters a round could wake), run
-                # the rounds back-to-back at their virtual times and
-                # sleep once.  ``wake`` advances by the same ``+ rtt``
-                # float chain the per-round timers would produce, and
-                # the rng draws happen in the same order, so results
-                # are bit-identical — only the timer count drops.
-                horizon = engine.peek()
-                while wake < horizon and self._flows:
-                    progressed = self._step_round(wake)
-                    wake = wake + self.rtt
-                    if not progressed:
-                        idle_rounds = 1
-                        break
-                    if not self._batch_ok():
-                        break
-            yield engine.timeout_at(wake)
+            yield engine.timeout_at(engine.now + self.rtt)
         self._running = False
         # A flow may have buffered data during the final idle sleep — its
         # send-side poke saw ``_running`` still True and was a no-op.
@@ -127,27 +108,10 @@ class Bottleneck:
         if any(f.offered_bytes() > 0.0 for f in self._flows):
             self.ensure_running()
 
-    def _batch_ok(self) -> bool:
-        """True when rounds may be integrated ahead of the clock.
-
-        Requires a fluid engine, no tracer (trace records carry real
-        timestamps), and every flow quiescent — a flow without
-        ``fluid_quiescent`` (or reporting False, i.e. a process is parked
-        on one of its socket buffers) pins the loop to real time so
-        wakeups happen at their exact instants.
-        """
-        engine = self.engine
-        if not engine.use_fluid or engine.tracer is not None:
-            return False
-        for flow in self._flows:
-            quiescent = getattr(flow, "fluid_quiescent", None)
-            if quiescent is None or not quiescent():
-                return False
-        return True
-
-    def _step_round(self, now: float) -> bool:
+    def _step_round(self) -> bool:
         import numpy as np
 
+        now = self.engine.now
         flows = list(self._flows)
         arrivals = np.array([max(f.offered_bytes(), 0.0) for f in flows])
         total = float(arrivals.sum())

@@ -53,8 +53,6 @@ class CongestionControl(ABC):
             # Exponential growth: one extra segment per segment acked,
             # clamped at ssthresh.
             self.cwnd_seg = min(self.cwnd_seg + acked_seg, max(self.ssthresh_seg, self.cwnd_seg))
-            if not self.in_slow_start:
-                self._exit_slow_start(now)
             return
         self._avoid(acked_seg, now, rtt)
 
@@ -66,9 +64,6 @@ class CongestionControl(ABC):
         self.ssthresh_seg = max(self.cwnd_seg, 2.0)
 
     # -- algorithm hooks ------------------------------------------------------------
-    def _exit_slow_start(self, now: float) -> None:
-        """Called once when cwnd first reaches ssthresh."""
-
     @abstractmethod
     def _avoid(self, acked_seg: float, now: float, rtt: float) -> None:
         """Congestion-avoidance window update for one acked round."""

@@ -199,15 +199,6 @@ class TcpConnection:
             yield self._rcvbuf.put(chunk)
 
     # -- FLUID mode: bottleneck round callbacks ------------------------------------
-    def fluid_quiescent(self) -> bool:
-        """True when no process is parked on either socket buffer.
-
-        The bottleneck's fluid round batcher may only integrate rounds
-        ahead of the clock when a round cannot wake anything: a blocked
-        ``send``/``recv`` waiter must be resumed at its exact instant.
-        """
-        return self._sndbuf.idle and self._rcvbuf.idle
-
     def offered_bytes(self) -> float:
         rwnd_free = self._rcvbuf.capacity - self._rcvbuf.level
         return min(self.cc.cwnd_bytes, self._sndbuf.level, rwnd_free)

@@ -30,9 +30,6 @@ class Cubic(CongestionControl):
         self._epoch_start: float | None = None
         self._k = 0.0
 
-    def _exit_slow_start(self, now: float) -> None:
-        self._epoch_start = None
-
     def _begin_epoch(self, now: float) -> None:
         self._epoch_start = now
         if self.w_max < self.cwnd_seg:

@@ -127,9 +127,6 @@ class QueuePair:
         reg = self.engine.metrics
         labels = {"host": device.host.name, "qp": qp_num}
         self.rnr_naks = reg.counter("qp.rnr_naks", **labels)
-        # Always zero (there is no unreliable transport); registered
-        # so the exported series set stays the same.
-        reg.counter("qp.ud_drops", **labels)
         self.bytes_sent = reg.counter("qp.bytes_sent", **labels)
         #: Optional fault hook ``(SendWR) -> bool``: return True to fail
         #: the WR with :data:`WcStatus.SIM_FAULT` after it crosses the

@@ -10,6 +10,10 @@ stuck in either pool, the history bounded), every ended record's
 ``done`` resolved, every session that
 reported success byte-exact at the sink.  Sessions may *fail* — only
 typed, and leaving nothing behind.
+
+The same oracle also judges every single-fault placement: a fault at
+each control-message index of a fixed scenario, enumerated rather than
+drawn (:func:`_placement_ending`).
 """
 
 import pytest
@@ -20,6 +24,8 @@ from repro.apps.io import CollectingSink, PatternSource
 from repro.core import ProtocolConfig, RdmaMiddleware
 from repro.core.errors import TransferCanceled, TransferError
 from repro.core.sink_engine import SessionState
+from repro.faults.plan import DEFAULT_DROPPABLE
+from repro.sim.engine import SimulationError
 from repro.testbeds import roce_lan
 
 BS = 128 * 1024
@@ -205,6 +211,116 @@ def test_all_endings_in_one_sequence():
     assert sum(1 for _b, ev in world.sessions.values() if ev.ok) >= 5
     assert world.se.sessions_reclaimed.total >= 1 and world.se.crashes.total == 1
     assert len(world.se._sessions) == HISTORY
+
+    # Depth 1: every fault at every control-message index of one 8-block
+    # session and of two sequential ones, against the table of today's
+    # failures (a new failing placement fails, and so does a listed one
+    # that passes or fails differently).
+    failing, placements = {}, 0
+    for sessions, messages in ((1, 40), (2, 72)):
+        assert _placement_ending(sessions, None, -1) == (messages, False, None)
+        for action in _ACTIONS:
+            for k in range(messages):
+                _, placed, ending = _placement_ending(sessions, action, k)
+                placements += placed
+                if ending is not None:
+                    failing[sessions, action, k] = ending
+    assert placements == 359  # the droppable types are 9 and 14 of the indexes
+    assert failing == {
+        (sessions, action, k): line
+        for sessions, action, first, last, line in FAILING_PLACEMENTS
+        for k in range(first, last + 1)
+    }
+
+
+def _stale(block):
+    return (f"BlockStateError: sink block {block}: illegal transition from free "
+            "(expected ['waiting'])")
+
+
+#: Every failing placement of the depth-1 enumeration, as ``(sessions,
+#: action, first k, last k, error line)``.  The ``BlockStateError`` rows
+#: are the stale-credit bug that
+#: ``test_stale_credit_after_reclaim_breaks_the_successor`` reproduces:
+#: a fresh session spends credits for regions the sink revoked.  Killing
+#: every data channel of the first session starves the second of QPs
+#: (``DataChannels._pick`` divides by the empty rotation), and one late
+#: abort leaves a source block held.
+FAILING_PLACEMENTS = [
+    (1, "abort", 4, 6, _stale(0)),
+    (1, "abort", 7, 11, _stale(1)),
+    (1, "abort", 12, 12, _stale(2)),
+    (1, "abort", 13, 13, _stale(4)),
+    (1, "abort", 14, 17, _stale(6)),
+    (1, "abort", 18, 18, _stale(7)),
+    (1, "abort", 19, 33, _stale(8)),
+    (1, "sink_crash", 15, 39, _stale(8)),
+    (2, "abort", 4, 6, _stale(0)),
+    (2, "abort", 7, 11, _stale(1)),
+    (2, "abort", 12, 12, _stale(2)),
+    (2, "abort", 13, 13, _stale(4)),
+    (2, "abort", 14, 17, _stale(6)),
+    (2, "abort", 18, 18, _stale(7)),
+    (2, "abort", 19, 33, _stale(8)),
+    (2, "abort", 44, 45, _stale(8)),
+    (2, "abort", 46, 63, _stale(6)),
+    (2, "abort", 64, 64, "leak: source block 5 stuck waiting"),
+    (2, "sink_crash", 15, 44, _stale(8)),
+    (2, "sink_crash", 45, 71, _stale(6)),
+    (2, "kill_channels", 6, 6, "ZeroDivisionError: integer modulo by zero"),
+    (2, "kill_channels", 13, 22, "ZeroDivisionError: integer modulo by zero"),
+]
+
+#: The faults placed at a control message: a drop is the hook's verdict;
+#: each other action runs at the instant the message is posted, once the
+#: poster has moved on.
+_ACTIONS = {
+    "drop": None,
+    "abort": lambda world: world.abort(0),
+    "sink_crash": lambda world: world.se.crash(),
+    "kill_channels": lambda world: world.kill_channels(),
+}
+
+
+def _placement_ending(sessions, action, k):
+    """Run ``sessions`` sequential 8-block sessions with ``action`` at the
+    ``k``-th control message either side sends; after an abort or a sink
+    crash, idle 3 s and run one more.  Returns the number of control
+    messages sent, whether the fault was placed (a drop only on a
+    droppable type), and ``None`` for a run the oracle passes, else its
+    error line.  Credits the sink revoked are not flushed: the source
+    must cope on its own."""
+    world = World(flush_revoked_credits=False)
+    sent, placed = [0], []
+
+    def hook(msg):
+        index, sent[0] = sent[0], sent[0] + 1
+        if index != k or (action == "drop" and msg.type not in DEFAULT_DROPPABLE):
+            return None
+        placed.append(index)
+        if action == "drop":
+            return "drop"
+        world.engine.timeout(0.0).add_callback(lambda _ev: _ACTIONS[action](world))
+        return None
+
+    world.link.ctrl.fault_hook = world.se.ctrl.fault_hook = hook
+    try:
+        for _ in range(sessions):
+            world.start(8)
+            world.engine.run()
+        if action in ("abort", "sink_crash"):
+            world.advance(3.0)
+            world.start(8)
+        world.settle()
+    except SimulationError as exc:
+        cause = exc.__cause__ or exc
+        ending = f"{type(cause).__name__}: {cause}"
+    except AssertionError as exc:
+        leaks = world.link.audit() + world.se.audit()
+        ending = "leak: " + "; ".join(leaks) if leaks else f"oracle: {exc}"
+    else:
+        ending = None
+    return sent[0], bool(placed), ending
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP crash x fault: a source keeps "

@@ -33,7 +33,7 @@ from repro.sim.trace import Tracer
 from repro.testbeds import TESTBEDS
 from repro.verbs.wr import WcStatus
 
-METRICS_SHA = "e25d74f521e8ef190753e5efe234a6b97c6a7bb7a093bb991d8cbd73405586a3"
+METRICS_SHA = "a81fc280dddb4f0989433a466ced0191a04a390e56e4e4b20d42da3393def025"
 PINS = {
     100_000: (743, "4ca79be1f2c6ed5c5bd258cf44c6b1d33038de81caf43e87fc83d52cfda9cf5b"),
     256: (257, "7b1f63b085bc764259b0c00486b2e5794a0ea6867ed8631b247c642effd1163e"),
@@ -74,7 +74,7 @@ def test_bulk_wan_obs_exports_are_byte_identical(capacity, tmp_path):
     assert engines == [testbed.engine]
 
     metrics, trace = tmp_path / "metrics.jsonl", tmp_path / "trace.jsonl"
-    assert write_metrics_jsonl(str(metrics), engines) == 119
+    assert write_metrics_jsonl(str(metrics), engines) == 109
     assert _sha(metrics) == METRICS_SHA
     lines, sha = PINS[capacity]
     assert write_trace_jsonl(str(trace), engines) == lines

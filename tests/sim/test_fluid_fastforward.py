@@ -110,16 +110,18 @@ def test_resource_try_acquire():
 def test_container_sync_grant_and_idle():
     engine = Engine(use_fluid=True)
     box = Container(engine, capacity=10.0)
-    assert box.idle
     put = box.put(4.0)
     assert put.processed
     got = box.get(3.0)
     assert got.processed and got.value == 3.0
     assert box.level == pytest.approx(1.0)
-    # An unsatisfiable get parks and flips ``idle`` — the quiescence
-    # signal the bottleneck batcher keys on.
+    # An unsatisfiable get parks until a put covers it.
     waiter = box.get(5.0)
-    assert not waiter.triggered and not box.idle
+    assert not waiter.triggered
+    box.put(4.0)
+    engine.run()
+    assert waiter.processed and waiter.value == 5.0
+    assert box.level == pytest.approx(0.0)
 
 
 def test_container_get_defers_to_parked_putter():
@@ -203,18 +205,43 @@ def test_link_escape_hatch_forces_per_hop_events():
     assert events[True] > events[False]
 
 
-def test_flap_disables_chain_mode_but_keeps_timing():
-    # A link that has ever flapped must leave analytic chain booking;
-    # transfers fall back to per-hop serialisation with identical times.
-    engine = Engine(use_fluid=True)
+def _flapped_arrival(fluid, flap_for):
+    """A 1 MiB transfer at t=0, a hook-less flap at 0.1 ms while it is
+    on the wire, and a second transfer at the flap instant; returns both
+    arrivals, the link's stall count, and whether the path was still
+    chain-ok just before the flap."""
+    engine = Engine(use_fluid=fluid)
     path = back_to_back(engine, 10.0, 0.001).forward
     link = path.links[0]
-    assert not link._flap_seen
-    link.fail_for(0.01)
-    assert link._flap_seen
-    arrival = _drive(engine, path.transmit(1 << 20))
+    arrivals, seen = {}, {}
 
-    discrete = Engine(use_fluid=False)
-    dpath = back_to_back(discrete, 10.0, 0.001).forward
-    dpath.links[0].fail_for(0.01)
-    assert arrival == _drive(discrete, dpath.transmit(1 << 20))
+    def send(key, at):
+        if at > 0.0:
+            yield engine.timeout_at(at)
+        yield from path.transmit(1 << 20)
+        arrivals[key] = engine.now
+
+    def flap():
+        yield engine.timeout_at(1e-4)
+        seen["chain_ok"] = path.chain_ok()
+        assert not link._flap_seen
+        link.fail_for(flap_for)
+        assert link._flap_seen and not path.chain_ok()
+
+    engine.process(send("first", 0.0))
+    engine.process(flap())
+    engine.process(send("second", 1e-4))
+    engine.run()
+    return arrivals, link.flap_stalls.total, seen["chain_ok"]
+
+
+def test_flap_disables_chain_mode_but_keeps_timing():
+    # A link that has flapped leaves analytic chain booking: the next
+    # transfer goes per hop, after the bits booked before the flap (a
+    # short outage ends while they are still on the wire, a long one
+    # after), and arrives exactly when the discrete engine's does.
+    for flap_for in (1e-4, 0.01):
+        arrivals, stalls, chain_ok = _flapped_arrival(True, flap_for)
+        assert chain_ok
+        assert (arrivals, stalls) == _flapped_arrival(False, flap_for)[:2]
+        assert stalls == 1

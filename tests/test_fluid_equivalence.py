@@ -130,9 +130,8 @@ def test_burst_workload_event_ratio_exceeds_three():
 
 def test_fault_armed_links_auto_pin_to_discrete():
     """Arming flaps or spikes must arm a fault hook on every path link,
-    which keeps it discrete (fluid flap handling is optimistic for
-    in-flight reservations), and the chaos run must still end clean and
-    byte-exact."""
+    which keeps it off chain booking (a spike is drawn per hop), and the
+    chaos run must still end clean and byte-exact."""
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FaultPlan
 

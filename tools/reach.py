@@ -66,9 +66,6 @@ ALLOW = {
     "repro/tcp/bottleneck.py::FluidFlow.round_result": "typing.Protocol stub",
     "repro/tcp/congestion.py::CongestionControl._avoid": "abstract; Reno / BIC / H-TCP / CUBIC run",
     "repro/tcp/congestion.py::CongestionControl._backoff": "abstract; as _avoid",
-    "repro/tcp/congestion.py::CongestionControl._exit_slow_start":
-        "a no-op hook: slow start ends only at a loss, which sets ssthresh to cwnd",
-    "repro/tcp/cubic.py::Cubic._exit_slow_start": "as CongestionControl._exit_slow_start",
 }
 
 #: Commands run side by side: one per core of a 2-core CI host.
