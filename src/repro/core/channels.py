@@ -42,10 +42,9 @@ _T_DROP = ("ctrl", "drop", "type", "session")
 
 
 class NoLiveChannelError(RuntimeError):
-    """Every data QP is in ERROR state; nothing can carry a WRITE.
-
-    Callers translate this into the typed
-    :class:`~repro.core.errors.DataChannelsLost` session abort."""
+    """No data QP can carry a WRITE (all in ERROR, or all detached): the
+    poster degrades to TCP or aborts with the typed
+    :class:`~repro.core.errors.DataChannelsLost`."""
 
 
 class ControlChannel:
@@ -207,7 +206,7 @@ class DataChannels:
 
         Honours the circuit breakers when wired (quarantined channels
         are skipped while an admissible one exists).  Raises
-        :class:`NoLiveChannelError` when every QP is dead."""
+        :class:`NoLiveChannelError` when every QP is dead or detached."""
         best: Optional["QueuePair"] = None
         fallback: Optional["QueuePair"] = None  # live but quarantined
         fallback_until = float("inf")
@@ -228,7 +227,7 @@ class DataChannels:
                 continue
             if best is None or qp.send_outstanding < best.send_outstanding:
                 best = qp
-        self._rr = (self._rr + 1) % n
+        self._rr = (self._rr + 1) % (n or 1)  # n == 0: every QP detached
         if best is None:
             best = fallback  # all live QPs quarantined: force-admit one
         if best is None:
@@ -319,8 +318,8 @@ class HostChannelPool:
     QPs and a :class:`~repro.core.pool.ResourcePool` of session leases,
     so pinned memory and QP count stay constant as sessions grow; its
     breakers use the static floor, quarantining a flapping QP for every
-    rider at once.  Each posted WR is routed in :attr:`routes` (wr_id →
-    owning link) for the reaper, :func:`repro.core.source_link._reap`.
+    rider at once.  Each posted WR has one entry in :attr:`inflight`,
+    settled by the reaper, :func:`repro.core.source_link._reap`.
     """
 
     def __init__(
@@ -348,9 +347,10 @@ class HostChannelPool:
         #: rotation in ``data`` shrinks as channels die.
         self.qps: List["QueuePair"] = list(data.qps)
         self.wr_ids = itertools.count()
-        #: wr_id -> owning SourceLink, popped by the reaper (or by the
-        #: link, for a post withdrawn before the WR reached the wire).
-        self.routes: Dict[int, object] = {}
+        #: wr_id -> (link, job, block, credit, failed_attempts, is_repair,
+        #: posted_at), popped by the reaper (or by the link, for a post
+        #: withdrawn before the WR reached the wire).
+        self.inflight: Dict[int, tuple] = {}
         #: qp_num -> breaker, created lazily; survives detach/adopt so a
         #: QP that comes back keeps its quarantine history.
         self.breakers: Dict[int, ChannelBreaker] = {}

@@ -37,26 +37,25 @@ _T_DEPOSIT = ("credits", "deposit", "granted", "balance", "total")
 
 @dataclass(frozen=True, slots=True)
 class Credit:
-    """Permission to write one block into a specific sink memory region."""
+    """Permission to write one block into a specific sink memory region,
+    valid while the sink's revocation generation is still ``gen``."""
 
     block_id: int
     addr: int
     rkey: int
+    gen: int = 0
 
     @staticmethod
-    def for_block(block: SinkBlock) -> "Credit":
-        return Credit(
-            block_id=block.block_id,
-            addr=block.mr.buffer.addr,
-            rkey=block.mr.rkey,
-        )
+    def for_block(block: SinkBlock, gen: int) -> "Credit":
+        return Credit(block.block_id, block.mr.buffer.addr, block.mr.rkey, gen)
 
 
 class CreditLedger:
     """Source-side credit balance.
 
     Senders wait on :meth:`acquire`; the control-message handler deposits
-    batches as MR_INFO_REP messages arrive.
+    batches as MR_INFO_REP messages arrive.  A stale credit (one of an
+    older revocation generation) names a revoked region: it is never held.
     """
 
     def __init__(self, engine: "Engine") -> None:
@@ -65,8 +64,7 @@ class CreditLedger:
         reg = engine.metrics
         labels = {"i": reg.sequence("credit_ledger")}
         self.total_received = reg.counter("credits.received_total", **labels)
-        #: Credits discarded by :meth:`flush` (stale grants to a dead
-        #: session incarnation, dropped at resume).
+        #: Credits discarded as stale: by :meth:`flush` or by generation.
         self.flushed = reg.counter("credits.flushed_total", **labels)
         self.peak_balance = reg.gauge("credits.peak_balance", **labels)
         reg.gauge_fn("credits.balance", lambda: len(self._credits), **labels)
@@ -76,6 +74,8 @@ class CreditLedger:
         #: again, so a zero balance with N concurrent jobs produces one
         #: request, not N.
         self.request_outstanding = False
+        #: Newest sink revocation generation seen on a credit.
+        self.generation = 0
 
     @property
     def balance(self) -> int:
@@ -85,8 +85,20 @@ class CreditLedger:
     def waiters(self) -> int:
         return self._credits.waiters
 
+    def _stale(self, credits: List[Credit]) -> bool:
+        """One grant or refund (one generation) not of :attr:`generation`:
+        an older one is dropped (True), a newer one first flushes."""
+        if credits[0].gen < self.generation:
+            self.flushed.add(len(credits))
+            return True
+        self.generation = credits[0].gen
+        self.flush()
+        return False
+
     def deposit(self, credits: List[Credit]) -> None:
         """Add granted credits (from an MR_INFO_REP)."""
+        if credits[0].gen != self.generation and self._stale(credits):
+            return
         self.request_outstanding = False
         self._credits.put_many(credits)
         self.total_received.add(len(credits))
@@ -94,37 +106,28 @@ class CreditLedger:
         tracer = self.engine.tracer
         if tracer is not None:
             # ``total`` is the cumulative count: the rows trace the ×2 ramp.
-            tracer.point(
-                self.engine.now, _T_DEPOSIT, len(credits), self.balance,
-                int(self.total_received.total),
-            )
+            tracer.point(self.engine.now, _T_DEPOSIT, len(credits), self.balance,
+                         int(self.total_received.total))
 
     def refund(self, credits: List[Credit]) -> None:
-        """Return credits an aborted session never consumed.
-
-        Unlike :meth:`deposit` this does not count toward
-        ``total_received`` or trace a deposit — the sink already
-        accounted for these when it granted them.
-        """
+        """Return credits an aborted session never consumed: unlike
+        :meth:`deposit`, not counted in ``total_received`` nor traced — the
+        sink accounted for them when it granted them."""
+        if credits[0].gen != self.generation and self._stale(credits):
+            return
         self._credits.put_many(credits)
         self.peak_balance.set_max(self.balance)
 
-    def flush(self) -> int:
-        """Drop every held credit; returns how many were discarded.
-
-        A resuming session must not spend credits granted to its dead
-        incarnation: the sink revoked those regions when the session was
-        reclaimed, so writing into them would clobber blocks the sink
-        considers free.  The SESSION_RESUME grant replaces the balance
-        wholesale.
-        """
+    def flush(self) -> None:
+        """Drop every held credit: on a source crash, a TCP fallback, a
+        newer generation, and a ``Grant.REPLACE`` reply (which re-grants
+        wholesale, and is replayed with the same generation)."""
         flushed = len(self._credits.items)
         self._credits.items.clear()
         self.request_outstanding = False
         if flushed:
             self.flushed.add(flushed)
             self.engine.trace("credits", "flush", discarded=flushed)
-        return flushed
 
     def acquire(self):
         """Event resolving to one :class:`Credit` (FIFO wait)."""
@@ -143,12 +146,8 @@ class CreditGranter:
     job (it owns the control channel).
     """
 
-    def __init__(
-        self,
-        pool: "BlockPool[SinkBlock]",
-        grant_ratio: int = 2,
-        proactive: bool = True,
-    ) -> None:
+    def __init__(self, pool: "BlockPool[SinkBlock]", grant_ratio: int = 2,
+                 proactive: bool = True) -> None:
         if grant_ratio < 1:
             raise ValueError("grant_ratio must be >= 1")
         self.pool = pool
@@ -157,10 +156,11 @@ class CreditGranter:
         #: An MR_INFO_REQ arrived while no block was free; the next freed
         #: block must be granted immediately.
         self.pending_request = False
+        #: Stamped on every credit; bumped whenever WAITING regions are revoked.
+        self.generation = 0
         reg = pool.engine.metrics
-        self._m_granted = reg.counter(
-            "credits.granted_total", i=reg.sequence("credit_granter")
-        )
+        self._m_granted = reg.counter("credits.granted_total",
+                                      i=reg.sequence("credit_granter"))
 
     def _take_free(self, limit: int) -> List[Credit]:
         granted: List[Credit] = []
@@ -169,7 +169,7 @@ class CreditGranter:
             if block is None:
                 break
             block.advertise()
-            granted.append(Credit.for_block(block))
+            granted.append(Credit.for_block(block, self.generation))
         if granted:
             self._m_granted.add(len(granted))
         return granted

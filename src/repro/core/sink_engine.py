@@ -28,7 +28,7 @@ pool, revoking credits a dead source can never honour.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from repro.core.blocks import SinkBlock, SinkBlockState
@@ -117,12 +117,17 @@ class SinkSession:
     #: window of the parallel writer threads), or None.
     pending: Optional[set] = None
     #: Last BLOCK_MARKER value sent to the source.  The marker wire
-    #: messages track the *delivered* prefix
-    #: (``ReassemblyBuffer.next_seq``): delivery implies the checksum
-    #: verified, which is all the source needs to release its repair
-    #: copies — waiting for the writer threads too would hold its pool
-    #: blocks hostage to sink disk latency.
+    #: messages track the *delivered* prefix (``next_seq``): delivery
+    #: implies the checksum verified, which is all the source needs to
+    #: release its repair copies — waiting for the writer threads too
+    #: would hold its pool blocks hostage to sink disk latency.
     sent: int = 0
+    # -- reassembly (ReassemblyBuffer's algorithm runs on these) ----------------
+    #: Next seq owed to the application; ``None`` until the session has
+    #: reassembly state, and again once ``ReassemblyBuffer.take`` closed it.
+    next_seq: Optional[int] = None
+    #: seq -> ``(header, block)`` arrived out of order, not yet delivered.
+    parked: dict = field(default_factory=dict)
     #: ``(marker, credits)`` of the last SESSION_RESUME_REP, so a
     #: retransmitted resume request is answered idempotently.
     resume_grant: Optional[tuple] = None
@@ -232,7 +237,7 @@ class SinkEngine:
     def audit(self) -> List[str]:
         """What a quiescent engine must not hold, as leak messages."""
         leaks: List[str] = [] if self.pool is None else self.pool.audit()
-        parked = self.reassembly.sessions_with_parked()
+        parked = [s.sid for s in self._sessions.values() if s.parked]
         if parked:
             leaks.append(f"reassembly entries parked for sessions {parked}")
         if self._ready.items:
@@ -291,7 +296,7 @@ class SinkEngine:
         s.upto = s.sent = seq
         s.pending = None
         s.last_activity = self.engine.now
-        self.reassembly.set_next_seq(s.sid, seq)
+        self.reassembly.set_next_seq(s, seq)
 
     def _reattach(
         self, sid: int, s: Optional[SinkSession], total: int, seq: int,
@@ -306,7 +311,7 @@ class SinkEngine:
             # marker (they will be re-sent) and forget its stored grants,
             # degraded stream and eager flag — a re-attach always rides
             # rendezvous, anchored on credits + restart markers.
-            self._drop_unconsumed(sid)
+            self._drop_unconsumed(s)
             s.clear_incarnation()
             if supersede_done:
                 s.done.fail(EndpointCrashed(sid, "superseded by session resume")).defuse()
@@ -319,16 +324,14 @@ class SinkEngine:
         return s
 
     def _revoke_waiting(self) -> None:
-        """Revoke every WAITING block and forget the starved-sender latch.
-
-        Unconditional on re-attach: accepting a resume or fallback
-        flushes the *entire* link ledger on the source, so no live ledger
-        holds a credit for any WAITING region, whichever session id it
-        was stamped with.  Guarding on "no sibling registered" leaked
-        blocks for good while a dead-but-unreclaimed sibling lingered
-        (resume's contract already forbids a *healthy* one).
-        """
+        """Revoke every WAITING block, forget the starved-sender latch and
+        bump the credit generation: the source's ledger drops every credit
+        granted before, whichever session it was granted to, so no region
+        revoked here is ever written.  Unconditional on re-attach — a guard
+        on "no sibling registered" leaked blocks for good while a
+        dead-but-unreclaimed sibling lingered."""
         assert self.pool is not None and self.granter is not None
+        self.granter.generation += 1
         for blk in self.pool.blocks.values():
             if blk.state is SinkBlockState.WAITING:
                 blk.mr.take(blk.mr.buffer.addr)  # discard unnotified data
@@ -497,7 +500,7 @@ class SinkEngine:
             if self.config.block_repair:
                 yield from self._nack(thread, header, block)
             return
-        if self.reassembly.reject_duplicate(header, payload):
+        if self.reassembly.reject_duplicate(s, header, payload):
             # A replay (or a resumed session re-sending data consumed
             # beyond the restart marker): the bytes are already accounted
             # for, so recycle the region straight away.
@@ -510,7 +513,7 @@ class SinkEngine:
             return
         block.finish(header, payload)
         self.blocks_delivered.add()
-        for hdr, blk in self.reassembly.push(header, block):
+        for hdr, blk in self.reassembly.push(s, header, block):
             yield self._ready.put((hdr, blk))
         # An eager session reaches here only through the rendezvous
         # repair path (a NACKed block re-written into a one-off credit);
@@ -533,14 +536,10 @@ class SinkEngine:
         """BLOCK_NACK: have the source re-send its still-WAITING copy of
         ``header.seq`` into the credit for ``block``'s region."""
         self.nacks_sent.add()
-        yield from self.ctrl.send(
-            thread,
-            ControlMessage(
-                CtrlType.BLOCK_NACK,
-                header.session_id,
-                (header.seq, Credit.for_block(block)),
-            ),
-        )
+        credit = Credit.for_block(block, self.granter.generation)
+        yield from self.ctrl.send(thread, ControlMessage(
+            CtrlType.BLOCK_NACK, header.session_id, (header.seq, credit)
+        ))
 
     def on_eager_block(self, thread, wire) -> Generator:
         """One eager (SEND/RECV) arrival off the shared receive queue.
@@ -565,7 +564,7 @@ class SinkEngine:
             self.stray_messages.add()
             return
         s.last_activity = self.engine.now
-        if self.reassembly.reject_duplicate(header, payload):
+        if self.reassembly.reject_duplicate(s, header, payload):
             return  # no region was claimed; nothing to recycle
         block = yield self.pool.get_free_blk()
         block.advertise()  # FREE → WAITING: the region now owns this seq
@@ -582,7 +581,7 @@ class SinkEngine:
             return
         block.finish(header, payload)
         self.blocks_delivered.add()
-        for hdr, blk in self.reassembly.push(header, block):
+        for hdr, blk in self.reassembly.push(s, header, block):
             yield self._ready.put((hdr, blk))
         yield from self._maybe_send_marker(thread, s)
 
@@ -609,9 +608,7 @@ class SinkEngine:
             return None
         seq = stored[0]
         if PROTOCOL[msg.type].duplicate is Duplicate.REPLAY and not (
-            s.upto == seq
-            and self.reassembly.next_seq(s.sid) == seq
-            and self.reassembly.pending(s.sid) == 0
+            s.upto == seq == s.next_seq and not s.parked
             and s.consumed == min(seq * self.pool.block_size, total)
         ):
             return None  # something landed since: the stored grant is spent
@@ -772,15 +769,15 @@ class SinkEngine:
             self._advance_written(s, header.seq)
             yield from self._maybe_finish(thread, s)
 
-    def _drop_unconsumed(self, session_id: int) -> None:
+    def _drop_unconsumed(self, s: SinkSession) -> None:
         """Free a session's parked and READY-but-unconsumed blocks."""
         assert self.pool is not None
-        for _hdr, blk in self.reassembly.reclaim_session(session_id):
+        for _hdr, blk in self.reassembly.take(s):
             blk.consume()
             self.pool.put_free_blk(blk)
         survivors = []
         for item in self._ready.items:
-            if item[0].session_id == session_id:
+            if item[0].session_id == s.sid:
                 item[1].consume()
                 self.pool.put_free_blk(item[1])
             else:
@@ -803,13 +800,14 @@ class SinkEngine:
         """
         self.crashes.add()
         self.engine.trace("sink", "crash")
-        for s in self._live_sessions():
+        live = self._live_sessions()
+        for s in live:
             self._end_incarnation(
                 s, SessionState.CRASHED, EndpointCrashed(s.sid, "sink process crashed")
             )
         if self.pool is not None:
-            for sid in self.reassembly.sessions():
-                for _hdr, blk in self.reassembly.reclaim_session(sid):
+            for s in live:
+                for _hdr, blk in self.reassembly.take(s):
                     blk.consume()
                     self.pool.put_free_blk(blk)
             for _hdr, blk in self._ready.items:
@@ -883,7 +881,7 @@ class SinkEngine:
 
     def _maybe_send_marker(self, thread, s: SinkSession) -> Generator:
         """Emit a BLOCK_MARKER every ``s.interval`` blocks of *delivered*
-        progress (``ReassemblyBuffer.next_seq``).
+        progress (``s.next_seq``).
 
         Markers are cumulative acks: everything below one passed its
         checksum, so the source releases the repair copies it holds for
@@ -893,7 +891,7 @@ class SinkEngine:
         """
         if s.state is not _LIVE:
             return
-        delivered = self.reassembly.next_seq(s.sid)
+        delivered = s.next_seq
         if delivered - s.sent < s.interval:
             return
         s.sent = delivered
@@ -909,7 +907,7 @@ class SinkEngine:
         # End the incarnation before yielding: two consumer threads can
         # both reach this point in the same instant otherwise.
         self._end_incarnation(s, _ACKED, total)
-        self.reassembly.reclaim_session(s.sid)  # drops the seq cursor
+        self.reassembly.take(s)  # drops the seq cursor
         yield from self.ctrl.send(
             thread, ControlMessage(CtrlType.DATASET_DONE_ACK, s.sid, total)
         )
@@ -943,7 +941,7 @@ class SinkEngine:
                             "sink", "peer_dead", misses=self.health.misses
                         )
                         for s in self._live_sessions():
-                            self._reclaim_session(
+                            self._reclaim(
                                 s,
                                 PeerDead(
                                     s.sid,
@@ -960,16 +958,16 @@ class SinkEngine:
                     )
             for s in self._live_sessions():
                 if now - s.last_activity >= self.health.idle_timeout():
-                    self._reclaim_session(s)
+                    self._reclaim(s)
         self._gc_running = False
 
-    def _reclaim_session(self, s: SinkSession, error: Optional[TransferError] = None) -> None:
+    def _reclaim(self, s: SinkSession, error: Optional[TransferError] = None) -> None:
         """Free everything a dead session still pins at the sink."""
         self.sessions_reclaimed.add()
         self.engine.trace("sink", "gc_reclaim", session=s.sid)
         # Parked out-of-order arrivals and undelivered in-order blocks
         # both hold pool blocks with payload.
-        self._drop_unconsumed(s.sid)
+        self._drop_unconsumed(s)
         if error is None:
             error = StaleSessionReclaimed(
                 s.sid, f"idle past {self.config.session_idle_timeout}s, reclaimed"

@@ -117,7 +117,7 @@ class TransferJob:
         #: restart marker (cumulative consumed-prefix ack) or the
         #: DATASET_DONE_ACK covers it.  Only populated when
         #: ``config.block_repair``; a seq whose repair re-send is in
-        #: flight is temporarily absent (ownership sits in _inflight).
+        #: flight is temporarily absent (its in-flight entry owns it).
         self.unacked: Dict[int, SourceBlock] = {}
         #: Highest cumulative restart marker received from the sink.
         self.marker = 0
@@ -247,7 +247,7 @@ class SourceLink:
         self.fallbacks = reg.counter("source.fallbacks", **labels)
         self.repromotions = reg.counter("source.repromotions", **labels)
         reg.gauge_fn("source.active_jobs", lambda: len(self.jobs), **labels)
-        reg.gauge_fn("source.inflight_wrs", lambda: len(self._inflight), **labels)
+        reg.gauge_fn("source.inflight_wrs", self._wrs_in_flight, **labels)
         reg.gauge_fn("source.rto_seconds", lambda: self.health.rtt.rto, **labels)
         # Every session's block counts: one set per link (DESIGN.md §10).
         self._m_completed = reg.counter("source.blocks_completed", **labels)
@@ -260,10 +260,6 @@ class SourceLink:
             # A private set's breakers adapt to its one rider's RTT.
             host_pool.cooldown = self.health.breaker_cooldown
         self._hb_running = False
-        #: wr_id -> (job, block, credit, failed_attempts, is_repair, posted_at).
-        self._inflight: Dict[
-            int, Tuple[TransferJob, SourceBlock, Credit, int, bool, float]
-        ] = {}
         self._started = False
         #: True once a full negotiation (block size + channel count) has
         #: succeeded on this link.  Both parameters are link-level: a
@@ -477,10 +473,14 @@ class SourceLink:
         self.engine.trace("link", "kill_channel", qp=qp.qp_num, index=index)
         return True
 
+    def _wrs_in_flight(self) -> int:
+        """This link's entries in its channel set's in-flight table."""
+        return sum(1 for e in self._host_pool.inflight.values() if e[0] is self)
+
     def audit(self) -> List[str]:
         """What a quiescent link must not hold, as leak messages."""
         held = ((len(self.jobs), f"sessions never retired: {sorted(self.jobs)}"),
-                (len(self._inflight), "WRs still in flight"),
+                (self._wrs_in_flight(), "WRs still in flight"),
                 (self.ledger.waiters, "credit waiters stuck"))
         return self.pool.audit() + [f"{n} {what}" for n, what in held if n]
 
@@ -496,7 +496,7 @@ class SourceLink:
         failed with the typed :class:`TransferError` in ``result``.  Each
         ending keeps its pool work and its order relative to ``done``
         (DESIGN.md §8).  An abort scraps only what is parked outside any
-        thread; a block a reader / sender holds or ``_inflight`` owns is
+        thread; a block a reader / sender holds or an in-flight WR owns is
         reclaimed by that thread once it sees the halt (it holds the only
         safe reference)."""
         job.ended = True
@@ -774,9 +774,9 @@ class SourceLink:
 
     def _post_block(self, thread, job: TransferJob, block: SourceBlock,
                     credit: Credit, attempts: int, is_repair: bool) -> Generator:
-        """The one post path: SENDING, a wr_id (routed back to this link
-        when the send CQ is shared), the ``_inflight`` entry (post time
-        taken before the CPU charge of the post) and the WRITE — or the
+        """The one post path: SENDING, a wr_id and its entry in the
+        channel set's in-flight table (post time taken before the CPU
+        charge of the post) and the WRITE — or the
         SEND, for an eager session.  Degrades to the TCP fallback (or
         fails the job with :class:`DataChannelsLost`) when no data channel
         survives; returns False then, the block and credit reclaimed."""
@@ -784,8 +784,7 @@ class SourceLink:
         block.sending()
         host_pool = self._host_pool
         wr_id = next(host_pool.wr_ids)
-        host_pool.routes[wr_id] = self
-        self._inflight[wr_id] = (job, block, credit, attempts, is_repair, self.engine.now)
+        host_pool.inflight[wr_id] = (self, job, block, credit, attempts, is_repair, self.engine.now)
         try:
             if credit is None:  # eager transport (a shared set)
                 yield from self.data.post_send_block(
@@ -796,8 +795,7 @@ class SourceLink:
                     thread, block, credit, block.header, wr_id=wr_id
                 )
         except NoLiveChannelError:
-            self._inflight.pop(wr_id, None)
-            host_pool.routes.pop(wr_id, None)
+            del host_pool.inflight[wr_id]  # never reached the wire
             fell_back = self._begin_fallback(job)
             self._reclaim(job, block, credit)
             if not fell_back:
@@ -949,8 +947,8 @@ class SourceLink:
         seq, credit = msg.data
         block = job.unacked.pop(seq, None)
         if block is None:
-            # A repair for this seq is already in flight (ownership sits
-            # in _inflight) — or the NACK is stale.
+            # A repair for this seq is already in flight (its in-flight
+            # entry owns the block) — or the NACK is stale.
             self.stray_messages.add()
             return
         attempts = job.nack_attempts.get(seq, 0) + 1
@@ -1207,24 +1205,22 @@ class SourceLink:
 
 
 def _reap(host_pool: HostChannelPool) -> Generator:
-    """The one reader of a set's send CQ: pop each completion's owning
-    link off ``host_pool.routes`` and settle the WR on that link.
+    """The one reader of a set's send CQ: pop each completion's entry
+    off ``host_pool.inflight`` and settle the WR on its link.
 
     The per-WC body is inline, not a generator per completion (one more
     frame per block on the hot path), and nothing it binds outlives a
     batch: a parked reaper must not keep an ended session alive."""
     thread = host_pool.host.thread("src-completion", "app")
     engine = host_pool.engine
-    routes = host_pool.routes
+    inflight = host_pool.inflight
     while True:
         link = job = block = credit = None  # parked: hold no rider or session
         yield host_pool.cc.wait(thread)
         wcs = yield host_pool.send_cq.poll(thread, max_entries=64)
         for wc in wcs:
-            link = routes.pop(wc.wr_id, None)
-            if link is None:
-                continue  # the owner withdrew the post before it flew
-            job, block, credit, attempts, is_repair, posted_at = link._inflight.pop(wc.wr_id)
+            # Unpacked, never bound: a held entry would keep its job alive.
+            link, job, block, credit, attempts, is_repair, posted_at = inflight.pop(wc.wr_id)
             if not wc.ok and wc.status is WcStatus.WR_FLUSH_ERR:
                 # A dead channel flushed this WR: detach it so the
                 # rotation shrinks to the survivors (idempotent — the
@@ -1249,14 +1245,16 @@ def _reap(host_pool: HostChannelPool) -> Generator:
                 link._m_latency.observe(engine.now - posted_at)
                 assert block.header is not None
                 if credit is not None:
-                    yield from link.ctrl.send(
-                        thread,
-                        ControlMessage(
-                            CtrlType.BLOCK_DONE,
-                            job.session_id,
-                            (credit.block_id, block.header),
-                        ),
-                    )
+                    yield from link.ctrl.send(thread, ControlMessage(
+                        CtrlType.BLOCK_DONE, job.session_id,
+                        (credit.block_id, block.header),
+                    ))
+                    if job.aborted or job.fallback_active:
+                        # Halted during the send, after its scrap: the
+                        # block is ours to reclaim; BLOCK_DONE spent the
+                        # credit.
+                        link._reclaim(job, block)
+                        continue
                 # Eager (credit is None): the SEND delivered header
                 # and payload together — there is no region to name,
                 # so no BLOCK_DONE rides the control QP.  Everything

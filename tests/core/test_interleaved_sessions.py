@@ -104,11 +104,6 @@ def _assert_history_bounded(ending):
                 se.crash()
             yield env.timeout(3.0)  # past session_idle_timeout
             assert not se.has_session(500 + i)
-            # WRITEs in flight at the abort refunded their credits, and the
-            # sink has since revoked those regions; a successor spending
-            # them is ROADMAP's parked crash x fault bug (see
-            # test_session_sequences.py), not what this test is about.
-            link.ledger.flush()
         return True
 
     p = tb.engine.process(driver(tb.engine))

@@ -15,6 +15,7 @@ from repro.core.messages import (
     DataBlockWire,
 )
 from repro.core.reassembly import ReassemblyBuffer
+from repro.core.sink_engine import SinkSession
 from repro.verbs.wr import Opcode, RecvWR, SendWR, WcStatus, WorkCompletion
 
 
@@ -59,52 +60,52 @@ def test_header_key():
 
 # -- reassembly -----------------------------------------------------------------------
 def test_in_order_stream_passes_through():
-    r = ReassemblyBuffer()
+    r, s = ReassemblyBuffer(), SinkSession(1, 1)
     for seq in range(5):
-        out = r.push(hdr(seq), f"p{seq}")
+        out = r.push(s, hdr(seq), f"p{seq}")
         assert [h.seq for h, _ in out] == [seq]
 
 
 def test_out_of_order_held_and_released():
-    r = ReassemblyBuffer()
-    assert r.push(hdr(2), "c") == []
-    assert r.push(hdr(1), "b") == []
-    out = r.push(hdr(0), "a")
+    r, s = ReassemblyBuffer(), SinkSession(1, 1)
+    assert r.push(s, hdr(2), "c") == []
+    assert r.push(s, hdr(1), "b") == []
+    out = r.push(s, hdr(0), "a")
     assert [(h.seq, p) for h, p in out] == [(0, "a"), (1, "b"), (2, "c")]
-    assert r.pending(1) == 0
+    assert len(s.parked) == 0 and r.parked == 0
 
 
 def test_sessions_are_independent():
-    r = ReassemblyBuffer()
-    r.push(hdr(1, sid=7), "x")
-    out = r.push(hdr(0, sid=8), "y")
+    r, s7, s8 = ReassemblyBuffer(), SinkSession(7, 1), SinkSession(8, 1)
+    r.push(s7, hdr(1, sid=7), "x")
+    out = r.push(s8, hdr(0, sid=8), "y")
     assert [(h.session_id, h.seq) for h, _ in out] == [(8, 0)]
-    assert r.pending(7) == 1
+    assert len(s7.parked) == 1
 
 
 def test_duplicates_dropped_and_counted():
-    r = ReassemblyBuffer()
-    r.push(hdr(0), "a")
-    assert r.push(hdr(0), "a-again") == []
+    r, s = ReassemblyBuffer(), SinkSession(1, 1)
+    r.push(s, hdr(0), "a")
+    assert r.push(s, hdr(0), "a-again") == []
     assert r.duplicates.total == 1
-    r.push(hdr(2), "c")
-    assert r.push(hdr(2), "c-again") == []
+    r.push(s, hdr(2), "c")
+    assert r.push(s, hdr(2), "c-again") == []
     assert r.duplicates.total == 2
 
 
 def test_finish_session_discards_stranded():
-    r = ReassemblyBuffer()
-    r.push(hdr(3), "x")
-    r.push(hdr(5), "y")
-    assert len(r.reclaim_session(1)) == 2
-    assert r.pending(1) == 0
-    assert r.next_seq(1) == 0  # state reset
+    r, s = ReassemblyBuffer(), SinkSession(1, 1)
+    r.push(s, hdr(3), "x")
+    r.push(s, hdr(5), "y")
+    assert len(r.take(s)) == 2
+    assert len(s.parked) == 0 and r.parked == 0
+    assert s.next_seq is None and r.held == 0  # state reset
 
 
 def test_max_parked_tracks_high_water():
-    r = ReassemblyBuffer()
+    r, s = ReassemblyBuffer(), SinkSession(1, 1)
     for seq in (4, 3, 2, 1):
-        r.push(hdr(seq), None)
+        r.push(s, hdr(seq), None)
     assert r.max_parked.value == 4
 
 
@@ -113,10 +114,10 @@ def test_max_parked_tracks_high_water():
 def test_any_permutation_delivers_in_order(perm):
     """The sink's core guarantee: whatever the arrival order, the
     application sees sequence numbers 0..n-1 exactly once, sorted."""
-    r = ReassemblyBuffer()
+    r, s = ReassemblyBuffer(), SinkSession(1, 1)
     delivered = []
     for seq in perm:
-        delivered.extend(h.seq for h, _ in r.push(hdr(seq), None))
+        delivered.extend(h.seq for h, _ in r.push(s, hdr(seq), None))
     assert delivered == sorted(perm)
 
 
@@ -125,9 +126,9 @@ def test_any_permutation_delivers_in_order(perm):
     arrivals=st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=60)
 )
 def test_duplicates_never_delivered_twice(arrivals):
-    r = ReassemblyBuffer()
+    r, s = ReassemblyBuffer(), SinkSession(1, 1)
     delivered = []
     for seq in arrivals:
-        delivered.extend(h.seq for h, _ in r.push(hdr(seq), None))
+        delivered.extend(h.seq for h, _ in r.push(s, hdr(seq), None))
     assert len(delivered) == len(set(delivered))
     assert delivered == sorted(delivered)

@@ -100,7 +100,8 @@ def test_pools_fully_recycled_after_transfer():
     )
     advertised = sum(1 for s in states if s is SinkBlockState.WAITING)
     assert len(engine.pool.free) + advertised == cfg.sink_blocks
-    assert engine.reassembly.pending(1) == 0
+    assert not any(s.parked for s in engine._sessions.values())
+    assert engine.reassembly.parked == 0
 
 
 def test_multiple_channels_preserve_order():

@@ -16,7 +16,6 @@ each control-message index of a fixed scenario, enumerated rather than
 drawn (:func:`_placement_ending`).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +47,7 @@ def cfg():
 class World:
     """One link, one sink engine, and what the driver knows about them."""
 
-    def __init__(self, flush_revoked_credits=True):
+    def __init__(self):
         self.tb = roce_lan()
         self.engine = self.tb.engine
         c = cfg()
@@ -62,39 +61,18 @@ class World:
         self.engine.run()
         self.link = opened.value
         self.se = self.server.sink_engines[self.link._client_id]
-        self.flush_revoked_credits = flush_revoked_credits
         self.next_sid = 100
         #: sid -> (total blocks, process event of its latest incarnation)
         self.sessions = {}
         #: sids whose latest incarnation died at the source (resumable).
         self.dead = []
-        #: The sink revoked regions (GC reclaim, crash) the source ledger
-        #: may still hold credits for.
-        self.revoked = False
-        self._seen = (0, 0)
 
     # -- steps ----------------------------------------------------------------
-    def _note_revokes(self):
-        seen = (self.se.sessions_reclaimed.total, self.se.crashes.total)
-        if seen != self._seen:
-            self._seen = seen
-            self.revoked = True
-
     def _track(self, sid, blocks, ev):
         ev.defuse()  # failures are read off the event, not raised
         self.sessions[sid] = (blocks, ev)
 
     def start(self, blocks):
-        self._note_revokes()
-        if self.revoked and self.flush_revoked_credits:
-            # A well-behaved source drops credits whose regions the sink
-            # has revoked; the protocol does not tell it to yet (ROADMAP's
-            # parked crash x fault bug — test_stale_credit_... below).  It
-            # can only do so while no live job is spending the ledger.
-            if self.link.jobs:
-                return
-            self.link.ledger.flush()
-            self.revoked = False
         sid, self.next_sid = self.next_sid, self.next_sid + 1
         self._track(sid, blocks, self.link.transfer(
             PatternSource(self.tb.src), blocks * BS, session_id=sid
@@ -112,13 +90,7 @@ class World:
         self.link.crash()
 
     def sink_crash(self):
-        if any(job.started_at is None for job in self.link.jobs.values()):
-            # Same parked bug, other door: a session still negotiating
-            # would go live on the restarted sink and spend credits
-            # granted (to it or a sibling) before the crash.
-            return
         self.se.crash()
-        self.revoked = True
 
     def kill_channels(self):
         for index in range(len(self.link._host_pool.qps)):
@@ -134,17 +106,14 @@ class World:
         self._track(sid, blocks, self.link.resume(
             PatternSource(self.tb.src), blocks * BS, sid
         ))
-        self.revoked = False  # an accepted REP flushes and re-grants
 
     def advance(self, dt):
         self.engine.run(until=self.engine.now + dt)
-        self._note_revokes()
 
     # -- the oracle -----------------------------------------------------------
     def settle(self):
         """Run to quiescence and check every conservation law."""
         self.engine.run()
-        self._note_revokes()
         link, se = self.link, self.se
         # Source: every session retired, no WR in flight, no credit waiter,
         # every block FREE and on the free list.  Sink: no live session,
@@ -213,7 +182,7 @@ def test_all_endings_in_one_sequence():
     assert len(world.se._sessions) == HISTORY
 
     # Depth 1: every fault at every control-message index of one 8-block
-    # session and of two sequential ones, against the table of today's
+    # session and of two sequential ones, against the table of known
     # failures (a new failing placement fails, and so does a listed one
     # that passes or fails differently).
     failing, placements = {}, 0
@@ -225,7 +194,7 @@ def test_all_endings_in_one_sequence():
                 placements += placed
                 if ending is not None:
                     failing[sessions, action, k] = ending
-    assert placements == 359  # the droppable types are 9 and 14 of the indexes
+    assert placements == 471  # the droppable types are 9 and 14 of the indexes
     assert failing == {
         (sessions, action, k): line
         for sessions, action, first, last, line in FAILING_PLACEMENTS
@@ -233,43 +202,10 @@ def test_all_endings_in_one_sequence():
     }
 
 
-def _stale(block):
-    return (f"BlockStateError: sink block {block}: illegal transition from free "
-            "(expected ['waiting'])")
-
-
 #: Every failing placement of the depth-1 enumeration, as ``(sessions,
-#: action, first k, last k, error line)``.  The ``BlockStateError`` rows
-#: are the stale-credit bug that
-#: ``test_stale_credit_after_reclaim_breaks_the_successor`` reproduces:
-#: a fresh session spends credits for regions the sink revoked.  Killing
-#: every data channel of the first session starves the second of QPs
-#: (``DataChannels._pick`` divides by the empty rotation), and one late
-#: abort leaves a source block held.
-FAILING_PLACEMENTS = [
-    (1, "abort", 4, 6, _stale(0)),
-    (1, "abort", 7, 11, _stale(1)),
-    (1, "abort", 12, 12, _stale(2)),
-    (1, "abort", 13, 13, _stale(4)),
-    (1, "abort", 14, 17, _stale(6)),
-    (1, "abort", 18, 18, _stale(7)),
-    (1, "abort", 19, 33, _stale(8)),
-    (1, "sink_crash", 15, 39, _stale(8)),
-    (2, "abort", 4, 6, _stale(0)),
-    (2, "abort", 7, 11, _stale(1)),
-    (2, "abort", 12, 12, _stale(2)),
-    (2, "abort", 13, 13, _stale(4)),
-    (2, "abort", 14, 17, _stale(6)),
-    (2, "abort", 18, 18, _stale(7)),
-    (2, "abort", 19, 33, _stale(8)),
-    (2, "abort", 44, 45, _stale(8)),
-    (2, "abort", 46, 63, _stale(6)),
-    (2, "abort", 64, 64, "leak: source block 5 stuck waiting"),
-    (2, "sink_crash", 15, 44, _stale(8)),
-    (2, "sink_crash", 45, 71, _stale(6)),
-    (2, "kill_channels", 6, 6, "ZeroDivisionError: integer modulo by zero"),
-    (2, "kill_channels", 13, 22, "ZeroDivisionError: integer modulo by zero"),
-]
+#: action, first k, last k, error line)``: none.  A change that makes a
+#: placement fail must list it here, row by row, with its error line.
+FAILING_PLACEMENTS = []
 
 #: The faults placed at a control message: a drop is the hook's verdict;
 #: each other action runs at the instant the message is posted, once the
@@ -277,6 +213,7 @@ FAILING_PLACEMENTS = [
 _ACTIONS = {
     "drop": None,
     "abort": lambda world: world.abort(0),
+    "source_crash": lambda world: world.source_crash(),
     "sink_crash": lambda world: world.se.crash(),
     "kill_channels": lambda world: world.kill_channels(),
 }
@@ -284,13 +221,12 @@ _ACTIONS = {
 
 def _placement_ending(sessions, action, k):
     """Run ``sessions`` sequential 8-block sessions with ``action`` at the
-    ``k``-th control message either side sends; after an abort or a sink
-    crash, idle 3 s and run one more.  Returns the number of control
-    messages sent, whether the fault was placed (a drop only on a
+    ``k``-th control message either side sends; after an abort or a
+    crash at either end, idle 3 s and run one more.  Returns the number of
+    control messages sent, whether the fault was placed (a drop only on a
     droppable type), and ``None`` for a run the oracle passes, else its
-    error line.  Credits the sink revoked are not flushed: the source
-    must cope on its own."""
-    world = World(flush_revoked_credits=False)
+    error line."""
+    world = World()
     sent, placed = [0], []
 
     def hook(msg):
@@ -308,7 +244,7 @@ def _placement_ending(sessions, action, k):
         for _ in range(sessions):
             world.start(8)
             world.engine.run()
-        if action in ("abort", "sink_crash"):
+        if action in ("abort", "source_crash", "sink_crash"):
             world.advance(3.0)
             world.start(8)
         world.settle()
@@ -323,14 +259,12 @@ def _placement_ending(sessions, action, k):
     return sent[0], bool(placed), ending
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP crash x fault: a source keeps "
-                   "(and is refunded) credits for regions the sink revoked at "
-                   "reclaim; the successor spends them -> BlockStateError from free")
 def test_stale_credit_after_reclaim_breaks_the_successor():
-    """Seeded reproducer the oracle found; fails identically at the parent
-    of the PR that added it, so it is parked, not fixed, here (a fix
-    changes which credits a session spends, i.e. simulated results)."""
-    run_steps(World(flush_revoked_credits=False), [
+    """Seeded reproducer the oracle found: WRITEs in flight at an abort
+    refund credits whose regions the idle GC then revokes.  The GC bumps
+    the sink's revocation generation, so the successor's grant flushes
+    them and their late refunds are dropped: none is ever spent."""
+    run_steps(World(), [
         ("start", 8), ("advance", 2e-4), ("abort", 0),  # WRITEs in flight refund
         ("advance", 3.0),  # idle GC reclaims and revokes every WAITING region
         ("start", 8),  # ... which the ledger still holds credits for

@@ -186,7 +186,7 @@ def _half_done(rig, **open_kw):
     rig.write_block(SID, 2)
     s = rig.rec()
     assert (s.upto, s.sent, s.consumed) == (1, 1, BS)
-    assert rig.se.reassembly.pending(SID) == 1
+    assert len(s.parked) == 1 and rig.se.reassembly.parked == 1
     return s
 
 
@@ -323,7 +323,7 @@ def start_reuse_after_reclaim(rig):
     assert s.epoch == old_epoch + 1
     assert s.done is not old_done and not s.done.triggered
     assert len(grant) == rig.config.initial_credits
-    assert rig.se.reassembly.next_seq(SID) == 0
+    assert s.next_seq == 0
 
 
 def _resume(rig, blocks=4, interval=2):
@@ -347,8 +347,8 @@ def start_resume_live(rig):
     assert s.resume_grant == (1, grant) and len(grant) == rig.config.initial_credits
     # Parked block 2 was dropped, every stale WAITING region revoked:
     # only the fresh grant is advertised.
-    assert rig.se.reassembly.pending(SID) == 0
-    assert rig.se.reassembly.next_seq(SID) == 1
+    assert not s.parked and rig.se.reassembly.parked == 0
+    assert s.next_seq == 1
     assert rig.states().count(SinkBlockState.WAITING) == len(grant)
     assert rig.states().count(SinkBlockState.FREE) == len(rig.states()) - len(grant)
     assert rig.se.resumes.total == 1
@@ -492,7 +492,7 @@ def start_restore(rig):
     assert (s.upto, s.sent, s.consumed, s.interval) == (3, 3, 3 * BS, 3)
     assert (s.stream, s.fallback_seq, s.fallback_eof) == (None, None, None)
     assert s.restore_grant == (3, grant)
-    assert rig.se.reassembly.next_seq(SID) == 3
+    assert s.next_seq == 3
     # A duplicate before any restored block landed: the same grant again.
     waiting = rig.states().count(SinkBlockState.WAITING)
     assert _restore(rig) == (True, 3, grant)

@@ -133,7 +133,7 @@ def steady(rig):
 
 def repairing(rig):
     rig.on_data_qps(corrupt_injector=_corrupt_seq(5))
-    rig.run_until(lambda: any(e[4] for e in rig.link._inflight.values()))
+    rig.run_until(lambda: any(e[5] for e in rig.link._host_pool.inflight.values()))
     assert rig.job.repairs >= 1 and not rig.job.halted
 
 
@@ -153,7 +153,7 @@ def repromoting(rig):
 def awaiting_ack(rig):
     rig.se.ctrl.fault_hook = _drop(CtrlType.DATASET_DONE_ACK)
     rig.run_until(lambda: rig.job.completed_blocks == rig.job.blocks_to_send)
-    assert not rig.link._inflight and not rig.job.ended
+    assert not rig.link._host_pool.inflight and not rig.job.ended
 
 
 PHASES = {

@@ -53,8 +53,6 @@ ALLOW = {
         "an arrival at a dry SRQ: no production run drains one",
     "repro/core/reassembly.py::ReassemblyBuffer._count_duplicate":
         "a block pushed twice into reassembly: no production run's faults do it",
-    "repro/core/reassembly.py::ReassemblyBuffer._bind_session_counter":
-        "as ReassemblyBuffer._count_duplicate",
     "repro/apps/io.py::CollectingSink.rows": "read back by CollectingSink._repeats and tests",
     "repro/apps/io.py::CollectingSink._row": "as CollectingSink.rows",
     "repro/apps/io.py::CollectingSink._repeats":
