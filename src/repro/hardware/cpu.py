@@ -22,6 +22,7 @@ of a single core, so a 12-core host tops out at 1200 %.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 from repro.sim.events import Timeout
@@ -31,6 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
 
 __all__ = ["CpuScheduler", "CpuThread"]
+
+_INF = float("inf")
 
 
 class CpuScheduler:
@@ -95,6 +98,36 @@ class CpuScheduler:
         return 100.0 * self.busy_seconds(group) / span
 
 
+class _Chunk(Timeout):
+    """A thread's compute chunk on a free core: the thread's one timer
+    record, re-armed per chunk (``CpuThread._active`` keeps one in
+    flight).  Its one callback releases the core and charges the group.
+    ``exec`` hands out the record itself, so its caller yields it at once
+    and keeps it no longer than the thread's next chunk.
+    """
+
+    __slots__ = ("thread",)
+
+    def __init__(self, thread: "CpuThread") -> None:
+        # The Event slots, set by hand (see the note in ``sim/events.py``).
+        self.engine = thread.scheduler.engine
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self.delay = 0.0
+        self.thread = thread
+
+    def _done(self, _event) -> None:
+        thread = self.thread
+        scheduler = thread.scheduler
+        scheduler._pool.release()
+        busy = scheduler._group_busy
+        busy[thread.group] = busy.get(thread.group, 0.0) + self.delay
+        thread._active = False
+
+
 class CpuThread:
     """A named thread of execution bound to one scheduler and group.
 
@@ -114,6 +147,8 @@ class CpuThread:
         self.name = name
         self.group = group
         self._active = False
+        self._chunk = _Chunk(self)
+        self._chunk_done = self._chunk._done
 
     def exec(self, seconds: float):
         """Return an event that completes after the CPU chunk runs."""
@@ -122,17 +157,32 @@ class CpuThread:
                 f"thread {self.name!r} is already executing a chunk; "
                 "one CpuThread maps to one OS thread"
             )
-        self._active = True
         scheduler = self.scheduler
         engine = scheduler.engine
-        if engine.use_fluid and seconds > 0 and scheduler._pool.try_acquire():
+        pool = scheduler._pool
+        if (
+            engine.use_fluid
+            and 0 < seconds < _INF
+            and pool._in_use < pool.capacity
+            and not pool._waiters
+        ):
             # Fluid fast path: with a core free, grant/hold/release
-            # collapse into one timer at the analytically-known end.
+            # collapse into the thread's chunk record, pushed (as a
+            # ``Timeout`` pushes itself) at the analytically-known end.
             # Contended chunks (no free core) fall through to the
             # discrete FIFO queue, whose wakeup order must be exact.
-            timer = Timeout(engine, seconds)
-            timer.callbacks.append(self._fluid_done)
-            return timer
+            self._active = True
+            pool._in_use += 1
+            chunk = self._chunk
+            chunk._value = None
+            chunk.delay = seconds
+            engine._eid = eid = engine._eid + 1
+            chunk.callbacks = [self._chunk_done]
+            heappush(engine._heap, (engine._now + seconds, eid, chunk))
+            return chunk
+        if not 0 <= seconds < _INF:  # also rejects NaN
+            raise ValueError(f"compute time must be finite and non-negative: {seconds!r}")
+        self._active = True
 
         def _run():
             try:
@@ -140,14 +190,7 @@ class CpuThread:
             finally:
                 self._active = False
 
-        return self.scheduler.engine.process(_run())
-
-    def _fluid_done(self, event) -> None:
-        scheduler = self.scheduler
-        scheduler._pool.release()
-        busy = scheduler._group_busy
-        busy[self.group] = busy.get(self.group, 0.0) + event.delay
-        self._active = False
+        return engine.process(_run())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CpuThread {self.name} group={self.group}>"

@@ -8,13 +8,14 @@ them; the engine resumes the process when the event is processed.
 
 Scheduling is one ``heappush`` of ``(time, eid, event)`` onto
 ``engine._heap`` with ``eid`` taken from the engine's global counter;
-:class:`Timeout`, :class:`TimeoutAt` and :meth:`Event.succeed` /
-:meth:`Event.fail` do it inline, and :func:`_schedule` does it for an
-event that re-queues itself (a posted WR's record, ``verbs/qp.py``).
-``Timeout``, ``TimeoutAt``, ``Process`` and that record also set the
-:class:`Event` slots by hand instead of chaining through
+:class:`Timeout`, :class:`TimeoutAt`, :meth:`Event.succeed` /
+:meth:`Event.fail` and a CPU thread's chunk record (``CpuThread.exec``,
+``hardware/cpu.py``) do it inline, and :func:`_schedule` does it for a
+posted WR's record (``verbs/qp.py``), which re-queues itself stage by
+stage.  ``Timeout``, ``TimeoutAt``, ``Process`` and those two records
+also set the :class:`Event` slots by hand instead of chaining through
 ``super().__init__`` — a slot added to ``Event`` must be added in those
-four constructors too (``tests/sim/test_event_slots.py`` fails
+five constructors too (``tests/sim/test_event_slots.py`` fails
 otherwise).
 """
 
@@ -235,7 +236,11 @@ class Condition(Event):
     """Waits on a set of events until :meth:`_satisfied` holds.
 
     A failed child event fails the condition immediately (the child is
-    defused so the failure is not reported twice).  When the condition
+    defused so the failure is not reported twice).  A satisfied condition
+    settles in place, with no event of its own on the heap: it is
+    processed at once and its waiters run inside the dispatch of the
+    child that satisfied it (at construction, with an already processed
+    child, the yielding process simply continues).  When the condition
     resolves, its ``_check`` callback is detached from every still
     unresolved child so an AnyOf winner does not keep the losers' callback
     lists (and through them the condition) alive.
@@ -254,14 +259,15 @@ class Condition(Event):
         for ev in self.events:
             if ev.engine is not engine:
                 raise ValueError("all events must belong to the same engine")
-            if self.triggered:
+            if self._value is not _PENDING:
                 # Resolved while walking the children (a processed child
                 # satisfied/failed us): don't register on the rest.
                 continue
-            if ev.processed:
+            callbacks = ev.callbacks
+            if callbacks is None:
                 check(ev)
             else:
-                ev.add_callback(check)
+                callbacks.append(check)
 
     def _satisfied(self) -> bool:
         raise NotImplementedError
@@ -278,7 +284,7 @@ class Condition(Event):
                     pass
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             event.defuse()
@@ -287,15 +293,17 @@ class Condition(Event):
             return
         self._count += 1
         if self._satisfied():
-            self.succeed(self._collect())
+            # Settle in place (see the class docstring); detach before the
+            # waiters run, so one that cancels a loser finds it clean.
+            self._ok = True
+            self._value = self._collect()
+            callbacks, self.callbacks = self.callbacks, None
             self._detach()
+            for callback in callbacks:
+                callback(self)
 
     def _collect(self) -> dict:
-        return {
-            ev: ev._value
-            for ev in self.events
-            if ev.triggered and ev._ok
-        }
+        return {ev: ev._value for ev in self.events if ev._ok}
 
 
 class AnyOf(Condition):

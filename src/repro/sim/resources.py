@@ -194,18 +194,6 @@ class Resource:
             self._waiters.append(event)
         return event
 
-    def try_acquire(self) -> bool:
-        """Take a free slot without creating an event, or return False.
-
-        The fluid fast paths use this to test-and-hold a slot they will
-        release from a timer callback; pair every ``True`` with a
-        :meth:`release`.
-        """
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            return True
-        return False
-
     def release(self) -> None:
         """Release one held slot, admitting the next waiter if any."""
         if self._in_use <= 0:

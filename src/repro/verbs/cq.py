@@ -64,10 +64,7 @@ class CompletionQueue:
     # -- consumer side -----------------------------------------------------------
     def _reap(self, max_entries: int) -> List[WorkCompletion]:
         entries = self._entries
-        batch: List[WorkCompletion] = []
-        while entries and len(batch) < max_entries:
-            batch.append(entries.popleft())
-        return batch
+        return [entries.popleft() for _ in range(min(max_entries, len(entries)))]
 
     def poll(self, thread: "CpuThread", max_entries: int = 16):
         """Process event: reap up to ``max_entries`` completions.
@@ -80,10 +77,7 @@ class CompletionQueue:
         """
         profile = self.device.arch_profile
         batch = self._reap(max_entries)
-        if batch:
-            cost = len(batch) * profile.poll_cqe_seconds
-        else:
-            cost = profile.poll_empty_seconds
+        cost = len(batch) * profile.poll_cqe_seconds if batch else profile.poll_empty_seconds
         ev = thread.exec(cost)
         if isinstance(ev, Timeout):
             ev._value = batch
@@ -116,8 +110,13 @@ class CompletionChannel:
         if self._waiter is not None:
             (thread, done), self._waiter = self._waiter, None
             # The interrupt + event charge starts the instant the CQE
-            # lands, on the waiting thread; the caller resumes when it ends.
-            thread.exec(self._wake_cost()).add_callback(done.trigger)
+            # lands, on the waiting thread.  The waiter resumes in a chunk
+            # record's own dispatch, or through ``done`` from a process.
+            chunk = thread.exec(self._wake_cost())
+            if isinstance(chunk, Timeout):
+                chunk.callbacks += done.callbacks
+            else:
+                chunk.add_callback(done.trigger)
 
     def wait(self, thread: "CpuThread") -> Event:
         """Event that fires once the CQ is non-empty and the wakeup is paid.

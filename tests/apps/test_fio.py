@@ -97,10 +97,11 @@ def test_busy_poll_burns_cpu_for_latency():
 
 # -- the event-driven submitter ------------------------------------------------
 #: Per WRITE: the post's CPU chunk, NIC WQE, DMA fetch, wire, DMA place,
-#: hardware ACK, the reaper's wake chunk + its done event, the poll chunk
-#: and the submitter's slot-retired event — 10, less the wakes that reap
-#: two completions at once, plus the three process starts.
-EVENTS_PER_256_WRITES = 2546
+#: hardware ACK, the reaper's wake chunk (the reaper resumes in its
+#: dispatch), the poll chunk and the submitter's slot-retired event — 9,
+#: less the wakes that reap two completions at once, plus the three
+#: process starts.
+EVENTS_PER_256_WRITES = 2290
 
 
 @pytest.mark.parametrize("iodepth", [1, 16, 64])
@@ -153,7 +154,7 @@ def test_write_run_spends_no_event_on_bookkeeping(monkeypatch):
     here, not in a benchmark.  A posted WR is a record that re-queues
     itself stage by stage, so the fluid engine starts no ``Process`` per
     WR."""
-    from repro.sim import Engine, Process, Timeout
+    from repro.sim import Engine, Event, Process, Timeout
     from tests.oracles import step
 
     popped = []
@@ -167,8 +168,10 @@ def test_write_run_spends_no_event_on_bookkeeping(monkeypatch):
     def stepping_run(engine, until=None):
         while engine._heap:
             event = engine._heap[0][2]
+            waiters = [getattr(getattr(cb, "__self__", None), "name", None)
+                       for cb in event.callbacks]
             popped.append((type(event), getattr(event, "delay", None),
-                           len(event.callbacks)))
+                           len(event.callbacks), waiters))
             step(engine)
 
     monkeypatch.setattr(Engine, "run", stepping_run)
@@ -179,5 +182,7 @@ def test_write_run_spends_no_event_on_bookkeeping(monkeypatch):
     assert len(started) < 8  # the job's own processes, none per WR
     assert not [p for p in popped if p[2] == 0]
     assert not [p for p in popped if issubclass(p[0], Timeout) and p[1] == 1e-6]
+    # A CQ wake resumes the reaper from its chunk, with no relay event.
+    assert not [p for p in popped if p[0] is Event and "reaper" in p[3]]
     assert len(popped) == EVENTS_PER_256_WRITES
 

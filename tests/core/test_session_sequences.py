@@ -23,7 +23,7 @@ from repro.apps.io import CollectingSink, PatternSource
 from repro.core import ProtocolConfig, RdmaMiddleware
 from repro.core.errors import TransferCanceled, TransferError
 from repro.core.sink_engine import SessionState
-from repro.faults.plan import DEFAULT_DROPPABLE
+from repro.faults.plan import DEFAULT_DROPPABLE, FaultPlan
 from repro.sim.engine import SimulationError
 from repro.testbeds import roce_lan
 
@@ -194,7 +194,7 @@ def test_all_endings_in_one_sequence():
                 placements += placed
                 if ending is not None:
                     failing[sessions, action, k] = ending
-    assert placements == 471  # the droppable types are 9 and 14 of the indexes
+    assert placements == 583  # drops: the droppable 9 and 14 indexes; the rest: all 112
     assert failing == {
         (sessions, action, k): line
         for sessions, action, first, last, line in FAILING_PLACEMENTS
@@ -207,11 +207,13 @@ def test_all_endings_in_one_sequence():
 #: placement fail must list it here, row by row, with its error line.
 FAILING_PLACEMENTS = []
 
-#: The faults placed at a control message: a drop is the hook's verdict;
-#: each other action runs at the instant the message is posted, once the
-#: poster has moved on.
+#: The faults placed at a control message: a drop or a delay (the chaos
+#: plan's default, which outlasts a converged LAN's request timeout) is
+#: the hook's verdict; each other action runs at the instant the message
+#: is posted, once the poster has moved on.
 _ACTIONS = {
     "drop": None,
+    "delay": None,
     "abort": lambda world: world.abort(0),
     "source_crash": lambda world: world.source_crash(),
     "sink_crash": lambda world: world.se.crash(),
@@ -236,6 +238,8 @@ def _placement_ending(sessions, action, k):
         placed.append(index)
         if action == "drop":
             return "drop"
+        if action == "delay":
+            return FaultPlan().ctrl_delay_seconds
         world.engine.timeout(0.0).add_callback(lambda _ev: _ACTIONS[action](world))
         return None
 

@@ -129,6 +129,16 @@ def test_negative_chunk_rejected(engine):
     sched = make_sched(engine)
     with pytest.raises(ValueError):
         list(sched.run_chunk(-1.0, "app"))
+    # A thread rejects a negative, NaN or infinite chunk before taking
+    # a core, and stays usable.
+    thread = CpuThread(sched, "t", "app")
+    for seconds in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            thread.exec(seconds)
+    assert sched._pool._in_use == 0
+    thread.exec(1.0)
+    engine.run()
+    assert sched.busy_seconds("app") == 1.0
 
 
 def test_scheduler_requires_core(engine):

@@ -33,7 +33,7 @@ from repro.sim.trace import Tracer
 from repro.testbeds import TESTBEDS
 from repro.verbs.wr import WcStatus
 
-METRICS_SHA = "a81fc280dddb4f0989433a466ced0191a04a390e56e4e4b20d42da3393def025"
+METRICS_SHA = "7ed9a99e5a85dc836a605b602e46769c56407311529feb62a96167504d102b73"
 PINS = {
     100_000: (743, "4ca79be1f2c6ed5c5bd258cf44c6b1d33038de81caf43e87fc83d52cfda9cf5b"),
     256: (257, "7b1f63b085bc764259b0c00486b2e5794a0ea6867ed8631b247c642effd1163e"),

@@ -1,7 +1,8 @@
 """Guard for the hand-inlined event constructors.
 
-``Timeout``, ``TimeoutAt``, ``Process`` and a posted WR's record
-(``verbs.qp._Wqe``) set the ``Event`` slots themselves instead of
+``Timeout``, ``TimeoutAt``, ``Process``, a posted WR's record
+(``verbs.qp._Wqe``) and a CPU thread's chunk record
+(``hardware.cpu._Chunk``) set the ``Event`` slots themselves instead of
 calling ``Event.__init__`` (one Python frame less per timer).  The
 price is that a slot added to ``Event`` later could be missed there;
 this test instantiates every ``Event`` subclass in ``repro`` the way
@@ -15,6 +16,7 @@ import importlib
 import pkgutil
 
 import repro
+from repro.hardware.cpu import CpuScheduler, CpuThread, _Chunk
 from repro.sim import AnyOf, Container, Engine, Event, Process, Store, Timeout
 from repro.sim.events import Condition, TimeoutAt
 from repro.sim.resources import _AmountEvent, _PutEvent
@@ -50,6 +52,7 @@ FACTORIES = {
     _PutEvent: lambda e: Store(e).put("item"),
     _AmountEvent: lambda e: Container(e, capacity=4.0).get(1.0),
     _Wqe: _posted_wqe,
+    _Chunk: lambda e: CpuThread(CpuScheduler(e, 1), "t", "app").exec(1.0),
 }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.hardware.cpu import CpuScheduler, CpuThread
 from repro.network.fabric import back_to_back, wan_path
 from repro.sim.engine import Engine
 from repro.sim.events import TimeoutAt
@@ -98,13 +99,28 @@ def test_resource_request_grants_synchronously_and_parks_when_full():
     assert second.triggered
 
 
-def test_resource_try_acquire():
+def test_cpu_chunk_holds_a_free_core_without_queueing():
+    # A chunk on a free core takes the slot in place and arms the
+    # thread's own record; a chunk that finds the core held queues on
+    # the pool instead, and the record is re-armed for the next chunk.
     engine = Engine(use_fluid=True)
-    res = Resource(engine, capacity=1)
-    assert res.try_acquire() is True
-    assert res.try_acquire() is False
-    res.release()
-    assert res.try_acquire() is True
+    sched = CpuScheduler(engine, 1)
+    first, second = CpuThread(sched, "a", "app"), CpuThread(sched, "b", "app")
+    record = first.exec(1.0)
+    assert record is first._chunk
+    assert sched._pool._in_use == 1 and not sched._pool._waiters
+    queued = second.exec(1.0)
+    assert queued is not second._chunk
+    ends = []
+    for event in (record, queued):
+        event.callbacks.append(lambda _e: ends.append(engine.now))
+    engine.run()
+    assert ends == [1.0, 2.0]
+    assert sched._pool._in_use == 0
+    assert first.exec(0.5) is record
+    engine.run()
+    assert engine.now == 2.5
+    assert sched.busy_seconds("app") == 2.5
 
 
 def test_container_sync_grant_and_idle():

@@ -42,13 +42,36 @@ def _gridftp(testbed_name, fluid):
 
 
 def _fio(testbed_name, fluid):
+    """A 200-block WRITE run, then every semantics with and without
+    busy polling, and a SEND run on single-core hosts.  There the
+    submitter and the reaper share the one core, and 64 posts outlast
+    the first round trip, so chunks queue for the core and some CQ wakes
+    are chunk processes.  Beyond goodput and the clock, each run's
+    per-I/O latencies, clock and per-group busy seconds on both hosts
+    must agree."""
     from repro.apps.fio import FioJob, run_fio
+    from repro.hardware.cpu import CpuScheduler
 
-    tb = _testbed(testbed_name, fluid)
-    job = FioJob(semantics="write", block_size=128 * 1024, iodepth=16,
-                 total_blocks=200)
-    result = run_fio(tb, job)
-    return result.gbps, tb.engine.now, tb.engine.events_processed
+    runs = [("write", False, 128 * 1024, 16, 200, None)]
+    runs += [(s, poll, 128 * 1024, 16, 24, None)
+             for s in ("write", "read", "send") for poll in (False, True)]
+    runs.append(("send", False, 4096, 64, 72, 1))
+    gbps, events, seen = None, 0, []
+    for semantics, busy_poll, block_size, iodepth, blocks, cores in runs:
+        tb = _testbed(testbed_name, fluid)
+        hosts = (tb.src, tb.dst)
+        if cores is not None:
+            for host in hosts:
+                host.cpu = CpuScheduler(tb.engine, cores)
+        job = FioJob(semantics=semantics, block_size=block_size,
+                     iodepth=iodepth, total_blocks=blocks, busy_poll=busy_poll)
+        result = run_fio(tb, job)
+        gbps = result.gbps if gbps is None else gbps
+        events += tb.engine.events_processed
+        seen.append((result._latencies, tb.engine.now,
+                     [{g: h.cpu.busy_seconds(g) for g in h.cpu._group_busy}
+                      for h in hosts]))
+    return gbps, seen, events
 
 
 @pytest.mark.parametrize(
