@@ -28,9 +28,7 @@ class Table:
 
     def render(self) -> str:
         widths = [
-            max(len(self.columns[i]), *(len(r[i]) for r in self.rows))
-            if self.rows
-            else len(self.columns[i])
+            max([len(self.columns[i])] + [len(r[i]) for r in self.rows])
             for i in range(len(self.columns))
         ]
         sep = "-+-".join("-" * w for w in widths)

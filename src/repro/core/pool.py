@@ -118,10 +118,7 @@ class BlockPool(Generic[BlockT]):
         concurrent sessions, so the broker watches this instead of a
         proxy like queue depth.
         """
-        total = len(self.blocks)
-        if total == 0:
-            return 0.0
-        return 1.0 - len(self.free) / total
+        return 1.0 - len(self.free) / len(self.blocks)
 
     def get_free_blk(self):
         """Event resolving to a free block (FIFO wait if none)."""

@@ -75,55 +75,36 @@ class ReassemblyBuffer:
     def reject_duplicate(self, s: "SinkSession", header: BlockHeader, payload: Any) -> bool:
         """If ``header`` replays a delivered or parked seq, count it and
         return True (the caller recycles the arrival's block instead of
-        pushing it).
+        pushing it).  The one duplicate check: every arrival passes it
+        before :meth:`push`.
 
-        Engines park ``(header, block)`` tuples, so divergence checking
-        against a still-parked copy unwraps the parked object's
-        ``payload`` attribute when it has one.
+        A still-parked copy is also checked for payload divergence (a
+        delivered one is gone).  Engines park ``(header, block)`` tuples,
+        so the parked object's ``payload`` attribute is compared when it
+        has one.
         """
         seq, parked = header.seq, s.parked
         if seq >= (s.next_seq or 0) and seq not in parked:
             return False
-        parked_payload = None
-        comparable = False
-        if seq in parked:
-            obj = parked[seq][1]
-            parked_payload = getattr(obj, "payload", obj)
-            comparable = True
-        self._count_duplicate(s.sid, payload, parked_payload, comparable)
-        return True
-
-    def _count_duplicate(self, sid: int, payload: Any, parked_payload: Any,
-                         comparable: bool) -> None:
         self.duplicates.add()
         self.metrics.counter(
-            "reassembly.session_duplicates", session=sid, **self._labels
+            "reassembly.session_duplicates", session=s.sid, **self._labels
         ).add()
-        if comparable and parked_payload != payload:
-            self.payload_conflicts.add()
+        if seq in parked:
+            obj = parked[seq][1]
+            if getattr(obj, "payload", obj) != payload:
+                self.payload_conflicts.add()
+        return True
 
     def push(
         self, s: "SinkSession", header: BlockHeader, payload: Any
     ) -> List[Tuple[BlockHeader, Any]]:
-        """Insert an arrival; return the blocks now deliverable in order.
-
-        Duplicate or stale sequence numbers are counted and dropped
-        (RDMA WRITE is reliable, so these indicate an application replay —
-        tests use them to assert idempotence).  A duplicate still parked
-        here is additionally checked for payload divergence.
-        """
+        """Insert an arrival :meth:`reject_duplicate` let through; return
+        the blocks now deliverable in order."""
         seq, parked, nxt = header.seq, s.parked, s.next_seq
         if nxt is None:  # the first arrival: the record gains its cursor
             nxt = 0
             self.held += 1
-        elif seq < nxt:
-            # Already delivered; the original payload is gone so divergence
-            # is undetectable here.
-            self._count_duplicate(s.sid, payload, None, comparable=False)
-            return []
-        if seq in parked:
-            self._count_duplicate(s.sid, payload, parked[seq][1], comparable=True)
-            return []
         parked[seq] = (header, payload)
         self.max_parked.set_max(self.parked + 1)
         released: List[Tuple[BlockHeader, Any]] = []

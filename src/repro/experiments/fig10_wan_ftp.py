@@ -70,10 +70,7 @@ def run() -> List[Point]:
 
 
 def _sel(points: List[Point], tool: str, streams: int) -> Point:
-    for p in points:
-        if p.tool == tool and p.streams == streams:
-            return p
-    raise KeyError((tool, streams))
+    return next(p for p in points if p.tool == tool and p.streams == streams)
 
 
 def check(points: List[Point]) -> None:

@@ -63,10 +63,7 @@ def run() -> List[Point]:
 
 
 def _sel(points: List[Point], mode: str) -> Point:
-    for p in points:
-        if p.mode == mode:
-            return p
-    raise KeyError(mode)
+    return next(p for p in points if p.mode == mode)
 
 
 def check(points: List[Point]) -> None:

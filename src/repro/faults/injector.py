@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Optional, Union
 
-from repro.core.messages import CtrlType, DataBlockWire
+from repro.core.messages import CtrlType
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import RandomStreams
 
@@ -77,8 +77,6 @@ class FaultInjector:
         if self.plan.payload_corrupt_rate <= 0.0:
             return None
         wire = wr.payload
-        if not isinstance(wire, DataBlockWire):
-            return None
         if self._corrupt_rng.random() < self.plan.payload_corrupt_rate:
             self.payload_corruptions += 1
             return replace(wire, payload=("bitrot", wire.payload))
@@ -188,9 +186,8 @@ class FaultInjector:
     def attempt_hook(self, now: float) -> bool:
         """``TransferBroker.attempt_fault_hook`` interface: True fails the
         attempt at the boundary (before any traffic) — the retry-storm
-        seam that exercises retry budgets without touching the wire."""
-        if self.plan.attempt_fault_rate <= 0.0:
-            return False
+        seam that exercises retry budgets without touching the wire;
+        installed only when the plan's rate is positive."""
         window = self.plan.attempt_fault_window
         if window:
             start, end = window

@@ -91,11 +91,9 @@ class CpuScheduler:
         return self._group_busy.get(group, 0.0)
 
     def utilization_pct(self, group: Optional[str] = None) -> float:
-        """Utilisation as percent-of-one-core (nmon convention)."""
-        span = self.engine.now - self._epoch
-        if span <= 0:
-            return 0.0
-        return 100.0 * self.busy_seconds(group) / span
+        """Utilisation as percent-of-one-core (nmon convention), asked
+        once simulated time has passed since the accounting epoch."""
+        return 100.0 * self.busy_seconds(group) / (self.engine.now - self._epoch)
 
 
 class _Chunk(Timeout):

@@ -200,7 +200,6 @@ class HistogramMetric(_Metric):
                     hi = lo
                 return lo + (hi - lo) * ((j - cum + 0.5) / c)
             cum += c
-        return self._max
 
     def percentile(self, q: float) -> float:
         """Value at quantile ``q`` (0–100), to one bucket width.

@@ -237,9 +237,8 @@ class RftpDoor:
 
     def channels_quarantined(self, now: float) -> bool:
         """True when every live data channel's breaker is OPEN — the
-        scheduler-level signal to prefer another door right now."""
-        if self.link is None:
-            return False
+        scheduler-level signal to prefer another door right now.  Asked
+        only of an opened door."""
         breakers = self.link._host_pool.breakers
         for qp in self.link.data.qps:
             b = breakers.get(qp.qp_num)
@@ -268,10 +267,8 @@ class RftpDoor:
 
     @property
     def pool_occupancy(self) -> float:
-        """Pinned-pool pressure on this door's link, in [0, 1] — one of
-        the two brownout watermark inputs."""
-        if self.link is None:
-            return 0.0
+        """Pinned-pool pressure on this (opened) door's link, in [0, 1] —
+        one of the two brownout watermark inputs."""
         return self.link.pool.occupancy
 
     def transfer(self, task: FileTask, session_id: Optional[int] = None):
@@ -369,7 +366,6 @@ class TransferBroker:
         self.table = JobTable()
         self.recovered = False
         self._fifo = itertools.count()
-        self._job_ids = itertools.count(1)
         self._active = 0
         #: High-water mark of concurrent active transfers over the
         #: broker's lifetime (the sessions-per-host capacity metric).
@@ -471,7 +467,7 @@ class TransferBroker:
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive")
         if job_id is None:
-            job_id = f"job-{next(self._job_ids)}"
+            job_id = f"job-{self.table.next_job_id}"
         existing = self.table.by_id.get(job_id)
         if existing is not None:
             # Resubmission dedupe: the id already has an incarnation in
@@ -1107,10 +1103,8 @@ class TransferBroker:
         for door in broker.doors.values():
             door.active = 0  # the dead incarnation's slots are gone
         # Adopt the replayed table whole (resubmission and destination
-        # dedupe indexes included); auto ids continue past its own.
+        # dedupe indexes and the next auto id included).
         broker.table = state
-        taken = [int(i[4:]) for i in state.by_id if i[:4] == "job-" and i[4:].isdecimal()]
-        broker._job_ids = itertools.count(1 + max(taken, default=0))
         now = engine.now
         overdue: List[Job] = []
         for job in state.jobs:

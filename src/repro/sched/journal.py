@@ -278,6 +278,8 @@ class JobTable:
     clean: bool = False
     #: Admitted primary files not yet terminal (the broker's work left).
     outstanding: int = 0
+    #: The next auto job id: past every ``job-N`` the table holds.
+    next_job_id: int = 1
 
     @property
     def resume(self) -> List[FileTask]:
@@ -389,9 +391,15 @@ def _submit(table: JobTable, rec: Dict[str, Any]) -> Job:
     job.deadline = rec.get("deadline")
     for task in job.files:
         task.submitted_at = job.submitted_at
+    _take_id(table, job)
+    return job
+
+
+def _take_id(table: JobTable, job: Job) -> None:
     table.by_id[job.job_id] = job
     table.jobs.append(job)
-    return job
+    if job.job_id[:4] == "job-" and job.job_id[4:].isdecimal():
+        table.next_job_id = max(table.next_job_id, int(job.job_id[4:]) + 1)
 
 
 def _admit(table: JobTable, rec: Dict[str, Any]) -> Job:
@@ -465,27 +473,19 @@ def _checkpoint(table: JobTable, rec: Dict[str, Any]) -> None:
     if full is not None and not table.jobs:
         # Compacted journal: this checkpoint is the first meaningful
         # record — the prefix was truncated behind its full snapshot.
-        # Restore the table wholesale.
+        # Restore the table wholesale (a drain snapshots no READY file).
         for job in restore_jobs(full):
-            table.by_id[job.job_id] = job
-            table.jobs.append(job)
+            _take_id(table, job)
             for task in job.files:
-                if task.state is FileState.READY:
-                    # Snapshotted between dispatch and its attempt record.
-                    task.state = FileState.SUBMITTED
                 if task.duplicate_of is None and not task.state.terminal:
                     # At most one live primary per path; a terminal
                     # owner dedupes nothing, so it need not be listed.
                     table.dest_owner[task.path] = task
                     table.outstanding += 1
     states = rec.get("state", {}).get("jobs")
-    if states is not None and states != {
-        job.job_id: job.state.value for job in table.jobs
-    }:
-        raise ValueError(
-            "journal checkpoint snapshot disagrees with replayed "
-            "state (corrupted or truncated journal)"
-        )
+    if states is not None and states != {job.job_id: job.state.value for job in table.jobs}:
+        raise ValueError("journal checkpoint snapshot disagrees with replayed "
+                         "state (corrupted or truncated journal)")
     table.clean = True
 
 

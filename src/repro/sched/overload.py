@@ -431,11 +431,10 @@ class OverloadController:
         tenant_weights: Dict[str, float],
     ) -> None:
         """One FSM step from the current load sample.  Called by the
-        broker at dispatch and attempt-completion points — event-driven
-        sampling, no timers of its own."""
+        broker, when brownout is enabled, at dispatch and
+        attempt-completion points — event-driven sampling, no timers of
+        its own."""
         cfg = self.config
-        if not cfg.brownout_enabled:
-            return
         now = self.engine.now
         session_frac = active / max_active if max_active > 0 else 0.0
         hot = (

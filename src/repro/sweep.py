@@ -164,10 +164,8 @@ def run_point(task: Tuple[str, str, dict]) -> dict:
     runner, testbed, params = task
     if runner == "rftp":
         result = _run_rftp_point(testbed, params)
-    elif runner == "gridftp":
+    else:  # validate_spec admits the two runners only
         result = _run_gridftp_point(testbed, params)
-    else:  # pragma: no cover - validate_spec rejects earlier
-        raise ValueError(f"unknown runner {runner!r}")
     return {"params": params, "result": result}
 
 

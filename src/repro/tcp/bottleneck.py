@@ -172,8 +172,6 @@ class Bottleneck:
                 break
         dropped = np.zeros(len(flows))
         marked_total = float(arrivals[marked].sum())
-        if marked_total <= 0.0:
-            return dropped
         for idx in marked:
             dropped[idx] = overflow * arrivals[idx] / marked_total
             dropped[idx] = min(dropped[idx], arrivals[idx])

@@ -32,9 +32,6 @@ class Cubic(CongestionControl):
 
     def _begin_epoch(self, now: float) -> None:
         self._epoch_start = now
-        if self.w_max < self.cwnd_seg:
-            # We recovered above the old ceiling: probe from here.
-            self.w_max = self.cwnd_seg
         self._k = ((self.w_max * (1.0 - self.BETA)) / self.C) ** (1.0 / 3.0)
 
     def _avoid(self, acked_seg: float, now: float, rtt: float) -> None:

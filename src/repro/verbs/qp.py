@@ -381,12 +381,10 @@ class _Wqe(Event):
             self._run(bus.dma(n), self._wire)
 
     def _request(self, grant: Event) -> None:
-        """READ holds an ORD slot: the request packet crosses the path."""
-        wait = self.qp.path.ctrl_wait
-        if wait > 0:
-            _schedule(self, self.engine._now + wait, self._requested)
-        else:
-            self._requested()
+        """READ holds an ORD slot: the request packet crosses the path
+        (``ctrl_wait`` is never 0: it includes the datagram's
+        serialisation)."""
+        _schedule(self, self.engine._now + self.qp.path.ctrl_wait, self._requested)
 
     def _requested(self, ev: Optional[Event] = None) -> None:
         """The READ request is at the responder: its read engine serves it."""
@@ -435,11 +433,8 @@ class _Wqe(Event):
             qp.device.nic.host.pcie.bytes_moved += n  # the payload fetch
         path = qp.rpath if self.wr.opcode is Opcode.RDMA_READ else qp.path
         if self.booked and path.chain_ok():
-            arrival = path.book(n)
-            if arrival > self.engine._now:
-                _schedule(self, arrival, self._landed)
-            else:
-                self._landed(self)
+            # A booked WR moves bytes, so it lands strictly later.
+            _schedule(self, path.book(n), self._landed)
         else:
             self._run(path.transmit(n), self._landed)
 
@@ -519,11 +514,7 @@ class _Wqe(Event):
     def _reply(self, status: WcStatus) -> None:
         """The responder's ACK (or NAK) travels back; it completes the WR."""
         self.status = status
-        wait = self.qp.rpath.ctrl_wait
-        if wait > 0:
-            _schedule(self, self.engine._now + wait, self._replied)
-        else:
-            self._replied()
+        _schedule(self, self.engine._now + self.qp.rpath.ctrl_wait, self._replied)
 
     def _replied(self, ev: Optional[Event] = None) -> None:
         """The ACK / NAK is back."""

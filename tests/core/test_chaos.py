@@ -12,6 +12,8 @@ parked reassembly entries.  Runs are parametrized over fixed seeds; the
 same seed must replay the exact same fault sequence.
 """
 
+import re
+
 import pytest
 
 from repro.core import ProtocolConfig
@@ -46,6 +48,14 @@ def test_plan_validates_probabilities():
         FaultPlan(link_flaps=((1.0, 0.0),))
     with pytest.raises(ValueError):
         FaultPlan(ctrl_delay_seconds=-1.0)
+    for kwargs, message in [
+        (dict(link_flaps=((1.0,),)), "each link flap is a (start, duration) pair"),
+        (dict(qp_kills=((1.0,),)), "each qp kill is a (time, channel_index) pair"),
+        (dict(attempt_fault_window=(1.0,)), "attempt_fault_window is a (start, end) pair"),
+        (dict(attempt_fault_window=(2.0, 1.0)), "bad attempt_fault_window (2.0, 1.0)"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FaultPlan(**kwargs)
 
 
 def test_injector_seams_draw_independent_streams():
@@ -113,12 +123,37 @@ def test_combined_fault_classes_recovered(seed):
     assert r.clean
 
 
-def test_same_seed_replays_identically():
+def test_same_seed_replays_identically(monkeypatch):
     plan = FaultPlan(seed=3, write_fault_rate=0.08, ctrl_drop_rate=0.3)
     a, b = chaos(plan), chaos(plan)
     assert (a.resends, a.write_faults, a.ctrl_drops, a.ctrl_retries, a.sim_time) == (
         b.resends, b.write_faults, b.ctrl_drops, b.ctrl_retries, b.sim_time
     )
+    # The harness's own checks each name a planted fault: a run cut at
+    # its horizon, a credit the source holds but the sink never granted,
+    # and a corruption counted as injected that nothing detected.
+    hung = run_chaos("roce-lan", total_bytes=16 << 20, config=cfg(), horizon=1e-3)
+    assert "run did not settle within 0.001s sim horizon (hang/deadlock)" in hung.leaks
+    arm_source, arm_sink = FaultInjector.arm_source, FaultInjector.arm_sink
+
+    def plant_credit(injector, link):
+        def late():
+            yield link.engine.timeout(100.0)
+            link.ledger._credits.items.append(None)
+
+        arm_source(injector, link)
+        link.engine.process(late())
+
+    def claim_corruption(injector, sink_engine):
+        arm_sink(injector, sink_engine)
+        injector.payload_corruptions += 1
+
+    monkeypatch.setattr(FaultInjector, "arm_source", plant_credit)
+    monkeypatch.setattr(FaultInjector, "arm_sink", claim_corruption)
+    planted = chaos(FaultPlan())
+    assert planted.completed and planted.byte_exact
+    assert planted.leaks == ("credit imbalance: source holds 9, sink advertises 8",
+                             "1 corruptions injected but only 0 detected")
 
 
 # -- typed aborts -------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.core.messages import (
 from repro.core.reassembly import ReassemblyBuffer
 from repro.core.sink_engine import SinkSession
 from repro.verbs.wr import Opcode, RecvWR, SendWR, WcStatus, WorkCompletion
+from tests.oracles import arrive
 
 
 def hdr(seq, sid=1, length=4096):
@@ -50,6 +51,8 @@ def test_header_field_ranges():
         BlockHeader(session_id=0, seq=0, offset=2**64, length=0)
     with pytest.raises(ValueError):
         BlockHeader(session_id=0, seq=0, offset=0, length=-1)
+    with pytest.raises(ValueError, match="checksum must fit in 32 bits"):
+        BlockHeader(session_id=0, seq=0, offset=0, length=0, checksum=2**32)
 
 
 def test_header_key():
@@ -62,41 +65,41 @@ def test_header_key():
 def test_in_order_stream_passes_through():
     r, s = ReassemblyBuffer(), SinkSession(1, 1)
     for seq in range(5):
-        out = r.push(s, hdr(seq), f"p{seq}")
+        out = arrive(r, s, hdr(seq), f"p{seq}")
         assert [h.seq for h, _ in out] == [seq]
 
 
 def test_out_of_order_held_and_released():
     r, s = ReassemblyBuffer(), SinkSession(1, 1)
-    assert r.push(s, hdr(2), "c") == []
-    assert r.push(s, hdr(1), "b") == []
-    out = r.push(s, hdr(0), "a")
+    assert arrive(r, s, hdr(2), "c") == []
+    assert arrive(r, s, hdr(1), "b") == []
+    out = arrive(r, s, hdr(0), "a")
     assert [(h.seq, p) for h, p in out] == [(0, "a"), (1, "b"), (2, "c")]
     assert len(s.parked) == 0 and r.parked == 0
 
 
 def test_sessions_are_independent():
     r, s7, s8 = ReassemblyBuffer(), SinkSession(7, 1), SinkSession(8, 1)
-    r.push(s7, hdr(1, sid=7), "x")
-    out = r.push(s8, hdr(0, sid=8), "y")
+    arrive(r, s7, hdr(1, sid=7), "x")
+    out = arrive(r, s8, hdr(0, sid=8), "y")
     assert [(h.session_id, h.seq) for h, _ in out] == [(8, 0)]
     assert len(s7.parked) == 1
 
 
 def test_duplicates_dropped_and_counted():
     r, s = ReassemblyBuffer(), SinkSession(1, 1)
-    r.push(s, hdr(0), "a")
-    assert r.push(s, hdr(0), "a-again") == []
+    arrive(r, s, hdr(0), "a")
+    assert arrive(r, s, hdr(0), "a-again") == []
     assert r.duplicates.total == 1
-    r.push(s, hdr(2), "c")
-    assert r.push(s, hdr(2), "c-again") == []
+    arrive(r, s, hdr(2), "c")
+    assert arrive(r, s, hdr(2), "c-again") == []
     assert r.duplicates.total == 2
 
 
 def test_finish_session_discards_stranded():
     r, s = ReassemblyBuffer(), SinkSession(1, 1)
-    r.push(s, hdr(3), "x")
-    r.push(s, hdr(5), "y")
+    arrive(r, s, hdr(3), "x")
+    arrive(r, s, hdr(5), "y")
     assert len(r.take(s)) == 2
     assert len(s.parked) == 0 and r.parked == 0
     assert s.next_seq is None and r.held == 0  # state reset
@@ -105,7 +108,7 @@ def test_finish_session_discards_stranded():
 def test_max_parked_tracks_high_water():
     r, s = ReassemblyBuffer(), SinkSession(1, 1)
     for seq in (4, 3, 2, 1):
-        r.push(s, hdr(seq), None)
+        arrive(r, s, hdr(seq), None)
     assert r.max_parked.value == 4
 
 
@@ -117,7 +120,7 @@ def test_any_permutation_delivers_in_order(perm):
     r, s = ReassemblyBuffer(), SinkSession(1, 1)
     delivered = []
     for seq in perm:
-        delivered.extend(h.seq for h, _ in r.push(s, hdr(seq), None))
+        delivered.extend(h.seq for h, _ in arrive(r, s, hdr(seq), None))
     assert delivered == sorted(perm)
 
 
@@ -129,6 +132,6 @@ def test_duplicates_never_delivered_twice(arrivals):
     r, s = ReassemblyBuffer(), SinkSession(1, 1)
     delivered = []
     for seq in arrivals:
-        delivered.extend(h.seq for h, _ in r.push(s, hdr(seq), None))
+        delivered.extend(h.seq for h, _ in arrive(r, s, hdr(seq), None))
     assert len(delivered) == len(set(delivered))
     assert delivered == sorted(delivered)

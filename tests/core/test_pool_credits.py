@@ -91,6 +91,12 @@ def test_ledger_deposit_and_acquire():
     assert got == [credit]
     assert ledger.total_received.total == 1
     assert ledger.balance == 0
+    # A newer revocation generation is taken; a grant or refund of an
+    # older one is dropped and counted.
+    ledger.deposit([Credit(1, 0x2000, 0xABCD, gen=2)])
+    ledger.deposit([Credit(2, 0x3000, 0xABCD, gen=1)])
+    ledger.refund([Credit(3, 0x4000, 0xABCD, gen=1)])
+    assert (ledger.balance, ledger.generation, ledger.flushed.total) == (1, 2, 2)
 
 
 def test_ledger_peak_tracking():

@@ -78,6 +78,8 @@ def test_resource_pool_lease_accounting():
     assert pool.release(a)
     assert not pool.release(a), "release must be idempotent"
     assert pool.lease(c)
+    with pytest.raises(ValueError, match="ResourcePool capacity must be >= 1"):
+        ResourcePool(Engine(), capacity=0)
     assert pool.release(b) and pool.release(c)
     assert pool.balanced and (pool.capacity - pool.available) == 0
 

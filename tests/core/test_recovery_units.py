@@ -56,6 +56,17 @@ def test_ack_pops_job_and_session_id_can_be_reused():
     # Both sessions delivered in full (16 blocks of 256K across 2 runs).
     assert len(list(sink.rows())) == job1.total_blocks + job2.total_blocks
     assert link.audit() == []
+    # The audit names each leak planted on this quiesced link.
+    link.jobs[9] = job1
+    assert link.audit() == ["1 sessions never retired: [9]"]
+    del link.jobs[9]
+    link._host_pool.inflight[-1] = (link,)
+    assert link.audit() == ["1 WRs still in flight"]
+    del link._host_pool.inflight[-1]
+    link.ledger._credits._getters.append(None)
+    assert link.audit() == ["1 credit waiters stuck"]
+    link.ledger._credits._getters.clear()
+    assert link.audit() == []
 
 
 # -- satellite: failed WRITE reposts with the SAME credit ---------------------------

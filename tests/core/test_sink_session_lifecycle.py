@@ -21,7 +21,7 @@ from repro.core.messages import (
     block_checksum,
 )
 from repro.core.pool import BlockPool
-from repro.core.sink_engine import SessionState, SinkEngine
+from repro.core.sink_engine import SessionState, SinkEngine, SinkSession
 from repro.tcp.fallback import TcpBlockStream
 from repro.testbeds import roce_lan
 
@@ -247,6 +247,31 @@ def end_eviction(rig):
     stray = rig.se.stray_messages.total
     assert rig.tell(CtrlType.DATASET_DONE, 1, BS) == []
     assert rig.se.stray_messages.total == stray + 1
+    # The audit names each leak planted on this quiesced engine.
+    se, s, pool = rig.se, rig.rec(3), rig.se.pool
+    s.parked[9] = None
+    assert se.audit() == ["reassembly entries parked for sessions [3]"]
+    s.parked.clear()
+    se._ready.items.append(None)
+    assert se.audit() == ["1 ready blocks unconsumed"]
+    se._ready.items.clear()
+    se._live += 1
+    assert se.audit() == ["1 sink sessions never retired"]
+    se._live -= 1
+    se._sessions[1] = SinkSession(1, 1, state=SessionState.ACKED)
+    assert se.audit() == ["retired-session history 3 exceeds cap 2"]
+    del se._sessions[1]
+    for name in ("upto", "pending", "sent", "resume_grant", "restore_grant",
+                 "stream", "fallback_seq", "fallback_eof"):
+        kept = getattr(s, name)
+        setattr(s, name, 1)
+        assert se.audit() == [f"restart-marker state {name} stranded for acked sessions [3]"]
+        setattr(s, name, kept)
+    n = len(pool.free)
+    pool.free.items.append(pool.by_id(0))  # one free-list entry too many
+    assert se.audit() == [f"sink pool accounting: free list holds {n + 1}, {n} blocks are FREE"]
+    pool.free.items.pop()
+    assert se.audit() == []
 
 
 ENDS = {
@@ -294,6 +319,13 @@ def start_duplicate_session_req(rig):
     assert rig.open(blocks=4, interval=3) == ()  # accepted, EMPTY grant
     assert rig.rec() is s and s.done is done and not done.triggered
     assert (s.epoch, s.upto, s.sent, s.consumed, s.interval) == before
+    assert rig.states().count(SinkBlockState.WAITING) == waiting
+    # A duplicate WRITE of a delivered block is counted, not delivered:
+    # its region is recycled and re-granted at once.
+    replies = rig.write_block(SID, 0)
+    assert rig.se.reassembly.duplicates.total == 1
+    assert (s.epoch, s.upto, s.sent, s.consumed, s.interval) == before
+    assert [m.type for m in replies] == [CtrlType.MR_INFO_REP]
     assert rig.states().count(SinkBlockState.WAITING) == waiting
 
 

@@ -139,6 +139,8 @@ def test_negative_chunk_rejected(engine):
     thread.exec(1.0)
     engine.run()
     assert sched.busy_seconds("app") == 1.0
+    with pytest.raises(ValueError, match="compute time must be non-negative"):
+        sched.charge_background(-1.0)
 
 
 def test_scheduler_requires_core(engine):

@@ -159,8 +159,11 @@ def test_raid_lanes_parallelise(engine):
     assert done[1][0] == pytest.approx(0.2, rel=1e-2)
 
 
-def test_disk_profile_validation():
+def test_disk_profile_validation(engine):
     with pytest.raises(ValueError):
         DiskProfile(write_bytes_per_second=0)
     with pytest.raises(ValueError):
         DiskProfile(lanes=0)
+    _, thread, disk = _disk_fixture(engine)
+    with pytest.raises(ValueError, match="write size must be non-negative"):
+        next(disk.write(thread, -1))

@@ -39,6 +39,11 @@ def test_link_validation(engine):
         Link(engine, gbps=0)
     with pytest.raises(ValueError):
         Link(engine, gbps=1, delay=-1)
+    link = Link(engine, gbps=1)
+    with pytest.raises(ValueError, match="flap duration must be positive"):
+        link.fail_for(0)
+    with pytest.raises(ValueError, match="transfer size must be non-negative"):
+        next(link.serialize(-1))
 
 
 # -- Path ---------------------------------------------------------------------

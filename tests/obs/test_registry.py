@@ -127,6 +127,12 @@ def test_histogram_summary_and_empty_nan():
     for q in (990, -5):
         with pytest.raises(ValueError, match="must be in"):
             h.percentile(q)
+    # Sub-nanosecond observations share the floor bucket, whose interior
+    # estimate is its 1 ns edge (above this sample's max).
+    floor = MetricsRegistry().histogram("floor")
+    for v in (0.0, 0.0, 5e-10):
+        floor.observe(v)
+    assert floor.percentile(50) == pytest.approx(1e-9)
 
 
 def test_snapshot_shapes():

@@ -35,6 +35,10 @@ def _render(spec, records):
 
 # -- spec validation ---------------------------------------------------------
 def test_validate_rejects_bad_specs():
+    with pytest.raises(ValueError, match="sweep spec must be a JSON object"):
+        validate_spec([])
+    with pytest.raises(ValueError, match="sweep 'base' must be an object"):
+        validate_spec({"runner": "rftp", "base": [], "axes": {"channels": [1]}})
     with pytest.raises(ValueError, match="runner"):
         validate_spec({"runner": "nope", "axes": {"a": [1]}})
     with pytest.raises(ValueError, match="axes"):
@@ -108,7 +112,7 @@ def test_gridftp_sweep_runs_each_stream_count():
 
 
 # -- CLI ---------------------------------------------------------------------
-def test_cli_sweep_roundtrip(tmp_path):
+def test_cli_sweep_roundtrip(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(TINY_SPEC))
     out_a = tmp_path / "a.jsonl"
@@ -118,6 +122,9 @@ def test_cli_sweep_roundtrip(tmp_path):
     assert main(["sweep", "--spec", str(spec_path),
                  "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+    # Without --out the same lines go to stdout.
+    assert main(["sweep", "--spec", str(spec_path)]) == 0
+    assert capsys.readouterr().out == out_a.read_text()
 
 
 def test_cli_sweep_requires_spec_or_quick(capsys):

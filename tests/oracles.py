@@ -23,6 +23,13 @@ class AllOf(Condition):
         return self._count == len(self.events)
 
 
+def arrive(buf, s, header, payload):
+    """One arrival into reassembly buffer ``buf`` as the sink takes it:
+    ``reject_duplicate`` counts and drops a replay, anything else is
+    pushed.  Returns the blocks released in order."""
+    return [] if buf.reject_duplicate(s, header, payload) else buf.push(s, header, payload)
+
+
 class ProcessKilled(Exception):
     """Thrown into a generator when :func:`kill` ends its process."""
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.apps.rftp import RftpClient, RftpServer
 from repro.core.health import ChannelBreaker
 from repro.sched import (
+    BrokerSupervisor,
     FileState,
     JobState,
     SchedulerConfig,
@@ -22,6 +23,7 @@ from repro.sched import (
 )
 from repro.sched.broker import ADMIT, CLOSED, FULL, RftpDoor, TransferBroker
 from repro.sched.runner import quiescence_leaks
+from repro.sched.spec import validate_spec
 from repro.sim import Engine
 from repro.testbeds import roce_lan
 from tests.conftest import open_broker
@@ -157,6 +159,26 @@ def test_broker_and_policy_validation():
         TransferSpec("", MiB)
     with pytest.raises(ValueError):
         TransferSpec("/data/a", 0)
+    # The spec keys BAD_SPECS leaves out, each with its message.
+    for spec, message in [
+        ({"jobs": [{"files": []}]}, "jobs[0] needs a non-empty 'files' list"),
+        ({"jobs": _JOBS, "checkpoint_compact": 1}, "'checkpoint_compact' must be a boolean"),
+        ({"jobs": _JOBS, "use_srq": "no"}, "'use_srq' must be a boolean"),
+        ({"jobs": _JOBS, "drain_at": 0}, "'drain_at' must be a positive number"),
+        ({"jobs": _JOBS, "overload": []}, "'overload' must be an object"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_spec(spec)
+    with pytest.raises(ValueError, match="broker needs at least one door"):
+        TransferBroker(Engine(), [])
+    with pytest.raises(ValueError, match=re.escape("duplicate door names: ['d', 'd']")):
+        TransferBroker(Engine(), [SimpleNamespace(name="d")] * 2)
+    with pytest.raises(ValueError, match="restart_delay must be positive"):
+        BrokerSupervisor(Engine(), [], restart_delay=0)
+    with pytest.raises(ValueError, match="run_sched needs a spec or a journal to recover"):
+        run_sched(None)
+    with pytest.raises(ValueError, match="unknown testbed 'moon-lan'"):
+        run_sched({"jobs": _JOBS, "testbed": "moon-lan"})
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
@@ -215,6 +237,15 @@ def test_retry_and_watchdog_config_validation():
         SchedulerConfig(watchdog_rto_multiplier=0)
     with pytest.raises(ValueError):
         SchedulerConfig(watchdog_min_interval=0)
+    for kwargs, message in [
+        (dict(blocked_retry=0), "retry timings must be positive"),
+        (dict(breaker_failures=0), "breaker_failures must be >= 1"),
+        (dict(breaker_cooldown=0), "breaker_cooldown must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SchedulerConfig(**kwargs)
+    with pytest.raises(ValueError, match="max_queued must be >= 0"):
+        TenantPolicy(max_queued=-1)
 
 
 def test_retry_jitter_is_deterministic_per_task_and_attempt():
@@ -632,6 +663,12 @@ def test_a_real_door_is_closed_before_it_is_full():
     assert door.admission(1.5) == CLOSED
     door.active = 0
     assert door.admission(3.0) == ADMIT
+    # Below its own cap, a door whose shared channel set has no lease
+    # left is FULL too.
+    door.active, door.leases = 0, SimpleNamespace(available=0)
+    assert door.admission(3.0) == FULL
+    with pytest.raises(ValueError, match="max_sessions must be >= 1"):
+        RftpDoor("d", None, None, 0, None, max_sessions=0)
 
 
 # -- equivalence oracle: the cohort path against a model of the per-file one ------

@@ -25,6 +25,7 @@ from repro.sched import (
     restore_jobs,
     run_sched,
     snapshot_jobs,
+    summarize,
     synthetic_spec,
 )
 from repro.sched.broker import ADMIT, CLOSED, FULL, TransferBroker
@@ -57,6 +58,7 @@ def test_replay_reconstructs_terminal_outcomes():
 
     state = replay(j.records)
     assert not state.clean and not state.resume
+    assert state.next_job_id == 2  # the reducer owns the next auto id
     (job,) = state.jobs
     assert job.state is JobState.FAILED  # one FAILED file, none pending
     assert [t.state for t in job.files] == [
@@ -65,6 +67,8 @@ def test_replay_reconstructs_terminal_outcomes():
     assert job.files[0].source_used == "door-0"
     assert job.files[1].error == "X: boom"
     assert job.finished_at == 0.7
+    tenant = summarize(state.jobs, Engine())["tenants"]["t"]
+    assert (tenant["finished"], tenant["failed"], tenant["canceled"]) == (1, 1, 1)
 
 
 def test_replay_rederives_dedupe_from_record_order():
@@ -183,6 +187,12 @@ def test_journal_file_roundtrip(tmp_path):
     state = loaded.replay()
     assert all(job.state is JobState.FINISHED for job in state.jobs)
     assert not state.resume
+    # Self-contained means the spec must be there to recover from.
+    bare = str(tmp_path / "bare.journal")
+    with open(path) as src, open(bare, "w") as dst:
+        dst.writelines(line for line in src if '"kind": "spec"' not in line)
+    with pytest.raises(ValueError, match="has no embedded spec record"):
+        run_sched(None, recover=bare)
 
     # The packed columns give back each record exactly as appended, and
     # ``sync`` writes ``json.dumps(record, sort_keys=True)`` line for line
@@ -344,6 +354,20 @@ def test_file_parked_for_retry_checkpoints_as_submitted():
     assert snapshot_jobs(compact.jobs) == snapshot_jobs(broker.jobs)
     assert full.resume == [] and compact.resume == []
     assert full.clean and compact.clean
+    # The auto id "job-1" survives compaction: restored jobs advance the
+    # next id as their submit records would.
+    assert full.next_job_id == compact.next_job_id == 2
+    # A drained broker refuses new work, journaled; a crashed one takes
+    # none, and a second crash changes nothing.
+    late = broker.submit("t", [TransferSpec("/data/late", MiB)])
+    assert late.state is JobState.CANCELED
+    assert broker.journal.records[-1]["kind"] == "reject"
+    with pytest.raises(ValueError, match="a job needs at least one file"):
+        broker.submit("t", [])
+    broker.crash()
+    broker.crash()
+    with pytest.raises(RuntimeError, match="submit on a crashed broker incarnation"):
+        broker.submit("t", [TransferSpec("/data/dead", MiB)])
 
 
 def _assert_live_matches_replay(broker):

@@ -92,8 +92,23 @@ def test_overload_config_validation():
         OverloadConfig(brownout_high=0.5, brownout_low=0.9)
     with pytest.raises(ValueError):
         OverloadConfig(brownout_session_factor=0.0)
+    for kwargs, message in [
+        (dict(max_queued_files=-1), "max_queued_files must be >= 0"),
+        (dict(priority_overdraft=-1), "priority_overdraft must be >= 0"),
+        (dict(retry_after_base=0), "retry_after_base must be positive"),
+        (dict(retry_budget_ratio=-1), "retry_budget_ratio must be >= 0"),
+        (dict(retry_budget_burst=0), "retry_budget_burst must be positive"),
+        (dict(brownout_high=-1), "brownout_high must be >= 0"),
+        (dict(pool_high=0.5, pool_low=0.9), "need 0 <= pool_low <= pool_high"),
+        (dict(brownout_hold=-1), "brownout_hold must be >= 0"),
+        (dict(brownout_park_tenants=-1), "brownout_park_tenants must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            OverloadConfig(**kwargs)
     with pytest.raises(ValueError, match="unknown overload keys"):
         OverloadConfig.from_spec({"global_rte": 1.0})
+    with pytest.raises(ValueError, match="need base_rate > 0 and spike >= 1"):
+        overload_spec(spike=0.5)
     # Spec keys are the dataclass fields: every one is accepted by name.
     every = {f.name: getattr(OverloadConfig(), f.name) for f in fields(OverloadConfig)}
     assert len(every) == 18 and OverloadConfig.from_spec(every) == OverloadConfig()
@@ -166,6 +181,11 @@ def test_queue_bound_and_deadline_infeasible_shed():
     shed = ctrl.admit("b", "t", 5, 0, 40, priority=0, deadline=2.0)
     assert shed is not None and "deadline infeasible" in shed.reason
     assert ctrl.admit("c", "t", 5, 0, 40, priority=0, deadline=10.0) is None
+    # With no global rate to drain it, a full queue hints twice the base.
+    clock, ctrl = _controller(max_queued_files=50, retry_after_base=1.0,
+                              retry_after_jitter=0.0)
+    shed = ctrl.admit("d", "t", 20, 0, 40, priority=0, deadline=None)
+    assert "queue bound" in shed.reason and shed.retry_after == pytest.approx(2.0)
 
 
 def test_retry_after_doubles_per_shed_and_spans_incarnations():
@@ -180,6 +200,8 @@ def test_retry_after_doubles_per_shed_and_spans_incarnations():
     assert third == pytest.approx(4.0)
     # Another job's count is independent.
     assert ctrl.retry_after("job-2", need=1.0) == pytest.approx(1.0)
+    # A wait no refill ends (a zero-rate bucket) hints the cap.
+    assert ctrl.retry_after("job-3", need=float("inf")) == pytest.approx(100.0)
 
 
 def test_retry_budget_spend_and_replenish():
@@ -198,6 +220,9 @@ def test_retry_budget_spend_and_replenish():
         ctrl.note_success("t")
     assert ctrl.allow_retry("t") and ctrl.allow_retry("t")
     assert not ctrl.allow_retry("t")
+    # Without a budget every retry is allowed.
+    _, unbudgeted = _controller()
+    assert all(unbudgeted.allow_retry("t") for _ in range(5))
 
 
 # -- brownout FSM ------------------------------------------------------------------

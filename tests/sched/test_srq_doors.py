@@ -9,7 +9,7 @@ return every lease (audited by ``quiescence_leaks``).
 
 from repro.apps.io import CollectingSink
 from repro.core.messages import BlockHeader
-from repro.sched import audit_delivery, quiescence_leaks, run_sched, synthetic_spec
+from repro.sched import FileState, audit_delivery, quiescence_leaks, run_sched, synthetic_spec
 
 
 def srq_spec(**over):
@@ -104,4 +104,25 @@ def test_quiescence_audit_flags_unreturned_lease():
     link.pool.put_free_blk(src_blk)
     sink_blk.consume()
     sink_blk.advertise()
+    assert not quiescence_leaks(result)
+    # Each broker-side check names its planted leak.
+    broker = result.broker
+    broker._parked[0] = (None, None)
+    assert quiescence_leaks(result) == ["1 files still parked"]
+    del broker._parked[0]
+    broker._active += 1
+    assert quiescence_leaks(result) == ["1 broker worker slots still active"]
+    broker._active -= 1
+    broker.table.outstanding += 1
+    assert quiescence_leaks(result) == ["1 primary files still outstanding"]
+    broker.table.outstanding -= 1
+    name, tenant = sorted(broker._tenants.items())[0]
+    tenant.parked += 1
+    assert quiescence_leaks(result) == [
+        f"tenant {name!r} not at baseline: queued=0 inflight=0 parked=1"]
+    tenant.parked -= 1
+    path, task = sorted(broker.table.dest_owner.items())[0]
+    state, task.state = task.state, FileState.SUBMITTED
+    assert quiescence_leaks(result) == [f"dest owner for {path!r} non-terminal (SUBMITTED)"]
+    task.state = state
     assert not quiescence_leaks(result)

@@ -58,6 +58,10 @@ def test_defused_failure_does_not_raise_at_engine(engine):
     ev = Event(engine)
     ev.defuse()
     ev.fail(RuntimeError("handled elsewhere"))
+    # Chaining copies the failure.
+    chained = Event(engine).defuse()
+    chained.trigger(ev)
+    assert not chained.ok and chained.value is ev.value
     engine.run()  # no SimulationError
 
 

@@ -204,6 +204,8 @@ def test_container_epsilon_tolerance(engine):
 
 
 def test_container_validation(engine):
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        Resource(engine, capacity=0)
     with pytest.raises(ValueError):
         Container(engine, capacity=0)
     with pytest.raises(ValueError):

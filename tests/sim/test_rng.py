@@ -88,6 +88,8 @@ def test_injector_streams_match_default_rng(root):
 def test_pcg64_rejects_negative_seed():
     with pytest.raises(ValueError):
         Pcg64(-1)
+    # A seed wider than the 128-bit entropy pool mixes its extra words in.
+    _assert_matches_numpy(2**200 + 12345)
 
 
 def test_fault_runs_never_import_numpy():

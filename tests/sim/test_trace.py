@@ -120,6 +120,19 @@ def test_ring_holds_raw_rows_and_query_wraps_them_on_demand():
     ]
     assert all(isinstance(r, TraceRecord) for r in records)
     assert [r.fields["i"] for r in tracer.query(since=2.0)] == [2, 3]
+    # A sealed chunk keeps verbatim what its columns cannot give back
+    # exactly: more shapes than a byte names, rows of one shape with a
+    # different number of values, strings past the intern table's bound.
+    ragged = ("c", "m", "i")
+    for rows in (
+        [(float(i), ("c", f"m{i}", "i"), i) for i in range(300)],
+        [(0.0, ragged, 1), (1.0, ragged, 1, 2)] * 150,
+        [(float(i), ("c", "m", "s"), f"s{i}") for i in range(2 * trace_module._MAX_STRINGS)],
+    ):
+        tracer = Tracer(capacity=len(rows) << 7)
+        for row in rows + [(1e9, ("c", "last"))]:
+            tracer.point(*row)
+        assert list(tracer.rows())[:-1] == rows
 
 
 def _post_sends(tracer, start, count):

@@ -215,6 +215,8 @@ def test_mode_requirements(engine):
         TcpConnection(engine, src, dst, TcpMode.PIPE)  # no path
     with pytest.raises(ValueError):
         TcpConnection(engine, src, dst, TcpMode.FLUID)  # no bottleneck
+    with pytest.raises(ValueError, match="unknown mode 'udp'"):
+        TcpConnection(engine, src, dst, "udp")
 
 
 def test_send_after_close_rejected(engine):

@@ -35,6 +35,10 @@ def test_factory_known_algorithms():
 def test_factory_unknown_rejected():
     with pytest.raises(ValueError):
         make_congestion_control("vegas")
+    with pytest.raises(ValueError, match="MSS must be positive"):
+        make_congestion_control("reno", mss=0)
+    with pytest.raises(ValueError, match="acked bytes must be non-negative"):
+        make_congestion_control("reno", mss=MSS).on_round_acked(-1, now=0.0, rtt=0.01)
 
 
 def test_initial_window():
@@ -84,6 +88,11 @@ def test_cubic_backoff_factor():
     cc.on_loss(10.0)
     assert cc.cwnd_seg == pytest.approx(700.0)
     assert cc.w_max == pytest.approx(1000.0)
+    # A window above the epoch's cubic target (700 at its start) only
+    # creeps: 1 % of a segment per window acked.
+    cc.cwnd_seg = 800.0
+    cc.on_round_acked(800.0 * MSS, now=10.0, rtt=0.0)
+    assert cc.cwnd_seg == pytest.approx(800.01)
 
 
 def test_cubic_plateaus_near_wmax_then_probes():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main, parse_size
+from repro.cli import _parse_tenants, main, parse_size
 
 
 def test_parse_size():
@@ -77,6 +77,10 @@ def test_rftp_on_demand_ablation(capsys):
 def test_unknown_testbed_rejected():
     with pytest.raises(SystemExit):
         main(["rftp", "--testbed", "mars-lan"])
+    # --tenants skips an empty entry, and refuses a list of nothing.
+    assert _parse_tenants("gold:3,,bronze") == {"gold": 3.0, "bronze": 1.0}
+    with pytest.raises(ValueError, match="no tenants parsed"):
+        _parse_tenants(" , ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -115,6 +119,7 @@ OUT_OF_RANGE = [
     ("sched --quick --tenants gold:inf", "tenant weight must be positive"),
     ("sched --quick --max-active 0", "max_active must be >= 1"),
     ("sched --quick --doors 0", "'doors' must be a positive integer"),
+    ("sched --quick --overload [1]", "--overload must be a JSON object"),
     ("sched --quick --files 0", "total_files must be >= 1"),
     ("sched --spec /nonexistent/spec.json", "No such file or directory"),
     ("sched --quick --files 8 --testbed roce-lan --attempt-fault-window 0 1",
@@ -140,15 +145,25 @@ def test_chaos_command_rejects_an_invalid_fault_plan(capsys):
         assert err.startswith("error: ") and message in err, (argv, err)
 
 
-def test_chaos_command_clean_run(capsys):
-    code = main(
-        ["chaos", "--testbed", "roce-lan", "--bytes", "32M",
-         "--write-fault-rate", "0.08", "--seed", "1"]
-    )
+def test_chaos_command_clean_run(capsys, monkeypatch):
+    argv = ["chaos", "--testbed", "roce-lan", "--bytes", "32M",
+            "--write-fault-rate", "0.08", "--seed", "1"]
+    code = main(argv)
     assert code == 0
     out = capsys.readouterr().out
     assert "byte-exact: yes" in out
     assert "verdict: clean" in out
+    # A leak the harness finds is listed, and fails the command.
+    import dataclasses
+
+    import repro.faults
+
+    run_chaos = repro.faults.run_chaos
+    monkeypatch.setattr(repro.faults, "run_chaos", lambda *a, **kw: dataclasses.replace(
+        run_chaos(*a, **kw), leaks=("planted leak",)))
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "LEAKS:\n  - planted leak\n" in out and "verdict: NOT CLEAN" in out
 
 
 def test_chaos_command_typed_abort_is_clean(capsys):
@@ -237,7 +252,7 @@ def test_sched_command_report_is_byte_identical_across_runs(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sched_command_exits_nonzero_when_jobs_do_not_finish(tmp_path, capsys):
+def test_sched_command_exits_nonzero_when_jobs_do_not_finish(tmp_path, capsys, monkeypatch):
     import json
 
     from repro.sched.spec import synthetic_spec
@@ -263,6 +278,29 @@ def test_sched_command_exits_nonzero_when_jobs_do_not_finish(tmp_path, capsys):
     assert "error: 2 job(s) did not finish" in err
     assert main(["sched", "--recover", journal]) == 1
     assert "error: 2 job(s) did not finish" in capsys.readouterr().err
+
+    # A leak or a failed delivery audit fails a run whose jobs all
+    # finished, each named on stderr.
+    import repro.sched
+
+    run_sched = repro.sched.run_sched
+
+    def planted(*args, **kwargs):
+        result = run_sched(*args, **kwargs)
+        result.leaks = ["planted leak"]
+        if result.audit_ok:
+            result.audit_ok, result.audit_problems = False, ["planted problem"]
+        return result
+
+    monkeypatch.setattr(repro.sched, "run_sched", planted)
+    argv = ["sched", "--files", "8", "--testbed", "roce-lan", "--resubmit", "1",
+            "--attempt-fault-rate", "0.5", "--attempt-fault-window", "0", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "leak: planted leak\nerror: 1 quiescence leak(s) after the run" in err
+    assert main(argv + ["--audit"]) == 1
+    err = capsys.readouterr().err
+    assert "audit: planted problem\nerror: delivery audit failed (1 problem(s))" in err
 
 
 def test_sched_command_requires_a_mix(capsys):

@@ -60,6 +60,8 @@ def test_iwarp_lan_extension_testbed():
     ib = ArchProfile.for_arch(RdmaArch.INFINIBAND)
     ro = ArchProfile.for_arch(RdmaArch.ROCE)
     assert iw.post_send_seconds > ro.post_send_seconds > ib.post_send_seconds
+    with pytest.raises(ValueError, match="unknown architecture: 'opa'"):
+        ArchProfile.for_arch("opa")
 
 
 def test_wan_bdp():

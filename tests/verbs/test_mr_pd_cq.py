@@ -110,6 +110,8 @@ def test_cq_overflow_raises_typed_error():
     from repro.verbs.errors import CqOverflowError
 
     f = make_fabric()
+    with pytest.raises(ValueError, match="CQ depth must be >= 1"):
+        f.dev_a.create_cq(depth=0)
     cq = f.dev_a.create_cq(depth=2)
     for i in range(2):
         cq.push(_wc(i))

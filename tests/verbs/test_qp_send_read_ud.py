@@ -63,6 +63,14 @@ def test_qp_error_flushes_posted_recvs():
     f.engine.run()
     flushed = qa.recv_cq._reap(16)
     assert any(wc.status is WcStatus.WR_FLUSH_ERR for wc in flushed)
+    # A QP in ERROR takes no receive and cannot be re-attached.
+    from repro.verbs.errors import QpStateError
+
+    assert qa.state is QpState.ERROR
+    with pytest.raises(QpStateError, match="post_recv in state error"):
+        qa.post_recv(RecvWR(length=64))
+    with pytest.raises(QpStateError, match="cannot attach a QP in ERROR state"):
+        qa.attach(qb, f.duplex)
 
 
 def test_send_cpu_free_data_path():
@@ -241,3 +249,10 @@ def test_ud_rejects_rdma_opcodes():
     with pytest.raises(QpStateError):
         rc.post_send(SendWR(opcode=Opcode.RECV, length=64, wr_id=2))
     assert rc.send_outstanding == 0
+    # A WR is checked when it is built.
+    with pytest.raises(ValueError, match="length must be non-negative"):
+        SendWR(opcode=Opcode.SEND, length=-1)
+    with pytest.raises(ValueError, match=f"{Opcode.RDMA_WRITE.value} requires an rkey"):
+        SendWR(opcode=Opcode.RDMA_WRITE, length=64)
+    with pytest.raises(ValueError, match="length must be non-negative"):
+        RecvWR(length=-1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.verbs import Opcode, QpState, SendWR, WcStatus
+from repro.verbs import Opcode, QpState, RecvWR, SendWR, WcStatus
 from repro.verbs.errors import QpStateError, QueueFullError
 from tests.conftest import make_fabric
 
@@ -158,6 +158,13 @@ def test_send_queue_depth_enforced():
         qa.post_send(_write_wr(mr, buf, i))
     with pytest.raises(QueueFullError):
         qa.post_send(_write_wr(mr, buf, 99))
+    # The receive queue is bounded the same way, and both bounds exist.
+    qb, _ = f.qp_pair(max_recv_wr=1)
+    qb.post_recv(RecvWR(length=64))
+    with pytest.raises(QueueFullError, match="receive queue full"):
+        qb.post_recv(RecvWR(length=64))
+    with pytest.raises(ValueError, match="queue depths must be >= 1"):
+        f.qp_pair(max_send_wr=0)
 
 
 def test_pcie_cap_limits_write_bandwidth():

@@ -77,6 +77,8 @@ def test_srq_depth_bounds_posted_wqes():
     with pytest.raises(QueueFullError):
         srq.post_recv(RecvWR(length=64, wr_id=2))
     assert srq.recv_posted == 2
+    with pytest.raises(ValueError, match="SRQ depth must be >= 1"):
+        srq.pd.create_srq(depth=0)
 
 
 def test_qp_error_does_not_flush_shared_wqes():
