@@ -345,8 +345,6 @@ class RdmaMiddleware:
         fault_injector: Any = None,
         link: Optional[SourceLink] = None,
         tcp_factory: Any = None,
-        reuse_negotiation: bool = False,
-        session_id: Optional[int] = None,
     ):
         """Process event resolving to a :class:`TransferOutcome`.
 
@@ -357,22 +355,13 @@ class RdmaMiddleware:
         ``fault_injector`` (testing): a ``(SendWR) -> bool`` installed on
         every data QP; returning True fails that WRITE transiently,
         exercising the protocol's re-send path.
-        ``reuse_negotiation`` (with an already-negotiated ``link``): skip
-        the link-level BLOCK_SIZE/CHANNELS exchanges and open the session
-        with a single SESSION_REQ round trip — the scheduler's fast path
-        for runs of small files to one peer.
-        ``session_id`` (optional): run the session under a caller-chosen
-        id from :func:`allocate_session_id` instead of drawing one here —
-        lets the broker journal the attempt before it starts.
         """
-        if session_id is None:
-            session_id = allocate_session_id(self.engine)
         return self._run_session(
             link, (remote, port, fault_injector, tcp_factory), False,
-            data_source, total_bytes, session_id, reuse_negotiation=reuse_negotiation,
+            data_source, total_bytes, allocate_session_id(self.engine),
         )
 
-    def _run_session(self, link, link_args, resumed: bool, *job_args, **job_kwargs):
+    def _run_session(self, link, link_args, resumed: bool, *job_args):
         """Process event: open a link from ``link_args`` unless one was
         passed, run the job on it (:meth:`SourceLink.resume` or
         ``.transfer``) and report it as a :class:`TransferOutcome`."""
@@ -389,7 +378,7 @@ class RdmaMiddleware:
             received_at_launch = ctrl._m_received.total
             rnr_at_launch = sum(map(_RNR_NAKS, qps)) + ctrl.qp.rnr_naks.count
             launch = the_link.resume if resumed else the_link.transfer
-            job = yield launch(*job_args, **job_kwargs)
+            job = yield launch(*job_args)
             assert job.started_at is not None and job.finished_at is not None
             # Only a resume reports the suffix it sent (a re-promoted
             # fresh transfer also moves ``start_seq``, but carried it all).

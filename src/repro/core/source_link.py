@@ -32,6 +32,7 @@ instead of hanging the engine.
 
 from __future__ import annotations
 
+import enum
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -70,13 +71,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.host import Host
     from repro.sim.engine import Engine
 
-__all__ = ["SourceLink", "TransferJob"]
+__all__ = ["JobPhase", "SourceLink", "TransferJob"]
 
 _NO_GRANT, _REPLACE, _SESSION = Grant.NONE, Grant.REPLACE, Scope.SESSION
 
 #: RDMA WRITE failures (and BLOCK_NACK repairs) tolerated per block
 #: before the session aborts with :class:`ResendLimitExceeded`.
 MAX_BLOCK_RESENDS = 16
+
+
+class JobPhase(enum.Enum):
+    """A :class:`TransferJob`'s lifecycle, the twin of the sink's
+    :class:`~repro.core.sink_engine.SessionState`; the ended phases double
+    as outcomes (DESIGN.md §8)."""
+
+    NEGOTIATING = "negotiating"  #: opened; the RDMA plane not armed yet
+    RDMA = "rdma"  #: armed: readers, sender and reaper move the blocks
+    TCP = "tcp"  #: every data channel died: the fallback pump carries them
+    REPROMOTING = "repromoting"  #: a channel is back: the pump stops at the next block
+    DRAINED = "drained"  #: the pump sent its EOF: DATASET_DONE, or the restore
+    ACKED = "acked"  #: the sink acknowledged the dataset
+    ABORTED = "aborted"  #: ended with a typed :class:`TransferError`
+
+
+_NEGOTIATING, _RDMA, _TCP, _REPROMOTING, _DRAINED, _ACKED, _ABORTED = JobPhase
+#: The TCP fallback carries the session.
+_ON_TCP = (_TCP, _REPROMOTING, _DRAINED)
+_ENDED = (_ACKED, _ABORTED)
 
 
 class TransferJob:
@@ -133,23 +154,16 @@ class TransferJob:
         #: can sit inside AnyOf waits without failing them; the *typed*
         #: failure goes through ``done``.
         self._abort: Event = Event(link.engine)
-        self.aborted = False
-        #: Set by :meth:`SourceLink._end_session`, the one way a session
-        #: leaves its link (ACKed or aborted) and ``done`` resolves.
-        self.ended = False
+        #: Written only at the transitions: :meth:`SourceLink._arm` (RDMA),
+        #: ``_begin_fallback`` (TCP), the re-promotion watchdog
+        #: (REPROMOTING), the pump's end (DRAINED) and ``_end_session``
+        #: (ACKED or ABORTED), the one way a session leaves its link.
+        self.phase = _NEGOTIATING
         #: Succeeds when this incarnation's RDMA-plane threads (readers,
-        #: sender, credit waits) must stop: on abort, and on degradation
-        #: to the TCP fallback path.  Replaced with a fresh event when
-        #: the session is promoted back to RDMA.
+        #: sender, credit waits) must leave the RDMA phase: on abort, and
+        #: on degradation to the TCP fallback path.  Replaced with a fresh
+        #: event when the session is promoted back to RDMA.
         self._halt: Event = Event(link.engine)
-        #: True while the TCP fallback carries this session.
-        self.fallback_active = False
-        #: Set by the re-promotion watchdog once an RDMA channel is back.
-        self.repromote_ready = False
-        #: True once the fallback pump has queued every remaining block
-        #: (the stall watchdog stands down; the ack watchdog takes over).
-        self._fallback_pump_done = False
-        self._fallback_stream = None
         #: Times the session degraded to TCP / blocks the fallback
         #: carried / times it was promoted back to RDMA.
         self.fallbacks = 0
@@ -164,10 +178,6 @@ class TransferJob:
         self.finished_at: Optional[float] = None
 
     # -- incarnation-local increments that also feed the link's series --------
-    def _count_completed(self) -> None:
-        self.completed_blocks += 1
-        self.link._m_completed.add()
-
     def _count_resend(self) -> None:
         self.resends += 1
         self.link._m_resends.add()
@@ -183,11 +193,6 @@ class TransferJob:
     def _count_fallback_block(self) -> None:
         self.fallback_blocks += 1
         self.link._m_fallback_blocks.add()
-
-    @property
-    def halted(self) -> bool:
-        """RDMA-plane threads must stop (abort or TCP degradation)."""
-        return self.aborted or self.fallback_active
 
     def _block_extent(self, seq: int) -> Tuple[int, int]:
         offset = seq * self.block_size
@@ -309,8 +314,10 @@ class SourceLink:
     def _arm(
         self, thread, job: TransferJob, start_seq: int, marker_watchdog: bool = True
     ) -> Generator:
-        """Arm the RDMA plane at block ``start_seq``: cursors at the
-        sink's durable prefix and a new reader/sender generation."""
+        """Arm the RDMA plane at block ``start_seq``: the RDMA phase,
+        cursors at the sink's durable prefix and a new reader/sender
+        generation."""
+        job.phase = _RDMA
         job.start_seq = min(start_seq, job.total_blocks)
         job.blocks_to_send = job.total_blocks - job.start_seq
         job.marker = job.start_seq
@@ -388,7 +395,7 @@ class SourceLink:
 
         def _open(thread, job: TransferJob) -> Generator:
             yield from self._negotiate(thread, job, skip_link_setup=skip_link_setup)
-            if not job.aborted:
+            if job.phase is _NEGOTIATING:
                 job.started_at = self.engine.now
                 yield from self._arm(thread, job, 0)
 
@@ -420,7 +427,7 @@ class SourceLink:
                 thread, job, CtrlType.SESSION_RESUME_REQ,
                 (job.total_bytes, self._marker_interval()), "sink rejected session resume",
             )
-            if reply is not None and not job.aborted:
+            if reply is not None:
                 _accepted, resume_seq, _initial = reply.data
                 job.started_at = self.engine.now
                 self.engine.trace(
@@ -487,7 +494,7 @@ class SourceLink:
     # -- the end of a session ---------------------------------------------------------
     def _abort_job(self, job: TransferJob, exc: TransferError) -> None:
         """Fail a live session with a typed error; a no-op once it ended."""
-        if not job.ended:
+        if job.phase not in _ENDED:
             self._end_session(job, exc)
 
     def _end_session(self, job: TransferJob, result: TransferJob | TransferError) -> None:
@@ -499,7 +506,7 @@ class SourceLink:
         thread; a block a reader / sender holds or an in-flight WR owns is
         reclaimed by that thread once it sees the halt (it holds the only
         safe reference)."""
-        job.ended = True
+        job.phase = _ACKED if result is job else _ABORTED
         # Off the table: the id can be reused, and the dict stays bounded.
         self.jobs.pop(job.session_id, None)
         self._release_lease(job)
@@ -513,7 +520,6 @@ class SourceLink:
             job.nack_attempts.clear()
             job.done.succeed()
             return
-        job.aborted = True
         job.error = result
         self._scrap_held(job)
         self.engine.trace(
@@ -553,7 +559,7 @@ class SourceLink:
         or BLOCK_DONE no longer matters — so the shared ledger gets it."""
         block.scrap()
         self.pool.put_free_blk(block)
-        if credit is not None and not (job.fallback_active and not job.aborted):
+        if credit is not None and job.phase not in _ON_TCP:
             self.ledger.refund([credit])
 
     # -- control-plane request/reply with retry ----------------------------------------
@@ -572,9 +578,9 @@ class SourceLink:
         Per Karn's algorithm only a first-attempt exchange feeds the
         estimator, and a first-attempt expiry backs the next ones off.
 
-        Returns the reply message, or ``None`` after aborting the job with
-        :class:`NegotiationTimeout` — also, given ``refused`` (its message),
-        when the reply's data leads with False.
+        Returns the reply message, or ``None`` once the session ended or
+        after aborting it with :class:`NegotiationTimeout` (also, given
+        ``refused``, its message, when the reply's data leads with False).
         """
         sid = job.session_id
         rep_type = PROTOCOL[req_type].reply
@@ -591,7 +597,7 @@ class SourceLink:
             yield AnyOf(self.engine, [get_ev, timer, job._abort])
             timer.cancel()  # no-op once fired
             store.cancel_get(get_ev)  # no-op once it holds the reply
-            if job.aborted:
+            if job.phase in _ENDED:
                 # Torn down externally (endpoint crash, cancel, watchdog
                 # kill) while this round trip was in flight: stop waiting
                 # so the abort completes instead of racing retries against
@@ -662,7 +668,7 @@ class SourceLink:
     def _reader_thread(self, job: TransferJob, index: int) -> Generator:
         thread = self.host.thread(f"src-reader{job.session_id}.{index}", "app")
         halt = job._halt
-        while not job.halted:
+        while job.phase is _RDMA:
             if job._next_load_seq >= job.total_blocks:
                 return
             seq = job._next_load_seq
@@ -680,7 +686,7 @@ class SourceLink:
                 return
             block.reserve()
             payload = yield from job.data_source.read(thread, length, seq)
-            if job.halted:
+            if job.phase is not _RDMA:
                 self._reclaim(job, block)
                 return
             header = BlockHeader(
@@ -720,7 +726,7 @@ class SourceLink:
             self.ledger.cancel(get_ev)
             if get_ev.triggered and get_ev.ok:
                 return get_ev.value
-            if job.halted:
+            if job.phase is not _RDMA:
                 return None
             attempts += 1
             if attempts > CTRL_RETRIES:
@@ -754,7 +760,7 @@ class SourceLink:
                 return
             if block is None:
                 return  # all blocks of this job completed
-            if job.halted:
+            if job.phase is not _RDMA:
                 self._reclaim(job, block)
                 return
             if job.eager:
@@ -766,7 +772,7 @@ class SourceLink:
                 if credit is None:
                     self._reclaim(job, block)
                     return
-            if job.halted:
+            if job.phase is not _RDMA:
                 self._reclaim(job, block, credit)
                 return
             if not (yield from self._post_block(thread, job, block, credit, 0, False)):
@@ -821,7 +827,7 @@ class SourceLink:
         attempts = CTRL_RETRIES + 1
         for attempt in range(attempts):
             yield self.engine.timeout(self.health.patience_timeout(attempt))
-            if job.ended:
+            if job.phase in _ENDED:
                 return
             if attempt + 1 == attempts:
                 break
@@ -851,13 +857,13 @@ class SourceLink:
         quietly, checked before each timer is armed and after each wait."""
         attempts = 0
         last = None
-        while not job.ended and not stand_down():
+        while job.phase not in _ENDED and not stand_down():
             timer = self.engine.timeout(self.health.patience_timeout(attempts))
             yield AnyOf(self.engine, [timer, job._abort])
             if not timer.triggered:
                 # Abort won the race: the pending timer is dead weight.
                 timer.cancel()
-            if job.ended or stand_down():
+            if job.phase in _ENDED or stand_down():
                 return
             seen = progress()
             if seen is None or seen != last:
@@ -1026,19 +1032,14 @@ class SourceLink:
     # -- graceful degradation: the TCP fallback path ----------------------------------
     def _begin_fallback(self, job: TransferJob) -> bool:
         """Flip a session whose every data channel died onto the TCP
-        fallback.  Returns False when degradation is impossible (no
-        factory wired, disabled, or the session already settled) — the
-        caller then aborts with :class:`DataChannelsLost` as before."""
-        if job.fallback_active:
-            return True
-        if job.ended:
-            return False
-        if not self.config.tcp_fallback or self.tcp_factory is None:
-            return False
-        job.fallback_active = True
+        fallback.  Returns True when it is already on it, and False when
+        degradation is impossible (no factory wired, disabled, or the
+        session already ended) — the caller then aborts with
+        :class:`DataChannelsLost` as before."""
+        if job.phase is not _RDMA or not self.config.tcp_fallback or self.tcp_factory is None:
+            return job.phase in _ON_TCP
+        job.phase = _TCP
         job.fallbacks += 1
-        job._fallback_pump_done = False
-        job.repromote_ready = False
         self.fallbacks.add()
         # Halt the RDMA-plane threads; they recycle whatever they hold.
         # Blocks parked in the loaded queue and repair copies are
@@ -1071,7 +1072,7 @@ class SourceLink:
             )
             return
         stream = TcpBlockStream(conn)
-        job._fallback_stream = stream
+        fallbacks = job.fallbacks
         # However the session settles, the TCP connection dies with it.
         job.done.add_callback(lambda _ev: conn.close())
         reply = yield from self._request_reply(
@@ -1094,15 +1095,12 @@ class SourceLink:
             "link", "fallback_accepted", session=sid, resume_seq=resume_seq
         )
         # Stands down once the pump is done (the ack watchdog owns the
-        # endgame) or the session is promoted back to RDMA.
+        # endgame) or the session is promoted back to RDMA (and may have
+        # fallen back again, onto another stream).
         self.engine.process(self._stall_watchdog(
             job,
             lambda: stream.blocks_sent,
-            lambda: (
-                job._fallback_pump_done
-                or not job.fallback_active
-                or job._fallback_stream is not stream
-            ),
+            lambda: job.phase not in (_TCP, _REPROMOTING) or job.fallbacks != fallbacks,
             lambda n: TransportFallbackFailed(
                 sid, f"fallback stream stalled at {stream.blocks_sent}"
                 f" blocks for {n} timeouts",
@@ -1111,18 +1109,18 @@ class SourceLink:
         if self.config.fallback_repromote and self._reopen is not None:
             self.engine.process(self._repromote_watchdog(job))
         seq = resume_seq
-        while seq < job.total_blocks and not job.aborted and not job.repromote_ready:
+        while seq < job.total_blocks and job.phase is _TCP:
             offset, length = job._block_extent(seq)
             payload = yield from job.data_source.read(thread, length, seq)
-            if job.aborted:
+            if job.phase in _ENDED:
                 return
             header = BlockHeader(sid, seq, offset, length, block_checksum(payload))
             yield from stream.send_block(thread, header, payload)
             job._count_fallback_block()
             seq += 1
-        if job.aborted:
+        if job.phase in _ENDED:
             return
-        job._fallback_pump_done = True
+        job.phase = _DRAINED
         yield from stream.send_eof(thread)
         if seq >= job.total_blocks:
             # The whole remainder is queued on the TCP path; close out
@@ -1151,7 +1149,7 @@ class SourceLink:
             if ready:
                 break
             yield self.engine.timeout(self.health.patience_timeout(round_))
-            if job.aborted:
+            if job.phase in _ENDED:
                 return
         else:
             self._abort_job(
@@ -1165,13 +1163,10 @@ class SourceLink:
         job.repromotions += 1
         self.engine.trace("link", "repromote", session=sid, start_seq=resume_seq)
         # Re-arm the RDMA plane exactly like a session resume, minus the
-        # session handshake: fresh halt event, cursors at the sink's
-        # durable prefix, and a new reader/sender generation.  The first
-        # arming's marker watchdog idled through the fallback: still running.
-        job.fallback_active = False
-        job.repromote_ready = False
-        job._fallback_pump_done = False
-        job._fallback_stream = None
+        # session handshake: fresh halt event, the RDMA phase, cursors at
+        # the sink's durable prefix, and a new reader/sender generation.
+        # The first arming's marker watchdog idled through the fallback:
+        # still running.
         job._halt = Event(self.engine)
         job.completed_blocks = 0
         job._done_sent_at.clear()
@@ -1182,11 +1177,9 @@ class SourceLink:
         channel re-establishes (a breaker cooldown's worth of waiting
         between attempts), flag the pump to hand the tail back to the
         RDMA plane."""
-        while job.fallback_active and not job.ended:
+        while job.phase in _ON_TCP:
             yield self.engine.timeout(self.health.breaker_cooldown())
-            if not job.fallback_active or job.ended:
-                return
-            if job._fallback_pump_done or job.repromote_ready:
+            if job.phase is not _TCP:
                 return
             if self.data.alive_count == 0:
                 reopen = self._reopen
@@ -1196,8 +1189,8 @@ class SourceLink:
                     yield reopen()
                 except Exception:
                     continue  # path still down; retry next cooldown
-            if self.data.alive_count > 0:
-                job.repromote_ready = True
+            if self.data.alive_count > 0 and job.phase is _TCP:
+                job.phase = _REPROMOTING
                 self.engine.trace(
                     "link", "repromote_requested", session=job.session_id
                 )
@@ -1235,8 +1228,8 @@ def _reap(host_pool: HostChannelPool) -> Generator:
                     "link", "breaker_trip", qp=wc.qp_num,
                     trips=breaker.trips,
                 )
-            if job.aborted or job.fallback_active:
-                # The session died (or degraded to TCP) while this
+            if job.phase is not _RDMA:
+                # The session ended (or degraded to TCP) while this
                 # WRITE was in flight; the reaper holds the last live
                 # reference.
                 link._reclaim(job, block, credit)
@@ -1249,7 +1242,7 @@ def _reap(host_pool: HostChannelPool) -> Generator:
                         CtrlType.BLOCK_DONE, job.session_id,
                         (credit.block_id, block.header),
                     ))
-                    if job.aborted or job.fallback_active:
+                    if job.phase is not _RDMA:
                         # Halted during the send, after its scrap: the
                         # block is ours to reclaim; BLOCK_DONE spent the
                         # credit.
@@ -1277,7 +1270,8 @@ def _reap(host_pool: HostChannelPool) -> Generator:
                     link.pool.put_free_blk(block)
                 if is_repair:
                     continue  # counted when it first completed
-                job._count_completed()
+                job.completed_blocks += 1
+                link._m_completed.add()
                 if job.completed_blocks == job.blocks_to_send:
                     yield job._loaded.put(None)  # release the sender
                     yield from link._dataset_done(thread, job)

@@ -179,9 +179,9 @@ class HistogramMetric(_Metric):
         """Estimate of the ``j``-th (0-indexed) ordered observation.
 
         The endpoints are exact (tracked min/max); interior positions
-        are placed inside their containing bucket, clamped to the exact
-        observed ``[min, max]``, so the estimate is off by at most one
-        bucket width.
+        are placed inside their containing bucket (bucket 0 starts at
+        the minimum), clamped to the exact observed ``[min, max]``, so
+        the estimate is off by at most one bucket width.
         """
         if j <= 0:
             return self._min
@@ -190,7 +190,7 @@ class HistogramMetric(_Metric):
         cum = 0
         for index, c in sorted(self._counts.items()):
             if j < cum + c:
-                lo = self._bucket_edge(index)
+                lo = self._bucket_edge(index) if index else self._min
                 hi = self._bucket_edge(index + 1)
                 if lo < self._min:
                     lo = self._min

@@ -271,32 +271,17 @@ class RftpDoor:
         one of the two brownout watermark inputs."""
         return self.link.pool.occupancy
 
-    def transfer(self, task: FileTask, session_id: Optional[int] = None):
-        """Process event for one file transfer through this door."""
-        assert self.link is not None, "door not opened"
-        return self.middleware.transfer(
-            self.remote_dev,
-            self.port,
-            self.data_source,
-            task.size,
-            link=self.link,
-            reuse_negotiation=True,
-            session_id=session_id,
-        )
+    def transfer(self, task: FileTask, session_id: int):
+        """The session process of one file transfer on this (opened)
+        door's link, resolving to the finished job."""
+        return self.link.transfer(self.data_source, task.size, session_id, reuse_negotiation=True)
 
     def resume(self, task: FileTask, session_id: int):
-        """Process event re-attaching an interrupted session (recovery):
-        the sink replies with its restart marker and only the missing
-        suffix is read and sent."""
-        assert self.link is not None, "door not opened"
-        return self.middleware.resume(
-            self.remote_dev,
-            self.port,
-            self.data_source,
-            task.size,
-            session_id,
-            link=self.link,
-        )
+        """The session process re-attaching an interrupted session
+        (recovery): the sink replies with its restart marker and only the
+        missing suffix is read and sent; the job's ``start_seq`` is where
+        it resumed."""
+        return self.link.resume(self.data_source, task.size, session_id)
 
 
 @dataclass
@@ -869,9 +854,9 @@ class TransferBroker:
         if error is None:
             call = door.resume if resume else door.transfer
             try:
-                outcome = yield call(task, session_id)
+                job = yield call(task, session_id)
                 if resume:
-                    resumed_from = getattr(outcome, "resumed_from", 0)
+                    resumed_from = job.start_seq
             except TransferError as exc:
                 error = exc
         if self._dead:

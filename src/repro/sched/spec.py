@@ -51,42 +51,66 @@ def load_spec(path: str) -> Dict[str, Any]:
     return spec
 
 
+#: What :func:`repro.sched.runner.run_sched` reads of a spec, a tenant, a
+#: job and a file: any other key is a typo.
+_SPEC_KEYS = frozenset({"testbed", "seed", "max_active", "doors", "door_sessions", "tenants",
+                        "jobs", "faults", "overload", "watchdog", "checkpoint_compact",
+                        "use_srq", "drain_at", "resubmit_limit"})
+_TENANT_KEYS = frozenset({"weight", "max_inflight", "max_queued"})
+_JOB_KEYS = frozenset({"tenant", "priority", "submit_at", "files", "job_id", "deadline"})
+_FILE_KEYS = frozenset({"path", "size", "sources"})
+
+
+def _check(obj: Any, keys: frozenset, ints: Tuple[str, ...], where: str) -> None:
+    """Reject a non-object, a key outside ``keys`` and a bool or a
+    non-integer under one of ``ints``, naming it (``where``: "" at the top)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = obj.keys() - keys
+    if unknown:
+        raise ValueError(f"unknown {where or 'spec'} keys: {sorted(unknown)}")
+    for key in ints:
+        if key in obj and type(obj[key]) is not int:
+            name = f"{where}.{key}" if where else repr(key)
+            raise ValueError(f"{name} must be an integer, got {obj[key]!r}")
+
+
 def validate_spec(spec: Dict[str, Any]) -> None:
     if not isinstance(spec, dict):
         raise ValueError("spec must be a JSON object")
     jobs = spec.get("jobs")
     if not isinstance(jobs, list) or not jobs:
         raise ValueError("spec needs a non-empty 'jobs' list")
+    _check(spec, _SPEC_KEYS, ("seed", "max_active", "doors", "door_sessions", "resubmit_limit"), "")
     tenants = spec.get("tenants", {})
     if not isinstance(tenants, dict):
         raise ValueError("'tenants' must be an object")
+    for name, tenant in tenants.items():
+        _check(tenant, _TENANT_KEYS, ("max_inflight", "max_queued"), f"tenants[{name!r}]")
     for i, job in enumerate(jobs):
-        if not isinstance(job, dict):
-            raise ValueError(f"jobs[{i}] must be an object")
+        # Per job and file, _check runs only on a fault the inline test
+        # found: validation makes no Python call per file.
+        if (not isinstance(job, dict) or job.keys() - _JOB_KEYS
+                or type(job.get("priority", 0)) is not int):
+            _check(job, _JOB_KEYS, ("priority",), f"jobs[{i}]")
         files = job.get("files")
         if not isinstance(files, list) or not files:
             raise ValueError(f"jobs[{i}] needs a non-empty 'files' list")
         for j, f in enumerate(files):
             if not isinstance(f, dict) or "path" not in f or "size" not in f:
                 raise ValueError(f"jobs[{i}].files[{j}] needs 'path' and 'size'")
+            if f.keys() - _FILE_KEYS or type(f["size"]) is not int:
+                _check(f, _FILE_KEYS, ("size",), f"jobs[{i}].files[{j}]")
         deadline = job.get("deadline")
-        if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0
-        ):
+        if deadline is not None and (not isinstance(deadline, (int, float)) or deadline <= 0):
             raise ValueError(f"jobs[{i}].deadline must be a positive number")
-    doors = spec.get("doors", 1)
-    if not isinstance(doors, int) or doors < 1:
+    if spec.get("doors", 1) < 1:
         raise ValueError("'doors' must be a positive integer")
-    if not isinstance(spec.get("watchdog", False), bool):
-        raise ValueError("'watchdog' must be a boolean")
-    if not isinstance(spec.get("checkpoint_compact", False), bool):
-        raise ValueError("'checkpoint_compact' must be a boolean")
-    if not isinstance(spec.get("use_srq", False), bool):
-        raise ValueError("'use_srq' must be a boolean")
+    for key in ("watchdog", "checkpoint_compact", "use_srq"):
+        if not isinstance(spec.get(key, False), bool):
+            raise ValueError(f"{key!r} must be a boolean")
     drain_at = spec.get("drain_at")
-    if drain_at is not None and (
-        not isinstance(drain_at, (int, float)) or drain_at <= 0
-    ):
+    if drain_at is not None and (not isinstance(drain_at, (int, float)) or drain_at <= 0):
         raise ValueError("'drain_at' must be a positive number")
     overload = spec.get("overload")
     if overload is not None:
@@ -95,8 +119,7 @@ def validate_spec(spec: Dict[str, Any]) -> None:
         from repro.sched.overload import OverloadConfig
 
         OverloadConfig.from_spec(overload)  # raises on bad keys/values
-    resubmit = spec.get("resubmit_limit", 0)
-    if not isinstance(resubmit, int) or resubmit < 0:
+    if spec.get("resubmit_limit", 0) < 0:
         raise ValueError("'resubmit_limit' must be a non-negative integer")
 
 
@@ -121,17 +144,11 @@ def _mix_spec(testbed: str, seed: int, max_active: int, doors: int,
               **extra: Any) -> Dict[str, Any]:
     """Both generators' end: the spec around ``jobs``, validated."""
     spec = {
-        "testbed": testbed,
-        "seed": seed,
-        "max_active": max_active,
-        "doors": doors,
+        "testbed": testbed, "seed": seed, "max_active": max_active, "doors": doors,
         "door_sessions": 4,
-        "tenants": {
-            name: {"weight": w, "max_inflight": max_active, "max_queued": 10 ** 9}
-            for name, w in weights.items()
-        },
-        "jobs": jobs,
-        **extra,
+        "tenants": {name: {"weight": w, "max_inflight": max_active, "max_queued": 10 ** 9}
+                    for name, w in weights.items()},
+        "jobs": jobs, **extra,
     }
     validate_spec(spec)
     return spec
@@ -164,12 +181,8 @@ def synthetic_spec(
         count = per_tenant[name]
         files = [_mix_file(name, i, rng, door_names) for i in range(count)]
         for start in range(0, count, files_per_job):
-            jobs.append({
-                "tenant": name,
-                "priority": 0,
-                "submit_at": 0.0,
-                "files": files[start:start + files_per_job],
-            })
+            jobs.append({"tenant": name, "priority": 0, "submit_at": 0.0,
+                         "files": files[start:start + files_per_job]})
     return _mix_spec(testbed, seed, max_active, doors, weights, jobs)
 
 
@@ -214,31 +227,15 @@ def overload_spec(
         name = names[j % len(names)]
         count = min(files_per_job, remaining)
         remaining -= count
-        files = []
-        for _ in range(count):
-            files.append(_mix_file(name, counters[name], rng, door_names))
-            counters[name] += 1
-        jobs.append({
-            "tenant": name,
-            "priority": 1 if name == top else 0,
-            "submit_at": round(t, 6),
-            "files": files,
-        })
-        rate = base_rate
-        if spike_start <= t < spike_start + spike_duration:
-            rate = base_rate * spike
-        t += files_per_job / rate
-    controls = {
-        "max_queued_files": 160,
-        "global_rate": 46.0,
-        "global_burst": 92.0,
-        "tenant_rate": 36.0,
-        "tenant_burst": 54.0,
-        "retry_budget_ratio": 0.5,
-        "retry_budget_burst": 8.0,
-        "retry_after_base": 0.5,
-        "retry_after_cap": 20.0,
-        **(overload or {}),
-    }
+        files = [_mix_file(name, counters[name] + k, rng, door_names) for k in range(count)]
+        counters[name] += count
+        jobs.append({"tenant": name, "priority": 1 if name == top else 0,
+                     "submit_at": round(t, 6), "files": files})
+        spiking = spike_start <= t < spike_start + spike_duration
+        t += files_per_job / (base_rate * spike if spiking else base_rate)
+    controls = {"max_queued_files": 160, "global_rate": 46.0, "global_burst": 92.0,
+                "tenant_rate": 36.0, "tenant_burst": 54.0, "retry_budget_ratio": 0.5,
+                "retry_budget_burst": 8.0, "retry_after_base": 0.5, "retry_after_cap": 20.0,
+                **(overload or {})}
     return _mix_spec(testbed, seed, max_active, doors, weights, jobs,
                      overload=controls, resubmit_limit=resubmit_limit)

@@ -37,7 +37,7 @@ from repro.core.messages import (
     block_checksum,
 )
 from repro.core.sink_engine import SessionState, SinkEngine
-from repro.core.source_link import SourceLink
+from repro.core.source_link import JobPhase, SourceLink
 from repro.faults import DEFAULT_DROPPABLE
 from repro.tcp.fallback import TcpBlockStream
 from repro.testbeds import roce_lan
@@ -330,7 +330,7 @@ def _check_source(type_, job):
         assert received == len(credits)
         assert flushed == (before[3] if rule.grant is Grant.REPLACE and accepted else 0)
     if type_ is T.DATASET_DONE_ACK and job == "live":
-        assert rig.job.ended and rig.job.done.ok
+        assert rig.job.phase is JobPhase.ACKED and rig.job.done.ok
 
 
 def test_source_handles_or_counts_a_stray():

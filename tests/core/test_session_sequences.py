@@ -96,6 +96,12 @@ class World:
         for index in range(len(self.link._host_pool.qps)):
             self.link.kill_channel(index)
 
+    def deny_fallback(self):
+        """Total channel loss with the sink refusing every fallback: the
+        live sessions abort with TransportFallbackFailed."""
+        self.se.fallback_deny_hook = lambda: True
+        self.kill_channels()
+
     def resume(self, k):
         # SourceLink.resume's contract: no *healthy* sibling on the link
         # (accepting the REP flushes the shared ledger).
@@ -194,7 +200,7 @@ def test_all_endings_in_one_sequence():
                 placements += placed
                 if ending is not None:
                     failing[sessions, action, k] = ending
-    assert placements == 583  # drops: the droppable 9 and 14 indexes; the rest: all 112
+    assert placements == 695  # drops: the droppable 9 and 14 indexes; the rest: all 112
     assert failing == {
         (sessions, action, k): line
         for sessions, action, first, last, line in FAILING_PLACEMENTS
@@ -218,6 +224,7 @@ _ACTIONS = {
     "source_crash": lambda world: world.source_crash(),
     "sink_crash": lambda world: world.se.crash(),
     "kill_channels": lambda world: world.kill_channels(),
+    "fallback_deny": lambda world: world.deny_fallback(),
 }
 
 

@@ -34,6 +34,7 @@ from repro.core.errors import (
     TransportFallbackFailed,
 )
 from repro.core.messages import CtrlType, DataBlockWire
+from repro.core.source_link import JobPhase
 from repro.sim.trace import Tracer
 from repro.testbeds import roce_lan
 
@@ -42,6 +43,7 @@ BS = 64 * 1024
 #: repair copy is still held when the DATASET_DONE_ACK arrives.
 BLOCKS = 47
 SID = 9
+_ENDED = (JobPhase.ACKED, JobPhase.ABORTED)
 
 
 def _drop(*types):
@@ -89,7 +91,7 @@ class Rig:
 
     def run_until(self, reached, step=5e-6, limit=2.0):
         while not reached():
-            assert self.engine.now < limit and not self.job.ended, "phase never reached"
+            assert self.engine.now < limit and self.job.phase not in _ENDED, "phase never reached"
             self.engine.run(until=self.engine.now + step)
 
     def kill_channels(self):
@@ -128,32 +130,31 @@ def negotiating(rig):
 
 def steady(rig):
     rig.run_until(lambda: rig.job.completed_blocks >= 4)
-    assert rig.job.started_at is not None and not rig.job.halted
+    assert rig.job.started_at is not None and rig.job.phase is JobPhase.RDMA
 
 
 def repairing(rig):
     rig.on_data_qps(corrupt_injector=_corrupt_seq(5))
     rig.run_until(lambda: any(e[5] for e in rig.link._host_pool.inflight.values()))
-    assert rig.job.repairs >= 1 and not rig.job.halted
+    assert rig.job.repairs >= 1 and rig.job.phase is JobPhase.RDMA
 
 
 def on_fallback(rig):
     steady(rig)
     rig.kill_channels()
     rig.run_until(lambda: rig.job.fallback_blocks >= 1)
-    assert rig.job.fallback_active and not rig.job.repromote_ready
+    assert rig.job.phase is JobPhase.TCP
 
 
 def repromoting(rig):
     on_fallback(rig)
-    rig.run_until(lambda: rig.job.repromote_ready)
-    assert rig.job.fallback_active
+    rig.run_until(lambda: rig.job.phase is JobPhase.REPROMOTING)
 
 
 def awaiting_ack(rig):
     rig.se.ctrl.fault_hook = _drop(CtrlType.DATASET_DONE_ACK)
     rig.run_until(lambda: rig.job.completed_blocks == rig.job.blocks_to_send)
-    assert not rig.link._host_pool.inflight and not rig.job.ended
+    assert not rig.link._host_pool.inflight and rig.job.phase is JobPhase.RDMA
 
 
 PHASES = {
@@ -284,13 +285,14 @@ def test_every_ending_goes_through_end_session_once(row, srq):
     assert link.audit() == []
     if srq:
         assert rig.metric("qp_pool.leases") == rig.metric("qp_pool.releases") == 1
-    assert len(rig.resolutions) == 1 and job.ended
+    assert len(rig.resolutions) == 1
     aborts = [r for r in rig.engine.tracer.query("link", session=SID) if r.message == "abort"]
     if expected is None:
-        assert job.done.ok and rig.proc.value is job and not job.aborted
+        assert job.done.ok and rig.proc.value is job and job.phase is JobPhase.ACKED
         assert job.finished_at is not None and aborts == []
     else:
         assert not job.done.ok and type(job.done.value) is expected
+        assert job.phase is JobPhase.ABORTED
         assert job.error is job.done.value and job.finished_at is None
         assert [r.fields["error"] for r in aborts] == [expected.__name__]
     # Reference counting frees the ended job once its caller lets go: no

@@ -127,12 +127,20 @@ def test_histogram_summary_and_empty_nan():
     for q in (990, -5):
         with pytest.raises(ValueError, match="must be in"):
             h.percentile(q)
-    # Sub-nanosecond observations share the floor bucket, whose interior
-    # estimate is its 1 ns edge (above this sample's max).
+    # Sub-nanosecond observations share the floor bucket, which spans
+    # from the observed minimum: the estimate stays inside the sample.
     floor = MetricsRegistry().histogram("floor")
     for v in (0.0, 0.0, 5e-10):
         floor.observe(v)
-    assert floor.percentile(50) == pytest.approx(1e-9)
+    assert 0.0 <= floor.percentile(50) <= 5e-10
+    # A value a rounding below bucket 1's lower edge lands in bucket 1:
+    # the estimate clamps to that edge, one ulp above the sample's max.
+    below = math.nextafter(floor._bucket_edge(1), 0.0)
+    edge = MetricsRegistry().histogram("edge")
+    for v in (0.0, below, below):
+        edge.observe(v)
+    assert edge._counts == {0: 1, 1: 2}
+    assert edge.percentile(50) == pytest.approx(below)
 
 
 def test_snapshot_shapes():
@@ -224,7 +232,7 @@ class _DenseHistogram(HistogramMetric):
             if not c:
                 continue
             if j < cum + c:
-                lo = max(self._bucket_edge(index), self._min)
+                lo = max(self._bucket_edge(index), self._min) if index else self._min
                 hi = min(self._bucket_edge(index + 1), self._max)
                 hi = max(hi, lo)
                 return lo + (hi - lo) * ((j - cum + 0.5) / c)

@@ -166,6 +166,19 @@ def test_broker_and_policy_validation():
         ({"jobs": _JOBS, "use_srq": "no"}, "'use_srq' must be a boolean"),
         ({"jobs": _JOBS, "drain_at": 0}, "'drain_at' must be a positive number"),
         ({"jobs": _JOBS, "overload": []}, "'overload' must be an object"),
+        # A typo'd key fails at every level, and so does an integer that
+        # is a bool or not an integer, each naming its key.
+        ({"jobs": _JOBS, "max_activ": 1}, "unknown spec keys: ['max_activ']"),
+        ({"jobs": _JOBS, "tenants": {"gold": {"wieght": 2.0}}},
+         "unknown tenants['gold'] keys: ['wieght']"),
+        ({"jobs": _JOBS, "tenants": {"gold": 3}}, "tenants['gold'] must be an object"),
+        ({"jobs": [dict(_JOBS[0], priority=1.5)]}, "jobs[0].priority must be an integer, got 1.5"),
+        ({"jobs": [dict(_JOBS[0], priorty=1)]}, "unknown jobs[0] keys: ['priorty']"),
+        ({"jobs": [{"files": [{"path": "/data/a", "size": MiB, "sorces": ["door-0"]}]}]},
+         "unknown jobs[0].files[0] keys: ['sorces']"),
+        ({"jobs": _JOBS, "doors": True}, "'doors' must be an integer, got True"),
+        ({"jobs": [{"files": [{"path": "/data/a", "size": "4M"}]}]},
+         "jobs[0].files[0].size must be an integer, got '4M'"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             validate_spec(spec)
@@ -430,7 +443,7 @@ class _GateDoor:
 
     def resume(self, task, session_id):
         self.resumed.append(session_id)
-        return self.engine.timeout(self.delay)
+        return self.engine.timeout(self.delay, SimpleNamespace(start_seq=0))
 
 
 class _ReopenLink:

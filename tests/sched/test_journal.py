@@ -322,7 +322,7 @@ class _StubDoor:
         if event.triggered:
             return  # a cancel aborted the session first
         if self.outcome == "ok":
-            event.succeed(None)
+            event.succeed(SimpleNamespace(start_seq=0))  # the finished job
         else:
             event.fail(TransferError(session_id, "boom"))
 

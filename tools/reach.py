@@ -28,12 +28,14 @@ expected, or on any of:
   body lines ran under the production set, unless it is a ``__repr__``
   or in ``ALLOW``; a ``src/`` class named nowhere outside ``tests/``;
 - **the line rule:** an executable ``src/`` line that neither tier-1
-  nor the production set ran, unless ``LINE_ALLOW`` names it.  Lines of
+  nor the production set ran, unless ``LINE_ALLOW`` names it (and
+  admits as many such lines of its function with its text).  Lines of
   a ``__repr__``, of an ``if TYPE_CHECKING:`` body and of an ``if
   __name__ == "__main__":`` body are not counted; nor is the prefix of
   a code object that no ``line`` event reports (a module's line 0, a
   def's own line inside its code);
-- a stale entry in either list (reached, or gone).
+- a stale entry in either list (reached, or gone; a line entry also when
+  fewer lines than it states carry its text).
 
 Both lists only shrink, and each entry says why only tests (or nothing)
 reach it.
@@ -50,6 +52,7 @@ import sys
 import tempfile
 import time
 import types
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -82,160 +85,160 @@ ALLOW = {
     "repro/tcp/congestion.py::CongestionControl._backoff": "abstract; as _avoid",
 }
 
-#: ``(path::qualname, the line's text)`` -> why neither tier-1 nor the
-#: production set runs the line.  Keyed by text, never by number: an
-#: entry covers every such line of its function.  Each is safety code
-#: (a check on outside input, a handled error, fault recovery).
+#: ``(path::qualname, the line's text)`` -> ``(lines, why)``: how many
+#: lines of that function carry the text and neither tier-1 nor the
+#: production set runs, and why.  Keyed by text, never by number; one
+#: more such line fails the line rule, one fewer makes the entry stale.
+#: Each is safety code (a check on outside input, a handled error, fault
+#: recovery).
 LINE_ALLOW = {
     # A run that never settles fails loudly instead of reporting a
     # partial result; a failed completion or transfer reaches the caller.
     ("repro/apps/fio.py::run_fio", 'raise RuntimeError("fio run did not complete")'):
-        "a hung run fails loudly",
+        (1, "a hung run fails loudly"),
     ("repro/apps/gridftp.py::run_gridftp",
-     'raise RuntimeError("GridFTP transfer did not complete")'): "a hung run fails loudly",
+     'raise RuntimeError("GridFTP transfer did not complete")'): (1, "a hung run fails loudly"),
     ("repro/apps/rftp.py::run_rftp",
-     'raise RuntimeError("transfer did not complete (deadlock?)")'): "a hung run fails loudly",
+     'raise RuntimeError("transfer did not complete (deadlock?)")'): (1, "a hung run fails loudly"),
     ("repro/apps/sockets.py::socket_transfer",
-     'raise RuntimeError(f"{mode} transfer did not complete")'): "a hung run fails loudly",
+     'raise RuntimeError(f"{mode} transfer did not complete")'): (1, "a hung run fails loudly"),
     ("repro/apps/fio.py::run_fio.<locals>.reaper",
      'raise RuntimeError(f"fio completion error: {wc.status}")'):
-        "a failed completion: fio injects no faults",
+        (1, "a failed completion: fio injects no faults"),
     ("repro/apps/rftp.py::run_rftp", "raise done.value"):
-        "a typed transfer failure reaches the caller: rftp injects no faults",
+        (1, "a typed transfer failure reaches the caller: rftp injects no faults"),
     ("repro/apps/rftp.py::run_rftp.<locals>._capture", "event.defuse()  # typed error re-raised below"):
-        "as run_rftp's raise",
+        (1, "as run_rftp's raise"),
     ("repro/cli.py::main", 'print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)'):
-        "a typed transfer failure exits 1: no command lets one escape",
-    ("repro/cli.py::main", "return 1"): "as main's print",
+        (1, "a typed transfer failure exits 1: no command lets one escape"),
+    ("repro/cli.py::main", "return 1"): (1, "as main's print"),
     ("repro/experiments/ablations.py::run_recovery_ablation", "raise AssertionError("):
-        "an ablation refuses numbers from a run that leaked",
+        (1, "an ablation refuses numbers from a run that leaked"),
     ("repro/experiments/ablations.py::run_recovery_ablation",
-     'f"chaos run at fault rate {rate} was not clean: {r.leaks}"'): "as its raise",
+     'f"chaos run at fault rate {rate} was not clean: {r.leaks}"'): (1, "as its raise"),
     ("repro/experiments/ablations.py::run_resume_ablation", "raise AssertionError("):
-        "an ablation refuses numbers from a run that leaked",
+        (1, "an ablation refuses numbers from a run that leaked"),
     ("repro/experiments/ablations.py::run_resume_ablation",
-     'f"chaos run at corrupt rate {rate} was not clean: {r.leaks}"'): "as its raise",
+     'f"chaos run at corrupt rate {rate} was not clean: {r.leaks}"'): (1, "as its raise"),
     ("repro/experiments/ablations.py::run_resume_ablation",
      'raise AssertionError(f"flap+resume chaos run was not clean: {r.leaks}")'):
-        "an ablation refuses numbers from a run that leaked",
+        (1, "an ablation refuses numbers from a run that leaked"),
     ("repro/experiments/ablations.py::run_resume_ablation",
      'raise AssertionError(f"repair-off chaos run was not clean: {r.leaks}")'):
-        "an ablation refuses numbers from a run that leaked",
+        (1, "an ablation refuses numbers from a run that leaked"),
     # Completions a dead QP flushes.
     ("repro/core/channels.py::ControlChannel.receive", "continue"):
-        "a flushed control receive: no run kills the control QP",
+        (1, "a flushed control receive: no run kills the control QP"),
     ("repro/core/channels.py::DataChannels.detach", "return None"):
-        "a second flushed WR of a channel already detached",
+        (1, "a second flushed WR of a channel already detached"),
     ("repro/core/middleware.py::RdmaMiddleware._srq_dispatch", "continue"):
-        "a flushed shared receive",
+        (1, "a flushed shared receive"),
     ("repro/verbs/qp.py::_Wqe._landed", "except Exception as exc:"):
-        "a WR stage that raises (full CQ, hook) fails the WR",
-    ("repro/verbs/qp.py::_Wqe._landed", "self._fail(exc)"): "as its except",
+        (1, "a WR stage that raises (full CQ, hook) fails the WR"),
+    ("repro/verbs/qp.py::_Wqe._landed", "self._fail(exc)"): (1, "as its except"),
     ("repro/verbs/qp.py::_Wqe._replied", "except Exception as exc:"):
-        "a WR stage that raises (full CQ, hook) fails the WR",
-    ("repro/verbs/qp.py::_Wqe._replied", "self._fail(exc)"): "as its except",
+        (1, "a WR stage that raises (full CQ, hook) fails the WR"),
+    ("repro/verbs/qp.py::_Wqe._replied", "self._fail(exc)"): (1, "as its except"),
     ("repro/verbs/qp.py::_Wqe._requested", "except Exception as exc:"):
-        "a WR stage that raises (full CQ, hook) fails the WR",
-    ("repro/verbs/qp.py::_Wqe._requested", "self._fail(exc)"): "as its except",
+        (1, "a WR stage that raises (full CQ, hook) fails the WR"),
+    ("repro/verbs/qp.py::_Wqe._requested", "self._fail(exc)"): (1, "as its except"),
     ("repro/verbs/qp.py::_Wqe._then", "self._fail(exc)"):
-        "a WR stage that raises (full CQ, hook) fails the WR",
+        (1, "a WR stage that raises (full CQ, hook) fails the WR"),
     # The sink's recovery paths no production run's faults reach.
     ("repro/core/sink_engine.py::SinkEngine._drop_unconsumed", "survivors.append(item)"):
-        "a reclaimed session's ready blocks queued beside another session's",
+        (1, "a reclaimed session's ready blocks queued beside another session's"),
     ("repro/core/sink_engine.py::SinkEngine._reattach_answer",
      "return None  # something landed since: the stored grant is spent"):
-        "a retransmitted resume request after data landed",
+        (1, "a retransmitted resume request after data landed"),
     ("repro/core/sink_engine.py::SinkEngine._tcp_consumer_thread", "return"):
-        "the fallback stream replaced while a block was being written",
+        (1, "the fallback stream replaced while a block was being written"),
     ("repro/core/sink_engine.py::SinkEngine.on_eager_block", "self.stray_messages.add()"):
-        "an eager arrival for a reclaimed session",
+        (1, "an eager arrival for a reclaimed session"),
     ("repro/core/sink_engine.py::SinkEngine.on_eager_block", "return"):
-        "as its stray count",
+        (1, "as its stray count"),
     ("repro/core/sink_engine.py::SinkEngine.on_eager_block",
-     "return  # no region was claimed; nothing to recycle"): "a replayed eager arrival",
+     "return  # no region was claimed; nothing to recycle"): (1, "a replayed eager arrival"),
     # The source's: a halt racing a grant at the same instant, replies
     # that refuse, a fallback that cannot start or drain.
     ("repro/core/source_link.py::SourceLink._acquire_credit", "return get_ev.value"):
-        "a credit granted at the instant the wait gave up",
+        (2, "a credit granted at the instant the wait gave up"),
     ("repro/core/source_link.py::SourceLink._reader_thread", "self.pool.put_free_blk(get_ev.value)"):
-        "a free block granted at the instant of the halt",
+        (1, "a free block granted at the instant of the halt"),
     ("repro/core/source_link.py::SourceLink._sender_thread", "self._reclaim(job, get_ev.value)"):
-        "a loaded block granted at the instant of the halt",
+        (1, "a loaded block granted at the instant of the halt"),
     ("repro/core/source_link.py::SourceLink._sender_thread", "self._reclaim(job, block)"):
-        "a block taken just as the session halted",
-    ("repro/core/source_link.py::SourceLink._sender_thread", "return"): "as its reclaim",
+        (1, "a block taken just as the session halted"),
+    ("repro/core/source_link.py::SourceLink._sender_thread", "return"): (1, "as its reclaim"),
     ("repro/core/source_link.py::SourceLink._stall_watchdog", "timer.cancel()"):
-        "an abort that won the race against the stall timer",
+        (1, "an abort that won the race against the stall timer"),
     ("repro/core/source_link.py::SourceLink._on_marker", "return  # stale or duplicate marker"):
-        "a marker reordered behind a newer one",
+        (1, "a marker reordered behind a newer one"),
     ("repro/core/source_link.py::SourceLink._request_reply",
-     "self._abort_job(job, NegotiationTimeout(sid, refused))"): "a request the sink refuses",
+     "self._abort_job(job, NegotiationTimeout(sid, refused))"): (1, "a request the sink refuses"),
     ("repro/core/source_link.py::SourceLink._request_reply", "return None"):
-        "as its abort",
-    ("repro/core/source_link.py::SourceLink._begin_fallback", "return True"):
-        "a second channel loss while already on the fallback",
-    ("repro/core/source_link.py::SourceLink._begin_fallback", "return False"):
-        "a channel loss after the session ended",
+        (1, "as its abort"),
     ("repro/core/source_link.py::SourceLink._fallback_thread",
      "except Exception as exc:  # factory refused (injected denial)"):
-        "no TCP path to fall back on",
-    ("repro/core/source_link.py::SourceLink._fallback_thread", "self._abort_job("): "as its except",
+        (1, "no TCP path to fall back on"),
+    ("repro/core/source_link.py::SourceLink._fallback_thread", "self._abort_job("):
+        (1, "as its except"),
     ("repro/core/source_link.py::SourceLink._fallback_thread",
-     'job, TransportFallbackFailed(sid, f"no TCP path: {exc}")'): "as its except",
-    ("repro/core/source_link.py::SourceLink._fallback_thread", "return"): "as its except",
+     'job, TransportFallbackFailed(sid, f"no TCP path: {exc}")'): (1, "as its except"),
+    ("repro/core/source_link.py::SourceLink._fallback_thread", "return"): (1, "as its except"),
     ("repro/core/source_link.py::SourceLink._restore_rdma", "return"):
-        "a session that aborted while re-promotion waited",
+        (2, "a session that ended while re-promotion waited, or a sink that never drains"),
     ("repro/core/source_link.py::SourceLink._restore_rdma", "self._abort_job("):
-        "a sink that never drains the fallback stream",
-    ("repro/core/source_link.py::SourceLink._restore_rdma", "job,"): "as its abort",
+        (1, "a sink that never drains the fallback stream"),
+    ("repro/core/source_link.py::SourceLink._restore_rdma", "job,"): (1, "as its abort"),
     ("repro/core/source_link.py::SourceLink._restore_rdma", "TransportFallbackFailed("):
-        "as its abort",
+        (1, "as its abort"),
     ("repro/core/source_link.py::SourceLink._restore_rdma",
-     'sid, "sink never drained the fallback stream"'): "as its abort",
+     'sid, "sink never drained the fallback stream"'): (1, "as its abort"),
     ("repro/core/source_link.py::SourceLink._repromote_watchdog", "return"):
-        "the session ended, drained or re-promoted between probes",
+        (1, "the session ended, drained or re-promoted between probes"),
     ("repro/core/source_link.py::SourceLink._repromote_watchdog", "except Exception:"):
-        "a channel re-open that fails while the path is still down",
+        (1, "a channel re-open that fails while the path is still down"),
     ("repro/core/source_link.py::SourceLink._repromote_watchdog",
-     "continue  # path still down; retry next cooldown"): "as its except",
+     "continue  # path still down; retry next cooldown"): (1, "as its except"),
     ("repro/core/source_link.py::SourceLink.kill_channel", "return False"):
-        "a --qp-kill index past the channel count (outside input)",
+        (1, "a --qp-kill index past the channel count (outside input)"),
     ("repro/faults/chaos.py::run_chaos.<locals>._run", "except TransferError as exc:"):
-        "a resume attempt that itself fails",
-    ("repro/faults/chaos.py::run_chaos.<locals>._run", 'holder["error"] = exc'): "as its except",
+        (1, "a resume attempt that itself fails"),
+    ("repro/faults/chaos.py::run_chaos.<locals>._run", 'holder["error"] = exc'):
+        (1, "as its except"),
     # The broker's: a crash, a drain or a cancel racing dispatch, and a
     # recovery that finds a door gone or a deadline passed.
     ("repro/sched/broker.py::TransferBroker._brownout_recheck", "return"):
-        "a crash during the brownout dwell",
+        (1, "a crash during the brownout dwell"),
     ("repro/sched/broker.py::TransferBroker._dispatch_loop",
-     "continue  # canceled while queued; entry is stale"): "a file canceled while queued",
+     "continue  # canceled while queued; entry is stale"): (1, "a file canceled while queued"),
     ("repro/sched/broker.py::TransferBroker._dispatch_loop", "break"):
-        "a crash or drain during a dispatch pass",
+        (1, "a crash or drain during a dispatch pass"),
     ("repro/sched/broker.py::TransferBroker._run_task", "self._release_slot(state, door)"):
-        "a file canceled (or the broker crashed) between dispatch and start",
-    ("repro/sched/broker.py::TransferBroker._run_task", "self._kick()"): "as its release",
-    ("repro/sched/broker.py::TransferBroker._run_task", "return"): "as its release",
+        (1, "a file canceled (or the broker crashed) between dispatch and start"),
+    ("repro/sched/broker.py::TransferBroker._run_task", "self._kick()"): (1, "as its release"),
+    ("repro/sched/broker.py::TransferBroker._run_task", "return"): (1, "as its release"),
     ("repro/sched/broker.py::TransferBroker._watchdog", "return  # attempt settled between polls"):
-        "an attempt that settled between two watchdog polls",
+        (1, "an attempt that settled between two watchdog polls"),
     ("repro/sched/broker.py::TransferBroker._resume_pass", "self._settle(task, door, TransferError("):
-        "a resume whose door or session is gone after a crash",
+        (1, "a resume whose door or session is gone after a crash"),
     ("repro/sched/broker.py::TransferBroker._resume_pass", 'session_id or 0, "no door to resume on"), 0)'):
-        "as its settle",
-    ("repro/sched/broker.py::TransferBroker._resume_pass", "continue"): "as its settle",
+        (1, "as its settle"),
+    ("repro/sched/broker.py::TransferBroker._resume_pass", "continue"): (1, "as its settle"),
     ("repro/sched/broker.py::TransferBroker.recover", "overdue.append(job)"):
-        "a deadline that passed while the broker was down",
+        (1, "a deadline that passed while the broker was down"),
     ("repro/sched/broker.py::TransferBroker.recover", "broker._m_deadline_cancels.add()"):
-        "as its overdue job",
+        (1, "as its overdue job"),
     ("repro/sched/broker.py::TransferBroker.recover",
      'broker.cancel_job(job, reason=f"deadline exceeded after {job.deadline}s")'):
-        "as its overdue job",
+        (1, "as its overdue job"),
     ("repro/sched/runner.py::BrokerSupervisor.crash", "return"):
-        "a crash while the broker is still down",
+        (1, "a crash while the broker is still down"),
     # The event kernel's.
     ("repro/sim/events.py::Condition._check", "return"):
-        "re-entrancy: a second child's check after the condition settled (DESIGN.md §9)",
+        (1, "re-entrancy: a second child's check after the condition settled (DESIGN.md §9)"),
     ("repro/sim/events.py::Condition._satisfied", "raise NotImplementedError"):
-        "abstract; AnyOf's and the tests' AllOf's run",
+        (1, "abstract; AnyOf's and the tests' AllOf's run"),
 }
 
 #: Commands run side by side: one per core of a 2-core CI host.
@@ -492,10 +495,16 @@ def check(defs, classes, lines, production, tier1):
     problems += [f"allowlist entry {n!r} is stale: drop it"
                  for n in sorted(ALLOW) if n in reached or n not in names]
     unrun = {k: v for k, v in lines.items() if k not in production and k not in tier1}
+    carried = Counter(unrun.values())
+    admits = {k: n for k, (n, _why) in LINE_ALLOW.items()}
     problems += [f"{q.partition('::')[0]}:{n} {q.partition('::')[2]}: {text!r}: nothing runs it"
-                 for (_, n), (q, text) in sorted(unrun.items()) if (q, text) not in LINE_ALLOW]
-    problems += [f"line allowlist entry {k!r} is stale: drop it"
-                 for k in sorted(LINE_ALLOW) if k not in set(unrun.values())]
+                 + (f" ({carried[q, text]} such lines, the allowlist admits {admits[q, text]})"
+                    if (q, text) in admits else "")
+                 for (_, n), (q, text) in sorted(unrun.items())
+                 if carried[q, text] > admits.get((q, text), 0)]
+    problems += [f"line allowlist entry {k!r} is stale: {carried[k]} such lines, not {n}"
+                 + (": drop it" if not carried[k] else "")
+                 for k, n in sorted(admits.items()) if carried[k] < n]
     summary = (f"{len(defs)} src functions and {len(classes)} classes: {len(reached)} "
                f"reached, {len(ALLOW)} allowlisted, the rest __repr__; {len(lines)} "
                f"executable lines: {len(lines.keys() & production)} run by production, "
