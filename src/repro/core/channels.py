@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from repro.core.health import ChannelBreaker
 from repro.core.messages import ControlMessage, CTRL_MSG_BYTES, DataBlockWire
+from repro.core.pool import BlockPool, ResourcePool
 from repro.verbs.cq import CompletionChannel
 from repro.verbs.errors import QpStateError, QueueFullError
 from repro.verbs.qp import QpState
@@ -23,10 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ProtocolConfig
     from repro.core.credits import Credit
     from repro.core.messages import BlockHeader
-    from repro.core.pool import BlockPool, ResourcePool
     from repro.hardware.cpu import CpuThread
     from repro.hardware.host import Host
     from repro.verbs.cq import CompletionQueue
+    from repro.verbs.pd import ProtectionDomain
     from repro.verbs.qp import QueuePair
 
 __all__ = [
@@ -132,10 +133,18 @@ class ControlChannel:
 class DataChannels:
     """The parallel data-plane QPs (§IV-A: multi-channel transfer)."""
 
-    def __init__(self, qps: List["QueuePair"]) -> None:
+    def __init__(
+        self, qps: List["QueuePair"], breaker_lookup: Callable[[int], ChannelBreaker]
+    ) -> None:
         if not qps:
             raise ValueError("need at least one data QP")
         self.qps = qps
+        #: ``qp_num -> ChannelBreaker``: :meth:`_pick` skips quarantined
+        #: (OPEN) channels.  A QP that is RTS but quarantined does NOT
+        #: count as lost: if the breakers would reject every live QP, the
+        #: least-recently tripped one is force-admitted instead, so
+        #: NoLiveChannelError keeps its exact meaning (no RTS QP at all).
+        self.breaker_lookup = breaker_lookup
         self.engine = qps[0].engine
         self.profile = qps[0].device.arch_profile
         self._rr = 0
@@ -152,13 +161,6 @@ class DataChannels:
         reg.gauge_fn("data.alive_qps", lambda: self.alive_count, i=self._idx)
         #: QPs removed from the rotation after entering ERROR (failover).
         self.dead: List["QueuePair"] = []
-        #: Optional circuit-breaker lookup ``qp_num -> ChannelBreaker``;
-        #: when set, :meth:`_pick` skips quarantined (OPEN) channels.  A
-        #: QP that is RTS but quarantined does NOT count as lost: if the
-        #: breakers would reject every live QP, the least-recently
-        #: tripped one is force-admitted instead, so NoLiveChannelError
-        #: keeps its exact meaning (no RTS QP at all).
-        self.breaker_lookup = None
 
     def __len__(self) -> int:
         return len(self.qps)
@@ -204,24 +206,21 @@ class DataChannels:
     def _pick(self) -> "QueuePair":
         """Least-loaded live QP, round-robin tie-break.
 
-        Honours the circuit breakers when wired (quarantined channels
-        are skipped while an admissible one exists).  Raises
+        Honours the circuit breakers (quarantined channels are skipped
+        while an admissible one exists).  Raises
         :class:`NoLiveChannelError` when every QP is dead or detached."""
         best: Optional["QueuePair"] = None
         fallback: Optional["QueuePair"] = None  # live but quarantined
         fallback_until = float("inf")
         now = self.engine.now
+        lookup = self.breaker_lookup
         n = len(self.qps)
         for i in range(n):
             qp = self.qps[(self._rr + i) % n]
             if qp.state is not QpState.RTS:
                 continue
-            breaker = (
-                self.breaker_lookup(qp.qp_num)
-                if self.breaker_lookup is not None
-                else None
-            )
-            if breaker is not None and not breaker.peek_admit(now):
+            breaker = lookup(qp.qp_num)
+            if not breaker.peek_admit(now):
                 if breaker.open_until < fallback_until:
                     fallback, fallback_until = qp, breaker.open_until
                 continue
@@ -232,10 +231,7 @@ class DataChannels:
             best = fallback  # all live QPs quarantined: force-admit one
         if best is None:
             raise NoLiveChannelError("all data QPs are in ERROR state")
-        if self.breaker_lookup is not None:
-            breaker = self.breaker_lookup(best.qp_num)
-            if breaker is not None:
-                breaker.note_post(now)
+        lookup(best.qp_num).note_post(now)
         return best
 
     def post_write(
@@ -319,26 +315,29 @@ class HostChannelPool:
     so pinned memory and QP count stay constant as sessions grow; its
     breakers use the static floor, quarantining a flapping QP for every
     rider at once.  Each posted WR has one entry in :attr:`inflight`,
-    settled by the reaper, :func:`repro.core.source_link._reap`.
+    settled by the reaper, :func:`repro.core.source_link._reap`.  It
+    builds the rotation (on :meth:`breaker_for`), the block pool and the
+    lease pool from the connected ``qps``, in their metrics' order.
     """
 
     def __init__(
         self,
         host: "Host",
-        data: DataChannels,
+        pd: "ProtectionDomain",
+        qps: List["QueuePair"],
         send_cq: "CompletionQueue",
-        block_pool: "BlockPool",
         config: "ProtocolConfig",
-        sessions: Optional["ResourcePool"] = None,
     ) -> None:
         self.host = host
         self.engine = host.engine
-        self.data = data
+        self.data = data = DataChannels(qps, self.breaker_for)
+        self.block_pool = BlockPool.build_source(host, pd, config.source_blocks, config.block_size)
+        self.sessions = sessions = (
+            ResourcePool(self.engine, config.pool_sessions) if config.use_srq else None
+        )
         self.send_cq = send_cq
         self.cc = CompletionChannel(send_cq)
-        self.block_pool = block_pool
         self.config = config
-        self.sessions = sessions
         #: Breaker cooldown, ``() -> seconds``.
         self.cooldown: Optional[Callable[[], float]] = (
             None if sessions is None else lambda: config.breaker_cooldown_min
@@ -354,7 +353,6 @@ class HostChannelPool:
         #: qp_num -> breaker, created lazily; survives detach/adopt so a
         #: QP that comes back keeps its quarantine history.
         self.breakers: Dict[int, ChannelBreaker] = {}
-        data.breaker_lookup = self.breaker_for
         self.reaping = False  # the first rider's first session starts it
 
     def breaker_for(self, qp_num: int) -> ChannelBreaker:

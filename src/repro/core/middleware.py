@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
-from repro.core.channels import ControlChannel, DataChannels, HostChannelPool
+from repro.core.channels import ControlChannel, HostChannelPool
 from repro.core.config import ProtocolConfig
 from repro.core.messages import HEADER_BYTES
-from repro.core.pool import BlockPool, ResourcePool
+from repro.core.pool import BlockPool
 from repro.core.sink_engine import SinkEngine
 from repro.core.source_link import SourceLink
 from repro.sim.events import Event
@@ -276,12 +276,7 @@ class RdmaMiddleware:
             qps.append((yield from self._connect_data_qp(
                 send_cq, remote, port, client_id, i, fault_injector
             )))
-        data = DataChannels(qps)
-        pool = BlockPool.build_source(
-            self.host, self.pd, cfg.source_blocks, cfg.block_size
-        )
-        sessions = ResourcePool(self.engine, cfg.pool_sessions) if shared else None
-        host_pool = HostChannelPool(self.host, data, send_cq, pool, cfg, sessions)
+        host_pool = HostChannelPool(self.host, self.pd, qps, send_cq, cfg)
         if shared:
             self._host_pools[remote, port] = host_pool
             pending.succeed(host_pool)

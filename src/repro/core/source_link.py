@@ -267,11 +267,10 @@ class SourceLink:
         self._hb_running = False
         self._started = False
         #: True once a full negotiation (block size + channel count) has
-        #: succeeded on this link.  Both parameters are link-level: a
-        #: later session asking for the same ones can skip straight to
-        #: SESSION_REQ (``transfer(reuse_negotiation=True)``), trading
-        #: three control round trips for one — the difference between one
-        #: RTT and three per file on a WAN small-file run.
+        #: succeeded on this link.  Both parameters are link-level: every
+        #: later session skips straight to SESSION_REQ, trading three
+        #: control round trips for one — the difference between one RTT
+        #: and three per file on a WAN small-file run.
         self._negotiated = False
 
     def _release_lease(self, job: TransferJob) -> None:
@@ -364,7 +363,6 @@ class SourceLink:
         data_source: Any,
         total_bytes: int,
         session_id: int,
-        reuse_negotiation: bool = False,
     ):
         """Process event resolving to the finished :class:`TransferJob`.
 
@@ -372,10 +370,10 @@ class SourceLink:
         session aborts (timeout budgets exhausted); all pool blocks and
         credits have been reclaimed by then.
 
-        With ``reuse_negotiation`` set, a link that already completed a
-        full negotiation skips the link-level BLOCK_SIZE/CHANNELS
-        exchanges and opens the session with a single SESSION_REQ round
-        trip — the fast path for many small files to one peer.
+        A link that already completed a full negotiation skips the
+        link-level BLOCK_SIZE/CHANNELS exchanges and opens the session
+        with a single SESSION_REQ round trip — the fast path for many
+        small files to one peer.
         """
         job = self._open_session(data_source, total_bytes, session_id)
         cfg = self.config
@@ -391,7 +389,7 @@ class SourceLink:
             and cfg.eager_threshold > 0
             and min(cfg.block_size, total_bytes) <= cfg.eager_threshold
         )
-        skip_link_setup = reuse_negotiation and self._negotiated
+        skip_link_setup = self._negotiated
 
         def _open(thread, job: TransferJob) -> Generator:
             yield from self._negotiate(thread, job, skip_link_setup=skip_link_setup)
@@ -639,9 +637,7 @@ class SourceLink:
         return max(1, min(self.config.marker_interval_blocks, len(self.pool.blocks) // 8))
 
     # -- negotiation (phase 1 of §IV-C) ---------------------------------------------
-    def _negotiate(
-        self, thread, job: TransferJob, skip_link_setup: bool = False
-    ) -> Generator:
+    def _negotiate(self, thread, job: TransferJob, skip_link_setup: bool) -> Generator:
         if not skip_link_setup:
             reply = yield from self._request_reply(
                 thread, job, CtrlType.BLOCK_SIZE_REQ, job.block_size,

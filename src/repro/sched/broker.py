@@ -28,10 +28,10 @@ alternative destinations.  The pieces:
   refused while every door is full and a slot is held keeps its queue
   place until that slot's release runs the next pass; files a closed
   door refuses wait behind ONE shared ``blocked_retry`` timer;
-- **session reuse**: transfers run with ``reuse_negotiation=True``, so
-  after a door's first session the per-file cost is one SESSION_REQ
-  round trip instead of three — the difference between 1×RTT and 3×RTT
-  per small file on the WAN;
+- **session reuse**: a door's link negotiates block size and channel
+  count once, so after its first session the per-file cost is one
+  SESSION_REQ round trip instead of three — the difference between
+  1×RTT and 3×RTT per small file on the WAN;
 - **durability**: the broker never writes ``Job`` / ``FileTask`` state
   by hand — :meth:`TransferBroker._transition` appends a record to the
   :class:`~repro.sched.journal.Journal` and applies it through the
@@ -274,7 +274,7 @@ class RftpDoor:
     def transfer(self, task: FileTask, session_id: int):
         """The session process of one file transfer on this (opened)
         door's link, resolving to the finished job."""
-        return self.link.transfer(self.data_source, task.size, session_id, reuse_negotiation=True)
+        return self.link.transfer(self.data_source, task.size, session_id)
 
     def resume(self, task: FileTask, session_id: int):
         """The session process re-attaching an interrupted session

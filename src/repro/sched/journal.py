@@ -385,21 +385,17 @@ def _specs(files: List[Dict[str, Any]]) -> List[TransferSpec]:
 
 
 def _submit(table: JobTable, rec: Dict[str, Any]) -> Job:
-    job = Job.build(rec["job_id"], rec["tenant"], _specs(rec["files"]),
-                    int(rec.get("priority", 0)))
+    job_id = rec["job_id"]
+    job = Job.build(job_id, rec["tenant"], _specs(rec["files"]), int(rec.get("priority", 0)))
     job.submitted_at = rec["t"]
     job.deadline = rec.get("deadline")
     for task in job.files:
         task.submitted_at = job.submitted_at
-    _take_id(table, job)
-    return job
-
-
-def _take_id(table: JobTable, job: Job) -> None:
-    table.by_id[job.job_id] = job
+    table.by_id[job_id] = job
     table.jobs.append(job)
-    if job.job_id[:4] == "job-" and job.job_id[4:].isdecimal():
-        table.next_job_id = max(table.next_job_id, int(job.job_id[4:]) + 1)
+    if job_id[:4] == "job-" and job_id[4:].isdecimal():
+        table.next_job_id = max(table.next_job_id, int(job_id[4:]) + 1)
+    return job
 
 
 def _admit(table: JobTable, rec: Dict[str, Any]) -> Job:
@@ -475,7 +471,11 @@ def _checkpoint(table: JobTable, rec: Dict[str, Any]) -> None:
         # record — the prefix was truncated behind its full snapshot.
         # Restore the table wholesale (a drain snapshots no READY file).
         for job in restore_jobs(full):
-            _take_id(table, job)
+            job_id = job.job_id  # filed as ``_submit`` files a new job
+            table.by_id[job_id] = job
+            table.jobs.append(job)
+            if job_id[:4] == "job-" and job_id[4:].isdecimal():
+                table.next_job_id = max(table.next_job_id, int(job_id[4:]) + 1)
             for task in job.files:
                 if task.duplicate_of is None and not task.state.terminal:
                     # At most one live primary per path; a terminal

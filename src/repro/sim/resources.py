@@ -5,12 +5,13 @@ simulations deterministic and models the FIFO hardware queues (NIC work
 queues, link serialisation, socket buffers) used throughout the library.
 
 Under ``Engine(use_fluid=True)`` an operation that can be satisfied
-immediately (a free resource slot, a non-empty store, sufficient
-container level) returns an *already-processed* event instead of queuing
-a grant on the engine: the state change happens at the same simulated
-instant either way, and a process yielding a processed event continues
-synchronously, so results are identical while the kernel dispatches far
-fewer events.  Operations that must wait always queue real events.
+immediately (a store put, a get on a non-empty store, a free resource
+slot, sufficient container level) returns an *already-processed* event
+instead of queuing a grant on the engine: the state change happens at
+the same simulated instant either way, and a process yielding a
+processed event continues synchronously, so results are identical while
+the kernel dispatches far fewer events.  Operations that must wait
+always queue real events.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
 
 __all__ = ["Store", "Resource", "Container"]
-
-
-class _PutEvent(Event):
-    """A queued store-put carrying the item being inserted."""
-
-    __slots__ = ("item",)
 
 
 class _AmountEvent(Event):
@@ -52,20 +47,18 @@ def _granted(event: Event, value: Any = None) -> Event:
 
 
 class Store:
-    """An unbounded-or-bounded FIFO queue of Python objects.
+    """An unbounded FIFO queue of Python objects.
 
-    ``get()`` and ``put(item)`` return events.  A ``get`` on an empty store
-    (or a ``put`` on a full one) suspends the caller until it can proceed.
+    ``get()`` and ``put(item)`` return events.  A ``put`` never waits; a
+    ``get`` on an empty store suspends the caller until an item arrives.
+    What bounds a queue of blocks or credits is the registered pool its
+    items come from, not the store.
     """
 
-    def __init__(self, engine: "Engine", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()  # events carrying .item
 
     def __len__(self) -> int:
         return len(self.items)
@@ -76,20 +69,12 @@ class Store:
         return len(self._getters)
 
     def put_many(self, items) -> int:
-        """Insert a batch of items immediately (non-blocking bulk put).
+        """Insert a batch of items at once, with no event per item.
 
-        Unlike :meth:`put` this never queues the caller: the whole batch
-        must fit, so a store with finite capacity raises ``ValueError``
-        when the batch would overflow.  Waiting getters are served in
-        FIFO order exactly as if the items had been ``put`` one by one.
-        Returns the number of items inserted.
+        Waiting getters are served in FIFO order exactly as if the items
+        had been ``put`` one by one.  Returns the number of items inserted.
         """
         items = list(items)
-        if len(self.items) + len(items) > self.capacity:
-            raise ValueError(
-                f"put_many of {len(items)} items would exceed capacity "
-                f"{self.capacity} (have {len(self.items)})"
-            )
         self.items.extend(items)
         self._dispatch()
         return len(items)
@@ -109,56 +94,34 @@ class Store:
         return True
 
     def put(self, item: Any) -> Event:
-        """Queue ``item``; the returned event fires when the item is stored."""
-        event = _PutEvent(self.engine)
-        event.item = item
-        if (
-            self.engine.use_fluid
-            and not self._putters
-            and len(self.items) < self.capacity
-        ):
-            self.items.append(item)
-            self._dispatch()
-            return _granted(event)
-        self._putters.append(event)
+        """Store ``item``; the returned event has already succeeded."""
+        event = Event(self.engine)
+        self.items.append(item)
+        if self.engine.use_fluid:
+            _granted(event)
+        else:
+            event.succeed()
         self._dispatch()
         return event
 
     def get(self) -> Event:
         """Request one item; the returned event's value is the item."""
-        if self.engine.use_fluid and not self._getters:
-            self._admit_putters()
-            if self.items:
-                event = Event(self.engine)
-                item = self.items.popleft()
-                self._admit_putters()
-                return _granted(event, item)
         event = Event(self.engine)
+        if self.engine.use_fluid and self.items and not self._getters:
+            return _granted(event, self.items.popleft())
         self._getters.append(event)
         self._dispatch()
         return event
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking get: pop and return an item, or ``None`` if empty."""
-        self._admit_putters()
         if self.items and not self._getters:
-            item = self.items.popleft()
-            self._admit_putters()
-            return item
+            return self.items.popleft()
         return None
 
-    def _admit_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            putter = self._putters.popleft()
-            self.items.append(putter.item)
-            putter.succeed()
-
     def _dispatch(self) -> None:
-        self._admit_putters()
         while self._getters and self.items:
-            getter = self._getters.popleft()
-            getter.succeed(self.items.popleft())
-            self._admit_putters()
+            self._getters.popleft().succeed(self.items.popleft())
 
 
 class Resource:

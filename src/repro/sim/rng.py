@@ -5,10 +5,11 @@ child stream of one root seed, so experiments are exactly reproducible and
 adding a new random consumer never perturbs the draws of existing ones.
 
 A stream is a pure-Python PCG64 whose draws are bit-identical to
-``numpy.random.default_rng(seed).random()``: the same ``SeedSequence``
-state words, the same 128-bit LCG and the same XSL-RR output and double
-conversion.  The simulator only ever draws scalar uniforms, so it keeps
-numpy's ~14 MB import off every fault-injecting run.
+``numpy.random.default_rng(seed)``'s ``random()`` and ``permutation(n)``:
+the same ``SeedSequence`` state words, the same 128-bit LCG and XSL-RR
+output, the same double conversion and the same bounded-integer
+rejection.  Those two draws are all the simulator takes (fault streams
+and the TCP bottleneck), so no run imports numpy.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _seed_words(seed: int) -> List[int]:
 class Pcg64:
     """PCG64 (XSL-RR 128/64), draw-for-draw equal to numpy's ``default_rng``."""
 
-    __slots__ = ("_state", "_inc")
+    __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, seed: int) -> None:
         w = _seed_words(int(seed))
@@ -84,6 +85,9 @@ class Pcg64:
         state = (inc + initstate) & _M128  # step from 0, then add initstate
         self._state = (state * _PCG_MULT + inc) & _M128
         self._inc = inc
+        #: The high 32 bits of the last output, kept for the next 32-bit
+        #: draw (numpy's ``has_uint32`` / ``uinteger``); ``None`` if spent.
+        self._half = None
 
     def random(self) -> float:
         """One uniform double in [0, 1)."""
@@ -93,6 +97,36 @@ class Pcg64:
         rot = state >> 122
         x = ((x >> rot) | (x << (64 - rot))) & _M64
         return (x >> 11) * 2.0**-53
+
+    def permutation(self, n: int) -> List[int]:
+        """``range(n)`` shuffled as numpy's ``permutation(n)`` does it.
+
+        Fisher–Yates from the top: position ``i`` swaps with a ``j`` in
+        ``[0, i]`` drawn by rejection on ``next_uint32 & mask`` (the
+        smallest all-ones mask covering ``i``).  A 32-bit draw takes the
+        low half of a fresh output and keeps the high half for the next
+        one; :meth:`random` leaves that half alone.  ``n`` stays below
+        2**32, where numpy would switch to 64-bit draws.
+        """
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = i + 1
+            while j > i:
+                half = self._half
+                if half is None:
+                    state = (self._state * _PCG_MULT + self._inc) & _M128
+                    self._state = state
+                    x = ((state >> 64) ^ state) & _M64
+                    rot = state >> 122
+                    x = ((x >> rot) | (x << (64 - rot))) & _M64
+                    self._half = x >> 32
+                    half = x & _M32
+                else:
+                    self._half = None
+                j = half & mask
+            out[i], out[j] = out[j], out[i]
+        return out
 
 
 class RandomStreams:

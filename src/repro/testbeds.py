@@ -73,15 +73,13 @@ class Testbed:
     def tcp_bottleneck(self) -> Bottleneck:
         """The shared WAN bottleneck (created once, shared by all flows)."""
         if self._bottleneck is None:
-            # The fluid model draws numpy arrays (``random(n)``,
-            # ``permutation(n)``), so numpy stays a TCP-only import.
-            import numpy as np
-
+            # Its own named stream (``Pcg64(rng.seed("bottleneck"))``): the
+            # fluid model's draws perturb no other consumer.
             self._bottleneck = Bottleneck(
                 self.engine,
                 capacity_bytes_per_second=self.nic_gbps * 1e9 / 8.0,
                 rtt=self.rtt,
-                rng=np.random.default_rng(self.rng.seed("bottleneck")),
+                rng=self.rng.stream("bottleneck"),
                 random_loss_per_byte=self.wan_loss_per_byte,
             )
         return self._bottleneck

@@ -131,6 +131,22 @@ def run_to_end(engine: Engine, until: float = None) -> None:
     engine.run(until)
 
 
+def data_channels(qps):
+    """A bare ``DataChannels`` over ``qps`` with its own breaker table,
+    filled lazily the way ``HostChannelPool.breaker_for`` fills one."""
+    from repro.core.channels import DataChannels
+    from repro.core.health import ChannelBreaker
+
+    breakers = {}
+
+    def lookup(qp_num):
+        if qp_num not in breakers:
+            breakers[qp_num] = ChannelBreaker(qp_num, 3, None)
+        return breakers[qp_num]
+
+    return DataChannels(qps, lookup)
+
+
 def open_broker(client, broker_config=None, tenants=None, overload=None):
     """Process event resolving to a broker over one door ("door-0")
     opened from ``client`` (an ``RftpClient`` whose server listens on

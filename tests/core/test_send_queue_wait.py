@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.channels import DataChannels, NoLiveChannelError
 from repro.verbs.wr import RecvWR, WcStatus
-from tests.conftest import make_fabric
+from tests.conftest import data_channels, make_fabric
 
 BLOCK = 64 * 1024
 FORMS = ["write", "send"]
@@ -88,7 +88,7 @@ def _retire_times(qp, engine):
 def test_full_queue_post_resumes_at_the_retire_with_no_timer(form, monkeypatch):
     rig = _Rig(max_send_wr=2)
     qp = rig.qp()
-    channels = DataChannels([qp])
+    channels = data_channels([qp])
     retired = _retire_times(qp, rig.engine)
     timers = []
     timeout = rig.engine.timeout
@@ -120,7 +120,7 @@ def test_full_queue_post_resumes_at_the_retire_with_no_timer(form, monkeypatch):
 def _kill_under_a_waiting_post(rig, doomed, live, form, until=None):
     """Fill ``doomed``'s two slots, park a third post, kill the QP at
     5 µs (adopting ``live`` first, if any); return what the run saw."""
-    channels = DataChannels([doomed])
+    channels = data_channels([doomed])
     retired = _retire_times(doomed, rig.engine)
     kill_at = 5e-6  # both slots taken, no WR on the wire done yet
     seen = {"kill_at": kill_at, "retired": retired, "channels": channels}
@@ -202,7 +202,7 @@ def test_a_killed_qp_wakes_a_post_behind_a_send_stuck_in_rnr(survivor):
 def test_posters_woken_by_one_retire_race_and_the_loser_waits_again(form):
     rig = _Rig(max_send_wr=2)
     qp = rig.qp()
-    channels = DataChannels([qp])
+    channels = data_channels([qp])
     retired = _retire_times(qp, rig.engine)
     other, other_exec_at = rig.poster("other")
 

@@ -192,7 +192,7 @@ def test_all_endings_in_one_sequence():
     # failures (a new failing placement fails, and so does a listed one
     # that passes or fails differently).
     failing, placements = {}, 0
-    for sessions, messages in ((1, 40), (2, 72)):
+    for sessions, messages in ((1, 40), (2, 68)):
         assert _placement_ending(sessions, None, -1) == (messages, False, None)
         for action in _ACTIONS:
             for k in range(messages):
@@ -200,7 +200,7 @@ def test_all_endings_in_one_sequence():
                 placements += placed
                 if ending is not None:
                     failing[sessions, action, k] = ending
-    assert placements == 695  # drops: the droppable 9 and 14 indexes; the rest: all 112
+    assert placements == 669  # drops: the droppable 9 and 12 indexes; the rest: all 108
     assert failing == {
         (sessions, action, k): line
         for sessions, action, first, last, line in FAILING_PLACEMENTS

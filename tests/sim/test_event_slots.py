@@ -17,9 +17,9 @@ import pkgutil
 
 import repro
 from repro.hardware.cpu import CpuScheduler, CpuThread, _Chunk
-from repro.sim import AnyOf, Container, Engine, Event, Process, Store, Timeout
+from repro.sim import AnyOf, Container, Engine, Event, Process, Timeout
 from repro.sim.events import Condition, TimeoutAt
-from repro.sim.resources import _AmountEvent, _PutEvent
+from repro.sim.resources import _AmountEvent
 from repro.verbs import Opcode, SendWR
 from repro.verbs.qp import _Wqe
 from tests.conftest import make_fabric
@@ -49,7 +49,6 @@ FACTORIES = {
     Process: lambda e: e.process(_idle(e)),
     Condition: lambda e: Condition(e, [Event(e)]),
     AnyOf: lambda e: AnyOf(e, [Event(e), e.timeout(1.0)]),
-    _PutEvent: lambda e: Store(e).put("item"),
     _AmountEvent: lambda e: Container(e, capacity=4.0).get(1.0),
     _Wqe: _posted_wqe,
     _Chunk: lambda e: CpuThread(CpuScheduler(e, 1), "t", "app").exec(1.0),

@@ -66,7 +66,7 @@ def test_timeout_at_in_the_past_raises():
 # -- synchronous grants ------------------------------------------------------
 def test_store_put_get_grant_synchronously_under_fluid():
     engine = Engine(use_fluid=True)
-    store = Store(engine, capacity=2)
+    store = Store(engine)
     put = store.put("x")
     assert put.processed and put.ok
     got = store.get()
@@ -75,14 +75,14 @@ def test_store_put_get_grant_synchronously_under_fluid():
 
 def test_store_grants_stay_asynchronous_when_fluid_off():
     engine = Engine(use_fluid=False)
-    store = Store(engine, capacity=2)
+    store = Store(engine)
     put = store.put("x")
     assert put.triggered and not put.processed
 
 
 def test_store_get_parks_when_empty_even_under_fluid():
     engine = Engine(use_fluid=True)
-    store = Store(engine, capacity=2)
+    store = Store(engine)
     got = store.get()
     assert not got.triggered
 

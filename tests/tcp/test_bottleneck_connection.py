@@ -5,6 +5,7 @@ import pytest
 from repro.network import back_to_back
 from repro.sim import Engine
 from repro.tcp import Bottleneck, TcpConnection, TcpMode
+from repro.tcp.bottleneck import _sum
 from tests.conftest import make_host
 
 
@@ -287,3 +288,11 @@ def test_many_flows_conserve_and_share(engine):
     assert sum(c.bytes_delivered.total for c in conns) == pytest.approx(
         8 * per_flow, abs=8.0
     )
+    # The round's totals add up in numpy's order, bit for bit, below 8
+    # terms, up to 128 and above (the order the pins were recorded in).
+    import numpy as np
+
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 7, 8, 9, 16, 127, 128, 129, 300):
+        values = (rng.random(n) * 1e9).tolist()
+        assert _sum(values) == float(np.add.reduce(np.array(values, dtype=float))), n

@@ -4,22 +4,21 @@ import pytest
 
 from repro.apps.io import CollectingSink, PatternSource
 from repro.core import ProtocolConfig, RdmaMiddleware
-from repro.core.channels import DataChannels
 from repro.testbeds import ani_wan, roce_lan
 from repro.sim import SimulationError
-from tests.conftest import make_fabric
+from tests.conftest import data_channels, make_fabric
 
 
 def test_data_channels_require_qps():
     with pytest.raises(ValueError):
-        DataChannels([])
+        data_channels([])
 
 
 def test_data_channels_pick_least_loaded():
     f = make_fabric()
     qa1, _ = f.qp_pair()
     qa2, _ = f.qp_pair()
-    channels = DataChannels([qa1, qa2])
+    channels = data_channels([qa1, qa2])
     # Simulate load imbalance.
     qa1._outstanding_sends = 5
     qa2._outstanding_sends = 1
