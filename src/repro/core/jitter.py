@@ -18,7 +18,7 @@ Users:
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b  # hashlib.blake2b without mapping libcrypto: see repro.sim.rng
 
 __all__ = ["jitter_fraction", "jittered"]
 
@@ -32,7 +32,7 @@ def jitter_fraction(seed: int, *parts: object) -> float:
     or clock values).
     """
     key = "|".join(str(p) for p in (seed, *parts))
-    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+    digest = blake2b(key.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little") / 2.0 ** 64
 
 

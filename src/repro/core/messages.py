@@ -77,6 +77,10 @@ class CtrlType(enum.Enum):
     TRANSPORT_RESTORE_REQ = "transport_restore_req"
     TRANSPORT_RESTORE_REP = "transport_restore_rep"
 
+    #: Identity hash in C, not ``Enum.__hash__`` in Python: types key the
+    #: dispatch dicts, and no set of them is iterated.
+    __hash__ = object.__hash__
+
 
 class Direction(enum.Enum):
     TO_SINK = "to_sink"
@@ -158,7 +162,10 @@ PROTOCOL: Dict[CtrlType, CtrlRule] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+# The records built per message are not frozen: a frozen dataclass sets
+# each field through ``object.__setattr__``.  Nothing assigns to one
+# after it is built; ``unsafe_hash`` keeps the field hash frozen gave.
+@dataclass(unsafe_hash=True, slots=True)
 class ControlMessage:
     """A control-plane message (SEND/RECV on the control QP)."""
 
@@ -182,7 +189,7 @@ def block_checksum(payload: Any) -> int:
     return zlib.crc32(repr(payload).encode()) & 0xFFFFFFFF
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BlockHeader:
     """Per-block header prefixed to every user payload block.
 
@@ -215,7 +222,7 @@ class BlockHeader:
         return HEADER_BYTES + self.length
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class DataBlockWire:
     """What actually lands in a sink memory region: header + payload."""
 

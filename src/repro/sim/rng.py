@@ -14,7 +14,9 @@ and the TCP bottleneck), so no run imports numpy.
 
 from __future__ import annotations
 
-import hashlib
+# hashlib's own blake2b, without the import of hashlib, which maps
+# OpenSSL's libcrypto (~3.3 MB resident) for hashes no run takes.
+from _blake2 import blake2b
 from typing import Dict, List
 
 __all__ = ["Pcg64", "RandomStreams"]
@@ -139,7 +141,7 @@ class RandomStreams:
     def seed(self, name: str) -> int:
         """The child seed of ``name``, derived from ``(root, name)`` with
         BLAKE2b so streams are independent of creation order."""
-        digest = hashlib.blake2b(
+        digest = blake2b(
             f"{self.root}:{name}".encode(), digest_size=8
         ).digest()
         return int.from_bytes(digest, "little")
@@ -153,7 +155,7 @@ class RandomStreams:
 
     def spawn(self, name: str) -> "RandomStreams":
         """Derive a child factory (e.g. per-host) with an independent seed."""
-        digest = hashlib.blake2b(
+        digest = blake2b(
             f"{self.root}/{name}".encode(), digest_size=8
         ).digest()
         return RandomStreams(int.from_bytes(digest, "little"))

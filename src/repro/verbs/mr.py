@@ -39,14 +39,18 @@ class MemoryRegion:
         self.lkey = lkey
         self.rkey = rkey
         self.access = access
+        #: The remote rights as plain booleans, so the per-WR check does
+        #: no ``Flag`` arithmetic.
+        self._remote_read = bool(access & AccessFlags.REMOTE_READ)
+        self._remote_write = bool(access & AccessFlags.REMOTE_WRITE)
         self.pd_handle = pd_handle
         self._contents: Dict[int, Any] = {}
 
     # -- simulated contents ------------------------------------------------------
     def check_remote(self, addr: int, length: int, write: bool) -> None:
         """Validate a one-sided access; raises :class:`RemoteAccessError`."""
-        needed = AccessFlags.REMOTE_WRITE if write else AccessFlags.REMOTE_READ
-        if not (self.access & needed):
+        if not (self._remote_write if write else self._remote_read):
+            needed = AccessFlags.REMOTE_WRITE if write else AccessFlags.REMOTE_READ
             raise RemoteAccessError(
                 f"region lacks {needed} permission (rkey={self.rkey:#x})"
             )

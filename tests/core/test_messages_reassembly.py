@@ -59,6 +59,18 @@ def test_header_key():
     h = hdr(5, sid=3)
     assert (h.session_id, h.seq, h.offset) == (3, 5, 5 * 4096)
     assert h.wire_bytes == HEADER_BYTES + 4096
+    # Headers, wires and messages compare and hash by their fields.
+    assert h == hdr(5, sid=3) and hash(h) == hash(hdr(5, sid=3))
+    assert h != hdr(5, sid=4) and h != BlockHeader(3, 5, 5 * 4096, 4096, checksum=1)
+    assert DataBlockWire(h, "p", 1) == DataBlockWire(hdr(5, sid=3), "p", 1)
+    assert hash(DataBlockWire(h, "p", 1)) == hash(DataBlockWire(hdr(5, sid=3), "p", 1))
+    msg = ControlMessage(CtrlType.BLOCK_DONE, 3, (5, None))
+    assert msg == ControlMessage(CtrlType.BLOCK_DONE, 3, (5, None))
+    assert hash(msg) == hash(ControlMessage(CtrlType.BLOCK_DONE, 3, (5, None)))
+    assert msg != ControlMessage(CtrlType.BLOCK_NACK, 3, (5, None))
+    assert len({msg, ControlMessage(CtrlType.BLOCK_DONE, 3, (5, None)), h, hdr(5, sid=3)}) == 2
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ControlMessage(CtrlType.MR_INFO_REP, 3, [1]))
 
 
 # -- reassembly -----------------------------------------------------------------------

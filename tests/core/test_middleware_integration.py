@@ -202,6 +202,12 @@ def test_control_traffic_scales_with_blocks():
     assert first.ctrl_sent + second.ctrl_sent == link.ctrl._m_sent.total
     assert first.ctrl_received + second.ctrl_received == link.ctrl._m_received.total
     assert first.mr_requests + second.mr_requests == link.mr_requests_sent.total
+    # The control receive ring is re-posted, never rebuilt: after every
+    # message, the QP holds exactly the ring's own recv_depth WRs.
+    ring, posted = link.ctrl._ring, link.ctrl.qp._recv_queue
+    assert link.ctrl._m_received.total > len(ring) == link.ctrl.recv_depth
+    assert len(posted) == len(ring)
+    assert {id(wr) for wr in posted} == {id(wr) for wr in ring}
 
 
 def test_bigger_blocks_less_control_traffic():

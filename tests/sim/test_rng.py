@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.jitter import jitter_fraction
 from repro.sim import RandomStreams
 from repro.sim.rng import Pcg64
 
@@ -52,6 +53,15 @@ def test_spawn_children_independent():
 
 def test_spawn_deterministic():
     assert RandomStreams(5).spawn("x").root == RandomStreams(5).spawn("x").root
+    # Seeds and jitter hash with _blake2's BLAKE2b, which is hashlib's
+    # own; the pinned digests fail loudly on a Python where it differs.
+    import _blake2
+    import hashlib
+
+    assert hashlib.blake2b is _blake2.blake2b
+    assert RandomStreams(0).seed("data") == 10246459127726237278
+    assert RandomStreams(5).spawn("x").root == 14052872694812765949
+    assert jitter_fraction(7, "job-1", "/data/a", 3) == 0.01962011302180671
 
 
 # -- numpy as the oracle ------------------------------------------------------------
@@ -113,7 +123,8 @@ def test_pcg64_rejects_negative_seed():
 
 def test_fault_runs_never_import_numpy():
     # No run imports numpy: not a fault-injecting RDMA or broker run,
-    # and not the TCP fluid bottleneck of a GridFTP run on the WAN.  A
+    # and not the TCP fluid bottleneck of a GridFTP run on the WAN.  Nor
+    # does one map OpenSSL (``_hashlib``): BLAKE2b comes from _blake2.  A
     # fresh interpreter keeps other tests' imports out of the answer.
     import os
     import subprocess
@@ -142,6 +153,7 @@ def test_fault_runs_never_import_numpy():
         "                      ctrl_drop_rate=0.1, attempt_fault_rate=0.3)\n"
         "assert sum(j.retries for j in run_sched(spec).jobs) > 0\n"
         "assert 'numpy' not in sys.modules, 'a fault run imported numpy'\n"
+        "assert '_hashlib' not in sys.modules, 'a fault run mapped OpenSSL'\n"
         "from repro.apps.gridftp import run_gridftp\n"
         "from repro.testbeds import ani_wan\n"
         "tb = ani_wan()\n"
@@ -149,6 +161,7 @@ def test_fault_runs_never_import_numpy():
         "r = run_gridftp(tb, 512 << 20, streams=8)\n"
         "assert r.losses > 0  # overflow rounds drew permutations\n"
         "assert 'numpy' not in sys.modules, 'a GridFTP run imported numpy'\n"
+        "assert '_hashlib' not in sys.modules, 'a GridFTP run mapped OpenSSL'\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -38,8 +38,12 @@ def test_access_flag_enforcement():
     buf = f.a.memory.alloc(4096)
     wr_only = pd.reg_mr_sync(buf, AccessFlags.REMOTE_WRITE)
     wr_only.check_remote(buf.addr, 100, write=True)
-    with pytest.raises(RemoteAccessError):
+    with pytest.raises(RemoteAccessError, match="lacks AccessFlags.REMOTE_READ permission"):
         wr_only.check_remote(buf.addr, 100, write=False)
+    rd_only = pd.reg_mr_sync(buf, AccessFlags.REMOTE_READ)
+    rd_only.check_remote(buf.addr, 100, write=False)
+    with pytest.raises(RemoteAccessError, match="lacks AccessFlags.REMOTE_WRITE permission"):
+        rd_only.check_remote(buf.addr, 100, write=True)
 
 
 def test_bounds_enforcement():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import Engine
 from repro.verbs import Opcode, QpState, RecvWR, SendWR, WcStatus
 from tests.conftest import make_fabric
 
@@ -104,20 +105,27 @@ def test_read_fetches_remote_payload():
 
 
 def test_read_requires_remote_read_permission():
-    f = make_fabric()
-    qa, _ = f.qp_pair()
-    _, buf, mr = f.remote_mr(read=False)
-    qa.post_send(
-        SendWR(
-            opcode=Opcode.RDMA_READ,
-            length=64,
-            wr_id=1,
-            remote_addr=buf.addr,
-            rkey=mr.rkey,
-        )
-    )
-    f.engine.run()
-    assert qa.send_cq._reap(16)[0].status is WcStatus.REM_ACCESS_ERR
+    # A write-only region NAKs a READ and a read-only one a WRITE, on
+    # both engines.
+    for use_fluid in (True, False):
+        for opcode, write, read in (
+            (Opcode.RDMA_READ, True, False), (Opcode.RDMA_WRITE, False, True)
+        ):
+            f = make_fabric(engine=Engine(use_fluid=use_fluid))
+            qa, _ = f.qp_pair()
+            _, buf, mr = f.remote_mr(write=write, read=read)
+            qa.post_send(
+                SendWR(
+                    opcode=opcode,
+                    length=64,
+                    wr_id=1,
+                    remote_addr=buf.addr,
+                    rkey=mr.rkey,
+                )
+            )
+            f.engine.run()
+            status = qa.send_cq._reap(16)[0].status
+            assert status is WcStatus.REM_ACCESS_ERR, (use_fluid, opcode)
 
 
 def test_read_latency_includes_request_round_trip():
