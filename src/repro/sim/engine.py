@@ -43,7 +43,9 @@ class Engine:
     """
 
     def __init__(self, use_fluid: bool = True) -> None:
-        self._now: float = 0.0
+        #: Current simulated time in seconds.  A plain attribute that
+        #: :meth:`run` assigns, so a read costs no Python call.
+        self.now: float = 0.0
         #: The queue and its tie-break counter.  There is no push method:
         #: ``Timeout``/``TimeoutAt`` and ``Event.succeed``/``fail`` bump
         #: ``_eid`` and ``heappush`` onto ``_heap`` themselves.
@@ -75,13 +77,7 @@ class Engine:
     def trace(self, category: str, message: str, **fields) -> None:
         """Emit a trace record if a tracer is attached (cheap when not)."""
         if self.tracer is not None:
-            self.tracer.record(self._now, category, message, fields)
-
-    # -- clock -------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+            self.tracer.record(self.now, category, message, fields)
 
     # -- event construction -------------------------------------------------
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -118,9 +114,9 @@ class Engine:
         hoisted into locals, so a dispatch costs one C ``heappop`` plus
         the event's own callbacks.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise ValueError(
-                f"until ({until!r}) must not be in the past (now={self._now!r})"
+                f"until ({until!r}) must not be in the past (now={self.now!r})"
             )
         limit = _INF if until is None else until
         heap = self._heap
@@ -132,9 +128,9 @@ class Engine:
                 if when > limit:
                     # Put the entry back (rare: at most once per run call).
                     heappush(heap, entry)
-                    self._now = until
+                    self.now = until
                     return
-                self._now = when
+                self.now = when
                 processed += 1
                 callbacks = event.callbacks
                 event.callbacks = None
@@ -149,7 +145,7 @@ class Engine:
         finally:
             self.events_processed += processed
         if until is not None:
-            self._now = until
+            self.now = until
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Engine t={self._now:.9f} queued={len(self._heap)}>"
+        return f"<Engine t={self.now:.9f} queued={len(self._heap)}>"

@@ -97,7 +97,7 @@ class Event:
         self._value = value
         engine = self.engine
         engine._eid = eid = engine._eid + 1
-        heappush(engine._heap, (engine._now, eid, self))
+        heappush(engine._heap, (engine.now, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -115,7 +115,7 @@ class Event:
         self._value = exception
         engine = self.engine
         engine._eid = eid = engine._eid + 1
-        heappush(engine._heap, (engine._now, eid, self))
+        heappush(engine._heap, (engine.now, eid, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -167,7 +167,7 @@ class Timeout(Event):
         self._cancelled = False
         self.delay = delay
         engine._eid = eid = engine._eid + 1
-        heappush(engine._heap, (engine._now + delay, eid, self))
+        heappush(engine._heap, (engine.now + delay, eid, self))
 
     def cancel(self) -> bool:
         """Cancel a timer that has not fired yet.
@@ -199,7 +199,7 @@ class TimeoutAt(Timeout):
     __slots__ = ()
 
     def __init__(self, engine: "Engine", when: float, value: Any = None) -> None:
-        now = engine._now
+        now = engine.now
         if not now <= when < _INF:  # also rejects NaN
             if when < now:
                 raise ValueError(

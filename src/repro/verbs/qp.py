@@ -213,7 +213,7 @@ class QueuePair:
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.point(
-                self.engine._now, _T_POST,
+                self.engine.now, _T_POST,
                 self.qp_num, wr.opcode._value_, wr.wr_id, wr.length,
             )
         # The WQE reaches the NIC inside this call, not one zero-delay hop
@@ -232,7 +232,7 @@ class QueuePair:
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.point(
-                self.engine._now, _T_COMPLETE,
+                self.engine.now, _T_COMPLETE,
                 self.qp_num, wr.wr_id, status._value_,
             )
         wc = None
@@ -384,7 +384,7 @@ class _Wqe(Event):
         """READ holds an ORD slot: the request packet crosses the path
         (``ctrl_wait`` is never 0: it includes the datagram's
         serialisation)."""
-        _schedule(self, self.engine._now + self.qp.path.ctrl_wait, self._requested)
+        _schedule(self, self.engine.now + self.qp.path.ctrl_wait, self._requested)
 
     def _requested(self, ev: Optional[Event] = None) -> None:
         """The READ request is at the responder: its read engine serves it."""
@@ -409,7 +409,7 @@ class _Wqe(Event):
     def _serve(self, grant: Event) -> None:
         """The responder's read engine is ours: its per-request gap."""
         gap = self.qp.peer.device.nic.profile.read_gap_seconds
-        _schedule(self, self.engine._now + gap, self._gap_done)
+        _schedule(self, self.engine.now + gap, self._gap_done)
 
     def _gap_done(self, ev: Event) -> None:
         """The read engine fetches the payload over the responder's bus."""
@@ -514,7 +514,7 @@ class _Wqe(Event):
     def _reply(self, status: WcStatus) -> None:
         """The responder's ACK (or NAK) travels back; it completes the WR."""
         self.status = status
-        _schedule(self, self.engine._now + self.qp.rpath.ctrl_wait, self._replied)
+        _schedule(self, self.engine.now + self.qp.rpath.ctrl_wait, self._replied)
 
     def _replied(self, ev: Optional[Event] = None) -> None:
         """The ACK / NAK is back."""
@@ -588,7 +588,7 @@ class _Wqe(Event):
         failed process body's failure would surface.  The WR never
         retires."""
         self._value = exc
-        _schedule(self, self.engine._now, self._surface)
+        _schedule(self, self.engine.now, self._surface)
 
     def _surface(self, ev: Event) -> None:
         self._ok = False

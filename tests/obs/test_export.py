@@ -235,7 +235,7 @@ def test_trace_lines_equal_json_dumps_and_point_equals_emit(records, run, catego
     engine = Engine()
     engine.tracer = by_keyword
     for time, category, message, (names, values) in records:
-        engine._now = time  # ``engine.trace`` stamps the engine's clock
+        engine.now = time  # ``engine.trace`` stamps the engine's clock
         engine.trace(category, message, **dict(zip(names, values)))
         by_position.point(time, (category, message, *names), *values)
     assert list(by_keyword.rows()) == list(by_position.rows())
@@ -262,7 +262,7 @@ def test_trace_lines_equal_json_dumps_and_point_equals_emit(records, run, catego
         engine.tracer = ring
         for _ in range(laps):
             for time, category, message, (names, values) in records:
-                engine._now = time
+                engine.now = time
                 engine.trace(category, message, **dict(zip(names, values)))
                 ring.point(time, (category, message, *names), *values)
                 reference.record(time, category, message, dict(zip(names, values)))

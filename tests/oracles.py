@@ -67,7 +67,7 @@ def step(engine):
     if not engine._heap:
         raise SimulationError("step() on an empty event queue")
     when, _, event = heappop(engine._heap)
-    engine._now = when
+    engine.now = when
     engine.events_processed += 1
     callbacks = event.callbacks
     event.callbacks = None
