@@ -145,9 +145,10 @@ class RdmaMiddleware:
             # WQE must fit a full block plus its wire header, or an
             # arriving SEND is dropped with a local length error.
             wqe_len = self.config.block_size + HEADER_BYTES
-            for i in range(self.config.srq_depth):
-                self._srq.post_recv(RecvWR(length=wqe_len, wr_id=i))
-            self.engine.process(self._srq_dispatch())
+            ring = [RecvWR(length=wqe_len, wr_id=i) for i in range(self.config.srq_depth)]
+            for wr in ring:
+                self._srq.post_recv(wr)
+            self.engine.process(self._srq_dispatch(ring))
 
         def _accept_loop() -> Generator:
             while True:
@@ -198,20 +199,19 @@ class RdmaMiddleware:
             self.host, self.pd, self.config.sink_blocks, block_size
         )
 
-    def _srq_dispatch(self) -> Generator:
+    def _srq_dispatch(self, ring: list[RecvWR]) -> Generator:
         """Shared-receive-queue dispatcher: route eager arrivals.
 
         One thread serves every data QP attached to the SRQ.  The
-        consumed WQE is re-posted only *after* the engine's handler
-        returns — the handler may wait on a free sink block, so pool
-        starvation shrinks the shared ring and surfaces as RNR NAKs on
-        the wire, the eager analogue of withholding credits.
+        consumed WQE, ``ring[wr_id]``, is re-posted only *after* the
+        engine's handler returns — the handler may wait on a free sink
+        block, so pool starvation shrinks the shared ring and surfaces as
+        RNR NAKs on the wire, the eager analogue of withholding credits.
         """
         assert self._srq is not None and self._srq_recv_cq is not None
         thread = self.host.thread("srq-sink", "app")
         recv_channel = CompletionChannel(self._srq_recv_cq)
         profile = self.device.arch_profile
-        wqe_len = self.config.block_size + HEADER_BYTES
         stray = self.engine.metrics.counter("sink.eager_stray")
         while True:
             yield recv_channel.wait(thread)
@@ -229,7 +229,7 @@ class RdmaMiddleware:
                     # reclaim, or a misrouted SEND): drop and count.
                     stray.add()
                 yield thread.exec(profile.post_recv_seconds)
-                self._srq.post_recv(RecvWR(length=wqe_len, wr_id=wc.wr_id))
+                self._srq.post_recv(ring[wc.wr_id])
 
     # -- client role -----------------------------------------------------------------
     def _connect_data_qp(

@@ -11,7 +11,8 @@ blocks via one-sided RDMA WRITE with zero sink CPU.  Its threads only:
   (``put_free_blk``), triggering fresh grants.
 
 Everything the sink knows about one session id is one slotted
-:class:`SinkSession` record, ``LIVE → ACKED | RECLAIMED | CRASHED →
+:class:`SinkSession` record whose ``state`` is its phase: live on
+``RDMA`` ⇄ ``TCP`` → ``DRAINED``, then ``ACKED | RECLAIMED | CRASHED →
 evicted``.  Incarnations *start* through ``_go_live`` / ``_reanchor``
 (+ ``_reattach`` for resume and fallback) and *end* through
 ``_end_incarnation``; DESIGN.md §8 tabulates what each start resets, what
@@ -58,15 +59,21 @@ __all__ = ["SessionState", "SinkEngine", "SinkSession"]
 
 
 class SessionState(enum.Enum):
-    """A :class:`SinkSession`'s lifecycle; ended states double as outcomes."""
+    """A :class:`SinkSession`'s phase, the twin of the source's
+    :class:`~repro.core.source_link.JobPhase`: a live phase names the
+    transport, an ended one doubles as the outcome (DESIGN.md §8)."""
 
-    LIVE = "live"  #: negotiated (or re-attached); blocks are accepted
+    RDMA = "rdma"  #: negotiated, resumed or restored: blocks land by RDMA (or eager SEND)
+    TCP = "tcp"  #: a fallback stream carries it; its consumer thread runs
+    DRAINED = "drained"  #: the consumer reached the stream's EOF at ``fallback_eof``
     ACKED = "acked"  #: everything consumed and DATASET_DONE_ACK sent
     RECLAIMED = "reclaimed"  #: reaped by the GC (idle, or the peer is dead)
     CRASHED = "crashed"  #: was live when the sink process crashed
 
 
-_LIVE, _ACKED = SessionState.LIVE, SessionState.ACKED
+_RDMA, _TCP, _DRAINED, _ACKED, _RECLAIMED, _CRASHED = SessionState
+#: Some transport carries the session.
+_LIVE = (_RDMA, _TCP, _DRAINED)
 
 
 @dataclass(slots=True, eq=False)
@@ -82,23 +89,21 @@ class SinkSession:
     #: Marker cadence the source negotiated (bounded by the *source*
     #: pool so repair copies can't starve its readers).
     interval: int
-    state: SessionState = _LIVE  # records are born going live (``_go_live``)
+    state: SessionState = _RDMA  # records are born going live (``_go_live``)
     #: Succeeds (with the byte total) once everything is consumed and
     #: acked; fails (defused) with the typed error that ended the
     #: incarnation — :class:`StaleSessionReclaimed`, :class:`PeerDead` or
-    #: :class:`EndpointCrashed`.  Pending exactly while LIVE.
+    #: :class:`EndpointCrashed`.  Pending exactly while live.
     done: Optional[Event] = None
-    #: Total bytes of the acked dataset (ACKED only) — lets a
-    #: retransmitted DATASET_DONE be re-acked idempotently.
-    acked_total: Optional[int] = None
+    #: Byte total the source announced in DATASET_DONE, once seen; kept
+    #: when ACKED, so a retransmitted DATASET_DONE is re-acked idempotently.
+    total: Optional[int] = None
     consumed: int = 0
-    #: Byte total the source announced in DATASET_DONE, once seen.
-    dataset_done_total: Optional[int] = None
     #: Eager (SEND/RECV) transport: payload arrives through the shared
     #: receive queue, so no credits are granted for the session — freeing
     #: its blocks must not advertise regions nothing will ever write into.
     eager: bool = False
-    #: Last control/consumption activity (meaningful while LIVE).
+    #: Last control/consumption activity (meaningful while live).
     last_activity: float = 0.0
     #: Generation of the consumed-bytes accounting.  Bumped whenever
     #: ``consumed`` is re-anchored to the marker (fallback accept, resume,
@@ -128,31 +133,24 @@ class SinkSession:
     next_seq: Optional[int] = None
     #: seq -> ``(header, block)`` arrived out of order, not yet delivered.
     parked: dict = field(default_factory=dict)
-    #: ``(marker, credits)`` of the last SESSION_RESUME_REP, so a
-    #: retransmitted resume request is answered idempotently.
-    resume_grant: Optional[tuple] = None
-    #: ``(seq, credits)`` of the last ready TRANSPORT_RESTORE_REP,
-    #: answered idempotently like resumes.
-    restore_grant: Optional[tuple] = None
+    #: ``(request type, reply data)`` of the last re-attach request acted
+    #: on (SESSION_RESUME, TRANSPORT_FALLBACK or TRANSPORT_RESTORE), so a
+    #: retransmission is answered by the type's ``duplicate`` rule.
+    answered: Optional[tuple] = None
     # -- degraded mode --------------------------------------------------------
     #: Live TcpBlockStream carrying the degraded session; its consumer
     #: thread stands down once this is no longer *its* stream.
     stream: Any = None
-    #: resume_seq of the accepted fallback, for idempotent replies to
-    #: retransmitted TRANSPORT_FALLBACK_REQs.
-    fallback_seq: Optional[int] = None
-    #: Next expected seq recorded when the TCP consumer hit the EOF
-    #: sentinel (the TRANSPORT_RESTORE anchor).
+    #: DRAINED's cursor: the next seq, recorded when the TCP consumer hit
+    #: the EOF sentinel (the TRANSPORT_RESTORE anchor).
     fallback_eof: Optional[int] = None
 
     def clear_incarnation(self) -> None:
         """Forget what belongs to one incarnation (the marker anchor
         ``upto`` / ``sent`` / ``interval`` and the epoch are not)."""
-        self.dataset_done_total = None
-        self.pending = None
-        self.resume_grant = self.restore_grant = None
+        self.total = self.pending = self.answered = None
         # The TCP consumer keys its liveness on this registration.
-        self.stream = self.fallback_seq = self.fallback_eof = None
+        self.stream = self.fallback_eof = None
         self.eager = False
         self.last_activity = 0.0
 
@@ -186,14 +184,14 @@ class SinkEngine:
         self.reassembly = ReassemblyBuffer(registry=reg, sink=self._m_idx)
         self._ready: Store = Store(self.engine)
         #: session id -> the one record of everything held for that id,
-        #: ordered by last transition: LIVE sessions are swept (GC,
+        #: ordered by last transition: live sessions are swept (GC,
         #: PeerDead, crash) in the order they went live, ended ones are
         #: evicted in the order they ended.  Past
         #: ``config.sink_session_history`` ended records the oldest is
         #: deleted whole, or a broker multiplexing thousands of short
         #: sessions over one link would grow the table without bound.
         self._sessions: Dict[int, SinkSession] = {}
-        #: Records currently LIVE.
+        #: Records currently live (RDMA, TCP or DRAINED).
         self._live = 0
         self.blocks_delivered = reg.counter("sink.blocks_delivered", **labels)
         self.sessions_reclaimed = reg.counter("sink.sessions_reclaimed", **labels)
@@ -226,13 +224,13 @@ class SinkEngine:
         self.engine.process(self._control_thread())
 
     def has_session(self, session_id: int) -> bool:
-        """True while ``session_id`` is LIVE here."""
+        """True while ``session_id`` is live here."""
         s = self._sessions.get(session_id)
-        return s is not None and s.state is _LIVE
+        return s is not None and s.state in _LIVE
 
     def _live_sessions(self) -> List[SinkSession]:
-        """LIVE records, in the order they went live."""
-        return [s for s in self._sessions.values() if s.state is _LIVE]
+        """Live records, in the order they went live."""
+        return [s for s in self._sessions.values() if s.state in _LIVE]
 
     def audit(self) -> List[str]:
         """What a quiescent engine must not hold, as leak messages."""
@@ -251,10 +249,9 @@ class SinkEngine:
                 f" {self.config.sink_session_history}"
             )
         # A completed session has no business keeping resume anchors,
-        # stored grants or a degraded stream.
+        # a stored answer or a degraded stream.
         acked = [s for s in self._sessions.values() if s.state is _ACKED]
-        for name in ("upto", "pending", "sent", "resume_grant", "restore_grant",
-                     "stream", "fallback_seq", "fallback_eof"):
+        for name in ("upto", "pending", "sent", "answered", "stream", "fallback_eof"):
             stranded = [s.sid for s in acked if getattr(s, name) not in (None, 0)]
             if stranded:
                 leaks.append(
@@ -265,14 +262,14 @@ class SinkEngine:
 
     # -- session lifecycle (DESIGN.md §8) ----------------------------------------------
     def _go_live(self, sid: int, s: Optional[SinkSession]) -> SinkSession:
-        """Enter LIVE — a new id, or an ended record revived: fresh
+        """Enter RDMA — a new id, or an ended record revived: fresh
         ``done`` event, writer and GC threads running."""
         if s is None:
             s = SinkSession(sid, self.config.marker_interval_blocks)
         else:
             del self._sessions[sid]  # revived: re-inserted at the back
-            s.state = _LIVE
-            s.acked_total = None  # a finished session's id may be reused
+            s.state = _RDMA
+            s.total = None  # a finished session's id may be reused
         self._sessions[sid] = s
         self._live += 1
         s.done = Event(self.engine)
@@ -300,24 +297,26 @@ class SinkEngine:
 
     def _reattach(
         self, sid: int, s: Optional[SinkSession], total: int, seq: int,
-        supersede_done: bool,
+        phase: SessionState,
     ) -> SinkSession:
-        """Re-attach a session at its restart marker ``seq`` — the part
-        SESSION_RESUME and TRANSPORT_FALLBACK share.  All RDMA credits of
-        the old incarnation die here; the caller grants afresh (or not)."""
-        if s is not None and s.state is _LIVE:
+        """Re-attach a session at its restart marker ``seq`` in ``phase`` —
+        the part SESSION_RESUME (RDMA) and TRANSPORT_FALLBACK (TCP) share.
+        All RDMA credits of the old incarnation die here; the caller
+        grants afresh (or not)."""
+        if s is not None and s.state in _LIVE:
             # The old incarnation is still live here (source-side crash
             # or degradation): free its un-consumed arrivals above the
-            # marker (they will be re-sent) and forget its stored grants,
+            # marker (they will be re-sent) and forget its stored answer,
             # degraded stream and eager flag — a re-attach always rides
             # rendezvous, anchored on credits + restart markers.
             self._drop_unconsumed(s)
             s.clear_incarnation()
-            if supersede_done:
+            if phase is _RDMA:  # a resume is a new incarnation
                 s.done.fail(EndpointCrashed(sid, "superseded by session resume")).defuse()
                 s.done = Event(self.engine)
         else:
             s = self._go_live(sid, s)
+        s.state = phase
         s.epoch += 1
         self._reanchor(s, seq, total)
         self._revoke_waiting()
@@ -340,7 +339,7 @@ class SinkEngine:
         self.granter.pending_request = False
 
     def _end_incarnation(self, s: SinkSession, outcome: SessionState, result: Any) -> None:
-        """LIVE → ``outcome`` — the only place per-incarnation fields are
+        """Live → ``outcome`` — the only place per-incarnation fields are
         cleared and the only way into the bounded history.  ``result``
         resolves ``done``: the acked byte total, or the typed error."""
         s.state = outcome
@@ -348,7 +347,7 @@ class SinkEngine:
         s.clear_incarnation()
         if outcome is _ACKED:
             # ``consumed`` and ``done`` remain for post-run observability.
-            s.acked_total = result
+            s.total = result
             s.upto = s.sent = s.epoch = 0
             s.interval = self.config.marker_interval_blocks
             s.done.succeed(result)
@@ -357,7 +356,7 @@ class SinkEngine:
             # fallback.  A writer mid-``write`` (a sim process: it survives
             # a crash) must not resurrect the dead incarnation's accounting.
             s.epoch += 1
-            if outcome is SessionState.CRASHED:
+            if outcome is _CRASHED:
                 # Volatile: accounting dies; the sent cursor is re-derived
                 # from disk so post-resume markers stay truthful.
                 s.consumed = 0
@@ -368,7 +367,7 @@ class SinkEngine:
         del self._sessions[s.sid]  # to the back: evicted in ending order
         self._sessions[s.sid] = s
         while len(self._sessions) - self._live > self.config.sink_session_history:
-            oldest = next(r for r in self._sessions.values() if r.state is not _LIVE)
+            oldest = next(r for r in self._sessions.values() if r.state not in _LIVE)
             del self._sessions[oldest.sid]
 
     # -- control plane -------------------------------------------------------------
@@ -388,7 +387,7 @@ class SinkEngine:
         it may send, ``None`` otherwise.  A type the sink has no handler
         for (a sink→source type sent its way) is a counted stray."""
         s = self._sessions.get(msg.session_id)  # any state, or None
-        if s is not None and s.state is _LIVE:
+        if s is not None and s.state in _LIVE:
             s.last_activity = self.engine.now
         handler = self._HANDLERS.get(msg.type)
         if handler is None:
@@ -426,7 +425,7 @@ class SinkEngine:
             return
         total_bytes, marker_interval, eager = msg.data
         initial: tuple = ()
-        if s is None or s.state is not _LIVE:
+        if s is None or s.state not in _LIVE:
             reused = s is not None
             if reused and s.state is not _ACKED:
                 # Marker-epoch guard: the restart marker a reclaimed
@@ -466,18 +465,18 @@ class SinkEngine:
         self.health.on_pong(msg.data)
 
     def _on_dataset_done(self, thread, msg, s) -> Generator:
-        if s is not None and s.state is _LIVE:
-            s.dataset_done_total = msg.data
+        if s is not None and s.state in _LIVE:
+            s.total = msg.data
             yield from self._maybe_finish(thread, s)
         elif s is not None and s.state is _ACKED:
             # The original ACK was sent (and possibly lost) after the
             # session was retired: re-ack idempotently.
-            yield from self.ctrl.send(thread, self._reply(msg, s.acked_total))
+            yield from self.ctrl.send(thread, self._reply(msg, s.total))
         else:
             self.stray_messages.add()
 
     def _on_block_done(self, thread, msg, s) -> Generator:
-        if s is None or s.state is not _LIVE:
+        if s is None or s.state not in _LIVE:
             # In flight when its session was reclaimed (or a replay).
             # The block's region may since have been refunded to a live
             # session or revoked — not ours to touch.
@@ -558,7 +557,7 @@ class SinkEngine:
         header = wire.header
         payload = wire.payload
         s = self._sessions.get(header.session_id)
-        if self.pool is None or s is None or s.state is not _LIVE:
+        if self.pool is None or s is None or s.state not in _LIVE:
             # Reclaimed or unknown session: the WQE was consumed but the
             # payload has no home.  Counted, not fatal — like strays.
             self.stray_messages.add()
@@ -587,32 +586,36 @@ class SinkEngine:
 
     # -- re-attach: resume, TCP fallback, restore (DESIGN.md §8) -----------------------
     def _reattach_answer(
-        self, msg, s: Optional[SinkSession], stored: Optional[tuple], total: int,
-        enabled: bool = True,
+        self, msg, s: Optional[SinkSession], total: int, enabled: bool = True,
     ) -> Optional[tuple]:
         """The prologue the three re-attach requests share: the reply's
         data when the request is refused (``enabled`` off, or no pool
-        yet), names an ACKED dataset, or repeats the request ``stored``
+        yet), names an ACKED dataset, or repeats the request ``s.answered``
         answered — per the type's ``duplicate`` rule — else ``None``: the
         handler must act.  A reply that carries a grant (its ``grant``
         column) carries an empty one here."""
         empty = ((),) if PROTOCOL[PROTOCOL[msg.type].reply].grant is not Grant.NONE else ()
         if not enabled or self.pool is None or self.granter is None:
             return (False, 0, *empty)
-        if s is not None and s.state is _ACKED:
-            # Point the source past the last block: it goes straight to
-            # DATASET_DONE, re-acked idempotently from ``acked_total``.
-            bs = self.pool.block_size
-            return (True, (s.acked_total + bs - 1) // bs, *empty)
-        if stored is None:
+        if s is None:
             return None
-        seq = stored[0]
-        if PROTOCOL[msg.type].duplicate is Duplicate.REPLAY and not (
+        if s.state is _ACKED:
+            # Point the source past the last block: it goes straight to
+            # DATASET_DONE, re-acked idempotently from ``total``.
+            bs = self.pool.block_size
+            return (True, (s.total + bs - 1) // bs, *empty)
+        if s.answered is None or s.answered[0] is not msg.type:
+            return None
+        reply = s.answered[1]
+        seq, duplicate = reply[1], PROTOCOL[msg.type].duplicate
+        if duplicate is Duplicate.IDEMPOTENT and msg.data[1] is not s.stream:
+            return None  # a fallback onto another stream is a new request
+        if duplicate is Duplicate.REPLAY and not (
             s.upto == seq == s.next_seq and not s.parked
             and s.consumed == min(seq * self.pool.block_size, total)
         ):
             return None  # something landed since: the stored grant is spent
-        return (True, *stored)
+        return reply
 
     def _on_session_resume(self, thread, msg, s) -> Generator:
         """SESSION_RESUME_REQ: re-attach a session at its restart marker.
@@ -624,20 +627,18 @@ class SinkEngine:
         """
         sid = msg.session_id
         total, marker_interval = msg.data
-        answer = self._reattach_answer(
-            msg, s, s.resume_grant if s is not None else None, total
-        )
+        answer = self._reattach_answer(msg, s, total)
         if answer is None:
             marker = s.upto if s is not None else 0
             self.resumes.add()
             self.engine.trace("sink", "session_resume", session=sid, marker=marker)
             # A resume is a NEW incarnation: a still-pending ``done`` of
             # the old one fails with EndpointCrashed.
-            s = self._reattach(sid, s, total, marker, supersede_done=True)
+            s = self._reattach(sid, s, total, marker, _RDMA)
             s.interval = marker_interval
             initial = tuple(self.granter.initial_grant(self.config.initial_credits))
-            s.resume_grant = (marker, initial)
             answer = (True, marker, initial)
+            s.answered = (msg.type, answer)
         yield from self.ctrl.send(thread, self._reply(msg, answer))
 
     def _on_transport_fallback(self, thread, msg, s) -> Generator:
@@ -649,7 +650,8 @@ class SinkEngine:
         a SESSION_RESUME, so nothing below the contiguous-written prefix
         crosses the wire twice.  All RDMA credits of the session die here
         (the data QPs are gone); WAITING regions are revoked like on a
-        resume, and nothing is granted.
+        resume, and nothing is granted.  A retransmitted request for the
+        stream already consumed is answered identically.
         """
         sid = msg.session_id
         total, stream = msg.data
@@ -658,12 +660,7 @@ class SinkEngine:
             or self.pool is None
             or (self.fallback_deny_hook is not None and self.fallback_deny_hook())
         )
-        # A retransmitted request for the stream we already consume is
-        # answered identically: the consumer thread is already running.
-        same = s is not None and s.stream is stream
-        answer = self._reattach_answer(
-            msg, s, (s.fallback_seq,) if same else None, total, enabled=not deny
-        )
+        answer = self._reattach_answer(msg, s, total, enabled=not deny)
         if deny:
             self.engine.trace("sink", "fallback_denied", session=sid)
         elif answer is None:
@@ -672,15 +669,15 @@ class SinkEngine:
             self.engine.trace("sink", "transport_fallback", session=sid, marker=marker)
             # The *same* incarnation degrading transports: a live ``done``
             # and the negotiated marker interval are kept; no grant.
-            s = self._reattach(sid, s, total, marker, supersede_done=False)
+            s = self._reattach(sid, s, total, marker, _TCP)
             s.stream = stream
-            s.fallback_seq = marker
             self.engine.process(self._tcp_consumer_thread(s, stream, marker))
             answer = (True, marker)
+            s.answered = (msg.type, answer)
         yield from self.ctrl.send(thread, self._reply(msg, answer))
 
     def _on_transport_restore(self, thread, msg, s) -> Generator:
-        """TRANSPORT_RESTORE_REQ: promote a degraded session back to RDMA.
+        """TRANSPORT_RESTORE_REQ: promote a DRAINED session back to RDMA.
 
         ``msg.data`` is ``(total_bytes, marker_interval)``.  The reply is
         ``(ready, resume_seq, initial_credits)`` — not ready until the
@@ -689,11 +686,9 @@ class SinkEngine:
         """
         sid = msg.session_id
         total, marker_interval = msg.data
-        answer = self._reattach_answer(
-            msg, s, s.restore_grant if s is not None else None, total
-        )
+        answer = self._reattach_answer(msg, s, total)
         if answer is None:
-            if s is None or s.state is not _LIVE or s.fallback_eof is None:
+            if s is None or s.state is not _DRAINED:
                 # Nothing degraded here, or the consumer has not reached
                 # the EOF sentinel yet; the source retries after a
                 # patience interval.
@@ -704,12 +699,13 @@ class SinkEngine:
                 # epoch, and the stream is drained: neither happens again.
                 done_seq = s.fallback_eof
                 self.engine.trace("sink", "transport_restore", session=sid, seq=done_seq)
-                s.stream = s.fallback_seq = s.fallback_eof = None
+                s.state = _RDMA
+                s.stream = s.fallback_eof = None
                 s.interval = marker_interval
                 self._reanchor(s, done_seq, total)
                 initial = tuple(self.granter.initial_grant(self.config.initial_credits))
-                s.restore_grant = (done_seq, initial)
                 answer = (True, done_seq, initial)
+                s.answered = (msg.type, answer)
         yield from self.ctrl.send(thread, self._reply(msg, answer))
 
     #: One handler per type the sink receives (PROTOCOL's ``direction``),
@@ -752,6 +748,7 @@ class SinkEngine:
                 # EOF sentinel: the source's pump stopped (dataset done or
                 # a repromotion pending).  Record the restore anchor.
                 s.fallback_eof = cursor
+                s.state = _DRAINED
                 self.engine.trace("sink", "fallback_eof", session=s.sid, seq=cursor)
                 return
             header, payload = frame
@@ -802,9 +799,7 @@ class SinkEngine:
         self.engine.trace("sink", "crash")
         live = self._live_sessions()
         for s in live:
-            self._end_incarnation(
-                s, SessionState.CRASHED, EndpointCrashed(s.sid, "sink process crashed")
-            )
+            self._end_incarnation(s, _CRASHED, EndpointCrashed(s.sid, "sink process crashed"))
         if self.pool is not None:
             for s in live:
                 for _hdr, blk in self.reassembly.take(s):
@@ -844,7 +839,7 @@ class SinkEngine:
                 # session was reclaimed and evicted before pickup.)
                 continue
             s.consumed += header.length
-            if s.state is _LIVE:
+            if s.state in _LIVE:
                 s.last_activity = self.engine.now
             # Freed eager blocks go back to the pool, not out as credits
             # (nothing would ever write into them) — except when a
@@ -854,7 +849,7 @@ class SinkEngine:
                 if granted:
                     yield from self._send_credits(thread, header.session_id, granted)
             self._advance_written(s, header.seq)
-            if s.dataset_done_total is not None:
+            if s.total is not None and s.state is not _ACKED:  # ACKED keeps its total
                 yield from self._maybe_finish(thread, s)
 
     def _advance_written(self, s: SinkSession, seq: int) -> None:
@@ -889,7 +884,7 @@ class SinkEngine:
         writer threads — a repair copy pinned until fsync would starve
         the source pool for nothing.
         """
-        if s.state is not _LIVE:
+        if s.state not in _LIVE:
             return
         delivered = s.next_seq
         if delivered - s.sent < s.interval:
@@ -901,7 +896,7 @@ class SinkEngine:
         )
 
     def _maybe_finish(self, thread, s: SinkSession) -> Generator:
-        total = s.dataset_done_total
+        total = s.total
         if total is None or s.consumed < total:
             return
         # End the incarnation before yielding: two consumer threads can
@@ -972,7 +967,7 @@ class SinkEngine:
             error = StaleSessionReclaimed(
                 s.sid, f"idle past {self.config.session_idle_timeout}s, reclaimed"
             )
-        self._end_incarnation(s, SessionState.RECLAIMED, error)
+        self._end_incarnation(s, _RECLAIMED, error)
         if not self._live:
             # No live session shares the pool: advertised credits held by
             # dead sources can never be honoured — revoke them so the next

@@ -58,6 +58,18 @@ class FaultInjector:
         self.fallback_denials = 0
         self.attempt_faults = 0
 
+    def _at(self, engine: Any, when: float, counter: str, act: Any, *args: Any) -> None:
+        """Start the process that, at sim time ``when``, counts one in the
+        ``counter`` attribute and calls ``act(*args)`` — every scheduled
+        fault of the plan (flaps, crashes, QP kills) goes through here."""
+
+        def fire():
+            yield engine.timeout(when)
+            setattr(self, counter, getattr(self, counter) + 1)
+            act(*args)
+
+        engine.process(fire())
+
     # -- verbs.qp seam ---------------------------------------------------------------
     def data_qp_hook(self, wr: "SendWR") -> bool:
         """``qp.fault_injector`` interface: True fails this WRITE with a
@@ -134,38 +146,22 @@ class FaultInjector:
             # With no spike rate the hook returns 0.0 and draws nothing.
             for link in links:
                 link.fault_hook = self._spike_hook
-        engine = testbed.engine
+
+        def flap(duration: float) -> None:
+            for link in links:
+                link.fail_for(duration)
+
         for start, duration in self.plan.link_flaps:
-
-            def _flap(start=start, duration=duration):
-                yield engine.timeout(start)
-                self.flaps_fired += 1
-                for link in links:
-                    link.fail_for(duration)
-
-            engine.process(_flap())
+            self._at(testbed.engine, start, "flaps_fired", flap, duration)
 
     # -- endpoint seams ----------------------------------------------------------------
     def arm_source(self, link: "SourceLink") -> None:
         """Schedule the plan's source crashes and data-QP kills on one
         client link."""
-        engine = link.engine
         for when in self.plan.source_crashes:
-
-            def _crash(when=when):
-                yield engine.timeout(when)
-                self.source_crashes_fired += 1
-                link.crash()
-
-            engine.process(_crash())
+            self._at(link.engine, when, "source_crashes_fired", link.crash)
         for when, index in self.plan.qp_kills:
-
-            def _kill(when=when, index=index):
-                yield engine.timeout(when)
-                self.qp_kills_fired += 1
-                link.kill_channel(index)
-
-            engine.process(_kill())
+            self._at(link.engine, when, "qp_kills_fired", link.kill_channel, index)
 
     def arm_broker(self, supervisor: Any) -> None:
         """Schedule the plan's broker crashes on a scheduler supervisor
@@ -173,15 +169,8 @@ class FaultInjector:
         :class:`repro.sched.runner.BrokerSupervisor` — crash kills the
         current incarnation, the supervisor restarts it from the
         journal)."""
-        engine = supervisor.engine
         for when in self.plan.broker_crashes:
-
-            def _crash(when=when):
-                yield engine.timeout(when)
-                self.broker_crashes_fired += 1
-                supervisor.crash()
-
-            engine.process(_crash())
+            self._at(supervisor.engine, when, "broker_crashes_fired", supervisor.crash)
 
     def attempt_hook(self, now: float) -> bool:
         """``TransferBroker.attempt_fault_hook`` interface: True fails the
@@ -221,12 +210,5 @@ class FaultInjector:
         denies fallbacks, install the deny hook."""
         if self.plan.fallback_deny:
             sink_engine.fallback_deny_hook = self._fallback_deny_hook
-        engine = sink_engine.engine
         for when in self.plan.sink_crashes:
-
-            def _crash(when=when):
-                yield engine.timeout(when)
-                self.sink_crashes_fired += 1
-                sink_engine.crash()
-
-            engine.process(_crash())
+            self._at(sink_engine.engine, when, "sink_crashes_fired", sink_engine.crash)

@@ -70,7 +70,7 @@ from repro.core.middleware import allocate_session_id
 from repro.sched.jobs import FileState, FileTask, Job, TransferSpec
 from repro.sched.journal import Journal, JobTable, apply, replay, snapshot_jobs
 from repro.sched.overload import (
-    RECOVERING,
+    RECOVERING as BROWNOUT_RECOVERING,
     OverloadConfig,
     OverloadController,
 )
@@ -173,6 +173,11 @@ class SchedulerConfig:
 #: A door's verdict at one instant.  FULL clears when a slot is released;
 #: CLOSED (link not open, breaker refusing, channels quarantined) with time.
 ADMIT, FULL, CLOSED = "admit", "full", "closed"
+
+#: A broker incarnation's phase (DESIGN.md §7), the twin of the source's
+#: ``JobPhase``: RECOVERING (the resume pass holds dispatch) → RUNNING →
+#: DRAINING, and any phase → DEAD (journals nothing, touches nothing).
+RECOVERING, RUNNING, DRAINING, DEAD = "recovering", "running", "draining", "dead"
 
 
 class RftpDoor:
@@ -357,12 +362,10 @@ class TransferBroker:
         self.peak_active = 0
         self._loop_running = False
         self._wake: Optional[Event] = None
-        #: Crash flag: a dead incarnation journals nothing and touches no
-        #: bookkeeping — its in-flight processes wake up and fall through.
-        self._dead = False
-        self._draining = False
+        #: Written by ``recover``, the resume pass's end, ``drain`` and
+        #: ``crash`` only.  DEAD: in-flight processes wake and fall through.
+        self.phase = RUNNING
         self._drain_wake: Optional[Event] = None
-        self._recovering = False
         #: A brownout-recheck timer is in flight (hysteresis dwell).
         self._recheck_pending = False
         #: Task -> (own backoff timer, or None in a blocked pass's cohort;
@@ -423,7 +426,7 @@ class TransferBroker:
         """THE way job/file state changes: append the record, then apply
         that same record through the reducer ``replay()`` uses (WAL
         order).  A crashed incarnation writes — and changes — nothing."""
-        if self._dead:
+        if self.phase is DEAD:
             return None
         touched = apply(self.table, self.journal.append(kind, **fields))
         if kind in ("finish", "file_failed", "cancel"):
@@ -461,7 +464,7 @@ class TransferBroker:
             # retrying across a recovery boundary cannot double-submit.
             self.engine.trace("sched", "job_resubmit_dedup", job=job_id, tenant=tenant)
             return existing
-        if self._dead:
+        if self.phase is DEAD:
             raise RuntimeError("submit on a crashed broker incarnation")
         now = self.engine.now
         job = self._transition(
@@ -482,7 +485,7 @@ class TransferBroker:
             or dest_owner[t.path].state.terminal
         ]
         backlog = len(state.queue) + state.parked
-        if self._draining:
+        if self.phase is DRAINING:
             self._m_jobs_rejected.add()
             return self._refuse(
                 job, "reject", reason="broker draining: admissions closed"
@@ -552,7 +555,7 @@ class TransferBroker:
         leave the queue, parked files are unparked (their backoff timers
         cancelled), ACTIVE sessions are aborted with a typed
         :class:`TransferCanceled`.  Every cancellation is journaled."""
-        if self._dead or job.state.terminal:
+        if self.phase is DEAD or job.state.terminal:
             return False
         now = self.engine.now
         metrics = self._metrics(job.tenant)
@@ -586,7 +589,7 @@ class TransferBroker:
 
     def _deadline_watch(self, job: Job, delay: float):
         yield self.engine.timeout(delay)
-        if self._dead or job.state.terminal:
+        if self.phase is DEAD or job.state.terminal:
             return
         self._m_deadline_cancels.add()
         self.engine.trace("sched", "deadline_exceeded", job=job.job_id)
@@ -596,11 +599,7 @@ class TransferBroker:
     def _kick(self) -> None:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed(None)
-        if (
-            not self._loop_running
-            and self.table.outstanding > 0
-            and not (self._dead or self._draining or self._recovering)
-        ):
+        if not self._loop_running and self.table.outstanding > 0 and self.phase is RUNNING:
             self._loop_running = True
             self.engine.process(self._dispatch_loop())
 
@@ -680,7 +679,7 @@ class TransferBroker:
             self._active, self.config.max_active, occupancy,
             {n: s.policy.weight for n, s in self._tenants.items()},
         )
-        if ctrl.state == RECOVERING and not self._recheck_pending:
+        if ctrl.state == BROWNOUT_RECOVERING and not self._recheck_pending:
             # The exit dwell needs one more sample after `brownout_hold`
             # quiet seconds; without this timer a fully-parked broker
             # would never observe again and never re-promote.
@@ -690,19 +689,17 @@ class TransferBroker:
     def _brownout_recheck(self, delay: float):
         yield self.engine.timeout(max(delay, 1e-3))
         self._recheck_pending = False
-        if self._dead:
+        if self.phase is DEAD:
             return
         self._observe_overload()
         self._kick()
 
     def _dispatch_loop(self):
-        while self.table.outstanding > 0 and not (self._dead or self._draining):
+        # Started only while RUNNING, which nothing re-enters once left.
+        while self.table.outstanding > 0 and self.phase is RUNNING:
             verdicts: Dict[tuple, str] = {}
             cohort: List[FileTask] = []  # files this pass cannot place
-            while (
-                self._active < self.config.max_active
-                and not (self._dead or self._draining)
-            ):
+            while self._active < self.config.max_active and self.phase is RUNNING:
                 self._observe_overload()
                 tenant_name = self._runnable_tenant()
                 if tenant_name is None:
@@ -740,7 +737,7 @@ class TransferBroker:
                     cohort, self.engine.timeout(self.config.blocked_retry)
                 ))
             self._wake = Event(self.engine)
-            if self.table.outstanding == 0 or self._dead or self._draining:
+            if self.table.outstanding == 0 or self.phase is not RUNNING:
                 break
             yield self._wake
         self._loop_running = False
@@ -774,7 +771,7 @@ class TransferBroker:
         everything queued meanwhile) the ``tasks`` still parked, then
         wake dispatch once.  A dead incarnation's timer touches nothing."""
         yield timer
-        if self._dead:
+        if self.phase is DEAD:
             return
         requeued = False
         for task in tasks:
@@ -815,7 +812,7 @@ class TransferBroker:
 
     # -- the attempt -------------------------------------------------------------
     def _run_task(self, task: FileTask, state: _TenantState, door: RftpDoor):
-        if task.state.terminal or self._dead:
+        if task.state.terminal or self.phase is DEAD:
             # Canceled (or the broker died) between dispatch and start.
             self._release_slot(state, door)
             self._kick()
@@ -859,7 +856,7 @@ class TransferBroker:
                     resumed_from = job.start_seq
             except TransferError as exc:
                 error = exc
-        if self._dead:
+        if self.phase is DEAD:
             return
         self._release_slot(state, door)
         self._settle(task, door, error, resumed_from)
@@ -961,14 +958,14 @@ class TransferBroker:
         cfg = self.config
         link = door.link
         last = None
-        while not self._dead:
+        while self.phase is not DEAD:
             rto = cfg.watchdog_min_interval
             if link is not None and link.health is not None:
                 rto = link.health.rtt.rto
             interval = max(cfg.watchdog_min_interval, cfg.watchdog_rto_multiplier * rto)
             yield self.engine.timeout(interval)
             if (
-                self._dead
+                self.phase is DEAD
                 or task.state is not FileState.ACTIVE
                 or task.last_session != session_id
                 or link is None
@@ -1001,9 +998,9 @@ class TransferBroker:
         lost) and the incarnation stops journaling and touching state —
         a crash writes nothing, by definition.  The journal object
         survives for :meth:`recover`."""
-        if self._dead:
+        if self.phase is DEAD:
             return
-        self._dead = True
+        self.phase = DEAD
         self.engine.trace("sched", "broker_crash")
         for door in self.doors.values():
             if door.link is not None:
@@ -1014,7 +1011,8 @@ class TransferBroker:
         transfers finish, then write a clean journal checkpoint.  Process
         event resolving to the journal.  Queued/parked files stay
         SUBMITTED in the journal — a later ``recover`` continues them."""
-        self._draining = True
+        if self.phase is not DEAD:
+            self.phase = DRAINING
         self.engine.trace("sched", "drain_begin", active=self._active)
 
         def _wait():
@@ -1029,7 +1027,7 @@ class TransferBroker:
 
     def _notify_drain(self) -> None:
         if (
-            self._draining
+            self.phase is DRAINING
             and self._active == 0
             and self._drain_wake is not None
             and not self._drain_wake.triggered
@@ -1050,7 +1048,7 @@ class TransferBroker:
             },
             snapshot=snapshot_jobs(self.jobs),
         )
-        if self.config.checkpoint_compact and not self._dead:
+        if self.config.checkpoint_compact and self.phase is not DEAD:
             self.journal.compact()
 
     @classmethod
@@ -1122,7 +1120,7 @@ class TransferBroker:
             broker._m_deadline_cancels.add()
             broker.cancel_job(job, reason=f"deadline exceeded after {job.deadline}s")
         if resume:
-            broker._recovering = True
+            broker.phase = RECOVERING
             engine.process(broker._resume_pass(resume))
         else:
             broker._kick()
@@ -1134,7 +1132,7 @@ class TransferBroker:
         ``SourceLink.resume`` — so the pass is serialised and dispatch is
         held until it finishes)."""
         for task in tasks:
-            if self._dead:
+            if self.phase is DEAD:
                 return
             if task.state.terminal:
                 continue  # e.g. an overdue deadline canceled it above
@@ -1149,9 +1147,10 @@ class TransferBroker:
                 yield door.middleware.reopen_channel(
                     door.link, door.remote_dev, door.port
                 )
-                if self._dead:
+                if self.phase is DEAD:
                     return
             self._take_slot(state, door)
             yield from self._attempt(task, state, door, session_id, resume=True)
-        self._recovering = False
-        self._kick()
+        if self.phase is RECOVERING:  # not if a drain arrived meanwhile
+            self.phase = RUNNING
+            self._kick()

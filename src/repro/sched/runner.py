@@ -25,10 +25,7 @@ from repro.apps.rftp import RftpServer
 from repro.core import ProtocolConfig, RdmaMiddleware
 from repro.faults.plan import FaultPlan
 from repro.sched.broker import (
-    RftpDoor,
-    SchedulerConfig,
-    TenantPolicy,
-    TransferBroker,
+    DEAD, RftpDoor, SchedulerConfig, TenantPolicy, TransferBroker,
 )
 from repro.sched.jobs import FileState, Job, TransferSpec
 from repro.sched.journal import Journal
@@ -94,7 +91,7 @@ class BrokerSupervisor:
                deadline: Optional[float] = None) -> Optional[Job]:
         """Submit through the current incarnation; while the broker is
         down, the submission queues for the next one (returns None)."""
-        if self.broker._dead:
+        if self.broker.phase is DEAD:
             self._pending.append((tenant, files, priority, job_id, deadline))
             return None
         return self.broker.submit(
@@ -104,7 +101,7 @@ class BrokerSupervisor:
 
     def crash(self) -> None:
         """Kill the current incarnation and schedule its restart."""
-        if self.broker._dead:
+        if self.broker.phase is DEAD:
             return
         journal = self.broker.journal
         self.broker.crash()
@@ -435,7 +432,7 @@ def run_sched(
 
     def _drain():
         yield engine.timeout(float(drain_at))
-        if not supervisor.broker._dead:
+        if supervisor.broker.phase is not DEAD:
             yield supervisor.broker.drain()
             status["drained"] = True
 

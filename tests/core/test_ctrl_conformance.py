@@ -6,9 +6,9 @@ the source's ledger does with its credits and how the sink answers a
 retransmission.  Every row is checked against the code that implements
 it:
 
-- **sink**: each type × each :class:`SinkSession` state (LIVE / ACKED /
-  RECLAIMED / CRASHED / an unknown id) × {fresh, retransmitted, sent by
-  the id's previous incarnation}, delivered to a real :class:`SinkEngine`
+- **sink**: each type × each :class:`SinkSession` state (RDMA / TCP /
+  DRAINED / ACKED / RECLAIMED / CRASHED / an unknown id) × {fresh,
+  retransmitted, sent before the id's last transition}, delivered to a real :class:`SinkEngine`
   (the lifecycle ``Rig``).  The outcome is the table's reply type or
   exactly one counted stray, never an exception, and the engine audits
   clean once its GC has run;
@@ -41,7 +41,7 @@ from repro.core.source_link import JobPhase, SourceLink
 from repro.faults import DEFAULT_DROPPABLE
 from repro.tcp.fallback import TcpBlockStream
 from repro.testbeds import roce_lan
-from tests.core.test_sink_session_lifecycle import BS, SID, Rig
+from tests.core.test_sink_session_lifecycle import BS, SID, Rig, _pump
 
 T = CtrlType
 #: Two-block sessions: the prelude writes block 0, so block 1 is "next".
@@ -132,7 +132,16 @@ SINK_DATA = {
 
 
 def _finish(rig):
-    rig.write_block(SID, 1)
+    """Deliver block 1 on the record's transport, then DATASET_DONE."""
+    s = rig.se._sessions.get(SID)
+    if s.state is SessionState.TCP:
+        _pump(rig, s.stream, [1], eof=False)
+    else:
+        if s.state is SessionState.DRAINED:  # back on RDMA first
+            rig.credits.extend(rig.reply(
+                T.TRANSPORT_RESTORE_REQ, SID, (TOTAL, 1), T.TRANSPORT_RESTORE_REP
+            )[-1])
+        rig.write_block(SID, 1)
     rig.tell(T.DATASET_DONE, SID, TOTAL)
 
 
@@ -141,6 +150,19 @@ def _resume(rig):
     (rep,) = [m for m in rig.tell(T.SESSION_RESUME_REQ, SID, (TOTAL, 1))
               if m.type is T.SESSION_RESUME_REP]
     rig.credits.extend(rep.data[-1])
+
+
+def _fall_back(rig):
+    rig.forget_credits()
+    stream = TcpBlockStream(rig.tb.tcp_connection())
+    assert rig.reply(
+        T.TRANSPORT_FALLBACK_REQ, SID, (TOTAL, stream), T.TRANSPORT_FALLBACK_REP
+    ) == (True, 1)
+    return stream
+
+
+def _drain(rig):
+    _pump(rig, _fall_back(rig), [], eof=True)
 
 
 def _evict(rig):
@@ -152,11 +174,13 @@ def _evict(rig):
     assert rig.se._sessions.get(SID) is None
 
 
-#: state -> (expected record state, how a live incarnation ends to reach
-#: it — only run when a message of that incarnation is captured, for the
-#: states a plain fresh session does not reach by itself).
+#: state -> (expected record state, how an RDMA incarnation moves to it —
+#: only run when a message is captured before, for the states a plain
+#: fresh session does not reach by itself).
 STATES = {
-    "live": (SessionState.LIVE, _resume),
+    "rdma": (SessionState.RDMA, _resume),
+    "tcp": (SessionState.TCP, _fall_back),
+    "drained": (SessionState.DRAINED, _drain),
     "acked": (SessionState.ACKED, _finish),
     "reclaimed": (SessionState.RECLAIMED, lambda rig: rig.step(3.0)),
     "crashed": (SessionState.CRASHED, lambda rig: rig.se.crash()),
@@ -168,7 +192,7 @@ VARIANTS = ("fresh", "retransmitted", "dead-incarnation")
 def _reach(state, variant, make):
     """A rig whose record for ``SID`` is in ``state``, and the data of the
     message to deliver: made now, or — for the dead-incarnation variant —
-    while the incarnation that sent it was still live."""
+    while the record was on RDMA, before its last transition."""
     rig = Rig(sink_session_history=1)
     expected, end = STATES[state]
     if state != "unknown" or variant == "dead-incarnation":
@@ -178,7 +202,7 @@ def _reach(state, variant, make):
     if variant == "dead-incarnation":
         data = make(rig)
         end(rig)
-    elif state not in ("live", "unknown"):
+    elif state not in ("rdma", "unknown"):
         end(rig)
     record = rig.se._sessions.get(SID)
     assert (record.state if record else None) is expected
@@ -223,7 +247,7 @@ def _check_sink(type_, state, variant):
         # The one deferred answer: a DATASET_DONE for a live session
         # whose last block is still missing is ACKed once it is consumed.
         assert type_ is T.DATASET_DONE and rig.se.has_session(SID)
-        assert rig.se._sessions.get(SID).dataset_done_total == TOTAL
+        assert rig.se._sessions.get(SID).total == TOTAL
         _finish(rig)
         assert rig.se._sessions.get(SID).state is SessionState.ACKED
     rig.step(3.0)  # past the idle GC: whatever went live is reclaimed

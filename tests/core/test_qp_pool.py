@@ -130,7 +130,12 @@ def test_pinned_fraction_under_concurrent_interleavings():
 
 def test_eager_transfer_end_to_end():
     c = cfg()
-    tb, server, sink, client, out = run_transfer(c, 16 * BS)
+    tb = roce_lan()
+    server, sink, client = wire(tb, c)
+    ring = list(server._srq._queue)  # the pre-posted shared ring
+    done = client.transfer(tb.dst_dev, 4000, PatternSource(tb.src), 16 * BS)
+    tb.engine.run()
+    assert done.triggered and done.ok, getattr(done, "value", "deadlock")
     assert_delivery(sink, c, 16 * BS)
     # Eager blocks ride SEND/RECV: no per-block BLOCK_DONE round trips,
     # and the sink's SRQ consumed one shared WQE per block.
@@ -139,6 +144,11 @@ def test_eager_transfer_end_to_end():
         if row["metric"] == "srq.consumed"
     )
     assert consumed >= 16
+    # Each consumed WQE was re-posted as the ring's own WR, by wr_id:
+    # the dispatcher builds no RecvWR per block.
+    reposted = sorted(server._srq._queue, key=lambda wr: wr.wr_id)
+    assert len(ring) == len(reposted) == c.srq_depth
+    assert all(a is b for a, b in zip(reposted, ring))
     hpool = next(iter(client._host_pools.values()))
     assert hpool.sessions.balanced
 

@@ -29,6 +29,8 @@ from repro.testbeds import roce_lan
 
 BS = 128 * 1024
 HISTORY = 3
+#: The sink's ended phases: a settled run leaves no record live.
+ENDED = (SessionState.ACKED, SessionState.RECLAIMED, SessionState.CRASHED)
 
 
 def cfg():
@@ -131,7 +133,7 @@ class World:
             assert ev.triggered, f"session {sid} never settled"
             rec = se._sessions.get(sid)
             if rec is not None:
-                assert rec.state is not SessionState.LIVE and rec.done.triggered
+                assert rec.state in ENDED and rec.done.triggered
             if ev.ok:
                 # A resumed or degraded session may re-deliver a consumed
                 # prefix, but only as identical copies.

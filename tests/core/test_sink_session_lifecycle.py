@@ -146,12 +146,14 @@ def failed_with(done, exc_type):
 
 
 INCARNATION_FIELDS = dict(
-    dataset_done_total=None, pending=None, resume_grant=None, restore_grant=None,
-    stream=None, fallback_seq=None, fallback_eof=None, eager=False,
+    pending=None, answered=None, stream=None, fallback_eof=None, eager=False,
 )
 
 
-def assert_incarnation_cleared(s):
+def assert_incarnation_cleared(s, total=None):
+    """Per-incarnation fields cleared; the announced ``total`` survives
+    only an ACK (it re-acks a retransmitted DATASET_DONE)."""
+    assert s.total == total
     for name, cleared in INCARNATION_FIELDS.items():
         assert getattr(s, name) == cleared, name
 
@@ -168,12 +170,12 @@ def end_finish(rig):
     s = rig.rec()
     assert s.state is SessionState.ACKED
     # Survive: the ack ledger, consumed bytes, the resolved done event.
-    assert (s.acked_total, s.consumed, s.done) == (2 * BS, 2 * BS, done)
+    assert (s.total, s.consumed, s.done) == (2 * BS, 2 * BS, done)
     assert done.ok and done.value == 2 * BS
     # Cleared: marker anchor, cadence, epoch, everything per-incarnation.
     assert (s.upto, s.sent, s.epoch) == (0, 0, 0)
     assert s.interval == rig.config.marker_interval_blocks
-    assert_incarnation_cleared(s)
+    assert_incarnation_cleared(s, total=2 * BS)
     # A retransmitted DATASET_DONE is re-acked from the ledger.
     again = rig.tell(CtrlType.DATASET_DONE, SID, 2 * BS)
     assert [m.data for m in again] == [2 * BS]
@@ -200,6 +202,23 @@ def end_idle_reclaim(rig):
     assert (s.upto, s.sent, s.interval, s.consumed, s.epoch) == (1, 1, 1, BS, 1)
     assert_incarnation_cleared(s)
     assert rig.se.sessions_reclaimed.total == 1
+    assert rig.pool_is_free() and rig.se.audit() == []
+
+
+def end_idle_reclaim_rdma_then_drained(rig):
+    end_idle_reclaim(rig)
+    s = rig.rec()
+    # A DRAINED incarnation idles out the same way: its stream and EOF
+    # cursor go with it, the marker anchor stays.
+    stream = _stream(rig)
+    assert _fallback(rig, stream) == (True, 1)
+    _pump(rig, stream, [1])
+    assert s.state is SessionState.DRAINED and s.fallback_eof == 2
+    rig.step(3.0)
+    assert s.state is SessionState.RECLAIMED and rig.se.sessions_reclaimed.total == 2
+    # (No marker goes out over TCP: ``sent`` stays where RDMA left it.)
+    assert (s.upto, s.sent, s.consumed, s.epoch) == (2, 1, 2 * BS, 3)
+    assert_incarnation_cleared(s)
     assert rig.pool_is_free() and rig.se.audit() == []
 
 
@@ -232,6 +251,15 @@ def end_sink_crash(rig):
     rig.step(20.0)  # the writers caught mid-write finish and account nothing
     assert s.consumed == 0 and s.upto == 1
     assert rig.pool_is_free() and rig.se.audit() == []
+    # A crash ends a TCP incarnation too: the consumer's stream goes.
+    rig.sink.delay = 1e-6
+    assert _fallback(rig, _stream(rig)) == (True, 1)
+    assert s.state is SessionState.TCP
+    rig.se.crash()
+    assert s.state is SessionState.CRASHED and failed_with(s.done, EndpointCrashed)
+    assert (s.upto, s.sent, s.consumed, s.epoch) == (1, 1, 0, 3)
+    assert_incarnation_cleared(s)
+    assert rig.pool_is_free() and rig.se.audit() == []
 
 
 def end_eviction(rig):
@@ -261,8 +289,7 @@ def end_eviction(rig):
     se._sessions[1] = SinkSession(1, 1, state=SessionState.ACKED)
     assert se.audit() == ["retired-session history 3 exceeds cap 2"]
     del se._sessions[1]
-    for name in ("upto", "pending", "sent", "resume_grant", "restore_grant",
-                 "stream", "fallback_seq", "fallback_eof"):
+    for name in ("upto", "pending", "sent", "answered", "stream", "fallback_eof"):
         kept = getattr(s, name)
         setattr(s, name, 1)
         assert se.audit() == [f"restart-marker state {name} stranded for acked sessions [3]"]
@@ -276,7 +303,7 @@ def end_eviction(rig):
 
 ENDS = {
     "finish": (end_finish, {}),
-    "idle-reclaim": (end_idle_reclaim, {}),
+    "idle-reclaim": (end_idle_reclaim_rdma_then_drained, {}),
     "peer-dead-reclaim": (
         end_peer_dead,
         dict(heartbeats=True, session_idle_timeout=60.0, heartbeat_interval_max=0.2),
@@ -297,7 +324,7 @@ def test_end_of_incarnation(row):
 def start_fresh(rig):
     grant = rig.open(blocks=4, interval=3)
     s = rig.rec()
-    assert s.state is SessionState.LIVE and rig.se.has_session(SID)
+    assert s.state is SessionState.RDMA and rig.se.has_session(SID)
     assert s.done is not None and not s.done.triggered
     assert (s.epoch, s.upto, s.sent, s.consumed, s.interval) == (0, 0, 0, 0, 3)
     assert not s.eager and len(grant) == rig.config.initial_credits
@@ -335,9 +362,9 @@ def start_reuse_after_finish(rig):
     rig.forget_credits()
     grant = rig.open(blocks=3, interval=2)
     s = rig.rec()
-    assert s.state is SessionState.LIVE
+    assert s.state is SessionState.RDMA
     assert s.done is not old_done and not s.done.triggered
-    assert (s.acked_total, s.consumed, s.epoch, s.upto, s.sent) == (None, 0, 0, 0, 0)
+    assert (s.total, s.consumed, s.epoch, s.upto, s.sent) == (None, 0, 0, 0, 0)
     assert s.interval == 2 and len(grant) == rig.config.initial_credits
 
 
@@ -348,7 +375,7 @@ def start_reuse_after_reclaim(rig):
     assert s.upto == 1  # the predecessor's marker is still there ...
     rig.forget_credits()
     grant = rig.open(blocks=2, interval=2)
-    assert rig.rec() is s and s.state is SessionState.LIVE
+    assert rig.rec() is s and s.state is SessionState.RDMA
     # ... and a fresh incarnation must not inherit it: marker reset,
     # epoch bumped, accounting from zero.
     assert (s.upto, s.sent, s.pending, s.consumed) == (0, 0, None, 0)
@@ -371,12 +398,13 @@ def start_resume_live(rig):
     accepted, marker, grant = _resume(rig)
     rig.forget_credits()
     assert accepted and marker == 1
-    assert rig.rec() is s and s.state is SessionState.LIVE
+    assert rig.rec() is s and s.state is SessionState.RDMA
     assert failed_with(old_done, EndpointCrashed)  # superseded
     assert s.done is not old_done and not s.done.triggered
     assert s.epoch == old_epoch + 1
     assert (s.upto, s.sent, s.pending, s.consumed, s.interval) == (1, 1, None, BS, 2)
-    assert s.resume_grant == (1, grant) and len(grant) == rig.config.initial_credits
+    assert s.answered == (CtrlType.SESSION_RESUME_REQ, (True, 1, grant))
+    assert len(grant) == rig.config.initial_credits
     # Parked block 2 was dropped, every stale WAITING region revoked:
     # only the fresh grant is advertised.
     assert not s.parked and rig.se.reassembly.parked == 0
@@ -392,22 +420,22 @@ def start_resume_reclaimed(rig):
     old_done, old_epoch = s.done, s.epoch
     accepted, marker, grant = _resume(rig)
     assert accepted and marker == 1
-    assert s.state is SessionState.LIVE and rig.se._live == 1
+    assert s.state is SessionState.RDMA and rig.se._live == 1
     assert s.done is not old_done and not s.done.triggered
     assert failed_with(old_done, StaleSessionReclaimed)  # not re-failed
     assert s.epoch == old_epoch + 1
     assert (s.upto, s.sent, s.consumed) == (1, 1, BS)
-    assert s.resume_grant == (1, grant)
+    assert s.answered == (CtrlType.SESSION_RESUME_REQ, (True, 1, grant))
 
 
 def start_resume_acked(rig):
     end_finish(rig)
     s = rig.rec()
-    before = (s.state, s.acked_total, s.consumed, s.done, rig.states())
+    before = (s.state, s.total, s.consumed, s.done, rig.states())
     # Point the source past the last block; it goes straight to
     # DATASET_DONE, which is re-acked from the ledger.
     assert _resume(rig, blocks=2) == (True, 2, ())
-    assert (s.state, s.acked_total, s.consumed, s.done, rig.states()) == before
+    assert (s.state, s.total, s.consumed, s.done, rig.states()) == before
     assert rig.se.resumes.total == 0  # nothing re-attached, granted or revoked
 
 
@@ -445,7 +473,9 @@ def start_fallback_live(rig):
     assert s.done is done and not done.triggered
     assert s.interval == 1 and s.epoch == old_epoch + 1
     assert (s.upto, s.sent, s.consumed) == (1, 1, BS)
-    assert (s.stream, s.fallback_seq, s.fallback_eof) == (stream, 1, None)
+    assert s.state is SessionState.TCP and rig.se.has_session(SID)
+    assert (s.stream, s.fallback_eof) == (stream, None)
+    assert s.answered == (CtrlType.TRANSPORT_FALLBACK_REQ, (True, 1))
     # Nothing granted, every RDMA region revoked.
     assert [m.type for m in rig.ctrl.sent[sent:]] == [CtrlType.TRANSPORT_FALLBACK_REP]
     assert rig.pool_is_free()
@@ -458,7 +488,7 @@ def start_fallback_reclaimed(rig):
     old_done = s.done
     stream = _stream(rig)
     assert _fallback(rig, stream) == (True, 1)
-    assert s.state is SessionState.LIVE
+    assert s.state is SessionState.TCP
     assert s.done is not old_done and not s.done.triggered  # GC failed the old one
     assert s.interval == 1  # the cadence survived the reclaim
     assert s.stream is stream
@@ -477,7 +507,13 @@ def start_fallback_retransmitted(rig):
     epoch = s.epoch
     assert _fallback(rig, stream) == first
     assert rig.se.fallback_sessions.total == 1 and s.epoch == epoch
-    assert s.stream is stream
+    assert s.stream is stream and s.state is SessionState.TCP
+    # A fallback onto another stream is a new request, not a duplicate:
+    # the first stream's consumer stands down for the second's.
+    other = _stream(rig)
+    assert _fallback(rig, other) == first
+    assert rig.se.fallback_sessions.total == 2 and s.epoch == epoch + 1
+    assert s.stream is other and s.state is SessionState.TCP
 
 
 def _restore(rig, blocks=4, interval=3):
@@ -512,8 +548,10 @@ def start_restore(rig):
     stream = _stream(rig)
     _fallback(rig, stream)
     rig.forget_credits()
-    assert _restore(rig) == (False, 0, ())  # not ready: consumer not at EOF
+    assert _restore(rig) == (False, 0, ())  # not ready: TCP, consumer not at EOF
+    assert s.state is SessionState.TCP
     _pump(rig, stream, [1, 2])
+    assert s.state is SessionState.DRAINED and rig.se.has_session(SID)
     assert (s.fallback_eof, s.upto, s.consumed) == (3, 3, 3 * BS)
     done, epoch = s.done, s.epoch
     ready, seq, grant = _restore(rig)
@@ -522,8 +560,8 @@ def start_restore(rig):
     # the consumer's EOF cursor, stream state gone, cadence renegotiated.
     assert s.done is done and not done.triggered and s.epoch == epoch
     assert (s.upto, s.sent, s.consumed, s.interval) == (3, 3, 3 * BS, 3)
-    assert (s.stream, s.fallback_seq, s.fallback_eof) == (None, None, None)
-    assert s.restore_grant == (3, grant)
+    assert (s.state, s.stream, s.fallback_eof) == (SessionState.RDMA, None, None)
+    assert s.answered == (CtrlType.TRANSPORT_RESTORE_REQ, (True, 3, grant))
     assert s.next_seq == 3
     # A duplicate before any restored block landed: the same grant again.
     waiting = rig.states().count(SinkBlockState.WAITING)
@@ -644,5 +682,5 @@ def test_fallback_checksum_mismatch_is_counted_and_skipped():
     assert sorted(rig.sink.written) == [0, 1, 3]
     assert (s.upto, s.consumed, s.fallback_eof) == (2, 3 * BS, 4)
     rig.tell(CtrlType.DATASET_DONE, SID, 4 * BS)
-    assert s.state is SessionState.LIVE and not s.done.triggered
+    assert s.state is SessionState.DRAINED and not s.done.triggered
     assert rig.pool_is_free()

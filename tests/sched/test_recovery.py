@@ -154,3 +154,17 @@ def test_drain_checkpoint_then_standalone_recover(tmp_path):
     assert late_attempts
     assert all((r["job_id"], r["index"]) not in finished_before
                for r in late_attempts)
+
+    # A drain that lands while the post-crash resume pass still runs:
+    # every resume settles, the pass then leaves dispatch closed (no
+    # attempt follows it), and the one checkpoint comes after the last.
+    spec = _quick_spec(0, crash_at=1.0)
+    spec["drain_at"] = 1.5001  # the restart recovers at 1.5
+    mid = run_sched(spec)
+    assert mid.drained and mid.recoveries == 1
+    records = mid.journal.records
+    boundary = next(i for i, r in enumerate(records) if r["kind"] == "recover")
+    recover, after = records[boundary], records[boundary + 1:]
+    assert recover["resumed"] > 1 and recover["t"] < 1.5001 < after[0]["t"]
+    assert [r["kind"] for r in after] == ["finish"] * recover["resumed"] + ["checkpoint"]
+    assert all("resumed_from" in r for r in after[:-1])
